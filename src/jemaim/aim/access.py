@@ -20,10 +20,6 @@ def unprotected(a: Address) -> bool:
     return a.mid == UNPROTECTED
 
 
-def in_protected(descs, a: Address) -> bool:
-    return find_module(descs, a) is not None
-
-
 def code_range(s: Descriptor, a: Address) -> bool:
     return a.mid == s.mid and 0 <= a.off < s.code_len
 

@@ -68,6 +68,7 @@ class MachineState:
     gstore: dict[Word, tuple[Word, Word]] = field(default_factory=dict)
     callstack: list[tuple[Word, Word, Word]] = field(default_factory=list)
     sys_depth_addr: Address | None = None
+    _last_op: str | None = field(default=None, repr=False)  # tells the zero;halt abort from halt
     _icache: dict = field(default_factory=dict, repr=False)
 
     def reg(self, i: int) -> Word:
@@ -96,6 +97,7 @@ class MachineState:
             gstore=dict(self.gstore),
             callstack=list(self.callstack),
             sys_depth_addr=self.sys_depth_addr,
+            _last_op=self._last_op,
             _icache=self._icache,
         )
 
@@ -238,7 +240,7 @@ class MachineState:
 
     def _op_halt(self, i):
         # the zero;halt sequence in protected code is the abort idiom
-        if getattr(self, "_last_op", None) == "zero" and self.current_module() is not None:
+        if self._last_op == "zero" and self.current_module() is not None:
             return ("halted", "abort:check")
         return ("halted", "halt")
 

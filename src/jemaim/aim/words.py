@@ -81,12 +81,3 @@ class NonceOracle:
 
 def is_nat(w: Word) -> bool:
     return isinstance(w, int)
-
-
-def arith_value(w: Word) -> int:
-    """Arithmetic view of a word: nonces count as 0; symbols have no arithmetic value."""
-    if isinstance(w, int):
-        return w
-    if isinstance(w, Nonce):
-        return 0
-    raise TypeError(f"symbol {w} has no arithmetic value")

@@ -19,17 +19,14 @@ from .compiler.pipeline import CompilationError, UnresolvedSymbols, compaim, myl
 from .compiler.prot import prot
 from .compiler.comp import comp_class, CompileError
 from .compiler.sysmod import build_sys
-from .jem.compat import EMPTY
-from .jem.interp import NotWhole, run
+from .jem.interp import DEFAULT_FUEL, NotWhole, run
 from .jem.parser import JemSyntaxError, parse_component
 from .jem.printer import render_component
 from .jem.typecheck import typecheck
 from .traces.actions import parse_trace, render_trace
-from .traces.engine import AdversaryDomain, enumerate_traces
+from .traces.engine import DEFAULT_DEPTH, AdversaryDomain, enumerate_traces
 from .traces.equiv import InterfaceMismatch, trace_equiv
 
-DEFAULT_FUEL = 1_000_000
-DEFAULT_DEPTH = 4
 DEFAULT_SEED = 0
 
 
@@ -242,6 +239,10 @@ def main(argv=None) -> int:
         return 1
     except (LinkError, aimod.AimodError, NotWhole, CompilationError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except Exception as e:  # any other failure is still reported as one error line
+        message = " ".join(str(e).split())
+        print(f"error: {type(e).__name__}: {message}", file=sys.stderr)
         return 1
 
 

@@ -1,18 +1,22 @@
 """The base compiler: one jem class to aim code, data and a symbol table.
 
-Code generation is a stack machine over a memory-resident evaluation stack.
+Code generation is a stack machine over one memory-resident stack per module.
 Per-module data layout (data section starts at the fixed base D):
 
-    D+0  evaluation stack pointer       D+16..   evaluation stack
-    D+1  frame stack pointer            D+4212.. frame stack (activation
-    D+2  heap bump pointer                        records and outcall triples)
-    D+3  outstanding-outcall counter    D+8300.. static objects, then heap
+    D+0  stack pointer SP               D+3..     signature table (prot)
+    D+1  heap bump pointer              D+8300..  static objects, then heap
+    D+2  outstanding-outcall counter    2^32..    the stack, growing upward
 
-Activation records are [resume offset, this, vars...]; an outcall pushes a
-[saved this, return-type encoding, resume offset] triple that the return entry
-point pops. Objects are [class encoding, fields...]; an internal object id is
-its data offset. Values of the module's own class are internal ids inside the
-module; every other object value is a cross-module id (mask) or comp(null).
+A body pushes its activation record [resume offset, this, vars...] at SP and
+evaluates above it; the compiler tracks the number of temporaries above the
+record, so the record sits at a known distance below SP at every instruction.
+An outcall pushes a [saved this, return-type encoding, resume offset] triple
+on the same stack, which the return entry point pops. One guard at body entry
+spins once SP passes STACK_LIMIT; nothing lives above the stack, so the guard
+needs no per-method headroom.
+Objects are [class encoding, fields...]; an internal object id is its data
+offset. Values of the module's own class are internal ids inside the module;
+every other object value is a cross-module id (mask) or comp(null).
 
 Register discipline: r0 caller id, r1/r2 ALU and branch scratch, r3/r4 jump
 targets, r5 return designator, r6 this/result, r7+ parameters, r9..r12
@@ -22,26 +26,24 @@ boundary crossings.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..aim.isa import Assembler, Label
 from ..aim.link import MethodSig as LinkSig
 from ..aim.link import ObjKey
 from ..aim.words import N_W, Symbol
-from ..encoding import ENC_OBJ
 from ..jem import ast
 from ..jem.typecheck import Env, T_NULL
 from .encoding import encode_class, encode_type, encode_value, link_sig
 
 DATA_BASE = 65536
-ESP = DATA_BASE + 0
-FSP = DATA_BASE + 1
-HP = DATA_BASE + 2
-OCD = DATA_BASE + 3
-EVAL_BASE = DATA_BASE + 16
-FRAME_BASE = DATA_BASE + 4212
-FRAME_LIMIT = DATA_BASE + 8200
+SP = DATA_BASE + 0
+HP = DATA_BASE + 1
+OCD = DATA_BASE + 2
+SIGTAB_BASE = DATA_BASE + 3
 STATIC_BASE = DATA_BASE + 8300
+STACK_BASE = 1 << 32
+STACK_LIMIT = 1 << 33
 
 ZF, SF = 0, 1
 
@@ -50,12 +52,25 @@ class CompileError(Exception):
     pass
 
 
+def always_jump(a: Assembler, label: str, tmp: int = 11):
+    """Unconditional local jump: local control flow never uses `jmp`."""
+    a.emit("movi", tmp, Label(label))
+    a.emit("cmp", 0, 0)
+    a.emit("je", tmp, ZF)
+
+
+def trampoline(a: Assembler, target: str):
+    """One entry-point slot: an always-jump to `target`, padded to N_W words."""
+    start = a.here()
+    always_jump(a, target, tmp=1)
+    a.raw(*([0] * (N_W - (a.here() - start))))
+
+
 @dataclass
 class CompiledClass:
     """Unlinked compilation of one class: body emitters plus table ingredients.
 
-    prot() assembles the protected module around it; `plain_assembly()` gives
-    the bare multi-entry/single-exit memory of the base compiler alone.
+    prot() assembles the protected module around it.
     """
 
     cname: str
@@ -75,26 +90,6 @@ class CompiledClass:
     def exported_objects(self) -> list[tuple[ObjKey, int]]:
         return self.cc.exported_objects()
 
-    def plain_assembly(self):
-        """(code words, data words) with exports bound directly to body offsets."""
-        asm = Assembler(0)
-        for m in self.methods:
-            self.cc.emit_body(asm, m)
-        self.cc.emit_exit(asm)
-        self.cc.emit_abort(asm)
-        code = asm.words()
-        offsets = {}
-        off = 0
-        for it in asm.items:
-            if isinstance(it, tuple) and it[0] == "label":
-                offsets[it[1]] = off
-            elif isinstance(it, tuple):
-                off += len(it[1])
-            else:
-                off += it.width
-        em = {link_sig(m.sig): offsets[f"body_{m.name}"] for m in self.methods}
-        return code, self.cc.data_words(), em
-
 
 class ClassCompiler:
     def __init__(self, component: ast.JemComponent, cls: ast.JemClass, mid: int):
@@ -106,6 +101,7 @@ class ClassCompiler:
         self._rm: dict[LinkSig, tuple[Symbol, Symbol]] = {}
         self._ro: dict[ObjKey, Symbol] = {}
         self._labels = 0
+        self.depth = 0  # temporaries above the activation record at the emission point
         # static object layout
         self.obj_offsets: dict[str, int] = {}
         off = STATIC_BASE
@@ -194,49 +190,47 @@ class ClassCompiler:
 
     # -- emission helpers ------------------------------------------------------
 
-    def always_jump(self, a: Assembler, label: str, tmp: int = 11):
-        a.emit("movi", tmp, Label(label))
-        a.emit("cmp", 0, 0)
-        a.emit("je", tmp, ZF)
-
     def jump_if_zf(self, a: Assembler, label: str, tmp: int = 11):
         a.emit("movi", tmp, Label(label))
         a.emit("je", tmp, ZF)
 
-    def push(self, a: Assembler, reg: int):
+    def load_sp(self, a: Assembler):
+        """r9 := SP; r10 := module id."""
         a.emit("movi", 10, self.mid)
-        a.emit("movi", 9, ESP)
+        a.emit("movi", 9, SP)
         a.emit("movl", 9, 10, 9)
+
+    def push(self, a: Assembler, reg: int):
+        self.load_sp(a)
         a.emit("movs", 10, reg, 9)
         a.emit("movi", 11, 1)
         a.emit("add", 9, 11)
-        a.emit("movi", 11, ESP)
+        a.emit("movi", 11, SP)
         a.emit("movs", 10, 9, 11)
+        self.depth += 1
 
     def pop(self, a: Assembler, reg: int):
-        a.emit("movi", 10, self.mid)
-        a.emit("movi", 9, ESP)
-        a.emit("movl", 9, 10, 9)
+        self.load_sp(a)
         a.emit("movi", 11, 1)
         a.emit("sub", 9, 11)
-        a.emit("movi", 11, ESP)
+        a.emit("movi", 11, SP)
         a.emit("movs", 10, 9, 11)
         a.emit("movl", reg, 10, 9)
+        self.depth -= 1
+
+    def frame_addr(self, a: Assembler, back: int):
+        """r9 := the address `back` words below the end of the activation
+        record, which lies under the current temporaries; r10 := module id."""
+        self.load_sp(a)
+        a.emit("movi", 11, self.depth + back)
+        a.emit("sub", 9, 11)
 
     def var_addr(self, a: Assembler, slot: int, framesize: int):
         """r9 := address offset of var slot; r10 := module id."""
-        a.emit("movi", 10, self.mid)
-        a.emit("movi", 9, FSP)
-        a.emit("movl", 9, 10, 9)
-        a.emit("movi", 11, framesize - 2 - slot)
-        a.emit("sub", 9, 11)
+        self.frame_addr(a, framesize - 2 - slot)
 
     def load_this(self, a: Assembler, reg: int, framesize: int):
-        a.emit("movi", 10, self.mid)
-        a.emit("movi", 9, FSP)
-        a.emit("movl", 9, 10, 9)
-        a.emit("movi", 11, framesize - 1)
-        a.emit("sub", 9, 11)
+        self.frame_addr(a, framesize - 1)
         a.emit("movl", reg, 10, 9)
 
     def push_value(self, a: Assembler, value: int):
@@ -285,23 +279,21 @@ class ClassCompiler:
         slots = self.var_slots(m)
         framesize = 2 + len(slots)
         a.label(f"body_{m.name}")
-        # frame-overflow guard: spin in place rather than corrupt memory
+        # stack-overflow backstop: spin in place once SP passes the limit
         a.emit("movi", 10, self.mid)
-        a.emit("movi", 9, FSP)
+        a.emit("movi", 9, SP)
         a.emit("movl", 1, 10, 9)
-        a.emit("movi", 2, FRAME_LIMIT)
+        a.emit("movi", 2, STACK_LIMIT)
         a.emit("sub", 1, 2)
-        ok = self.fresh_label("frame_ok")
+        ok = self.fresh_label("stack_ok")
         spin = self.fresh_label("spin")
         a.emit("movi", 11, Label(ok))
         a.emit("je", 11, SF)
         a.label(spin)
-        self.always_jump(a, spin)
+        always_jump(a, spin)
         a.label(ok)
         # push activation record [r5, r6, params...]
-        a.emit("movi", 10, self.mid)
-        a.emit("movi", 9, FSP)
-        a.emit("movl", 9, 10, 9)
+        self.load_sp(a)
         a.emit("movs", 10, 5, 9)
         a.emit("movi", 11, 1)
         a.emit("add", 9, 11)
@@ -310,23 +302,20 @@ class ClassCompiler:
             a.emit("movi", 11, 1)
             a.emit("add", 9, 11)
             a.emit("movs", 10, 7 + i, 9)
-        a.emit("movi", 9, FSP)
+        a.emit("movi", 9, SP)
         a.emit("movl", 1, 10, 9)
         a.emit("movi", 2, framesize)
         a.emit("add", 1, 2)
         a.emit("movs", 10, 1, 9)
-        # body expression leaves its value on the eval stack
+        # body expression leaves its value on the stack above the record
+        self.depth = 0
         scope = dict(zip(m.params, m.sig.params))
         self.expr(a, m.body, scope, slots, framesize)
-        # epilogue: r6 := result, restore r5 and the frame pointer, local return
+        # epilogue: r6 := result, restore r5, pop the record, local return
         self.pop(a, 6)
-        a.emit("movi", 10, self.mid)
-        a.emit("movi", 9, FSP)
-        a.emit("movl", 9, 10, 9)
-        a.emit("movi", 11, framesize)
-        a.emit("sub", 9, 11)
+        self.frame_addr(a, framesize)
         a.emit("movl", 5, 10, 9)
-        a.emit("movi", 11, FSP)
+        a.emit("movi", 11, SP)
         a.emit("movs", 10, 9, 11)
         a.emit("cmp", 0, 0)
         a.emit("je", 5, ZF)
@@ -386,6 +375,7 @@ class ClassCompiler:
             a.emit("movi", 6, 0)
             a.emit("add", 6, 1)
             a.emit("halt")
+            self.depth += 1  # what follows is unreachable; count the value its type promises
         elif isinstance(e, ast.InstanceOf):
             self.compile_instanceof(a, e, scope, slots, framesize)
         elif isinstance(e, ast.Call):
@@ -426,7 +416,7 @@ class ClassCompiler:
             a.emit("sub", 1, 2)
             a.emit("movi", 11, Label(neg))
             a.emit("je", 11, SF)
-            self.always_jump(a, done)
+            always_jump(a, done)
             a.label(neg)
             a.emit("movi", 1, 0)
             a.label(done)
@@ -453,7 +443,7 @@ class ClassCompiler:
         a.emit("movi", 11, Label(yes))
         a.emit("je", 11, flag)
         a.emit("movi", 1, encode_value(False))
-        self.always_jump(a, done)
+        always_jump(a, done)
         a.label(yes)
         a.emit("movi", 1, encode_value(True))
         a.label(done)
@@ -467,9 +457,11 @@ class ClassCompiler:
         a.emit("movi", 2, encode_value(True))
         a.emit("cmp", 1, 2)
         self.jump_if_zf(a, then_l)
+        depth = self.depth
         self.expr(a, e.els, dict(scope), slots, framesize)
-        self.always_jump(a, end_l)
+        always_jump(a, end_l)
         a.label(then_l)
+        self.depth = depth
         self.expr(a, e.then, dict(scope), slots, framesize)
         a.label(end_l)
 
@@ -525,7 +517,7 @@ class ClassCompiler:
         a.emit("movi", 11, enc)
         a.emit("cmp", 2, 11)
         self.jump_if_zf(a, ltrue)
-        self.always_jump(a, lfalse)
+        always_jump(a, lfalse)
         a.label(lnonce)
         a.emit("movi", 11, enc)
         a.emit("gst_test", 2, 1, 11)
@@ -534,7 +526,7 @@ class ClassCompiler:
         self.jump_if_zf(a, ltrue)
         a.label(lfalse)
         a.emit("movi", 1, encode_value(False))
-        self.always_jump(a, ldone)
+        always_jump(a, ldone)
         a.label(ltrue)
         a.emit("movi", 1, encode_value(True))
         a.label(ldone)
@@ -556,7 +548,7 @@ class ClassCompiler:
         if recv_t.cname == self.cls.name:
             resume = self.fresh_label("iresume")
             a.emit("movi", 5, Label(resume))
-            self.always_jump(a, f"body_{e.mname}")
+            always_jump(a, f"body_{e.mname}")
             a.label(resume)
             self.push(a, 6)
         else:
@@ -565,14 +557,12 @@ class ClassCompiler:
     def compile_outcall(self, a: Assembler, sig: ast.MethodSig, n: int, framesize: int):
         iota, sigma = self.require_method(link_sig(sig))
         resume = self.fresh_label("oresume")
-        # store the outcall triple [this, return-type encoding, resume offset];
-        # `this` sits one below the active frame pointer
-        a.emit("movi", 10, self.mid)
-        a.emit("movi", 9, FSP)
-        a.emit("movl", 9, 10, 9)
+        # push the outcall triple [this, return-type encoding, resume offset]
+        # above the temporaries; the return entry point pops it
+        self.load_sp(a)
         a.emit("movi", 1, 0)
         a.emit("add", 1, 9)
-        a.emit("movi", 11, framesize - 1)
+        a.emit("movi", 11, self.depth + framesize - 1)
         a.emit("sub", 1, 11)
         a.emit("movl", 1, 10, 1)
         a.emit("movs", 10, 1, 9)
@@ -586,7 +576,7 @@ class ClassCompiler:
         a.emit("movs", 10, 1, 9)
         a.emit("movi", 11, 1)
         a.emit("add", 9, 11)
-        a.emit("movi", 1, FSP)
+        a.emit("movi", 1, SP)
         a.emit("movs", 10, 9, 1)
         a.emit("movi", 9, OCD)
         a.emit("movl", 1, 10, 9)
@@ -603,7 +593,7 @@ class ClassCompiler:
             a.emit("movi", r, 0)
         a.emit("movi", 3, iota)
         a.emit("movi", 4, sigma)
-        self.always_jump(a, "exit")
+        always_jump(a, "exit")
         a.label(resume)
         self.push(a, 6)
 
@@ -632,7 +622,7 @@ class ClassCompiler:
     # -- data -------------------------------------------------------------------
 
     def data_words(self) -> dict[int, object]:
-        mem = {ESP: EVAL_BASE, FSP: FRAME_BASE, HP: self.heap_start, OCD: 0}
+        mem = {SP: STACK_BASE, HP: self.heap_start, OCD: 0}
         for o in self.cls.objects:
             base = self.obj_offsets[o.name]
             cls = self.comp.cls(o.cname)

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from ..encoding import (
-    CLASS_ENC_BASE,
     ENC_BOOL,
     ENC_INT,
     ENC_OBJ,
@@ -12,7 +11,6 @@ from ..encoding import (
     V_TRUE,
     V_UNIT,
     encode_class,
-    is_class_encoding,
 )
 from ..aim.link import MethodSig as LinkSig
 from ..jem import ast

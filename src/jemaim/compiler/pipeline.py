@@ -7,12 +7,11 @@ from ..aim.link import LinkError, ProgramImage, merge
 from ..aim.machine import MachineState, run_state
 from ..aim.words import Address, NonceOracle, SYS_ID, Word
 from ..jem import ast
+from ..jem.interp import DEFAULT_FUEL
 from ..jem.typecheck import typecheck
 from .comp import comp_class
 from .prot import prot
 from .sysmod import SYS_DEPTH_ADDR, build_sys
-
-DEFAULT_FUEL = 1_000_000
 
 
 class CompilationError(Exception):

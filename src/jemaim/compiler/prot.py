@@ -4,13 +4,15 @@ prot() assembles a compiled class into a protected module:
 
     [EP 0: return entry]  [EP i: method i]  ...   (N_W words each)
     [return-entry code] [method-entry code]* [method bodies]* [exit] [abort]
-    [data: stack pointers, signature table, static objects]
+    [data: stack pointer, heap pointer, outcall counter, signature table,
+     static objects, heap ... the stack, far above]
 
 Method entry points admit only jumps forwarded by sys (r0=1, r5=3*N_W), load
 masked receivers, typecheck receiver and parameters, run the body, mask the
 result and return through sys. The return entry point (offset 0) accepts only
-sys, pops the outcall triple and typechecks the returned value before
-resuming. Exports bind methods to their entry points and objects to masks.
+sys, pops the outcall triple off the module's stack and typechecks the
+returned value before resuming. Exports bind methods to their entry points
+and objects to masks.
 """
 from __future__ import annotations
 
@@ -20,25 +22,25 @@ from ..aim.link import ObjKey, ProgramImage, SymbolTable
 from ..aim.words import N_W, Address, Descriptor, Nonce
 from ..encoding import ENC_BOOL, ENC_INT, ENC_OBJ, ENC_UNIT
 from ..jem import ast
-from .comp import DATA_BASE, FRAME_LIMIT, FSP, OCD, CompiledClass, CompileError
+from .comp import (
+    DATA_BASE,
+    OCD,
+    SIGTAB_BASE,
+    SP,
+    STATIC_BASE,
+    CompiledClass,
+    CompileError,
+    always_jump,
+    trampoline,
+)
 from .encoding import encode_class, encode_type
 from .sysmod import TESTOBJ
 
 ZF, SF = 0, 1
 
-SIGTAB_BASE = FRAME_LIMIT + 1
-
 INSTANCEOF_KEY = LinkSig("instanceof", "Obj", ("Obj", "Obj"), "Bool")
 
 _instance = 0
-
-
-def _trampoline(a: Assembler, target: str):
-    start = a.here()
-    a.emit("movi", 1, Label(target))
-    a.emit("cmp", 0, 0)
-    a.emit("je", 1, ZF)
-    a.raw(*([0] * (N_W - (a.here() - start))))
 
 
 def _check_eq(cc, a: Assembler, reg: int, value, fail_label="abort"):
@@ -47,7 +49,7 @@ def _check_eq(cc, a: Assembler, reg: int, value, fail_label="abort"):
     a.emit("cmp", reg, 1)
     a.emit("movi", 2, Label(ok))
     a.emit("je", 2, ZF)
-    cc.always_jump(a, fail_label)
+    always_jump(a, fail_label)
     a.label(ok)
 
 
@@ -77,7 +79,7 @@ def _method_entry(cc, a: Assembler, m: ast.Method):
         _param_check(cc, a, 7 + i, pt)
     ret = cc.fresh_label("epret")
     a.emit("movi", 5, Label(ret))
-    cc.always_jump(a, f"body_{m.name}")
+    always_jump(a, f"body_{m.name}")
     a.label(ret)
     cc.mask_out(a, 6, m.sig.ret)
     for r in (1, 2, 3, 4):
@@ -104,11 +106,11 @@ def _return_entry(cc, a: Assembler):
     a.emit("sub", 1, 2)
     a.emit("movs", 10, 1, 9)
     # pop the [this, return type, resume] triple
-    a.emit("movi", 9, FSP)
+    a.emit("movi", 9, SP)
     a.emit("movl", 9, 10, 9)
     a.emit("movi", 11, 3)
     a.emit("sub", 9, 11)
-    a.emit("movi", 11, FSP)
+    a.emit("movi", 11, SP)
     a.emit("movs", 10, 9, 11)
     a.emit("movl", 12, 10, 9)  # saved current object
     a.emit("movi", 11, 1)
@@ -123,7 +125,7 @@ def _return_entry(cc, a: Assembler):
     a.emit("cmp", 1, 11)
     cc.jump_if_zf(a, own)
     a.emit("tychk", 6, 1)
-    cc.always_jump(a, go)
+    always_jump(a, go)
     a.label(own)
     a.emit("movi", 11, 0)
     a.emit("cmp", 6, 11)
@@ -140,9 +142,9 @@ def prot(compiled: CompiledClass) -> ProgramImage:
     cc = compiled.cc
     k = len(compiled.methods)
     a = Assembler(0)
-    _trampoline(a, "retimpl")
+    trampoline(a, "retimpl")
     for m in compiled.methods:
-        _trampoline(a, f"epimpl_{m.name}")
+        trampoline(a, f"epimpl_{m.name}")
     _return_entry(cc, a)
     for m in compiled.methods:
         _method_entry(cc, a, m)
@@ -166,6 +168,8 @@ def prot(compiled: CompiledClass) -> ProgramImage:
         for w in row:
             mem[Address(compiled.mid, off)] = w
             off += 1
+    if off > STATIC_BASE:
+        raise CompileError(f"signature table of {compiled.cname!r} overruns the static objects")
 
     # masking table for statically exported objects: one fresh mask each;
     # the stream is per-instance so re-compilations never share masks

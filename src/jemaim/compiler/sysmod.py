@@ -16,7 +16,7 @@ from ..aim.isa import Assembler, Label
 from ..aim.link import MethodSig as LinkSig
 from ..aim.link import ProgramImage, SymbolTable
 from ..aim.words import N_W, Address, Descriptor, SYS_ID
-from .comp import DATA_BASE
+from .comp import DATA_BASE, always_jump, trampoline
 
 ZF = 0
 
@@ -28,43 +28,22 @@ FORWARDCALL = LinkSig("forwardCall", "Obj", (), "Unit")
 FORWARDRETURN = LinkSig("forwardReturn", "Obj", (), "Unit")
 
 
-def _trampoline(a: Assembler, target: str):
-    start = a.here()
-    a.emit("movi", 1, Label(target))
-    a.emit("cmp", 0, 0)
-    a.emit("je", 1, ZF)
-    a.raw(*([0] * (N_W - (a.here() - start))))
-
-
-def _always(a: Assembler, label: str, tmp: int = 11):
-    a.emit("movi", tmp, Label(label))
-    a.emit("cmp", 0, 0)
-    a.emit("je", tmp, ZF)
-
-
-_EXIT_MARKS: dict[int, str] = {}
-
-
-def sys_exit_marks() -> dict[int, str]:
-    """Offsets of the four boundary jmp instructions inside sys, by role."""
-    if not _EXIT_MARKS:
-        build_sys()
-    return dict(_EXIT_MARKS)
-
-
-def build_sys() -> ProgramImage:
+def _assemble() -> tuple[list, dict[int, str]]:
+    """The code words of sys and the offsets of its four boundary jmp
+    instructions, by role."""
     a = Assembler(0)
-    _trampoline(a, "testobj")
-    _trampoline(a, "regobj")
-    _trampoline(a, "fwcall")
-    _trampoline(a, "fwret")
+    marks: dict[int, str] = {}
+    trampoline(a, "testobj")
+    trampoline(a, "regobj")
+    trampoline(a, "fwcall")
+    trampoline(a, "fwret")
 
     # testObj(w in r7, w' in r8): abort if unknown, else r6 := 0/1 on match/mismatch
     a.label("testobj")
     a.emit("gst_test", 6, 7, 8)
     for r in (1, 2, 3, 4, 7, 8, 9, 10, 11, 12, 13, 14, 15):
         a.emit("movi", r, 0)
-    _EXIT_MARKS[a.here()] = "testobj"
+    marks[a.here()] = "testobj"
     a.emit("jmp", 5, 0)
 
     # registerObj(w in r7, w' in r8): abort if already known; owner is the caller id
@@ -73,7 +52,7 @@ def build_sys() -> ProgramImage:
     a.emit("movi", 6, 1)
     for r in (1, 2, 3, 4, 7, 8, 9, 10, 11, 12, 13, 14, 15):
         a.emit("movi", r, 0)
-    _EXIT_MARKS[a.here()] = "regobj"
+    marks[a.here()] = "regobj"
     a.emit("jmp", 5, 0)
 
     # forwardCall: target in (r3, r4), caller resume offset in r5
@@ -99,7 +78,7 @@ def build_sys() -> ProgramImage:
     a.emit("movi", 5, 3 * N_W)
     for r in (0, 1, 2, 9, 10, 11, 12):
         a.emit("movi", r, 0)
-    _EXIT_MARKS[a.here()] = "fwcall"
+    marks[a.here()] = "fwcall"
     a.emit("jmp", 4, 3)
 
     # forwardReturn: pop (id, n, callee); abort unless the returner is the callee
@@ -108,19 +87,27 @@ def build_sys() -> ProgramImage:
     a.emit("cmp", 3, 0)
     a.emit("movi", 9, Label("fr_ok"))
     a.emit("je", 9, ZF)
-    _always(a, "sys_abort")
+    always_jump(a, "sys_abort")
     a.label("fr_ok")
     a.emit("movi", 5, 1)
     for r in (0, 3, 4, 7, 8, 9, 10, 11, 12, 13, 14, 15):
         a.emit("movi", r, 0)
-    _EXIT_MARKS[a.here()] = "fwret"
+    marks[a.here()] = "fwret"
     a.emit("jmp", 1, 2)
 
     a.label("sys_abort")
     a.emit("zero")
     a.emit("halt")
+    return a.words(), marks
 
-    words = a.words()
+
+def sys_exit_marks() -> dict[int, str]:
+    """Offsets of the four boundary jmp instructions inside sys, by role."""
+    return _assemble()[1]
+
+
+def build_sys() -> ProgramImage:
+    words, _ = _assemble()
     mem = {Address(SYS_ID, i): w for i, w in enumerate(words)}
     mem[SYS_DEPTH_ADDR] = 0
     table = SymbolTable(

@@ -24,10 +24,6 @@ def encode_class(name: str) -> int:
     return CLASS_ENC_BASE + int.from_bytes(name.encode("utf-8"), "big")
 
 
-def is_class_encoding(enc) -> bool:
-    return isinstance(enc, int) and enc >= CLASS_ENC_BASE
-
-
 def class_name_of_encoding(enc: int) -> str:
     n = enc - CLASS_ENC_BASE
     return n.to_bytes((n.bit_length() + 7) // 8, "big").decode("utf-8")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from ..aim.words import Address, N_W, Nonce, SYS_ID, Symbol
 from ..compiler.pipeline import boot_state
@@ -21,7 +21,6 @@ from ..encoding import V_FALSE, V_NULL, V_TRUE, V_UNIT, encode_class
 from .actions import (
     CallIn,
     CallOut,
-    Canonicalizer,
     FuelExceeded,
     ReturnIn,
     ReturnOut,
@@ -134,10 +133,6 @@ class ComponentTracer:
         return Segment(action, reply, nxt)
 
     # -- the deterministic component run ---------------------------------------
-
-    def _sig_arg_count(self, t_mid, t_off) -> int:
-        sig = self.rm_by_syms.get((t_mid, t_off))
-        return len(sig.params) if sig else 0
 
     def _run(self, st, watch_forward=None, last_returner=None):
         forwarded = False

@@ -158,6 +158,11 @@ class TestStep:
         run_state(st, 10)
         assert all(st.reg(i) == 0 for i in range(64))
 
+    def test_clone_between_zero_and_halt_still_aborts(self):
+        st = machine(encode(ins("zero")) + encode(ins("halt")), descs=[Descriptor(2, 17, 1)], pc=(2, 0))
+        assert st.step() == ("ok", None)
+        assert st.clone().step() == ("halted", "abort:check")
+
     def test_new_draws_distinct_nonces(self):
         prog = encode(ins("new", 1)) + encode(ins("new", 2)) + encode(ins("new", 3)) + encode(ins("halt"))
         st = machine(prog)

@@ -78,6 +78,22 @@ class TestCompileLinkRun:
         assert a == b
 
 
+class TestUnexpectedErrors:
+    def test_missing_aimod_is_one_error_line(self, ws, capsys):
+        assert run_cli("run_aim", ws / "missing.aimod") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "missing.aimod" in err and "Traceback" not in err
+
+    def test_malformed_trace_is_one_error_line(self, ws, capsys):
+        (ws / "bad.trace").write_text("call? (2,16) [1,0]\nnonsense here\n")
+        code = run_cli("backtranslate", ws / "c1.jem", ws / "c2.jem", ws / "bad.trace", ws / "bad.trace")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "ValueError" in err and "Traceback" not in err
+
+
 class TestTracePipeline:
     def test_trace_writes_canonical_files(self, ws, capsys):
         assert run_cli("trace", ws / "c1.jem", "-o", ws / "traces", "--depth", "2") == 0

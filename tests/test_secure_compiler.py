@@ -197,6 +197,21 @@ class TestCompilerCorrectness:
         else:
             assert ar.kind == "fuel"
 
+    @pytest.mark.parametrize("pending,n", [(1, 1400), (1, 3000), (7, 600), (7, 700), (7, 900)])
+    def test_deep_recursion_agrees(self, pending, n):
+        """Recursion past the depths where a fixed-size stack would give out,
+        with `pending` operands of `+` left on the stack at every level."""
+        body = "n + this.sum(n - 1)"
+        for _ in range(pending - 1):
+            body = f"1 + ({body})"
+        src = WHOLE_PROGRAMS["recursion-sum"].replace("n + this.sum(n - 1)", body)
+        comp = parse_ok(src.replace("this.sum(10)", f"this.sum({n})"))
+        jr = jem_run(comp, fuel=100_000)
+        ar = run_aim(compaim(comp), seed=3, fuel=1_000_000)
+        assert jr.kind == "terminated"
+        assert ar.kind == "halted" and not ar.aborted
+        assert ar.value == encode_value(jr.value)
+
     def test_two_class_component_gives_three_modules(self):
         comp = parse_ok(WHOLE_PROGRAMS["cross-call"])
         image = compaim(comp)
