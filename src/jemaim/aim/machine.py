@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..encoding import (
+from ..compiler.encoding import (
     CLASS_ENC_BASE,
     ENC_BOOL,
     ENC_INT,
@@ -345,7 +345,10 @@ class MachineState:
                     return self._abort("typecheck-class")
                 return self._advance(i.width)
             if isinstance(w, int):
-                if self.mem.get(Address(self.pc.mid, w), 0) == enc:
+                # a Nat is an object only as an internal id this module has masked
+                # (what tbl_get yields); any other Nat, say an offset into the
+                # signature table, is forged
+                if w in self.table(self.pc.mid).fwd and self.mem.get(Address(self.pc.mid, w), 0) == enc:
                     return self._advance(i.width)
                 return self._abort("typecheck-class")
             return self._abort("typecheck-class")

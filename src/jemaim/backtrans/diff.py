@@ -12,7 +12,7 @@ from __future__ import annotations
 from ..jem import ast
 from ..jem.ast import T_OBJ
 from ..traces.actions import CallOut, FuelExceeded, ReturnOut, Tick
-from .emulate import CodeAddition, EmulState, Fail, emulate_value, method_knowledge, _tname
+from .emulate import CodeAddition, EmulState, Fail, emulate_value, method_knowledge
 from .skel import oc_call, seq
 
 
@@ -54,14 +54,14 @@ def diff(a1, a2, i: int, st: EmulState) -> list[CodeAddition]:
             return []  # Diff-length-tick: nothing to add
         if isinstance(present, CallOut):
             sig = method_knowledge(st, tuple(present.addr))
-            return [CodeAddition([exit_expr()], (_tname(sig.recv), sig.name), guard=i)]
+            return [CodeAddition([exit_expr()], (str(sig.recv), sig.name), guard=i)]
         return [CodeAddition([exit_expr()], here, guard=i)]
     # tick against a real action: only the real action's side can act
     if isinstance(a1, Tick) or isinstance(a2, Tick):
         live = a2 if isinstance(a1, Tick) else a1
         if isinstance(live, CallOut):
             sig = method_knowledge(st, tuple(live.addr))
-            return [CodeAddition([diverge_expr()], (_tname(sig.recv), sig.name), guard=i)]
+            return [CodeAddition([diverge_expr()], (str(sig.recv), sig.name), guard=i)]
         return [CodeAddition([diverge_expr()], here, guard=i)]
     if isinstance(a1, ReturnOut) and isinstance(a2, ReturnOut):
         if a1.value == a2.value:
@@ -77,11 +77,11 @@ def diff(a1, a2, i: int, st: EmulState) -> list[CodeAddition]:
             s1 = method_knowledge(st, tuple(a1.addr))
             s2 = method_knowledge(st, tuple(a2.addr))
             return [
-                CodeAddition([exit_expr()], (_tname(s1.recv), s1.name), guard=i),
-                CodeAddition([diverge_expr()], (_tname(s2.recv), s2.name), guard=i),
+                CodeAddition([exit_expr()], (str(s1.recv), s1.name), guard=i),
+                CodeAddition([diverge_expr()], (str(s2.recv), s2.name), guard=i),
             ]
         sig = method_knowledge(st, tuple(a1.addr))
-        stub = (_tname(sig.recv), sig.name)
+        stub = (str(sig.recv), sig.name)
         if a1.regs[6] != a2.regs[6]:
             cmp = _value_probe(a1.regs[6], a2.regs[6], sig.recv, st, ast.This())
             return [CodeAddition([cmp], stub, guard=i)]
@@ -96,13 +96,13 @@ def diff(a1, a2, i: int, st: EmulState) -> list[CodeAddition]:
     if isinstance(a1, CallOut) and isinstance(a2, ReturnOut):
         sig = method_knowledge(st, tuple(a1.addr))
         return [
-            CodeAddition([exit_expr()], (_tname(sig.recv), sig.name), guard=i),
+            CodeAddition([exit_expr()], (str(sig.recv), sig.name), guard=i),
             CodeAddition([diverge_expr()], here, guard=i),
         ]
     if isinstance(a1, ReturnOut) and isinstance(a2, CallOut):
         sig = method_knowledge(st, tuple(a2.addr))
         return [
-            CodeAddition([diverge_expr()], (_tname(sig.recv), sig.name), guard=i),
+            CodeAddition([diverge_expr()], (str(sig.recv), sig.name), guard=i),
             CodeAddition([exit_expr()], here, guard=i),
         ]
     return []

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..aim.words import N_W, SYS_ID
-from ..encoding import V_FALSE, V_NULL, V_TRUE, V_UNIT, encode_class
+from ..compiler.encoding import V_FALSE, V_NULL, V_TRUE, V_UNIT, encode_class
 from ..jem import ast
 from ..jem.ast import T_BOOL, T_INT, T_OBJ, T_UNIT, JemType, t_class
 from ..traces.actions import CallIn, CallOut, ReturnIn, ReturnOut, Tick
@@ -60,14 +60,6 @@ class EmulState:
     names: dict = field(default_factory=dict)
     additions: list = field(default_factory=list)
 
-    @property
-    def method_stack(self):
-        return [f.method for f in self.frames]
-
-    @property
-    def type_stack(self):
-        return [f.ret_t for f in self.frames]
-
     def here(self) -> tuple:
         return self.placement[-1]
 
@@ -113,7 +105,7 @@ def emulate_value(w, t: JemType, st: EmulState):
         vt, idx = st.V[w]
         if t != T_OBJ and vt != t:
             raise Fail("value-retyped")
-        return oc_call(f"getByName-{_tname(vt)}", ast.Lit(idx))
+        return oc_call(f"getByName-{vt}", ast.Lit(idx))
     if iface.is_external(t) or t == T_OBJ:
         enc = st.R.get(w)
         if enc is None:
@@ -127,10 +119,6 @@ def emulate_value(w, t: JemType, st: EmulState):
         st.V[w] = (t_class(cname), idx)
         return oc_call(f"createNew-{cname}", ast.Lit(idx))
     raise Fail("value-unknown-internal")
-
-
-def _tname(t: JemType) -> str:
-    return "Obj" if t == T_OBJ else t.cname
 
 
 def method_knowledge(st: EmulState, addr):
@@ -241,7 +229,7 @@ def _emulate_return_in(a: ReturnIn, st: EmulState):
 
 def _emulate_call_out(a: CallOut, st: EmulState):
     sig = method_knowledge(st, tuple(a.addr))
-    stub_method = (_tname(sig.recv), sig.name)
+    stub_method = (str(sig.recv), sig.name)
     exprs = [oc_call("incrStep")]
     for j, pt in enumerate(sig.params):
         w = a.regs[7 + j] if 7 + j < len(a.regs) else 0

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 from ..aim.link import MethodSig as LinkSig
 from ..aim.words import SYS_ID
-from ..encoding import encode_class
+from ..compiler.encoding import class_name_of_encoding
 from ..jem import ast
 
 
@@ -13,17 +13,10 @@ class ImportMismatch(Exception):
     """The two components differ in imports or class layout: trivially distinguishable."""
 
 
-def _jem_type(name: str) -> ast.JemType:
-    return {
-        "Unit": ast.T_UNIT,
-        "Bool": ast.T_BOOL,
-        "Int": ast.T_INT,
-        "Obj": ast.T_OBJ,
-    }.get(name) or ast.t_class(name)
-
-
 def jem_sig(sig: LinkSig) -> ast.MethodSig:
-    return ast.MethodSig(sig.name, _jem_type(sig.recv), tuple(_jem_type(p) for p in sig.params), _jem_type(sig.ret))
+    return ast.MethodSig(
+        sig.name, ast.type_named(sig.recv), tuple(map(ast.type_named, sig.params)), ast.type_named(sig.ret)
+    )
 
 
 @dataclass
@@ -51,10 +44,9 @@ class Interface:
         return t.kind == "class" and t.cname in self.external_classes
 
     def class_of_encoding(self, enc):
-        for name in self.internal_classes + self.external_classes:
-            if encode_class(name) == enc:
-                return name
-        return None
+        """The internal or external class `enc` encodes, or None for any other word."""
+        name = class_name_of_encoding(enc)
+        return name if name in self.internal_classes or name in self.external_classes else None
 
     def seeded_name_table(self) -> dict:
         """nonce_to_int seeds: exported masks then required-object symbols, from 1."""

@@ -10,7 +10,7 @@ main's prelude, using the same numbering the emulator assigns to ids.
 from __future__ import annotations
 
 from ..jem import ast
-from ..jem.ast import JemType, T_BOOL, T_INT, T_OBJ, T_UNIT, t_class
+from ..jem.ast import JemType, T_BOOL, T_INT, T_UNIT, t_class, type_named
 from .interface import ImportMismatch, Interface
 
 
@@ -41,7 +41,7 @@ def _method(name, params, recv, ptypes, ret, body):
 
 def _listof(tname: str) -> ast.JemClass:
     """Linked-list registry node for one object type."""
-    t = t_class(tname) if tname != "Obj" else T_OBJ
+    t = type_named(tname)
     me = t_class(f"listof-{tname}")
     get = _method(
         "getByName",
@@ -164,7 +164,7 @@ def _helper_class(c1: ast.JemComponent, iface: Interface, registry_types: list[s
         _method("main", [], me, [], T_INT, _prelude(iface)),
     ]
     for t in registry_types:
-        tt = t_class(t) if t != "Obj" else T_OBJ
+        tt = type_named(t)
         methods.append(
             _method(
                 f"addObject-{t}",
@@ -204,10 +204,6 @@ def _helper_class(c1: ast.JemComponent, iface: Interface, registry_types: list[s
                 ),
             )
         )
-    # generic dispatchers over every registry
-    methods.append(_generic_add(me, registry_types))
-    methods.append(_generic_get(me, registry_types))
-
     # the witness imports everything the component pair exports
     import_classes = []
     for c in c1.classes:
@@ -227,26 +223,6 @@ def _helper_class(c1: ast.JemComponent, iface: Interface, registry_types: list[s
             ast.ObjectDef("main", "Helper", dict(obj_fields)),
         ],
     )
-
-
-def _generic_add(me, registry_types):
-    body = ast.Call(ast.This(), "addObject-Obj", [ast.Var("o"), ast.Var("k")])
-    for t in registry_types:
-        if t == "Obj":
-            continue
-        body = ast.If(ast.InstanceOf(ast.Var("o"), t), ast.Call(ast.This(), "addObject-Obj", [ast.Var("o"), ast.Var("k")]), body)
-    return _method("addObject", ["o", "k"], me, [T_OBJ, T_INT], T_UNIT, body)
-
-
-def _generic_get(me, registry_types):
-    body = ast.Lit("null")
-    for t in reversed(registry_types):
-        probe = ast.Call(ast.This(), f"getByName-{t}", [ast.Var("k")])
-        body = seq(
-            ast.VarDecl(f"r-{t}", T_OBJ, probe),
-            ast.If(ast.BinOp("==", ast.Var(f"r-{t}"), ast.Lit("null")), body, ast.Var(f"r-{t}")),
-        )
-    return _method("getByName", ["k"], me, [T_INT], T_OBJ, body)
 
 
 def _prelude(iface: Interface) -> ast.Expr:

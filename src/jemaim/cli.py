@@ -45,6 +45,13 @@ def _load_component(path: str):
         raise CliError(f"{path}:{e}") from e
 
 
+def _load_trace(path: str):
+    try:
+        return parse_trace(Path(path).read_text())
+    except ValueError as e:
+        raise ValueError(f"{path}:{e}") from e
+
+
 def _load_checked(path: str):
     comp = _load_component(path)
     errors = typecheck(comp)
@@ -141,8 +148,7 @@ def cmd_trace_diff(args) -> int:
 
 def cmd_backtranslate(args) -> int:
     c1, c2 = _load_checked(args.first), _load_checked(args.second)
-    t1 = parse_trace(Path(args.trace1).read_text())
-    t2 = parse_trace(Path(args.trace2).read_text())
+    t1, t2 = _load_trace(args.trace1), _load_trace(args.trace2)
     try:
         witness = algo(c1, c2, t1, t2)
     except ImportMismatch as e:

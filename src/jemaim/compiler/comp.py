@@ -33,8 +33,8 @@ from ..aim.link import MethodSig as LinkSig
 from ..aim.link import ObjKey
 from ..aim.words import N_W, Symbol
 from ..jem import ast
-from ..jem.typecheck import Env, T_NULL
-from .encoding import encode_class, encode_type, encode_value, link_sig
+from ..jem.typecheck import Checker
+from .encoding import encode_class, encode_type, encode_value
 
 DATA_BASE = 65536
 SP = DATA_BASE + 0
@@ -47,9 +47,17 @@ STACK_LIMIT = 1 << 33
 
 ZF, SF = 0, 1
 
+# every class requires instanceof; linking rebinds it to the system test procedure
+INSTANCEOF_KEY = LinkSig("instanceof", "Obj", ("Obj", "Obj"), "Bool")
+
 
 class CompileError(Exception):
     pass
+
+
+def link_sig(sig: ast.MethodSig) -> LinkSig:
+    """Render a jem signature into the structural key used by symbol tables."""
+    return LinkSig(sig.name, str(sig.recv), tuple(str(p) for p in sig.params), str(sig.ret))
 
 
 def always_jump(a: Assembler, label: str, tmp: int = 11):
@@ -96,7 +104,8 @@ class ClassCompiler:
         self.comp = component
         self.cls = cls
         self.mid = mid
-        self.env = Env(component)
+        self.checker = Checker(component)
+        self.env = self.checker.env
         self.own_enc = encode_class(cls.name)
         self._rm: dict[LinkSig, tuple[Symbol, Symbol]] = {}
         self._ro: dict[ObjKey, Symbol] = {}
@@ -109,9 +118,8 @@ class ClassCompiler:
             self.obj_offsets[o.name] = off
             off += 1 + len(component.cls(o.cname).field_types)
         self.heap_start = off
-        # instanceof is always required and later rebound to the system test procedure
         self.inst_syms = (Symbol(f"{cls.name}.instanceof.id"), Symbol(f"{cls.name}.instanceof.off"))
-        self._rm[LinkSig("instanceof", "Obj", ("Obj", "Obj"), "Bool")] = self.inst_syms
+        self._rm[INSTANCEOF_KEY] = self.inst_syms
 
     # -- symbol management ---------------------------------------------------
 
@@ -128,10 +136,9 @@ class ClassCompiler:
         return self._ro[key]
 
     def required_methods(self):
-        inst_key = LinkSig("instanceof", "Obj", ("Obj", "Obj"), "Bool")
-        out = [(inst_key, *self.inst_syms)]
+        out = [(INSTANCEOF_KEY, *self.inst_syms)]
         for sig, (i, s) in sorted(self._rm.items()):
-            if sig != inst_key:
+            if sig != INSTANCEOF_KEY:
                 out.append((sig, i, s))
         return out
 
@@ -144,49 +151,6 @@ class ClassCompiler:
     def fresh_label(self, stem: str) -> str:
         self._labels += 1
         return f"{stem}_{self._labels}"
-
-    # -- type reconstruction (input is already typechecked) -------------------
-
-    def ty(self, e: ast.Expr, scope: dict[str, ast.JemType]) -> ast.JemType:
-        if isinstance(e, ast.Lit):
-            if e.value == "unit":
-                return ast.T_UNIT
-            if isinstance(e.value, bool):
-                return ast.T_BOOL
-            if isinstance(e.value, int):
-                return ast.T_INT
-            return T_NULL
-        if isinstance(e, ast.Var):
-            if e.name in scope:
-                return scope[e.name]
-            cname = self.env.objects.get(e.name) or self.env.decl_objects.get(e.name)
-            return ast.t_class(cname)
-        if isinstance(e, ast.This):
-            return ast.t_class(self.cls.name)
-        if isinstance(e, ast.FieldGet):
-            return self.cls.field_types[e.fname]
-        if isinstance(e, (ast.FieldSet, ast.VarDecl)):
-            return ast.T_UNIT
-        if isinstance(e, ast.Call):
-            rt = self.ty(e.recv, scope)
-            return self.env.method_sig(rt.cname, e.mname).ret
-        if isinstance(e, ast.BinOp):
-            return ast.T_INT if e.op in ("+", "-") else ast.T_BOOL
-        if isinstance(e, ast.New):
-            return ast.t_class(e.cname)
-        if isinstance(e, ast.Seq):
-            t1 = self.ty(e.first, scope)
-            if isinstance(e.first, ast.VarDecl):
-                scope[e.first.name] = e.first.vtype
-            return self.ty(e.second, scope)
-        if isinstance(e, ast.If):
-            t = self.ty(e.then, dict(scope))
-            return t if t != T_NULL else self.ty(e.els, dict(scope))
-        if isinstance(e, ast.Exit):
-            return self.ty(e.value, scope)
-        if isinstance(e, ast.InstanceOf):
-            return ast.T_BOOL
-        raise CompileError(f"untypeable {type(e).__name__}")
 
     # -- emission helpers ------------------------------------------------------
 
@@ -535,7 +499,7 @@ class ClassCompiler:
     # -- calls ---------------------------------------------------------------
 
     def compile_call(self, a: Assembler, e: ast.Call, scope, slots, framesize):
-        recv_t = self.ty(e.recv, dict(scope))
+        recv_t = self.checker.expr(e.recv, dict(scope), self.cls)  # input is already typechecked
         sig = self.env.method_sig(recv_t.cname, e.mname)
         self.expr(a, e.recv, scope, slots, framesize)
         for x in e.args:

@@ -1,19 +1,29 @@
-"""Compiler-facing value/type encodings and signature rendering."""
+"""Value and type encodings: how jem values and types are represented as aim words.
+
+Values: null=0, unit=1, true=2, false=3, integers encode as themselves.
+Type encodings live in a disjoint space: primitives at 10..13, class types at
+100 + the base-256 value of the UTF-8 class name (name-canonical, so separately
+compiled modules agree without a shared enumeration). Compiled objects carry
+their class encoding in their first word.
+
+The compiler emits these words; the machine's `tychk` reads the type
+encodings, and its `tbl_add` recognises an object by a class-encoding word.
+"""
 from __future__ import annotations
 
-from ..encoding import (
-    ENC_BOOL,
-    ENC_INT,
-    ENC_OBJ,
-    ENC_UNIT,
-    V_FALSE,
-    V_NULL,
-    V_TRUE,
-    V_UNIT,
-    encode_class,
-)
-from ..aim.link import MethodSig as LinkSig
 from ..jem import ast
+
+V_NULL = 0
+V_UNIT = 1
+V_TRUE = 2
+V_FALSE = 3
+
+ENC_UNIT = 10
+ENC_BOOL = 11
+ENC_INT = 12
+ENC_OBJ = 13
+
+CLASS_ENC_BASE = 100
 
 
 def encode_value(v) -> int:
@@ -31,18 +41,26 @@ def encode_value(v) -> int:
     raise ValueError(f"not a literal: {v!r}")
 
 
+def encode_class(name: str) -> int:
+    return CLASS_ENC_BASE + int.from_bytes(name.encode("utf-8"), "big")
+
+
+def class_name_of_encoding(enc) -> str | None:
+    """The class name `enc` encodes, or None when `enc` is no class encoding.
+
+    `enc` may be any machine word, including one an adversary chose.
+    """
+    if not isinstance(enc, int) or enc <= CLASS_ENC_BASE:
+        return None
+    n = enc - CLASS_ENC_BASE
+    try:
+        return n.to_bytes((n.bit_length() + 7) // 8, "big").decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+
+
+_BUILTIN_ENCODINGS = {ast.T_UNIT: ENC_UNIT, ast.T_BOOL: ENC_BOOL, ast.T_INT: ENC_INT, ast.T_OBJ: ENC_OBJ}
+
+
 def encode_type(t: ast.JemType) -> int:
-    if t.kind == "Unit":
-        return ENC_UNIT
-    if t.kind == "Bool":
-        return ENC_BOOL
-    if t.kind == "Int":
-        return ENC_INT
-    if t.kind == "Obj":
-        return ENC_OBJ
-    return encode_class(t.cname)
-
-
-def link_sig(sig: ast.MethodSig) -> LinkSig:
-    """Render a jem signature into the structural key used by symbol tables."""
-    return LinkSig(sig.name, str(sig.recv), tuple(str(p) for p in sig.params), str(sig.ret))
+    return _BUILTIN_ENCODINGS.get(t) or encode_class(t.cname)

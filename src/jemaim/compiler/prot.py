@@ -17,13 +17,12 @@ and objects to masks.
 from __future__ import annotations
 
 from ..aim.isa import Assembler, Label
-from ..aim.link import MethodSig as LinkSig
 from ..aim.link import ObjKey, ProgramImage, SymbolTable
 from ..aim.words import N_W, Address, Descriptor, Nonce
-from ..encoding import ENC_BOOL, ENC_INT, ENC_OBJ, ENC_UNIT
 from ..jem import ast
 from .comp import (
     DATA_BASE,
+    INSTANCEOF_KEY,
     OCD,
     SIGTAB_BASE,
     SP,
@@ -31,14 +30,13 @@ from .comp import (
     CompiledClass,
     CompileError,
     always_jump,
+    link_sig,
     trampoline,
 )
-from .encoding import encode_class, encode_type
+from .encoding import encode_type
 from .sysmod import TESTOBJ
 
 ZF, SF = 0, 1
-
-INSTANCEOF_KEY = LinkSig("instanceof", "Obj", ("Obj", "Obj"), "Bool")
 
 _instance = 0
 
@@ -163,9 +161,8 @@ def prot(compiled: CompiledClass) -> ProgramImage:
     # signature table: [iota, sigma, recv, ret, nparams, params...] per requirement
     off = SIGTAB_BASE
     for sig, iota, sigma in compiled.required_methods:
-        row = [iota, sigma, _enc_name(sig.recv), _enc_name(sig.ret), len(sig.params)]
-        row += [_enc_name(p) for p in sig.params]
-        for w in row:
+        recv, ret, *params = (encode_type(ast.type_named(t)) for t in (sig.recv, sig.ret, *sig.params))
+        for w in (iota, sigma, recv, ret, len(params), *params):
             mem[Address(compiled.mid, off)] = w
             off += 1
     if off > STATIC_BASE:
@@ -185,8 +182,6 @@ def prot(compiled: CompiledClass) -> ProgramImage:
 
     em = {}
     for i, m in enumerate(compiled.methods):
-        from .encoding import link_sig
-
         em[link_sig(m.sig)] = Address(compiled.mid, (i + 1) * N_W)
 
     rm = []
@@ -199,15 +194,3 @@ def prot(compiled: CompiledClass) -> ProgramImage:
     table = SymbolTable(em=em, eo=eo, rm=rm, ro=list(compiled.required_objects))
     desc = Descriptor(compiled.mid, code_len, k + 1)
     return ProgramImage(mem, [desc], table, {compiled.mid: masks})
-
-
-def _enc_name(tname: str) -> int:
-    if tname == "Unit":
-        return ENC_UNIT
-    if tname == "Bool":
-        return ENC_BOOL
-    if tname == "Int":
-        return ENC_INT
-    if tname == "Obj":
-        return ENC_OBJ
-    return encode_class(tname)

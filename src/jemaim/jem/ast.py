@@ -26,10 +26,16 @@ T_UNIT = JemType("Unit")
 T_BOOL = JemType("Bool")
 T_INT = JemType("Int")
 T_OBJ = JemType("Obj")
+BUILTIN_TYPES = {str(t): t for t in (T_UNIT, T_BOOL, T_INT, T_OBJ)}
 
 
 def t_class(name: str) -> JemType:
     return JemType("class", name)
+
+
+def type_named(name: str) -> JemType:
+    """The type `str` renders as `name`: the inverse of `str(JemType)`."""
+    return BUILTIN_TYPES.get(name) or t_class(name)
 
 
 def is_object_type(t: JemType) -> bool:

@@ -311,16 +311,8 @@ class Parser:
 
     def type_(self) -> ast.JemType:
         t = self.next()
-        if t.text == "Unit":
-            return ast.T_UNIT
-        if t.text == "Bool":
-            return ast.T_BOOL
-        if t.text == "Int":
-            return ast.T_INT
-        if t.text == "Obj":
-            return ast.T_OBJ
-        if t.kind == "ident" and t.text not in KEYWORDS:
-            return ast.t_class(t.text)
+        if t.kind == "ident" and (t.text in ast.BUILTIN_TYPES or t.text not in KEYWORDS):
+            return ast.type_named(t.text)
         raise JemSyntaxError(t.pos, f"expected a type, found {t.text!r}")
 
     # -- expressions ---------------------------------------------------------

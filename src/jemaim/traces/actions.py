@@ -148,12 +148,16 @@ def render_trace(trace) -> str:
 
 
 def parse_trace(text: str) -> Trace:
+    """Parse rendered actions, one a line; a ValueError names the failing line as `n: `."""
     out = []
-    for raw in text.splitlines():
+    for n, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line:
             continue
-        out.append(_parse_action(line))
+        try:
+            out.append(_parse_action(line))
+        except ValueError as e:
+            raise ValueError(f"{n}: {e}") from e
     return tuple(out)
 
 

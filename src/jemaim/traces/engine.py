@@ -6,7 +6,8 @@ environment living in unprotected memory. The environment acts by injecting
 testObj/registerObj, jumping to forwardReturn, or poking an entry point
 directly — and the component then runs deterministically to its next
 observable: an exit through one of sys's boundary jumps (Callback!/Return!),
-a termination tick, or the segment fuel pseudo-action.
+a termination tick, or the segment fuel pseudo-action. Enumeration never
+pokes: entry points admit only jumps that sys forwards, so a poke only ticks.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass, replace
 from ..aim.words import Address, N_W, Nonce, SYS_ID, Symbol
 from ..compiler.pipeline import boot_state
 from ..compiler.sysmod import sys_exit_marks
-from ..encoding import V_FALSE, V_NULL, V_TRUE, V_UNIT, encode_class
+from ..compiler.encoding import V_FALSE, V_NULL, V_TRUE, V_UNIT, class_name_of_encoding, encode_class
 from .actions import (
     CallIn,
     CallOut,
@@ -173,12 +174,9 @@ class AdversaryDomain:
     ints: tuple = (0, 1)
     illtyped: bool = False
     forged_ids: tuple = ()
-    fresh_objects: bool = True
-    probes: bool = True
-    pokes: bool = False
     register_classes: tuple = ()  # extra class names offered to registerObj
 
-    def value_menu(self, tname: str, knowledge: "Knowledge", tracer) -> list:
+    def value_menu(self, tname: str, knowledge: "Knowledge") -> list:
         if tname == "Int":
             out = list(self.ints)
             if self.illtyped:
@@ -188,8 +186,7 @@ class AdversaryDomain:
             return [V_TRUE, V_FALSE] + ([7] if self.illtyped else [])
         if tname == "Unit":
             return [V_UNIT] + ([V_TRUE] if self.illtyped else [])
-        out = [V_NULL] if tname != "Obj" else [V_NULL]
-        out += knowledge.of_type(tname)
+        out = [V_NULL] + knowledge.of_type(tname)
         if self.illtyped:
             out += [5, Nonce("adv-guess", 1)]
         return out
@@ -241,27 +238,23 @@ def _injections(tracer: ComponentTracer, knowledge: Knowledge, pending: tuple, d
     out = []
     for addr, sig in sorted(tracer.method_eps.items()):
         recvs = domain.recv_menu(sig.recv, knowledge)
-        menus = [domain.value_menu(p, knowledge, tracer) for p in sig.params]
+        menus = [domain.value_menu(p, knowledge) for p in sig.params]
         for recv in recvs:
             for args in itertools.product(*menus) if menus else [()]:
                 out.append(("call", addr, recv, tuple(args), sig))
     if pending:
         ret_t = pending[-1]
-        for v in domain.value_menu(ret_t, knowledge, tracer):
+        for v in domain.value_menu(ret_t, knowledge):
             out.append(("returnback", v, 0))
         for ident in domain.forged_ids:
-            out.append(("returnback", domain.value_menu(ret_t, knowledge, tracer)[0], ident))
+            out.append(("returnback", domain.value_menu(ret_t, knowledge)[0], ident))
     else:
         out.append(("returnback", V_UNIT, 0))  # premature return: always a tick
-    if domain.probes:
-        for cname in domain.register_classes:
-            out.append(("register", encode_class(cname)))
-        for w in knowledge.of_type("Obj")[:2] + [V_NULL]:
-            for cname in domain.register_classes[:1]:
-                out.append(("testobj", w, encode_class(cname)))
-    if domain.pokes:
-        for addr in sorted(tracer.method_eps):
-            out.append(("poke", addr))
+    for cname in domain.register_classes:
+        out.append(("register", encode_class(cname)))
+    for w in knowledge.of_type("Obj")[:2] + [V_NULL]:
+        for cname in domain.register_classes[:1]:
+            out.append(("testobj", w, encode_class(cname)))
     return out
 
 
@@ -280,18 +273,11 @@ def _apply(tracer, state, inj, knowledge: Knowledge, pending: tuple):
         fresh = tracer.fresh_adv_nonce()
         seg = tracer.call_sysproc(state, N_W, fresh, enc)
         if isinstance(seg.reply, ReturnOut):
-            from ..encoding import class_name_of_encoding
-
             knowledge = knowledge.register(fresh, class_name_of_encoding(enc))
+        new_pending = pending
     elif kind == "testobj":
         _, w, enc = inj
         seg = tracer.call_sysproc(state, 0, w, enc)
-        new_pending = pending
-    elif kind == "poke":
-        _, addr = inj
-        seg = tracer.poke(state, addr, {})
-        new_pending = pending
-    if kind in ("register",):
         new_pending = pending
     if isinstance(seg.reply, CallOut):
         sig = tracer.rm_by_syms.get(tuple(seg.reply.addr))

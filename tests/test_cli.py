@@ -93,6 +93,11 @@ class TestUnexpectedErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "ValueError" in err and "Traceback" not in err
 
+    def test_malformed_trace_error_names_file_and_line(self, ws, capsys):
+        (ws / "bad.trace").write_text("call? (2,16) [1,0]\nnonsense here\n")
+        assert run_cli("backtranslate", ws / "c1.jem", ws / "c2.jem", ws / "bad.trace", ws / "bad.trace") == 1
+        assert f"{ws / 'bad.trace'}:2: " in capsys.readouterr().err
+
 
 class TestTracePipeline:
     def test_trace_writes_canonical_files(self, ws, capsys):

@@ -4,8 +4,8 @@ import pytest
 from jemaim.aim.link import MethodSig as LinkSig
 from jemaim.aim.machine import run_state
 from jemaim.aim.words import Address, N_W, Nonce, SYS_ID, Symbol
-from jemaim.compiler.comp import CompileError, comp_class
-from jemaim.compiler.encoding import encode_class, encode_type, encode_value
+from jemaim.compiler.comp import SIGTAB_BASE, CompileError, comp_class
+from jemaim.compiler.encoding import ENC_OBJ, class_name_of_encoding, encode_class, encode_type, encode_value
 from jemaim.compiler.pipeline import boot_state, compaim, mylink, run_aim
 from jemaim.compiler.prot import prot
 from jemaim.compiler.sysmod import FORWARDCALL, FORWARDRETURN, REGISTEROBJ, TESTOBJ, build_sys
@@ -41,6 +41,13 @@ class TestEncodings:
     def test_class_encoding_is_name_canonical(self):
         assert encode_class("cell") == encode_class("cell")
         assert encode_class("cell") != encode_class("cel")
+
+    def test_class_name_decodes_class_encodings_only(self):
+        for name in ("c", "cell", "listof-Obj", "Helper"):
+            assert class_name_of_encoding(encode_class(name)) == name
+        invalid_utf8 = encode_class("c") - ord("c") + 0xFF
+        for word in (0, ENC_OBJ, Nonce("adv", 1), invalid_utf8):
+            assert class_name_of_encoding(word) is None
 
 
 class TestCompClass:
@@ -272,23 +279,23 @@ class TestDynamicTypechecks:
         return kind == "halted" and reason == "halt"  # plain halt means the check passed
 
     def test_unit_value_against_unit_type_passes(self):
-        from jemaim.encoding import ENC_UNIT
+        from jemaim.compiler.encoding import ENC_UNIT
 
         assert self.check(encode_value("unit"), ENC_UNIT)
 
     def test_true_against_unit_type_aborts(self):
-        from jemaim.encoding import ENC_UNIT
+        from jemaim.compiler.encoding import ENC_UNIT
 
         assert not self.check(encode_value(True), ENC_UNIT)
 
     def test_bool_values_pass_bool(self):
-        from jemaim.encoding import ENC_BOOL
+        from jemaim.compiler.encoding import ENC_BOOL
 
         assert self.check(2, ENC_BOOL) and self.check(3, ENC_BOOL)
         assert not self.check(7, ENC_BOOL)
 
     def test_int_always_passes(self):
-        from jemaim.encoding import ENC_INT
+        from jemaim.compiler.encoding import ENC_INT
 
         assert self.check(0, ENC_INT) and self.check(987, ENC_INT)
         assert self.check(Nonce("x", 1), ENC_INT)
@@ -299,6 +306,29 @@ class TestDynamicTypechecks:
 
     def test_unknown_id_against_class_aborts(self):
         assert not self.check(Nonce("ghost", 3), encode_class("c"))
+
+    def test_forged_nat_fails_a_foreign_class_parameter_check(self):
+        """A Nat naming a signature-table word that holds d's encoding is no d."""
+        image = compaim(
+            parse_ok(
+                """
+                class-decl d { get : d()->Int };
+                class c {
+                  c(){}
+                  public m(x) : c(d)->Int { return x.get(); }
+                };
+                object o : c { };
+                """
+            )
+        )
+        [(_, mask)] = list(image.table.eo.items())
+        [m_addr] = [a for s, a in image.table.em.items() if s.name == "m"]
+        [forged] = [
+            a.off for a, w in image.mem.items() if a.mid == m_addr.mid and a.off >= SIGTAB_BASE and w == encode_class("d")
+        ]
+        tracer = ComponentTracer(image)
+        for x in (9, forged):
+            assert isinstance(tracer.call_method(tracer.initial(), m_addr, mask, (x,)).reply, Tick), x
 
 
 class TestMaskingTable:

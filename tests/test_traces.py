@@ -1,4 +1,5 @@
 """Trace engine: observation, enumeration, canonicalization, divergence splits."""
+import hashlib
 import random
 
 import pytest
@@ -147,6 +148,31 @@ class TestEnumeration:
             seg = tracer.call_method(seg.state, get, mask, ())
             runs.append(seg.reply)
         assert runs[0] == runs[1] and runs[0].value == 7
+
+
+# Depth-4 canonical trace sets of every component under both adversary
+# domains: (count, sha256 of the sorted rendered traces joined by newlines).
+# A change that alters any canonical trace must say why and update the pin.
+TRACE_SET_PINS = {
+    ("const", "default"): (9, "438a90e737490150cb64061ad33ccccb3322568dabc163cc05311070da3a4a1f"),
+    ("const", "illtyped"): (21, "34a276584e891fa9530c162922830117b6f348bda42c874a534e43eccb605c03"),
+    ("double", "default"): (46, "94c8d27235e1d3fa7cd3adfe78bc2c2efb29d4ebf2fd1b50edf4a8f394f2dadd"),
+    ("double", "illtyped"): (521, "6212d5588992851ec41ac370a236ebf54c01033523b1a184fa47febde2ad9ba8"),
+    ("cell", "default"): (161, "7b2d2a794f9fd7acfa10edca4804622e3860527b5ce64cc7af1f38d7c1689017"),
+    ("cell", "illtyped"): (1446, "96a3add19c7f48b238b5ca0300b411fcfda155070893770d0f7693bd2315daa0"),
+    ("keeper", "default"): (937, "e1fddc08b3c644e7bfa286603979d6e3bb791b7971e668655f3e90574d7330ca"),
+    ("keeper", "illtyped"): (5773, "65e67f3c9a4bc633dab61b66f52501b7e08051b406ccb11ff5b4218db5f7e75e"),
+    ("gate", "default"): (426, "73575bbf78289dab6186ef66f74159ff3eaef02f9bd2bded12aca77d82273fc6"),
+    ("gate", "illtyped"): (3901, "8146ee2951e0acb57c34730469d76b290d003f0238cd7b44eb31aae480369abf"),
+}
+PIN_DOMAINS = {"default": AdversaryDomain, "illtyped": lambda: AdversaryDomain(illtyped=True, forged_ids=(9,))}
+
+
+@pytest.mark.parametrize("name, domain", [(n, d) for n in sorted(COMPONENTS) for d in PIN_DOMAINS])
+def test_canonical_trace_set_is_pinned(name, domain):
+    traces = enumerate_traces(image_of(COMPONENTS[name]), depth=4, domain=PIN_DOMAINS[domain]())
+    text = "\n".join(sorted(render_trace(t) for t in traces))
+    assert (len(traces), hashlib.sha256(text.encode()).hexdigest()) == TRACE_SET_PINS[name, domain]
 
 
 class TestSerialization:
