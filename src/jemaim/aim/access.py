@@ -6,7 +6,7 @@ Entry points sit at offsets m*N_W for m < n_entry.
 """
 from __future__ import annotations
 
-from .words import Address, Descriptor, N_W, SYS_ID, UNPROTECTED, is_nat
+from .words import FORWARDRETURN_EP, N_W, SYS_ID, UNPROTECTED, Address, Descriptor, is_nat
 
 
 def find_module(descs, a: Address) -> Descriptor | None:
@@ -49,7 +49,7 @@ def return_entry_point(descs, a: Address) -> bool:
 
 
 def forward_return_ep(a: Address) -> bool:
-    return a == Address(SYS_ID, 3 * N_W)
+    return a == Address(SYS_ID, FORWARDRETURN_EP)
 
 
 def _addr_ok(a: Address) -> bool:

@@ -95,10 +95,9 @@ def decode(read, off: int, privileged_ok: bool) -> Instr | None:
 
 
 class Assembler:
-    """Tiny label-resolving assembler producing a word list at a base offset."""
+    """Tiny label-resolving assembler producing a word list from offset 0."""
 
-    def __init__(self, base: int = 0):
-        self.base = base
+    def __init__(self):
         self.items: list = []  # Instr | ("label", name)
         self._n = 0
 
@@ -120,13 +119,13 @@ class Assembler:
         return self
 
     def here(self) -> int:
-        """Offset (from base) of the next emitted word."""
-        return self.base + self._n
+        """Offset of the next emitted word."""
+        return self._n
 
     def words(self) -> list[Word]:
         # first pass: resolve labels to absolute offsets
         labels: dict[str, int] = {}
-        off = self.base
+        off = 0
         for it in self.items:
             if isinstance(it, tuple) and it[0] == "label":
                 labels[it[1]] = off

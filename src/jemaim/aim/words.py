@@ -45,6 +45,12 @@ class Address(NamedTuple):
 UNPROTECTED = 0
 SYS_ID = 1
 
+# Offsets of the entry points of sys, the trusted central module.
+TESTOBJ_EP = 0
+REGISTEROBJ_EP = N_W
+FORWARDCALL_EP = 2 * N_W
+FORWARDRETURN_EP = 3 * N_W
+
 
 @dataclass(frozen=True)
 class Descriptor:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..aim.words import N_W, SYS_ID
+from ..aim.words import FORWARDCALL_EP, FORWARDRETURN_EP, REGISTEROBJ_EP, SYS_ID, TESTOBJ_EP
 from ..compiler.encoding import V_FALSE, V_NULL, V_TRUE, V_UNIT, encode_class
 from ..jem import ast
 from ..jem.ast import T_BOOL, T_INT, T_OBJ, T_UNIT, JemType, t_class
@@ -150,21 +150,21 @@ def emulate_action(action, st: EmulState) -> EmulState:
 def _emulate_call_in(a: CallIn, st: EmulState):
     addr = tuple(a.addr)
     regs = a.regs
-    if addr == (SYS_ID, 2 * N_W):
+    if addr == (SYS_ID, FORWARDCALL_EP):
         # a call that sys refused to forward; mirror its abort conditions
         if st.frames and regs[0] == st.frames[-1].caller:
             raise Fail("forwardCall-repeat-caller")
         if len(regs) > 3 and regs[3] == SYS_ID:
             raise Fail("forwardCall-into-sys")
         raise Fail("forwardCall-bad-target")
-    if addr == (SYS_ID, 0):
+    if addr == (SYS_ID, TESTOBJ_EP):
         _emulate_testobj(a, st)
         return
-    if addr == (SYS_ID, N_W):
+    if addr == (SYS_ID, REGISTEROBJ_EP):
         _emulate_regobj(a, st)
         return
     sig = method_knowledge(st, addr)
-    if regs[0] != 1 or regs[5] != 3 * N_W:
+    if regs[0] != SYS_ID or regs[5] != FORWARDRETURN_EP:
         raise Fail("entry-bypassing-sys")
     recv_w = regs[6]
     if recv_w == V_NULL:
@@ -212,7 +212,7 @@ def _emulate_regobj(a: CallIn, st: EmulState):
 
 
 def _emulate_return_in(a: ReturnIn, st: EmulState):
-    if tuple(a.addr) != (SYS_ID, 3 * N_W):
+    if tuple(a.addr) != (SYS_ID, FORWARDRETURN_EP):
         raise Fail("returnback-bad-address")
     if not st.frames:
         raise Fail("returnback-without-call")

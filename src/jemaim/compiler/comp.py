@@ -26,12 +26,10 @@ boundary crossings.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..aim.isa import Assembler, Label
 from ..aim.link import MethodSig as LinkSig
 from ..aim.link import ObjKey
-from ..aim.words import N_W, Symbol
+from ..aim.words import FORWARDCALL_EP, N_W, SYS_ID, Symbol
 from ..jem import ast
 from ..jem.typecheck import Checker
 from .encoding import encode_class, encode_type, encode_value
@@ -74,36 +72,17 @@ def trampoline(a: Assembler, target: str):
     a.raw(*([0] * (N_W - (a.here() - start))))
 
 
-@dataclass
-class CompiledClass:
+class ClassCompiler:
     """Unlinked compilation of one class: body emitters plus table ingredients.
 
     prot() assembles the protected module around it.
     """
 
-    cname: str
-    mid: int
-    methods: list[ast.Method]  # sorted by name; entry point i+1 belongs to methods[i]
-    cc: "ClassCompiler"
-
-    @property
-    def required_methods(self) -> list[tuple[LinkSig, Symbol, Symbol]]:
-        return self.cc.required_methods()
-
-    @property
-    def required_objects(self) -> list[tuple[ObjKey, Symbol]]:
-        return self.cc.required_objects()
-
-    @property
-    def exported_objects(self) -> list[tuple[ObjKey, int]]:
-        return self.cc.exported_objects()
-
-
-class ClassCompiler:
     def __init__(self, component: ast.JemComponent, cls: ast.JemClass, mid: int):
         self.comp = component
         self.cls = cls
         self.mid = mid
+        self.methods = sorted(cls.methods, key=lambda m: m.name)  # entry point i+1 belongs to methods[i]
         self.checker = Checker(component)
         self.env = self.checker.env
         self.own_enc = encode_class(cls.name)
@@ -135,17 +114,20 @@ class ClassCompiler:
             self._ro[key] = Symbol(f"{self.cls.name}.obj.{name}")
         return self._ro[key]
 
-    def required_methods(self):
+    @property
+    def required_methods(self) -> list[tuple[LinkSig, Symbol, Symbol]]:
         out = [(INSTANCEOF_KEY, *self.inst_syms)]
         for sig, (i, s) in sorted(self._rm.items()):
             if sig != INSTANCEOF_KEY:
                 out.append((sig, i, s))
         return out
 
-    def required_objects(self):
+    @property
+    def required_objects(self) -> list[tuple[ObjKey, Symbol]]:
         return sorted(self._ro.items())
 
-    def exported_objects(self):
+    @property
+    def exported_objects(self) -> list[tuple[ObjKey, int]]:
         return [(ObjKey(o.name, o.cname), self.obj_offsets[o.name]) for o in self.cls.objects]
 
     def fresh_label(self, stem: str) -> str:
@@ -154,9 +136,9 @@ class ClassCompiler:
 
     # -- emission helpers ------------------------------------------------------
 
-    def jump_if_zf(self, a: Assembler, label: str, tmp: int = 11):
-        a.emit("movi", tmp, Label(label))
-        a.emit("je", tmp, ZF)
+    def jump_if_zf(self, a: Assembler, label: str):
+        a.emit("movi", 11, Label(label))
+        a.emit("je", 11, ZF)
 
     def load_sp(self, a: Assembler):
         """r9 := SP; r10 := module id."""
@@ -207,13 +189,13 @@ class ClassCompiler:
         slots = {p: i for i, p in enumerate(m.params)}
 
         def walk(e):
+            while isinstance(e, ast.Seq):
+                walk(e.first)
+                e = e.second
             if isinstance(e, ast.VarDecl):
                 if e.name not in slots:
                     slots[e.name] = len(slots)
                 walk(e.value)
-            elif isinstance(e, ast.Seq):
-                walk(e.first)
-                walk(e.second)
             elif isinstance(e, ast.If):
                 walk(e.cond)
                 walk(e.then)
@@ -287,6 +269,12 @@ class ClassCompiler:
     # -- expressions -------------------------------------------------------------
 
     def expr(self, a: Assembler, e: ast.Expr, scope, slots, framesize):
+        while isinstance(e, ast.Seq):
+            self.expr(a, e.first, scope, slots, framesize)
+            self.pop(a, 1)
+            if isinstance(e.first, ast.VarDecl):
+                scope[e.first.name] = e.first.vtype
+            e = e.second
         if isinstance(e, ast.Lit):
             self.push_value(a, encode_value(e.value))
         elif isinstance(e, ast.Var):
@@ -294,12 +282,6 @@ class ClassCompiler:
         elif isinstance(e, ast.This):
             self.load_this(a, 1, framesize)
             self.push(a, 1)
-        elif isinstance(e, ast.Seq):
-            self.expr(a, e.first, scope, slots, framesize)
-            self.pop(a, 1)
-            if isinstance(e.first, ast.VarDecl):
-                scope[e.first.name] = e.first.vtype
-            self.expr(a, e.second, scope, slots, framesize)
         elif isinstance(e, ast.VarDecl):
             self.expr(a, e.value, scope, slots, framesize)
             self.pop(a, 2)
@@ -574,8 +556,8 @@ class ClassCompiler:
         """The single exit: every external jump funnels through here into sys."""
         a.label("exit")
         a.emit("movi", 5, 0)
-        a.emit("movi", 1, 2 * N_W)
-        a.emit("movi", 2, 1)
+        a.emit("movi", 1, FORWARDCALL_EP)
+        a.emit("movi", 2, SYS_ID)
         a.emit("jmp", 1, 2)
 
     def emit_abort(self, a: Assembler):
@@ -604,8 +586,7 @@ class ClassCompiler:
             return self.require_object(name, cname)
         return encode_value(v)
 
-def comp_class(component: ast.JemComponent, cls: ast.JemClass, mid: int) -> CompiledClass:
+
+def comp_class(component: ast.JemComponent, cls: ast.JemClass, mid: int) -> ClassCompiler:
     """Compile one class of a typechecked component for module id `mid`."""
-    cc = ClassCompiler(component, cls, mid)
-    methods = sorted(cls.methods, key=lambda m: m.name)
-    return CompiledClass(cls.name, mid, methods, cc)
+    return ClassCompiler(component, cls, mid)

@@ -5,7 +5,8 @@ from dataclasses import dataclass
 
 from ..aim.link import LinkError, ProgramImage, merge
 from ..aim.machine import MachineState, run_state
-from ..aim.words import Address, NonceOracle, SYS_ID, Word
+from ..aim.isa import encode, ins
+from ..aim.words import FORWARDCALL_EP, SYS_ID, Address, NonceOracle, Word
 from ..jem import ast
 from ..jem.interp import DEFAULT_FUEL
 from ..jem.typecheck import typecheck
@@ -129,15 +130,12 @@ def run_aim(image: ProgramImage, seed: int = 0, fuel: int = DEFAULT_FUEL) -> Aim
     addr, mask = find_entry(image)
     st = boot_state(image, seed)
     boot = []
-    from ..aim.isa import encode, ins
-    from ..aim.words import N_W
-
     boot += encode(ins("movi", 3, addr.mid))
     boot += encode(ins("movi", 4, addr.off))
     boot += encode(ins("movi", 5, BOOT_RET))
     boot += encode(ins("movi", 6, mask))
-    boot += encode(ins("movi", 1, 2 * N_W))
-    boot += encode(ins("movi", 2, 1))
+    boot += encode(ins("movi", 1, FORWARDCALL_EP))
+    boot += encode(ins("movi", 2, SYS_ID))
     boot += encode(ins("jmp", 1, 2))
     for i, w in enumerate(boot):
         st.mem[Address(0, BOOT_OFF + i)] = w

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from ..aim.isa import Assembler, Label
 from ..aim.link import ObjKey, ProgramImage, SymbolTable
-from ..aim.words import N_W, Address, Descriptor, Nonce
+from ..aim.words import FORWARDRETURN_EP, N_W, SYS_ID, Address, Descriptor, Nonce
 from ..jem import ast
 from .comp import (
     DATA_BASE,
@@ -27,7 +27,7 @@ from .comp import (
     SIGTAB_BASE,
     SP,
     STATIC_BASE,
-    CompiledClass,
+    ClassCompiler,
     CompileError,
     always_jump,
     link_sig,
@@ -41,13 +41,13 @@ ZF, SF = 0, 1
 _instance = 0
 
 
-def _check_eq(cc, a: Assembler, reg: int, value, fail_label="abort"):
+def _check_eq(cc, a: Assembler, reg: int, value):
     ok = cc.fresh_label("chk")
     a.emit("movi", 1, value)
     a.emit("cmp", reg, 1)
     a.emit("movi", 2, Label(ok))
     a.emit("je", 2, ZF)
-    always_jump(a, fail_label)
+    always_jump(a, "abort")
     a.label(ok)
 
 
@@ -68,8 +68,8 @@ def _param_check(cc, a: Assembler, reg: int, t: ast.JemType):
 
 def _method_entry(cc, a: Assembler, m: ast.Method):
     a.label(f"epimpl_{m.name}")
-    _check_eq(cc, a, 0, 1)  # jumps must come via sys
-    _check_eq(cc, a, 5, 3 * N_W)  # with the forward-return address armed
+    _check_eq(cc, a, 0, SYS_ID)  # jumps must come via sys
+    _check_eq(cc, a, 5, FORWARDRETURN_EP)  # with the forward-return address armed
     a.emit("tbl_get", 6, 6)  # receiver: unknown or null masks abort
     a.emit("movi", 1, cc.own_enc)
     a.emit("tychk", 6, 1)
@@ -85,14 +85,14 @@ def _method_entry(cc, a: Assembler, m: ast.Method):
     for r in range(7, 16):
         a.emit("movi", r, 0)
     a.emit("movi", 5, 1)
-    a.emit("movi", 1, 3 * N_W)
-    a.emit("movi", 2, 1)
+    a.emit("movi", 1, FORWARDRETURN_EP)
+    a.emit("movi", 2, SYS_ID)
     a.emit("jmp", 1, 2)
 
 
 def _return_entry(cc, a: Assembler):
     a.label("retimpl")
-    _check_eq(cc, a, 0, 1)  # only sys forwards returns
+    _check_eq(cc, a, 0, SYS_ID)  # only sys forwards returns
     # there must be an outstanding outcall
     a.emit("movi", 10, cc.mid)
     a.emit("movi", 9, OCD)
@@ -135,62 +135,61 @@ def _return_entry(cc, a: Assembler):
     a.emit("je", 2, ZF)
 
 
-def prot(compiled: CompiledClass) -> ProgramImage:
+def prot(cc: ClassCompiler) -> ProgramImage:
     """Wrap a compiled class into a protected aim module."""
-    cc = compiled.cc
-    k = len(compiled.methods)
-    a = Assembler(0)
+    k = len(cc.methods)
+    a = Assembler()
     trampoline(a, "retimpl")
-    for m in compiled.methods:
+    for m in cc.methods:
         trampoline(a, f"epimpl_{m.name}")
     _return_entry(cc, a)
-    for m in compiled.methods:
+    for m in cc.methods:
         _method_entry(cc, a, m)
-    for m in compiled.methods:
+    for m in cc.methods:
         cc.emit_body(a, m)
     cc.emit_exit(a)
     cc.emit_abort(a)
     code = a.words()
     code_len = len(code)
     if code_len >= DATA_BASE:
-        raise CompileError(f"code section of {compiled.cname!r} exceeds the data base")
+        raise CompileError(f"code section of {cc.cls.name!r} exceeds the data base")
 
-    mem = {Address(compiled.mid, i): w for i, w in enumerate(code)}
+    mem = {Address(cc.mid, i): w for i, w in enumerate(code)}
     for off, w in cc.data_words().items():
-        mem[Address(compiled.mid, off)] = w
+        mem[Address(cc.mid, off)] = w
     # signature table: [iota, sigma, recv, ret, nparams, params...] per requirement
     off = SIGTAB_BASE
-    for sig, iota, sigma in compiled.required_methods:
+    for sig, iota, sigma in cc.required_methods:
         recv, ret, *params = (encode_type(ast.type_named(t)) for t in (sig.recv, sig.ret, *sig.params))
         for w in (iota, sigma, recv, ret, len(params), *params):
-            mem[Address(compiled.mid, off)] = w
+            mem[Address(cc.mid, off)] = w
             off += 1
     if off > STATIC_BASE:
-        raise CompileError(f"signature table of {compiled.cname!r} overruns the static objects")
+        raise CompileError(f"signature table of {cc.cls.name!r} overruns the static objects")
 
     # masking table for statically exported objects: one fresh mask each;
     # the stream is per-instance so re-compilations never share masks
     global _instance
     _instance += 1
-    stream = f"static-{compiled.cname}-{compiled.mid}-{_instance}"
+    stream = f"static-{cc.cls.name}-{cc.mid}-{_instance}"
     masks: dict[int, Nonce] = {}
     eo: dict[ObjKey, Nonce] = {}
-    for seq, (key, obj_off) in enumerate(compiled.exported_objects):
+    for seq, (key, obj_off) in enumerate(cc.exported_objects):
         mask = Nonce(stream, seq)
         masks[obj_off] = mask
         eo[key] = mask
 
     em = {}
-    for i, m in enumerate(compiled.methods):
-        em[link_sig(m.sig)] = Address(compiled.mid, (i + 1) * N_W)
+    for i, m in enumerate(cc.methods):
+        em[link_sig(m.sig)] = Address(cc.mid, (i + 1) * N_W)
 
     rm = []
-    for sig, iota, sigma in compiled.required_methods:
+    for sig, iota, sigma in cc.required_methods:
         if sig == INSTANCEOF_KEY:
             rm.append((TESTOBJ, iota, sigma))  # instanceof resolves to the system test
         else:
             rm.append((sig, iota, sigma))
 
-    table = SymbolTable(em=em, eo=eo, rm=rm, ro=list(compiled.required_objects))
-    desc = Descriptor(compiled.mid, code_len, k + 1)
-    return ProgramImage(mem, [desc], table, {compiled.mid: masks})
+    table = SymbolTable(em=em, eo=eo, rm=rm, ro=cc.required_objects)
+    desc = Descriptor(cc.mid, code_len, k + 1)
+    return ProgramImage(mem, [desc], table, {cc.mid: masks})

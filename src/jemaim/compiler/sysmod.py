@@ -15,7 +15,7 @@ from __future__ import annotations
 from ..aim.isa import Assembler, Label
 from ..aim.link import MethodSig as LinkSig
 from ..aim.link import ProgramImage, SymbolTable
-from ..aim.words import N_W, Address, Descriptor, SYS_ID
+from ..aim.words import FORWARDCALL_EP, FORWARDRETURN_EP, REGISTEROBJ_EP, SYS_ID, TESTOBJ_EP, Address, Descriptor
 from .comp import DATA_BASE, always_jump, trampoline
 
 ZF = 0
@@ -31,7 +31,7 @@ FORWARDRETURN = LinkSig("forwardReturn", "Obj", (), "Unit")
 def _assemble() -> tuple[list, dict[int, str]]:
     """The code words of sys and the offsets of its four boundary jmp
     instructions, by role."""
-    a = Assembler(0)
+    a = Assembler()
     marks: dict[int, str] = {}
     trampoline(a, "testobj")
     trampoline(a, "regobj")
@@ -75,7 +75,7 @@ def _assemble() -> tuple[list, dict[int, str]]:
     a.emit("movi", 12, Label("sys_abort"))
     a.emit("je", 12, ZF)
     a.emit("stk_push", 0, 5, 3)
-    a.emit("movi", 5, 3 * N_W)
+    a.emit("movi", 5, FORWARDRETURN_EP)
     for r in (0, 1, 2, 9, 10, 11, 12):
         a.emit("movi", r, 0)
     marks[a.here()] = "fwcall"
@@ -112,10 +112,10 @@ def build_sys() -> ProgramImage:
     mem[SYS_DEPTH_ADDR] = 0
     table = SymbolTable(
         em={
-            TESTOBJ: Address(SYS_ID, 0),
-            REGISTEROBJ: Address(SYS_ID, N_W),
-            FORWARDCALL: Address(SYS_ID, 2 * N_W),
-            FORWARDRETURN: Address(SYS_ID, 3 * N_W),
+            TESTOBJ: Address(SYS_ID, TESTOBJ_EP),
+            REGISTEROBJ: Address(SYS_ID, REGISTEROBJ_EP),
+            FORWARDCALL: Address(SYS_ID, FORWARDCALL_EP),
+            FORWARDRETURN: Address(SYS_ID, FORWARDRETURN_EP),
         }
     )
     return ProgramImage(mem, [Descriptor(SYS_ID, len(words), 4)], table, {})

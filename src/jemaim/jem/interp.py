@@ -91,7 +91,8 @@ class JemConfig:
     _classes: dict[str, ast.JemClass] = field(default_factory=dict)
 
     @staticmethod
-    def initial(comp: ast.JemComponent, recv: str = "main", mname: str = "main") -> "JemConfig":
+    def initial(comp: ast.JemComponent) -> "JemConfig":
+        """The configuration about to evaluate `main.main()`."""
         heap = {}
         for c in comp.classes:
             for o in c.objects:
@@ -100,7 +101,7 @@ class JemConfig:
         for cell in heap.values():
             for f, v in cell.fields.items():
                 cell.fields[f] = _literal_value(v)
-        call = ast.Call(ast.Var(recv), mname, [])
+        call = ast.Call(ast.Var("main"), "main", [])
         return JemConfig(
             comp=comp,
             heap=heap,
@@ -131,7 +132,7 @@ class JemConfig:
 
     def _step_expr(self, e: ast.Expr):
         if isinstance(e, ast.Lit):
-            self.focus = ("value", _literal_value(e.value, self.heap))
+            self.focus = ("value", _literal_value(e.value))
         elif isinstance(e, ast.Var):
             frame = self.bstack[-1]
             if e.name in frame:
@@ -289,7 +290,7 @@ def _value_eq(a, b) -> bool:
     return a == b
 
 
-def _literal_value(v, heap=None):
+def _literal_value(v):
     if v == "unit":
         return UNIT
     if v == "null":
@@ -305,13 +306,13 @@ def is_whole(comp: ast.JemComponent) -> bool:
     return satisfies(comp, comp)
 
 
-def run(comp: ast.JemComponent, fuel: int = DEFAULT_FUEL, entry=("main", "main"), require_whole=True) -> RunResult:
+def run(comp: ast.JemComponent, fuel: int = DEFAULT_FUEL) -> RunResult:
     """Execute a whole program from `main.main()` under a step budget."""
     if not comp.classes:
         return RunResult("terminated", UNIT, 0)
-    if require_whole and not is_whole(comp):
+    if not is_whole(comp):
         raise NotWhole("component has unsatisfied imports")
-    cfg = JemConfig.initial(comp, *entry)
+    cfg = JemConfig.initial(comp)
     for n in range(fuel):
         cfg.step()
         if cfg.terminal is not None:

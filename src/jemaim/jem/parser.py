@@ -150,15 +150,22 @@ class Parser:
             raise JemSyntaxError(t.pos, f"expected identifier, found {t.text!r}")
         return self.next()
 
+    def comma_list(self, item, close: str = ")") -> list:
+        """`item (, item)*`, possibly empty, then `close`."""
+        out = []
+        if not self.at(close):
+            out.append(item())
+            while self.accept(","):
+                out.append(item())
+        self.expect(close)
+        return out
+
     # -- top level ----------------------------------------------------------
 
     def component(self) -> ast.JemComponent:
         classes = []
-        while not self.at("") and self.peek().kind != "eof":
+        while self.peek().kind != "eof":
             classes.append(self.class_block())
-        self.expect("") if False else None
-        if self.peek().kind != "eof":
-            raise JemSyntaxError(self.peek().pos, "trailing input")
         return ast.JemComponent(classes)
 
     def class_block(self) -> ast.JemClass:
@@ -194,15 +201,13 @@ class Parser:
         pos = self.peek().pos
         name = self.ident().text
         self.expect("{")
-        sigs = []
-        if not self.at("}"):
-            while True:
-                mname = self.ident().text
-                self.expect(":")
-                sigs.append(self.method_sig(mname))
-                if not self.accept(","):
-                    break
-        self.expect("}")
+
+        def sig():
+            mname = self.ident().text
+            self.expect(":")
+            return self.method_sig(mname)
+
+        sigs = self.comma_list(sig, "}")
         self.expect(";")
         return ast.ImportClass(name, sigs, pos)
 
@@ -217,13 +222,7 @@ class Parser:
     def method_sig(self, mname: str) -> ast.MethodSig:
         recv = self.type_()
         self.expect("(")
-        params = []
-        if not self.at(")"):
-            while True:
-                params.append(self.type_())
-                if not self.accept(","):
-                    break
-        self.expect(")")
+        params = self.comma_list(self.type_)
         self.expect("->")
         ret = self.type_()
         return ast.MethodSig(mname, recv, tuple(params), ret)
@@ -234,16 +233,14 @@ class Parser:
         if got != cname:
             raise JemSyntaxError(pos, f"constructor {got!r} does not match class {cname!r}")
         self.expect("(")
-        params = []
-        if not self.at(")"):
-            while True:
-                pname = self.ident().text
-                self.expect(":")
-                self.type_()
-                params.append(pname)
-                if not self.accept(","):
-                    break
-        self.expect(")")
+
+        def param():
+            pname = self.ident().text
+            self.expect(":")
+            self.type_()
+            return pname
+
+        params = self.comma_list(param)
         self.expect("{")
         # field initialisations `this.f = f;` are implied by position; accept and ignore
         while self.accept("this"):
@@ -259,13 +256,7 @@ class Parser:
         pos = self.expect("public").pos
         name = self.ident().text
         self.expect("(")
-        params = []
-        if not self.at(")"):
-            while True:
-                params.append(self.ident().text)
-                if not self.accept(","):
-                    break
-        self.expect(")")
+        params = [t.text for t in self.comma_list(self.ident)]
         self.expect(":")
         sig = self.method_sig(name)
         if len(sig.params) != len(params):
@@ -318,12 +309,14 @@ class Parser:
     # -- expressions ---------------------------------------------------------
 
     def expr_seq(self) -> ast.Expr:
-        e = self.expr()
-        if self.at(";") and self.toks[self.i + 1].text not in ("}", "return"):
-            # `; }` terminates a body; `;` otherwise continues a sequence
+        items = [self.expr()]
+        # `; }` terminates a body; `;` otherwise continues a sequence
+        while self.at(";") and self.toks[self.i + 1].text not in ("}", "return"):
             self.next()
-            rest = self.expr_seq()
-            return ast.Seq(e, rest, pos=e.pos)
+            items.append(self.expr())
+        e = items.pop()
+        for first in reversed(items):
+            e = ast.Seq(first, e, pos=first.pos)
         return e
 
     def expr(self) -> ast.Expr:
@@ -356,14 +349,7 @@ class Parser:
             pos = self.next().pos
             name = self.ident().text
             if self.accept("("):
-                args = []
-                if not self.at(")"):
-                    while True:
-                        args.append(self.expr())
-                        if not self.accept(","):
-                            break
-                self.expect(")")
-                e = ast.Call(e, name, args, pos=pos)
+                e = ast.Call(e, name, self.comma_list(self.expr), pos=pos)
             elif self.accept("="):
                 value = self.expr()
                 e = ast.FieldSet(e, name, value, pos=pos)
@@ -394,14 +380,7 @@ class Parser:
         if self.accept("new"):
             cname = self.ident().text
             self.expect("(")
-            args = []
-            if not self.at(")"):
-                while True:
-                    args.append(self.expr())
-                    if not self.accept(","):
-                        break
-            self.expect(")")
-            return ast.New(cname, args, pos=pos)
+            return ast.New(cname, self.comma_list(self.expr), pos=pos)
         if self.accept("if"):
             self.expect("(")
             cond = self.expr_seq()

@@ -42,7 +42,11 @@ def render_expr(e: ast.Expr) -> str:
         args = ", ".join(render_expr(a) for a in e.args)
         return f"new {e.cname}({args})"
     if isinstance(e, ast.Seq):
-        return f"{render_expr(e.first)}; {render_expr(e.second)}"
+        parts = []
+        while isinstance(e, ast.Seq):
+            parts.append(render_expr(e.first))
+            e = e.second
+        return "; ".join(parts + [render_expr(e)])
     if isinstance(e, ast.If):
         return (
             f"if ({render_expr(e.cond)}) {{ {render_expr(e.then)} }}"

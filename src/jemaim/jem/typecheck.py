@@ -170,6 +170,9 @@ class Checker:
     # -- expressions --------------------------------------------------------
 
     def expr(self, e: ast.Expr, scope: dict[str, JemType], c: ast.JemClass) -> JemType | None:
+        while isinstance(e, ast.Seq):
+            self.expr(e.first, scope, c)
+            e = e.second
         if isinstance(e, ast.Lit):
             return self.literal_type(e.value)
         if isinstance(e, ast.Var):
@@ -259,9 +262,6 @@ class Checker:
                     if at is not None and not subsume(at, ft):
                         self.err(e.pos, f"constructor argument {i + 1} has type {at}, expected {ft}")
             return t_class(e.cname)
-        if isinstance(e, ast.Seq):
-            self.expr(e.first, scope, c)
-            return self.expr(e.second, scope, c)
         if isinstance(e, ast.If):
             ct = self.expr(e.cond, scope, c)
             if ct is not None and ct != T_BOOL:

@@ -106,41 +106,34 @@ def _word(w) -> str:
     return str(w)
 
 
-class Canonicalizer:
-    """Order-preserving renaming of nonces to N<k> strings."""
+def canonicalize(trace, seed_masks=()) -> Trace:
+    """Rename nonces to N<k> strings in order: `seed_masks` first, then by
+    first occurrence in the trace."""
+    names: dict[Nonce, str] = {}
 
-    def __init__(self, seed_masks: list[Nonce] = ()):  # masks first, table order
-        self.names: dict[Nonce, str] = {}
-        for n in seed_masks:
-            self.name(n)
-
-    def name(self, n: Nonce) -> str:
-        if n not in self.names:
-            self.names[n] = f"N{len(self.names)}"
-        return self.names[n]
-
-    def word(self, w):
+    def word(w):
         if isinstance(w, Nonce):
-            return self.name(w)
+            if w not in names:
+                names[w] = f"N{len(names)}"
+            return names[w]
         if isinstance(w, Symbol):
             return f"${w.name}"
         return w
 
-    def action(self, a: Action) -> Action:
+    for n in seed_masks:
+        word(n)
+    out = []
+    for a in trace:
         if isinstance(a, CallIn):
-            return CallIn(tuple(self.word(x) for x in a.addr), tuple(self.word(w) for w in a.regs))
-        if isinstance(a, CallOut):
-            return CallOut(tuple(self.word(x) for x in a.addr), tuple(self.word(w) for w in a.regs))
-        if isinstance(a, ReturnIn):
-            return ReturnIn(tuple(self.word(x) for x in a.addr), self.word(a.value), self.word(a.caller))
-        if isinstance(a, ReturnOut):
-            return ReturnOut(tuple(self.word(x) for x in a.addr), self.word(a.value), self.word(a.mid))
-        return a
-
-
-def canonicalize(trace, seed_masks=()) -> Trace:
-    c = Canonicalizer(seed_masks)
-    return tuple(c.action(a) for a in trace)
+            a = CallIn(tuple(word(x) for x in a.addr), tuple(word(w) for w in a.regs))
+        elif isinstance(a, CallOut):
+            a = CallOut(tuple(word(x) for x in a.addr), tuple(word(w) for w in a.regs))
+        elif isinstance(a, ReturnIn):
+            a = ReturnIn(tuple(word(x) for x in a.addr), word(a.value), word(a.caller))
+        elif isinstance(a, ReturnOut):
+            a = ReturnOut(tuple(word(x) for x in a.addr), word(a.value), word(a.mid))
+        out.append(a)
+    return tuple(out)
 
 
 def render_trace(trace) -> str:

@@ -8,6 +8,13 @@ directly — and the component then runs deterministically to its next
 observable: an exit through one of sys's boundary jumps (Callback!/Return!),
 a termination tick, or the segment fuel pseudo-action. Enumeration never
 pokes: entry points admit only jumps that sys forwards, so a poke only ticks.
+
+Every injection takes the one path through `ComponentTracer._enter`: clone the
+state, clear registers and flags, load the injected registers, set pc and run.
+The run decodes an instruction of its own only at sys's four boundary jumps.
+The id a Return! names is read off r0 whenever pc reaches forwardReturn: the
+machine's `jmp` stamps r0 with the id of the module that jumped there, and a
+returnback injection sets r0 to the id it claims.
 """
 from __future__ import annotations
 
@@ -15,19 +22,11 @@ import itertools
 import random
 from dataclasses import dataclass, replace
 
-from ..aim.words import Address, N_W, Nonce, SYS_ID, Symbol
+from ..aim.words import FORWARDCALL_EP, FORWARDRETURN_EP, REGISTEROBJ_EP, SYS_ID, TESTOBJ_EP, Address, Nonce, Symbol
 from ..compiler.pipeline import boot_state
 from ..compiler.sysmod import sys_exit_marks
 from ..compiler.encoding import V_FALSE, V_NULL, V_TRUE, V_UNIT, class_name_of_encoding, encode_class
-from .actions import (
-    CallIn,
-    CallOut,
-    FuelExceeded,
-    ReturnIn,
-    ReturnOut,
-    Tick,
-    canonicalize,
-)
+from .actions import CallIn, CallOut, FuelExceeded, ReturnIn, ReturnOut, Tick, canonicalize
 
 RESUME_PAD = 40
 DEFAULT_DEPTH = 4
@@ -43,18 +42,19 @@ class Segment:
     state: object | None  # suspended machine state, None when the trace ended
 
 
+def _vector(regs: dict) -> tuple:
+    """Injected registers as the register vector of a call? action."""
+    return tuple(regs.get(i, 0) for i in range(max(6, *regs) + 1))
+
+
 class ComponentTracer:
     def __init__(self, image, seed: int = 0, segment_fuel: int = DEFAULT_SEGMENT_FUEL):
         self.image = image
         self.seed = seed
         self.segment_fuel = segment_fuel
         self.marks = sys_exit_marks()
-        self.method_eps = {
-            addr: sig for sig, addr in image.table.em.items() if addr.mid != SYS_ID
-        }
-        self.rm_by_syms = {}
-        for sig, iota, sigma in image.table.rm:
-            self.rm_by_syms[(iota, sigma)] = sig
+        self.method_eps = {addr: sig for sig, addr in image.table.em.items() if addr.mid != SYS_ID}
+        self.rm_by_syms = {(iota, sigma): sig for sig, iota, sigma in image.table.rm}
         # canonical seeding: exported masks in deterministic table order
         self.seed_masks = [image.table.eo[k] for k in sorted(image.table.eo)]
         self._adv = 0
@@ -76,89 +76,61 @@ class ComponentTracer:
     # -- injections -----------------------------------------------------------
 
     def call_method(self, state, ep: Address, recv, args) -> Segment:
-        st = state.clone()
-        st.regs = {}
-        st.flags = {0: 0, 1: 0}
-        st.set_reg(3, ep.mid)
-        st.set_reg(4, ep.off)
-        st.set_reg(5, RESUME_PAD)
-        st.set_reg(6, recv)
-        for i, w in enumerate(args):
-            st.set_reg(7 + i, w)
-        st.pc = Address(SYS_ID, 2 * N_W)
-        forwarded, reply, nxt = self._run(st, watch_forward=ep)
+        regs = {3: ep.mid, 4: ep.off, 5: RESUME_PAD, 6: recv, **dict(enumerate(args, 7))}
+        forwarded, reply, nxt = self._enter(state, Address(SYS_ID, FORWARDCALL_EP), regs, watch_forward=ep)
         if forwarded:
-            action = CallIn((ep.mid, ep.off), (1, 0, 0, 0, 0, 3 * N_W, recv, *args))
+            action = CallIn((ep.mid, ep.off), (SYS_ID, 0, 0, 0, 0, FORWARDRETURN_EP, recv, *args))
         else:
-            action = CallIn((SYS_ID, 2 * N_W), (0, 0, 0, ep.mid, ep.off, RESUME_PAD, recv, *args))
+            action = CallIn((SYS_ID, FORWARDCALL_EP), _vector(regs))
         return Segment(action, reply, nxt)
 
     def call_sysproc(self, state, off: int, w7, w8) -> Segment:
-        st = state.clone()
-        st.regs = {}
-        st.flags = {0: 0, 1: 0}
-        st.set_reg(5, RESUME_PAD)
-        st.set_reg(7, w7)
-        st.set_reg(8, w8)
-        st.pc = Address(SYS_ID, off)
-        action = CallIn((SYS_ID, off), (0, 0, 0, 0, 0, RESUME_PAD, 0, w7, w8))
-        _, reply, nxt = self._run(st)
-        return Segment(action, reply, nxt)
+        regs = {5: RESUME_PAD, 7: w7, 8: w8}
+        _, reply, nxt = self._enter(state, Address(SYS_ID, off), regs)
+        return Segment(CallIn((SYS_ID, off), _vector(regs)), reply, nxt)
 
     def returnback(self, state, value, ident) -> Segment:
-        st = state.clone()
-        st.regs = {}
-        st.flags = {0: 0, 1: 0}
-        st.set_reg(0, ident)
-        st.set_reg(6, value)
-        st.pc = Address(SYS_ID, 3 * N_W)
-        action = ReturnIn((SYS_ID, 3 * N_W), value, ident)
-        _, reply, nxt = self._run(st, last_returner=ident)
-        return Segment(action, reply, nxt)
+        _, reply, nxt = self._enter(state, Address(SYS_ID, FORWARDRETURN_EP), {0: ident, 6: value})
+        return Segment(ReturnIn((SYS_ID, FORWARDRETURN_EP), value, ident), reply, nxt)
 
     def poke(self, state, addr: Address, regs: dict) -> Segment:
-        st = state.clone()
-        st.regs = {}
-        st.flags = {0: 0, 1: 0}
-        vec = [0, 0, 0, 0, 0, RESUME_PAD, 0]
-        for i, w in sorted(regs.items()):
-            st.set_reg(i, w)
-            while len(vec) <= i:
-                vec.append(0)
-            vec[i] = w
-        st.set_reg(5, regs.get(5, RESUME_PAD))
-        vec[5] = regs.get(5, RESUME_PAD)
-        st.pc = addr
-        action = CallIn((addr.mid, addr.off), tuple(vec))
-        _, reply, nxt = self._run(st)
-        return Segment(action, reply, nxt)
+        regs = {5: RESUME_PAD, **regs}
+        _, reply, nxt = self._enter(state, addr, regs)
+        return Segment(CallIn((addr.mid, addr.off), _vector(regs)), reply, nxt)
 
     # -- the deterministic component run ---------------------------------------
 
-    def _run(self, st, watch_forward=None, last_returner=None):
+    def _enter(self, state, pc: Address, regs: dict, watch_forward=None):
+        """Run a clone of `state` from `pc` with only `regs` set: (forwarded, reply, next state)."""
+        st = state.clone()
+        st.regs = {}
+        st.flags = {0: 0, 1: 0}
+        for i, w in regs.items():
+            st.set_reg(i, w)
+        st.pc = pc
+        return self._run(st, watch_forward)
+
+    def _run(self, st, watch_forward):
         forwarded = False
-        returner = last_returner
+        returner = None
+        marks = self.marks
         for _ in range(self.segment_fuel):
-            if st.pc.mid == SYS_ID and st.pc.off in self.marks:
-                kind = self.marks[st.pc.off]
-                instr = st.peek()
-                rd, ri = instr.ops
-                t_off, t_mid = st.reg(rd), st.reg(ri)
-                symbolic = isinstance(t_mid, Symbol) or isinstance(t_off, Symbol)
-                if kind == "fwcall" and (symbolic or t_mid == 0):
-                    sig = self.rm_by_syms.get((t_mid, t_off))
-                    k = len(sig.params) if sig else 0
-                    regs = (0, 0, 0, 0, 0, 3 * N_W, st.reg(6), *(st.reg(7 + i) for i in range(k)))
-                    return forwarded, CallOut((t_mid, t_off), regs), st
-                if kind == "fwret" and (symbolic or t_mid == 0):
-                    return forwarded, ReturnOut((t_mid, t_off), st.reg(6), returner), st
-                if kind in ("testobj", "regobj") and (symbolic or t_mid == 0):
-                    return forwarded, ReturnOut((t_mid, t_off), st.reg(6), SYS_ID), st
-            instr = st.peek()
-            if instr is not None and instr.name == "jmp":
-                t_off, t_mid = st.reg(instr.ops[0]), st.reg(instr.ops[1])
-                if t_mid == SYS_ID and t_off == 3 * N_W:
-                    returner = st.pc.mid
+            pc = st.pc
+            if pc.mid == SYS_ID:
+                if pc.off == FORWARDRETURN_EP:
+                    returner = st.reg(0)
+                elif pc.off in marks:
+                    rd, ri = st.peek().ops
+                    t_off, t_mid = st.reg(rd), st.reg(ri)
+                    if t_mid == 0 or isinstance(t_mid, Symbol) or isinstance(t_off, Symbol):
+                        kind = marks[pc.off]
+                        if kind == "fwcall":
+                            sig = self.rm_by_syms.get((t_mid, t_off))
+                            k = len(sig.params) if sig else 0
+                            regs = (0, 0, 0, 0, 0, FORWARDRETURN_EP, st.reg(6), *(st.reg(7 + i) for i in range(k)))
+                            return forwarded, CallOut((t_mid, t_off), regs), st
+                        ident = returner if kind == "fwret" else SYS_ID
+                        return forwarded, ReturnOut((t_mid, t_off), st.reg(6), ident), st
             status, _reason = st.step()
             if status != "ok":
                 return forwarded, Tick(), None
@@ -171,17 +143,13 @@ class ComponentTracer:
 class AdversaryDomain:
     """Finite menus approximating the universally quantified context."""
 
-    ints: tuple = (0, 1)
     illtyped: bool = False
     forged_ids: tuple = ()
     register_classes: tuple = ()  # extra class names offered to registerObj
 
     def value_menu(self, tname: str, knowledge: "Knowledge") -> list:
         if tname == "Int":
-            out = list(self.ints)
-            if self.illtyped:
-                out.append(Nonce("adv-guess", 0))
-            return out
+            return [0, 1] + ([Nonce("adv-guess", 0)] if self.illtyped else [])
         if tname == "Bool":
             return [V_TRUE, V_FALSE] + ([7] if self.illtyped else [])
         if tname == "Unit":
@@ -222,26 +190,15 @@ class Knowledge:
         return replace(self, registered=self.registered + ((w, cname),))
 
 
-def _learn_from_reply(knowledge: Knowledge, reply, tracer: ComponentTracer) -> Knowledge:
-    if isinstance(reply, CallOut):
-        sig = tracer.rm_by_syms.get(tuple(reply.addr))
-        if sig is not None:
-            knowledge = knowledge.learn(reply.regs[6], sig.recv)
-            for i, pt in enumerate(sig.params):
-                if 7 + i < len(reply.regs):
-                    knowledge = knowledge.learn(reply.regs[7 + i], pt)
-    return knowledge
-
-
 def _injections(tracer: ComponentTracer, knowledge: Knowledge, pending: tuple, domain: AdversaryDomain):
-    """All ?-moves the environment may try from this state."""
+    """All ?-moves the environment may try from this state; never empty."""
     out = []
     for addr, sig in sorted(tracer.method_eps.items()):
         recvs = domain.recv_menu(sig.recv, knowledge)
         menus = [domain.value_menu(p, knowledge) for p in sig.params]
         for recv in recvs:
-            for args in itertools.product(*menus) if menus else [()]:
-                out.append(("call", addr, recv, tuple(args), sig))
+            for args in itertools.product(*menus):
+                out.append(("call", addr, recv, args))
     if pending:
         ret_t = pending[-1]
         for v in domain.value_menu(ret_t, knowledge):
@@ -259,43 +216,39 @@ def _injections(tracer: ComponentTracer, knowledge: Knowledge, pending: tuple, d
 
 
 def _apply(tracer, state, inj, knowledge: Knowledge, pending: tuple):
+    """Perform one ?-move; returns the segment and what the environment then
+    knows and still owes: a Callback! pushes its return type on `pending`
+    and teaches the types of the words it passes."""
     kind = inj[0]
     if kind == "call":
-        _, addr, recv, args, sig = inj
+        _, addr, recv, args = inj
         seg = tracer.call_method(state, addr, recv, args)
-        new_pending = pending
     elif kind == "returnback":
         _, v, ident = inj
         seg = tracer.returnback(state, v, ident)
-        new_pending = pending[:-1] if pending else pending
+        pending = pending[:-1]
     elif kind == "register":
         _, enc = inj
         fresh = tracer.fresh_adv_nonce()
-        seg = tracer.call_sysproc(state, N_W, fresh, enc)
+        seg = tracer.call_sysproc(state, REGISTEROBJ_EP, fresh, enc)
         if isinstance(seg.reply, ReturnOut):
             knowledge = knowledge.register(fresh, class_name_of_encoding(enc))
-        new_pending = pending
-    elif kind == "testobj":
+    else:
         _, w, enc = inj
-        seg = tracer.call_sysproc(state, 0, w, enc)
-        new_pending = pending
+        seg = tracer.call_sysproc(state, TESTOBJ_EP, w, enc)
     if isinstance(seg.reply, CallOut):
         sig = tracer.rm_by_syms.get(tuple(seg.reply.addr))
-        new_pending = new_pending + ((sig.ret if sig else "Obj"),)
-    knowledge = _learn_from_reply(knowledge, seg.reply, tracer)
-    return seg, knowledge, new_pending
+        pending += (sig.ret if sig else "Obj",)
+        if sig is not None:
+            for w, t in zip(seg.reply.regs[6:], (sig.recv, *sig.params)):
+                knowledge = knowledge.learn(w, t)
+    return seg, knowledge, pending
 
 
-def enumerate_traces(
-    image,
-    depth: int = DEFAULT_DEPTH,
-    domain: AdversaryDomain | None = None,
-    seed: int = 0,
-    segment_fuel: int = DEFAULT_SEGMENT_FUEL,
-) -> set:
+def enumerate_traces(image, depth: int = DEFAULT_DEPTH, domain: AdversaryDomain | None = None, seed: int = 0) -> set:
     """Breadth-first trace set over the adversary menu, canonicalized."""
     domain = domain or AdversaryDomain()
-    tracer = ComponentTracer(image, seed, segment_fuel)
+    tracer = ComponentTracer(image, seed)
     results = {()}
     frontier = [(tracer.initial(), (), tracer.initial_knowledge(), ())]
     for _ in range(depth):
@@ -311,15 +264,13 @@ def enumerate_traces(
     return results
 
 
-def random_trace(image, rng: random.Random, depth: int = DEFAULT_DEPTH, domain=None, seed: int = 0, segment_fuel: int = DEFAULT_SEGMENT_FUEL):
-    """One random adversarial trace (raw, not canonicalized)."""
+def random_trace(image, rng: random.Random, depth: int = DEFAULT_DEPTH, domain=None, seed: int = 0):
+    """One random adversarial trace of 1 to `depth` moves, canonicalized."""
     domain = domain or AdversaryDomain()
-    tracer = ComponentTracer(image, seed, segment_fuel)
+    tracer = ComponentTracer(image, seed)
     state, trace, knowledge, pending = tracer.initial(), (), tracer.initial_knowledge(), ()
     for _ in range(rng.randrange(1, depth + 1)):
         injs = _injections(tracer, knowledge, pending, domain)
-        if not injs:
-            break
         seg, knowledge, pending = _apply(tracer, state, rng.choice(injs), knowledge, pending)
         trace = trace + (seg.action, seg.reply)
         state = seg.state

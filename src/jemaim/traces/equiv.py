@@ -4,8 +4,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..aim.words import SYS_ID
-from .actions import FuelExceeded, is_input
-from .engine import AdversaryDomain, enumerate_traces
+from .actions import FuelExceeded, Tick, is_input
+from .engine import DEFAULT_DEPTH, AdversaryDomain, enumerate_traces
 
 
 class InterfaceMismatch(Exception):
@@ -37,32 +37,31 @@ class Equivalent:
     equivalent = True
 
 
-def trace_equiv(img1, img2, depth=4, domain: AdversaryDomain | None = None, seed: int = 0, segment_fuel: int = 100_000):
+def trace_equiv(img1, img2, depth: int = DEFAULT_DEPTH, domain: AdversaryDomain | None = None, seed: int = 0):
     """Set equality of canonical bounded trace sets; a witness pair otherwise."""
     if not same_interface(img1, img2):
         raise InterfaceMismatch("components expose different method or object bindings")
-    t1s = enumerate_traces(img1, depth, domain, seed, segment_fuel)
-    t2s = enumerate_traces(img2, depth, domain, seed, segment_fuel)
+    t1s = enumerate_traces(img1, depth, domain, seed)
+    t2s = enumerate_traces(img2, depth, domain, seed)
     if t1s == t2s:
         return Equivalent(len(t1s))
-    only1 = sorted(t1s - t2s, key=_trace_key)
-    only2 = sorted(t2s - t1s, key=_trace_key)
+    only1 = t1s - t2s
     if only1:
-        t1 = only1[0]
-        t2 = _best_mate(t1, t2s)
-        return Inequivalent(t1, t2)
-    t2 = only2[0]
-    t1 = _best_mate(t2, t1s)
-    return Inequivalent(t1, t2)
+        t1 = min(only1, key=_trace_key)
+        return Inequivalent(t1, _best_mate(t1, t2s))
+    t2 = min(t2s - t1s, key=_trace_key)
+    return Inequivalent(_best_mate(t2, t1s), t2)
 
 
 def _trace_key(t):
     # prefer divergences the back-translator can replay: a tick ending stems
     # from a triggered check (or a null dereference), not from observable output
-    from .actions import Tick
-
     ticked = 1 if t and isinstance(t[-1], Tick) else 0
-    return (ticked, len(t), tuple(a.render() for a in t))
+    return (ticked, len(t), _rendered(t))
+
+
+def _rendered(t) -> tuple:
+    return tuple(a.render() for a in t)
 
 
 def _common_len(a, b) -> int:
@@ -75,13 +74,11 @@ def _common_len(a, b) -> int:
 
 
 def _best_mate(t, pool) -> tuple:
-    """The pool trace sharing the longest prefix with t, then shortest, then lexicographic."""
-    best, best_key = (), (-1, 0, "")
-    for cand in pool:
-        c = _common_len(t, cand)
-        key = (c, -len(cand), "")
-        if (key[0], key[1]) > (best_key[0], best_key[1]):
-            best, best_key = cand, key
+    """The pool trace sharing the longest prefix with t, then the shortest,
+    then the first in rendered order; trimmed to the divergence pair."""
+    keys = {cand: (-_common_len(t, cand), len(cand)) for cand in pool}
+    top = min(keys.values())
+    best = min((cand for cand, key in keys.items() if key == top), key=_rendered)
     # trim the mate to the divergence pair: shared prefix plus its next action
     c = _common_len(t, best)
     return best[: c + 1]

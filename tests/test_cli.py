@@ -142,15 +142,23 @@ class TestTracePipeline:
 class TestProcessDeterminism:
     def test_fresh_processes_produce_identical_modules(self, ws):
         """Identical invocations (fresh interpreter each) emit identical files."""
+        import os
         import subprocess
         import sys
+        from pathlib import Path
 
+        import jemaim
+
+        # the child imports the same jemaim as this test, installed or not
+        src = str(Path(jemaim.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         outs = []
         for d in ("pa", "pb"):
             subprocess.run(
                 [sys.executable, "-m", "jemaim.cli", "compile", str(ws / "prog.jem"), "-o", str(ws / d)],
                 check=True,
                 capture_output=True,
+                env=env,
             )
             outs.append(sorted(p.read_text() for p in (ws / d).glob("*.aimod")))
         assert outs[0] == outs[1]

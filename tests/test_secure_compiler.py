@@ -12,6 +12,7 @@ from jemaim.compiler.sysmod import FORWARDCALL, FORWARDRETURN, REGISTEROBJ, TEST
 from jemaim.jem import ast
 from jemaim.jem.interp import run as jem_run
 from jemaim.jem.parser import parse_component
+from jemaim.jem.printer import render_component
 from jemaim.jem.typecheck import typecheck
 from jemaim.traces.engine import ComponentTracer
 from jemaim.traces.actions import ReturnOut, Tick
@@ -218,6 +219,26 @@ class TestCompilerCorrectness:
         assert jr.kind == "terminated"
         assert ar.kind == "halted" and not ar.aborted
         assert ar.value == encode_value(jr.value)
+
+    def test_long_seq_spine(self):
+        """1 100 `;`-sequenced statements: parser, typechecker, compiler and
+        printer walk the spine without recursing down it."""
+        body = "1; " * 1100 + "this.x"
+        src = f"""
+class main {{
+  main(x:Int){{ this.x = x; }}
+  x : Int;
+  public main() : main()->Int {{ return {body}; }}
+}};
+object main : main {{ x = 0; }};
+"""
+        comp = parse_ok(src)
+        text = render_component(comp)
+        assert render_component(parse_component(text)) == text
+        jr = jem_run(comp, fuel=100_000)
+        assert jr.kind == "terminated" and jr.value == 0
+        ar = run_aim(compaim(comp), seed=3, fuel=300_000)
+        assert ar.kind == "halted" and not ar.aborted and ar.value == encode_value(0)
 
     def test_two_class_component_gives_three_modules(self):
         comp = parse_ok(WHOLE_PROGRAMS["cross-call"])

@@ -27,6 +27,7 @@ from jemaim.traces.engine import (
 from jemaim.traces.equiv import (
     InterfaceMismatch,
     NotComparable,
+    _best_mate,
     first_divergence,
     trace_equiv,
 )
@@ -150,8 +151,8 @@ class TestEnumeration:
         assert runs[0] == runs[1] and runs[0].value == 7
 
 
-# Depth-4 canonical trace sets of every component under both adversary
-# domains: (count, sha256 of the sorted rendered traces joined by newlines).
+# Depth-4 canonical trace sets of every component and of both sides of every
+# inequivalent pair under both adversary domains: (count, sha256 of the sorted rendered traces joined by newlines).
 # A change that alters any canonical trace must say why and update the pin.
 TRACE_SET_PINS = {
     ("const", "default"): (9, "438a90e737490150cb64061ad33ccccb3322568dabc163cc05311070da3a4a1f"),
@@ -164,13 +165,58 @@ TRACE_SET_PINS = {
     ("keeper", "illtyped"): (5773, "65e67f3c9a4bc633dab61b66f52501b7e08051b406ccb11ff5b4218db5f7e75e"),
     ("gate", "default"): (426, "73575bbf78289dab6186ef66f74159ff3eaef02f9bd2bded12aca77d82273fc6"),
     ("gate", "illtyped"): (3901, "8146ee2951e0acb57c34730469d76b290d003f0238cd7b44eb31aae480369abf"),
+    # both sides of every inequivalent pair, named "<pair>.<side>"
+    ("bool-return.0", "default"): (9, "9f627bec29e5641c84d890242bf3f1757024a7926ffa725b2cc23a4f74f58e80"),
+    ("bool-return.0", "illtyped"): (21, "2df8bb6b1534fa2a116ab948ae0d1e013bc769243b32f83a55be3773217ede97"),
+    ("bool-return.1", "default"): (9, "3754c8e7e1d9cbba2b3567a70d636fd28a48934eed2ee6cec4034279be72e750"),
+    ("bool-return.1", "illtyped"): (21, "13a0588031aec7de9495a88b22ebda10682c235776e77e48ba0b3fd541c43368"),
+    ("callback-param.0", "default"): (28, "6b08288ee3e47b905267c705d6d64a139078ac487b24d42fa366709b36442839"),
+    ("callback-param.0", "illtyped"): (93, "6a1953a222ce2def7f64daecdd8b91636387b2ed49bccd584cd1c8dc071c206b"),
+    ("callback-param.1", "default"): (28, "12fa58f0662410c8cc774409fa68d9dbb6c57ec67829a2e5ca36eb7a69758f98"),
+    ("callback-param.1", "illtyped"): (93, "af68777b64fb7322b4b3e58924c7a721325b3caf7bfe2129766f621a6c85f868"),
+    ("callback-target.0", "default"): (28, "7c04c84e8a060153fdd172df648bed73898a1187600af074a38b53bb351dfa97"),
+    ("callback-target.0", "illtyped"): (93, "4898dd4d67ab5446683512bc0c8bd239ae90bb7e8d142b726a87c6512d5d03e6"),
+    ("callback-target.1", "default"): (28, "8f7b352180f90d65d4b288f246ca7b92720635b1b9210094da852665ad7e0c93"),
+    ("callback-target.1", "illtyped"): (93, "651317133201277be580bfbe12c23a77ee898878c20ebd9eedeff7d1f08436f2"),
+    ("callback-vs-return.0", "default"): (28, "7c04c84e8a060153fdd172df648bed73898a1187600af074a38b53bb351dfa97"),
+    ("callback-vs-return.0", "illtyped"): (93, "4898dd4d67ab5446683512bc0c8bd239ae90bb7e8d142b726a87c6512d5d03e6"),
+    ("callback-vs-return.1", "default"): (9, "0e5e3714ce114df336ab2a3667df839e78e48e2c717c495c6335244cfc09b81c"),
+    ("callback-vs-return.1", "illtyped"): (21, "c0611669b26d0905c3316a83acabf91136d5abf1bc5d35caae40d4f086041f55"),
+    ("fresh-vs-static-object.0", "default"): (46, "3a41b21ea221c2387c52342fe70047e6dbdc9f92bca036bdd3cc76a6abc42187"),
+    ("fresh-vs-static-object.0", "illtyped"): (136, "7cdb762f26a22ae488206c60af2ee334a0287eeecd74af8393be9ce719686003"),
+    ("fresh-vs-static-object.1", "default"): (46, "2d643f723ab752af352e9ff22134cbb7c5a80501b91cd3bb47361f799473061c"),
+    ("fresh-vs-static-object.1", "illtyped"): (136, "e5e1caab35866100d32b5d0ed9ec250e70e06a6b9d34acd4e63fa38aa5166740"),
+    ("int-return.0", "default"): (9, "438a90e737490150cb64061ad33ccccb3322568dabc163cc05311070da3a4a1f"),
+    ("int-return.0", "illtyped"): (21, "34a276584e891fa9530c162922830117b6f348bda42c874a534e43eccb605c03"),
+    ("int-return.1", "default"): (9, "9f627bec29e5641c84d890242bf3f1757024a7926ffa725b2cc23a4f74f58e80"),
+    ("int-return.1", "illtyped"): (21, "2df8bb6b1534fa2a116ab948ae0d1e013bc769243b32f83a55be3773217ede97"),
+    ("length-divergence.0", "default"): (7, "cbe692efc40a4fd7ffafe7d9e97792f9cacb7153ecd5963e6c9447aa6fbde3cf"),
+    ("length-divergence.0", "illtyped"): (19, "b02d4cb06854c7cbb0eb957e5312a1b3cc566ab15dc4de3b8bde0aa36966938f"),
+    ("length-divergence.1", "default"): (13, "41c03add8dcaa1813e14ded85dba3f150677a4272f7ca9d72caf1d3d853e4b42"),
+    ("length-divergence.1", "illtyped"): (37, "4e38070219a6d346caae7ee24ca4e314e071307c3996927b183433e427128a10"),
+    ("null-vs-object.0", "default"): (9, "151d65157273028fec05f5e187da6efb65a548b72a7af4d8a6c700dc602bda87"),
+    ("null-vs-object.0", "illtyped"): (21, "b5c416b5568c7db630d89090e1bfb7fe911a3c396e7eda6a355b36d1de0d4112"),
+    ("null-vs-object.1", "default"): (9, "00d023086c5209ca8db691dd4da14ddeae4b86c8e52bbdf3d1b97f96245e628c"),
+    ("null-vs-object.1", "illtyped"): (21, "2530f6794647a7fc2229d387285e5dd7d29b5418e7e679cea706d38fab2ce340"),
+    ("stateful-second-round.0", "default"): (9, "eb9c597ec2d675c93243d7220a04623045f63556160668a75d742592d8a3be79"),
+    ("stateful-second-round.0", "illtyped"): (21, "afb4f5b86bc8b7f834f2dffff83a503c26cef074c7fb767572b95ab306040a7d"),
+    ("stateful-second-round.1", "default"): (9, "22d8b6cc408d9c8fd290af88598077b295f664babdcddb5604e819dab7ee4738"),
+    ("stateful-second-round.1", "illtyped"): (21, "33fd734dca60cddc26345ce06c3fe4ddec1773af1a03cf18210afc4526b09905"),
+    ("unit-vs-state.0", "default"): (46, "3d8ccfb8b0eddc94ae473669261f64173528f1b702af211b5f1aff8362afe748"),
+    ("unit-vs-state.0", "illtyped"): (136, "f660d932aed2c2a08ed20c2e74a38f834907f719c9498ba59c45397af99d14db"),
+    ("unit-vs-state.1", "default"): (46, "5a0e05c50bff4a4f3d50bea782e02dfbd59e9d8a991bd851f9a8768d20d02501"),
+    ("unit-vs-state.1", "illtyped"): (136, "532700ed4399a86f5868823fce5b3db58c088cbff720c33d6cf06e18470e8b0d"),
+}
+PINNED_SOURCES = {
+    **COMPONENTS,
+    **{f"{name}.{side}": pair[side] for name, pair in INEQUIVALENT_PAIRS.items() for side in (0, 1)},
 }
 PIN_DOMAINS = {"default": AdversaryDomain, "illtyped": lambda: AdversaryDomain(illtyped=True, forged_ids=(9,))}
 
 
-@pytest.mark.parametrize("name, domain", [(n, d) for n in sorted(COMPONENTS) for d in PIN_DOMAINS])
+@pytest.mark.parametrize("name, domain", list(TRACE_SET_PINS))
 def test_canonical_trace_set_is_pinned(name, domain):
-    traces = enumerate_traces(image_of(COMPONENTS[name]), depth=4, domain=PIN_DOMAINS[domain]())
+    traces = enumerate_traces(image_of(PINNED_SOURCES[name]), depth=4, domain=PIN_DOMAINS[domain]())
     text = "\n".join(sorted(render_trace(t) for t in traces))
     assert (len(traces), hashlib.sha256(text.encode()).hexdigest()) == TRACE_SET_PINS[name, domain]
 
@@ -232,6 +278,15 @@ object o : c { hidden = 1; };
         assert not r.equivalent
         prefix, a1, a2, i = first_divergence(r.t1, r.t2)
         assert not is_input(a1) and not is_input(a2)
+
+    def test_best_mate_ignores_pool_order(self):
+        """Mates that tie on shared prefix and length go to the first in
+        rendered order, whatever order the pool comes in."""
+        call = CallIn((2, 16), (1,))
+        t = (call, ReturnOut((0, 40), 1, 2))
+        a = (call, ReturnOut((0, 40), 2, 2))
+        b = (call, ReturnOut((0, 40), 3, 2))
+        assert _best_mate(t, [a, b]) == _best_mate(t, [b, a]) == a
 
     def test_first_divergence_rejects_input_divergence(self):
         t1 = (CallIn((2, 16), (1, 0)), ReturnOut((0, 40), 1, 2))
