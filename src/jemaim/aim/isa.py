@@ -100,6 +100,7 @@ class Assembler:
     def __init__(self):
         self.items: list = []  # Instr | ("label", name)
         self._n = 0
+        self._labels: set[str] = set()
 
     def emit(self, name: str, *ops) -> "Assembler":
         i = ins(name, *ops)
@@ -113,8 +114,9 @@ class Assembler:
         return self
 
     def label(self, name: str) -> "Assembler":
-        if any(isinstance(it, tuple) and it[0] == "label" and it[1] == name for it in self.items):
+        if name in self._labels:
             raise ValueError(f"duplicate label {name!r}")
+        self._labels.add(name)
         self.items.append(("label", name))
         return self
 

@@ -1,11 +1,12 @@
-"""Witness generation: skeleton + prefix emulation + differentiation.
+"""Witness generation: prefix emulation + differentiation into one code table.
 
 algo(c1, c2, t1, t2) builds a context that terminates when plugged with the
 first component and diverges when plugged with the second (or mirrored,
-depending on which trace extends the common prefix). Code additions become
-step-guarded blocks in context method bodies; return-valued additions become
-arms of a trailing value cascade keyed by the step counter, since a method
-body is a single expression.
+depending on which trace extends the common prefix). Emulation of the common
+prefix and diff at the first divergence write into one table of witness code,
+(class, method) -> step blocks and return arms; skel then builds each context
+method body from its entry once. When the prefix cannot be emulated, the
+do-nothing context is the witness, and the failed rule is reported.
 """
 from __future__ import annotations
 
@@ -17,82 +18,15 @@ from ..jem.compat import plug
 from ..jem.interp import DEFAULT_FUEL, run
 from ..traces.equiv import first_divergence
 from .diff import diff
-from .emulate import CodeAddition, emulate
-from .interface import Interface, build_interface
-from .skel import oc_call, seq, skel
-
-
-class UnknownMethod(Exception):
-    pass
-
-
-def _is_step_guard(e: ast.Expr):
-    """Recognize `if (oc.isStep(i)) { ... } else { unit }` blocks; return i."""
-    if (
-        isinstance(e, ast.If)
-        and isinstance(e.cond, ast.Call)
-        and e.cond.mname == "isStep"
-        and isinstance(e.cond.recv, ast.Var)
-        and e.cond.recv.name == "oc"
-        and isinstance(e.cond.args[0], ast.Lit)
-    ):
-        return e.cond.args[0].value
-    return None
-
-
-def _spine(body: ast.Expr) -> list[ast.Expr]:
-    out = []
-    while isinstance(body, ast.Seq):
-        out.append(body.first)
-        body = body.second
-    out.append(body)
-    return out
-
-
-def _fold(exprs: list[ast.Expr]) -> ast.Expr:
-    return seq(*exprs)
-
-
-def _guard_block(i: int, exprs: list[ast.Expr]) -> ast.Expr:
-    return ast.If(oc_call("isStep", ast.Lit(i)), _fold(exprs + [ast.Lit("unit")]), ast.Lit("unit"))
-
-
-def apply_addition(comp: ast.JemComponent, a: CodeAddition) -> ast.JemComponent:
-    """Extend a context method with one code addition.
-
-    Unguarded effects append before the trailing value; guarded effects become
-    isStep blocks; 'nest' additions extend the existing block for their step;
-    'retval' additions become a new arm of the trailing value cascade."""
-    cname, mname = a.method
-    cls = comp.cls(cname)
-    m = cls.method(mname) if cls else None
-    if m is None:
-        raise UnknownMethod(f"{cname}.{mname}")
-    parts = _spine(m.body)
-    blocks, tail = parts[:-1], parts[-1]
-    if a.kind == "nest":
-        for k, b in enumerate(blocks):
-            if _is_step_guard(b) == a.guard:
-                inner = _spine(b.then)
-                b_new = ast.If(b.cond, _fold(inner[:-1] + list(a.exprs) + [inner[-1]]), b.els)
-                blocks = blocks[:k] + [b_new] + blocks[k + 1 :]
-                break
-        else:
-            blocks = blocks + [_guard_block(a.guard, list(a.exprs))]
-    elif a.kind == "retval":
-        tail = ast.If(oc_call("isStep", ast.Lit(a.guard)), _fold(list(a.exprs)), tail)
-    elif a.guarded():
-        blocks = blocks + [_guard_block(a.guard, list(a.exprs))]
-    else:
-        blocks = blocks + list(a.exprs)
-    m.body = _fold(blocks + [tail])
-    return comp
+from .emulate import EmulState, Fail, emulate_action
+from .interface import build_interface
+from .skel import skel
 
 
 @dataclass
 class Witness:
     context: ast.JemComponent
-    emulation_failed: bool
+    emulation_failed: str | None  # "action <index>: <rule>" when the prefix cannot be emulated
     steps: int
 
 
@@ -101,22 +35,16 @@ def algo(c1: ast.JemComponent, c2: ast.JemComponent, t1, t2, image=None, image2=
     image = image if image is not None else compaim(c1)
     image2 = image2 if image2 is not None else compaim(c2)
     iface = build_interface(c1, c2, image, image2)
-    context = skel(c1, c2, iface)
-    prefix, a1, a2, i = first_divergence(t1, t2)
-    st = emulate(prefix, iface)
-    if st is None:
+    prefix, a1, a2, _ = first_divergence(t1, t2)
+    st = EmulState(iface)
+    try:
+        for action in prefix:
+            emulate_action(action, st)
+    except Fail as f:
         # termination is emulation failure: the do-nothing context differentiates
-        return Witness(context, True, 0)
-    additions = list(st.additions)
-    seen = set()
-    for add in diff(a1, a2, i, st):
-        key = (add.method, add.guard, add.kind, repr(add.exprs))
-        if key not in seen:
-            seen.add(key)
-            additions.append(add)
-    for add in additions:
-        context = apply_addition(context, add)
-    return Witness(context, False, st.i)
+        return Witness(skel(c1, iface, {}), f"action {st.i}: {f.rule}", 0)
+    diff(a1, a2, st)
+    return Witness(skel(c1, iface, st.code), None, st.i)
 
 
 @dataclass

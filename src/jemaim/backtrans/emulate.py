@@ -1,11 +1,17 @@
 """Action-by-action emulation of a common trace prefix into context code.
 
 The emulator folds over the prefix keeping: object knowledge V (canonical id ->
-(type, registry number)), the environment's registrations R, a bracket stack
-mirroring the system call stack (caller id, callee id, expected return type),
-the placement stack naming the context method receiving code, and the step
-counter. Every inability to express an action in source is a Fail; those are
-exactly the prefixes whose machine run ends in a termination tick.
+(type, registry number)), the environment's registrations R, a frame stack
+mirroring the system call stack, the step counter i, and the witness code
+table (class, method) -> MethodCode. Action i writes its code into the block
+guarded by `oc.isStep(i)`: a call the context makes opens that block in the
+method it runs in, `here()`, and its frame records the block's index, so the
+component's return nests into the block of the call it answers and binds
+`retvar-<index>`; a callback opens it in the stub of the called method, which
+`here()` then names until the environment returns from it; that return
+becomes an arm of the stub's value cascade. Every inability to express an
+action in source is a Fail; those are exactly the prefixes whose machine run
+ends in a termination tick.
 """
 from __future__ import annotations
 
@@ -17,7 +23,7 @@ from ..jem import ast
 from ..jem.ast import T_BOOL, T_INT, T_OBJ, T_UNIT, JemType, t_class
 from ..traces.actions import CallIn, CallOut, ReturnIn, ReturnOut, Tick
 from .interface import Interface
-from .skel import oc_call
+from .skel import MAIN, MethodCode, oc_call
 
 
 class Fail(Exception):
@@ -29,24 +35,12 @@ class Fail(Exception):
 
 
 @dataclass
-class CodeAddition:
-    """An expression block destined for a context method, optionally step-guarded."""
-
-    exprs: list
-    method: tuple  # (class name, method name)
-    guard: int | None = None
-    kind: str = "effect"  # 'effect' | 'retval' | 'nest'
-
-    def guarded(self) -> bool:
-        return self.guard is not None
-
-
-@dataclass
 class Frame:
     caller: object  # id word of the module that performed the call
     callee: object  # id word expected to answer (0 = the environment)
     ret_t: JemType
-    method: tuple | None  # context method the call code was placed in
+    method: tuple  # context method holding the call's code
+    block: int  # index of the action that opened that block
 
 
 @dataclass
@@ -56,19 +50,33 @@ class EmulState:
     V: dict = field(default_factory=dict)  # id -> (JemType, registry number)
     R: dict = field(default_factory=dict)  # id -> registered class encoding
     frames: list = field(default_factory=list)
-    placement: list = field(default_factory=lambda: [("Helper", "main")])
-    names: dict = field(default_factory=dict)
-    additions: list = field(default_factory=list)
+    code: dict = field(default_factory=dict)  # (class, method) -> MethodCode
+    named: int = 0  # registry numbers handed out, contiguous from 1
+
+    def __post_init__(self):
+        # statically known objects carry the numbers skel's prelude registers
+        for _name, cls, word, idx in self.iface.exported_objects + self.iface.required_objects:
+            self.V[word] = (t_class(cls), idx)
+            self.named = idx
 
     def here(self) -> tuple:
-        return self.placement[-1]
+        """The context method now running: the stub of the innermost open
+        callback, else Helper.main."""
+        return next((f.method for f in reversed(self.frames) if f.callee == 0), MAIN)
 
-    def nonce_to_int(self, w) -> int:
-        if isinstance(w, int):
-            return w
-        if w not in self.names:
-            self.names[w] = max(self.names.values(), default=0) + 1
-        return self.names[w]
+    def number(self, w, t: JemType) -> int:
+        """Give a newly seen id the next registry number."""
+        self.named += 1
+        self.V[w] = (t, self.named)
+        return self.named
+
+    def open_block(self, method: tuple, exprs: list):
+        """Code of action i in `method`, guarded by `oc.isStep(i)`."""
+        self.code.setdefault(method, MethodCode()).blocks.setdefault(self.i, []).extend(exprs)
+
+    def nest(self, frame: Frame, exprs: list):
+        """Code that runs once the call of `frame` has returned."""
+        self.code[frame.method].blocks[frame.block].extend(exprs)
 
 
 def integer_for(w):
@@ -115,14 +123,12 @@ def emulate_value(w, t: JemType, st: EmulState):
             raise Fail("value-unmakeable")
         if t != T_OBJ and encode_class(t.cname) != enc:
             raise Fail("value-class-mismatch")
-        idx = st.nonce_to_int(w)
-        st.V[w] = (t_class(cname), idx)
-        return oc_call(f"createNew-{cname}", ast.Lit(idx))
+        return oc_call(f"createNew-{cname}", ast.Lit(st.number(w, t_class(cname))))
     raise Fail("value-unknown-internal")
 
 
 def method_knowledge(st: EmulState, addr):
-    sig = st.iface.methods.lookup(addr)
+    sig = st.iface.methods.get(tuple(addr))
     if sig is None:
         raise Fail("address-unknown")
     return sig
@@ -181,8 +187,7 @@ def _emulate_call_in(a: CallIn, st: EmulState):
     exprs.append(
         ast.VarDecl(f"retvar-{st.i}", sig.ret, ast.Call(ast.Var(f"o-{st.i}"), sig.name, arg_vars))
     )
-    st.additions.append(CodeAddition(exprs, st.here(), guard=st.i))
-    st.frames.append(Frame(caller=0, callee=addr[0], ret_t=sig.ret, method=st.here()))
+    _context_call(st, exprs, addr[0], sig.ret)
 
 
 def _emulate_testobj(a: CallIn, st: EmulState):
@@ -196,8 +201,7 @@ def _emulate_testobj(a: CallIn, st: EmulState):
         oc_call("incrStep"),
         ast.VarDecl(f"retvar-{st.i}", T_BOOL, ast.InstanceOf(target, cname)),
     ]
-    st.additions.append(CodeAddition(exprs, st.here(), guard=st.i))
-    st.frames.append(Frame(caller=0, callee=SYS_ID, ret_t=T_BOOL, method=st.here()))
+    _context_call(st, exprs, SYS_ID, T_BOOL)
 
 
 def _emulate_regobj(a: CallIn, st: EmulState):
@@ -207,8 +211,14 @@ def _emulate_regobj(a: CallIn, st: EmulState):
         raise Fail("registerObj-known-id")
     st.R[w] = enc
     exprs = [oc_call("incrStep"), ast.VarDecl(f"retvar-{st.i}", T_UNIT, ast.Lit("unit"))]
-    st.additions.append(CodeAddition(exprs, st.here(), guard=st.i))
-    st.frames.append(Frame(caller=0, callee=SYS_ID, ret_t=T_UNIT, method=st.here()))
+    _context_call(st, exprs, SYS_ID, T_UNIT)
+
+
+def _context_call(st: EmulState, exprs: list, callee, ret_t: JemType):
+    """The context makes a call as action i: its block opens in here()."""
+    here = st.here()
+    st.open_block(here, exprs)
+    st.frames.append(Frame(0, callee, ret_t, here, st.i))
 
 
 def _emulate_return_in(a: ReturnIn, st: EmulState):
@@ -221,10 +231,7 @@ def _emulate_return_in(a: ReturnIn, st: EmulState):
         raise Fail("returnback-wrong-id")
     value = emulate_value(a.value, frame.ret_t, st)
     st.frames.pop()
-    method = st.placement.pop()
-    st.additions.append(
-        CodeAddition([oc_call("incrStep"), value], method, guard=st.i, kind="retval")
-    )
+    st.code[frame.method].returns.append((st.i, [oc_call("incrStep"), value]))
 
 
 def _emulate_call_out(a: CallOut, st: EmulState):
@@ -234,16 +241,13 @@ def _emulate_call_out(a: CallOut, st: EmulState):
     for j, pt in enumerate(sig.params):
         w = a.regs[7 + j] if 7 + j < len(a.regs) else 0
         if st.iface.is_internal(pt) and not isinstance(w, int) and w not in st.V:
-            idx = st.nonce_to_int(w)
-            st.V[w] = (pt, idx)
+            idx = st.number(w, pt)
             exprs.append(oc_call(f"addObject-{pt.cname}", ast.Var(f"x-{j + 1}"), ast.Lit(idx)))
         elif pt == T_OBJ and not isinstance(w, int) and w not in st.V and w not in st.R:
-            idx = st.nonce_to_int(w)
-            st.V[w] = (T_OBJ, idx)
+            idx = st.number(w, T_OBJ)
             exprs.append(oc_call("addObject-Obj", ast.Var(f"x-{j + 1}"), ast.Lit(idx)))
-    st.additions.append(CodeAddition(exprs, stub_method, guard=st.i))
-    st.frames.append(Frame(caller=a.addr[0], callee=0, ret_t=sig.ret, method=stub_method))
-    st.placement.append(stub_method)
+    st.open_block(stub_method, exprs)
+    st.frames.append(Frame(a.addr[0], 0, sig.ret, stub_method, st.i))
 
 
 def _emulate_return_out(a: ReturnOut, st: EmulState):
@@ -253,25 +257,18 @@ def _emulate_return_out(a: ReturnOut, st: EmulState):
     exprs = [oc_call("incrStep")]
     t = frame.ret_t
     w = a.value
+    retvar = ast.Var(f"retvar-{frame.block}")
     if st.iface.is_internal(t) and not isinstance(w, int) and w not in st.V:
-        idx = st.nonce_to_int(w)
-        st.V[w] = (t, idx)
-        exprs.append(oc_call(f"addObject-{t.cname}", ast.Var(f"retvar-{st.i - 1}"), ast.Lit(idx)))
+        exprs.append(oc_call(f"addObject-{t.cname}", retvar, ast.Lit(st.number(w, t))))
     elif t == T_OBJ and not isinstance(w, int) and w != V_NULL and w not in st.V and w not in st.R:
-        idx = st.nonce_to_int(w)
-        st.V[w] = (T_OBJ, idx)
-        exprs.append(oc_call("addObject-Obj", ast.Var(f"retvar-{st.i - 1}"), ast.Lit(idx)))
-    # runs right after the call expression returns: nest into the caller's block
-    st.additions.append(CodeAddition(exprs, frame.method, guard=st.i - 1, kind="nest"))
+        exprs.append(oc_call("addObject-Obj", retvar, ast.Lit(st.number(w, T_OBJ))))
+    st.nest(frame, exprs)
 
 
 def emulate(prefix, iface: Interface):
     """Emulate a common prefix. Returns the final state, or None on Fail — the
     do-nothing differentiator (termination is emulation failure)."""
     st = EmulState(iface)
-    st.names = dict(iface.seeded_name_table())
-    for name, cls, word, idx in iface.exported_objects + iface.required_objects:
-        st.V[word] = (t_class(cls), idx)
     try:
         for action in prefix:
             emulate_action(action, st)

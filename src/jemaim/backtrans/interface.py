@@ -1,7 +1,7 @@
 """Shared interface metadata for the back-translation of a component pair."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..aim.link import MethodSig as LinkSig
 from ..aim.words import SYS_ID
@@ -20,20 +20,10 @@ def jem_sig(sig: LinkSig) -> ast.MethodSig:
 
 
 @dataclass
-class MethodKnowledge:
-    """Map from action addresses to jem method signatures (rule methodKnowledge)."""
-
-    by_addr: dict = field(default_factory=dict)
-
-    def lookup(self, addr):
-        return self.by_addr.get(tuple(addr))
-
-
-@dataclass
 class Interface:
     internal_classes: list[str]
     external_classes: list[str]
-    methods: MethodKnowledge
+    methods: dict  # action address -> jem method signature (rule methodKnowledge)
     exported_objects: list  # (name, class, canonical id, registry index)
     required_objects: list  # (name, class, "$symbol", registry index)
 
@@ -48,15 +38,8 @@ class Interface:
         name = class_name_of_encoding(enc)
         return name if name in self.internal_classes or name in self.external_classes else None
 
-    def seeded_name_table(self) -> dict:
-        """nonce_to_int seeds: exported masks then required-object symbols, from 1."""
-        table = {}
-        for name, cls, word, idx in self.exported_objects + self.required_objects:
-            table[word] = idx
-        return table
 
-
-def build_interface(c1: ast.JemComponent, c2: ast.JemComponent, image, image2=None) -> Interface:
+def build_interface(c1: ast.JemComponent, c2: ast.JemComponent, image, image2) -> Interface:
     """Shared knowledge of the pair: internal/external classes, method addresses,
     object registries. Exports coincide across the pair; requirements are the
     union (each compilation only requires the methods it calls)."""
@@ -68,15 +51,13 @@ def build_interface(c1: ast.JemComponent, c2: ast.JemComponent, image, image2=No
     ics, ios = c1.all_imports()
     external = sorted({ic.name for ic in ics})
 
-    mk = MethodKnowledge()
+    methods = {}
     for sig, addr in image.table.em.items():
         if addr.mid != SYS_ID:
-            mk.by_addr[(addr.mid, addr.off)] = jem_sig(sig)
+            methods[(addr.mid, addr.off)] = jem_sig(sig)
     for img in (image, image2):
-        if img is None:
-            continue
         for sig, iota, sigma in img.table.rm:
-            mk.by_addr[(f"${iota.name}", f"${sigma.name}")] = jem_sig(sig)
+            methods[(f"${iota.name}", f"${sigma.name}")] = jem_sig(sig)
 
     eo, idx = [], 1
     canon = {}
@@ -89,7 +70,7 @@ def build_interface(c1: ast.JemComponent, c2: ast.JemComponent, image, image2=No
     for k, sym in sorted(image.table.ro, key=lambda e: (e[0].render(), e[1].name)):
         ro.append((k.name, k.cls, f"${sym.name}", idx))
         idx += 1
-    return Interface(internal, external, mk, eo, ro)
+    return Interface(internal, external, methods, eo, ro)
 
 
 def _import_shape(c: ast.JemComponent):

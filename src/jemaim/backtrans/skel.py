@@ -1,17 +1,51 @@
-"""The witness skeleton: stub classes, per-type registries, the Helper class.
+"""The witness context: stub classes, per-type registries, the Helper class.
 
-The skeleton implements every interface the component pair imports (stub
+The context implements every interface the component pair imports (stub
 classes with default-returning methods and a factory), declares everything the
 pair exports (so plugging succeeds), and equips Helper with the step counter,
 the divergence loop, and per-type object registries backed by linked-list
 classes. Registries are pre-populated with all statically known objects in
 main's prelude, using the same numbering the emulator assigns to ids.
+
+The witness code of Helper.main and of the stub methods comes from a table
+(class, method) -> MethodCode, which emulation and differentiation fill; each
+method body is built from its entry once.
 """
 from __future__ import annotations
+
+from dataclasses import dataclass, field
 
 from ..jem import ast
 from ..jem.ast import JemType, T_BOOL, T_INT, T_UNIT, t_class, type_named
 from .interface import ImportMismatch, Interface
+
+MAIN = ("Helper", "main")
+
+
+class UnknownMethod(Exception):
+    """Witness code was written for a method the context does not define."""
+
+
+@dataclass
+class MethodCode:
+    """The witness code of one context method.
+
+    `blocks` maps an action index to the expressions of the block guarded by
+    `oc.isStep(index)`, in the order the blocks were opened; `returns` lists the
+    (index, expressions) arms of the trailing value cascade, latest outermost."""
+
+    blocks: dict = field(default_factory=dict)
+    returns: list = field(default_factory=list)
+
+    def body(self, value: ast.Expr, *effects: ast.Expr) -> ast.Expr:
+        """`effects`, then the step blocks, then `value` under the return cascade."""
+        blocks = [
+            ast.If(oc_call("isStep", ast.Lit(i)), seq(*exprs, ast.Lit("unit")), ast.Lit("unit"))
+            for i, exprs in self.blocks.items()
+        ]
+        for i, exprs in self.returns:
+            value = ast.If(oc_call("isStep", ast.Lit(i)), seq(*exprs), value)
+        return seq(*effects, *blocks, value)
 
 
 def default_value(t: JemType):
@@ -80,40 +114,40 @@ def _listof(tname: str) -> ast.JemClass:
     )
 
 
-def _stub_class(ic: ast.ImportClass) -> ast.JemClass:
+def _stub_class(name: str, sigs: list, code: dict) -> ast.JemClass:
     methods = []
-    for sig in ic.sigs:
+    for sig in sigs:
         params = [f"x-{j + 1}" for j in range(len(sig.params))]
-        methods.append(_method(sig.name, params, sig.recv, sig.params, sig.ret, default_value(sig.ret)))
-    factory = _method(f"mk-{ic.name}", [], t_class(ic.name), [], t_class(ic.name), ast.New(ic.name, []))
+        body = code.pop((name, sig.name), MethodCode()).body(default_value(sig.ret))
+        methods.append(_method(sig.name, params, sig.recv, sig.params, sig.ret, body))
+    factory = _method(f"mk-{name}", [], t_class(name), [], t_class(name), ast.New(name, []))
     if any(m.name == factory.name for m in methods):
-        raise ImportMismatch(f"interface {ic.name} collides with the factory name {factory.name}")
+        raise ImportMismatch(f"interface {name} collides with the factory name {factory.name}")
     return ast.JemClass(
-        name=ic.name,
+        name=name,
         import_classes=[],
         import_objects=[],
         ctor=ast.Ctor([]),
         field_types={},
         methods=methods + [factory],
-        objects=[ast.ObjectDef(f"static-for-{ic.name}", ic.name, {})],
+        objects=[ast.ObjectDef(f"static-for-{name}", name, {})],
     )
 
 
-def skel(c1: ast.JemComponent, c2: ast.JemComponent, iface: Interface) -> ast.JemComponent:
-    """The differentiating context's skeleton; emulation fills its method bodies."""
+def skel(c1: ast.JemComponent, iface: Interface, code: dict) -> ast.JemComponent:
+    """The differentiating context of a component pair (c1 stands for both), with
+    the witness code `code` maps (class, method) -> MethodCode to."""
     ics, ios = c1.all_imports()
-    by_name: dict[str, ast.ImportClass] = {}
+    by_name: dict[str, list] = {}
     for ic in ics:
-        prev = by_name.get(ic.name)
-        if prev is None:
-            by_name[ic.name] = ic
-        else:
-            known = {s.name for s in prev.sigs}
-            prev.sigs.extend(s for s in ic.sigs if s.name not in known)
+        sigs = by_name.setdefault(ic.name, [])
+        known = {s.name for s in sigs}
+        sigs.extend(s for s in ic.sigs if s.name not in known)
     if "Helper" in by_name or any(c.name == "Helper" for c in c1.classes):
         raise ImportMismatch("the name Helper must be fresh")
 
-    stubs = [_stub_class(ic) for ic in sorted(by_name.values(), key=lambda ic: ic.name)]
+    code = dict(code)
+    stubs = [_stub_class(name, by_name[name], code) for name in sorted(by_name)]
     # stub objects for every object declaration the pair imports
     declared = {o.name for s in stubs for o in s.objects}
     for io in sorted({(io.name, io.cname) for io in ios}):
@@ -127,11 +161,15 @@ def skel(c1: ast.JemComponent, c2: ast.JemComponent, iface: Interface) -> ast.Je
     registry_types = sorted(iface.internal_classes) + sorted(iface.external_classes) + ["Obj"]
     registries = [_listof(t) for t in registry_types]
 
-    helper = _helper_class(c1, iface, registry_types)
+    helper = _helper_class(c1, iface, registry_types, code.pop(MAIN, MethodCode()))
+    if code:
+        raise UnknownMethod(", ".join(f"{c}.{m}" for c, m in code))
     return ast.JemComponent(registries + stubs + [helper])
 
 
-def _helper_class(c1: ast.JemComponent, iface: Interface, registry_types: list[str]) -> ast.JemClass:
+def _helper_class(
+    c1: ast.JemComponent, iface: Interface, registry_types: list[str], main: MethodCode
+) -> ast.JemClass:
     fields: dict[str, JemType] = {"step": T_INT}
     obj_fields: dict[str, object] = {"step": 0}
     for t in registry_types:
@@ -161,7 +199,7 @@ def _helper_class(c1: ast.JemComponent, iface: Interface, registry_types: list[s
             ast.FieldSet(ast.This(), "step", ast.BinOp("+", ast.FieldGet(ast.This(), "step"), ast.Lit(1))),
         ),
         _method("diverge", [], me, [], T_UNIT, ast.Call(ast.This(), "diverge", [])),
-        _method("main", [], me, [], T_INT, _prelude(iface)),
+        _method("main", [], me, [], T_INT, main.body(ast.Lit(0), *_prelude(iface))),
     ]
     for t in registry_types:
         tt = type_named(t)
@@ -225,12 +263,9 @@ def _helper_class(c1: ast.JemComponent, iface: Interface, registry_types: list[s
     )
 
 
-def _prelude(iface: Interface) -> ast.Expr:
+def _prelude(iface: Interface) -> list[ast.Expr]:
     """main's opening: register every statically known object under its number."""
-    exprs = []
-    for name, cls, _word, idx in iface.exported_objects:
-        exprs.append(oc_call(f"addObject-{cls}", ast.Var(name), ast.Lit(idx)))
-    for name, cls, _word, idx in iface.required_objects:
-        exprs.append(oc_call(f"addObject-{cls}", ast.Var(name), ast.Lit(idx)))
-    exprs.append(ast.Lit(0))
-    return seq(*exprs)
+    return [
+        oc_call(f"addObject-{cls}", ast.Var(name), ast.Lit(idx))
+        for name, cls, _word, idx in iface.exported_objects + iface.required_objects
+    ]

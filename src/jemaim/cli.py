@@ -154,7 +154,7 @@ def cmd_backtranslate(args) -> int:
     except ImportMismatch as e:
         raise CliError(str(e)) from e
     Path(args.output).write_text(render_component(witness.context))
-    note = " (emulation failed: do-nothing context)" if witness.emulation_failed else ""
+    note = f" (emulation failed at {witness.emulation_failed}; do-nothing context)" if witness.emulation_failed else ""
     print(f"wrote {args.output}{note}")
     return 0
 

@@ -49,6 +49,13 @@ class TestDecode:
         assert st2.peek() is not None
 
 
+class TestAssembler:
+    def test_duplicate_label_raises(self):
+        asm = Assembler().label("a").emit("halt")
+        with pytest.raises(ValueError, match="duplicate label 'a'"):
+            asm.label("a")
+
+
 class TestEntryPoints:
     def test_entry_point_grid(self):
         d = Descriptor(2, 64, 3)

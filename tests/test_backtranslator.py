@@ -1,30 +1,31 @@
 """Back-translation: skeleton, emulation, differentiation, witness correctness."""
+import hashlib
 import random
 
 import pytest
 
 from jemaim.compiler.encoding import encode_value
 from jemaim.compiler.pipeline import compaim
-from jemaim.backtrans.algo import Witness, algo, apply_addition, verify_witness
+from jemaim.backtrans.algo import Witness, algo, verify_witness
 from jemaim.backtrans.diff import diff
 from jemaim.backtrans.emulate import (
-    CodeAddition,
     EmulState,
     Fail,
+    Frame,
     emulate,
     emulate_action,
     emulate_value,
     integer_for,
 )
 from jemaim.backtrans.interface import ImportMismatch, build_interface
-from jemaim.backtrans.skel import skel
+from jemaim.backtrans.skel import MAIN, MethodCode, UnknownMethod, skel
 from jemaim.jem import ast
 from jemaim.jem.compat import EMPTY, plug
 from jemaim.jem.interp import run
 from jemaim.jem.parser import parse_component
 from jemaim.jem.printer import render_component
 from jemaim.jem.typecheck import typecheck
-from jemaim.traces.actions import CallIn, CallOut, ReturnIn, ReturnOut, Tick
+from jemaim.traces.actions import CallIn, CallOut, FuelExceeded, ReturnIn, ReturnOut, Tick
 from jemaim.traces.engine import AdversaryDomain, random_trace
 from jemaim.traces.equiv import first_divergence, trace_equiv
 
@@ -44,30 +45,20 @@ def iface_for(src):
     return c, img, build_interface(c, c, img, img)
 
 
-def fresh_state(iface):
-    from jemaim.jem.ast import t_class
-
-    st = EmulState(iface)
-    st.names = dict(iface.seeded_name_table())
-    for name, cls, word, idx in iface.exported_objects + iface.required_objects:
-        st.V[word] = (t_class(cls), idx)
-    return st
-
-
 CALLBACK_SRC = INEQUIVALENT_PAIRS["callback-param"][0]
 
 
 class TestSkeleton:
     def test_empty_imports_gives_helper_machinery_only(self):
         c, img, iface = iface_for(COMPONENTS["const"])
-        context = skel(c, c, iface)
+        context = skel(c, iface, {})
         names = [cl.name for cl in context.classes]
         assert "Helper" in names and all(n == "Helper" or n.startswith("listof-") for n in names)
         assert typecheck(context) == []
 
     def test_stub_classes_with_defaults(self):
         c, img, iface = iface_for(CALLBACK_SRC)
-        context = skel(c, c, iface)
+        context = skel(c, iface, {})
         stub = context.cls("i")
         assert stub is not None
         take = stub.method("take")
@@ -77,7 +68,7 @@ class TestSkeleton:
 
     def test_skeleton_plugs_with_the_component(self):
         c, img, iface = iface_for(COMPONENTS["const"])
-        context = skel(c, c, iface)
+        context = skel(c, iface, {})
         whole = plug(context, c)
         assert whole is not EMPTY
         r = run(whole, fuel=100_000)
@@ -85,7 +76,7 @@ class TestSkeleton:
 
     def test_diverge_runs_out_of_fuel(self):
         c, img, iface = iface_for(COMPONENTS["const"])
-        context = skel(c, c, iface)
+        context = skel(c, iface, {})
         m = context.cls("Helper").method("main")
         m.body = ast.Seq(ast.Call(ast.Var("oc"), "diverge", []), ast.Lit(0))
         whole = plug(context, c)
@@ -94,7 +85,7 @@ class TestSkeleton:
 
     def test_helper_step_machinery(self):
         c, img, iface = iface_for(COMPONENTS["const"])
-        context = skel(c, c, iface)
+        context = skel(c, iface, {})
         m = context.cls("Helper").method("main")
         m.body = ast.Seq(
             ast.Call(ast.Var("oc"), "incrStep", []),
@@ -110,15 +101,14 @@ class TestSkeleton:
     def test_mismatched_imports_rejected(self):
         c1 = parse_ok(COMPONENTS["const"])
         c2 = parse_ok(CALLBACK_SRC)  # imports an interface c1 does not
-        img = compaim(c1)
         with pytest.raises(ImportMismatch):
-            build_interface(c1, c2, img)
+            build_interface(c1, c2, compaim(c1), compaim(c2))
 
 
 class TestEmulateValues:
     def test_primitive_values(self):
         c, img, iface = iface_for(COMPONENTS["const"])
-        st = fresh_state(iface)
+        st = EmulState(iface)
         assert emulate_value(1, ast.T_UNIT, st).value == "unit"
         assert emulate_value(2, ast.T_BOOL, st).value is True
         assert emulate_value(3, ast.T_BOOL, st).value is False
@@ -136,14 +126,14 @@ class TestEmulateValues:
 
     def test_known_static_object(self):
         c, img, iface = iface_for(COMPONENTS["const"])
-        st = fresh_state(iface)
+        st = EmulState(iface)
         e = emulate_value("N0", ast.t_class("c"), st)
         assert isinstance(e, ast.Call) and e.mname == "getByName-c"
         assert e.args[0].value == 1
 
     def test_unknown_internal_id_fails(self):
         c, img, iface = iface_for(COMPONENTS["const"])
-        st = fresh_state(iface)
+        st = EmulState(iface)
         with pytest.raises(Fail):
             emulate_value("N9", ast.t_class("c"), st)
 
@@ -151,7 +141,7 @@ class TestEmulateValues:
         from jemaim.compiler.encoding import encode_class
 
         c, img, iface = iface_for(CALLBACK_SRC)
-        st = fresh_state(iface)
+        st = EmulState(iface)
         st.R["N5"] = encode_class("i")
         e = emulate_value("N5", ast.t_class("i"), st)
         assert isinstance(e, ast.Call) and e.mname == "createNew-i"
@@ -159,13 +149,13 @@ class TestEmulateValues:
 
     def test_unregistered_external_id_fails(self):
         c, img, iface = iface_for(CALLBACK_SRC)
-        st = fresh_state(iface)
+        st = EmulState(iface)
         with pytest.raises(Fail):
             emulate_value("N5", ast.t_class("i"), st)
 
     def test_null_at_object_types(self):
         c, img, iface = iface_for(COMPONENTS["const"])
-        st = fresh_state(iface)
+        st = EmulState(iface)
         assert emulate_value(0, ast.t_class("c"), st).value == "null"
         assert emulate_value(0, ast.T_OBJ, st).value == "null"
 
@@ -174,36 +164,35 @@ class TestEmulateActions:
     def test_method_call_produces_guarded_call(self):
         c, img, iface = iface_for(COMPONENTS["double"])
         [addr] = [a for s, a in img.table.em.items() if s.name == "dbl" and a.mid != 1]
-        st = fresh_state(iface)
+        st = EmulState(iface)
         emulate_action(CallIn((addr.mid, addr.off), (1, 0, 0, 0, 0, 48, "N0", 1)), st)
-        [add] = st.additions
-        assert add.method == ("Helper", "main") and add.guard == 0
-        assert st.i == 1 and len(st.frames) == 1
+        assert list(st.code) == [("Helper", "main")] and list(st.code[MAIN].blocks) == [0]
+        assert st.i == 1 and len(st.frames) == 1 and st.frames[0].block == 0
 
     def test_bypassing_sys_fails(self):
         c, img, iface = iface_for(COMPONENTS["double"])
         [addr] = [a for s, a in img.table.em.items() if s.name == "dbl" and a.mid != 1]
-        st = fresh_state(iface)
+        st = EmulState(iface)
         with pytest.raises(Fail):
             emulate_action(CallIn((addr.mid, addr.off), (0, 0, 0, 0, 0, 40, "N0", 1)), st)
 
     def test_null_receiver_fails(self):
         c, img, iface = iface_for(COMPONENTS["double"])
         [addr] = [a for s, a in img.table.em.items() if s.name == "dbl" and a.mid != 1]
-        st = fresh_state(iface)
+        st = EmulState(iface)
         with pytest.raises(Fail):
             emulate_action(CallIn((addr.mid, addr.off), (1, 0, 0, 0, 0, 48, 0, 1)), st)
 
     def test_returnback_without_call_fails(self):
         c, img, iface = iface_for(COMPONENTS["const"])
-        st = fresh_state(iface)
+        st = EmulState(iface)
         with pytest.raises(Fail):
             emulate_action(ReturnIn((1, 48), 1, 0), st)
 
     def test_returnback_wrong_id_fails(self):
         c, img, iface = iface_for(CALLBACK_SRC)
-        st = fresh_state(iface)
-        key = next(k for k in iface.methods.by_addr if isinstance(k[0], str))
+        st = EmulState(iface)
+        key = next(k for k in iface.methods if isinstance(k[0], str))
         emulate_action(CallOut(key, (0, 0, 0, 0, 0, 48, "$x")), st)
         with pytest.raises(Fail):
             emulate_action(ReturnIn((1, 48), 5, 7), st)
@@ -211,18 +200,19 @@ class TestEmulateActions:
     def test_callback_then_returnback_balances(self):
         c, img, iface = iface_for(CALLBACK_SRC)
         [addr] = [a for s, a in img.table.em.items() if s.name == "go" and a.mid != 1]
-        key = next(k for k in iface.methods.by_addr if isinstance(k[0], str))
-        st = fresh_state(iface)
+        key = next(k for k in iface.methods if isinstance(k[0], str))
+        st = EmulState(iface)
         emulate_action(CallIn((addr.mid, addr.off), (1, 0, 0, 0, 0, 48, "N0")), st)
         emulate_action(CallOut(key, (0, 0, 0, 0, 0, 48, "$obj", 5)), st)
-        assert st.placement[-1] == ("i", "take")
+        assert st.here() == ("i", "take")
         emulate_action(ReturnIn((1, 48), 9, 0), st)
-        assert st.placement[-1] == ("Helper", "main")
+        assert st.here() == ("Helper", "main")
+        assert [i for i, _ in st.code["i", "take"].returns] == [2]
         assert len(st.frames) == 1  # the original method call is still open
 
     def test_forwardcall_misuse_fails(self):
         c, img, iface = iface_for(COMPONENTS["const"])
-        st = fresh_state(iface)
+        st = EmulState(iface)
         with pytest.raises(Fail):
             emulate_action(CallIn((1, 32), (0, 0, 0, 1, 0, 40, 0)), st)
 
@@ -230,18 +220,18 @@ class TestEmulateActions:
         from jemaim.compiler.encoding import encode_class
 
         c, img, iface = iface_for(COMPONENTS["const"])
-        st = fresh_state(iface)
+        st = EmulState(iface)
         with pytest.raises(Fail):
             emulate_action(CallIn((1, 0), (0, 0, 0, 0, 0, 40, 0, "N4", encode_class("c"))), st)
-        st2 = fresh_state(iface)
+        st2 = EmulState(iface)
         emulate_action(CallIn((1, 0), (0, 0, 0, 0, 0, 40, 0, "N0", encode_class("c"))), st2)
-        assert isinstance(st2.additions[0].exprs[-1].value, ast.InstanceOf)
+        assert isinstance(st2.code[MAIN].blocks[0][-1].value, ast.InstanceOf)
 
     def test_register_twice_fails(self):
         from jemaim.compiler.encoding import encode_class
 
         c, img, iface = iface_for(COMPONENTS["const"])
-        st = fresh_state(iface)
+        st = EmulState(iface)
         enc = encode_class("c")
         emulate_action(CallIn((1, 16), (0, 0, 0, 0, 0, 40, 0, "N7", enc)), st)
         st.frames.pop()
@@ -270,57 +260,51 @@ class TestTerminationIsEmulationFailure:
                 assert result is not None, f"{name}: Fail without tick on {t}"
 
 
+def diverging_state(pair: str):
+    """Emulation state of a pair's depth-2 common prefix and its diverging actions."""
+    c1, c2 = (parse_ok(src) for src in INEQUIVALENT_PAIRS[pair])
+    img1, img2 = compaim(c1), compaim(c2)
+    r = trace_equiv(img1, img2, depth=2)
+    prefix, a1, a2, i = first_divergence(r.t1, r.t2)
+    st = emulate(prefix, build_interface(c1, c2, img1, img2))
+    assert st.i == i
+    return st, a1, a2
+
+
 class TestDiff:
     def test_return_difference_nests_comparison(self):
-        a, b = INEQUIVALENT_PAIRS["int-return"]
-        c1, c2 = parse_ok(a), parse_ok(b)
-        img1, img2 = compaim(c1), compaim(c2)
-        r = trace_equiv(img1, img2, depth=2)
-        prefix, a1, a2, i = first_divergence(r.t1, r.t2)
-        iface = build_interface(c1, c2, img1, img2)
-        st = emulate(prefix, iface)
-        adds = diff(a1, a2, i, st)
-        assert len(adds) == 1 and adds[0].kind == "nest"
+        st, a1, a2 = diverging_state("int-return")
+        before = {m: {i: list(b) for i, b in mc.blocks.items()} for m, mc in st.code.items()}
+        diff(a1, a2, st)
+        after = {m: {i: list(b) for i, b in mc.blocks.items()} for m, mc in st.code.items()}
+        assert list(after) == list(before) and list(after[MAIN]) == list(before[MAIN]) == [0]
+        [cmp] = after[MAIN][0][len(before[MAIN][0]) :]
+        assert isinstance(cmp, ast.If) and cmp.cond.left == ast.Var("retvar-0")
 
     def test_callback_target_difference_hits_both_stubs(self):
-        a, b = INEQUIVALENT_PAIRS["callback-target"]
-        c1, c2 = parse_ok(a), parse_ok(b)
-        img1, img2 = compaim(c1), compaim(c2)
-        r = trace_equiv(img1, img2, depth=2)
-        prefix, a1, a2, i = first_divergence(r.t1, r.t2)
-        iface = build_interface(c1, c2, img1, img2)
-        st = emulate(prefix, iface)
-        adds = diff(a1, a2, i, st)
-        assert {add.method for add in adds} == {("i", "ping"), ("i", "pong")}
+        st, a1, a2 = diverging_state("callback-target")
+        diff(a1, a2, st)
+        assert {m for m, mc in st.code.items() if st.i in mc.blocks} == {("i", "ping"), ("i", "pong")}
 
 
-class TestApplyAddition:
-    def test_addition_ordering_preserved(self):
+class TestMethodCode:
+    def test_block_ordering_preserved(self):
         c, img, iface = iface_for(COMPONENTS["const"])
-        context = skel(c, c, iface)
-        a1 = CodeAddition([ast.Lit(1)], ("Helper", "main"), guard=0)
-        a2 = CodeAddition([ast.Lit(2)], ("Helper", "main"), guard=1)
-        context = apply_addition(context, a1)
-        context = apply_addition(context, a2)
-        body = render_component(context)
+        main = MethodCode({0: [ast.Lit(1)], 1: [ast.Lit(2)]})
+        body = render_component(skel(c, iface, {MAIN: main}))
         assert body.index("isStep(0)") < body.index("isStep(1)")
 
     def test_unknown_method_rejected(self):
-        from jemaim.backtrans.algo import UnknownMethod
-
         c, img, iface = iface_for(COMPONENTS["const"])
-        context = skel(c, c, iface)
         with pytest.raises(UnknownMethod):
-            apply_addition(context, CodeAddition([ast.Lit(1)], ("Helper", "nope"), guard=0))
+            skel(c, iface, {("Helper", "nope"): MethodCode({0: [ast.Lit(1)]})})
 
-    def test_nest_addition_extends_existing_block(self):
+    def test_nest_extends_existing_block(self):
         c, img, iface = iface_for(COMPONENTS["const"])
-        context = skel(c, c, iface)
-        context = apply_addition(context, CodeAddition([ast.Lit(1)], ("Helper", "main"), guard=0))
-        context = apply_addition(
-            context, CodeAddition([ast.Lit(9)], ("Helper", "main"), guard=0, kind="nest")
-        )
-        src = render_component(context)
+        st = EmulState(iface)
+        st.open_block(MAIN, [ast.Lit(1)])
+        st.nest(Frame(0, 2, ast.T_INT, MAIN, 0), [ast.Lit(9)])
+        src = render_component(skel(c, iface, st.code))
         assert src.count("isStep(0)") == 1 and "1; 9" in src
 
 
@@ -363,7 +347,7 @@ class TestEmulationRoundTrips:
             for sig, addr in img.table.em.items():
                 if addr.mid == 1:
                     continue
-                got = iface.methods.lookup((addr.mid, addr.off))
+                got = iface.methods[addr.mid, addr.off]
                 assert got == jem_sig(sig), (name, sig)
 
     def test_value_emulation_round_trips_through_encoding(self):
@@ -380,7 +364,7 @@ class TestEmulationRoundTrips:
             (0, ast.t_class("c"), "null"),
         ]
         for w, t, expected in cases:
-            st = fresh_state(iface)
+            st = EmulState(iface)
             e = emulate_value(w, t, st)
             assert isinstance(e, ast.Lit) and e.value == expected
             assert encode_value(e.value) == w
@@ -443,6 +427,7 @@ class TestEmulationFailurePath:
         t2 = bad_prefix + (ReturnOut((0, 40), 2, 2),)
         w = algo(c1, c2, t1, t2, image=img1, image2=img2)
         assert w.emulation_failed
+        assert w.emulation_failed == "action 0: entry-bypassing-sys"
         assert typecheck(w.context) == []
         main = w.context.cls("Helper").method("main")
         from jemaim.jem.printer import render_expr
@@ -450,3 +435,129 @@ class TestEmulationFailurePath:
         assert "retvar" not in render_expr(main.body)
         v = verify_witness(w.context, c1, c2, fuel=200_000)
         assert v.first.terminated and v.second.terminated
+
+
+# a component that answers a call only after a callback of its own
+CALLBACK_THEN_RETURN = """
+class-decl i { ping : i()->Int };
+obj-decl io : i;
+class c {
+  c(){}
+  public go() : c()->Int { return io.ping(); @@; }
+};
+object o : c { };
+"""
+
+
+class TestReturnAfterCallback:
+    """The component's ret! answers the context's call? made before the
+    callback, not the callback's ret?: the witness probes that call's result."""
+
+    @pytest.mark.parametrize("first, second", [("7", "8"), ("8", "7")])
+    def test_pair_distinguished(self, first, second):
+        c1 = parse_ok(CALLBACK_THEN_RETURN.replace("@@", first))
+        c2 = parse_ok(CALLBACK_THEN_RETURN.replace("@@", second))
+        img1, img2 = compaim(c1), compaim(c2)
+        r = trace_equiv(img1, img2, depth=3)
+        assert not r.equivalent
+        w = algo(c1, c2, r.t1, r.t2, image=img1, image2=img2)
+        assert typecheck(w.context) == []
+        v = verify_witness(w.context, c1, c2, fuel=200_000)
+        assert v.distinguishing, f"{v.first!r} vs {v.second!r}"
+
+
+PREFIX_SOURCES = {
+    **COMPONENTS,
+    **{f"{name}.{side}": pair[side] for name, pair in INEQUIVALENT_PAIRS.items() for side in (0, 1)},
+    "new-after-callback": CALLBACK_THEN_RETURN.replace("Int { return io.ping(); @@;", "c { return io.ping(); new c();"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PREFIX_SOURCES))
+def test_every_emulated_prefix_gives_a_well_typed_context(name):
+    c = parse_ok(PREFIX_SOURCES[name])
+    img = compaim(c)
+    iface = build_interface(c, c, img, img)
+    domain = AdversaryDomain(illtyped=True, forged_ids=(9,))
+    rng = random.Random(name)
+    prefixes = set()
+    for _ in range(30):
+        t = random_trace(img, rng, depth=4, domain=domain)
+        n = len(t)
+        if isinstance(t[-1], FuelExceeded):
+            n -= 1  # the component never answered
+        elif isinstance(t[-1], Tick):
+            n -= 2  # a ?-action answered by tick cannot be emulated (criterion 5)
+        prefixes.update(t[:k] for k in range(1, n + 1))
+    for prefix in sorted(prefixes, key=len):
+        st = emulate(prefix, iface)
+        assert st is not None, prefix
+        assert typecheck(skel(c, iface, st.code)) == [], prefix
+
+
+def test_skel_leaves_the_component_unchanged():
+    """Two classes import one interface with different method sets: skel merges
+    them into its own stub without touching the component's declarations."""
+    src = """
+class-decl i { ping : i()->Int };
+obj-decl io : i;
+class a {
+  a(){}
+  public go() : a()->Int { return io.ping(); @@; }
+};
+object oa : a { };
+class-decl i { ping : i()->Int, pong : i()->Int };
+obj-decl io : i;
+class b {
+  b(){}
+  public run() : b()->Int { return io.pong(); }
+};
+object ob : b { };
+"""
+    c1, c2 = parse_ok(src.replace("@@", "1")), parse_ok(src.replace("@@", "2"))
+    before = render_component(c1)
+    img1, img2 = compaim(c1), compaim(c2)
+    r = trace_equiv(img1, img2, depth=3)
+    w = algo(c1, c2, r.t1, r.t2, image=img1, image2=img2)
+    assert render_component(c1) == before
+    assert [m.name for m in w.context.cls("i").methods] == ["ping", "pong", "mk-i"]
+
+
+# (line count, sha256) of the rendered witness of every INEQUIVALENT_PAIRS entry
+# for its depth-3 divergence, with the pair in its order ("fwd") and swapped ("rev")
+WITNESS_PINS = {
+    ('bool-return', 'fwd'): (62, 'e6dd1780880a3870266199eedc6322b1f776bd0731e1122861bab3af82c1283a'),
+    ('bool-return', 'rev'): (62, '75c5f6fb84c089cb077d3e75bfbf8219b8f3cdab4187601c710ec5f0e843c0c7'),
+    ('callback-param', 'fwd'): (98, '7fdeb2e15d2e62341eb4aa1b24e645754d1833d5d09206a0b411b046d50ffe45'),
+    ('callback-param', 'rev'): (98, 'a22e86baedfa34c0950554806ea1fbd8afd0d5e7e0a0625cb40fac7c92840e12'),
+    ('callback-target', 'fwd'): (101, '33b716c2c613981d97dd5b5b34d3b362fbe6c4ee4520d48b2d490913c8ed13e3'),
+    ('callback-target', 'rev'): (101, 'e4f452bf7d4f4606a06cc25aa566f7d1522c57f1b21aba608ff66abef2cfa2b8'),
+    ('callback-vs-return', 'fwd'): (98, 'c25253e3ff0910b08716191f493ad2d8b09990b0cb923cd9369e2bbf7579041d'),
+    ('callback-vs-return', 'rev'): (98, 'a4dcd7366657a78aca11330061b3fb2dc1ed384679302388beeabcb95797cd77'),
+    ('fresh-vs-static-object', 'fwd'): (62, '0ec54e559f8fd0f16142835095b1f24a74448fb1b2075e89a53a831e7165162d'),
+    ('fresh-vs-static-object', 'rev'): (62, '52a96c90bf3b9fd494fd35ea3c4e87294fd07b953e608366d53b0958b669cbaa'),
+    ('int-return', 'fwd'): (62, '8f609488708331e882562bd9741909258c5b41058b4098f3ccb4f69ea45a8430'),
+    ('int-return', 'rev'): (62, 'b131b94042457324329c406cba46d62f9fb39a066cd2ecc651b3f6b2d5ce8895'),
+    ('length-divergence', 'fwd'): (62, '1d37137f936558fa79b039cc2109d299ea6efd5999c42d09b27f15b46c6e759a'),
+    ('length-divergence', 'rev'): (62, '1d37137f936558fa79b039cc2109d299ea6efd5999c42d09b27f15b46c6e759a'),
+    ('null-vs-object', 'fwd'): (62, 'fdbf67e300d250464cbb29a54f0c2ecdd3b2b1d3ae7665669afa233046194383'),
+    ('null-vs-object', 'rev'): (62, '39bb7993f3c427ce42dd3b4240b185a128307f6d725a43ac461dfe191fb6bd05'),
+    ('stateful-second-round', 'fwd'): (62, 'aa015006d335fbd4fd64abeee5018563df2ba4051f38f0897ca957ed2745b74c'),
+    ('stateful-second-round', 'rev'): (62, '1538e747709c2c0f9705df4c5b9062701c457e5d2b8979c50eb8625ae8d8da76'),
+    ('unit-vs-state', 'fwd'): (62, '38cdc369c6af55ffd7262bb44cdcac4f88a65aa8a1ac485bd63f71d15604b612'),
+    ('unit-vs-state', 'rev'): (62, '5cdcd970f8f2475b4ee949b1ae3e8cffff5785d3784c238ae295ccf72492f6e2'),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INEQUIVALENT_PAIRS))
+def test_witnesses_are_pinned(name):
+    a, b = INEQUIVALENT_PAIRS[name]
+    c1, c2 = parse_ok(a), parse_ok(b)
+    img1, img2 = compaim(c1), compaim(c2)
+    r = trace_equiv(img1, img2, depth=3)
+    for order, w in (
+        ("fwd", algo(c1, c2, r.t1, r.t2, image=img1, image2=img2)),
+        ("rev", algo(c2, c1, r.t2, r.t1, image=img2, image2=img1)),
+    ):
+        text = render_component(w.context)
+        assert (len(text.splitlines()), hashlib.sha256(text.encode()).hexdigest()) == WITNESS_PINS[name, order]

@@ -127,6 +127,15 @@ class TestTracePipeline:
         out = capsys.readouterr().out
         assert "Terminated" in out and "OutOfFuel" in out and "distinguishing: True" in out
 
+    def test_backtranslate_names_the_failed_emulation_rule(self, ws, capsys):
+        # a call that bypasses sys (r0 = 0) cannot be emulated in source
+        for k, v in ((1, 1), (2, 2)):
+            (ws / f"t{k}.trace").write_text(f"call? (2,16) [0,0,0,0,0,40,N0]\nret! (0,40) {v} id=2\n")
+        args = (ws / "c1.jem", ws / "c2.jem", ws / "t1.trace", ws / "t2.trace", "-o", ws / "w.jem")
+        assert run_cli("backtranslate", *args) == 0
+        out = capsys.readouterr().out
+        assert "(emulation failed at action 0: entry-bypassing-sys; do-nothing context)" in out
+
     def test_trace_diff_equivalent_components(self, ws, capsys):
         assert run_cli("trace_diff", ws / "c1.jem", ws / "c1.jem", "--depth", "2", "-o", ws / "d2") == 0
         assert "equivalent at depth 2" in capsys.readouterr().out
