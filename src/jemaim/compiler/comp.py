@@ -18,6 +18,10 @@ Objects are [class encoding, fields...]; an internal object id is its data
 offset. Values of the module's own class are internal ids inside the module;
 every other object value is a cross-module id (mask) or comp(null).
 
+The compiler types nothing itself. Slots, frame sizes and each call's resolved
+signature (internal call or outcall, and the return type an outcall carries)
+come from the checker's `Typing`, recorded by one check of the class.
+
 Register discipline: r0 caller id, r1/r2 ALU and branch scratch, r3/r4 jump
 targets, r5 return designator, r6 this/result, r7+ parameters, r9..r12
 addressing scratch. Local control flow uses cmp/je only; `jmp` appears solely
@@ -83,13 +87,15 @@ class ClassCompiler:
         self.cls = cls
         self.mid = mid
         self.methods = sorted(cls.methods, key=lambda m: m.name)  # entry point i+1 belongs to methods[i]
-        self.checker = Checker(component)
-        self.env = self.checker.env
+        checker = Checker(component)
+        checker.check_class(cls)
+        self.env, self.typing = checker.env, checker.typing
         self.own_enc = encode_class(cls.name)
         self._rm: dict[LinkSig, tuple[Symbol, Symbol]] = {}
         self._ro: dict[ObjKey, Symbol] = {}
         self._labels = 0
         self.depth = 0  # temporaries above the activation record at the emission point
+        self.framesize = 0  # words in the activation record of the body being emitted
         # static object layout
         self.obj_offsets: dict[str, int] = {}
         off = STATIC_BASE
@@ -171,13 +177,9 @@ class ClassCompiler:
         a.emit("movi", 11, self.depth + back)
         a.emit("sub", 9, 11)
 
-    def var_addr(self, a: Assembler, slot: int, framesize: int):
+    def var_addr(self, a: Assembler, slot: int):
         """r9 := address offset of var slot; r10 := module id."""
-        self.frame_addr(a, framesize - 2 - slot)
-
-    def load_this(self, a: Assembler, reg: int, framesize: int):
-        self.frame_addr(a, framesize - 1)
-        a.emit("movl", reg, 10, 9)
+        self.frame_addr(a, self.framesize - 2 - slot)
 
     def push_value(self, a: Assembler, value: int):
         a.emit("movi", 1, value)
@@ -185,45 +187,8 @@ class ClassCompiler:
 
     # -- method bodies ---------------------------------------------------------
 
-    def var_slots(self, m: ast.Method) -> dict[str, int]:
-        slots = {p: i for i, p in enumerate(m.params)}
-
-        def walk(e):
-            while isinstance(e, ast.Seq):
-                walk(e.first)
-                e = e.second
-            if isinstance(e, ast.VarDecl):
-                if e.name not in slots:
-                    slots[e.name] = len(slots)
-                walk(e.value)
-            elif isinstance(e, ast.If):
-                walk(e.cond)
-                walk(e.then)
-                walk(e.els)
-            elif isinstance(e, ast.BinOp):
-                walk(e.left)
-                walk(e.right)
-            elif isinstance(e, (ast.FieldGet,)):
-                walk(e.obj)
-            elif isinstance(e, ast.FieldSet):
-                walk(e.obj)
-                walk(e.value)
-            elif isinstance(e, ast.Call):
-                walk(e.recv)
-                for x in e.args:
-                    walk(x)
-            elif isinstance(e, ast.New):
-                for x in e.args:
-                    walk(x)
-            elif isinstance(e, (ast.Exit, ast.InstanceOf)):
-                walk(e.value)
-
-        walk(m.body)
-        return slots
-
     def emit_body(self, a: Assembler, m: ast.Method):
-        slots = self.var_slots(m)
-        framesize = 2 + len(slots)
+        self.framesize = 2 + self.typing.nvars[id(m)]
         a.label(f"body_{m.name}")
         # stack-overflow backstop: spin in place once SP passes the limit
         a.emit("movi", 10, self.mid)
@@ -250,16 +215,15 @@ class ClassCompiler:
             a.emit("movs", 10, 7 + i, 9)
         a.emit("movi", 9, SP)
         a.emit("movl", 1, 10, 9)
-        a.emit("movi", 2, framesize)
+        a.emit("movi", 2, self.framesize)
         a.emit("add", 1, 2)
         a.emit("movs", 10, 1, 9)
         # body expression leaves its value on the stack above the record
         self.depth = 0
-        scope = dict(zip(m.params, m.sig.params))
-        self.expr(a, m.body, scope, slots, framesize)
+        self.expr(a, m.body)
         # epilogue: r6 := result, restore r5, pop the record, local return
         self.pop(a, 6)
-        self.frame_addr(a, framesize)
+        self.frame_addr(a, self.framesize)
         a.emit("movl", 5, 10, 9)
         a.emit("movi", 11, SP)
         a.emit("movs", 10, 9, 11)
@@ -268,29 +232,37 @@ class ClassCompiler:
 
     # -- expressions -------------------------------------------------------------
 
-    def expr(self, a: Assembler, e: ast.Expr, scope, slots, framesize):
+    def expr(self, a: Assembler, e: ast.Expr):
         while isinstance(e, ast.Seq):
-            self.expr(a, e.first, scope, slots, framesize)
+            self.expr(a, e.first)
             self.pop(a, 1)
-            if isinstance(e.first, ast.VarDecl):
-                scope[e.first.name] = e.first.vtype
             e = e.second
-        if isinstance(e, ast.Lit):
+        if isinstance(e, ast.BinOp):
+            # walk the left spine in a loop: long `+` chains nest to the left
+            spine = []
+            while isinstance(e, ast.BinOp):
+                spine.append(e)
+                e = e.left
+            self.expr(a, e)
+            for b in reversed(spine):
+                self.expr(a, b.right)
+                self.binop(a, b)
+        elif isinstance(e, ast.Lit):
             self.push_value(a, encode_value(e.value))
         elif isinstance(e, ast.Var):
-            self.compile_var(a, e, scope, slots, framesize)
+            self.compile_var(a, e)
         elif isinstance(e, ast.This):
-            self.load_this(a, 1, framesize)
+            self.frame_addr(a, self.framesize - 1)
+            a.emit("movl", 1, 10, 9)
             self.push(a, 1)
         elif isinstance(e, ast.VarDecl):
-            self.expr(a, e.value, scope, slots, framesize)
+            self.expr(a, e.value)
             self.pop(a, 2)
-            self.var_addr(a, slots[e.name], framesize)
+            self.var_addr(a, self.typing.slots[id(e)])
             a.emit("movs", 10, 2, 9)
-            scope[e.name] = e.vtype
             self.push_value(a, encode_value("unit"))
         elif isinstance(e, ast.FieldGet):
-            self.expr(a, e.obj, scope, slots, framesize)
+            self.expr(a, e.obj)
             self.pop(a, 1)
             self.null_abort(a, 1)
             a.emit("movi", 11, 1 + list(self.cls.field_types).index(e.fname))
@@ -299,8 +271,8 @@ class ClassCompiler:
             a.emit("movl", 1, 10, 1)
             self.push(a, 1)
         elif isinstance(e, ast.FieldSet):
-            self.expr(a, e.obj, scope, slots, framesize)
-            self.expr(a, e.value, scope, slots, framesize)
+            self.expr(a, e.obj)
+            self.expr(a, e.value)
             self.pop(a, 2)
             self.pop(a, 1)
             self.null_abort(a, 1)
@@ -309,48 +281,40 @@ class ClassCompiler:
             a.emit("movi", 10, self.mid)
             a.emit("movs", 10, 2, 1)
             self.push_value(a, encode_value("unit"))
-        elif isinstance(e, ast.BinOp):
-            self.compile_binop(a, e, scope, slots, framesize)
         elif isinstance(e, ast.If):
-            self.compile_if(a, e, scope, slots, framesize)
+            self.compile_if(a, e)
         elif isinstance(e, ast.New):
-            self.compile_new(a, e, scope, slots, framesize)
+            self.compile_new(a, e)
         elif isinstance(e, ast.Exit):
-            self.expr(a, e.value, scope, slots, framesize)
+            self.expr(a, e.value)
             self.pop(a, 1)
             a.emit("movi", 6, 0)
             a.emit("add", 6, 1)
             a.emit("halt")
             self.depth += 1  # what follows is unreachable; count the value its type promises
         elif isinstance(e, ast.InstanceOf):
-            self.compile_instanceof(a, e, scope, slots, framesize)
+            self.compile_instanceof(a, e)
         elif isinstance(e, ast.Call):
-            self.compile_call(a, e, scope, slots, framesize)
+            self.compile_call(a, e)
         else:
             raise CompileError(f"cannot compile {type(e).__name__}")
 
-    def compile_var(self, a: Assembler, e: ast.Var, scope, slots, framesize):
-        if e.name in scope:
-            self.var_addr(a, slots[e.name], framesize)
+    def compile_var(self, a: Assembler, e: ast.Var):
+        slot = self.typing.slots.get(id(e))
+        if slot is not None:
+            self.var_addr(a, slot)
             a.emit("movl", 1, 10, 9)
             self.push(a, 1)
-        elif e.name in self.obj_offsets:
-            self.push_value(a, self.obj_offsets[e.name])
         else:
-            # a static object of another module: its cross-module id arrives at link time
-            cname = self.env.objects.get(e.name) or self.env.decl_objects.get(e.name)
-            sym = self.require_object(e.name, cname)
-            a.emit("movi", 1, sym)
-            self.push(a, 1)
+            self.push_value(a, self.object_word(e.name))
 
     def null_abort(self, a: Assembler, reg: int):
         a.emit("movi", 11, 0)
         a.emit("cmp", reg, 11)
         self.jump_if_zf(a, "abort")
 
-    def compile_binop(self, a: Assembler, e: ast.BinOp, scope, slots, framesize):
-        self.expr(a, e.left, scope, slots, framesize)
-        self.expr(a, e.right, scope, slots, framesize)
+    def binop(self, a: Assembler, e: ast.BinOp):
+        """Apply `e.op` to the two operands on top of the stack."""
         self.pop(a, 2)
         self.pop(a, 1)
         if e.op == "+":
@@ -395,30 +359,30 @@ class ClassCompiler:
         a.label(done)
         self.push(a, 1)
 
-    def compile_if(self, a: Assembler, e: ast.If, scope, slots, framesize):
+    def compile_if(self, a: Assembler, e: ast.If):
         then_l = self.fresh_label("then")
         end_l = self.fresh_label("endif")
-        self.expr(a, e.cond, scope, slots, framesize)
+        self.expr(a, e.cond)
         self.pop(a, 1)
         a.emit("movi", 2, encode_value(True))
         a.emit("cmp", 1, 2)
         self.jump_if_zf(a, then_l)
         depth = self.depth
-        self.expr(a, e.els, dict(scope), slots, framesize)
+        self.expr(a, e.els)
         always_jump(a, end_l)
         a.label(then_l)
         self.depth = depth
-        self.expr(a, e.then, dict(scope), slots, framesize)
+        self.expr(a, e.then)
         a.label(end_l)
 
-    def compile_new(self, a: Assembler, e: ast.New, scope, slots, framesize):
+    def compile_new(self, a: Assembler, e: ast.New):
         if e.cname != self.cls.name:
             raise CompileError(
                 f"class {self.cls.name!r} cannot allocate {e.cname!r}: objects are"
                 " created by their defining class"
             )
         for x in e.args:
-            self.expr(a, x, scope, slots, framesize)
+            self.expr(a, x)
         n = len(e.args)
         a.emit("movi", 10, self.mid)
         a.emit("movi", 9, HP)
@@ -438,11 +402,11 @@ class ClassCompiler:
         a.emit("movs", 10, 9, 11)
         self.push(a, 1)
 
-    def compile_instanceof(self, a: Assembler, e: ast.InstanceOf, scope, slots, framesize):
+    def compile_instanceof(self, a: Assembler, e: ast.InstanceOf):
         # the instanceof requirement symbols are materialised so linking rebinds them
         a.emit("movi", 11, self.inst_syms[0])
         a.emit("movi", 11, self.inst_syms[1])
-        self.expr(a, e.value, scope, slots, framesize)
+        self.expr(a, e.value)
         self.pop(a, 1)
         enc = encode_class(e.cname)
         lfalse = self.fresh_label("inst_false")
@@ -480,27 +444,26 @@ class ClassCompiler:
 
     # -- calls ---------------------------------------------------------------
 
-    def compile_call(self, a: Assembler, e: ast.Call, scope, slots, framesize):
-        recv_t = self.checker.expr(e.recv, dict(scope), self.cls)  # input is already typechecked
-        sig = self.env.method_sig(recv_t.cname, e.mname)
-        self.expr(a, e.recv, scope, slots, framesize)
+    def compile_call(self, a: Assembler, e: ast.Call):
+        sig = self.typing.sigs[id(e)]
+        self.expr(a, e.recv)
         for x in e.args:
-            self.expr(a, x, scope, slots, framesize)
+            self.expr(a, x)
         n = len(e.args)
         for i in reversed(range(n)):
             self.pop(a, 7 + i)
         self.pop(a, 6)
         self.null_abort(a, 6)
-        if recv_t.cname == self.cls.name:
+        if sig.recv.cname == self.cls.name:
             resume = self.fresh_label("iresume")
             a.emit("movi", 5, Label(resume))
             always_jump(a, f"body_{e.mname}")
             a.label(resume)
             self.push(a, 6)
         else:
-            self.compile_outcall(a, sig, n, framesize)
+            self.compile_outcall(a, sig, n)
 
-    def compile_outcall(self, a: Assembler, sig: ast.MethodSig, n: int, framesize: int):
+    def compile_outcall(self, a: Assembler, sig: ast.MethodSig, n: int):
         iota, sigma = self.require_method(link_sig(sig))
         resume = self.fresh_label("oresume")
         # push the outcall triple [this, return-type encoding, resume offset]
@@ -508,7 +471,7 @@ class ClassCompiler:
         self.load_sp(a)
         a.emit("movi", 1, 0)
         a.emit("add", 1, 9)
-        a.emit("movi", 11, self.depth + framesize - 1)
+        a.emit("movi", 11, self.depth + self.framesize - 1)
         a.emit("sub", 1, 11)
         a.emit("movl", 1, 10, 1)
         a.emit("movs", 10, 1, 9)
@@ -579,12 +542,15 @@ class ClassCompiler:
 
     def field_word(self, v):
         if isinstance(v, tuple) and v[0] == "objref":
-            name = v[1]
-            if name in self.obj_offsets:
-                return self.obj_offsets[name]
-            cname = self.env.objects.get(name) or self.env.decl_objects.get(name)
-            return self.require_object(name, cname)
+            return self.object_word(v[1])
         return encode_value(v)
+
+    def object_word(self, name: str):
+        """A static object's id: its offset if this class defines it, else the
+        symbol that linking binds to its cross-module id."""
+        if name in self.obj_offsets:
+            return self.obj_offsets[name]
+        return self.require_object(name, self.env.object_class(name))
 
 
 def comp_class(component: ast.JemComponent, cls: ast.JemClass, mid: int) -> ClassCompiler:

@@ -3,6 +3,10 @@
 typecheck() returns a list of "line:col: message" diagnostics; the component is
 well typed iff the list is empty. Checking a component in isolation treats its
 imported class declarations as assumed interfaces.
+
+The Checker records what it resolves in `Typing`, keyed by node identity
+(expression dataclasses are unhashable). The base compiler (compiler/comp.py)
+reads it in place of typing anything itself.
 """
 from __future__ import annotations
 
@@ -19,21 +23,23 @@ class Env:
         self.comp = comp
         self.classes = {c.name: c for c in comp.classes}
         self.interfaces: dict[str, dict[str, ast.MethodSig]] = {}
-        self.decl_objects: dict[str, str] = {}
+        declared: dict[str, str] = {}
         for c in comp.classes:
             for ic in c.import_classes:
                 sigs = self.interfaces.setdefault(ic.name, {})
                 for s in ic.sigs:
                     sigs.setdefault(s.name, s)
             for io in c.import_objects:
-                self.decl_objects.setdefault(io.name, io.cname)
-        self.objects: dict[str, str] = {}
-        for c in comp.classes:
-            for o in c.objects:
-                self.objects[o.name] = o.cname
+                declared.setdefault(io.name, io.cname)
+        # a defined object's class takes precedence over a declaration of it
+        self.objects = declared | {o.name: o.cname for c in comp.classes for o in c.objects}
 
     def known_class(self, name: str) -> bool:
         return name in self.classes or name in self.interfaces
+
+    def object_class(self, name: str) -> str | None:
+        """The class of a static object, defined here or declared as imported."""
+        return self.objects.get(name)
 
     def method_sig(self, cname: str, mname: str) -> ast.MethodSig | None:
         c = self.classes.get(cname)
@@ -64,10 +70,22 @@ def unify(t1: JemType, t2: JemType) -> JemType | None:
     return None
 
 
+class Typing:
+    """Facts keyed by `id(node)`. A method's slots number its parameters, then
+    each new local name in pre-order, counted on entry to its VarDecl."""
+
+    def __init__(self):
+        self.sigs: dict[int, ast.MethodSig] = {}  # Call -> resolved signature
+        self.slots: dict[int, int] = {}  # VarDecl, Var of a local -> slot
+        self.nvars: dict[int, int] = {}  # Method -> params plus locals
+
+
 class Checker:
     def __init__(self, comp: ast.JemComponent):
         self.env = Env(comp)
         self.errors: list[str] = []
+        self.typing = Typing()
+        self.locals: dict[str, int] = {}  # slot of each name of the method being checked
 
     def err(self, pos: ast.Pos, msg: str):
         self.errors.append(f"{pos.line}:{pos.col}: {msg}")
@@ -100,6 +118,8 @@ class Checker:
                     if m is None or m.sig != s:
                         self.err(ic.pos, f"declaration of {ic.name}.{s.name} conflicts with its definition")
             for s in ic.sigs:
+                if s.recv != t_class(ic.name):
+                    self.err(ic.pos, f"declaration of {ic.name}.{s.name} must have receiver {ic.name}")
                 self.check_type_known(s.recv, ic.pos)
                 for p in s.params:
                     self.check_type_known(p, ic.pos)
@@ -128,8 +148,9 @@ class Checker:
         for t in m.sig.params:
             self.check_type_known(t, m.pos)
         self.check_type_known(m.sig.ret, m.pos)
-        scope = dict(zip(m.params, m.sig.params))
-        t = self.expr(m.body, scope, c)
+        self.locals = {p: i for i, p in enumerate(m.params)}
+        t = self.expr(m.body, dict(zip(m.params, m.sig.params)), c)
+        self.typing.nvars[id(m)] = len(self.locals)
         if t is not None and not subsume(t, m.sig.ret):
             self.err(m.pos, f"body of {m.name!r} has type {t}, declared {m.sig.ret}")
 
@@ -159,7 +180,7 @@ class Checker:
         if v == "null":
             return T_NULL
         if isinstance(v, tuple) and v[0] == "objref":
-            cname = self.env.objects.get(v[1]) or self.env.decl_objects.get(v[1])
+            cname = self.env.object_class(v[1])
             return t_class(cname) if cname else None
         return None
 
@@ -173,12 +194,23 @@ class Checker:
         while isinstance(e, ast.Seq):
             self.expr(e.first, scope, c)
             e = e.second
+        if isinstance(e, ast.BinOp):
+            # walk the left spine in a loop: long `+` chains nest to the left
+            spine = []
+            while isinstance(e, ast.BinOp):
+                spine.append(e)
+                e = e.left
+            t = self.expr(e, scope, c)
+            for b in reversed(spine):
+                t = self.binop(b, t, self.expr(b.right, scope, c))
+            return t
         if isinstance(e, ast.Lit):
             return self.literal_type(e.value)
         if isinstance(e, ast.Var):
             if e.name in scope:
+                self.typing.slots[id(e)] = self.locals[e.name]
                 return scope[e.name]
-            cname = self.env.objects.get(e.name) or self.env.decl_objects.get(e.name)
+            cname = self.env.object_class(e.name)
             if cname is not None:
                 return t_class(cname)
             self.err(e.pos, f"unbound variable {e.name!r}")
@@ -218,6 +250,7 @@ class Checker:
             if sig is None:
                 self.err(e.pos, f"class {rt.cname!r} has no method {e.mname!r}")
                 return None
+            self.typing.sigs[id(e)] = sig
             if len(ats) != len(sig.params):
                 self.err(e.pos, f"{e.mname!r} takes {len(sig.params)} arguments, got {len(ats)}")
                 return sig.ret
@@ -225,29 +258,6 @@ class Checker:
                 if at is not None and not subsume(at, pt):
                     self.err(e.pos, f"argument {i + 1} of {e.mname!r} has type {at}, expected {pt}")
             return sig.ret
-        if isinstance(e, ast.BinOp):
-            lt = self.expr(e.left, scope, c)
-            rt = self.expr(e.right, scope, c)
-            if lt is None or rt is None:
-                return {"==": T_BOOL, "<": T_BOOL, "&&": T_BOOL}.get(e.op, T_INT)
-            if e.op in ("+", "-"):
-                if lt != T_INT or rt != T_INT:
-                    self.err(e.pos, f"{e.op} expects Int operands, got {lt} and {rt}")
-                return T_INT
-            if e.op == "<":
-                if lt != T_INT or rt != T_INT:
-                    self.err(e.pos, f"< expects Int operands, got {lt} and {rt}")
-                return T_BOOL
-            if e.op == "&&":
-                if lt != T_BOOL or rt != T_BOOL:
-                    self.err(e.pos, f"&& expects Bool operands, got {lt} and {rt}")
-                return T_BOOL
-            if e.op == "==":
-                if unify(lt, rt) is None:
-                    self.err(e.pos, f"== expects operands of one type, got {lt} and {rt}")
-                return T_BOOL
-            self.err(e.pos, f"unknown operator {e.op!r}")
-            return None
         if isinstance(e, ast.New):
             cls = self.env.classes.get(e.cname)
             if cls is None:
@@ -285,6 +295,7 @@ class Checker:
                 self.err(e.pos, f"unknown class {e.cname!r}")
             return T_BOOL
         if isinstance(e, ast.VarDecl):
+            self.typing.slots[id(e)] = self.locals.setdefault(e.name, len(self.locals))
             vt = self.expr(e.value, scope, c)
             self.check_type_known(e.vtype, e.pos)
             if vt is not None and not subsume(vt, e.vtype):
@@ -292,6 +303,28 @@ class Checker:
             scope[e.name] = e.vtype
             return T_UNIT
         self.err(e.pos, f"unhandled expression {type(e).__name__}")
+        return None
+
+    def binop(self, e: ast.BinOp, lt: JemType | None, rt: JemType | None) -> JemType | None:
+        if lt is None or rt is None:
+            return {"==": T_BOOL, "<": T_BOOL, "&&": T_BOOL}.get(e.op, T_INT)
+        if e.op in ("+", "-"):
+            if lt != T_INT or rt != T_INT:
+                self.err(e.pos, f"{e.op} expects Int operands, got {lt} and {rt}")
+            return T_INT
+        if e.op == "<":
+            if lt != T_INT or rt != T_INT:
+                self.err(e.pos, f"< expects Int operands, got {lt} and {rt}")
+            return T_BOOL
+        if e.op == "&&":
+            if lt != T_BOOL or rt != T_BOOL:
+                self.err(e.pos, f"&& expects Bool operands, got {lt} and {rt}")
+            return T_BOOL
+        if e.op == "==":
+            if unify(lt, rt) is None:
+                self.err(e.pos, f"== expects operands of one type, got {lt} and {rt}")
+            return T_BOOL
+        self.err(e.pos, f"unknown operator {e.op!r}")
         return None
 
 

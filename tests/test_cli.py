@@ -3,7 +3,7 @@ import pytest
 
 from jemaim.cli import main
 
-from corpus import COMPONENTS, INEQUIVALENT_PAIRS, WHOLE_PROGRAMS
+from corpus import COMPONENTS, INEQUIVALENT_PAIRS, WHOLE_PROGRAMS, main_prog
 
 
 @pytest.fixture
@@ -43,6 +43,24 @@ class TestRunJem:
         (ws / "spin.jem").write_text(WHOLE_PROGRAMS["diverge-spin"])
         assert run_cli("run_jem", ws / "spin.jem", "--fuel", "500") == 0
         assert "OutOfFuel" in capsys.readouterr().out
+
+
+class TestLongBinOpSpine:
+    """Left-nested `+` chains too long for a recursive walk of the spine."""
+
+    @pytest.mark.parametrize("n", [1000, 5000])
+    def test_check_and_run_jem(self, ws, capsys, n):
+        (ws / "sum.jem").write_text(main_prog(" + ".join(["1"] * n)))
+        assert run_cli("check", ws / "sum.jem") == 0
+        assert run_cli("run_jem", ws / "sum.jem", "--fuel", 100_000) == 0
+        assert f"Terminated({n})" in capsys.readouterr().out
+
+    def test_compile_reports_oversized_code(self, ws, capsys):
+        (ws / "sum.jem").write_text(main_prog(" + ".join(["1"] * 1000)))
+        assert run_cli("compile", ws / "sum.jem", "-o", ws / "mods") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "code section of 'main' exceeds the data base" in err
 
 
 class TestCompileLinkRun:

@@ -137,6 +137,21 @@ class TestTypecheck:
         )
         assert any("expected Bool" in e for e in typecheck(comp))
 
+    def test_declared_method_receiver_is_the_declared_class(self):
+        """A call's resolved signature names its receiver's class, which the
+        compiler reads to tell an internal call from an outcall."""
+        comp = parse_component(
+            """
+            class-decl i { ping : c()->Int };
+            obj-decl io : i;
+            class c {
+              c(){}
+              public go() : c()->Int { return io.ping(); }
+            };
+            """
+        )
+        assert any("declaration of i.ping must have receiver i" in e for e in typecheck(comp))
+
     def test_null_subsumes_into_class_types(self):
         parse_ok(
             """

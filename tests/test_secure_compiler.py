@@ -13,11 +13,11 @@ from jemaim.jem import ast
 from jemaim.jem.interp import run as jem_run
 from jemaim.jem.parser import parse_component
 from jemaim.jem.printer import render_component
-from jemaim.jem.typecheck import typecheck
+from jemaim.jem.typecheck import Checker, typecheck
 from jemaim.traces.engine import ComponentTracer
 from jemaim.traces.actions import ReturnOut, Tick
 
-from corpus import COMPONENTS, WHOLE_PROGRAMS
+from corpus import COMPONENTS, WHOLE_PROGRAMS, main_prog
 
 
 def parse_ok(src):
@@ -239,6 +239,43 @@ object main : main {{ x = 0; }};
         assert jr.kind == "terminated" and jr.value == 0
         ar = run_aim(compaim(comp), seed=3, fuel=300_000)
         assert ar.kind == "halted" and not ar.aborted and ar.value == encode_value(0)
+
+    def test_long_binop_spine(self):
+        """500 left-nested `+` terms: typechecker and compiler walk the left
+        spine without recursing down it."""
+        comp = parse_ok(main_prog(" + ".join(["1"] * 500)))
+        assert repr(jem_run(comp, fuel=100_000)) == "Terminated(500)"
+        assert repr(run_aim(compaim(comp), seed=3, fuel=300_000)) == "Halted(r6=500)"
+
+    def test_call_chain_typing_is_linear(self, monkeypatch):
+        """The compiler reads each call's signature from the one typing pass
+        instead of re-typing the receiver chain at every call."""
+        n = 200
+        src = f"""
+class main {{
+  main(){{}}
+  public me() : main()->main {{ return this; }}
+  public v() : main()->Int {{ return 7; }}
+  public main() : main()->Int {{ return this{".me()" * n}.v(); }}
+}};
+object main : main {{ }};
+"""
+        calls = 0
+        real_expr = Checker.expr
+
+        def counting_expr(self, *args):
+            nonlocal calls
+            calls += 1
+            return real_expr(self, *args)
+
+        monkeypatch.setattr(Checker, "expr", counting_expr)
+        comp = parse_ok(src)
+        image = compaim(comp)
+        assert calls <= 4 * n
+        jr = jem_run(comp, fuel=100_000)
+        ar = run_aim(image, seed=3, fuel=300_000)
+        assert jr.kind == "terminated" and jr.value == 7
+        assert ar.kind == "halted" and not ar.aborted and ar.value == encode_value(7)
 
     def test_two_class_component_gives_three_modules(self):
         comp = parse_ok(WHOLE_PROGRAMS["cross-call"])
