@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from ..compiler.pipeline import compaim
 from ..jem import ast
-from ..jem.compat import plug
+from ..jem.compat import EMPTY, plug
 from ..jem.interp import DEFAULT_FUEL, run
 from ..traces.equiv import first_divergence
 from .diff import diff
@@ -59,6 +59,18 @@ class Verdict:
         return t1 != t2
 
 
+class PlugFailure(Exception):
+    pass
+
+
 def verify_witness(context: ast.JemComponent, c1: ast.JemComponent, c2: ast.JemComponent, fuel: int = DEFAULT_FUEL) -> Verdict:
-    """Run the plugged pairs and report the termination/divergence verdicts."""
-    return Verdict(run(plug(context, c1), fuel), run(plug(context, c2), fuel))
+    """Run the plugged pairs and report the termination/divergence verdicts.
+    Raises PlugFailure, naming the side, when the context does not plug into
+    a component: the empty program would terminate on both sides."""
+    wholes = []
+    for side, c in (("first", c1), ("second", c2)):
+        whole = plug(context, c)
+        if whole is EMPTY:
+            raise PlugFailure(f"the context does not plug into the {side} component (incompatible or ill-typed)")
+        wholes.append(whole)
+    return Verdict(run(wholes[0], fuel), run(wholes[1], fuel))

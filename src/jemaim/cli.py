@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .aim import aimod
 from .aim.link import LinkError
-from .backtrans.algo import algo, verify_witness
+from .backtrans.algo import PlugFailure, algo, verify_witness
 from .backtrans.interface import ImportMismatch
 from .compiler.pipeline import CompilationError, UnresolvedSymbols, compaim, mylink, run_aim
 from .compiler.prot import prot
@@ -243,7 +243,7 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (LinkError, aimod.AimodError, NotWhole, CompilationError) as e:
+    except (LinkError, aimod.AimodError, NotWhole, CompilationError, PlugFailure) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # any other failure is still reported as one error line

@@ -3,6 +3,14 @@
 Configurations carry the mutable object store, a stack of per-method binding
 frames, the current focus (an expression or a value) and an explicit
 continuation. Each step() applies exactly one deterministic transition.
+
+One loop is recognised instead of stepped: entering a method whose body is
+exactly `this.<same method>()` (no arguments). Stepping that body evaluates
+`this` to the receiver just entered, which is a non-null object whose class
+never changes, finds the same method and enters it again, reading and writing
+no heap cell on the way; so every run reaching such a call runs out of fuel,
+whatever the fuel. The configuration is marked out of fuel at once, and
+`run` reports it exactly as if the loop had been stepped to the end.
 """
 from __future__ import annotations
 
@@ -264,6 +272,9 @@ class JemConfig:
         if m is None:
             self._die("nullerror", f"no method {mname!r} on {recv}")
             return
+        if _calls_itself(m):
+            self._die("fuel")
+            return
         self.bstack.append(dict(zip(m.params, args)))
         self.this_stack.append(recv)
         self.kont.append(("return",))
@@ -282,6 +293,12 @@ class JemConfig:
             self.focus = ("value", _value_eq(lv, rv))
         else:
             self._die("nullerror", f"bad operator {op}")
+
+
+def _calls_itself(m: ast.Method) -> bool:
+    """The body is exactly `this.<m>()`: a proven loop (see the module docstring)."""
+    b = m.body
+    return isinstance(b, ast.Call) and isinstance(b.recv, ast.This) and b.mname == m.name and not b.args
 
 
 def _value_eq(a, b) -> bool:
@@ -307,7 +324,12 @@ def is_whole(comp: ast.JemComponent) -> bool:
 
 
 def run(comp: ast.JemComponent, fuel: int = DEFAULT_FUEL) -> RunResult:
-    """Execute a whole program from `main.main()` under a step budget."""
+    """Execute a whole program from `main.main()` under a step budget.
+
+    A run that enters a proven loop (a method whose body is `this.<same
+    method>()`) stops stepping there and returns `RunResult("fuel", None,
+    fuel)`: the result stepping the loop to the end gives, `steps` being the
+    fuel the run would have used."""
     if not comp.classes:
         return RunResult("terminated", UNIT, 0)
     if not is_whole(comp):
@@ -316,6 +338,6 @@ def run(comp: ast.JemComponent, fuel: int = DEFAULT_FUEL) -> RunResult:
     for n in range(fuel):
         cfg.step()
         if cfg.terminal is not None:
-            cfg.terminal.steps = n + 1
+            cfg.terminal.steps = fuel if cfg.terminal.kind == "fuel" else n + 1
             return cfg.terminal
     return RunResult("fuel", None, fuel)

@@ -37,7 +37,7 @@ def render_expr(e: ast.Expr) -> str:
         args = ", ".join(render_expr(a) for a in e.args)
         return f"{_atom(e.recv)}.{e.mname}({args})"
     if isinstance(e, ast.BinOp):
-        return f"({render_expr(e.left)} {e.op} {render_expr(e.right)})"
+        return _render_binop(e)
     if isinstance(e, ast.New):
         args = ", ".join(render_expr(a) for a in e.args)
         return f"new {e.cname}({args})"
@@ -59,6 +59,28 @@ def render_expr(e: ast.Expr) -> str:
     if isinstance(e, ast.VarDecl):
         return f"var {e.name} : {render_type(e.vtype)} = {render_expr(e.value)}"
     raise ValueError(f"unprintable {type(e).__name__}")
+
+
+# the parser's precedence levels, loosest first: `&&`, then `==`/`<`, then `+`/`-`
+LEVEL = {"&&": 0, "==": 1, "<": 1, "+": 2, "-": 2}
+
+
+def _render_binop(e: ast.BinOp) -> str:
+    """Parenthesise each operation, except a left operand at its parent's level,
+    which parses back the same without: `(1 + 1 + 1)`, not `((1 + 1) + 1)`.
+    The left spine is walked in a loop: long `+` chains nest to the left."""
+    spine = []
+    while isinstance(e, ast.BinOp):
+        spine.append(e)
+        e = e.left
+    spine.reverse()
+    parts, opened = [render_expr(e)], 0
+    for b, parent in zip(spine, spine[1:] + [None]):
+        parts.append(f" {b.op} {render_expr(b.right)}")
+        if parent is None or LEVEL.get(parent.op) != LEVEL.get(b.op):
+            parts.append(")")
+            opened += 1
+    return "(" * opened + "".join(parts)
 
 
 def _atom(e: ast.Expr) -> str:

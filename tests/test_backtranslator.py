@@ -7,7 +7,7 @@ import pytest
 
 from jemaim.compiler.encoding import encode_value
 from jemaim.compiler.pipeline import compaim
-from jemaim.backtrans.algo import Witness, algo, verify_witness
+from jemaim.backtrans.algo import PlugFailure, Witness, algo, verify_witness
 from jemaim.backtrans.diff import diff
 from jemaim.backtrans.emulate import (
     EmulState,
@@ -562,3 +562,80 @@ def test_witnesses_are_pinned(name):
     ):
         text = render_component(w.context)
         assert (len(text.splitlines()), hashlib.sha256(text.encode()).hexdigest()) == WITNESS_PINS[name, order]
+
+
+# (repr, steps) of both verify_witness runs of the witnesses above, at fuel 10**6:
+# the diverging side reports the whole fuel whether it was stepped or recognised
+VERDICT_PINS = {
+    ('bool-return', 'fwd'): (('Terminated(1)', 121), ('OutOfFuel', 1000000)),
+    ('bool-return', 'rev'): (('Terminated(1)', 121), ('OutOfFuel', 1000000)),
+    ('callback-param', 'fwd'): (('Terminated(1)', 172), ('OutOfFuel', 1000000)),
+    ('callback-param', 'rev'): (('Terminated(1)', 172), ('OutOfFuel', 1000000)),
+    ('callback-target', 'fwd'): (('Terminated(1)', 163), ('OutOfFuel', 1000000)),
+    ('callback-target', 'rev'): (('Terminated(1)', 163), ('OutOfFuel', 1000000)),
+    ('callback-vs-return', 'fwd'): (('Terminated(1)', 163), ('OutOfFuel', 1000000)),
+    ('callback-vs-return', 'rev'): (('Terminated(1)', 135), ('OutOfFuel', 1000000)),
+    ('fresh-vs-static-object', 'fwd'): (('Terminated(1)', 146), ('OutOfFuel', 1000000)),
+    ('fresh-vs-static-object', 'rev'): (('Terminated(1)', 146), ('OutOfFuel', 1000000)),
+    ('int-return', 'fwd'): (('Terminated(1)', 121), ('OutOfFuel', 1000000)),
+    ('int-return', 'rev'): (('Terminated(1)', 121), ('OutOfFuel', 1000000)),
+    ('length-divergence', 'fwd'): (('OutOfFuel', 1000000), ('Terminated(1)', 273)),
+    ('length-divergence', 'rev'): (('Terminated(1)', 273), ('OutOfFuel', 1000000)),
+    ('null-vs-object', 'fwd'): (('Terminated(1)', 121), ('OutOfFuel', 1000000)),
+    ('null-vs-object', 'rev'): (('Terminated(1)', 146), ('OutOfFuel', 1000000)),
+    ('stateful-second-round', 'fwd'): (('Terminated(1)', 245), ('OutOfFuel', 1000000)),
+    ('stateful-second-round', 'rev'): (('Terminated(1)', 275), ('OutOfFuel', 1000000)),
+    ('unit-vs-state', 'fwd'): (('Terminated(1)', 224), ('OutOfFuel', 1000000)),
+    ('unit-vs-state', 'rev'): (('Terminated(1)', 217), ('OutOfFuel', 1000000)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INEQUIVALENT_PAIRS))
+def test_verdicts_are_pinned(name):
+    a, b = INEQUIVALENT_PAIRS[name]
+    c1, c2 = parse_ok(a), parse_ok(b)
+    img1, img2 = compaim(c1), compaim(c2)
+    r = trace_equiv(img1, img2, depth=3)
+    for order, w, first, second in (
+        ("fwd", algo(c1, c2, r.t1, r.t2, image=img1, image2=img2), c1, c2),
+        ("rev", algo(c2, c1, r.t2, r.t1, image=img2, image2=img1), c2, c1),
+    ):
+        v = verify_witness(w.context, first, second, fuel=10**6)
+        assert ((repr(v.first), v.first.steps), (repr(v.second), v.second.steps)) == VERDICT_PINS[name, order]
+
+
+README_PAIR = """
+class c {
+  c(){}
+  public get() : c()->Int { return 1; }
+};
+object o : c { };
+"""
+
+
+class TestUnpluggableContext:
+    def test_captured_witness_name_is_refused(self):
+        """The README pair with its object renamed onto the witness's `oc`: the
+        witness is ill typed, and verify_witness says so instead of running the
+        empty program on both sides (Terminated(unit) / Terminated(unit))."""
+        src = README_PAIR.replace("object o :", "object oc :")
+        c1, c2 = parse_ok(src), parse_ok(src.replace("return 1;", "return 2;"))
+        img1, img2 = compaim(c1), compaim(c2)
+        r = trace_equiv(img1, img2, depth=2)
+        assert not r.equivalent
+        w = algo(c1, c2, r.t1, r.t2, image=img1, image2=img2)
+        assert typecheck(w.context) != []
+        with pytest.raises(PlugFailure, match="the first component"):
+            verify_witness(w.context, c1, c2)
+
+    def test_failing_side_is_named(self):
+        c1, c2 = parse_ok(README_PAIR), parse_ok(README_PAIR.replace("return 1;", "return 2;"))
+        img1, img2 = compaim(c1), compaim(c2)
+        r = trace_equiv(img1, img2, depth=2)
+        w = algo(c1, c2, r.t1, r.t2, image=img1, image2=img2)
+        v = verify_witness(w.context, c1, c2)
+        assert (repr(v.first), repr(v.second)) == ("Terminated(1)", "OutOfFuel")
+        # the witness imports object o, which this component does not define
+        other = parse_ok(README_PAIR.replace("object o :", "object p :"))
+        with pytest.raises(PlugFailure, match="the second component"):
+            verify_witness(w.context, c1, other)

@@ -111,6 +111,12 @@ class TestUnexpectedErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "ValueError" in err and "Traceback" not in err
 
+    def test_unpluggable_witness_is_one_error_line(self, ws, capsys):
+        # c1 plugged into itself defines class c twice, so plug gives the empty program
+        assert run_cli("verify_witness", ws / "c1.jem", ws / "c1.jem", ws / "c2.jem") == 1
+        err = capsys.readouterr().err
+        assert err == "error: the context does not plug into the first component (incompatible or ill-typed)\n"
+
     def test_malformed_trace_error_names_file_and_line(self, ws, capsys):
         (ws / "bad.trace").write_text("call? (2,16) [1,0]\nnonsense here\n")
         assert run_cli("backtranslate", ws / "c1.jem", ws / "c2.jem", ws / "bad.trace", ws / "bad.trace") == 1

@@ -1,13 +1,17 @@
 """Front end and reference semantics of jem."""
+import dataclasses
 import random
 
 import pytest
 
 from jemaim.jem import ast
 from jemaim.jem.compat import EMPTY, compat, plug
-from jemaim.jem.interp import NULL, UNIT, JemConfig, NotWhole, run
+from jemaim.jem.interp import NULL, UNIT, JemConfig, NotWhole, RunResult, run
 from jemaim.jem.parser import JemSyntaxError, parse_component
+from jemaim.jem.printer import render_component
 from jemaim.jem.typecheck import typecheck
+
+from corpus import WHOLE_PROGRAMS, main_prog
 
 
 def parse_ok(src):
@@ -90,6 +94,54 @@ class TestParser:
             """
         )
         assert comp.classes[0].name == "listof-c"
+
+
+def same_ast(a, b) -> bool:
+    """Structural equality that ignores source positions, walked without recursion."""
+    todo = [(a, b)]
+    while todo:
+        x, y = todo.pop()
+        if type(x) is not type(y):
+            return False
+        if dataclasses.is_dataclass(x):
+            todo += [(getattr(x, f.name), getattr(y, f.name)) for f in dataclasses.fields(x) if f.name != "pos"]
+        elif isinstance(x, dict):
+            if list(x) != list(y):
+                return False
+            todo += [(x[k], y[k]) for k in x]
+        elif isinstance(x, (list, tuple)):
+            if len(x) != len(y):
+                return False
+            todo += zip(x, y)
+        elif x != y:
+            return False
+    return True
+
+
+class TestPrinter:
+    def test_long_binop_spine_round_trips(self):
+        """1 000 left-nested `+` terms print as one parenthesised chain and parse back."""
+        comp = parse_ok(main_prog(" + ".join(["1"] * 1000)))
+        text = render_component(comp)
+        assert "return (" + " + ".join(["1"] * 1000) + ");" in text
+        assert same_ast(parse_component(text), comp)
+
+    @pytest.mark.parametrize(
+        "body, printed",
+        [
+            ("1 - 2 + 3", "(1 - 2 + 3)"),
+            ("1 + (2 + 3)", "(1 + (2 + 3))"),
+            ("(1 + 2 < 4) == true && false", "(((1 + 2) < 4 == true) && false)"),
+            ("((true && true) == true) && true", "(((true && true) == true) && true)"),
+            ("1 < 2 == (3 < 4)", "(1 < 2 == (3 < 4))"),
+        ],
+    )
+    def test_levels_and_round_trip(self, body, printed):
+        """A left operand at its parent's level loses its parentheses; others keep them."""
+        comp = parse_component(main_prog(body))
+        text = render_component(comp)
+        assert f"return {printed};" in text
+        assert same_ast(parse_component(text), comp)
 
 
 class TestTypecheck:
@@ -304,6 +356,66 @@ class TestInterp:
         for extra in (1, 17, 1000):
             again = run(prog, fuel=base.steps + extra)
             assert again.terminated and again.value == base.value
+
+
+def count_steps(monkeypatch) -> list:
+    """Record every JemConfig.step call from here on."""
+    calls = []
+    step = JemConfig.step
+
+    def counted(cfg):
+        calls.append(1)
+        return step(cfg)
+
+    monkeypatch.setattr(JemConfig, "step", counted)
+    return calls
+
+
+LOOP = """
+class main {{
+  main(){{}}
+  {methods}
+  public main() : main()->Int {{ return {call}; }}
+}};
+object main : main {{ }};
+"""
+
+# loops whose body is not exactly `this.<same method>()`: stepped to the end of their fuel
+NEAR_MISS_LOOPS = {
+    "argument": ("public m(x) : main(Int)->Int { return this.m(x); }", "this.m(1)"),
+    "other-receiver": ("public m() : main()->Int { return main.m(); }", "this.m()"),
+    "mutual": (
+        "public a() : main()->Int { return this.b(); }\n  public b() : main()->Int { return this.a(); }",
+        "this.a()",
+    ),
+    "sequence": ("public m() : main()->Int { return this.m(); 1; }", "this.m()"),
+    "conditional": ("public m() : main()->Int { return if (true) { this.m() } else { 1 }; }", "this.m()"),
+}
+
+
+class TestProvenLoops:
+    def test_self_call_loop_stops_stepping(self, monkeypatch):
+        """Fails at a parent without the rule: the run steps 10**6 times."""
+        prog = parse_ok(WHOLE_PROGRAMS["diverge-spin"])
+        calls = count_steps(monkeypatch)
+        r = run(prog, fuel=10**6)
+        assert (r.kind, r.value, r.steps, repr(r)) == ("fuel", None, 10**6, "OutOfFuel")
+        assert len(calls) <= 10
+
+    def test_fuel_spent_before_the_loop_is_reached(self):
+        """Passes without the rule too: runs stopped before the loop is entered."""
+        prog = parse_ok(WHOLE_PROGRAMS["diverge-spin"])
+        for fuel in range(1, 12):
+            assert run(prog, fuel=fuel) == RunResult("fuel", None, fuel)
+
+    @pytest.mark.parametrize("name", sorted(NEAR_MISS_LOOPS))
+    def test_near_misses_step_to_the_end_of_their_fuel(self, name, monkeypatch):
+        """Passes without the rule too, by construction: these must not take it."""
+        methods, call = NEAR_MISS_LOOPS[name]
+        prog = parse_ok(LOOP.format(methods=methods, call=call))
+        calls = count_steps(monkeypatch)
+        assert run(prog, fuel=5_000) == RunResult("fuel", None, 5_000)
+        assert len(calls) == 5_000
 
 
 class TestDeterminismProgressPreservation:
