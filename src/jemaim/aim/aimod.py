@@ -35,10 +35,6 @@ def parse_word(s: str) -> Word:
     return int(s)
 
 
-def _render_sig(k: MethodSig) -> str:
-    return k.render()
-
-
 def _parse_sig(s: str) -> MethodSig:
     name, _, rest = s.partition(" : ")
     recv, _, rest = rest.partition("(")
@@ -68,15 +64,15 @@ def dump(p: ProgramImage) -> str:
         for off in sorted(p.masks[mid]):
             lines.append(f"{mid}:{off} {render_word(p.masks[mid][off])}")
     lines.append("EXPORT-M")
-    for k in sorted(p.table.em, key=_render_sig):
+    for k in sorted(p.table.em, key=MethodSig.render):
         a = p.table.em[k]
-        lines.append(f"{_render_sig(k)} -> {a.mid}:{a.off}")
+        lines.append(f"{k.render()} -> {a.mid}:{a.off}")
     lines.append("EXPORT-O")
     for k in sorted(p.table.eo, key=lambda o: o.render()):
         lines.append(f"{k.render()} -> {render_word(p.table.eo[k])}")
     lines.append("REQUIRE-M")
-    for k, iota, sigma in sorted(p.table.rm, key=lambda e: (_render_sig(e[0]), e[1].name)):
-        lines.append(f"{_render_sig(k)} -> {render_word(iota)} ; {render_word(sigma)}")
+    for k, iota, sigma in sorted(p.table.rm, key=lambda e: (e[0].render(), e[1].name)):
+        lines.append(f"{k.render()} -> {render_word(iota)} ; {render_word(sigma)}")
     lines.append("REQUIRE-O")
     for k, sigma in sorted(p.table.ro, key=lambda e: (e[0].render(), e[1].name)):
         lines.append(f"{k.render()} -> {render_word(sigma)}")

@@ -40,7 +40,8 @@ BY_OPCODE = {op: (name, kinds) for name, (op, kinds) in OPTABLE.items()}
 PRIVILEGED = {name for name, (op, _) in OPTABLE.items() if op >= 64}
 
 MAX_REG = 4096
-MAX_FLAG = 1
+ZF, SF = 0, 1  # flag indices: zero, sign
+MAX_FLAG = SF
 
 
 @dataclass(frozen=True)

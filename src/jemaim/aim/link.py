@@ -80,10 +80,6 @@ class ProgramImage:
         )
 
 
-# A single module is a program image with exactly one descriptor.
-ModuleImage = ProgramImage
-
-
 def substitute(mem: dict[Address, Word], eta: dict[Symbol, Word]) -> dict[Address, Word]:
     """Pointwise substitution; Nats and nonces are unchanged, unmatched symbols kept."""
     if not eta:

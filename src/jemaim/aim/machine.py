@@ -25,19 +25,11 @@ from ..compiler.encoding import (
     V_UNIT,
 )
 from . import access
-from .isa import decode
+from .isa import SF, ZF, decode
 from .words import MASK64, Address, Descriptor, Nonce, NonceOracle, Symbol, Word
 
-ZF = 0
-SF = 1
-
-# well-known registers of the calling convention
+# the register in which a call leaves the caller's module id
 R_CALLER = 0
-R_TGT_ID = 3
-R_TGT_OFF = 4
-R_RET = 5
-R_THIS = 6
-R_ARG0 = 7
 
 
 @dataclass

@@ -1,34 +1,31 @@
 """Differentiating code for the first pair of diverging component actions.
 
 diff writes into the emulation's code table the blocks that make the witness
-terminate (exit 1) against the first component and diverge (oc.diverge())
-against the second, covering every case pair: differing returns by value
-kind, differing callback targets, callees or parameters, deferred/absent
-actions, and termination ticks. A comparison of two return values nests into
-the block of the call they answer, where that call's `retvar-<index>` is
-bound; all other code opens the divergence step's block in the context method
-that runs next: the called stub after a callback, here() after a return.
+terminate (exit 1) against the first component and diverge (Helper's
+self-calling `diverge`) against the second, covering every case pair:
+differing returns by value kind, differing callback targets, callees or
+parameters, deferred/absent actions, and termination ticks. A comparison of
+two return values nests into the block of the call they answer, where that
+call's result (`retvar`) is bound; all other code opens the divergence step's
+block in the context method that runs next: the called stub after a
+callback, here() after a return.
 """
 from __future__ import annotations
 
 from ..jem import ast
 from ..traces.actions import CallOut, FuelExceeded, ReturnOut, Tick
 from .emulate import EmulState, Fail, emulate_value, method_knowledge
-from .skel import oc_call
+from .skel import diverge, param, retvar
 
 
 def exit_expr():
     return ast.Seq(ast.Exit(ast.Lit(1)), ast.Lit("unit"))
 
 
-def diverge_expr():
-    return oc_call("diverge")
-
-
 def _compare(probe: ast.Expr, known: ast.Expr, hit_first: bool) -> ast.Expr:
     """if (probe == known) then detect-first else detect-second."""
-    hit = exit_expr() if hit_first else diverge_expr()
-    miss = diverge_expr() if hit_first else exit_expr()
+    hit = exit_expr() if hit_first else diverge()
+    miss = diverge() if hit_first else exit_expr()
     return ast.If(ast.BinOp("==", probe, known), hit, miss)
 
 
@@ -63,13 +60,13 @@ def diff(a1, a2, st: EmulState):
         return
     # tick against a real action: only the real action's side can act
     if isinstance(a1, Tick) or isinstance(a2, Tick):
-        st.open_block(at(a2 if isinstance(a1, Tick) else a1), [diverge_expr()])
+        st.open_block(at(a2 if isinstance(a1, Tick) else a1), [diverge()])
         return
     if isinstance(a1, ReturnOut) and isinstance(a2, ReturnOut):
         # equal values: return addresses and ids cannot differ (Diff-rets-addr)
         if a1.value != a2.value and st.frames:
             frame = st.frames[-1]
-            probe = ast.Var(f"retvar-{frame.block}")
+            probe = ast.Var(retvar(frame.block))
             st.nest(frame, [_value_probe(a1.value, a2.value, frame.ret_t, st, probe)])
         return
     if isinstance(a1, CallOut) and isinstance(a2, CallOut) and tuple(a1.addr) == tuple(a2.addr):
@@ -81,9 +78,9 @@ def diff(a1, a2, st: EmulState):
             w1 = a1.regs[7 + j] if 7 + j < len(a1.regs) else 0
             w2 = a2.regs[7 + j] if 7 + j < len(a2.regs) else 0
             if w1 != w2:
-                st.open_block(at(a1), [_value_probe(w1, w2, pt, st, ast.Var(f"x-{j + 1}"))])
+                st.open_block(at(a1), [_value_probe(w1, w2, pt, st, ast.Var(param(j)))])
                 return
         return  # remaining register slots are fixed by the calling convention
     # different callees, or a callback against a return
     st.open_block(at(a1), [exit_expr()])
-    st.open_block(at(a2), [diverge_expr()])
+    st.open_block(at(a2), [diverge()])

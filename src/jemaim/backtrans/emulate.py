@@ -3,15 +3,19 @@
 The emulator folds over the prefix keeping: object knowledge V (canonical id ->
 (type, registry number)), the environment's registrations R, a frame stack
 mirroring the system call stack, the step counter i, and the witness code
-table (class, method) -> MethodCode. Action i writes its code into the block
-guarded by `oc.isStep(i)`: a call the context makes opens that block in the
-method it runs in, `here()`, and its frame records the block's index, so the
-component's return nests into the block of the call it answers and binds
-`retvar-<index>`; a callback opens it in the stub of the called method, which
-`here()` then names until the environment returns from it; that return
-becomes an arm of the stub's value cascade. Every inability to express an
-action in source is a Fail; those are exactly the prefixes whose machine run
-ends in a termination tick.
+table (class, method) -> MethodCode. Action i writes its code, which first
+advances Helper's step counter (`incr_step`), into the block that runs when
+the counter is i: a call the context makes opens that block in the method it
+runs in, `here()`, and its frame records the block's index, so the
+component's return nests into the block of the call it answers and reads the
+call's result there (`retvar`); a callback opens it in the stub of the called
+method, which `here()` then names until the environment returns from it; that
+return becomes an arm of the stub's value cascade. Ids the component hands
+out are entered in Helper's per-type registries (`add_object`) and denoted by
+their registry number (`get_by_name`, `create_new`). Every witness name comes
+from these skel builders. Every inability to express an action in source is a
+Fail; those are exactly the prefixes whose machine run ends in a termination
+tick.
 """
 from __future__ import annotations
 
@@ -23,7 +27,19 @@ from ..jem import ast
 from ..jem.ast import T_BOOL, T_INT, T_OBJ, T_UNIT, JemType, t_class
 from ..traces.actions import CallIn, CallOut, ReturnIn, ReturnOut, Tick
 from .interface import Interface
-from .skel import MAIN, MethodCode, oc_call
+from .skel import (
+    HELPER,
+    MAIN,
+    MethodCode,
+    add_object,
+    arg_var,
+    create_new,
+    get_by_name,
+    incr_step,
+    param,
+    recv_var,
+    retvar,
+)
 
 
 class Fail(Exception):
@@ -71,7 +87,7 @@ class EmulState:
         return self.named
 
     def open_block(self, method: tuple, exprs: list):
-        """Code of action i in `method`, guarded by `oc.isStep(i)`."""
+        """Code of action i in `method`, run when Helper's step counter is i."""
         self.code.setdefault(method, MethodCode()).blocks.setdefault(self.i, []).extend(exprs)
 
     def nest(self, frame: Frame, exprs: list):
@@ -113,7 +129,7 @@ def emulate_value(w, t: JemType, st: EmulState):
         vt, idx = st.V[w]
         if t != T_OBJ and vt != t:
             raise Fail("value-retyped")
-        return oc_call(f"getByName-{vt}", ast.Lit(idx))
+        return get_by_name(vt, idx)
     if iface.is_external(t) or t == T_OBJ:
         enc = st.R.get(w)
         if enc is None:
@@ -123,7 +139,7 @@ def emulate_value(w, t: JemType, st: EmulState):
             raise Fail("value-unmakeable")
         if t != T_OBJ and encode_class(t.cname) != enc:
             raise Fail("value-class-mismatch")
-        return oc_call(f"createNew-{cname}", ast.Lit(st.number(w, t_class(cname))))
+        return create_new(cname, st.number(w, t_class(cname)))
     raise Fail("value-unknown-internal")
 
 
@@ -176,16 +192,16 @@ def _emulate_call_in(a: CallIn, st: EmulState):
     if recv_w == V_NULL:
         raise Fail("null-receiver")
     recv_e = emulate_value(recv_w, sig.recv, st)
-    exprs = [oc_call("incrStep"), ast.VarDecl(f"o-{st.i}", sig.recv, recv_e)]
+    exprs = [incr_step(), ast.VarDecl(recv_var(st.i), sig.recv, recv_e)]
     arg_vars = []
     for j, pt in enumerate(sig.params):
         w = regs[7 + j] if 7 + j < len(regs) else 0
         e = emulate_value(w, pt, st)
-        name = f"arg-{st.i}-{j + 1}"
+        name = arg_var(st.i, j)
         exprs.append(ast.VarDecl(name, pt, e))
         arg_vars.append(ast.Var(name))
     exprs.append(
-        ast.VarDecl(f"retvar-{st.i}", sig.ret, ast.Call(ast.Var(f"o-{st.i}"), sig.name, arg_vars))
+        ast.VarDecl(retvar(st.i), sig.ret, ast.Call(ast.Var(recv_var(st.i)), sig.name, arg_vars))
     )
     _context_call(st, exprs, addr[0], sig.ret)
 
@@ -195,12 +211,9 @@ def _emulate_testobj(a: CallIn, st: EmulState):
     w, enc = regs[7], regs[8]
     if w not in st.V and w not in st.R:
         raise Fail("testObj-unknown-id")
-    cname = st.iface.class_of_encoding(enc) or "Helper"
+    cname = st.iface.class_of_encoding(enc) or HELPER
     target = emulate_value(w, st.V[w][0] if w in st.V else T_OBJ, st)
-    exprs = [
-        oc_call("incrStep"),
-        ast.VarDecl(f"retvar-{st.i}", T_BOOL, ast.InstanceOf(target, cname)),
-    ]
+    exprs = [incr_step(), ast.VarDecl(retvar(st.i), T_BOOL, ast.InstanceOf(target, cname))]
     _context_call(st, exprs, SYS_ID, T_BOOL)
 
 
@@ -210,7 +223,7 @@ def _emulate_regobj(a: CallIn, st: EmulState):
     if w in st.V or w in st.R:
         raise Fail("registerObj-known-id")
     st.R[w] = enc
-    exprs = [oc_call("incrStep"), ast.VarDecl(f"retvar-{st.i}", T_UNIT, ast.Lit("unit"))]
+    exprs = [incr_step(), ast.VarDecl(retvar(st.i), T_UNIT, ast.Lit("unit"))]
     _context_call(st, exprs, SYS_ID, T_UNIT)
 
 
@@ -231,21 +244,16 @@ def _emulate_return_in(a: ReturnIn, st: EmulState):
         raise Fail("returnback-wrong-id")
     value = emulate_value(a.value, frame.ret_t, st)
     st.frames.pop()
-    st.code[frame.method].returns.append((st.i, [oc_call("incrStep"), value]))
+    st.code[frame.method].returns.append((st.i, [incr_step(), value]))
 
 
 def _emulate_call_out(a: CallOut, st: EmulState):
     sig = method_knowledge(st, tuple(a.addr))
     stub_method = (str(sig.recv), sig.name)
-    exprs = [oc_call("incrStep")]
+    exprs = [incr_step()]
     for j, pt in enumerate(sig.params):
         w = a.regs[7 + j] if 7 + j < len(a.regs) else 0
-        if st.iface.is_internal(pt) and not isinstance(w, int) and w not in st.V:
-            idx = st.number(w, pt)
-            exprs.append(oc_call(f"addObject-{pt.cname}", ast.Var(f"x-{j + 1}"), ast.Lit(idx)))
-        elif pt == T_OBJ and not isinstance(w, int) and w not in st.V and w not in st.R:
-            idx = st.number(w, T_OBJ)
-            exprs.append(oc_call("addObject-Obj", ast.Var(f"x-{j + 1}"), ast.Lit(idx)))
+        exprs += _registration(st, w, pt, ast.Var(param(j)))
     st.open_block(stub_method, exprs)
     st.frames.append(Frame(a.addr[0], 0, sig.ret, stub_method, st.i))
 
@@ -254,15 +262,15 @@ def _emulate_return_out(a: ReturnOut, st: EmulState):
     if not st.frames or st.frames[-1].callee == 0:
         raise Fail("return-without-call")
     frame = st.frames.pop()
-    exprs = [oc_call("incrStep")]
-    t = frame.ret_t
-    w = a.value
-    retvar = ast.Var(f"retvar-{frame.block}")
-    if st.iface.is_internal(t) and not isinstance(w, int) and w not in st.V:
-        exprs.append(oc_call(f"addObject-{t.cname}", retvar, ast.Lit(st.number(w, t))))
-    elif t == T_OBJ and not isinstance(w, int) and w != V_NULL and w not in st.V and w not in st.R:
-        exprs.append(oc_call("addObject-Obj", retvar, ast.Lit(st.number(w, T_OBJ))))
-    st.nest(frame, exprs)
+    st.nest(frame, [incr_step(), *_registration(st, a.value, frame.ret_t, ast.Var(retvar(frame.block)))])
+
+
+def _registration(st: EmulState, w, t: JemType, e: ast.Expr) -> list:
+    """Code registering `e`, which holds the id w the component passed at type
+    t, when that id is new and the context has a registry for it."""
+    if isinstance(w, int) or w in st.V or not (st.iface.is_internal(t) or (t == T_OBJ and w not in st.R)):
+        return []
+    return [add_object(t, e, st.number(w, t))]
 
 
 def emulate(prefix, iface: Interface):

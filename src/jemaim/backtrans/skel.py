@@ -1,29 +1,79 @@
 """The witness context: stub classes, per-type registries, the Helper class.
 
-The context implements every interface the component pair imports (stub
-classes with default-returning methods and a factory), declares everything the
-pair exports (so plugging succeeds), and equips Helper with the step counter,
-the divergence loop, and per-type object registries backed by linked-list
-classes. Registries are pre-populated with all statically known objects in
-main's prelude, using the same numbering the emulator assigns to ids.
+The context implements every interface the pair imports (stub classes whose
+methods return defaults, with a factory), declares all the pair exports, and
+equips Helper with a step counter, a divergence loop and per-type object
+registries, which main's prelude fills with the statically known objects.
 
-The witness code of Helper.main and of the stub methods comes from a table
-(class, method) -> MethodCode, which emulation and differentiation fill; each
-method body is built from its entry once.
+These fixed classes are jem text, parsed from templates over the pair's names.
+Only what varies with the traces is AST: Helper's imports, and the bodies of
+Helper.main and of the stub methods, built from a table (class, method) ->
+MethodCode that emulation and differentiation fill through the builders
+below. skel is the one module that names witness entities.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from string import Template
 
 from ..jem import ast
-from ..jem.ast import JemType, T_BOOL, T_INT, T_UNIT, t_class, type_named
+from ..jem.parser import parse_component
 from .interface import ImportMismatch, Interface
 
-MAIN = ("Helper", "main")
+HELPER = "Helper"
+MAIN = (HELPER, "main")
 
 
 class UnknownMethod(Exception):
     """Witness code was written for a method the context does not define."""
+
+
+# -- builders of witness code: i is an action index, j a parameter index from
+# 0, k a registry number, and t a type (or type name) that has a registry
+def _oc(mname: str, *args: ast.Expr) -> ast.Expr:
+    return ast.Call(ast.Var("oc"), mname, list(args))
+
+
+def incr_step() -> ast.Expr:
+    return _oc("incrStep")
+
+
+def diverge() -> ast.Expr:
+    return _oc("diverge")
+
+
+def add_object(t, e: ast.Expr, k: int) -> ast.Expr:
+    return _oc(f"addObject-{t}", e, ast.Lit(k))
+
+
+def get_by_name(t, k: int) -> ast.Expr:
+    return _oc(f"getByName-{t}", ast.Lit(k))
+
+
+def create_new(t, k: int) -> ast.Expr:
+    return _oc(f"createNew-{t}", ast.Lit(k))
+
+
+def retvar(i: int) -> str:
+    """The variable bound to the result of the call made as action i."""
+    return f"retvar-{i}"
+
+
+def recv_var(i: int) -> str:
+    return f"o-{i}"
+
+
+def arg_var(i: int, j: int) -> str:
+    return f"arg-{i}-{j + 1}"
+
+
+def param(j: int) -> str:
+    return f"x-{j + 1}"
+
+
+def seq(*exprs):
+    return reduce(lambda rest, e: ast.Seq(e, rest), reversed(exprs[:-1]), exprs[-1])
 
 
 @dataclass
@@ -40,232 +90,115 @@ class MethodCode:
     def body(self, value: ast.Expr, *effects: ast.Expr) -> ast.Expr:
         """`effects`, then the step blocks, then `value` under the return cascade."""
         blocks = [
-            ast.If(oc_call("isStep", ast.Lit(i)), seq(*exprs, ast.Lit("unit")), ast.Lit("unit"))
+            ast.If(_oc("isStep", ast.Lit(i)), seq(*exprs, ast.Lit("unit")), ast.Lit("unit"))
             for i, exprs in self.blocks.items()
         ]
         for i, exprs in self.returns:
-            value = ast.If(oc_call("isStep", ast.Lit(i)), seq(*exprs), value)
+            value = ast.If(_oc("isStep", ast.Lit(i)), seq(*exprs), value)
         return seq(*effects, *blocks, value)
 
 
-def default_value(t: JemType):
-    if t == T_UNIT:
-        return ast.Lit("unit")
-    if t == T_BOOL:
-        return ast.Lit(True)
-    if t == T_INT:
-        return ast.Lit(0)
-    return ast.Lit("null")
+# -- the fixed classes, as jem text
+LISTOF = Template("""
+class listof-$t {
+  listof-$t(v:$t, n:Int, next:listof-$t){ }
+  v : $t; n : Int; next : listof-$t;
+  public getByName(k) : listof-$t(Int)->$t {
+    return if (this.n == k) { this.v } else { if (this.next == null) { null } else { this.next.getByName(k) } };
+  }
+  public append(o, k) : listof-$t($t,Int)->listof-$t { return new listof-$t(o, k, this); }
+};
+object sentinel-$t : listof-$t { v = null; n = 0; next = null; };
+""")
+
+# main's `0` becomes the value under its return cascade, after the prelude
+HELPER_CLASS = Template("""
+class Helper {
+  Helper(step:Int$params){ }
+  step : Int;$fields
+  public isStep(x) : Helper(Int)->Bool { return if (this.step == x) { true } else { false }; }
+  public incrStep() : Helper()->Unit { return this.step = this.step + 1; }
+  public diverge() : Helper()->Unit { return this.diverge(); }
+  public main() : Helper()->Int { return 0; }$registries$factories
+};
+object oc : Helper { step = 0;$inits };
+object main : Helper { step = 0;$inits };
+""")
+# Helper's share of each registry type t, by the place it fills in HELPER_CLASS
+HELPER_PARTS = {
+    "params": Template(", head-$t:listof-$t"),
+    "fields": Template("\n  head-$t : listof-$t;"),
+    "registries": Template("""
+  public addObject-$t(o, k) : Helper($t,Int)->Unit { return this.head-$t = this.head-$t.append(o, k); }
+  public getByName-$t(k) : Helper(Int)->$t { return this.head-$t.getByName(k); }"""),
+    "inits": Template(" head-$t = sentinel-$t;"),
+}
+# the factory of each external class t
+FACTORY = Template("""
+  public createNew-$t(k) : Helper(Int)->$t { return var o : $t = static-for-$t.mk-$t(); this.addObject-$t(o, k); o; }""")
+
+# each stub method returns the default of its type
+STUB_METHOD = Template("""
+  public $name($params) : $sig { return $default; }""")
+DEFAULTS = {"Unit": "unit", "Bool": "true", "Int": "0"}
+STUB_CLASS = Template("""
+class $t {
+  $t(){ }$methods
+  public mk-$t() : $t()->$t { return new $t(); }
+};
+object static-for-$t : $t { };$objects
+""")
 
 
-def oc_call(mname, *args):
-    return ast.Call(ast.Var("oc"), mname, list(args))
+def _each(template: Template, names) -> str:
+    return "".join(template.substitute(t=t) for t in names)
 
 
-def seq(*exprs):
-    out = exprs[-1]
-    for e in reversed(exprs[:-1]):
-        out = ast.Seq(e, out)
-    return out
-
-
-def _method(name, params, recv, ptypes, ret, body):
-    return ast.Method(name, params, ast.MethodSig(name, recv, tuple(ptypes), ret), body)
-
-
-def _listof(tname: str) -> ast.JemClass:
-    """Linked-list registry node for one object type."""
-    t = type_named(tname)
-    me = t_class(f"listof-{tname}")
-    get = _method(
-        "getByName",
-        ["k"],
-        me,
-        [T_INT],
-        t,
-        ast.If(
-            ast.BinOp("==", ast.FieldGet(ast.This(), "n"), ast.Var("k")),
-            ast.FieldGet(ast.This(), "v"),
-            ast.If(
-                ast.BinOp("==", ast.FieldGet(ast.This(), "next"), ast.Lit("null")),
-                ast.Lit("null"),
-                ast.Call(ast.FieldGet(ast.This(), "next"), "getByName", [ast.Var("k")]),
-            ),
-        ),
+def _stub_class(name: str, sigs: list, objects: list) -> str:
+    if f"mk-{name}" in {s.name for s in sigs}:
+        raise ImportMismatch(f"interface {name} collides with the factory name mk-{name}")
+    methods = "".join(
+        STUB_METHOD.substitute(
+            name=s.name, params=", ".join(map(param, range(len(s.params)))),
+            sig=f"{s.recv}({','.join(map(str, s.params))})->{s.ret}", default=DEFAULTS.get(str(s.ret), "null"),
+        )
+        for s in sigs
     )
-    append = _method(
-        "append",
-        ["o", "k"],
-        me,
-        [t, T_INT],
-        me,
-        ast.New(f"listof-{tname}", [ast.Var("o"), ast.Var("k"), ast.This()]),
-    )
-    return ast.JemClass(
-        name=f"listof-{tname}",
-        import_classes=[],
-        import_objects=[],
-        ctor=ast.Ctor(["v", "n", "next"]),
-        field_types={"v": t, "n": T_INT, "next": me},
-        methods=[get, append],
-        objects=[
-            ast.ObjectDef(f"sentinel-{tname}", f"listof-{tname}", {"v": "null", "n": 0, "next": "null"})
-        ],
-    )
-
-
-def _stub_class(name: str, sigs: list, code: dict) -> ast.JemClass:
-    methods = []
-    for sig in sigs:
-        params = [f"x-{j + 1}" for j in range(len(sig.params))]
-        body = code.pop((name, sig.name), MethodCode()).body(default_value(sig.ret))
-        methods.append(_method(sig.name, params, sig.recv, sig.params, sig.ret, body))
-    factory = _method(f"mk-{name}", [], t_class(name), [], t_class(name), ast.New(name, []))
-    if any(m.name == factory.name for m in methods):
-        raise ImportMismatch(f"interface {name} collides with the factory name {factory.name}")
-    return ast.JemClass(
-        name=name,
-        import_classes=[],
-        import_objects=[],
-        ctor=ast.Ctor([]),
-        field_types={},
-        methods=methods + [factory],
-        objects=[ast.ObjectDef(f"static-for-{name}", name, {})],
-    )
+    objects = "".join(f"\nobject {o} : {name} {{ }};" for o in objects)
+    return STUB_CLASS.substitute(t=name, methods=methods, objects=objects)
 
 
 def skel(c1: ast.JemComponent, iface: Interface, code: dict) -> ast.JemComponent:
     """The differentiating context of a component pair (c1 stands for both), with
     the witness code `code` maps (class, method) -> MethodCode to."""
     ics, ios = c1.all_imports()
-    by_name: dict[str, list] = {}
+    by_name: dict[str, dict] = {}  # interface -> method name -> the first signature declared
     for ic in ics:
-        sigs = by_name.setdefault(ic.name, [])
-        known = {s.name for s in sigs}
-        sigs.extend(s for s in ic.sigs if s.name not in known)
-    if "Helper" in by_name or any(c.name == "Helper" for c in c1.classes):
-        raise ImportMismatch("the name Helper must be fresh")
-
-    code = dict(code)
-    stubs = [_stub_class(name, by_name[name], code) for name in sorted(by_name)]
+        sigs = by_name.setdefault(ic.name, {})
+        for s in ic.sigs:
+            sigs.setdefault(s.name, s)
+    if HELPER in by_name or any(c.name == HELPER for c in c1.classes):
+        raise ImportMismatch(f"the name {HELPER} must be fresh")
     # stub objects for every object declaration the pair imports
-    declared = {o.name for s in stubs for o in s.objects}
-    for io in sorted({(io.name, io.cname) for io in ios}):
-        name, cname = io
-        if name in declared:
-            continue
-        for s in stubs:
-            if s.name == cname:
-                s.objects.append(ast.ObjectDef(name, cname, {}))
+    statics = {f"static-for-{name}" for name in by_name}
+    imported = sorted({(io.name, io.cname) for io in ios if io.name not in statics})
+    stubs = [_stub_class(c, by_name[c].values(), [o for o, cls in imported if cls == c]) for c in sorted(by_name)]
 
     registry_types = sorted(iface.internal_classes) + sorted(iface.external_classes) + ["Obj"]
-    registries = [_listof(t) for t in registry_types]
-
-    helper = _helper_class(c1, iface, registry_types, code.pop(MAIN, MethodCode()))
+    parts = {place: _each(template, registry_types) for place, template in HELPER_PARTS.items()}
+    helper_text = HELPER_CLASS.substitute(parts, factories=_each(FACTORY, sorted(iface.external_classes)))
+    context = parse_component(_each(LISTOF, registry_types) + "".join(stubs) + helper_text)
+    code = dict(code)
+    for stub in context.classes[len(registry_types) : -1]:
+        for m in stub.methods[:-1]:  # all but the factory
+            m.body = code.pop((stub.name, m.name), MethodCode()).body(m.body)
+    helper = context.classes[-1]
+    main = helper.method(MAIN[1])
+    prelude = [add_object(t, ast.Var(o), k) for o, t, _, k in iface.exported_objects + iface.required_objects]
+    main.body = code.pop(MAIN, MethodCode()).body(main.body, *prelude)
     if code:
         raise UnknownMethod(", ".join(f"{c}.{m}" for c, m in code))
-    return ast.JemComponent(registries + stubs + [helper])
-
-
-def _helper_class(
-    c1: ast.JemComponent, iface: Interface, registry_types: list[str], main: MethodCode
-) -> ast.JemClass:
-    fields: dict[str, JemType] = {"step": T_INT}
-    obj_fields: dict[str, object] = {"step": 0}
-    for t in registry_types:
-        fields[f"head-{t}"] = t_class(f"listof-{t}")
-        obj_fields[f"head-{t}"] = ("objref", f"sentinel-{t}")
-
-    me = t_class("Helper")
-    methods = [
-        _method(
-            "isStep",
-            ["x"],
-            me,
-            [T_INT],
-            T_BOOL,
-            ast.If(
-                ast.BinOp("==", ast.FieldGet(ast.This(), "step"), ast.Var("x")),
-                ast.Lit(True),
-                ast.Lit(False),
-            ),
-        ),
-        _method(
-            "incrStep",
-            [],
-            me,
-            [],
-            T_UNIT,
-            ast.FieldSet(ast.This(), "step", ast.BinOp("+", ast.FieldGet(ast.This(), "step"), ast.Lit(1))),
-        ),
-        _method("diverge", [], me, [], T_UNIT, ast.Call(ast.This(), "diverge", [])),
-        _method("main", [], me, [], T_INT, main.body(ast.Lit(0), *_prelude(iface))),
-    ]
-    for t in registry_types:
-        tt = type_named(t)
-        methods.append(
-            _method(
-                f"addObject-{t}",
-                ["o", "k"],
-                me,
-                [tt, T_INT],
-                T_UNIT,
-                ast.FieldSet(
-                    ast.This(),
-                    f"head-{t}",
-                    ast.Call(ast.FieldGet(ast.This(), f"head-{t}"), "append", [ast.Var("o"), ast.Var("k")]),
-                ),
-            )
-        )
-        methods.append(
-            _method(
-                f"getByName-{t}",
-                ["k"],
-                me,
-                [T_INT],
-                tt,
-                ast.Call(ast.FieldGet(ast.This(), f"head-{t}"), "getByName", [ast.Var("k")]),
-            )
-        )
-    for t in sorted(iface.external_classes):
-        methods.append(
-            _method(
-                f"createNew-{t}",
-                ["k"],
-                me,
-                [T_INT],
-                t_class(t),
-                seq(
-                    ast.VarDecl("o", t_class(t), ast.Call(ast.Var(f"static-for-{t}"), f"mk-{t}", [])),
-                    ast.Call(ast.This(), f"addObject-{t}", [ast.Var("o"), ast.Var("k")]),
-                    ast.Var("o"),
-                ),
-            )
-        )
     # the witness imports everything the component pair exports
-    import_classes = []
-    for c in c1.classes:
-        import_classes.append(ast.ImportClass(c.name, [m.sig for m in c.methods]))
-    import_objects = [
-        ast.ImportObj(name, cls) for name, cls, _, _ in iface.exported_objects
-    ]
-    return ast.JemClass(
-        name="Helper",
-        import_classes=import_classes,
-        import_objects=import_objects,
-        ctor=ast.Ctor(list(fields)),
-        field_types=fields,
-        methods=methods,
-        objects=[
-            ast.ObjectDef("oc", "Helper", dict(obj_fields)),
-            ast.ObjectDef("main", "Helper", dict(obj_fields)),
-        ],
-    )
-
-
-def _prelude(iface: Interface) -> list[ast.Expr]:
-    """main's opening: register every statically known object under its number."""
-    return [
-        oc_call(f"addObject-{cls}", ast.Var(name), ast.Lit(idx))
-        for name, cls, _word, idx in iface.exported_objects + iface.required_objects
-    ]
+    helper.import_classes = [ast.ImportClass(c.name, [m.sig for m in c.methods]) for c in c1.classes]
+    helper.import_objects = [ast.ImportObj(name, cls) for name, cls, _, _ in iface.exported_objects]
+    return context

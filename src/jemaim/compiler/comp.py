@@ -30,7 +30,7 @@ boundary crossings.
 """
 from __future__ import annotations
 
-from ..aim.isa import Assembler, Label
+from ..aim.isa import SF, ZF, Assembler, Label
 from ..aim.link import MethodSig as LinkSig
 from ..aim.link import ObjKey
 from ..aim.words import FORWARDCALL_EP, N_W, SYS_ID, Symbol
@@ -46,8 +46,6 @@ SIGTAB_BASE = DATA_BASE + 3
 STATIC_BASE = DATA_BASE + 8300
 STACK_BASE = 1 << 32
 STACK_LIMIT = 1 << 33
-
-ZF, SF = 0, 1
 
 # every class requires instanceof; linking rebinds it to the system test procedure
 INSTANCEOF_KEY = LinkSig("instanceof", "Obj", ("Obj", "Obj"), "Bool")

@@ -16,7 +16,7 @@ and objects to masks.
 """
 from __future__ import annotations
 
-from ..aim.isa import Assembler, Label
+from ..aim.isa import ZF, Assembler, Label
 from ..aim.link import ObjKey, ProgramImage, SymbolTable
 from ..aim.words import FORWARDRETURN_EP, N_W, SYS_ID, Address, Descriptor, Nonce
 from ..jem import ast
@@ -35,8 +35,6 @@ from .comp import (
 )
 from .encoding import encode_type
 from .sysmod import TESTOBJ
-
-ZF, SF = 0, 1
 
 _instance = 0
 

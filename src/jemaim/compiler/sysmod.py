@@ -12,13 +12,11 @@ forwardCall can test emptiness with a plain load.
 """
 from __future__ import annotations
 
-from ..aim.isa import Assembler, Label
+from ..aim.isa import ZF, Assembler, Label
 from ..aim.link import MethodSig as LinkSig
 from ..aim.link import ProgramImage, SymbolTable
 from ..aim.words import FORWARDCALL_EP, FORWARDRETURN_EP, REGISTEROBJ_EP, SYS_ID, TESTOBJ_EP, Address, Descriptor
 from .comp import DATA_BASE, always_jump, trampoline
-
-ZF = 0
 
 SYS_DEPTH_ADDR = Address(SYS_ID, DATA_BASE)
 

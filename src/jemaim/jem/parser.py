@@ -44,6 +44,9 @@ KEYWORDS = {
     "Obj",
 }
 
+# binary operators by precedence, loosest first
+LEVELS = (("&&",), ("==", "<"), ("+", "-"))
+
 PUNCT = ["->", "==", "&&", "(", ")", "{", "}", ";", ":", ",", ".", "=", "+", "-", "<"]
 
 
@@ -319,28 +322,15 @@ class Parser:
             e = ast.Seq(first, e, pos=first.pos)
         return e
 
-    def expr(self) -> ast.Expr:
-        return self.expr_and()
-
-    def expr_and(self) -> ast.Expr:
-        e = self.expr_cmp()
-        while self.at("&&"):
-            pos = self.next().pos
-            e = ast.BinOp("&&", e, self.expr_cmp(), pos=pos)
-        return e
-
-    def expr_cmp(self) -> ast.Expr:
-        e = self.expr_add()
-        while self.at("==") or self.at("<"):
+    def expr(self, level: int = 0) -> ast.Expr:
+        """The operators of LEVELS[level:] over postfix operands, each level
+        left-associative."""
+        if level == len(LEVELS):
+            return self.expr_postfix()
+        e = self.expr(level + 1)
+        while self.peek().kind == "punct" and self.peek().text in LEVELS[level]:
             op = self.next()
-            e = ast.BinOp(op.text, e, self.expr_add(), pos=op.pos)
-        return e
-
-    def expr_add(self) -> ast.Expr:
-        e = self.expr_postfix()
-        while self.at("+") or self.at("-"):
-            op = self.next()
-            e = ast.BinOp(op.text, e, self.expr_postfix(), pos=op.pos)
+            e = ast.BinOp(op.text, e, self.expr(level + 1), pos=op.pos)
         return e
 
     def expr_postfix(self) -> ast.Expr:

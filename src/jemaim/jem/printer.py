@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from . import ast
+from .parser import LEVELS
 
 
 def render_type(t: ast.JemType) -> str:
@@ -61,8 +62,7 @@ def render_expr(e: ast.Expr) -> str:
     raise ValueError(f"unprintable {type(e).__name__}")
 
 
-# the parser's precedence levels, loosest first: `&&`, then `==`/`<`, then `+`/`-`
-LEVEL = {"&&": 0, "==": 1, "<": 1, "+": 2, "-": 2}
+LEVEL = {op: level for level, ops in enumerate(LEVELS) for op in ops}
 
 
 def _render_binop(e: ast.BinOp) -> str:
@@ -104,7 +104,6 @@ def render_component(comp: ast.JemComponent) -> str:
         for io in c.import_objects:
             out.append(f"obj-decl {io.name} : {io.cname};")
         out.append(f"class {c.name} {{")
-        params = ", ".join(f"{f} : {render_type(t)}" for f, t in c.field_types.items())
         inits = " ".join(f"this.{f} = {f};" for f in c.field_types)
         ctor_params = ", ".join(f"{f}:{render_type(t)}" for f, t in c.field_types.items())
         out.append(f"  {c.name}({ctor_params}){{ {inits} }}")

@@ -639,3 +639,36 @@ class TestUnpluggableContext:
         other = parse_ok(README_PAIR.replace("object o :", "object p :"))
         with pytest.raises(PlugFailure, match="the second component"):
             verify_witness(w.context, c1, other)
+
+
+HYPHENATED_PAIR = """
+class-decl an-io { ping : an-io(Int)->Int };
+obj-decl the-io : an-io;
+class my-cell {
+  my-cell(){}
+  public get-it() : my-cell()->Int { return the-io.ping(1) + @@; }
+};
+object a-cell : my-cell { };
+"""
+
+
+@pytest.mark.parametrize("order", ["fwd", "rev"])
+def test_hyphenated_names_through_the_witness_library(order):
+    """Class, interface and object names with `-` are substituted into the
+    witness's fixed classes (listof-T, head-T, addObject-T ...) and still give a
+    well-typed witness that prints, parses back and tells the sides apart."""
+    c1, c2 = parse_ok(HYPHENATED_PAIR.replace("@@", "1")), parse_ok(HYPHENATED_PAIR.replace("@@", "2"))
+    if order == "rev":
+        c1, c2 = c2, c1
+    img1, img2 = compaim(c1), compaim(c2)
+    r = trace_equiv(img1, img2, depth=3)
+    assert not r.equivalent
+    w = algo(c1, c2, r.t1, r.t2, image=img1, image2=img2)
+    assert w.emulation_failed is None
+    assert typecheck(w.context) == []
+    text = render_component(w.context)
+    for name in ("class listof-my-cell", "head-an-io", "addObject-my-cell(a-cell, 1)", "createNew-an-io"):
+        assert name in text
+    assert render_component(parse_component(text)) == text
+    v = verify_witness(w.context, c1, c2, fuel=10**6)
+    assert v.distinguishing, f"{v.first!r} vs {v.second!r}"
