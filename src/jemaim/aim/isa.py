@@ -41,6 +41,7 @@ PRIVILEGED = {name for name, (op, _) in OPTABLE.items() if op >= 64}
 
 MAX_REG = 4096
 ZF, SF = 0, 1  # flag indices: zero, sign
+FLAGS = (ZF, SF)
 MAX_FLAG = SF
 
 

@@ -5,6 +5,15 @@ A machine state carries the program counter, an unbounded register file
 and a nonce oracle. Stepping applies exactly one rule; any access-control
 failure terminates the run as a Violation, an undecodable word as Stuck.
 
+An instruction decodes to an entry ``(handler, name, fall-through address,
+module, *operands)``: its `HANDLERS` method, which moves pc to the fall-through
+unless it jumps, and the descriptor whose code section holds it (else None).
+Entries in protected code are cached per pc, in a dict that clones share. That
+is sound as no rule writes protected code: `access.write_allowed` needs the
+writer's own `data_range` for a protected target, and the privileged ops write
+only sys's call-depth word, in its data. Unprotected memory, and a data section
+reached by falling off the code, are decoded afresh on every step.
+
 The masking tables, the global store G and the global call stack S are
 side-state manipulated only through the privileged opcodes; no other
 instruction can observe them.
@@ -12,6 +21,7 @@ instruction can observe them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from ..compiler.encoding import (
     CLASS_ENC_BASE,
@@ -25,7 +35,7 @@ from ..compiler.encoding import (
     V_UNIT,
 )
 from . import access
-from .isa import SF, ZF, decode
+from .isa import FLAGS, OPTABLE, SF, ZF, Instr, decode
 from .words import MASK64, Address, Descriptor, Nonce, NonceOracle, Symbol, Word
 
 # the register in which a call leaves the caller's module id
@@ -55,13 +65,21 @@ class MachineState:
     descs: list[Descriptor]
     oracle: NonceOracle
     regs: dict[int, Word] = field(default_factory=dict)
-    flags: dict[int, int] = field(default_factory=lambda: {ZF: 0, SF: 0})
+    flags: dict[int, int] | None = None  # None: cleared by __post_init__
     masks: dict[int, MaskingTable] = field(default_factory=dict)
     gstore: dict[Word, tuple[Word, Word]] = field(default_factory=dict)
     callstack: list[tuple[Word, Word, Word]] = field(default_factory=list)
     sys_depth_addr: Address | None = None
     _last_op: str | None = field(default=None, repr=False)  # tells the zero;halt abort from halt
-    _icache: dict = field(default_factory=dict, repr=False)
+    _icache: dict = field(default_factory=dict, repr=False)  # pc -> entry, shared by clones
+    _mods: dict = field(default_factory=dict, repr=False)  # module id -> descriptor, shared by clones
+
+    def __post_init__(self):
+        if self.flags is None:
+            self.reset_flags()
+
+    def reset_flags(self):
+        self.flags = dict.fromkeys(FLAGS, 0)
 
     def reg(self, i: int) -> Word:
         return self.regs.get(i, 0)
@@ -91,101 +109,116 @@ class MachineState:
             sys_depth_addr=self.sys_depth_addr,
             _last_op=self._last_op,
             _icache=self._icache,
+            _mods=self._mods,
         )
 
     # -- decoding ---------------------------------------------------------
 
-    def current_module(self) -> Descriptor | None:
-        return access.find_module(self.descs, self.pc)
+    def module(self, mid: int) -> Descriptor | None:
+        """The descriptor of module `mid`, or None; each id is found in `descs` once."""
+        s = self._mods.get(mid)
+        if s is None and mid != 0:
+            s = access.find_module(self.descs, Address(mid, 0))
+            if s is not None:
+                self._mods[mid] = s
+        return s
 
-    def peek(self):
-        """Decode the instruction at pc, or None when the state is stuck.
-
-        Protected code sections are immutable at run time (no write rule
-        reaches them), so their decodings are cached."""
+    def _decode(self):
+        """The entry of the instruction at pc, or None when it is undecodable.
+        Privileged opcodes decode, and entries are cached, only in protected code."""
         pc = self.pc
-        if pc.mid != 0:
-            hit = self._icache.get(pc)
-            if hit is not None:
-                return hit
-        s = self.current_module()
-        priv = s is not None and access.code_range(s, pc)
-        mid = pc.mid
+        mid, off = pc
+        s = self.module(mid)
+        if s is not None and not access.code_range(s, pc):
+            s = None
+        mem = self.mem
+        i = decode(lambda o: mem.get((mid, o), 0), off, s is not None)
+        if i is None:
+            return None
+        e = (HANDLERS[i.name], i.name, Address(mid, off + i.width), s, *i.ops)
+        if s is not None:
+            self._icache[pc] = e
+        return e
 
-        def read(off):
-            return self.mem.get(Address(mid, off), 0)
-
-        out = decode(read, pc.off, priv)
-        if priv:
-            self._icache[pc] = out
-        return out
+    def peek(self) -> Instr | None:
+        """The instruction at pc, or None when the state is stuck: rebuilt from
+        the cached entry in protected code, decoded afresh elsewhere."""
+        e = self._icache.get(self.pc) or self._decode()
+        return None if e is None else Instr(e[1], e[4:])
 
     # -- stepping ---------------------------------------------------------
 
     def step(self):
-        """Apply one rule. Returns ('ok',reason) | ('halted',r) | ('violation',r) | ('stuck',r)."""
-        instr = self.peek()
-        if instr is None:
+        """Apply one rule. Returns ('ok',None) | ('halted',r) | ('violation',r) | ('stuck',r).
+        At a cached pc that is one dict lookup and one handler call."""
+        e = self._icache.get(self.pc) or self._decode()
+        if e is None:
             return ("stuck", f"undecodable at {self.pc}")
-        out = getattr(self, f"_op_{instr.name}")(instr)
-        self._last_op = instr.name
-        return out
-
-    def _advance(self, width: int):
-        self.pc = Address(self.pc.mid, self.pc.off + width)
-        return ("ok", None)
+        out = e[0](self, e)
+        self._last_op = e[1]
+        return out or ("ok", None)
 
     def _abort(self, reason: str):
         # abort: all registers and flags reset, then halt
         self.regs.clear()
-        self.flags = {ZF: 0, SF: 0}
+        self.reset_flags()
         return ("halted", f"abort:{reason}")
 
-    def _op_movi(self, i):
-        self.set_reg(i.ops[0], i.ops[1])
-        return self._advance(i.width)
+    def _op_movi(self, e):
+        _, _, nxt, _, rd, w = e
+        if w == 0:
+            self.regs.pop(rd, None)
+        else:
+            self.regs[rd] = w
+        self.pc = nxt
 
-    def _op_movl(self, i):
-        rd, rs, ri = i.ops
-        mid, off = self.reg(rs), self.reg(ri)
+    def _op_movl(self, e):
+        _, _, nxt, s, rd, rs, ri = e
+        regs = self.regs
+        mid, off = regs.get(rs, 0), regs.get(ri, 0)
         if not (isinstance(mid, int) and isinstance(off, int)):
             return ("violation", "bad load address")
-        tgt = Address(mid, off)
-        if not access.read_allowed(self.descs, self.pc, tgt):
-            return ("violation", f"read denied {self.pc}->{tgt}")
-        self.set_reg(rd, self.mem.get(tgt, 0))
-        return self._advance(i.width)
+        # from s's code section, read_allowed admits unprotected memory and s's own memory
+        if s is not None:
+            ok = off >= 0 and (mid == 0 or mid == s.mid)
+        else:
+            ok = access.read_allowed(self.descs, self.pc, Address(mid, off))
+        if not ok:
+            return ("violation", f"read denied {self.pc}->{Address(mid, off)}")
+        self.set_reg(rd, self.mem.get((mid, off), 0))  # a plain tuple finds an Address key
+        self.pc = nxt
 
-    def _op_movs(self, i):
-        rd, rs, ri = i.ops
-        mid, off = self.reg(rd), self.reg(ri)
+    def _op_movs(self, e):
+        _, _, nxt, s, rd, rs, ri = e
+        regs = self.regs
+        mid, off = regs.get(rd, 0), regs.get(ri, 0)
         if not (isinstance(mid, int) and isinstance(off, int)):
             return ("violation", "bad store address")
-        tgt = Address(mid, off)
-        if not access.write_allowed(self.descs, self.pc, tgt):
-            return ("violation", f"write denied {self.pc}->{tgt}")
-        self.mem[tgt] = self.reg(rs)
-        return self._advance(i.width)
+        # from s's code section, write_allowed admits unprotected memory and s's data section
+        if s is not None:
+            ok = off >= 0 and (mid == 0 or (mid == s.mid and off >= s.code_len))
+        else:
+            ok = access.write_allowed(self.descs, self.pc, Address(mid, off))
+        if not ok:
+            return ("violation", f"write denied {self.pc}->{Address(mid, off)}")
+        self.mem[Address(mid, off)] = self.reg(rs)
+        self.pc = nxt
 
     def _arith(self, w: Word):
-        if isinstance(w, int):
-            return w
-        if isinstance(w, Nonce):
-            return 0
-        return None
+        return w if isinstance(w, int) else 0 if isinstance(w, Nonce) else None
 
-    def _op_add(self, i):
-        rd, rs = i.ops
+    def _op_add(self, e):
+        _, _, nxt, _, rd, rs = e
         vd, vs = self._arith(self.reg(rd)), self._arith(self.reg(rs))
         if vd is None or vs is None:
             return ("violation", "symbol in arithmetic")
         v = (vd + vs) & MASK64
         self.set_reg(rd, v)
         self.flags[ZF] = 1 if v == 0 else 0
-        return self._advance(i.width)
+        self.pc = nxt
 
-    def _op_sub(self, i):
-        rd, rs = i.ops
+    def _op_sub(self, e):
+        _, _, nxt, _, rd, rs = e
         vd, vs = self._arith(self.reg(rd)), self._arith(self.reg(rs))
         if vd is None or vs is None:
             return ("violation", "symbol in arithmetic")
@@ -193,15 +226,15 @@ class MachineState:
         self.set_reg(rd, abs(v) & MASK64)
         self.flags[ZF] = 1 if v == 0 else 0
         self.flags[SF] = 1 if v < 0 else 0
-        return self._advance(i.width)
+        self.pc = nxt
 
-    def _op_cmp(self, i):
-        rd, rs = i.ops
+    def _op_cmp(self, e):
+        _, _, nxt, _, rd, rs = e
         self.flags[ZF] = 1 if self.reg(rd) == self.reg(rs) else 0
-        return self._advance(i.width)
+        self.pc = nxt
 
-    def _op_jmp(self, i):
-        rd, ri = i.ops
+    def _op_jmp(self, e):
+        _, _, _, _, rd, ri = e
         off, mid = self.reg(rd), self.reg(ri)
         if not (isinstance(mid, int) and isinstance(off, int)):
             return ("violation", f"unresolvable jump target ({mid},{off})")
@@ -210,56 +243,53 @@ class MachineState:
             return ("violation", f"jump denied {self.pc}->{tgt}")
         self.set_reg(R_CALLER, self.pc.mid)
         self.pc = tgt
-        return ("ok", None)
 
-    def _op_je(self, i):
-        rd, fi = i.ops
-        if self.flags[fi] == 1:
-            off = self.reg(rd)
-            if not isinstance(off, int):
-                return ("violation", "bad branch offset")
+    def _op_je(self, e):
+        _, _, nxt, _, rd, fi = e
+        off = self.reg(rd)
+        if self.flags[fi] != 1:
+            self.pc = nxt
+        elif isinstance(off, int):
             self.pc = Address(self.pc.mid, off)
-            return ("ok", None)
-        return self._advance(i.width)
+        else:
+            return ("violation", "bad branch offset")
 
-    def _op_zero(self, i):
+    def _op_zero(self, e):
         self.regs.clear()
-        return self._advance(i.width)
+        self.pc = e[2]
 
-    def _op_new(self, i):
-        self.set_reg(i.ops[0], self.oracle.fresh())
-        return self._advance(i.width)
+    def _op_new(self, e):
+        self.set_reg(e[4], self.oracle.fresh())
+        self.pc = e[2]
 
-    def _op_halt(self, i):
+    def _op_halt(self, e):
         # the zero;halt sequence in protected code is the abort idiom
-        if self._last_op == "zero" and self.current_module() is not None:
+        if self._last_op == "zero" and self.module(self.pc.mid) is not None:
             return ("halted", "abort:check")
         return ("halted", "halt")
 
-    # -- privileged scaffolding ops ---------------------------------------
+    # -- privileged scaffolding ops: their entries name the running module --
 
-    def _op_tbl_get(self, i):
+    def _op_tbl_get(self, e):
         # load direction only: a mask resolves to its internal id; anything
         # else (a raw Nat, null, an unknown nonce) aborts, so internal offsets
         # cannot be laundered into valid ids
-        rd, ri = i.ops
+        _, _, nxt, _, rd, ri = e
         t = self.table(self.pc.mid)
         k = self.reg(ri)
-        if isinstance(k, Nonce) and k in t.rev:
-            self.set_reg(rd, t.rev[k])
-        else:
+        if not (isinstance(k, Nonce) and k in t.rev):
             return self._abort("masking-table-miss")
-        return self._advance(i.width)
+        self.set_reg(rd, t.rev[k])
+        self.pc = nxt
 
-    def _op_tbl_add(self, i):
+    def _op_tbl_add(self, e):
         # release direction: an internal object id is ensured a mask, globally
         # registered, and the register is replaced by the mask; other words
         # (masks, null, primitives) pass through untouched
-        (ri,) = i.ops
-        mid = self.pc.mid
+        _, _, nxt, s, ri = e
+        mid = s.mid
         w = self.reg(ri)
-        s = self.current_module()
-        if isinstance(w, int) and s is not None and w >= s.code_len:
+        if isinstance(w, int) and w >= s.code_len:
             cls = self.mem.get(Address(mid, w), 0)
             if isinstance(cls, int) and cls >= CLASS_ENC_BASE:
                 t = self.table(mid)
@@ -270,21 +300,21 @@ class MachineState:
                         return self._abort("gstore-duplicate")
                     self.gstore[mask] = (cls, mid)
                 self.set_reg(ri, t.fwd[w])
-        return self._advance(i.width)
+        self.pc = nxt
 
     def _sync_depth(self):
         if self.sys_depth_addr is not None:
             self.mem[self.sys_depth_addr] = len(self.callstack)
 
-    def _op_stk_push(self, i):
-        ra, rb, rc = i.ops
+    def _op_stk_push(self, e):
+        _, _, nxt, _, ra, rb, rc = e
         self.callstack.append((self.reg(ra), self.reg(rb), self.reg(rc)))
         self._sync_depth()
-        self.flags = {ZF: 0, SF: 0}
-        return self._advance(i.width)
+        self.reset_flags()
+        self.pc = nxt
 
-    def _op_stk_pop(self, i):
-        ra, rb, rc = i.ops
+    def _op_stk_pop(self, e):
+        _, _, nxt, _, ra, rb, rc = e
         if not self.callstack:
             return self._abort("callstack-empty")
         x, y, z = self.callstack.pop()
@@ -294,57 +324,64 @@ class MachineState:
         self.set_reg(rb, y)
         self.set_reg(rc, z)
         self._sync_depth()
-        self.flags = {ZF: 0, SF: 0}
-        return self._advance(i.width)
+        self.reset_flags()
+        self.pc = nxt
 
-    def _op_gst_test(self, i):
-        rd, rm, rc = i.ops
+    def _op_gst_test(self, e):
+        _, _, nxt, _, rd, rm, rc = e
         k = self.reg(rm)
         if k not in self.gstore:
             return self._abort("gstore-missing")
         enc, _owner = self.gstore[k]
         self.set_reg(rd, 0 if enc == self.reg(rc) else 1)
-        return self._advance(i.width)
+        self.pc = nxt
 
-    def _op_gst_add(self, i):
-        rm, rc = i.ops
+    def _op_gst_add(self, e):
+        _, _, nxt, _, rm, rc = e
         k = self.reg(rm)
         if k in self.gstore:
             return self._abort("gstore-duplicate")
         self.gstore[k] = (self.reg(rc), self.reg(R_CALLER))
-        return self._advance(i.width)
+        self.pc = nxt
 
-    def _op_tychk(self, i):
-        rv, rt = i.ops
-        w, enc = self.reg(rv), self.reg(rt)
+    def _op_tychk(self, e):
+        _, _, nxt, _, rv, rt = e
+        failed = self._typecheck(self.reg(rv), self.reg(rt))
+        if failed:
+            return self._abort(failed)
+        self.pc = nxt
+
+    def _typecheck(self, w: Word, enc: Word) -> str | None:
+        """None when `w` has the type encoded by `enc`, else the abort reason."""
         if enc == ENC_UNIT:
-            return self._advance(i.width) if w == V_UNIT else self._abort("typecheck-unit")
+            return None if w == V_UNIT else "typecheck-unit"
         if enc == ENC_BOOL:
-            return self._advance(i.width) if w in (V_TRUE, V_FALSE) else self._abort("typecheck-bool")
+            return None if w in (V_TRUE, V_FALSE) else "typecheck-bool"
         if enc == ENC_INT:
-            return self._advance(i.width)
+            return None
         if enc == ENC_OBJ:
             if w == V_NULL or (isinstance(w, Nonce) and w in self.gstore):
-                return self._advance(i.width)
-            return self._abort("typecheck-obj")
+                return None
+            return "typecheck-obj"
         if isinstance(enc, int) and enc >= CLASS_ENC_BASE:
             if w == V_NULL:
-                return self._advance(i.width)
+                return None
             if isinstance(w, Nonce):
                 if w not in self.gstore:
-                    return self._abort("typecheck-unknown-id")
-                if self.gstore[w][0] != enc:
-                    return self._abort("typecheck-class")
-                return self._advance(i.width)
+                    return "typecheck-unknown-id"
+                return None if self.gstore[w][0] == enc else "typecheck-class"
             if isinstance(w, int):
                 # a Nat is an object only as an internal id this module has masked
                 # (what tbl_get yields); any other Nat, say an offset into the
                 # signature table, is forged
                 if w in self.table(self.pc.mid).fwd and self.mem.get(Address(self.pc.mid, w), 0) == enc:
-                    return self._advance(i.width)
-                return self._abort("typecheck-class")
-            return self._abort("typecheck-class")
-        return self._abort("typecheck-bad-encoding")
+                    return None
+            return "typecheck-class"
+        return "typecheck-bad-encoding"
+
+
+# opcode name -> handler, built once from the opcode table and read-only
+HANDLERS = MappingProxyType({name: getattr(MachineState, f"_op_{name}") for name in OPTABLE})
 
 
 def run_state(state: MachineState, fuel: int):

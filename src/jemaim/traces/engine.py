@@ -104,7 +104,7 @@ class ComponentTracer:
         """Run a clone of `state` from `pc` with only `regs` set: (forwarded, reply, next state)."""
         st = state.clone()
         st.regs = {}
-        st.flags = {0: 0, 1: 0}
+        st.reset_flags()
         for i, w in regs.items():
             st.set_reg(i, w)
         st.pc = pc

@@ -7,6 +7,12 @@ from jemaim.aim import access
 from jemaim.aim.isa import Assembler, decode, encode, ins
 from jemaim.aim.machine import SF, ZF, MachineState, run_state
 from jemaim.aim.words import N_W, Address, Descriptor, Nonce, NonceOracle, Symbol
+from jemaim.compiler.pipeline import compaim, run_aim
+from jemaim.jem.parser import parse_component
+from jemaim.traces.actions import FuelExceeded, Tick
+from jemaim.traces.engine import RESUME_PAD, ComponentTracer
+
+from corpus import INEQUIVALENT_PAIRS, WHOLE_PROGRAMS
 
 
 def load_words(mem, mid, base, words):
@@ -244,3 +250,123 @@ class TestDeterminismAndIsolation:
             st.mem.update(protected)
             run_state(st, 200)
             assert all(st.mem[a] == 7 for a in protected)
+
+
+# Module 2 runs the instruction under test; module 3 is the other module.
+GRID_DESCS = [Descriptor(2, 64, 2), Descriptor(3, 64, 2)]
+# where the instruction sits: own code (a cached pc), unprotected memory, and
+# module 2's data section, reached by falling off the end of its code
+GRID_SOURCES = {"own code": Address(2, 20), "unprotected": Address(0, 20), "own data": Address(2, 64)}
+GRID_TARGETS = [
+    (2, 5), (2, 63), (2, 64), (2, 100),  # own code and own data
+    (3, 5), (3, 0), (3, 16), (3, 32), (3, 100),  # other code, its entry points, its data
+    (0, 7),  # unprotected memory
+    (0, -1), (2, -1), (3, -16),  # negative offsets
+    (Symbol("m"), 16), (3, Symbol("o")), (Nonce("n", 0), 0), (0, Nonce("n", 1)),
+]
+# instruction words with r2 = target module id and r3 = target offset, and the
+# predicate that decides whether it may run
+GRID_OPS = {
+    "movl": (encode(ins("movl", 1, 2, 3)), access.read_allowed),
+    "movs": (encode(ins("movs", 2, 1, 3)), access.write_allowed),
+    "jmp": (encode(ins("jmp", 3, 2)), access.valid_jump),
+}
+
+
+class TestMachineAgreesWithPredicates:
+    @pytest.mark.parametrize("op", sorted(GRID_OPS))
+    @pytest.mark.parametrize("source", sorted(GRID_SOURCES))
+    def test_grid(self, op, source):
+        words, allowed = GRID_OPS[op]
+        pc = GRID_SOURCES[source]
+        for mid, off in GRID_TARGETS:
+            # a movi just before the instruction, so that the data-section pc is
+            # reached by falling off the code
+            st = machine(encode(ins("movi", 9, 9)) + words, descs=GRID_DESCS, pc=(pc.mid, pc.off - 3))
+            st.set_reg(1, 5)
+            st.set_reg(2, mid)
+            st.set_reg(3, off)
+            assert st.step() == ("ok", None) and st.pc == pc
+            expected = "ok" if allowed(GRID_DESCS, pc, Address(mid, off)) else "violation"
+            assert st.step()[0] == expected, (op, source, (mid, off))
+            assert (pc in st._icache) == (source == "own code")
+
+
+class TestDecodeCache:
+    def test_unprotected_code_runs_what_it_wrote(self):
+        # offsets 0-12 overwrite the immediate of `movi 5, 1` at 13 with 42
+        prog = (
+            encode(ins("movi", 1, 0))
+            + encode(ins("movi", 2, 15))
+            + encode(ins("movi", 3, 42))
+            + encode(ins("movs", 1, 3, 2))
+            + encode(ins("movi", 5, 1))
+            + encode(ins("halt"))
+        )
+        st = machine(prog)
+        st.pc = Address(0, 13)
+        assert st.peek() == ins("movi", 5, 1)  # decoded before the write
+        st.pc = Address(0, 0)
+        before = st.clone()
+        unwritten = st.clone()
+        assert run_state(st, 20)[0] == "halted" and st.reg(5) == 42
+        assert run_state(before, 20)[0] == "halted" and before.reg(5) == 42
+        unwritten.pc = Address(0, 13)  # skips the write: its memory is unchanged
+        assert run_state(unwritten, 20)[0] == "halted" and unwritten.reg(5) == 1
+
+    def test_privileged_op_in_protected_data_is_stuck(self):
+        st = machine(encode(ins("stk_push", 1, 2, 3)), descs=GRID_DESCS, pc=(2, 64))
+        assert st.peek() is None
+        assert st.step()[0] == "stuck"
+        assert not st.callstack and not st._icache
+
+    def test_load_from_protected_data_is_denied(self):
+        st = machine(encode(ins("movl", 1, 2, 3)), descs=GRID_DESCS, pc=(2, 70))
+        st.set_reg(2, 2)
+        st.set_reg(3, 100)
+        kind, reason, _, _ = run_state(st, 10)
+        assert kind == "violation" and reason.startswith("read denied")
+
+
+class TestOneStepCallPerStep:
+    @pytest.fixture
+    def step_calls(self, monkeypatch):
+        calls = [0]
+        step = MachineState.step
+
+        def counted(self):
+            calls[0] += 1
+            return step(self)
+
+        monkeypatch.setattr(MachineState, "step", counted)
+        return calls
+
+    def test_run_state(self, step_calls):
+        total = 0
+        for src in WHOLE_PROGRAMS.values():
+            step_calls[0] = 0
+            r = run_aim(compaim(parse_component(src)), seed=1, fuel=300_000)
+            assert step_calls[0] == r.steps
+            if r.kind == "halted" and not r.aborted:
+                total += r.steps
+        assert total == 12_176  # the terminating corpus, as perfbench counts it
+
+    def test_component_tracer_run(self, step_calls):
+        img = compaim(parse_component(INEQUIVALENT_PAIRS["length-divergence"][0]))
+        tracer = ComponentTracer(img, segment_fuel=500)
+        [(_, mask)] = list(img.table.eo.items())
+        [spin] = [a for s, a in img.table.em.items() if s.name == "spin"]
+        seg = tracer.call_method(tracer.initial(), spin, mask, ())
+        assert isinstance(seg.reply, FuelExceeded) and step_calls[0] == 500
+
+        # a direct poke aborts: as many calls as run_state takes from that state
+        step_calls[0] = 0
+        seg = tracer.poke(tracer.initial(), spin, {})
+        assert isinstance(seg.reply, Tick)
+        poked = step_calls[0]
+        st = tracer.initial()
+        st.set_reg(5, RESUME_PAD)
+        st.pc = spin
+        step_calls[0] = 0
+        _, _, _, steps = run_state(st, 500)
+        assert poked == steps == step_calls[0] and steps > 1
