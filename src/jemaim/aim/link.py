@@ -1,26 +1,20 @@
-"""Symbol tables, module/program images, compatibility and the merge algebra."""
+"""Symbol tables, module/program images, compatibility and the merge algebra.
+
+Link keys are jem signatures: a module exports and requires methods under
+`MethodSig` (jem/ast.py), whose types are names, and fulfilment matches all
+four parts. Objects are keyed by name and class name (`ObjKey`).
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+from ..jem.ast import MethodSig
 from .words import Address, Descriptor, Nonce, Symbol, Word
 
 
 class LinkError(Exception):
     pass
-
-
-class MethodSig(NamedTuple):
-    """Structural method signature: fulfillment matches on all four parts."""
-
-    name: str
-    recv: str
-    params: tuple[str, ...]
-    ret: str
-
-    def render(self) -> str:
-        return f"{self.name} : {self.recv}({','.join(self.params)})->{self.ret}"
 
 
 class ObjKey(NamedTuple):

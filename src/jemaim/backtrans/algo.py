@@ -10,11 +10,12 @@ do-nothing context is the witness, and the failed rule is reported.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from ..compiler.pipeline import compaim
 from ..jem import ast
-from ..jem.compat import EMPTY, plug
+from ..jem.compat import EMPTY, plug, plug_errors
 from ..jem.interp import DEFAULT_FUEL, run
 from ..traces.equiv import first_divergence
 from .diff import diff
@@ -65,12 +66,15 @@ class PlugFailure(Exception):
 
 def verify_witness(context: ast.JemComponent, c1: ast.JemComponent, c2: ast.JemComponent, fuel: int = DEFAULT_FUEL) -> Verdict:
     """Run the plugged pairs and report the termination/divergence verdicts.
-    Raises PlugFailure, naming the side, when the context does not plug into
-    a component: the empty program would terminate on both sides."""
+    Raises PlugFailure, naming the side and the first reason, when the context
+    does not plug into a component: the empty program would terminate on both
+    sides. A diagnostic's line:col is dropped: it points into the parsed
+    template text, not into the rendered witness."""
     wholes = []
     for side, c in (("first", c1), ("second", c2)):
         whole = plug(context, c)
         if whole is EMPTY:
-            raise PlugFailure(f"the context does not plug into the {side} component (incompatible or ill-typed)")
+            reason = re.sub(r"^\d+:\d+: ", "", plug_errors(context, c)[0])
+            raise PlugFailure(f"the context does not plug into the {side} component: {reason}")
         wholes.append(whole)
     return Verdict(run(wholes[0], fuel), run(wholes[1], fuel))

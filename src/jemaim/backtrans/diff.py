@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from ..jem import ast
 from ..traces.actions import CallOut, FuelExceeded, ReturnOut, Tick
-from .emulate import EmulState, Fail, emulate_value, method_knowledge
+from .emulate import EmulState, Fail, arg_word, emulate_value, method_knowledge
 from .skel import diverge, param, retvar
 
 
@@ -48,7 +48,7 @@ def diff(a1, a2, st: EmulState):
         """The context method that runs next when the component performs `action`."""
         if isinstance(action, CallOut):
             sig = method_knowledge(st, action.addr)
-            return (str(sig.recv), sig.name)
+            return (sig.recv, sig.name)
         return st.here()
 
     absent = (FuelExceeded, type(None))
@@ -75,8 +75,7 @@ def diff(a1, a2, st: EmulState):
             st.open_block(at(a1), [_value_probe(a1.regs[6], a2.regs[6], sig.recv, st, ast.This())])
             return
         for j, pt in enumerate(sig.params):
-            w1 = a1.regs[7 + j] if 7 + j < len(a1.regs) else 0
-            w2 = a2.regs[7 + j] if 7 + j < len(a2.regs) else 0
+            w1, w2 = arg_word(a1.regs, j), arg_word(a2.regs, j)
             if w1 != w2:
                 st.open_block(at(a1), [_value_probe(w1, w2, pt, st, ast.Var(param(j)))])
                 return

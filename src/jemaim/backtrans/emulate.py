@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from ..aim.words import FORWARDCALL_EP, FORWARDRETURN_EP, REGISTEROBJ_EP, SYS_ID, TESTOBJ_EP
 from ..compiler.encoding import V_FALSE, V_NULL, V_TRUE, V_UNIT, encode_class
 from ..jem import ast
-from ..jem.ast import T_BOOL, T_INT, T_OBJ, T_UNIT, JemType, t_class
+from ..jem.ast import T_BOOL, T_INT, T_OBJ, T_UNIT
 from ..traces.actions import CallIn, CallOut, ReturnIn, ReturnOut, Tick
 from .interface import Interface
 from .skel import (
@@ -54,7 +54,7 @@ class Fail(Exception):
 class Frame:
     caller: object  # id word of the module that performed the call
     callee: object  # id word expected to answer (0 = the environment)
-    ret_t: JemType
+    ret_t: str
     method: tuple  # context method holding the call's code
     block: int  # index of the action that opened that block
 
@@ -63,7 +63,7 @@ class Frame:
 class EmulState:
     iface: Interface
     i: int = 0
-    V: dict = field(default_factory=dict)  # id -> (JemType, registry number)
+    V: dict = field(default_factory=dict)  # id -> (type, registry number)
     R: dict = field(default_factory=dict)  # id -> registered class encoding
     frames: list = field(default_factory=list)
     code: dict = field(default_factory=dict)  # (class, method) -> MethodCode
@@ -72,7 +72,7 @@ class EmulState:
     def __post_init__(self):
         # statically known objects carry the numbers skel's prelude registers
         for _name, cls, word, idx in self.iface.exported_objects + self.iface.required_objects:
-            self.V[word] = (t_class(cls), idx)
+            self.V[word] = (cls, idx)
             self.named = idx
 
     def here(self) -> tuple:
@@ -80,7 +80,7 @@ class EmulState:
         callback, else Helper.main."""
         return next((f.method for f in reversed(self.frames) if f.callee == 0), MAIN)
 
-    def number(self, w, t: JemType) -> int:
+    def number(self, w, t: str) -> int:
         """Give a newly seen id the next registry number."""
         self.named += 1
         self.V[w] = (t, self.named)
@@ -105,7 +105,13 @@ def integer_for(w):
     return 0
 
 
-def emulate_value(w, t: JemType, st: EmulState):
+def arg_word(regs, j: int):
+    """The word a call passes as parameter j: register 7 + j, or 0 when the
+    action records fewer registers."""
+    return regs[7 + j] if 7 + j < len(regs) else 0
+
+
+def emulate_value(w, t: str, st: EmulState):
     """A source expression denoting w at type t, or Fail."""
     iface = st.iface
     if t == T_UNIT:
@@ -137,9 +143,9 @@ def emulate_value(w, t: JemType, st: EmulState):
         cname = iface.class_of_encoding(enc)
         if cname is None or cname not in iface.external_classes:
             raise Fail("value-unmakeable")
-        if t != T_OBJ and encode_class(t.cname) != enc:
+        if t != T_OBJ and encode_class(t) != enc:
             raise Fail("value-class-mismatch")
-        return create_new(cname, st.number(w, t_class(cname)))
+        return create_new(cname, st.number(w, cname))
     raise Fail("value-unknown-internal")
 
 
@@ -195,8 +201,7 @@ def _emulate_call_in(a: CallIn, st: EmulState):
     exprs = [incr_step(), ast.VarDecl(recv_var(st.i), sig.recv, recv_e)]
     arg_vars = []
     for j, pt in enumerate(sig.params):
-        w = regs[7 + j] if 7 + j < len(regs) else 0
-        e = emulate_value(w, pt, st)
+        e = emulate_value(arg_word(regs, j), pt, st)
         name = arg_var(st.i, j)
         exprs.append(ast.VarDecl(name, pt, e))
         arg_vars.append(ast.Var(name))
@@ -227,7 +232,7 @@ def _emulate_regobj(a: CallIn, st: EmulState):
     _context_call(st, exprs, SYS_ID, T_UNIT)
 
 
-def _context_call(st: EmulState, exprs: list, callee, ret_t: JemType):
+def _context_call(st: EmulState, exprs: list, callee, ret_t: str):
     """The context makes a call as action i: its block opens in here()."""
     here = st.here()
     st.open_block(here, exprs)
@@ -249,11 +254,10 @@ def _emulate_return_in(a: ReturnIn, st: EmulState):
 
 def _emulate_call_out(a: CallOut, st: EmulState):
     sig = method_knowledge(st, tuple(a.addr))
-    stub_method = (str(sig.recv), sig.name)
+    stub_method = (sig.recv, sig.name)
     exprs = [incr_step()]
     for j, pt in enumerate(sig.params):
-        w = a.regs[7 + j] if 7 + j < len(a.regs) else 0
-        exprs += _registration(st, w, pt, ast.Var(param(j)))
+        exprs += _registration(st, arg_word(a.regs, j), pt, ast.Var(param(j)))
     st.open_block(stub_method, exprs)
     st.frames.append(Frame(a.addr[0], 0, sig.ret, stub_method, st.i))
 
@@ -265,7 +269,7 @@ def _emulate_return_out(a: ReturnOut, st: EmulState):
     st.nest(frame, [incr_step(), *_registration(st, a.value, frame.ret_t, ast.Var(retvar(frame.block)))])
 
 
-def _registration(st: EmulState, w, t: JemType, e: ast.Expr) -> list:
+def _registration(st: EmulState, w, t: str, e: ast.Expr) -> list:
     """Code registering `e`, which holds the id w the component passed at type
     t, when that id is new and the context has a registry for it."""
     if isinstance(w, int) or w in st.V or not (st.iface.is_internal(t) or (t == T_OBJ and w not in st.R)):

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..aim.link import MethodSig as LinkSig
 from ..aim.words import SYS_ID
 from ..compiler.encoding import class_name_of_encoding
 from ..jem import ast
@@ -11,12 +10,6 @@ from ..jem import ast
 
 class ImportMismatch(Exception):
     """The two components differ in imports or class layout: trivially distinguishable."""
-
-
-def jem_sig(sig: LinkSig) -> ast.MethodSig:
-    return ast.MethodSig(
-        sig.name, ast.type_named(sig.recv), tuple(map(ast.type_named, sig.params)), ast.type_named(sig.ret)
-    )
 
 
 @dataclass
@@ -27,11 +20,11 @@ class Interface:
     exported_objects: list  # (name, class, canonical id, registry index)
     required_objects: list  # (name, class, "$symbol", registry index)
 
-    def is_internal(self, t: ast.JemType) -> bool:
-        return t.kind == "class" and t.cname in self.internal_classes
+    def is_internal(self, t: str) -> bool:
+        return t in self.internal_classes
 
-    def is_external(self, t: ast.JemType) -> bool:
-        return t.kind == "class" and t.cname in self.external_classes
+    def is_external(self, t: str) -> bool:
+        return t in self.external_classes
 
     def class_of_encoding(self, enc):
         """The internal or external class `enc` encodes, or None for any other word."""
@@ -54,10 +47,10 @@ def build_interface(c1: ast.JemComponent, c2: ast.JemComponent, image, image2) -
     methods = {}
     for sig, addr in image.table.em.items():
         if addr.mid != SYS_ID:
-            methods[(addr.mid, addr.off)] = jem_sig(sig)
+            methods[(addr.mid, addr.off)] = sig
     for img in (image, image2):
         for sig, iota, sigma in img.table.rm:
-            methods[(f"${iota.name}", f"${sigma.name}")] = jem_sig(sig)
+            methods[(f"${iota.name}", f"${sigma.name}")] = sig
 
     eo, idx = [], 1
     canon = {}
@@ -76,6 +69,6 @@ def build_interface(c1: ast.JemComponent, c2: ast.JemComponent, image, image2) -
 def _import_shape(c: ast.JemComponent):
     ics, ios = c.all_imports()
     return (
-        sorted((ic.name, tuple(sorted(map(repr, ic.sigs)))) for ic in ics),
+        sorted((ic.name, tuple(sorted(ic.sigs))) for ic in ics),
         sorted((io.name, io.cname) for io in ios),
     )

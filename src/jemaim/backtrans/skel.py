@@ -139,7 +139,7 @@ FACTORY = Template("""
 
 # each stub method returns the default of its type
 STUB_METHOD = Template("""
-  public $name($params) : $sig { return $default; }""")
+  public $name($params) : $type { return $default; }""")
 DEFAULTS = {"Unit": "unit", "Bool": "true", "Int": "0"}
 STUB_CLASS = Template("""
 class $t {
@@ -160,7 +160,7 @@ def _stub_class(name: str, sigs: list, objects: list) -> str:
     methods = "".join(
         STUB_METHOD.substitute(
             name=s.name, params=", ".join(map(param, range(len(s.params)))),
-            sig=f"{s.recv}({','.join(map(str, s.params))})->{s.ret}", default=DEFAULTS.get(str(s.ret), "null"),
+            type=s.type_text(), default=DEFAULTS.get(s.ret, "null"),
         )
         for s in sigs
     )

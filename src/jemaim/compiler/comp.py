@@ -31,7 +31,6 @@ boundary crossings.
 from __future__ import annotations
 
 from ..aim.isa import SF, ZF, Assembler, Label
-from ..aim.link import MethodSig as LinkSig
 from ..aim.link import ObjKey
 from ..aim.words import FORWARDCALL_EP, N_W, SYS_ID, Symbol
 from ..jem import ast
@@ -48,16 +47,11 @@ STACK_BASE = 1 << 32
 STACK_LIMIT = 1 << 33
 
 # every class requires instanceof; linking rebinds it to the system test procedure
-INSTANCEOF_KEY = LinkSig("instanceof", "Obj", ("Obj", "Obj"), "Bool")
+INSTANCEOF_KEY = ast.MethodSig("instanceof", "Obj", ("Obj", "Obj"), "Bool")
 
 
 class CompileError(Exception):
     pass
-
-
-def link_sig(sig: ast.MethodSig) -> LinkSig:
-    """Render a jem signature into the structural key used by symbol tables."""
-    return LinkSig(sig.name, str(sig.recv), tuple(str(p) for p in sig.params), str(sig.ret))
 
 
 def always_jump(a: Assembler, label: str, tmp: int = 11):
@@ -89,7 +83,7 @@ class ClassCompiler:
         checker.check_class(cls)
         self.env, self.typing = checker.env, checker.typing
         self.own_enc = encode_class(cls.name)
-        self._rm: dict[LinkSig, tuple[Symbol, Symbol]] = {}
+        self._rm: dict[ast.MethodSig, tuple[Symbol, Symbol]] = {}
         self._ro: dict[ObjKey, Symbol] = {}
         self._labels = 0
         self.depth = 0  # temporaries above the activation record at the emission point
@@ -106,7 +100,7 @@ class ClassCompiler:
 
     # -- symbol management ---------------------------------------------------
 
-    def require_method(self, sig: LinkSig) -> tuple[Symbol, Symbol]:
+    def require_method(self, sig: ast.MethodSig) -> tuple[Symbol, Symbol]:
         if sig not in self._rm:
             base = f"{self.cls.name}.{sig.recv}.{sig.name}"
             self._rm[sig] = (Symbol(base + ".id"), Symbol(base + ".off"))
@@ -119,7 +113,7 @@ class ClassCompiler:
         return self._ro[key]
 
     @property
-    def required_methods(self) -> list[tuple[LinkSig, Symbol, Symbol]]:
+    def required_methods(self) -> list[tuple[ast.MethodSig, Symbol, Symbol]]:
         out = [(INSTANCEOF_KEY, *self.inst_syms)]
         for sig, (i, s) in sorted(self._rm.items()):
             if sig != INSTANCEOF_KEY:
@@ -452,7 +446,7 @@ class ClassCompiler:
             self.pop(a, 7 + i)
         self.pop(a, 6)
         self.null_abort(a, 6)
-        if sig.recv.cname == self.cls.name:
+        if sig.recv == self.cls.name:
             resume = self.fresh_label("iresume")
             a.emit("movi", 5, Label(resume))
             always_jump(a, f"body_{e.mname}")
@@ -462,7 +456,7 @@ class ClassCompiler:
             self.compile_outcall(a, sig, n)
 
     def compile_outcall(self, a: Assembler, sig: ast.MethodSig, n: int):
-        iota, sigma = self.require_method(link_sig(sig))
+        iota, sigma = self.require_method(sig)
         resume = self.fresh_label("oresume")
         # push the outcall triple [this, return-type encoding, resume offset]
         # above the temporaries; the return entry point pops it
@@ -504,12 +498,10 @@ class ClassCompiler:
         a.label(resume)
         self.push(a, 6)
 
-    def mask_out(self, a: Assembler, reg: int, t: ast.JemType):
+    def mask_out(self, a: Assembler, reg: int, t: str):
         """Replace an internal id by its mask before it crosses the boundary."""
-        if t.kind == "class" and t.cname == self.cls.name:
+        if t in (self.cls.name, ast.T_OBJ):
             a.emit("tbl_add", reg)  # null and foreign words pass through untouched
-        elif t.kind == "Obj":
-            a.emit("tbl_add", reg)
 
     # -- shared blocks ----------------------------------------------------------
 

@@ -1,5 +1,9 @@
 """Value and type encodings: how jem values and types are represented as aim words.
 
+A type is its name (jem/ast.py), and `encode_type` is the one map from type
+names to encodings. The link key of a method is its jem `MethodSig`; prot
+writes the encodings of each required key's types into the signature table.
+
 Values: null=0, unit=1, true=2, false=3, integers encode as themselves.
 Type encodings live in a disjoint space: primitives at 10..13, class types at
 100 + the base-256 value of the UTF-8 class name (name-canonical, so separately
@@ -62,5 +66,5 @@ def class_name_of_encoding(enc) -> str | None:
 _BUILTIN_ENCODINGS = {ast.T_UNIT: ENC_UNIT, ast.T_BOOL: ENC_BOOL, ast.T_INT: ENC_INT, ast.T_OBJ: ENC_OBJ}
 
 
-def encode_type(t: ast.JemType) -> int:
-    return _BUILTIN_ENCODINGS.get(t) or encode_class(t.cname)
+def encode_type(t: str) -> int:
+    return _BUILTIN_ENCODINGS.get(t) or encode_class(t)

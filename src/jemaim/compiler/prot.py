@@ -30,7 +30,6 @@ from .comp import (
     ClassCompiler,
     CompileError,
     always_jump,
-    link_sig,
     trampoline,
 )
 from .encoding import encode_type
@@ -49,8 +48,8 @@ def _check_eq(cc, a: Assembler, reg: int, value):
     a.label(ok)
 
 
-def _param_check(cc, a: Assembler, reg: int, t: ast.JemType):
-    if t.kind == "class" and t.cname == cc.cls.name:
+def _param_check(cc, a: Assembler, reg: int, t: str):
+    if t == cc.cls.name:
         skip = cc.fresh_label("pnull")
         a.emit("movi", 1, 0)
         a.emit("cmp", reg, 1)
@@ -158,7 +157,7 @@ def prot(cc: ClassCompiler) -> ProgramImage:
     # signature table: [iota, sigma, recv, ret, nparams, params...] per requirement
     off = SIGTAB_BASE
     for sig, iota, sigma in cc.required_methods:
-        recv, ret, *params = (encode_type(ast.type_named(t)) for t in (sig.recv, sig.ret, *sig.params))
+        recv, ret, *params = (encode_type(t) for t in (sig.recv, sig.ret, *sig.params))
         for w in (iota, sigma, recv, ret, len(params), *params):
             mem[Address(cc.mid, off)] = w
             off += 1
@@ -179,7 +178,7 @@ def prot(cc: ClassCompiler) -> ProgramImage:
 
     em = {}
     for i, m in enumerate(cc.methods):
-        em[link_sig(m.sig)] = Address(cc.mid, (i + 1) * N_W)
+        em[m.sig] = Address(cc.mid, (i + 1) * N_W)
 
     rm = []
     for sig, iota, sigma in cc.required_methods:

@@ -13,17 +13,17 @@ forwardCall can test emptiness with a plain load.
 from __future__ import annotations
 
 from ..aim.isa import ZF, Assembler, Label
-from ..aim.link import MethodSig as LinkSig
 from ..aim.link import ProgramImage, SymbolTable
 from ..aim.words import FORWARDCALL_EP, FORWARDRETURN_EP, REGISTEROBJ_EP, SYS_ID, TESTOBJ_EP, Address, Descriptor
+from ..jem.ast import MethodSig
 from .comp import DATA_BASE, always_jump, trampoline
 
 SYS_DEPTH_ADDR = Address(SYS_ID, DATA_BASE)
 
-TESTOBJ = LinkSig("testObj", "Obj", ("Obj", "Obj"), "Bool")
-REGISTEROBJ = LinkSig("registerObj", "Obj", ("Obj", "Obj"), "Unit")
-FORWARDCALL = LinkSig("forwardCall", "Obj", (), "Unit")
-FORWARDRETURN = LinkSig("forwardReturn", "Obj", (), "Unit")
+TESTOBJ = MethodSig("testObj", "Obj", ("Obj", "Obj"), "Bool")
+REGISTEROBJ = MethodSig("registerObj", "Obj", ("Obj", "Obj"), "Unit")
+FORWARDCALL = MethodSig("forwardCall", "Obj", (), "Unit")
+FORWARDRETURN = MethodSig("forwardReturn", "Obj", (), "Unit")
 
 
 def _assemble() -> tuple[list, dict[int, str]]:

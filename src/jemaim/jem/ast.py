@@ -1,7 +1,15 @@
-"""Abstract syntax of jem: types, expressions, classes, components."""
+"""Abstract syntax of jem: types, signatures, expressions, classes, components.
+
+A jem type is its name: "Unit", "Bool", "Int", "Obj" or a class name. These
+four are keywords, so no class bears their names, and a name denotes one type
+from the parser through the compiler and the linker to the back-translator.
+A method signature is a `MethodSig` of names; it is also the key under which
+compiled modules export and require methods (aim/link.py).
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 @dataclass(frozen=True)
@@ -13,33 +21,29 @@ class Pos:
         return f"{self.line}:{self.col}"
 
 
-@dataclass(frozen=True)
-class JemType:
-    kind: str  # 'Unit' | 'Bool' | 'Int' | 'Obj' | 'class'
-    cname: str | None = None
-
-    def __str__(self):
-        return self.cname if self.kind == "class" else self.kind
+T_UNIT = "Unit"
+T_BOOL = "Bool"
+T_INT = "Int"
+T_OBJ = "Obj"
+BUILTIN_TYPES = (T_UNIT, T_BOOL, T_INT, T_OBJ)
 
 
-T_UNIT = JemType("Unit")
-T_BOOL = JemType("Bool")
-T_INT = JemType("Int")
-T_OBJ = JemType("Obj")
-BUILTIN_TYPES = {str(t): t for t in (T_UNIT, T_BOOL, T_INT, T_OBJ)}
+class MethodSig(NamedTuple):
+    """A method's name and the names of its receiver, parameter and result
+    types. Linking fulfils a required method on all four parts."""
 
+    name: str
+    recv: str
+    params: tuple[str, ...]
+    ret: str
 
-def t_class(name: str) -> JemType:
-    return JemType("class", name)
+    def type_text(self) -> str:
+        """`recv(p,…)->ret`, as a method header writes it."""
+        return f"{self.recv}({','.join(self.params)})->{self.ret}"
 
-
-def type_named(name: str) -> JemType:
-    """The type `str` renders as `name`: the inverse of `str(JemType)`."""
-    return BUILTIN_TYPES.get(name) or t_class(name)
-
-
-def is_object_type(t: JemType) -> bool:
-    return t.kind in ("class", "Obj")
+    def render(self) -> str:
+        """`name : recv(p,…)->ret`, as declarations and `.aimod` files write it."""
+        return f"{self.name} : {self.type_text()}"
 
 
 # -- expressions -----------------------------------------------------------
@@ -126,19 +130,11 @@ class InstanceOf(Expr):
 @dataclass
 class VarDecl(Expr):
     name: str = ""
-    vtype: JemType = None
+    vtype: str = ""
     value: Expr = None
 
 
 # -- declarations ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MethodSig:
-    name: str
-    recv: JemType
-    params: tuple[JemType, ...]
-    ret: JemType
 
 
 @dataclass
@@ -184,7 +180,7 @@ class JemClass:
     import_classes: list[ImportClass]
     import_objects: list[ImportObj]
     ctor: Ctor
-    field_types: dict[str, JemType]
+    field_types: dict[str, str]  # field name -> type
     methods: list[Method]
     objects: list[ObjectDef]
     pos: Pos = field(default_factory=Pos)

@@ -35,13 +35,19 @@ def compat(c1: ast.JemComponent, c2: ast.JemComponent) -> bool:
     return satisfies(c1, c2) and satisfies(c2, c1)
 
 
+def _join(context: ast.JemComponent, component: ast.JemComponent) -> ast.JemComponent:
+    return ast.JemComponent(list(context.classes) + list(component.classes))
+
+
+def plug_errors(context: ast.JemComponent, component: ast.JemComponent) -> list[str]:
+    """Why plugging fails: that the imports are incompatible, or the typecheck
+    diagnostics of the context, the component or their join, whichever fails
+    first. Empty exactly when the plug succeeds."""
+    if not compat(context, component):
+        return ["the imports are incompatible"]
+    return typecheck(context) or typecheck(component) or typecheck(_join(context, component))
+
+
 def plug(context: ast.JemComponent, component: ast.JemComponent) -> ast.JemComponent:
     """Concatenate context and component into a whole program, or EMPTY on failure."""
-    if not compat(context, component):
-        return EMPTY
-    if typecheck(context) or typecheck(component):
-        return EMPTY
-    whole = ast.JemComponent(list(context.classes) + list(component.classes))
-    if typecheck(whole):
-        return EMPTY
-    return whole
+    return EMPTY if plug_errors(context, component) else _join(context, component)

@@ -303,10 +303,10 @@ class Parser:
             return ("objref", t.text)
         raise JemSyntaxError(t.pos, f"expected a literal, found {t.text!r}")
 
-    def type_(self) -> ast.JemType:
+    def type_(self) -> str:
         t = self.next()
         if t.kind == "ident" and (t.text in ast.BUILTIN_TYPES or t.text not in KEYWORDS):
-            return ast.type_named(t.text)
+            return t.text
         raise JemSyntaxError(t.pos, f"expected a type, found {t.text!r}")
 
     # -- expressions ---------------------------------------------------------

@@ -5,10 +5,6 @@ from . import ast
 from .parser import LEVELS
 
 
-def render_type(t: ast.JemType) -> str:
-    return str(t)
-
-
 def render_value(v) -> str:
     if v == "unit":
         return "unit"
@@ -58,7 +54,7 @@ def render_expr(e: ast.Expr) -> str:
     if isinstance(e, ast.InstanceOf):
         return f"instanceof({render_expr(e.value)} : {e.cname})"
     if isinstance(e, ast.VarDecl):
-        return f"var {e.name} : {render_type(e.vtype)} = {render_expr(e.value)}"
+        return f"var {e.name} : {e.vtype} = {render_expr(e.value)}"
     raise ValueError(f"unprintable {type(e).__name__}")
 
 
@@ -90,32 +86,23 @@ def _atom(e: ast.Expr) -> str:
     return f"({s})"
 
 
-def render_sig(sig: ast.MethodSig) -> str:
-    params = ",".join(render_type(p) for p in sig.params)
-    return f"{sig.name} : {render_type(sig.recv)}({params})->{render_type(sig.ret)}"
-
-
 def render_component(comp: ast.JemComponent) -> str:
     out = []
     for c in comp.classes:
         for ic in c.import_classes:
-            sigs = ", ".join(render_sig(s) for s in ic.sigs)
+            sigs = ", ".join(s.render() for s in ic.sigs)
             out.append(f"class-decl {ic.name} {{ {sigs} }};")
         for io in c.import_objects:
             out.append(f"obj-decl {io.name} : {io.cname};")
         out.append(f"class {c.name} {{")
         inits = " ".join(f"this.{f} = {f};" for f in c.field_types)
-        ctor_params = ", ".join(f"{f}:{render_type(t)}" for f, t in c.field_types.items())
+        ctor_params = ", ".join(f"{f}:{t}" for f, t in c.field_types.items())
         out.append(f"  {c.name}({ctor_params}){{ {inits} }}")
         for f, t in c.field_types.items():
-            out.append(f"  {f} : {render_type(t)};")
+            out.append(f"  {f} : {t};")
         for m in c.methods:
             ps = ", ".join(m.params)
-            ptypes = ",".join(render_type(p) for p in m.sig.params)
-            out.append(
-                f"  public {m.name}({ps}) : {render_type(m.sig.recv)}({ptypes})"
-                f"->{render_type(m.sig.ret)} {{"
-            )
+            out.append(f"  public {m.name}({ps}) : {m.sig.type_text()} {{")
             out.append(f"    return {render_expr(m.body)};")
             out.append("  }")
         out.append("};")

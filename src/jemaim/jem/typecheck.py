@@ -7,13 +7,24 @@ imported class declarations as assumed interfaces.
 The Checker records what it resolves in `Typing`, keyed by node identity
 (expression dataclasses are unhashable). The base compiler (compiler/comp.py)
 reads it in place of typing anything itself.
+
+Types are names (jem/ast.py). The type of `null` is the name `null`, a
+keyword, so no class shares it.
 """
 from __future__ import annotations
 
 from . import ast
-from .ast import JemType, T_BOOL, T_INT, T_OBJ, T_UNIT, t_class
+from .ast import BUILTIN_TYPES, T_BOOL, T_INT, T_OBJ, T_UNIT
 
-T_NULL = JemType("Null")
+T_NULL = "null"
+
+
+def is_class_type(t: str) -> bool:
+    return t not in BUILTIN_TYPES and t != T_NULL
+
+
+def is_object_type(t: str) -> bool:
+    return t == T_OBJ or is_class_type(t)
 
 
 class Env:
@@ -50,22 +61,22 @@ class Env:
         return self.interfaces.get(cname, {}).get(mname)
 
 
-def subsume(actual: JemType, expected: JemType) -> bool:
+def subsume(actual: str, expected: str) -> bool:
     if actual == expected:
         return True
     if actual == T_NULL:
-        return ast.is_object_type(expected)
+        return is_object_type(expected)
     if expected == T_OBJ:
-        return ast.is_object_type(actual)
+        return is_object_type(actual)
     return False
 
 
-def unify(t1: JemType, t2: JemType) -> JemType | None:
+def unify(t1: str, t2: str) -> str | None:
     if t1 == t2:
         return t1
-    if t1 == T_NULL and ast.is_object_type(t2):
+    if t1 == T_NULL and is_object_type(t2):
         return t2
-    if t2 == T_NULL and ast.is_object_type(t1):
+    if t2 == T_NULL and is_object_type(t1):
         return t1
     return None
 
@@ -118,7 +129,7 @@ class Checker:
                     if m is None or m.sig != s:
                         self.err(ic.pos, f"declaration of {ic.name}.{s.name} conflicts with its definition")
             for s in ic.sigs:
-                if s.recv != t_class(ic.name):
+                if s.recv != ic.name:
                     self.err(ic.pos, f"declaration of {ic.name}.{s.name} must have receiver {ic.name}")
                 self.check_type_known(s.recv, ic.pos)
                 for p in s.params:
@@ -141,7 +152,7 @@ class Checker:
             self.check_object(c, o)
 
     def check_method(self, c: ast.JemClass, m: ast.Method):
-        if m.sig.recv != t_class(c.name):
+        if m.sig.recv != c.name:
             self.err(m.pos, f"method {m.name!r} declares receiver {m.sig.recv}, expected {c.name}")
         if len(set(m.params)) != len(m.params):
             self.err(m.pos, f"duplicate parameter name in {m.name!r}")
@@ -170,7 +181,7 @@ class Checker:
             elif not subsume(vt, ft):
                 self.err(o.pos, f"field {fname!r} initialiser has type {vt}, declared {ft}")
 
-    def literal_type(self, v) -> JemType | None:
+    def literal_type(self, v) -> str | None:
         if v == "unit":
             return T_UNIT
         if isinstance(v, bool):
@@ -180,17 +191,16 @@ class Checker:
         if v == "null":
             return T_NULL
         if isinstance(v, tuple) and v[0] == "objref":
-            cname = self.env.object_class(v[1])
-            return t_class(cname) if cname else None
+            return self.env.object_class(v[1])
         return None
 
-    def check_type_known(self, t: JemType, pos: ast.Pos):
-        if t.kind == "class" and not self.env.known_class(t.cname):
-            self.err(pos, f"unknown class {t.cname!r}")
+    def check_type_known(self, t: str, pos: ast.Pos):
+        if is_class_type(t) and not self.env.known_class(t):
+            self.err(pos, f"unknown class {t!r}")
 
     # -- expressions --------------------------------------------------------
 
-    def expr(self, e: ast.Expr, scope: dict[str, JemType], c: ast.JemClass) -> JemType | None:
+    def expr(self, e: ast.Expr, scope: dict[str, str], c: ast.JemClass) -> str | None:
         while isinstance(e, ast.Seq):
             self.expr(e.first, scope, c)
             e = e.second
@@ -212,16 +222,16 @@ class Checker:
                 return scope[e.name]
             cname = self.env.object_class(e.name)
             if cname is not None:
-                return t_class(cname)
+                return cname
             self.err(e.pos, f"unbound variable {e.name!r}")
             return None
         if isinstance(e, ast.This):
-            return t_class(c.name)
+            return c.name
         if isinstance(e, ast.FieldGet):
             t = self.expr(e.obj, scope, c)
             if t is None:
                 return None
-            if t != t_class(c.name):
+            if t != c.name:
                 self.err(e.pos, f"fields are private: cannot read {e.fname!r} through type {t}")
                 return None
             if e.fname not in c.field_types:
@@ -231,7 +241,7 @@ class Checker:
         if isinstance(e, ast.FieldSet):
             t = self.expr(e.obj, scope, c)
             vt = self.expr(e.value, scope, c)
-            if t is not None and t != t_class(c.name):
+            if t is not None and t != c.name:
                 self.err(e.pos, f"fields are private: cannot write {e.fname!r} through type {t}")
             elif e.fname not in c.field_types:
                 self.err(e.pos, f"class {c.name!r} has no field {e.fname!r}")
@@ -243,12 +253,12 @@ class Checker:
             ats = [self.expr(a, scope, c) for a in e.args]
             if rt is None:
                 return None
-            if rt.kind != "class":
+            if not is_class_type(rt):
                 self.err(e.pos, f"cannot call {e.mname!r} on a value of type {rt}")
                 return None
-            sig = self.env.method_sig(rt.cname, e.mname)
+            sig = self.env.method_sig(rt, e.mname)
             if sig is None:
-                self.err(e.pos, f"class {rt.cname!r} has no method {e.mname!r}")
+                self.err(e.pos, f"class {rt!r} has no method {e.mname!r}")
                 return None
             self.typing.sigs[id(e)] = sig
             if len(ats) != len(sig.params):
@@ -271,7 +281,7 @@ class Checker:
                 for i, (at, ft) in enumerate(zip(ats, fts)):
                     if at is not None and not subsume(at, ft):
                         self.err(e.pos, f"constructor argument {i + 1} has type {at}, expected {ft}")
-            return t_class(e.cname)
+            return e.cname
         if isinstance(e, ast.If):
             ct = self.expr(e.cond, scope, c)
             if ct is not None and ct != T_BOOL:
@@ -289,7 +299,7 @@ class Checker:
             return self.expr(e.value, scope, c)
         if isinstance(e, ast.InstanceOf):
             t = self.expr(e.value, scope, c)
-            if t is not None and not (ast.is_object_type(t) or t == T_NULL):
+            if t is not None and not (is_object_type(t) or t == T_NULL):
                 self.err(e.pos, f"instanceof expects an object, got {t}")
             if not self.env.known_class(e.cname):
                 self.err(e.pos, f"unknown class {e.cname!r}")
@@ -305,7 +315,7 @@ class Checker:
         self.err(e.pos, f"unhandled expression {type(e).__name__}")
         return None
 
-    def binop(self, e: ast.BinOp, lt: JemType | None, rt: JemType | None) -> JemType | None:
+    def binop(self, e: ast.BinOp, lt: str | None, rt: str | None) -> str | None:
         if lt is None or rt is None:
             return {"==": T_BOOL, "<": T_BOOL, "&&": T_BOOL}.get(e.op, T_INT)
         if e.op in ("+", "-"):

@@ -128,7 +128,7 @@ class TestEmulateValues:
     def test_known_static_object(self):
         c, img, iface = iface_for(COMPONENTS["const"])
         st = EmulState(iface)
-        e = emulate_value("N0", ast.t_class("c"), st)
+        e = emulate_value("N0", "c", st)
         assert isinstance(e, ast.Call) and e.mname == "getByName-c"
         assert e.args[0].value == 1
 
@@ -136,7 +136,7 @@ class TestEmulateValues:
         c, img, iface = iface_for(COMPONENTS["const"])
         st = EmulState(iface)
         with pytest.raises(Fail):
-            emulate_value("N9", ast.t_class("c"), st)
+            emulate_value("N9", "c", st)
 
     def test_registered_external_id_creates(self):
         from jemaim.compiler.encoding import encode_class
@@ -144,7 +144,7 @@ class TestEmulateValues:
         c, img, iface = iface_for(CALLBACK_SRC)
         st = EmulState(iface)
         st.R["N5"] = encode_class("i")
-        e = emulate_value("N5", ast.t_class("i"), st)
+        e = emulate_value("N5", "i", st)
         assert isinstance(e, ast.Call) and e.mname == "createNew-i"
         assert "N5" in st.V
 
@@ -152,12 +152,12 @@ class TestEmulateValues:
         c, img, iface = iface_for(CALLBACK_SRC)
         st = EmulState(iface)
         with pytest.raises(Fail):
-            emulate_value("N5", ast.t_class("i"), st)
+            emulate_value("N5", "i", st)
 
     def test_null_at_object_types(self):
         c, img, iface = iface_for(COMPONENTS["const"])
         st = EmulState(iface)
-        assert emulate_value(0, ast.t_class("c"), st).value == "null"
+        assert emulate_value(0, "c", st).value == "null"
         assert emulate_value(0, ast.T_OBJ, st).value == "null"
 
 
@@ -339,8 +339,6 @@ class TestEmulationRoundTrips:
     def test_method_emulation_recovers_exported_signatures(self):
         """Looking up a compiled method's address yields exactly the signature
         the compiler exported, for every exported method of every component."""
-        from jemaim.backtrans.interface import jem_sig
-
         for name, src in COMPONENTS.items():
             c = parse_ok(src)
             img = compaim(c)
@@ -349,7 +347,7 @@ class TestEmulationRoundTrips:
                 if addr.mid == 1:
                     continue
                 got = iface.methods[addr.mid, addr.off]
-                assert got == jem_sig(sig), (name, sig)
+                assert got == sig, (name, sig)
 
     def test_value_emulation_round_trips_through_encoding(self):
         """encode(emulate(w, t)) == w for every literal the emulator can name."""
@@ -362,7 +360,7 @@ class TestEmulationRoundTrips:
             (3, ast.T_BOOL, False),
             (0, ast.T_INT, 0),
             (41, ast.T_INT, 41),
-            (0, ast.t_class("c"), "null"),
+            (0, "c", "null"),
         ]
         for w, t, expected in cases:
             st = EmulState(iface)
@@ -625,7 +623,8 @@ class TestUnpluggableContext:
         assert not r.equivalent
         w = algo(c1, c2, r.t1, r.t2, image=img1, image2=img2)
         assert typecheck(w.context) != []
-        with pytest.raises(PlugFailure, match="the first component"):
+        # the reason is the first diagnostic, without its position in the template text
+        with pytest.raises(PlugFailure, match="the first component: argument 1 of 'addObject-c' has type Helper, expected c$"):
             verify_witness(w.context, c1, c2)
 
     def test_failing_side_is_named(self):
@@ -637,7 +636,7 @@ class TestUnpluggableContext:
         assert (repr(v.first), repr(v.second)) == ("Terminated(1)", "OutOfFuel")
         # the witness imports object o, which this component does not define
         other = parse_ok(README_PAIR.replace("object o :", "object p :"))
-        with pytest.raises(PlugFailure, match="the second component"):
+        with pytest.raises(PlugFailure, match="the second component: the imports are incompatible$"):
             verify_witness(w.context, c1, other)
 
 

@@ -115,7 +115,7 @@ class TestUnexpectedErrors:
         # c1 plugged into itself defines class c twice, so plug gives the empty program
         assert run_cli("verify_witness", ws / "c1.jem", ws / "c1.jem", ws / "c2.jem") == 1
         err = capsys.readouterr().err
-        assert err == "error: the context does not plug into the first component (incompatible or ill-typed)\n"
+        assert err == "error: the context does not plug into the first component: duplicate class 'c'\n"
 
     def test_malformed_trace_error_names_file_and_line(self, ws, capsys):
         (ws / "bad.trace").write_text("call? (2,16) [1,0]\nnonsense here\n")
