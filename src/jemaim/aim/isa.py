@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import Symbol, Nonce, Word
+from .words import Word
 
 # name -> (opcode, operand kinds)
 OPTABLE = {

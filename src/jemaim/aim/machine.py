@@ -372,8 +372,8 @@ class MachineState:
                 return None if self.gstore[w][0] == enc else "typecheck-class"
             if isinstance(w, int):
                 # a Nat is an object only as an internal id this module has masked
-                # (what tbl_get yields); any other Nat, say an offset into the
-                # signature table, is forged
+                # (what tbl_get yields); any other Nat, say the offset of a data
+                # word that happens to hold the class encoding, is forged
                 if w in self.table(self.pc.mid).fwd and self.mem.get(Address(self.pc.mid, w), 0) == enc:
                     return None
             return "typecheck-class"

@@ -15,10 +15,8 @@ from .aim import aimod
 from .aim.link import LinkError
 from .backtrans.algo import PlugFailure, algo, verify_witness
 from .backtrans.interface import ImportMismatch
-from .compiler.pipeline import CompilationError, UnresolvedSymbols, compaim, mylink, run_aim
-from .compiler.prot import prot
-from .compiler.comp import comp_class, CompileError
-from .compiler.sysmod import build_sys
+from .compiler.comp import CompileError
+from .compiler.pipeline import CompilationError, UnresolvedSymbols, compaim, modules, mylink, run_aim
 from .jem.interp import DEFAULT_FUEL, NotWhole, run
 from .jem.parser import JemSyntaxError, parse_component
 from .jem.printer import render_component
@@ -85,13 +83,13 @@ def cmd_compile(args) -> int:
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     try:
-        for i, cls in enumerate(comp.classes):
-            image = prot(comp_class(comp, cls, 2 + i))
-            (outdir / f"{cls.name}.aimod").write_text(aimod.dump(image))
-        (outdir / "sys.aimod").write_text(aimod.dump(build_sys()))
+        images = modules(comp)
     except (CompileError, CompilationError) as e:
         raise CliError(str(e)) from e
-    print(f"wrote {len(comp.classes) + 1} modules to {outdir}")
+    names = [cls.name for cls in comp.classes] + ["sys"]
+    for name, image in zip(names, images):
+        (outdir / f"{name}.aimod").write_text(aimod.dump(image))
+    print(f"wrote {len(images)} modules to {outdir}")
     return 0
 
 

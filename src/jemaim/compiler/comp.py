@@ -3,9 +3,9 @@
 Code generation is a stack machine over one memory-resident stack per module.
 Per-module data layout (data section starts at the fixed base D):
 
-    D+0  stack pointer SP               D+3..     signature table (prot)
-    D+1  heap bump pointer              D+8300..  static objects, then heap
-    D+2  outstanding-outcall counter    2^32..    the stack, growing upward
+    D+0  stack pointer SP               D+8300..  static objects, then heap
+    D+1  heap bump pointer              2^32..    the stack, growing upward
+    D+2  outstanding-outcall counter
 
 A body pushes its activation record [resume offset, this, vars...] at SP and
 evaluates above it; the compiler tracks the number of temporaries above the
@@ -41,13 +41,9 @@ DATA_BASE = 65536
 SP = DATA_BASE + 0
 HP = DATA_BASE + 1
 OCD = DATA_BASE + 2
-SIGTAB_BASE = DATA_BASE + 3
-STATIC_BASE = DATA_BASE + 8300
+STATIC_BASE = DATA_BASE + 8300  # fixed: acceptance criterion 2 forges ids at these offsets
 STACK_BASE = 1 << 32
 STACK_LIMIT = 1 << 33
-
-# every class requires instanceof; linking rebinds it to the system test procedure
-INSTANCEOF_KEY = ast.MethodSig("instanceof", "Obj", ("Obj", "Obj"), "Bool")
 
 
 class CompileError(Exception):
@@ -95,8 +91,6 @@ class ClassCompiler:
             self.obj_offsets[o.name] = off
             off += 1 + len(component.cls(o.cname).field_types)
         self.heap_start = off
-        self.inst_syms = (Symbol(f"{cls.name}.instanceof.id"), Symbol(f"{cls.name}.instanceof.off"))
-        self._rm[INSTANCEOF_KEY] = self.inst_syms
 
     # -- symbol management ---------------------------------------------------
 
@@ -114,11 +108,7 @@ class ClassCompiler:
 
     @property
     def required_methods(self) -> list[tuple[ast.MethodSig, Symbol, Symbol]]:
-        out = [(INSTANCEOF_KEY, *self.inst_syms)]
-        for sig, (i, s) in sorted(self._rm.items()):
-            if sig != INSTANCEOF_KEY:
-                out.append((sig, i, s))
-        return out
+        return [(sig, i, s) for sig, (i, s) in sorted(self._rm.items())]
 
     @property
     def required_objects(self) -> list[tuple[ObjKey, Symbol]]:
@@ -395,9 +385,6 @@ class ClassCompiler:
         self.push(a, 1)
 
     def compile_instanceof(self, a: Assembler, e: ast.InstanceOf):
-        # the instanceof requirement symbols are materialised so linking rebinds them
-        a.emit("movi", 11, self.inst_syms[0])
-        a.emit("movi", 11, self.inst_syms[1])
         self.expr(a, e.value)
         self.pop(a, 1)
         enc = encode_class(e.cname)

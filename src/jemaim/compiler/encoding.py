@@ -1,8 +1,7 @@
 """Value and type encodings: how jem values and types are represented as aim words.
 
 A type is its name (jem/ast.py), and `encode_type` is the one map from type
-names to encodings. The link key of a method is its jem `MethodSig`; prot
-writes the encodings of each required key's types into the signature table.
+names to encodings. The link key of a method is its jem `MethodSig`.
 
 Values: null=0, unit=1, true=2, false=3, integers encode as themselves.
 Type encodings live in a disjoint space: primitives at 10..13, class types at

@@ -23,8 +23,8 @@ class UnresolvedSymbols(Exception):
     pass
 
 
-def compaim(component: ast.JemComponent, first_mid: int = 2) -> ProgramImage:
-    """prot(comp(C)) for every class, joined with a single sys module."""
+def modules(component: ast.JemComponent, first_mid: int = 2) -> list[ProgramImage]:
+    """prot(comp(C)) for every class, module ids from `first_mid` on, then sys."""
     errors = typecheck(component)
     if errors:
         raise CompilationError("component does not typecheck: " + "; ".join(errors))
@@ -32,7 +32,12 @@ def compaim(component: ast.JemComponent, first_mid: int = 2) -> ProgramImage:
         prot(comp_class(component, cls, first_mid + i))
         for i, cls in enumerate(component.classes)
     ]
-    return mylink(*images, build_sys())
+    return images + [build_sys()]
+
+
+def compaim(component: ast.JemComponent, first_mid: int = 2) -> ProgramImage:
+    """Every class's protected module joined with a single sys module."""
+    return mylink(*modules(component, first_mid))
 
 
 def _strip_sys(image: ProgramImage) -> ProgramImage:
@@ -125,6 +130,8 @@ def find_entry(image: ProgramImage):
 def run_aim(image: ProgramImage, seed: int = 0, fuel: int = DEFAULT_FUEL) -> AimResult:
     """Run a whole linked program: a bootstrap in unprotected memory calls
     main.main() through sys and halts on the returned value."""
+    if SYS_ID not in image.module_ids():
+        raise UnresolvedSymbols("image does not link in the sys module (sys.aimod)")
     if not image.is_whole():
         raise UnresolvedSymbols("image carries unfulfilled requirements")
     addr, mask = find_entry(image)

@@ -4,8 +4,8 @@ prot() assembles a compiled class into a protected module:
 
     [EP 0: return entry]  [EP i: method i]  ...   (N_W words each)
     [return-entry code] [method-entry code]* [method bodies]* [exit] [abort]
-    [data: stack pointer, heap pointer, outcall counter, signature table,
-     static objects, heap ... the stack, far above]
+    [data: stack pointer, heap pointer, outcall counter, static objects,
+     heap ... the stack, far above]
 
 Method entry points admit only jumps forwarded by sys (r0=1, r5=3*N_W), load
 masked receivers, typecheck receiver and parameters, run the body, mask the
@@ -20,20 +20,8 @@ from ..aim.isa import ZF, Assembler, Label
 from ..aim.link import ObjKey, ProgramImage, SymbolTable
 from ..aim.words import FORWARDRETURN_EP, N_W, SYS_ID, Address, Descriptor, Nonce
 from ..jem import ast
-from .comp import (
-    DATA_BASE,
-    INSTANCEOF_KEY,
-    OCD,
-    SIGTAB_BASE,
-    SP,
-    STATIC_BASE,
-    ClassCompiler,
-    CompileError,
-    always_jump,
-    trampoline,
-)
+from .comp import DATA_BASE, OCD, SP, ClassCompiler, CompileError, always_jump, trampoline
 from .encoding import encode_type
-from .sysmod import TESTOBJ
 
 _instance = 0
 
@@ -154,18 +142,12 @@ def prot(cc: ClassCompiler) -> ProgramImage:
     mem = {Address(cc.mid, i): w for i, w in enumerate(code)}
     for off, w in cc.data_words().items():
         mem[Address(cc.mid, off)] = w
-    # signature table: [iota, sigma, recv, ret, nparams, params...] per requirement
-    off = SIGTAB_BASE
-    for sig, iota, sigma in cc.required_methods:
-        recv, ret, *params = (encode_type(t) for t in (sig.recv, sig.ret, *sig.params))
-        for w in (iota, sigma, recv, ret, len(params), *params):
-            mem[Address(cc.mid, off)] = w
-            off += 1
-    if off > STATIC_BASE:
-        raise CompileError(f"signature table of {cc.cls.name!r} overruns the static objects")
 
-    # masking table for statically exported objects: one fresh mask each;
-    # the stream is per-instance so re-compilations never share masks
+    # masking table for statically exported objects: one fresh mask each.
+    # The stream names the compilation, not just the class and module id: a
+    # mask of one compilation must be a stale, unknown id in every other, or
+    # a mask taken from a second compile of the same class reaches the bodies
+    # of the first (acceptance criterion 2 counts 50 such escapes on `cell`)
     global _instance
     _instance += 1
     stream = f"static-{cc.cls.name}-{cc.mid}-{_instance}"
@@ -180,13 +162,6 @@ def prot(cc: ClassCompiler) -> ProgramImage:
     for i, m in enumerate(cc.methods):
         em[m.sig] = Address(cc.mid, (i + 1) * N_W)
 
-    rm = []
-    for sig, iota, sigma in cc.required_methods:
-        if sig == INSTANCEOF_KEY:
-            rm.append((TESTOBJ, iota, sigma))  # instanceof resolves to the system test
-        else:
-            rm.append((sig, iota, sigma))
-
-    table = SymbolTable(em=em, eo=eo, rm=rm, ro=cc.required_objects)
+    table = SymbolTable(em=em, eo=eo, rm=cc.required_methods, ro=cc.required_objects)
     desc = Descriptor(cc.mid, code_len, k + 1)
     return ProgramImage(mem, [desc], table, {cc.mid: masks})

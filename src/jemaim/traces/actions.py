@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..aim.words import Address, Nonce, Symbol, Word
+from ..aim.words import Nonce, Symbol, Word
 
 
 @dataclass(frozen=True)

@@ -349,7 +349,7 @@ class TestOneStepCallPerStep:
             assert step_calls[0] == r.steps
             if r.kind == "halted" and not r.aborted:
                 total += r.steps
-        assert total == 12_176  # the terminating corpus, as perfbench counts it
+        assert total == 12_168  # the terminating corpus, as perfbench counts it
 
     def test_component_tracer_run(self, step_calls):
         img = compaim(parse_component(INEQUIVALENT_PAIRS["length-divergence"][0]))

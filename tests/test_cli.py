@@ -72,6 +72,15 @@ class TestCompileLinkRun:
         assert run_cli("run_aim", ws / "prog.aimod") == 0
         assert "r6=42" in capsys.readouterr().out
 
+    def test_run_without_sys_is_one_error_line(self, ws, capsys):
+        assert run_cli("compile", ws / "prog.jem", "-o", ws / "mods") == 0
+        assert run_cli("link", ws / "mods" / "main.aimod", "-o", ws / "prog.aimod") == 0
+        capsys.readouterr()
+        assert run_cli("run_aim", ws / "prog.aimod") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "sys" in err
+
     def test_emitted_files_round_trip(self, ws):
         from jemaim.aim import aimod
 

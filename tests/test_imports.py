@@ -1,0 +1,32 @@
+"""Every name a module under src/jemaim imports is used in that module."""
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "jemaim"
+MODULES = sorted(SRC.rglob("*.py"))
+
+
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """Name bound by each import -> its line, `from __future__` excepted."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+    return names
+
+
+def test_the_sources_are_found():
+    assert len(MODULES) > 20
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_no_unused_import(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(f"{name} (line {line})" for name, line in imported_names(tree).items() if name not in used)
+    assert unused == []
