@@ -14,6 +14,12 @@ writer's own `data_range` for a protected target, and the privileged ops write
 only sys's call-depth word, in its data. Unprotected memory, and a data section
 reached by falling off the code, are decoded afresh on every step.
 
+For the same reason the words of protected code may leave `mem`:
+`share_code` moves them into `code`, a map that clones share, so that a clone
+copies only unprotected and data words. Reads go through `load`, which finds
+a word in either map. A state built by `boot_state` or by hand keeps every
+word in `mem`; the trace engine calls `share_code` on each state it boots.
+
 The masking tables, the global store G and the global call stack S are
 side-state manipulated only through the privileged opcodes; no other
 instruction can observe them.
@@ -71,6 +77,7 @@ class MachineState:
     callstack: list[tuple[Word, Word, Word]] = field(default_factory=list)
     sys_depth_addr: Address | None = None
     _last_op: str | None = field(default=None, repr=False)  # tells the zero;halt abort from halt
+    code: dict[Address, Word] = field(default_factory=dict, repr=False)  # protected code words, shared by clones
     _icache: dict = field(default_factory=dict, repr=False)  # pc -> entry, shared by clones
     _mods: dict = field(default_factory=dict, repr=False)  # module id -> descriptor, shared by clones
 
@@ -108,9 +115,23 @@ class MachineState:
             callstack=list(self.callstack),
             sys_depth_addr=self.sys_depth_addr,
             _last_op=self._last_op,
+            code=self.code,
             _icache=self._icache,
             _mods=self._mods,
         )
+
+    def share_code(self):
+        """Move the words of every protected code section from `mem` into
+        `code`, which clones share instead of copying."""
+        code_len = {d.mid: d.code_len for d in self.descs}
+        code = {a: w for a, w in self.mem.items() if 0 <= a[1] < code_len.get(a[0], 0)}
+        self.mem = {a: w for a, w in self.mem.items() if a not in code}
+        self.code = {**self.code, **code}
+
+    def load(self, a) -> Word:
+        """The word at `a` (a plain tuple finds an Address key), 0 if unwritten."""
+        w = self.mem.get(a)
+        return self.code.get(a, 0) if w is None else w
 
     # -- decoding ---------------------------------------------------------
 
@@ -131,8 +152,7 @@ class MachineState:
         s = self.module(mid)
         if s is not None and not access.code_range(s, pc):
             s = None
-        mem = self.mem
-        i = decode(lambda o: mem.get((mid, o), 0), off, s is not None)
+        i = decode(lambda o: self.load((mid, o)), off, s is not None)
         if i is None:
             return None
         e = (HANDLERS[i.name], i.name, Address(mid, off + i.width), s, *i.ops)
@@ -185,7 +205,10 @@ class MachineState:
             ok = access.read_allowed(self.descs, self.pc, Address(mid, off))
         if not ok:
             return ("violation", f"read denied {self.pc}->{Address(mid, off)}")
-        self.set_reg(rd, self.mem.get((mid, off), 0))  # a plain tuple finds an Address key
+        # `load`, inlined as a sixth of the steps of compiled code are movl
+        a = (mid, off)
+        w = self.mem.get(a)
+        self.set_reg(rd, self.code.get(a, 0) if w is None else w)
         self.pc = nxt
 
     def _op_movs(self, e):
@@ -290,7 +313,7 @@ class MachineState:
         mid = s.mid
         w = self.reg(ri)
         if isinstance(w, int) and w >= s.code_len:
-            cls = self.mem.get(Address(mid, w), 0)
+            cls = self.load((mid, w))
             if isinstance(cls, int) and cls >= CLASS_ENC_BASE:
                 t = self.table(mid)
                 if w not in t.fwd:
@@ -374,7 +397,7 @@ class MachineState:
                 # a Nat is an object only as an internal id this module has masked
                 # (what tbl_get yields); any other Nat, say the offset of a data
                 # word that happens to hold the class encoding, is forged
-                if w in self.table(self.pc.mid).fwd and self.mem.get(Address(self.pc.mid, w), 0) == enc:
+                if w in self.table(self.pc.mid).fwd and self.load((self.pc.mid, w)) == enc:
                     return None
             return "typecheck-class"
         return "typecheck-bad-encoding"

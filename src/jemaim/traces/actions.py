@@ -5,6 +5,8 @@ component. Canonicalization renames nonces to N0, N1, ... — statically
 exported object masks first (in table order, so two components with the same
 interface canonicalize identically), then by first occurrence in the trace.
 Linking symbols print as $name and are already stable across components.
+`rename` canonicalizes one step at a time: a trace extended by some actions
+renames only those, under the map its prefix left.
 """
 from __future__ import annotations
 
@@ -106,16 +108,23 @@ def _word(w) -> str:
     return str(w)
 
 
-def canonicalize(trace, seed_masks=()) -> Trace:
-    """Rename nonces to N<k> strings in order: `seed_masks` first, then by
-    first occurrence in the trace."""
-    names: dict[Nonce, str] = {}
+def rename(actions, names: dict, seed_masks=()) -> tuple[Trace, dict]:
+    """Canonical renaming of `actions` that follow a prefix renamed by `names`
+    (nonce -> "N<k>"): the words of `seed_masks` are named first, then each
+    new nonce by first occurrence. Returns the renamed actions and the map
+    that covers them. The map is `names` itself when nothing new is named,
+    else a copy, so that every extension of a prefix can share its map."""
+    new = names
 
     def word(w):
+        nonlocal new
         if isinstance(w, Nonce):
-            if w not in names:
-                names[w] = f"N{len(names)}"
-            return names[w]
+            k = new.get(w)
+            if k is None:
+                if new is names:
+                    new = dict(names)
+                k = new[w] = f"N{len(new)}"
+            return k
         if isinstance(w, Symbol):
             return f"${w.name}"
         return w
@@ -123,7 +132,7 @@ def canonicalize(trace, seed_masks=()) -> Trace:
     for n in seed_masks:
         word(n)
     out = []
-    for a in trace:
+    for a in actions:
         if isinstance(a, CallIn):
             a = CallIn(tuple(word(x) for x in a.addr), tuple(word(w) for w in a.regs))
         elif isinstance(a, CallOut):
@@ -133,7 +142,13 @@ def canonicalize(trace, seed_masks=()) -> Trace:
         elif isinstance(a, ReturnOut):
             a = ReturnOut(tuple(word(x) for x in a.addr), word(a.value), word(a.mid))
         out.append(a)
-    return tuple(out)
+    return tuple(out), new
+
+
+def canonicalize(trace, seed_masks=()) -> Trace:
+    """Rename nonces to N<k> strings in order: `seed_masks` first, then by
+    first occurrence in the trace."""
+    return rename(trace, {}, seed_masks)[0]
 
 
 def render_trace(trace) -> str:

@@ -11,10 +11,18 @@ pokes: entry points admit only jumps that sys forwards, so a poke only ticks.
 
 Every injection takes the one path through `ComponentTracer._enter`: clone the
 state, clear registers and flags, load the injected registers, set pc and run.
-The run decodes an instruction of its own only at sys's four boundary jumps.
-The id a Return! names is read off r0 whenever pc reaches forwardReturn: the
-machine's `jmp` stamps r0 with the id of the module that jumped there, and a
-returnback injection sets r0 to the id it claims.
+The booted state keeps its protected code in a map that all its clones share
+(`MachineState.share_code`), so a clone copies only data and unprotected
+words. The run looks at pc only when it is in the tracer's stop set: sys's
+four boundary jumps, forwardReturn and the method entry points. It decodes an
+instruction of its own only at a boundary jump. The id a Return! names is read
+off r0 whenever pc reaches forwardReturn: the machine's `jmp` stamps r0 with
+the id of the module that jumped there, and a returnback injection sets r0 to
+the id it claims.
+
+Enumeration canonicalizes along the search path: each frontier entry carries
+its canonical trace and the nonce renaming that trace used, and an extension
+renames only its two new actions (`actions.rename`).
 """
 from __future__ import annotations
 
@@ -26,7 +34,7 @@ from ..aim.words import FORWARDCALL_EP, FORWARDRETURN_EP, REGISTEROBJ_EP, SYS_ID
 from ..compiler.pipeline import boot_state
 from ..compiler.sysmod import sys_exit_marks
 from ..compiler.encoding import V_FALSE, V_NULL, V_TRUE, V_UNIT, class_name_of_encoding, encode_class
-from .actions import CallIn, CallOut, FuelExceeded, ReturnIn, ReturnOut, Tick, canonicalize
+from .actions import CallIn, CallOut, FuelExceeded, ReturnIn, ReturnOut, Tick, canonicalize, rename
 
 RESUME_PAD = 40
 DEFAULT_DEPTH = 4
@@ -54,6 +62,10 @@ class ComponentTracer:
         self.segment_fuel = segment_fuel
         self.marks = sys_exit_marks()
         self.method_eps = {addr: sig for sig, addr in image.table.em.items() if addr.mid != SYS_ID}
+        # the pcs at which _run looks at the state before stepping
+        self.stops = frozenset(
+            [Address(SYS_ID, off) for off in self.marks] + [Address(SYS_ID, FORWARDRETURN_EP), *self.method_eps]
+        )
         self.rm_by_syms = {(iota, sigma): sig for sig, iota, sigma in image.table.rm}
         # canonical seeding: exported masks in deterministic table order
         self.seed_masks = [image.table.eo[k] for k in sorted(image.table.eo)]
@@ -64,7 +76,10 @@ class ComponentTracer:
         return Nonce("adv", self._adv)
 
     def initial(self):
-        return boot_state(self.image, self.seed)
+        """The booted state, its protected code split off for its clones to share."""
+        st = boot_state(self.image, self.seed)
+        st.share_code()
+        return st
 
     def initial_knowledge(self) -> "Knowledge":
         # exported object bindings are public: the environment reads them
@@ -113,13 +128,15 @@ class ComponentTracer:
     def _run(self, st, watch_forward):
         forwarded = False
         returner = None
-        marks = self.marks
+        marks, stops, step = self.marks, self.stops, st.step
         for _ in range(self.segment_fuel):
             pc = st.pc
-            if pc.mid == SYS_ID:
-                if pc.off == FORWARDRETURN_EP:
+            if pc in stops:
+                if pc.mid != SYS_ID:
+                    forwarded = forwarded or pc == watch_forward
+                elif pc.off == FORWARDRETURN_EP:
                     returner = st.reg(0)
-                elif pc.off in marks:
+                else:
                     rd, ri = st.peek().ops
                     t_off, t_mid = st.reg(rd), st.reg(ri)
                     if t_mid == 0 or isinstance(t_mid, Symbol) or isinstance(t_off, Symbol):
@@ -131,12 +148,11 @@ class ComponentTracer:
                             return forwarded, CallOut((t_mid, t_off), regs), st
                         ident = returner if kind == "fwret" else SYS_ID
                         return forwarded, ReturnOut((t_mid, t_off), st.reg(6), ident), st
-            status, _reason = st.step()
+            status, _reason = step()
             if status != "ok":
                 return forwarded, Tick(), None
-            if watch_forward is not None and st.pc == watch_forward:
-                forwarded = True
-        return forwarded, FuelExceeded(), None
+        # fuel ran out, perhaps on the very step that reached the watched entry
+        return forwarded or st.pc == watch_forward, FuelExceeded(), None
 
 
 @dataclass
@@ -250,16 +266,18 @@ def enumerate_traces(image, depth: int = DEFAULT_DEPTH, domain: AdversaryDomain 
     domain = domain or AdversaryDomain()
     tracer = ComponentTracer(image, seed)
     results = {()}
-    frontier = [(tracer.initial(), (), tracer.initial_knowledge(), ())]
+    seeded = rename((), {}, tracer.seed_masks)[1]
+    frontier = [(tracer.initial(), (), seeded, tracer.initial_knowledge(), ())]
     for _ in range(depth):
         nxt = []
-        for state, trace, knowledge, pending in frontier:
+        for state, trace, names, knowledge, pending in frontier:
             for inj in _injections(tracer, knowledge, pending, domain):
                 seg, k2, p2 = _apply(tracer, state, inj, knowledge, pending)
-                t2 = trace + (seg.action, seg.reply)
-                results.add(canonicalize(t2, tracer.seed_masks))
+                actions, n2 = rename((seg.action, seg.reply), names)
+                t2 = trace + actions
+                results.add(t2)
                 if seg.state is not None:
-                    nxt.append((seg.state, t2, k2, p2))
+                    nxt.append((seg.state, t2, n2, k2, p2))
         frontier = nxt
     return results
 

@@ -4,18 +4,15 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 Every tolerance is pinned here: exact agreement for differential and security
 criteria, zero escapes for the attack corpora, wall-clock bounds where stated.
 """
-import itertools
 import random
 import time
 import zlib
 from contextlib import contextmanager
 
-import pytest
-
 from jemaim.aim import access
 from jemaim.aim.isa import encode, ins
 from jemaim.aim.link import MethodSig as LinkSig
-from jemaim.aim.link import ObjKey, ProgramImage, SymbolTable, merge, substitute, well_formed
+from jemaim.aim.link import ProgramImage, SymbolTable, merge, substitute, well_formed
 from jemaim.aim.machine import run_state
 from jemaim.aim.words import Address, Descriptor, N_W, Nonce, SYS_ID, Symbol
 from jemaim.backtrans.algo import algo, verify_witness
@@ -26,9 +23,9 @@ from jemaim.compiler.pipeline import boot_state, compaim, mylink, run_aim
 from jemaim.jem.interp import run as jem_run
 from jemaim.jem.parser import parse_component
 from jemaim.jem.typecheck import typecheck
-from jemaim.traces.actions import ReturnOut, Tick
-from jemaim.traces.engine import RESUME_PAD, AdversaryDomain, ComponentTracer, enumerate_traces, random_trace
-from jemaim.traces.equiv import first_divergence, trace_equiv
+from jemaim.traces.actions import Tick
+from jemaim.traces.engine import RESUME_PAD, AdversaryDomain, enumerate_traces, random_trace
+from jemaim.traces.equiv import trace_equiv
 
 from corpus import COMPONENTS, INEQUIVALENT_PAIRS, WHOLE_PROGRAMS
 

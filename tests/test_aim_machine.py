@@ -4,15 +4,16 @@ import random
 import pytest
 
 from jemaim.aim import access
-from jemaim.aim.isa import Assembler, decode, encode, ins
+from jemaim.aim.isa import Assembler, encode, ins
 from jemaim.aim.machine import SF, ZF, MachineState, run_state
 from jemaim.aim.words import N_W, Address, Descriptor, Nonce, NonceOracle, Symbol
-from jemaim.compiler.pipeline import compaim, run_aim
+from jemaim.compiler.encoding import encode_class
+from jemaim.compiler.pipeline import boot_state, compaim, run_aim
 from jemaim.jem.parser import parse_component
 from jemaim.traces.actions import FuelExceeded, Tick
 from jemaim.traces.engine import RESUME_PAD, ComponentTracer
 
-from corpus import INEQUIVALENT_PAIRS, WHOLE_PROGRAMS
+from corpus import COMPONENTS, INEQUIVALENT_PAIRS, WHOLE_PROGRAMS
 
 
 def load_words(mem, mid, base, words):
@@ -326,6 +327,68 @@ class TestDecodeCache:
         st.set_reg(3, 100)
         kind, reason, _, _ = run_state(st, 10)
         assert kind == "violation" and reason.startswith("read denied")
+
+
+def shared(program, words=()):
+    """A state that runs `program` from (2,20) in module 2's code, with the
+    (address, word) pairs of `words` written, its protected code then split
+    off into the shared map."""
+    st = machine(program, descs=GRID_DESCS, pc=(2, 20))
+    st.mem.update(words)
+    st.share_code()
+    return st
+
+
+class TestSharedCode:
+    def test_clones_of_a_tracer_state_share_one_code_map(self):
+        img = compaim(parse_component(COMPONENTS["cell"]))
+        st = ComponentTracer(img).initial()
+        a, b = st.clone(), st.clone()
+        assert a.code is st.code and b.code is st.code
+        code_len = {d.mid: d.code_len for d in img.descs}
+        assert set(st.code) == {x for x in img.mem if x.off < code_len.get(x.mid, 0)}
+        assert {**st.mem, **st.code}.items() >= img.mem.items()
+        assert not st.mem.keys() & st.code.keys()
+
+    def test_data_and_unprotected_writes_stay_in_their_clone(self):
+        # store 7 at (2,100), module 2's data, then at (0,100), unprotected
+        prog = (
+            encode(ins("movi", 1, 2))
+            + encode(ins("movi", 2, 100))
+            + encode(ins("movi", 3, 7))
+            + encode(ins("movs", 1, 3, 2))
+            + encode(ins("movi", 1, 0))
+            + encode(ins("movs", 1, 3, 2))
+            + encode(ins("halt"))
+        )
+        st = shared(prog)
+        code = dict(st.code)
+        a, b = st.clone(), st.clone()
+        assert run_state(a, 20)[0] == "halted"
+        assert a.mem[Address(2, 100)] == 7 and a.mem[Address(0, 100)] == 7
+        for other in (st, b):
+            assert Address(2, 100) not in other.mem and Address(0, 100) not in other.mem
+        assert a.code is st.code and st.code == code
+        assert run_state(b, 20)[0] == "halted" and b.mem[Address(0, 100)] == 7
+
+    def test_movl_reads_its_own_code_section(self):
+        # (2,5) is a word of module 2's code, read by its own movl
+        prog = encode(ins("movi", 2, 2)) + encode(ins("movi", 3, 5)) + encode(ins("movl", 1, 2, 3)) + encode(ins("halt"))
+        st = shared(prog, {Address(2, 5): 4242})
+        assert Address(2, 5) in st.code and Address(2, 5) not in st.mem
+        assert run_state(st, 10)[0] == "halted" and st.reg(1) == 4242
+
+    def test_tbl_add_reads_the_class_word(self):
+        prog = encode(ins("movi", 1, 100)) + encode(ins("tbl_add", 1)) + encode(ins("halt"))
+        st = shared(prog, {Address(2, 100): encode_class("c")})
+        assert run_state(st, 10)[0] == "halted"
+        mask = st.reg(1)
+        assert isinstance(mask, Nonce) and st.gstore[mask] == (encode_class("c"), 2)
+
+    def test_boot_state_keeps_every_word_in_mem(self):
+        img = compaim(parse_component(COMPONENTS["cell"]))
+        st = boot_state(img)
+        assert st.code == {} and all(st.mem[a] == w for a, w in img.mem.items())
 
 
 class TestOneStepCallPerStep:

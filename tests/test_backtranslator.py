@@ -7,7 +7,7 @@ import pytest
 
 from jemaim.compiler.encoding import encode_value
 from jemaim.compiler.pipeline import compaim
-from jemaim.backtrans.algo import PlugFailure, Witness, algo, verify_witness
+from jemaim.backtrans.algo import PlugFailure, algo, verify_witness
 from jemaim.backtrans.diff import diff
 from jemaim.backtrans.emulate import (
     EmulState,
@@ -351,8 +351,6 @@ class TestEmulationRoundTrips:
 
     def test_value_emulation_round_trips_through_encoding(self):
         """encode(emulate(w, t)) == w for every literal the emulator can name."""
-        from jemaim.jem.interp import run as run_jem
-
         c, img, iface = iface_for(COMPONENTS["const"])
         cases = [
             (1, ast.T_UNIT, "unit"),

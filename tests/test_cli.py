@@ -3,7 +3,7 @@ import pytest
 
 from jemaim.cli import main
 
-from corpus import COMPONENTS, INEQUIVALENT_PAIRS, WHOLE_PROGRAMS, main_prog
+from corpus import INEQUIVALENT_PAIRS, WHOLE_PROGRAMS, main_prog
 
 
 @pytest.fixture

@@ -1,11 +1,13 @@
-"""Every name a module under src/jemaim imports is used in that module."""
+"""Every name a module under src/jemaim or tests imports is used in that module."""
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "jemaim"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "jemaim"
 MODULES = sorted(SRC.rglob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -21,10 +23,14 @@ def imported_names(tree: ast.Module) -> dict[str, int]:
 
 
 def test_the_sources_are_found():
-    assert len(MODULES) > 20
+    assert len(MODULES) > 20 and len(TESTS) > 10
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+@pytest.mark.parametrize(
+    "path",
+    [pytest.param(p, id=str(p.relative_to(SRC))) for p in MODULES]
+    + [pytest.param(p, id=str(p.relative_to(ROOT))) for p in TESTS],
+)
 def test_no_unused_import(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}

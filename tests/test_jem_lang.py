@@ -6,7 +6,7 @@ import pytest
 
 from jemaim.jem import ast
 from jemaim.jem.compat import EMPTY, compat, plug
-from jemaim.jem.interp import NULL, UNIT, JemConfig, NotWhole, RunResult, run
+from jemaim.jem.interp import JemConfig, NotWhole, RunResult, run
 from jemaim.jem.parser import JemSyntaxError, parse_component
 from jemaim.jem.printer import render_component
 from jemaim.jem.typecheck import typecheck

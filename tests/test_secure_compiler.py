@@ -7,7 +7,7 @@ import pytest
 from jemaim.aim import aimod
 from jemaim.aim.link import MethodSig as LinkSig
 from jemaim.aim.machine import run_state
-from jemaim.aim.words import Address, N_W, Nonce, SYS_ID, Symbol
+from jemaim.aim.words import Address, N_W, Nonce, SYS_ID
 from jemaim.compiler.comp import STATIC_BASE, CompileError, comp_class
 from jemaim.compiler.encoding import ENC_OBJ, class_name_of_encoding, encode_class, encode_type, encode_value
 from jemaim.compiler.pipeline import boot_state, compaim, mylink, run_aim

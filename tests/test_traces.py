@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from jemaim.aim.words import FORWARDCALL_EP, SYS_ID, Address
 from jemaim.compiler.pipeline import compaim
 from jemaim.jem.parser import parse_component
 from jemaim.traces.actions import (
@@ -19,8 +20,11 @@ from jemaim.traces.actions import (
     render_trace,
 )
 from jemaim.traces.engine import (
+    RESUME_PAD,
     AdversaryDomain,
     ComponentTracer,
+    _apply,
+    _injections,
     enumerate_traces,
     random_trace,
 )
@@ -101,6 +105,30 @@ class TestObservation:
         seg = tracer.call_method(tracer.initial(), addr, mask, ())
         seg2 = tracer.returnback(seg.state, 9, 7)
         assert isinstance(seg2.reply, Tick)
+
+    def test_fuel_ending_on_arrival_at_the_entry_point_forwards(self, const_image):
+        [(_, mask)] = list(const_image.table.eo.items())
+        [addr] = [a for s, a in const_image.table.em.items() if s.name == "get"]
+        # the steps sys's forwardCall takes to reach the method's entry point
+        st = ComponentTracer(const_image).initial()
+        for i, w in {3: addr.mid, 4: addr.off, 5: RESUME_PAD, 6: mask}.items():
+            st.set_reg(i, w)
+        st.pc = Address(SYS_ID, FORWARDCALL_EP)
+        k = 0
+        while st.pc != addr:
+            assert st.step() == ("ok", None)
+            k += 1
+
+        def call(fuel):
+            tracer = ComponentTracer(const_image, segment_fuel=fuel)
+            return tracer.call_method(tracer.initial(), addr, mask, ())
+
+        full = call(10_000)
+        assert isinstance(full.reply, ReturnOut)
+        arrived, short = call(k), call(k - 1)
+        assert isinstance(arrived.reply, FuelExceeded) and arrived.action == full.action
+        assert isinstance(short.reply, FuelExceeded)
+        assert short.action == CallIn((SYS_ID, FORWARDCALL_EP), (0, 0, 0, addr.mid, addr.off, RESUME_PAD, mask))
 
 
 class TestEnumeration:
@@ -219,6 +247,37 @@ def test_canonical_trace_set_is_pinned(name, domain):
     traces = enumerate_traces(image_of(PINNED_SOURCES[name]), depth=4, domain=PIN_DOMAINS[domain]())
     text = "\n".join(sorted(render_trace(t) for t in traces))
     assert (len(traces), hashlib.sha256(text.encode()).hexdigest()) == TRACE_SET_PINS[name, domain]
+
+
+def raw_traces(image, depth, domain):
+    """The tracer and the uncanonicalized traces of a breadth-first search
+    with the engine's moves, enumerated here apart from its renaming."""
+    tracer = ComponentTracer(image)
+    out = {()}
+    frontier = [(tracer.initial(), (), tracer.initial_knowledge(), ())]
+    for _ in range(depth):
+        nxt = []
+        for state, trace, knowledge, pending in frontier:
+            for inj in _injections(tracer, knowledge, pending, domain):
+                seg, k2, p2 = _apply(tracer, state, inj, knowledge, pending)
+                t2 = trace + (seg.action, seg.reply)
+                out.add(t2)
+                if seg.state is not None:
+                    nxt.append((seg.state, t2, k2, p2))
+        frontier = nxt
+    return tracer, out
+
+
+@pytest.mark.parametrize("domain", sorted(PIN_DOMAINS))
+@pytest.mark.parametrize("name", sorted(COMPONENTS))
+def test_renaming_along_the_path_canonicalizes_whole_traces(name, domain):
+    img = image_of(COMPONENTS[name])
+    tracer, raw = raw_traces(img, 3, PIN_DOMAINS[domain]())
+    whole = {canonicalize(t, tracer.seed_masks) for t in raw}
+    assert enumerate_traces(img, depth=3, domain=PIN_DOMAINS[domain]()) == whole
+    # the adversary's guesses, and keeper's fresh objects, are nonces named along the way
+    if domain == "illtyped" or name == "keeper":
+        assert any(f"N{len(tracer.seed_masks)}" in render_trace(t) for t in whole)
 
 
 class TestSerialization:
