@@ -2,14 +2,15 @@
 
 Sections appear in fixed order: DESC, CODE, DATA, MASKS, EXPORT-M, EXPORT-O,
 REQUIRE-M, REQUIRE-O. CODE/DATA lines are `mid:off <word>` split by whether the
-offset lies in the module's code section. Words print as decimal Nats, `$name`
-symbols, or `#stream:seq` nonces. Printing is canonical (sorted), so
-parse(print(x)) == x and print(parse(s)) == s for emitted files.
+offset lies in the module's code section. Words print as aim/words.py spells
+them: decimal Nats, `$name` symbols, or `#stream:seq` nonces. Printing is
+canonical (sorted), so parse(print(x)) == x and print(parse(s)) == s for
+emitted files.
 """
 from __future__ import annotations
 
 from .link import MethodSig, ObjKey, ProgramImage, SymbolTable
-from .words import Address, Descriptor, Nonce, Symbol, Word
+from .words import Address, Descriptor, Nonce, Symbol, Word, parse_word
 
 
 class AimodError(Exception):
@@ -17,22 +18,9 @@ class AimodError(Exception):
 
 
 def render_word(w: Word) -> str:
-    if isinstance(w, int):
+    if isinstance(w, (int, Symbol, Nonce)):
         return str(w)
-    if isinstance(w, Symbol):
-        return f"${w.name}"
-    if isinstance(w, Nonce):
-        return f"#{w.stream}:{w.seq}"
     raise AimodError(f"unrenderable word {w!r}")
-
-
-def parse_word(s: str) -> Word:
-    if s.startswith("$"):
-        return Symbol(s[1:])
-    if s.startswith("#"):
-        stream, _, seq = s[1:].rpartition(":")
-        return Nonce(stream, int(seq))
-    return int(s)
 
 
 def _parse_sig(s: str) -> MethodSig:

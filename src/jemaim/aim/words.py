@@ -1,4 +1,9 @@
-"""Core value domain of the aim machine: words, addresses, descriptors, nonce oracles."""
+"""Core value domain of the aim machine: words, addresses, descriptors, nonce oracles.
+
+A word's text is its `str`: a decimal Nat, a `$name` symbol or a
+`#stream:seq` nonce; `parse_word` reads each back. `.aimod` files and
+rendered traces both write words so.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -32,6 +37,16 @@ class Nonce:
 
 
 Word = Union[int, Symbol, Nonce]
+
+
+def parse_word(s: str) -> Word:
+    """The word whose text is `s`."""
+    if s.startswith("$"):
+        return Symbol(s[1:])
+    if s.startswith("#"):
+        stream, _, seq = s[1:].rpartition(":")
+        return Nonce(stream, int(seq))
+    return int(s)
 
 
 class Address(NamedTuple):

@@ -19,7 +19,7 @@ from .skel import diverge, param, retvar
 
 
 def exit_expr():
-    return ast.Seq(ast.Exit(ast.Lit(1)), ast.Lit("unit"))
+    return ast.Seq(ast.Exit(ast.Lit(1)), ast.Lit(ast.UNIT))
 
 
 def _compare(probe: ast.Expr, known: ast.Expr, hit_first: bool) -> ast.Expr:

@@ -116,7 +116,7 @@ def emulate_value(w, t: str, st: EmulState):
     iface = st.iface
     if t == T_UNIT:
         if w == V_UNIT:
-            return ast.Lit("unit")
+            return ast.Lit(ast.UNIT)
         raise Fail("value-unit")
     if t == T_BOOL:
         if w == V_TRUE:
@@ -128,7 +128,7 @@ def emulate_value(w, t: str, st: EmulState):
         return ast.Lit(integer_for(w))
     # object types
     if w == V_NULL:
-        return ast.Lit("null")
+        return ast.Lit(ast.NULL)
     if isinstance(w, int):
         raise Fail("value-fake-id")
     if w in st.V:
@@ -228,7 +228,7 @@ def _emulate_regobj(a: CallIn, st: EmulState):
     if w in st.V or w in st.R:
         raise Fail("registerObj-known-id")
     st.R[w] = enc
-    exprs = [incr_step(), ast.VarDecl(retvar(st.i), T_UNIT, ast.Lit("unit"))]
+    exprs = [incr_step(), ast.VarDecl(retvar(st.i), T_UNIT, ast.Lit(ast.UNIT))]
     _context_call(st, exprs, SYS_ID, T_UNIT)
 
 

@@ -90,7 +90,7 @@ class MethodCode:
     def body(self, value: ast.Expr, *effects: ast.Expr) -> ast.Expr:
         """`effects`, then the step blocks, then `value` under the return cascade."""
         blocks = [
-            ast.If(_oc("isStep", ast.Lit(i)), seq(*exprs, ast.Lit("unit")), ast.Lit("unit"))
+            ast.If(_oc("isStep", ast.Lit(i)), seq(*exprs, ast.Lit(ast.UNIT)), ast.Lit(ast.UNIT))
             for i, exprs in self.blocks.items()
         ]
         for i, exprs in self.returns:

@@ -242,7 +242,7 @@ class ClassCompiler:
             self.pop(a, 2)
             self.var_addr(a, self.typing.slots[id(e)])
             a.emit("movs", 10, 2, 9)
-            self.push_value(a, encode_value("unit"))
+            self.push_value(a, encode_value(ast.UNIT))
         elif isinstance(e, ast.FieldGet):
             self.expr(a, e.obj)
             self.pop(a, 1)
@@ -262,7 +262,7 @@ class ClassCompiler:
             a.emit("add", 1, 11)
             a.emit("movi", 10, self.mid)
             a.emit("movs", 10, 2, 1)
-            self.push_value(a, encode_value("unit"))
+            self.push_value(a, encode_value(ast.UNIT))
         elif isinstance(e, ast.If):
             self.compile_if(a, e)
         elif isinstance(e, ast.New):
@@ -518,8 +518,8 @@ class ClassCompiler:
         return mem
 
     def field_word(self, v):
-        if isinstance(v, tuple) and v[0] == "objref":
-            return self.object_word(v[1])
+        if isinstance(v, ast.ObjRef):
+            return self.object_word(v.name)
         return encode_value(v)
 
     def object_word(self, name: str):

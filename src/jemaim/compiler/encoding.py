@@ -30,17 +30,15 @@ CLASS_ENC_BASE = 100
 
 
 def encode_value(v) -> int:
-    """comp(v) for jem literals; integers encode as themselves."""
-    if v == "unit":
-        return V_UNIT
-    if v is True:
-        return V_TRUE
-    if v is False:
-        return V_FALSE
-    if v == "null":
-        return V_NULL
+    """comp(v) for every jem value but an object reference."""
+    if isinstance(v, bool):
+        return V_TRUE if v else V_FALSE
     if isinstance(v, int):
         return v
+    if v is ast.UNIT:
+        return V_UNIT
+    if v is ast.NULL:
+        return V_NULL
     raise ValueError(f"not a literal: {v!r}")
 
 

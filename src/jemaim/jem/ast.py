@@ -5,10 +5,18 @@ four are keywords, so no class bears their names, and a name denotes one type
 from the parser through the compiler and the linker to the back-translator.
 A method signature is a `MethodSig` of names; it is also the key under which
 compiled modules export and require methods (aim/link.py).
+
+A jem value is one Python value from the parser to the compiler: `UNIT`,
+`NULL`, a `bool`, an `int` or an `ObjRef`. A literal's `Lit.value` and an
+object's field initialisers hold exactly the values the interpreter computes
+with, and `compiler/encoding.py` encodes every one but an `ObjRef`. As
+`True == 1` in Python, a `bool` is told from an `int` by `isinstance` before
+any lookup or comparison by value.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from enum import Enum
 from typing import NamedTuple
 
 
@@ -26,6 +34,30 @@ T_BOOL = "Bool"
 T_INT = "Int"
 T_OBJ = "Obj"
 BUILTIN_TYPES = (T_UNIT, T_BOOL, T_INT, T_OBJ)
+
+
+class Keyword(Enum):
+    """The two jem values that are keywords; each prints as its keyword."""
+
+    UNIT = "unit"
+    NULL = "null"
+
+    def __repr__(self):
+        return self.value
+
+
+UNIT = Keyword.UNIT
+NULL = Keyword.NULL
+
+
+@dataclass(frozen=True)
+class ObjRef:
+    """A reference to the object named `name`."""
+
+    name: str
+
+    def __repr__(self):
+        return f"<{self.name}>"
 
 
 class MethodSig(NamedTuple):
@@ -56,8 +88,7 @@ class Expr:
 
 @dataclass
 class Lit(Expr):
-    # value: 'unit' | True | False | int | 'null'
-    value: object = None
+    value: object = None  # a jem value
 
 
 @dataclass
@@ -170,7 +201,7 @@ class ImportObj:
 class ObjectDef:
     name: str
     cname: str
-    fields: dict[str, object]  # field name -> literal value ('unit', bool, int, 'null', obj name)
+    fields: dict[str, object]  # field name -> jem value
     pos: Pos = field(default_factory=Pos)
 
 

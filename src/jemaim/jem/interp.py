@@ -1,8 +1,10 @@
 """Small-step interpreter for jem with fuel-bounded execution.
 
-Configurations carry the mutable object store, a stack of per-method binding
-frames, the current focus (an expression or a value) and an explicit
-continuation. Each step() applies exactly one deterministic transition.
+A configuration is the focus (an expression or a value), the environment
+and `this` of the running method, one continuation and the mutable object
+store. Entering a method pushes a `return` frame that saves the caller's
+environment and `this` onto the continuation; returning restores them, as in
+a CEK machine. Each step() applies exactly one deterministic transition.
 
 One loop is recognised instead of stepped: entering a method whose body is
 exactly `this.<same method>()` (no arguments). Stepping that body evaluates
@@ -18,44 +20,10 @@ from dataclasses import dataclass, field
 
 from ..aim.words import MASK64
 from . import ast
+from .ast import NULL, UNIT, ObjRef
+from .printer import render_value
 
 DEFAULT_FUEL = 1_000_000
-
-
-class Unit:
-    _inst = None
-
-    def __new__(cls):
-        if cls._inst is None:
-            cls._inst = super().__new__(cls)
-        return cls._inst
-
-    def __repr__(self):
-        return "unit"
-
-
-class Null:
-    _inst = None
-
-    def __new__(cls):
-        if cls._inst is None:
-            cls._inst = super().__new__(cls)
-        return cls._inst
-
-    def __repr__(self):
-        return "null"
-
-
-UNIT = Unit()
-NULL = Null()
-
-
-@dataclass(frozen=True)
-class ObjRef:
-    name: str
-
-    def __repr__(self):
-        return f"<{self.name}>"
 
 
 @dataclass
@@ -80,7 +48,9 @@ class RunResult:
 
     def __repr__(self):
         if self.kind == "terminated":
-            return f"Terminated({self.value!r})"
+            v = self.value
+            text = repr(v) if isinstance(v, ObjRef) else render_value(v)
+            return f"Terminated({text})"
         if self.kind == "fuel":
             return "OutOfFuel"
         return "NullError"
@@ -90,8 +60,8 @@ class RunResult:
 class JemConfig:
     comp: ast.JemComponent
     heap: dict[str, ObjCell]
-    bstack: list[dict[str, object]]
-    this_stack: list[object]
+    env: dict[str, object]  # the running method's parameters and locals
+    this: object
     kont: list[tuple]
     focus: tuple  # ('expr', Expr) | ('value', v)
     fresh: int = 0
@@ -105,16 +75,12 @@ class JemConfig:
         for c in comp.classes:
             for o in c.objects:
                 heap[o.name] = ObjCell(o.cname, dict(o.fields))
-        # object-name initialisers become references
-        for cell in heap.values():
-            for f, v in cell.fields.items():
-                cell.fields[f] = _literal_value(v)
         call = ast.Call(ast.Var("main"), "main", [])
         return JemConfig(
             comp=comp,
             heap=heap,
-            bstack=[{}],
-            this_stack=[NULL],
+            env={},
+            this=NULL,
             kont=[],
             focus=("expr", call),
             _classes={c.name: c for c in comp.classes},
@@ -140,17 +106,16 @@ class JemConfig:
 
     def _step_expr(self, e: ast.Expr):
         if isinstance(e, ast.Lit):
-            self.focus = ("value", _literal_value(e.value))
+            self.focus = ("value", e.value)
         elif isinstance(e, ast.Var):
-            frame = self.bstack[-1]
-            if e.name in frame:
-                self.focus = ("value", frame[e.name])
+            if e.name in self.env:
+                self.focus = ("value", self.env[e.name])
             elif e.name in self.heap:
                 self.focus = ("value", ObjRef(e.name))
             else:
                 self._die("nullerror", f"unbound {e.name}")
         elif isinstance(e, ast.This):
-            self.focus = ("value", self.this_stack[-1])
+            self.focus = ("value", self.this)
         elif isinstance(e, ast.Seq):
             self.kont.append(("seq", e.second))
             self.focus = ("expr", e.first)
@@ -205,7 +170,7 @@ class JemConfig:
         elif tag == "if":
             self.focus = ("expr", frame[1] if v is True else frame[2])
         elif tag == "fieldget":
-            if v is NULL or not isinstance(v, ObjRef):
+            if not isinstance(v, ObjRef):
                 self._die("nullerror", "field access on null")
                 return
             self.focus = ("value", self.heap[v.name].fields[frame[1]])
@@ -214,7 +179,7 @@ class JemConfig:
             self.focus = ("expr", frame[2])
         elif tag == "fieldset-val":
             obj, fname = frame[1], frame[2]
-            if obj is NULL or not isinstance(obj, ObjRef):
+            if not isinstance(obj, ObjRef):
                 self._die("nullerror", "field update on null")
                 return
             self.heap[obj.name].fields[fname] = v
@@ -254,17 +219,16 @@ class JemConfig:
             ok = isinstance(v, ObjRef) and self.heap[v.name].cname == cname
             self.focus = ("value", ok)
         elif tag == "vardecl":
-            self.bstack[-1][frame[1]] = v
+            self.env[frame[1]] = v
             self.focus = ("value", UNIT)
         elif tag == "return":
-            self.bstack.pop()
-            self.this_stack.pop()
+            _, self.env, self.this = frame
             self.focus = ("value", v)
         else:
             self._die("nullerror", f"bad continuation {tag}")
 
     def _invoke(self, recv, mname, args):
-        if recv is NULL or not isinstance(recv, ObjRef):
+        if not isinstance(recv, ObjRef):
             self._die("nullerror", f"call of {mname!r} on null")
             return
         c = self.cls(self.heap[recv.name].cname)
@@ -275,9 +239,9 @@ class JemConfig:
         if _calls_itself(m):
             self._die("fuel")
             return
-        self.bstack.append(dict(zip(m.params, args)))
-        self.this_stack.append(recv)
-        self.kont.append(("return",))
+        self.kont.append(("return", self.env, self.this))
+        self.env = dict(zip(m.params, args))
+        self.this = recv
         self.focus = ("expr", m.body)
 
     def _binop(self, op, lv, rv):
@@ -305,16 +269,6 @@ def _value_eq(a, b) -> bool:
     if isinstance(a, bool) or isinstance(b, bool):
         return a is b
     return a == b
-
-
-def _literal_value(v):
-    if v == "unit":
-        return UNIT
-    if v == "null":
-        return NULL
-    if isinstance(v, tuple) and v[0] == "objref":
-        return ObjRef(v[1])
-    return v
 
 
 def is_whole(comp: ast.JemComponent) -> bool:

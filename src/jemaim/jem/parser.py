@@ -44,6 +44,9 @@ KEYWORDS = {
     "Obj",
 }
 
+# the keywords that denote values
+LITERALS = {"unit": ast.UNIT, "true": True, "false": False, "null": ast.NULL}
+
 # binary operators by precedence, loosest first
 LEVELS = (("&&",), ("==", "<"), ("+", "-"))
 
@@ -291,16 +294,10 @@ class Parser:
         t = self.next()
         if t.kind == "int":
             return int(t.text)
-        if t.text == "unit":
-            return "unit"
-        if t.text == "true":
-            return True
-        if t.text == "false":
-            return False
-        if t.text == "null":
-            return "null"
+        if t.text in LITERALS:
+            return LITERALS[t.text]
         if t.kind == "ident":
-            return ("objref", t.text)
+            return ast.ObjRef(t.text)
         raise JemSyntaxError(t.pos, f"expected a literal, found {t.text!r}")
 
     def type_(self) -> str:
@@ -350,17 +347,8 @@ class Parser:
     def expr_primary(self) -> ast.Expr:
         t = self.peek()
         pos = t.pos
-        if t.kind == "int":
-            self.next()
-            return ast.Lit(int(t.text), pos=pos)
-        if self.accept("unit"):
-            return ast.Lit("unit", pos=pos)
-        if self.accept("true"):
-            return ast.Lit(True, pos=pos)
-        if self.accept("false"):
-            return ast.Lit(False, pos=pos)
-        if self.accept("null"):
-            return ast.Lit("null", pos=pos)
+        if t.kind == "int" or t.text in LITERALS:
+            return ast.Lit(self.literal_value(), pos=pos)
         if self.accept("this"):
             return ast.This(pos=pos)
         if self.accept("("):

@@ -6,17 +6,11 @@ from .parser import LEVELS
 
 
 def render_value(v) -> str:
-    if v == "unit":
-        return "unit"
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    if v == "null":
-        return "null"
-    if isinstance(v, tuple) and v[0] == "objref":
-        return v[1]
-    return str(v)
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, ast.ObjRef):
+        return v.name
+    return repr(v)
 
 
 def render_expr(e: ast.Expr) -> str:

@@ -182,16 +182,16 @@ class Checker:
                 self.err(o.pos, f"field {fname!r} initialiser has type {vt}, declared {ft}")
 
     def literal_type(self, v) -> str | None:
-        if v == "unit":
+        if v is ast.UNIT:
             return T_UNIT
         if isinstance(v, bool):
             return T_BOOL
         if isinstance(v, int):
             return T_INT
-        if v == "null":
+        if v is ast.NULL:
             return T_NULL
-        if isinstance(v, tuple) and v[0] == "objref":
-            return self.env.object_class(v[1])
+        if isinstance(v, ast.ObjRef):
+            return self.env.object_class(v.name)
         return None
 
     def check_type_known(self, t: str, pos: ast.Pos):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..aim.words import Nonce, Symbol, Word
+from ..aim.words import Nonce, Symbol, Word, parse_word
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,7 @@ class CallIn:
     decoration = "?"
 
     def render(self):
-        return f"call? {_addr(self.addr)} [{','.join(_word(w) for w in self.regs)}]"
+        return f"call? {_addr(self.addr)} [{','.join(map(str, self.regs))}]"
 
 
 @dataclass(frozen=True)
@@ -38,7 +38,7 @@ class CallOut:
     decoration = "!"
 
     def render(self):
-        return f"call! {_addr(self.addr)} [{','.join(_word(w) for w in self.regs)}]"
+        return f"call! {_addr(self.addr)} [{','.join(map(str, self.regs))}]"
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ class ReturnIn:
     decoration = "?"
 
     def render(self):
-        return f"ret? {_addr(self.addr)} {_word(self.value)} id={_word(self.caller)}"
+        return f"ret? {_addr(self.addr)} {self.value} id={self.caller}"
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ class ReturnOut:
     decoration = "!"
 
     def render(self):
-        return f"ret! {_addr(self.addr)} {_word(self.value)} id={_word(self.mid)}"
+        return f"ret! {_addr(self.addr)} {self.value} id={self.mid}"
 
 
 @dataclass(frozen=True)
@@ -97,15 +97,7 @@ def is_input(a: Action) -> bool:
 
 def _addr(addr) -> str:
     a, b = addr
-    return f"({_word(a)},{_word(b)})"
-
-
-def _word(w) -> str:
-    if isinstance(w, Symbol):
-        return f"${w.name}"
-    if isinstance(w, Nonce):
-        return f"#{w.stream}:{w.seq}"
-    return str(w)
+    return f"({a},{b})"
 
 
 def rename(actions, names: dict, seed_masks=()) -> tuple[Trace, dict]:
@@ -126,7 +118,7 @@ def rename(actions, names: dict, seed_masks=()) -> tuple[Trace, dict]:
                 k = new[w] = f"N{len(new)}"
             return k
         if isinstance(w, Symbol):
-            return f"${w.name}"
+            return str(w)
         return w
 
     for n in seed_masks:
@@ -190,11 +182,5 @@ def _parse_action(line: str):
 
 
 def _parse_word(s: str):
-    if s.startswith("$"):
-        return f"${s[1:]}"
-    if s.startswith("N"):
-        return s
-    if s.startswith("#"):
-        stream, _, seq = s[1:].rpartition(":")
-        return Nonce(stream, int(seq))
-    return int(s)
+    """A rendered word; the canonical `N<k>` and `$name` strings stay strings."""
+    return s if s.startswith(("$", "N")) else parse_word(s)

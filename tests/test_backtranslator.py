@@ -110,7 +110,7 @@ class TestEmulateValues:
     def test_primitive_values(self):
         c, img, iface = iface_for(COMPONENTS["const"])
         st = EmulState(iface)
-        assert emulate_value(1, ast.T_UNIT, st).value == "unit"
+        assert emulate_value(1, ast.T_UNIT, st).value == ast.UNIT
         assert emulate_value(2, ast.T_BOOL, st).value is True
         assert emulate_value(3, ast.T_BOOL, st).value is False
         assert emulate_value(7, ast.T_INT, st).value == 7
@@ -157,8 +157,8 @@ class TestEmulateValues:
     def test_null_at_object_types(self):
         c, img, iface = iface_for(COMPONENTS["const"])
         st = EmulState(iface)
-        assert emulate_value(0, "c", st).value == "null"
-        assert emulate_value(0, ast.T_OBJ, st).value == "null"
+        assert emulate_value(0, "c", st).value == ast.NULL
+        assert emulate_value(0, ast.T_OBJ, st).value == ast.NULL
 
 
 class TestEmulateActions:
@@ -353,12 +353,12 @@ class TestEmulationRoundTrips:
         """encode(emulate(w, t)) == w for every literal the emulator can name."""
         c, img, iface = iface_for(COMPONENTS["const"])
         cases = [
-            (1, ast.T_UNIT, "unit"),
+            (1, ast.T_UNIT, ast.UNIT),
             (2, ast.T_BOOL, True),
             (3, ast.T_BOOL, False),
             (0, ast.T_INT, 0),
             (41, ast.T_INT, 41),
-            (0, "c", "null"),
+            (0, "c", ast.NULL),
         ]
         for w, t, expected in cases:
             st = EmulState(iface)

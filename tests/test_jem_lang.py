@@ -254,6 +254,12 @@ class TestInterp:
         r = run(prog)
         assert r.terminated and r.value == 10
 
+    def test_results_print_as_jem_writes_them(self):
+        prog = parse_ok(MAIN_RETURN_0.replace("main()->Int", "main()->Bool").replace("return 0;", "return 1 < 2;"))
+        assert repr(run(prog)) == "Terminated(true)"
+        assert repr(RunResult("terminated", False)) == "Terminated(false)"
+        assert repr(RunResult("terminated", 42)) == "Terminated(42)"
+
     def test_subtraction_saturates_at_zero(self):
         prog = parse_ok(MAIN_RETURN_0.replace("return 0;", "return exit(3 - 5);"))
         assert run(prog).value == 0

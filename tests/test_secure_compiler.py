@@ -32,8 +32,8 @@ def parse_ok(src):
 
 class TestEncodings:
     def test_value_encoding_constants(self):
-        assert encode_value("null") == 0
-        assert encode_value("unit") == 1
+        assert encode_value(ast.NULL) == 0
+        assert encode_value(ast.UNIT) == 1
         assert encode_value(True) == 2
         assert encode_value(False) == 3
         assert encode_value(42) == 42
@@ -210,6 +210,34 @@ object main : main { };
 """
 
 
+# Whole programs whose main returns no Int, each read from a field its
+# static object initialises or from a literal. They stay out of corpus.py,
+# whose programs the benchmark runs.
+VALUE_PROG = """
+class main {{
+  main(u:Unit, b:Bool, n:main, me:main){{}}
+  u : Unit;
+  b : Bool;
+  n : main;
+  me : main;
+  public main() : main()->{ret} {{ return {body}; }}
+}};
+object main : main {{ u = unit; b = false; n = null; me = main; }};
+"""
+
+# name -> (result type, main's body, the result as jem writes it)
+VALUE_RESULTS = {
+    "unit-literal": ("Unit", "unit", "unit"),
+    "unit-field": ("Unit", "this.u", "unit"),
+    "null-literal": ("main", "null", "null"),
+    "null-field": ("main", "this.n", "null"),
+    "true-literal": ("Bool", "true", "true"),
+    "true-computed": ("Bool", "1 < 2", "true"),
+    "false-literal": ("Bool", "false", "false"),
+    "false-field": ("Bool", "this.b", "false"),
+}
+
+
 class TestCompilerCorrectness:
     def test_class_named_null(self):
         comp = parse_ok(NULL_CLASS_PROG)
@@ -236,6 +264,22 @@ class TestCompilerCorrectness:
             assert ar.value == encode_value(jr.value)
         else:
             assert ar.kind == "fuel"
+
+    @pytest.mark.parametrize("name", sorted(VALUE_RESULTS))
+    def test_non_int_results_agree(self, name):
+        ret, body, printed = VALUE_RESULTS[name]
+        comp = parse_ok(VALUE_PROG.format(ret=ret, body=body))
+        jr = jem_run(comp)
+        assert repr(jr) == f"Terminated({printed})"
+        ar = run_aim(compaim(comp), seed=3)
+        assert ar.kind == "halted" and not ar.aborted and ar.value == encode_value(jr.value)
+
+    @pytest.mark.parametrize("body", ["this.me", "this", "new main(unit, true, null, this)"])
+    def test_object_results_terminate_on_both(self, body):
+        comp = parse_ok(VALUE_PROG.format(ret="main", body=body))
+        assert jem_run(comp).kind == "terminated"
+        ar = run_aim(compaim(comp), seed=3)
+        assert ar.kind == "halted" and not ar.aborted
 
     @pytest.mark.parametrize("pending,n", [(1, 1400), (1, 3000), (7, 600), (7, 700), (7, 900)])
     def test_deep_recursion_agrees(self, pending, n):
@@ -371,7 +415,7 @@ class TestDynamicTypechecks:
     def test_unit_value_against_unit_type_passes(self):
         from jemaim.compiler.encoding import ENC_UNIT
 
-        assert self.check(encode_value("unit"), ENC_UNIT)
+        assert self.check(encode_value(ast.UNIT), ENC_UNIT)
 
     def test_true_against_unit_type_aborts(self):
         from jemaim.compiler.encoding import ENC_UNIT
