@@ -92,12 +92,9 @@ def _satisfies(em: dict, rm: list) -> bool:
 
 def compat(p1: ProgramImage, p2: ProgramImage) -> bool:
     """Mutual satisfaction plus disjoint memories and descriptor ids."""
-    if p1.module_ids() & p2.module_ids():
-        return False
-    if set(p1.mem) & set(p2.mem):
-        return False
     return (
-        _satisfies(p1.table.em, p2.table.rm)
+        disjoint(p1, p2)
+        and _satisfies(p1.table.em, p2.table.rm)
         and _satisfies(p2.table.em, p1.table.rm)
         and all(key in p1.table.eo for key, _ in p2.table.ro)
         and all(key in p2.table.eo for key, _ in p1.table.ro)

@@ -19,6 +19,7 @@ from string import Template
 
 from ..jem import ast
 from ..jem.parser import parse_component
+from ..jem.typecheck import Env
 from .interface import ImportMismatch, Interface
 
 HELPER = "Helper"
@@ -171,12 +172,8 @@ def _stub_class(name: str, sigs: list, objects: list) -> str:
 def skel(c1: ast.JemComponent, iface: Interface, code: dict) -> ast.JemComponent:
     """The differentiating context of a component pair (c1 stands for both), with
     the witness code `code` maps (class, method) -> MethodCode to."""
-    ics, ios = c1.all_imports()
-    by_name: dict[str, dict] = {}  # interface -> method name -> the first signature declared
-    for ic in ics:
-        sigs = by_name.setdefault(ic.name, {})
-        for s in ic.sigs:
-            sigs.setdefault(s.name, s)
+    _, ios = c1.all_imports()
+    by_name = Env(c1).interfaces  # interface -> method name -> the first signature declared
     if HELPER in by_name or any(c.name == HELPER for c in c1.classes):
         raise ImportMismatch(f"the name {HELPER} must be fresh")
     # stub objects for every object declaration the pair imports

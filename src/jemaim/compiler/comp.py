@@ -20,7 +20,7 @@ every other object value is a cross-module id (mask) or comp(null).
 
 The compiler types nothing itself. Slots, frame sizes and each call's resolved
 signature (internal call or outcall, and the return type an outcall carries)
-come from the checker's `Typing`, recorded by one check of the class.
+are the facts the last check of the component left on the AST (jem/ast.py).
 
 Register discipline: r0 caller id, r1/r2 ALU and branch scratch, r3/r4 jump
 targets, r5 return designator, r6 this/result, r7+ parameters, r9..r12
@@ -34,7 +34,7 @@ from ..aim.isa import SF, ZF, Assembler, Label
 from ..aim.link import ObjKey
 from ..aim.words import FORWARDCALL_EP, N_W, SYS_ID, Symbol
 from ..jem import ast
-from ..jem.typecheck import Checker
+from ..jem.typecheck import Env
 from .encoding import encode_class, encode_type, encode_value
 
 DATA_BASE = 65536
@@ -57,6 +57,12 @@ def always_jump(a: Assembler, label: str, tmp: int = 11):
     a.emit("je", tmp, ZF)
 
 
+def jump_if(a: Assembler, label: str, flag: int = ZF, tmp: int = 11):
+    """Local jump to `label` if `flag` is set."""
+    a.emit("movi", tmp, Label(label))
+    a.emit("je", tmp, flag)
+
+
 def trampoline(a: Assembler, target: str):
     """One entry-point slot: an always-jump to `target`, padded to N_W words."""
     start = a.here()
@@ -75,9 +81,7 @@ class ClassCompiler:
         self.cls = cls
         self.mid = mid
         self.methods = sorted(cls.methods, key=lambda m: m.name)  # entry point i+1 belongs to methods[i]
-        checker = Checker(component)
-        checker.check_class(cls)
-        self.env, self.typing = checker.env, checker.typing
+        self.env = Env(component)
         self.own_enc = encode_class(cls.name)
         self._rm: dict[ast.MethodSig, tuple[Symbol, Symbol]] = {}
         self._ro: dict[ObjKey, Symbol] = {}
@@ -124,10 +128,6 @@ class ClassCompiler:
 
     # -- emission helpers ------------------------------------------------------
 
-    def jump_if_zf(self, a: Assembler, label: str):
-        a.emit("movi", 11, Label(label))
-        a.emit("je", 11, ZF)
-
     def load_sp(self, a: Assembler):
         """r9 := SP; r10 := module id."""
         a.emit("movi", 10, self.mid)
@@ -170,7 +170,7 @@ class ClassCompiler:
     # -- method bodies ---------------------------------------------------------
 
     def emit_body(self, a: Assembler, m: ast.Method):
-        self.framesize = 2 + self.typing.nvars[id(m)]
+        self.framesize = 2 + m.nvars
         a.label(f"body_{m.name}")
         # stack-overflow backstop: spin in place once SP passes the limit
         a.emit("movi", 10, self.mid)
@@ -180,8 +180,7 @@ class ClassCompiler:
         a.emit("sub", 1, 2)
         ok = self.fresh_label("stack_ok")
         spin = self.fresh_label("spin")
-        a.emit("movi", 11, Label(ok))
-        a.emit("je", 11, SF)
+        jump_if(a, ok, SF)
         a.label(spin)
         always_jump(a, spin)
         a.label(ok)
@@ -240,7 +239,7 @@ class ClassCompiler:
         elif isinstance(e, ast.VarDecl):
             self.expr(a, e.value)
             self.pop(a, 2)
-            self.var_addr(a, self.typing.slots[id(e)])
+            self.var_addr(a, e.slot)
             a.emit("movs", 10, 2, 9)
             self.push_value(a, encode_value(ast.UNIT))
         elif isinstance(e, ast.FieldGet):
@@ -282,9 +281,8 @@ class ClassCompiler:
             raise CompileError(f"cannot compile {type(e).__name__}")
 
     def compile_var(self, a: Assembler, e: ast.Var):
-        slot = self.typing.slots.get(id(e))
-        if slot is not None:
-            self.var_addr(a, slot)
+        if e.slot is not None:
+            self.var_addr(a, e.slot)
             a.emit("movl", 1, 10, 9)
             self.push(a, 1)
         else:
@@ -293,7 +291,7 @@ class ClassCompiler:
     def null_abort(self, a: Assembler, reg: int):
         a.emit("movi", 11, 0)
         a.emit("cmp", reg, 11)
-        self.jump_if_zf(a, "abort")
+        jump_if(a, "abort")
 
     def binop(self, a: Assembler, e: ast.BinOp):
         """Apply `e.op` to the two operands on top of the stack."""
@@ -306,8 +304,7 @@ class ClassCompiler:
             neg = self.fresh_label("neg")
             done = self.fresh_label("done")
             a.emit("sub", 1, 2)
-            a.emit("movi", 11, Label(neg))
-            a.emit("je", 11, SF)
+            jump_if(a, neg, SF)
             always_jump(a, done)
             a.label(neg)
             a.emit("movi", 1, 0)
@@ -332,8 +329,7 @@ class ClassCompiler:
         """Push comp(true) if `flag` is set else comp(false)."""
         yes = self.fresh_label("flag_yes")
         done = self.fresh_label("flag_done")
-        a.emit("movi", 11, Label(yes))
-        a.emit("je", 11, flag)
+        jump_if(a, yes, flag)
         a.emit("movi", 1, encode_value(False))
         always_jump(a, done)
         a.label(yes)
@@ -348,7 +344,7 @@ class ClassCompiler:
         self.pop(a, 1)
         a.emit("movi", 2, encode_value(True))
         a.emit("cmp", 1, 2)
-        self.jump_if_zf(a, then_l)
+        jump_if(a, then_l)
         depth = self.depth
         self.expr(a, e.els)
         always_jump(a, end_l)
@@ -394,25 +390,25 @@ class ClassCompiler:
         ldone = self.fresh_label("inst_done")
         a.emit("movi", 2, 0)
         a.emit("cmp", 1, 2)
-        self.jump_if_zf(a, lfalse)  # null
+        jump_if(a, lfalse)  # null
         a.emit("movi", 2, 0)
         a.emit("add", 2, 1)  # r2 := arithmetic view; 0 exactly for a nonce here
         a.emit("movi", 11, 0)
         a.emit("cmp", 2, 11)
-        self.jump_if_zf(a, lnonce)
+        jump_if(a, lnonce)
         # internal id: compare the object's class word
         a.emit("movi", 10, self.mid)
         a.emit("movl", 2, 10, 1)
         a.emit("movi", 11, enc)
         a.emit("cmp", 2, 11)
-        self.jump_if_zf(a, ltrue)
+        jump_if(a, ltrue)
         always_jump(a, lfalse)
         a.label(lnonce)
         a.emit("movi", 11, enc)
         a.emit("gst_test", 2, 1, 11)
         a.emit("movi", 11, 0)
         a.emit("cmp", 2, 11)
-        self.jump_if_zf(a, ltrue)
+        jump_if(a, ltrue)
         a.label(lfalse)
         a.emit("movi", 1, encode_value(False))
         always_jump(a, ldone)
@@ -424,7 +420,7 @@ class ClassCompiler:
     # -- calls ---------------------------------------------------------------
 
     def compile_call(self, a: Assembler, e: ast.Call):
-        sig = self.typing.sigs[id(e)]
+        sig = e.sig
         self.expr(a, e.recv)
         for x in e.args:
             self.expr(a, x)
@@ -531,5 +527,7 @@ class ClassCompiler:
 
 
 def comp_class(component: ast.JemComponent, cls: ast.JemClass, mid: int) -> ClassCompiler:
-    """Compile one class of a typechecked component for module id `mid`."""
+    """Compile one class of `component` for module id `mid`. The component was
+    last checked by `typecheck` with no errors (as `pipeline.modules` does):
+    the compiler reads the facts that check left on the AST."""
     return ClassCompiler(component, cls, mid)

@@ -20,7 +20,7 @@ from ..aim.isa import ZF, Assembler, Label
 from ..aim.link import ObjKey, ProgramImage, SymbolTable
 from ..aim.words import FORWARDRETURN_EP, N_W, SYS_ID, Address, Descriptor, Nonce
 from ..jem import ast
-from .comp import DATA_BASE, OCD, SP, ClassCompiler, CompileError, always_jump, trampoline
+from .comp import DATA_BASE, OCD, SP, ClassCompiler, CompileError, always_jump, jump_if, trampoline
 from .encoding import encode_type
 
 _instance = 0
@@ -30,8 +30,7 @@ def _check_eq(cc, a: Assembler, reg: int, value):
     ok = cc.fresh_label("chk")
     a.emit("movi", 1, value)
     a.emit("cmp", reg, 1)
-    a.emit("movi", 2, Label(ok))
-    a.emit("je", 2, ZF)
+    jump_if(a, ok, tmp=2)
     always_jump(a, "abort")
     a.label(ok)
 
@@ -41,7 +40,7 @@ def _param_check(cc, a: Assembler, reg: int, t: str):
         skip = cc.fresh_label("pnull")
         a.emit("movi", 1, 0)
         a.emit("cmp", reg, 1)
-        cc.jump_if_zf(a, skip)
+        jump_if(a, skip)
         a.emit("tbl_get", reg, reg)
         a.emit("movi", 1, cc.own_enc)
         a.emit("tychk", reg, 1)
@@ -84,7 +83,7 @@ def _return_entry(cc, a: Assembler):
     a.emit("movl", 1, 10, 9)
     a.emit("movi", 2, 0)
     a.emit("cmp", 1, 2)
-    cc.jump_if_zf(a, "abort")
+    jump_if(a, "abort")
     a.emit("movi", 2, 1)
     a.emit("sub", 1, 2)
     a.emit("movs", 10, 1, 9)
@@ -106,13 +105,13 @@ def _return_entry(cc, a: Assembler):
     go = cc.fresh_label("ret_go")
     a.emit("movi", 11, cc.own_enc)
     a.emit("cmp", 1, 11)
-    cc.jump_if_zf(a, own)
+    jump_if(a, own)
     a.emit("tychk", 6, 1)
     always_jump(a, go)
     a.label(own)
     a.emit("movi", 11, 0)
     a.emit("cmp", 6, 11)
-    cc.jump_if_zf(a, go)  # null return needs no unmasking
+    jump_if(a, go)  # null return needs no unmasking
     a.emit("tbl_get", 6, 6)
     a.emit("tychk", 6, 1)
     a.label(go)

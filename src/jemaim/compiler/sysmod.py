@@ -12,11 +12,11 @@ forwardCall can test emptiness with a plain load.
 """
 from __future__ import annotations
 
-from ..aim.isa import ZF, Assembler, Label
+from ..aim.isa import Assembler
 from ..aim.link import ProgramImage, SymbolTable
 from ..aim.words import FORWARDCALL_EP, FORWARDRETURN_EP, REGISTEROBJ_EP, SYS_ID, TESTOBJ_EP, Address, Descriptor
 from ..jem.ast import MethodSig
-from .comp import DATA_BASE, always_jump, trampoline
+from .comp import DATA_BASE, always_jump, jump_if, trampoline
 
 SYS_DEPTH_ADDR = Address(SYS_ID, DATA_BASE)
 
@@ -60,18 +60,15 @@ def _assemble() -> tuple[list, dict[int, str]]:
     a.emit("movl", 9, 10, 9)
     a.emit("movi", 10, 0)
     a.emit("cmp", 9, 10)
-    a.emit("movi", 11, Label("fc_fresh"))
-    a.emit("je", 11, ZF)
+    jump_if(a, "fc_fresh")
     a.emit("stk_pop", 9, 10, 11)
     a.emit("stk_push", 9, 10, 11)
     a.emit("cmp", 9, 0)  # the module that called last may not call again
-    a.emit("movi", 12, Label("sys_abort"))
-    a.emit("je", 12, ZF)
+    jump_if(a, "sys_abort", tmp=12)
     a.label("fc_fresh")
     a.emit("movi", 9, SYS_ID)
     a.emit("cmp", 3, 9)  # no forwarding into sys itself
-    a.emit("movi", 12, Label("sys_abort"))
-    a.emit("je", 12, ZF)
+    jump_if(a, "sys_abort", tmp=12)
     a.emit("stk_push", 0, 5, 3)
     a.emit("movi", 5, FORWARDRETURN_EP)
     for r in (0, 1, 2, 9, 10, 11, 12):
@@ -83,8 +80,7 @@ def _assemble() -> tuple[list, dict[int, str]]:
     a.label("fwret")
     a.emit("stk_pop", 2, 1, 3)
     a.emit("cmp", 3, 0)
-    a.emit("movi", 9, Label("fr_ok"))
-    a.emit("je", 9, ZF)
+    jump_if(a, "fr_ok", tmp=9)
     always_jump(a, "sys_abort")
     a.label("fr_ok")
     a.emit("movi", 5, 1)

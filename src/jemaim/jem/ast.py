@@ -12,6 +12,10 @@ object's field initialisers hold exactly the values the interpreter computes
 with, and `compiler/encoding.py` encodes every one but an `ObjRef`. As
 `True == 1` in Python, a `bool` is told from an `int` by `isinstance` before
 any lookup or comparison by value.
+
+The checker leaves four facts on the nodes for the compiler: `Call.sig`,
+`Var.slot` (`None` for a static object), `VarDecl.slot` and `Method.nvars`.
+Equality, `repr` and printing ignore them (`compare=False, repr=False`).
 """
 from __future__ import annotations
 
@@ -94,6 +98,7 @@ class Lit(Expr):
 @dataclass
 class Var(Expr):
     name: str = ""
+    slot: int | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -119,6 +124,7 @@ class Call(Expr):
     recv: Expr = None
     mname: str = ""
     args: list[Expr] = field(default_factory=list)
+    sig: MethodSig | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -163,6 +169,7 @@ class VarDecl(Expr):
     name: str = ""
     vtype: str = ""
     value: Expr = None
+    slot: int | None = field(default=None, compare=False, repr=False)
 
 
 # -- declarations ----------------------------------------------------------
@@ -175,6 +182,7 @@ class Method:
     sig: MethodSig
     body: Expr
     pos: Pos = field(default_factory=Pos)
+    nvars: int = field(default=0, compare=False, repr=False)
 
 
 @dataclass

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from ..aim.words import MASK64
 from . import ast
 from .ast import NULL, UNIT, ObjRef
+from .compat import satisfies
 from .printer import render_value
 
 DEFAULT_FUEL = 1_000_000
@@ -272,8 +273,6 @@ def _value_eq(a, b) -> bool:
 
 
 def is_whole(comp: ast.JemComponent) -> bool:
-    from .compat import satisfies
-
     return satisfies(comp, comp)
 
 

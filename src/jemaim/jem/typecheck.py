@@ -4,9 +4,10 @@ typecheck() returns a list of "line:col: message" diagnostics; the component is
 well typed iff the list is empty. Checking a component in isolation treats its
 imported class declarations as assumed interfaces.
 
-The Checker records what it resolves in `Typing`, keyed by node identity
-(expression dataclasses are unhashable). The base compiler (compiler/comp.py)
-reads it in place of typing anything itself.
+The Checker writes what it resolves onto the nodes it is about (jem/ast.py):
+each call's signature, each local's slot and each method's number of slots,
+which are its parameters, then each new local name in pre-order, counted on
+entry to its VarDecl. The base compiler reads these in place of typing.
 
 Types are names (jem/ast.py). The type of `null` is the name `null`, a
 keyword, so no class shares it.
@@ -81,21 +82,10 @@ def unify(t1: str, t2: str) -> str | None:
     return None
 
 
-class Typing:
-    """Facts keyed by `id(node)`. A method's slots number its parameters, then
-    each new local name in pre-order, counted on entry to its VarDecl."""
-
-    def __init__(self):
-        self.sigs: dict[int, ast.MethodSig] = {}  # Call -> resolved signature
-        self.slots: dict[int, int] = {}  # VarDecl, Var of a local -> slot
-        self.nvars: dict[int, int] = {}  # Method -> params plus locals
-
-
 class Checker:
     def __init__(self, comp: ast.JemComponent):
         self.env = Env(comp)
         self.errors: list[str] = []
-        self.typing = Typing()
         self.locals: dict[str, int] = {}  # slot of each name of the method being checked
 
     def err(self, pos: ast.Pos, msg: str):
@@ -161,7 +151,7 @@ class Checker:
         self.check_type_known(m.sig.ret, m.pos)
         self.locals = {p: i for i, p in enumerate(m.params)}
         t = self.expr(m.body, dict(zip(m.params, m.sig.params)), c)
-        self.typing.nvars[id(m)] = len(self.locals)
+        m.nvars = len(self.locals)
         if t is not None and not subsume(t, m.sig.ret):
             self.err(m.pos, f"body of {m.name!r} has type {t}, declared {m.sig.ret}")
 
@@ -218,8 +208,9 @@ class Checker:
             return self.literal_type(e.value)
         if isinstance(e, ast.Var):
             if e.name in scope:
-                self.typing.slots[id(e)] = self.locals[e.name]
+                e.slot = self.locals[e.name]
                 return scope[e.name]
+            e.slot = None
             cname = self.env.object_class(e.name)
             if cname is not None:
                 return cname
@@ -256,11 +247,10 @@ class Checker:
             if not is_class_type(rt):
                 self.err(e.pos, f"cannot call {e.mname!r} on a value of type {rt}")
                 return None
-            sig = self.env.method_sig(rt, e.mname)
+            sig = e.sig = self.env.method_sig(rt, e.mname)
             if sig is None:
                 self.err(e.pos, f"class {rt!r} has no method {e.mname!r}")
                 return None
-            self.typing.sigs[id(e)] = sig
             if len(ats) != len(sig.params):
                 self.err(e.pos, f"{e.mname!r} takes {len(sig.params)} arguments, got {len(ats)}")
                 return sig.ret
@@ -305,7 +295,7 @@ class Checker:
                 self.err(e.pos, f"unknown class {e.cname!r}")
             return T_BOOL
         if isinstance(e, ast.VarDecl):
-            self.typing.slots[id(e)] = self.locals.setdefault(e.name, len(self.locals))
+            e.slot = self.locals.setdefault(e.name, len(self.locals))
             vt = self.expr(e.value, scope, c)
             self.check_type_known(e.vtype, e.pos)
             if vt is not None and not subsume(vt, e.vtype):

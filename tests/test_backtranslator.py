@@ -1,10 +1,12 @@
 """Back-translation: skeleton, emulation, differentiation, witness correctness."""
 import hashlib
 import random
+import re
 import zlib
 
 import pytest
 
+from jemaim.aim import aimod
 from jemaim.compiler.encoding import encode_value
 from jemaim.compiler.pipeline import compaim
 from jemaim.backtrans.algo import PlugFailure, algo, verify_witness
@@ -324,6 +326,21 @@ class TestWitnessEndToEnd:
         assert typecheck(reparsed) == []
         v = verify_witness(w.context, c1, c2, fuel=600_000)
         assert v.distinguishing, f"{name}: {v.first!r} vs {v.second!r}"
+
+    def test_verification_leaves_the_compilation_unchanged(self):
+        """verify_witness rechecks c1's nodes inside the witness join; the
+        facts that check leaves on them compile c1 as before."""
+        c1, c2 = (parse_ok(src) for src in INEQUIVALENT_PAIRS["callback-param"])
+
+        def dump():
+            return re.sub(r"#(static-[^:]*)-[0-9]+:", r"#\1:", aimod.dump(compaim(c1)))
+
+        before = dump()
+        img1, img2 = compaim(c1), compaim(c2)
+        r = trace_equiv(img1, img2, depth=3)
+        w = algo(c1, c2, r.t1, r.t2, image=img1, image2=img2)
+        assert verify_witness(w.context, c1, c2, fuel=600_000).distinguishing
+        assert dump() == before
 
     def test_swapped_arguments_mirror(self):
         a, b = INEQUIVALENT_PAIRS["int-return"]

@@ -1,4 +1,6 @@
 """The command-line surface: every subcommand, exit codes, file round-trips."""
+import re
+
 import pytest
 
 from jemaim.cli import main
@@ -71,6 +73,13 @@ class TestCompileLinkRun:
         assert run_cli("link", *(ws / "mods").glob("*.aimod"), "-o", ws / "prog.aimod") == 0
         assert run_cli("run_aim", ws / "prog.aimod") == 0
         assert "r6=42" in capsys.readouterr().out
+
+    def test_compile_of_an_ill_typed_file_is_refused(self, ws, capsys):
+        assert run_cli("compile", ws / "bad.jem", "-o", ws / "mods") == 1
+        diagnostic, error = capsys.readouterr().err.splitlines()
+        assert re.fullmatch(r".*bad\.jem:1:[0-9]+: body of 'm' has type Int, declared Bool", diagnostic)
+        assert error.startswith("error: ")
+        assert not (ws / "mods").exists()
 
     def test_run_without_sys_is_one_error_line(self, ws, capsys):
         assert run_cli("compile", ws / "prog.jem", "-o", ws / "mods") == 0

@@ -1,4 +1,5 @@
-"""Every name a module under src/jemaim or tests imports is used in that module."""
+"""Every name a module under src/jemaim or tests imports is used in that
+module, and every module under src/jemaim imports at module level only."""
 import ast
 from pathlib import Path
 
@@ -36,3 +37,16 @@ def test_no_unused_import(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(f"{name} (line {line})" for name, line in imported_names(tree).items() if name not in used)
     assert unused == []
+
+
+@pytest.mark.parametrize("path", [pytest.param(p, id=str(p.relative_to(SRC))) for p in MODULES])
+def test_no_import_inside_a_function(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    inner = sorted(
+        f"{fn.name} (line {node.lineno})"
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    )
+    assert inner == []

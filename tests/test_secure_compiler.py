@@ -1,6 +1,7 @@
 """The secure compiler: encodings, module structure, sys behavior, attacks."""
 import hashlib
 import re
+from collections import Counter
 
 import pytest
 
@@ -22,6 +23,19 @@ from jemaim.traces.engine import ComponentTracer
 from jemaim.traces.actions import ReturnOut, Tick
 
 from corpus import COMPONENTS, INEQUIVALENT_PAIRS, WHOLE_PROGRAMS, main_prog
+
+
+def call_chain(n):
+    """A program whose main calls `me()` n times in one receiver chain."""
+    return f"""
+class main {{
+  main(){{}}
+  public me() : main()->main {{ return this; }}
+  public v() : main()->Int {{ return 7; }}
+  public main() : main()->Int {{ return this{".me()" * n}.v(); }}
+}};
+object main : main {{ }};
+"""
 
 
 def parse_ok(src):
@@ -327,15 +341,7 @@ object main : main {{ x = 0; }};
         """The compiler reads each call's signature from the one typing pass
         instead of re-typing the receiver chain at every call."""
         n = 200
-        src = f"""
-class main {{
-  main(){{}}
-  public me() : main()->main {{ return this; }}
-  public v() : main()->Int {{ return 7; }}
-  public main() : main()->Int {{ return this{".me()" * n}.v(); }}
-}};
-object main : main {{ }};
-"""
+        src = call_chain(n)
         calls = 0
         real_expr = Checker.expr
 
@@ -352,6 +358,30 @@ object main : main {{ }};
         ar = run_aim(image, seed=3, fuel=300_000)
         assert jr.kind == "terminated" and jr.value == 7
         assert ar.kind == "halted" and not ar.aborted and ar.value == encode_value(7)
+
+    def test_compaim_checks_once(self, monkeypatch):
+        """compaim's one typecheck is the only check: each class is checked
+        once, and the compiler types no method body again."""
+        counts = Counter()
+
+        def counting(name):
+            real = getattr(Checker, name)
+
+            def wrapper(self, *args):
+                counts[name] += 1
+                return real(self, *args)
+
+            return wrapper
+
+        n = 200
+        cross, chain = parse_ok(WHOLE_PROGRAMS["cross-call"]), parse_ok(call_chain(n))
+        for name in ("check_class", "expr"):
+            monkeypatch.setattr(Checker, name, counting(name))
+        compaim(cross)
+        assert counts["check_class"] == 2
+        counts.clear()
+        compaim(chain)
+        assert counts["expr"] <= n + 10
 
     def test_two_class_component_gives_three_modules(self):
         comp = parse_ok(WHOLE_PROGRAMS["cross-call"])
