@@ -79,7 +79,6 @@ class MachineState:
     _last_op: str | None = field(default=None, repr=False)  # tells the zero;halt abort from halt
     code: dict[Address, Word] = field(default_factory=dict, repr=False)  # protected code words, shared by clones
     _icache: dict = field(default_factory=dict, repr=False)  # pc -> entry, shared by clones
-    _mods: dict = field(default_factory=dict, repr=False)  # module id -> descriptor, shared by clones
 
     def __post_init__(self):
         if self.flags is None:
@@ -117,7 +116,6 @@ class MachineState:
             _last_op=self._last_op,
             code=self.code,
             _icache=self._icache,
-            _mods=self._mods,
         )
 
     def share_code(self):
@@ -136,13 +134,9 @@ class MachineState:
     # -- decoding ---------------------------------------------------------
 
     def module(self, mid: int) -> Descriptor | None:
-        """The descriptor of module `mid`, or None; each id is found in `descs` once."""
-        s = self._mods.get(mid)
-        if s is None and mid != 0:
-            s = access.find_module(self.descs, Address(mid, 0))
-            if s is not None:
-                self._mods[mid] = s
-        return s
+        """The descriptor of module `mid` (None for unprotected memory or an unknown
+        id), found in `descs` at each ask: by `_decode` at an uncached pc, and by `halt`."""
+        return None if mid == 0 else access.find_module(self.descs, Address(mid, 0))
 
     def _decode(self):
         """The entry of the instruction at pc, or None when it is undecodable.

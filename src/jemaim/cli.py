@@ -16,7 +16,7 @@ from .aim.link import LinkError
 from .backtrans.algo import PlugFailure, algo, verify_witness
 from .backtrans.interface import ImportMismatch
 from .compiler.comp import CompileError
-from .compiler.pipeline import CompilationError, UnresolvedSymbols, compaim, modules, mylink, run_aim
+from .compiler.pipeline import CompilationError, UnresolvedSymbols, modules, mylink, run_aim
 from .jem.interp import DEFAULT_FUEL, NotWhole, run
 from .jem.parser import JemSyntaxError, parse_component
 from .jem.printer import render_component
@@ -50,14 +50,26 @@ def _load_trace(path: str):
         raise ValueError(f"{path}:{e}") from e
 
 
+def _reject(path: str, errors: list[str]):
+    for err in errors:
+        print(f"{path}:{err}", file=sys.stderr)
+    raise CliError(f"{path}: component does not typecheck")
+
+
 def _load_checked(path: str):
     comp = _load_component(path)
-    errors = typecheck(comp)
-    if errors:
-        for err in errors:
-            print(f"{path}:{err}", file=sys.stderr)
-        raise CliError(f"{path}: component does not typecheck")
+    if errors := typecheck(comp):
+        _reject(path, errors)
     return comp
+
+
+def _load_compiled(path: str):
+    """The component in `path` and its modules, checked once, by `modules`."""
+    comp = _load_component(path)
+    try:
+        return comp, modules(comp)
+    except CompilationError as e:
+        _reject(path, e.diagnostics)
 
 
 def cmd_check(args) -> int:
@@ -79,13 +91,9 @@ def cmd_run_jem(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    comp = _load_checked(args.file)
+    comp, images = _load_compiled(args.file)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    try:
-        images = modules(comp)
-    except (CompileError, CompilationError) as e:
-        raise CliError(str(e)) from e
     names = [cls.name for cls in comp.classes] + ["sys"]
     for name, image in zip(names, images):
         (outdir / f"{name}.aimod").write_text(aimod.dump(image))
@@ -115,9 +123,8 @@ def cmd_run_aim(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    comp = _load_checked(args.file)
-    image = compaim(comp)
-    traces = enumerate_traces(image, depth=args.depth, domain=AdversaryDomain(), seed=args.seed)
+    _, images = _load_compiled(args.file)
+    traces = enumerate_traces(mylink(*images), depth=args.depth, domain=AdversaryDomain(), seed=args.seed)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     ordered = sorted(traces, key=lambda t: (len(t), tuple(a.render() for a in t)))
@@ -128,9 +135,9 @@ def cmd_trace(args) -> int:
 
 
 def cmd_trace_diff(args) -> int:
-    c1, c2 = _load_checked(args.first), _load_checked(args.second)
+    (_, i1), (_, i2) = _load_compiled(args.first), _load_compiled(args.second)
     try:
-        result = trace_equiv(compaim(c1), compaim(c2), depth=args.depth, seed=args.seed)
+        result = trace_equiv(mylink(*i1), mylink(*i2), depth=args.depth, seed=args.seed)
     except InterfaceMismatch as e:
         raise CliError(str(e)) from e
     if result.equivalent:
@@ -145,10 +152,10 @@ def cmd_trace_diff(args) -> int:
 
 
 def cmd_backtranslate(args) -> int:
-    c1, c2 = _load_checked(args.first), _load_checked(args.second)
+    (c1, i1), (c2, i2) = _load_compiled(args.first), _load_compiled(args.second)
     t1, t2 = _load_trace(args.trace1), _load_trace(args.trace2)
     try:
-        witness = algo(c1, c2, t1, t2)
+        witness = algo(c1, c2, t1, t2, image=mylink(*i1), image2=mylink(*i2))
     except ImportMismatch as e:
         raise CliError(str(e)) from e
     Path(args.output).write_text(render_component(witness.context))
@@ -241,7 +248,7 @@ def main(argv=None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (LinkError, aimod.AimodError, NotWhole, CompilationError, PlugFailure) as e:
+    except (LinkError, aimod.AimodError, NotWhole, CompileError, PlugFailure) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # any other failure is still reported as one error line

@@ -219,13 +219,9 @@ class ClassCompiler:
             self.pop(a, 1)
             e = e.second
         if isinstance(e, ast.BinOp):
-            # walk the left spine in a loop: long `+` chains nest to the left
-            spine = []
-            while isinstance(e, ast.BinOp):
-                spine.append(e)
-                e = e.left
-            self.expr(a, e)
-            for b in reversed(spine):
+            leaf, spine = ast.left_spine(e)
+            self.expr(a, leaf)
+            for b in spine:
                 self.expr(a, b.right)
                 self.binop(a, b)
         elif isinstance(e, ast.Lit):

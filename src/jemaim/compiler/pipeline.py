@@ -16,7 +16,11 @@ from .sysmod import SYS_DEPTH_ADDR, build_sys
 
 
 class CompilationError(Exception):
-    pass
+    """A component that does not typecheck; `diagnostics` are the checker's."""
+
+    def __init__(self, diagnostics: list[str]):
+        super().__init__("component does not typecheck: " + "; ".join(diagnostics))
+        self.diagnostics = diagnostics
 
 
 class UnresolvedSymbols(Exception):
@@ -27,7 +31,7 @@ def modules(component: ast.JemComponent, first_mid: int = 2) -> list[ProgramImag
     """prot(comp(C)) for every class, module ids from `first_mid` on, then sys."""
     errors = typecheck(component)
     if errors:
-        raise CompilationError("component does not typecheck: " + "; ".join(errors))
+        raise CompilationError(errors)
     images = [
         prot(comp_class(component, cls, first_mid + i))
         for i, cls in enumerate(component.classes)

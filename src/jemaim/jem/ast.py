@@ -16,6 +16,9 @@ any lookup or comparison by value.
 The checker leaves four facts on the nodes for the compiler: `Call.sig`,
 `Var.slot` (`None` for a static object), `VarDecl.slot` and `Method.nvars`.
 Equality, `repr` and printing ignore them (`compare=False, repr=False`).
+
+Long `+` chains nest to the left: the checker, the compiler and the printer
+walk them in a loop, `left_spine`, and do not recurse down left operands.
 """
 from __future__ import annotations
 
@@ -132,6 +135,16 @@ class BinOp(Expr):
     op: str = ""  # + - == < &&
     left: Expr = None
     right: Expr = None
+
+
+def left_spine(e: Expr) -> tuple[Expr, list[BinOp]]:
+    """The first operand that is not a `BinOp` down `e`'s left operands, and
+    the `BinOp`s on the way, innermost first (in evaluation order)."""
+    spine = []
+    while isinstance(e, BinOp):
+        spine.append(e)
+        e = e.left
+    return e, spine[::-1]
 
 
 @dataclass

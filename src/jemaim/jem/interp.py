@@ -2,9 +2,13 @@
 
 A configuration is the focus (an expression or a value), the environment
 and `this` of the running method, one continuation and the mutable object
-store. Entering a method pushes a `return` frame that saves the caller's
-environment and `this` onto the continuation; returning restores them, as in
-a CEK machine. Each step() applies exactly one deterministic transition.
+store, as in a CEK machine. The continuation's frames have two shapes.
+`(RETURN, env, this)` is pushed on entering a method and restores the
+caller's environment and `this` on return. `(e, operands_left,
+values_so_far)` evaluates a compound expression `e`: its `OPERANDS` are
+evaluated left to right, each value popping the frame once, and then its
+entry in `RULES` applies to their values. Lit, Var and This are the leaves.
+Each step() applies exactly one deterministic transition.
 
 One loop is recognised instead of stepped: entering a method whose body is
 exactly `this.<same method>()` (no arguments). Stepping that body evaluates
@@ -25,6 +29,7 @@ from .compat import satisfies
 from .printer import render_value
 
 DEFAULT_FUEL = 1_000_000
+RETURN = "return"  # the tag of a return frame, told apart by identity
 
 
 @dataclass
@@ -87,9 +92,6 @@ class JemConfig:
             _classes={c.name: c for c in comp.classes},
         )
 
-    def cls(self, name):
-        return self._classes.get(name)
-
     # -- single deterministic transition ------------------------------------
 
     def step(self) -> "JemConfig":
@@ -106,133 +108,77 @@ class JemConfig:
         self.terminal = RunResult(kind, value)
 
     def _step_expr(self, e: ast.Expr):
-        if isinstance(e, ast.Lit):
+        t = type(e)
+        if t is ast.Lit:
             self.focus = ("value", e.value)
-        elif isinstance(e, ast.Var):
+        elif t is ast.Var:
             if e.name in self.env:
                 self.focus = ("value", self.env[e.name])
             elif e.name in self.heap:
                 self.focus = ("value", ObjRef(e.name))
             else:
                 self._die("nullerror", f"unbound {e.name}")
-        elif isinstance(e, ast.This):
+        elif t is ast.This:
             self.focus = ("value", self.this)
-        elif isinstance(e, ast.Seq):
-            self.kont.append(("seq", e.second))
-            self.focus = ("expr", e.first)
-        elif isinstance(e, ast.If):
-            self.kont.append(("if", e.then, e.els))
-            self.focus = ("expr", e.cond)
-        elif isinstance(e, ast.FieldGet):
-            self.kont.append(("fieldget", e.fname))
-            self.focus = ("expr", e.obj)
-        elif isinstance(e, ast.FieldSet):
-            self.kont.append(("fieldset-obj", e.fname, e.value))
-            self.focus = ("expr", e.obj)
-        elif isinstance(e, ast.Call):
-            self.kont.append(("call-recv", e.mname, list(e.args)))
-            self.focus = ("expr", e.recv)
-        elif isinstance(e, ast.New):
-            if not e.args:
-                self._alloc(e.cname, [])
+        elif t in OPERANDS:
+            ops = OPERANDS[t](e)
+            if ops:
+                self.kont.append((e, ops[1:], ()))
+                self.focus = ("expr", ops[0])
             else:
-                self.kont.append(("new-args", e.cname, list(e.args[1:]), []))
-                self.focus = ("expr", e.args[0])
-        elif isinstance(e, ast.BinOp):
-            self.kont.append(("binop-l", e.op, e.right))
-            self.focus = ("expr", e.left)
-        elif isinstance(e, ast.Exit):
-            self.kont.append(("exit",))
-            self.focus = ("expr", e.value)
-        elif isinstance(e, ast.InstanceOf):
-            self.kont.append(("instanceof", e.cname))
-            self.focus = ("expr", e.value)
-        elif isinstance(e, ast.VarDecl):
-            self.kont.append(("vardecl", e.name))
-            self.focus = ("expr", e.value)
+                RULES[t](self, e, ())
         else:
-            self._die("nullerror", f"unevaluable {type(e).__name__}")
-
-    def _alloc(self, cname: str, args: list):
-        c = self.cls(cname)
-        name = f"o${cname}${self.fresh}"
-        self.fresh += 1
-        self.heap[name] = ObjCell(cname, dict(zip(c.field_types, args)))
-        self.focus = ("value", ObjRef(name))
+            self._die("nullerror", f"unevaluable {t.__name__}")
 
     def _step_value(self, v):
         if not self.kont:
             self._die("terminated", v)
             return
-        frame = self.kont.pop()
-        tag = frame[0]
-        if tag == "seq":
-            self.focus = ("expr", frame[1])
-        elif tag == "if":
-            self.focus = ("expr", frame[1] if v is True else frame[2])
-        elif tag == "fieldget":
-            if not isinstance(v, ObjRef):
-                self._die("nullerror", "field access on null")
-                return
-            self.focus = ("value", self.heap[v.name].fields[frame[1]])
-        elif tag == "fieldset-obj":
-            self.kont.append(("fieldset-val", v, frame[1]))
-            self.focus = ("expr", frame[2])
-        elif tag == "fieldset-val":
-            obj, fname = frame[1], frame[2]
-            if not isinstance(obj, ObjRef):
-                self._die("nullerror", "field update on null")
-                return
-            self.heap[obj.name].fields[fname] = v
-            self.focus = ("value", UNIT)
-        elif tag == "call-recv":
-            mname, args = frame[1], frame[2]
-            if not args:
-                self._invoke(v, mname, [])
-            else:
-                self.kont.append(("call-args", v, mname, args[1:], []))
-                self.focus = ("expr", args[0])
-        elif tag == "call-args":
-            recv, mname, rest, done = frame[1], frame[2], frame[3], frame[4]
-            done = done + [v]
-            if rest:
-                self.kont.append(("call-args", recv, mname, rest[1:], done))
-                self.focus = ("expr", rest[0])
-            else:
-                self._invoke(recv, mname, done)
-        elif tag == "new-args":
-            cname, rest, done = frame[1], frame[2], frame[3]
-            done = done + [v]
-            if rest:
-                self.kont.append(("new-args", cname, rest[1:], done))
-                self.focus = ("expr", rest[0])
-            else:
-                self._alloc(cname, done)
-        elif tag == "binop-l":
-            self.kont.append(("binop-r", frame[1], v))
-            self.focus = ("expr", frame[2])
-        elif tag == "binop-r":
-            self._binop(frame[1], frame[2], v)
-        elif tag == "exit":
-            self._die("terminated", v)
-        elif tag == "instanceof":
-            cname = frame[1]
-            ok = isinstance(v, ObjRef) and self.heap[v.name].cname == cname
-            self.focus = ("value", ok)
-        elif tag == "vardecl":
-            self.env[frame[1]] = v
-            self.focus = ("value", UNIT)
-        elif tag == "return":
-            _, self.env, self.this = frame
+        e, rest, done = self.kont.pop()
+        if e is RETURN:  # (RETURN, env, this)
+            self.env, self.this = rest, done
             self.focus = ("value", v)
+        elif rest:
+            self.kont.append((e, rest[1:], (*done, v)))
+            self.focus = ("expr", rest[0])
         else:
-            self._die("nullerror", f"bad continuation {tag}")
+            RULES[type(e)](self, e, (*done, v))
 
-    def _invoke(self, recv, mname, args):
+    def _eval(self, e: ast.Expr):
+        self.focus = ("expr", e)
+
+    def _fieldget(self, e: ast.FieldGet, vs):
+        if not isinstance(vs[0], ObjRef):
+            self._die("nullerror", "field access on null")
+            return
+        self.focus = ("value", self.heap[vs[0].name].fields[e.fname])
+
+    def _fieldset(self, e: ast.FieldSet, vs):
+        if not isinstance(vs[0], ObjRef):
+            self._die("nullerror", "field update on null")
+            return
+        self.heap[vs[0].name].fields[e.fname] = vs[1]
+        self.focus = ("value", UNIT)
+
+    def _instanceof(self, e: ast.InstanceOf, vs):
+        self.focus = ("value", isinstance(vs[0], ObjRef) and self.heap[vs[0].name].cname == e.cname)
+
+    def _vardecl(self, e: ast.VarDecl, vs):
+        self.env[e.name] = vs[0]
+        self.focus = ("value", UNIT)
+
+    def _alloc(self, e: ast.New, vs):
+        name = f"o${e.cname}${self.fresh}"
+        self.fresh += 1
+        self.heap[name] = ObjCell(e.cname, dict(zip(self._classes[e.cname].field_types, vs)))
+        self.focus = ("value", ObjRef(name))
+
+    def _invoke(self, e: ast.Call, vs):
+        recv, mname = vs[0], e.mname
         if not isinstance(recv, ObjRef):
             self._die("nullerror", f"call of {mname!r} on null")
             return
-        c = self.cls(self.heap[recv.name].cname)
+        c = self._classes.get(self.heap[recv.name].cname)
         m = c.method(mname) if c else None
         if m is None:
             self._die("nullerror", f"no method {mname!r} on {recv}")
@@ -240,12 +186,13 @@ class JemConfig:
         if _calls_itself(m):
             self._die("fuel")
             return
-        self.kont.append(("return", self.env, self.this))
-        self.env = dict(zip(m.params, args))
+        self.kont.append((RETURN, self.env, self.this))
+        self.env = dict(zip(m.params, vs[1:]))
         self.this = recv
         self.focus = ("expr", m.body)
 
-    def _binop(self, op, lv, rv):
+    def _binop(self, e: ast.BinOp, vs):
+        op, (lv, rv) = e.op, vs
         if op == "+":
             self.focus = ("value", (lv + rv) & MASK64)
         elif op == "-":
@@ -260,6 +207,35 @@ class JemConfig:
             self._die("nullerror", f"bad operator {op}")
 
 
+# each compound form's operands, in evaluation order
+OPERANDS = {
+    ast.Seq: lambda e: (e.first,),
+    ast.If: lambda e: (e.cond,),
+    ast.FieldGet: lambda e: (e.obj,),
+    ast.FieldSet: lambda e: (e.obj, e.value),
+    ast.Call: lambda e: (e.recv, *e.args),
+    ast.New: lambda e: e.args,
+    ast.BinOp: lambda e: (e.left, e.right),
+    ast.Exit: lambda e: (e.value,),
+    ast.InstanceOf: lambda e: (e.value,),
+    ast.VarDecl: lambda e: (e.value,),
+}
+
+# each compound form's rule, applied to the configuration, the form and its operands' values
+RULES = {
+    ast.Seq: lambda cfg, e, vs: cfg._eval(e.second),
+    ast.If: lambda cfg, e, vs: cfg._eval(e.then if vs[0] is True else e.els),
+    ast.FieldGet: JemConfig._fieldget,
+    ast.FieldSet: JemConfig._fieldset,
+    ast.Call: JemConfig._invoke,
+    ast.New: JemConfig._alloc,
+    ast.BinOp: JemConfig._binop,
+    ast.Exit: lambda cfg, e, vs: cfg._die("terminated", vs[0]),
+    ast.InstanceOf: JemConfig._instanceof,
+    ast.VarDecl: JemConfig._vardecl,
+}
+
+
 def _calls_itself(m: ast.Method) -> bool:
     """The body is exactly `this.<m>()`: a proven loop (see the module docstring)."""
     b = m.body
@@ -272,10 +248,6 @@ def _value_eq(a, b) -> bool:
     return a == b
 
 
-def is_whole(comp: ast.JemComponent) -> bool:
-    return satisfies(comp, comp)
-
-
 def run(comp: ast.JemComponent, fuel: int = DEFAULT_FUEL) -> RunResult:
     """Execute a whole program from `main.main()` under a step budget.
 
@@ -285,7 +257,7 @@ def run(comp: ast.JemComponent, fuel: int = DEFAULT_FUEL) -> RunResult:
     fuel the run would have used."""
     if not comp.classes:
         return RunResult("terminated", UNIT, 0)
-    if not is_whole(comp):
+    if not satisfies(comp, comp):
         raise NotWhole("component has unsatisfied imports")
     cfg = JemConfig.initial(comp)
     for n in range(fuel):

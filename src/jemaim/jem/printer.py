@@ -57,14 +57,9 @@ LEVEL = {op: level for level, ops in enumerate(LEVELS) for op in ops}
 
 def _render_binop(e: ast.BinOp) -> str:
     """Parenthesise each operation, except a left operand at its parent's level,
-    which parses back the same without: `(1 + 1 + 1)`, not `((1 + 1) + 1)`.
-    The left spine is walked in a loop: long `+` chains nest to the left."""
-    spine = []
-    while isinstance(e, ast.BinOp):
-        spine.append(e)
-        e = e.left
-    spine.reverse()
-    parts, opened = [render_expr(e)], 0
+    which parses back the same without: `(1 + 1 + 1)`, not `((1 + 1) + 1)`."""
+    leaf, spine = ast.left_spine(e)
+    parts, opened = [render_expr(leaf)], 0
     for b, parent in zip(spine, spine[1:] + [None]):
         parts.append(f" {b.op} {render_expr(b.right)}")
         if parent is None or LEVEL.get(parent.op) != LEVEL.get(b.op):

@@ -195,13 +195,9 @@ class Checker:
             self.expr(e.first, scope, c)
             e = e.second
         if isinstance(e, ast.BinOp):
-            # walk the left spine in a loop: long `+` chains nest to the left
-            spine = []
-            while isinstance(e, ast.BinOp):
-                spine.append(e)
-                e = e.left
-            t = self.expr(e, scope, c)
-            for b in reversed(spine):
+            leaf, spine = ast.left_spine(e)
+            t = self.expr(leaf, scope, c)
+            for b in spine:
                 t = self.binop(b, t, self.expr(b.right, scope, c))
             return t
         if isinstance(e, ast.Lit):

@@ -1,9 +1,11 @@
 """The command-line surface: every subcommand, exit codes, file round-trips."""
 import re
+from collections import Counter
 
 import pytest
 
 from jemaim.cli import main
+from jemaim.jem.typecheck import Checker
 
 from corpus import INEQUIVALENT_PAIRS, WHOLE_PROGRAMS, main_prog
 
@@ -188,6 +190,42 @@ class TestTracePipeline:
         a = sorted(p.read_text() for p in (ws / "t0").glob("*.trace"))
         b = sorted(p.read_text() for p in (ws / "t9").glob("*.trace"))
         assert a == b
+
+
+class TestChecksPerCommand:
+    def test_each_compiled_file_is_checked_once(self, ws, monkeypatch):
+        """`modules` is the one check of a file the CLI compiles; `check`,
+        `run_jem` and `verify_witness` check what they load, and `plug` checks
+        each plugged program."""
+        counts = Counter()
+        real = Checker.check
+
+        def counting(self):
+            counts["check"] += 1
+            return real(self)
+
+        monkeypatch.setattr(Checker, "check", counting)
+        c1, c2, div = ws / "c1.jem", ws / "c2.jem", ws / "div"
+        commands = [
+            (("compile", ws / "prog.jem", "-o", ws / "mods"), 1),
+            (("trace", c1, "--depth", "2", "-o", ws / "traces"), 1),
+            (("trace_diff", c1, c2, "--depth", "2", "-o", div), 2),
+            (("backtranslate", c1, c2, div / "t1.trace", div / "t2.trace", "-o", ws / "w.jem"), 2),
+            (("verify_witness", ws / "w.jem", c1, c2), 9),
+            (("check", ws / "prog.jem"), 1),
+            (("run_jem", ws / "prog.jem"), 1),
+        ]
+        for args, checks in commands:
+            counts.clear()
+            assert run_cli(*args) == 0
+            assert (args[0], counts["check"]) == (args[0], checks)
+
+    def test_compile_reports_diagnostics_and_writes_nothing(self, ws, capsys):
+        assert run_cli("compile", ws / "bad.jem", "-o", ws / "mods") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert re.fullmatch(r".*bad\.jem:1:\d+: body of 'm' has type Int, declared Bool", err[0])
+        assert err[1:] == [f"error: {ws / 'bad.jem'}: component does not typecheck"]
+        assert not (ws / "mods").exists()
 
 
 class TestProcessDeterminism:

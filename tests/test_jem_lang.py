@@ -6,7 +6,7 @@ import pytest
 
 from jemaim.jem import ast
 from jemaim.jem.compat import EMPTY, compat, plug
-from jemaim.jem.interp import JemConfig, NotWhole, RunResult, run
+from jemaim.jem.interp import OPERANDS, RULES, JemConfig, NotWhole, RunResult, run
 from jemaim.jem.parser import JemSyntaxError, parse_component
 from jemaim.jem.printer import render_component
 from jemaim.jem.typecheck import typecheck
@@ -397,6 +397,59 @@ NEAR_MISS_LOOPS = {
     "sequence": ("public m() : main()->Int { return this.m(); 1; }", "this.m()"),
     "conditional": ("public m() : main()->Int { return if (true) { this.m() } else { 1 }; }", "this.m()"),
 }
+
+
+# (result, steps) of each whole program at fuel 100 000: a change to the
+# interpreter's frames moves no step
+STEP_PINS = {
+    'arith-add': ('Terminated(42)', 10),
+    'arith-and': ('Terminated(5)', 21),
+    'arith-compare': ('Terminated(1)', 13),
+    'arith-equal': ('Terminated(7)', 17),
+    'arith-nested': ('Terminated(11)', 18),
+    'arith-sub': ('Terminated(42)', 10),
+    'arith-sub-floor': ('Terminated(0)', 10),
+    'converge-conditional': ('Terminated(13)', 13),
+    'cross-call': ('Terminated(42)', 16),
+    'cross-chatter': ('Terminated(7)', 30),
+    'cross-object-flow': ('Terminated(35)', 54),
+    'diverge-conditional': ('OutOfFuel', 100000),
+    'diverge-spin': ('OutOfFuel', 100000),
+    'exit-early': ('Terminated(9)', 7),
+    'exit-value': ('Terminated(21)', 11),
+    'fields-bool': ('Terminated(3)', 18),
+    'fields-counter': ('Terminated(10)', 60),
+    'if-nested': ('Terminated(11)', 20),
+    'instanceof-neg': ('Terminated(0)', 11),
+    'instanceof-null': ('Terminated(2)', 16),
+    'instanceof-pos': ('Terminated(1)', 11),
+    'new-aliasing': ('Terminated(8)', 43),
+    'new-fields': ('Terminated(7)', 24),
+    'new-identity': ('Terminated(2)', 31),
+    'recursion-sum': ('Terminated(55)', 229),
+    'seq-discard': ('Terminated(4)', 12),
+    'var-chain': ('Terminated(7)', 24),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WHOLE_PROGRAMS))
+def test_jem_steps_are_pinned(name):
+    r = run(parse_ok(WHOLE_PROGRAMS[name]), fuel=100_000)
+    assert (repr(r), r.steps) == STEP_PINS[name]
+
+
+def test_step_pins_cover_the_corpus():
+    assert sorted(STEP_PINS) == sorted(WHOLE_PROGRAMS)
+    assert sum(steps for text, steps in STEP_PINS.values() if text != "OutOfFuel") == 729
+
+
+def test_every_expression_form_has_an_evaluation_rule():
+    """Each concrete expression form is a leaf or has its operands and its
+    rule in the interpreter's two tables."""
+    forms = {c for c in vars(ast).values() if isinstance(c, type) and issubclass(c, ast.Expr) and c is not ast.Expr}
+    leaves = {ast.Lit, ast.Var, ast.This}
+    assert leaves <= forms and not leaves & set(OPERANDS)
+    assert set(OPERANDS) == set(RULES) == forms - leaves
 
 
 class TestProvenLoops:

@@ -252,6 +252,16 @@ VALUE_RESULTS = {
 }
 
 
+NULL_RECEIVER_PROG = """
+class main {{
+  main(f:Int){{ this.f = f; }}
+  f : Int;
+  public main() : main()->Int {{ return var x : main = null; {body}; }}
+}};
+object main : main {{ f = 1; }};
+"""
+
+
 class TestCompilerCorrectness:
     def test_class_named_null(self):
         comp = parse_ok(NULL_CLASS_PROG)
@@ -267,6 +277,14 @@ class TestCompilerCorrectness:
             "  public pick(b) : Null(Bool)->Null { return if (b) { null } else { 1 }; }",
         )
         assert typecheck(parse_component(bad)) == ["6:46: if branches have different types: null and Int"]
+
+    @pytest.mark.parametrize("body", ["x.f", "x.f = 2; 0", "x.main()"], ids=["read", "write", "call"])
+    def test_null_errors_abort(self, body):
+        """A field read, a field write and a call on null: a null error in jem,
+        an abort of the compiled program."""
+        comp = parse_ok(NULL_RECEIVER_PROG.format(body=body))
+        assert repr(jem_run(comp, fuel=10_000)) == "NullError"
+        assert repr(run_aim(compaim(comp), seed=3, fuel=100_000)) == "Halted(r6=0) by abort"
 
     @pytest.mark.parametrize("name", sorted(WHOLE_PROGRAMS))
     def test_source_and_compiled_agree(self, name):
