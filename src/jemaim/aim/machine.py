@@ -23,6 +23,10 @@ word in `mem`; the trace engine calls `share_code` on each state it boots.
 The masking tables, the global store G and the global call stack S are
 side-state manipulated only through the privileged opcodes; no other
 instruction can observe them.
+
+A suspended state, one that the trace engine holds between two injections, is
+never mutated: every injection runs on a clone. So one suspended state may sit
+in several places of a search at once, and `fingerprint` stands for it.
 """
 from __future__ import annotations
 
@@ -116,6 +120,24 @@ class MachineState:
             _last_op=self._last_op,
             code=self.code,
             _icache=self._icache,
+        )
+
+    def fingerprint(self) -> tuple:
+        """A hashable summary of the state such that two clones of one state
+        with equal fingerprints behave alike from any run that first sets pc,
+        registers and flags. It holds what such a reset keeps: `mem` (data and
+        unprotected words once `share_code` ran), the oracle's cursor, the
+        masks (each non-empty `fwd`: `rev` is its inverse, and `table` makes
+        an empty table on any ask), G, S and `_last_op`. The rest (`code`,
+        `_icache`, `descs`, `sys_depth_addr`, the oracle's stream) a clone
+        shares with its original."""
+        return (
+            frozenset(self.mem.items()),
+            self.oracle.cursor,
+            frozenset((mid, frozenset(t.fwd.items())) for mid, t in self.masks.items() if t.fwd),
+            frozenset(self.gstore.items()),
+            tuple(self.callstack),
+            self._last_op,
         )
 
     def share_code(self):

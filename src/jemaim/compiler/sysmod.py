@@ -12,6 +12,8 @@ forwardCall can test emptiness with a plain load.
 """
 from __future__ import annotations
 
+from types import MappingProxyType
+
 from ..aim.isa import Assembler
 from ..aim.link import ProgramImage, SymbolTable
 from ..aim.words import FORWARDCALL_EP, FORWARDRETURN_EP, REGISTEROBJ_EP, SYS_ID, TESTOBJ_EP, Address, Descriptor
@@ -26,9 +28,9 @@ FORWARDCALL = MethodSig("forwardCall", "Obj", (), "Unit")
 FORWARDRETURN = MethodSig("forwardReturn", "Obj", (), "Unit")
 
 
-def _assemble() -> tuple[list, dict[int, str]]:
+def _assemble() -> tuple[tuple, MappingProxyType]:
     """The code words of sys and the offsets of its four boundary jmp
-    instructions, by role."""
+    instructions by role, both read-only."""
     a = Assembler()
     marks: dict[int, str] = {}
     trampoline(a, "testobj")
@@ -92,17 +94,15 @@ def _assemble() -> tuple[list, dict[int, str]]:
     a.label("sys_abort")
     a.emit("zero")
     a.emit("halt")
-    return a.words(), marks
+    return tuple(a.words()), MappingProxyType(marks)
 
 
-def sys_exit_marks() -> dict[int, str]:
-    """Offsets of the four boundary jmp instructions inside sys, by role."""
-    return _assemble()[1]
+# sys is one fixed assembly, made once
+SYS_WORDS, SYS_EXIT_MARKS = _assemble()
 
 
 def build_sys() -> ProgramImage:
-    words, _ = _assemble()
-    mem = {Address(SYS_ID, i): w for i, w in enumerate(words)}
+    mem = {Address(SYS_ID, i): w for i, w in enumerate(SYS_WORDS)}
     mem[SYS_DEPTH_ADDR] = 0
     table = SymbolTable(
         em={
@@ -112,4 +112,4 @@ def build_sys() -> ProgramImage:
             FORWARDRETURN: Address(SYS_ID, FORWARDRETURN_EP),
         }
     )
-    return ProgramImage(mem, [Descriptor(SYS_ID, len(words), 4)], table, {})
+    return ProgramImage(mem, [Descriptor(SYS_ID, len(SYS_WORDS), 4)], table, {})

@@ -64,7 +64,6 @@ class RunResult:
 
 @dataclass
 class JemConfig:
-    comp: ast.JemComponent
     heap: dict[str, ObjCell]
     env: dict[str, object]  # the running method's parameters and locals
     this: object
@@ -83,7 +82,6 @@ class JemConfig:
                 heap[o.name] = ObjCell(o.cname, dict(o.fields))
         call = ast.Call(ast.Var("main"), "main", [])
         return JemConfig(
-            comp=comp,
             heap=heap,
             env={},
             this=NULL,

@@ -23,16 +23,33 @@ the id it claims.
 Enumeration canonicalizes along the search path: each frontier entry carries
 its canonical trace and the nonce renaming that trace used, and an extension
 renames only its two new actions (`actions.rename`).
+
+Enumeration runs each distinct segment once, as explicit-state model checkers
+hash the states they visit (Holzmann, "The Model Checker SPIN", 1997). A memo
+that lives for one enumeration maps (fingerprint of the suspended state,
+injection) to the raw segment: action, reply and next state. The key is sound
+because `_enter` clears registers and flags and sets pc, so a run depends only
+on what `MachineState.fingerprint` holds and on the injected registers, which
+the injection fixes; what the environment knows and owes only chooses the
+menu, and is updated per path (`_learn`), hits included. A next state may so
+sit in several frontier entries, which is safe as an injection never mutates
+the state it starts from. A `register` move is never memoised: it draws a fresh
+adversary nonce, so two runs from one key differ. The states after it carry
+that nonce in G or memory, so their own keys stay sound.
+
+`ComponentTracer.random_trace` draws traces by the same moves, each from the
+one state the tracer boots on its first use (`booted`).
 """
 from __future__ import annotations
 
 import itertools
 import random
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from ..aim.words import FORWARDCALL_EP, FORWARDRETURN_EP, REGISTEROBJ_EP, SYS_ID, TESTOBJ_EP, Address, Nonce, Symbol
 from ..compiler.pipeline import boot_state
-from ..compiler.sysmod import sys_exit_marks
+from ..compiler.sysmod import SYS_EXIT_MARKS
 from ..compiler.encoding import V_FALSE, V_NULL, V_TRUE, V_UNIT, class_name_of_encoding, encode_class
 from .actions import CallIn, CallOut, FuelExceeded, ReturnIn, ReturnOut, Tick, canonicalize, rename
 
@@ -60,7 +77,7 @@ class ComponentTracer:
         self.image = image
         self.seed = seed
         self.segment_fuel = segment_fuel
-        self.marks = sys_exit_marks()
+        self.marks = SYS_EXIT_MARKS
         self.method_eps = {addr: sig for sig, addr in image.table.em.items() if addr.mid != SYS_ID}
         # the pcs at which _run looks at the state before stepping
         self.stops = frozenset(
@@ -76,10 +93,31 @@ class ComponentTracer:
         return Nonce("adv", self._adv)
 
     def initial(self):
-        """The booted state, its protected code split off for its clones to share."""
+        """A freshly booted state, its protected code split off for its clones to share."""
         st = boot_state(self.image, self.seed)
         st.share_code()
         return st
+
+    @cached_property
+    def booted(self):
+        """The state enumeration and every random trace start from, booted once
+        per tracer and never mutated."""
+        return self.initial()
+
+    def random_trace(self, rng: random.Random, depth: int = DEFAULT_DEPTH, domain=None):
+        """One random adversarial trace of 1 to `depth` moves, canonicalized. The
+        adversary's nonces are counted afresh for each trace."""
+        domain = domain or AdversaryDomain()
+        self._adv = 0
+        state, trace, knowledge, pending = self.booted, (), self.initial_knowledge(), ()
+        for _ in range(rng.randrange(1, depth + 1)):
+            injs = _injections(self, knowledge, pending, domain)
+            seg, knowledge, pending = _apply(self, state, rng.choice(injs), knowledge, pending)
+            trace = trace + (seg.action, seg.reply)
+            state = seg.state
+            if state is None:
+                break
+        return canonicalize(trace, self.seed_masks)
 
     def initial_knowledge(self) -> "Knowledge":
         # exported object bindings are public: the environment reads them
@@ -231,67 +269,79 @@ def _injections(tracer: ComponentTracer, knowledge: Knowledge, pending: tuple, d
     return out
 
 
-def _apply(tracer, state, inj, knowledge: Knowledge, pending: tuple):
-    """Perform one ?-move; returns the segment and what the environment then
-    knows and still owes: a Callback! pushes its return type on `pending`
-    and teaches the types of the words it passes."""
+def _segment(tracer, state, inj) -> Segment:
+    """Run one ?-move from `state`. The segment is a function of the state's
+    fingerprint and `inj`, but for `register`, which draws a fresh nonce."""
     kind = inj[0]
     if kind == "call":
         _, addr, recv, args = inj
-        seg = tracer.call_method(state, addr, recv, args)
-    elif kind == "returnback":
+        return tracer.call_method(state, addr, recv, args)
+    if kind == "returnback":
         _, v, ident = inj
-        seg = tracer.returnback(state, v, ident)
+        return tracer.returnback(state, v, ident)
+    if kind == "register":
+        return tracer.call_sysproc(state, REGISTEROBJ_EP, tracer.fresh_adv_nonce(), inj[1])
+    _, w, enc = inj
+    return tracer.call_sysproc(state, TESTOBJ_EP, w, enc)
+
+
+def _learn(tracer, inj, seg: Segment, knowledge: Knowledge, pending: tuple):
+    """What the environment knows and still owes after `inj` gave `seg`: a
+    returnback pays the last pending return, a registration that returned
+    adds its nonce, and a Callback! pushes its return type on `pending` and
+    teaches the types of the words it passes."""
+    if inj[0] == "returnback":
         pending = pending[:-1]
-    elif kind == "register":
-        _, enc = inj
-        fresh = tracer.fresh_adv_nonce()
-        seg = tracer.call_sysproc(state, REGISTEROBJ_EP, fresh, enc)
-        if isinstance(seg.reply, ReturnOut):
-            knowledge = knowledge.register(fresh, class_name_of_encoding(enc))
-    else:
-        _, w, enc = inj
-        seg = tracer.call_sysproc(state, TESTOBJ_EP, w, enc)
+    elif inj[0] == "register" and isinstance(seg.reply, ReturnOut):
+        # the fresh nonce is the registered word, r7 of the call?
+        knowledge = knowledge.register(seg.action.regs[7], class_name_of_encoding(inj[1]))
     if isinstance(seg.reply, CallOut):
         sig = tracer.rm_by_syms.get(tuple(seg.reply.addr))
         pending += (sig.ret if sig else "Obj",)
         if sig is not None:
             for w, t in zip(seg.reply.regs[6:], (sig.recv, *sig.params)):
                 knowledge = knowledge.learn(w, t)
-    return seg, knowledge, pending
+    return knowledge, pending
+
+
+def _apply(tracer, state, inj, knowledge: Knowledge, pending: tuple):
+    """Perform one ?-move: the segment, and what the environment then knows and owes."""
+    seg = _segment(tracer, state, inj)
+    return (seg, *_learn(tracer, inj, seg, knowledge, pending))
 
 
 def enumerate_traces(image, depth: int = DEFAULT_DEPTH, domain: AdversaryDomain | None = None, seed: int = 0) -> set:
-    """Breadth-first trace set over the adversary menu, canonicalized."""
+    """Breadth-first trace set over the adversary menu, canonicalized; each
+    distinct segment runs once."""
     domain = domain or AdversaryDomain()
     tracer = ComponentTracer(image, seed)
     results = {()}
     seeded = rename((), {}, tracer.seed_masks)[1]
-    frontier = [(tracer.initial(), (), seeded, tracer.initial_knowledge(), ())]
+    # (fingerprint, injection) -> (segment, fingerprint of its next state)
+    memo = {}
+    boot = tracer.booted
+    frontier = [(boot, boot.fingerprint(), (), seeded, tracer.initial_knowledge(), ())]
     for _ in range(depth):
         nxt = []
-        for state, trace, names, knowledge, pending in frontier:
+        for state, fp, trace, names, knowledge, pending in frontier:
             for inj in _injections(tracer, knowledge, pending, domain):
-                seg, k2, p2 = _apply(tracer, state, inj, knowledge, pending)
+                ran = memo.get((fp, inj))
+                if ran is None:
+                    seg = _segment(tracer, state, inj)
+                    ran = seg, None if seg.state is None else seg.state.fingerprint()
+                    if inj[0] != "register":
+                        memo[fp, inj] = ran
+                seg, fp2 = ran
+                k2, p2 = _learn(tracer, inj, seg, knowledge, pending)
                 actions, n2 = rename((seg.action, seg.reply), names)
                 t2 = trace + actions
                 results.add(t2)
                 if seg.state is not None:
-                    nxt.append((seg.state, t2, n2, k2, p2))
+                    nxt.append((seg.state, fp2, t2, n2, k2, p2))
         frontier = nxt
     return results
 
 
 def random_trace(image, rng: random.Random, depth: int = DEFAULT_DEPTH, domain=None, seed: int = 0):
     """One random adversarial trace of 1 to `depth` moves, canonicalized."""
-    domain = domain or AdversaryDomain()
-    tracer = ComponentTracer(image, seed)
-    state, trace, knowledge, pending = tracer.initial(), (), tracer.initial_knowledge(), ()
-    for _ in range(rng.randrange(1, depth + 1)):
-        injs = _injections(tracer, knowledge, pending, domain)
-        seg, knowledge, pending = _apply(tracer, state, rng.choice(injs), knowledge, pending)
-        trace = trace + (seg.action, seg.reply)
-        state = seg.state
-        if state is None:
-            break
-    return canonicalize(trace, tracer.seed_masks)
+    return ComponentTracer(image, seed).random_trace(rng, depth, domain)

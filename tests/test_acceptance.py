@@ -24,7 +24,7 @@ from jemaim.jem.interp import run as jem_run
 from jemaim.jem.parser import parse_component
 from jemaim.jem.typecheck import typecheck
 from jemaim.traces.actions import Tick
-from jemaim.traces.engine import RESUME_PAD, AdversaryDomain, enumerate_traces, random_trace
+from jemaim.traces.engine import RESUME_PAD, AdversaryDomain, ComponentTracer, enumerate_traces
 from jemaim.traces.equiv import trace_equiv
 
 from corpus import COMPONENTS, INEQUIVALENT_PAIRS, WHOLE_PROGRAMS
@@ -216,10 +216,11 @@ def test_criterion_5_termination_is_emulation_failure():
             comp = parse_ok(src)
             image = compaim(comp)
             iface = build_interface(comp, comp, image, image)
+            tracer = ComponentTracer(image)
             rng = random.Random(0xC0FFEE ^ zlib.crc32(name.encode()) & 0xFFFF)
             seen = 0
             while seen < 1000:
-                t = random_trace(image, rng, depth=4, domain=domain)
+                t = tracer.random_trace(rng, depth=4, domain=domain)
                 if not t:
                     continue
                 seen += 1

@@ -29,7 +29,7 @@ from jemaim.jem.parser import parse_component
 from jemaim.jem.printer import render_component
 from jemaim.jem.typecheck import typecheck
 from jemaim.traces.actions import CallIn, CallOut, FuelExceeded, ReturnIn, ReturnOut, Tick
-from jemaim.traces.engine import AdversaryDomain, random_trace
+from jemaim.traces.engine import AdversaryDomain, ComponentTracer
 from jemaim.traces.equiv import first_divergence, trace_equiv
 
 from corpus import COMPONENTS, INEQUIVALENT_PAIRS
@@ -249,9 +249,10 @@ class TestTerminationIsEmulationFailure:
         img = compaim(c)
         iface = build_interface(c, c, img, img)
         domain = AdversaryDomain(illtyped=True, forged_ids=(7,), register_classes=())
+        tracer = ComponentTracer(img)
         rng = random.Random(zlib.crc32(name.encode()) & 0xFFFF)
         for k in range(60):
-            t = random_trace(img, rng, depth=3, domain=domain)
+            t = tracer.random_trace(rng, depth=3, domain=domain)
             if not t:
                 continue
             ticked = isinstance(t[-1], Tick)
@@ -493,10 +494,11 @@ def test_every_emulated_prefix_gives_a_well_typed_context(name):
     img = compaim(c)
     iface = build_interface(c, c, img, img)
     domain = AdversaryDomain(illtyped=True, forged_ids=(9,))
+    tracer = ComponentTracer(img)
     rng = random.Random(name)
     prefixes = set()
     for _ in range(30):
-        t = random_trace(img, rng, depth=4, domain=domain)
+        t = tracer.random_trace(rng, depth=4, domain=domain)
         n = len(t)
         if isinstance(t[-1], FuelExceeded):
             n -= 1  # the component never answered

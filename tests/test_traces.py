@@ -1,10 +1,13 @@
 """Trace engine: observation, enumeration, canonicalization, divergence splits."""
 import hashlib
 import random
+from dataclasses import fields
 
 import pytest
 
-from jemaim.aim.words import FORWARDCALL_EP, SYS_ID, Address
+from jemaim.aim.isa import ZF
+from jemaim.aim.machine import MachineState
+from jemaim.aim.words import FORWARDCALL_EP, SYS_ID, Address, Nonce
 from jemaim.compiler.pipeline import compaim
 from jemaim.jem.parser import parse_component
 from jemaim.traces.actions import (
@@ -17,6 +20,7 @@ from jemaim.traces.actions import (
     canonicalize,
     is_input,
     parse_trace,
+    rename,
     render_trace,
 )
 from jemaim.traces.engine import (
@@ -280,6 +284,133 @@ def test_renaming_along_the_path_canonicalizes_whole_traces(name, domain):
         assert any(f"N{len(tracer.seed_masks)}" in render_trace(t) for t in whole)
 
 
+def plain_traces(image, depth, domain):
+    """The engine's enumeration without its memo: every injection runs its
+    segment. Returns the canonical trace set, the number of injections, and
+    how many of them are distinct runs: one per distinct (fingerprint,
+    injection) key, and one per `register` move."""
+    tracer = ComponentTracer(image)
+    results, keys, injections, registers = {()}, set(), 0, 0
+    seeded = rename((), {}, tracer.seed_masks)[1]
+    frontier = [(tracer.initial(), (), seeded, tracer.initial_knowledge(), ())]
+    for _ in range(depth):
+        nxt = []
+        for state, trace, names, knowledge, pending in frontier:
+            fp = state.fingerprint()
+            for inj in _injections(tracer, knowledge, pending, domain):
+                injections += 1
+                if inj[0] == "register":
+                    registers += 1
+                else:
+                    keys.add((fp, inj))
+                seg, k2, p2 = _apply(tracer, state, inj, knowledge, pending)
+                actions, n2 = rename((seg.action, seg.reply), names)
+                t2 = trace + actions
+                results.add(t2)
+                if seg.state is not None:
+                    nxt.append((seg.state, t2, n2, k2, p2))
+        frontier = nxt
+    return results, injections, len(keys) + registers
+
+
+# the register_classes=("i",) pair of test_backtranslator.py's
+# TestRegisteredObjectWitness: the adversary registers an object of class i
+REGISTERED = """
+class-decl i { poke : i()->Unit };
+class c {
+  c(){}
+  public feed(x) : c(i)->Int { return x.poke(); 5; }
+};
+object o : c { };
+"""
+MEMO_CASES = {
+    **{(name, domain): (COMPONENTS[name], PIN_DOMAINS[domain]) for name in COMPONENTS for domain in PIN_DOMAINS},
+    ("registered.0", "register-i"): (REGISTERED, lambda: AdversaryDomain(register_classes=("i",))),
+    ("registered.1", "register-i"): (
+        REGISTERED.replace("return x.poke(); 5;", "return 5;"),
+        lambda: AdversaryDomain(register_classes=("i",)),
+    ),
+}
+
+
+class TestMemoisedEnumeration:
+    @pytest.mark.parametrize("case", sorted(MEMO_CASES))
+    def test_memoised_equals_plain(self, case):
+        src, domain = MEMO_CASES[case]
+        img = image_of(src)
+        plain, _, _ = plain_traces(img, 3, domain())
+        assert enumerate_traces(img, depth=3, domain=domain()) == plain
+
+    @staticmethod
+    def segments_run(img, depth, domain, monkeypatch):
+        """How many segments one enumeration runs: its `_enter` calls."""
+        entered = 0
+        enter = ComponentTracer._enter
+
+        def counted(*args, **kwargs):
+            nonlocal entered
+            entered += 1
+            return enter(*args, **kwargs)
+
+        monkeypatch.setattr(ComponentTracer, "_enter", counted)
+        enumerate_traces(img, depth=depth, domain=domain)
+        monkeypatch.undo()
+        return entered
+
+    @pytest.mark.parametrize("domain", sorted(PIN_DOMAINS))
+    def test_each_distinct_segment_runs_once(self, domain, monkeypatch):
+        img = image_of(COMPONENTS["keeper"])
+        _, injections, distinct = plain_traces(img, 4, PIN_DOMAINS[domain]())
+        entered = self.segments_run(img, 4, PIN_DOMAINS[domain](), monkeypatch)
+        assert entered == distinct
+        assert 5 * entered <= injections
+
+    @pytest.mark.parametrize("case", ["registered.0", "registered.1"])
+    def test_every_register_move_runs(self, case, monkeypatch):
+        src, domain = MEMO_CASES[case, "register-i"]
+        img = image_of(src)
+        _, _, distinct = plain_traces(img, 4, domain())
+        assert self.segments_run(img, 4, domain(), monkeypatch) == distinct
+
+    def test_every_state_field_is_keyed_reset_or_shared(self):
+        """A field the fingerprint leaves out must be one that `_enter` sets
+        afresh, or one a clone shares with its original."""
+        keyed = {"mem", "oracle", "masks", "gstore", "callstack", "_last_op"}
+        reset = {"pc", "regs", "flags"}
+        shared = {"descs", "sys_depth_addr", "code", "_icache"}
+        assert {f.name for f in fields(MachineState)} == keyed | reset | shared
+
+    def test_fingerprint_tells_apart_each_keyed_field(self, cell_image):
+        st = ComponentTracer(cell_image).initial()
+        fp = st.fingerprint()
+        keyed = {
+            "mem": lambda s: s.mem.__setitem__(Address(0, 7), 1),
+            "oracle": lambda s: s.oracle.fresh(),
+            "masks": lambda s: s.table(2).add(99, Nonce("m", 0)),
+            "gstore": lambda s: s.gstore.__setitem__(Nonce("g", 0), (1, 2)),
+            "callstack": lambda s: s.callstack.append((0, 0, 0)),
+            "_last_op": lambda s: setattr(s, "_last_op", "zero"),
+        }
+        for name, change in keyed.items():
+            c = st.clone()
+            change(c)
+            assert c.fingerprint() != fp, name
+        c = st.clone()
+        c.pc, c.flags[ZF] = Address(2, 0), 1
+        c.set_reg(6, 5)
+        c.table(3)  # an empty table behaves as an absent one
+        assert c.fingerprint() == fp
+
+    def test_injections_leave_the_suspended_state_unchanged(self, cell_image):
+        tracer = ComponentTracer(cell_image)
+        st = tracer.initial()
+        before = (st.fingerprint(), st.pc, dict(st.regs), dict(st.flags))
+        domain = PIN_DOMAINS["illtyped"]()
+        for inj in _injections(tracer, tracer.initial_knowledge(), (), domain):
+            _apply(tracer, st, inj, tracer.initial_knowledge(), ())
+        assert (st.fingerprint(), st.pc, dict(st.regs), dict(st.flags)) == before
+
+
 class TestSerialization:
     def test_trace_round_trips_through_text(self, cell_image):
         traces = sorted(enumerate_traces(cell_image, depth=2), key=repr)
@@ -365,6 +496,15 @@ class TestRandomWalks:
         r1 = [random_trace(cell_image, random.Random(k)) for k in range(20)]
         r2 = [random_trace(cell_image, random.Random(k)) for k in range(20)]
         assert r1 == r2
+
+    def test_one_tracer_draws_what_fresh_tracers_draw(self):
+        img = image_of(REGISTERED)
+        domain = AdversaryDomain(illtyped=True, register_classes=("i",))
+        tracer = ComponentTracer(img)
+        shared = [tracer.random_trace(random.Random(k), depth=4, domain=domain) for k in range(40)]
+        fresh = [random_trace(img, random.Random(k), depth=4, domain=domain) for k in range(40)]
+        assert shared == fresh
+        assert any("call? (1,16)" in render_trace(t) for t in shared)
 
 
 EXTERNAL_BOOL = """
