@@ -1,22 +1,23 @@
 """Witness generation: prefix emulation + differentiation into one code table.
 
-algo(c1, c2, t1, t2) builds a context that terminates when plugged with the
-first component and diverges when plugged with the second (or mirrored,
-depending on which trace extends the common prefix). Emulation of the common
-prefix and diff at the first divergence write into one table of witness code,
-(class, method) -> step blocks and return arms; skel then builds each context
-method body from its entry once. When the prefix cannot be emulated, the
-do-nothing context is the witness, and the failed rule is reported.
+algo(c1, c2, t1, t2, image, image2), given the linked images, builds a context
+that terminates when plugged with the first component and diverges when
+plugged with the second (or mirrored, depending on which trace extends the
+common prefix). Emulation of the common prefix and diff at the first divergence
+write into one table of witness code, (class, method) -> step blocks and return
+arms; skel then builds each context method body from its entry once. When the
+prefix cannot be emulated, the do-nothing context is the witness, and the
+failed rule is reported.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 
-from ..compiler.pipeline import compaim
 from ..jem import ast
-from ..jem.compat import EMPTY, plug, plug_errors
+from ..jem.compat import compat, join, plug_errors
 from ..jem.interp import DEFAULT_FUEL, run
+from ..jem.typecheck import typecheck
 from ..traces.equiv import first_divergence
 from .diff import diff
 from .emulate import EmulState, Fail, emulate_action
@@ -31,10 +32,8 @@ class Witness:
     steps: int
 
 
-def algo(c1: ast.JemComponent, c2: ast.JemComponent, t1, t2, image=None, image2=None) -> Witness:
+def algo(c1: ast.JemComponent, c2: ast.JemComponent, t1, t2, image, image2) -> Witness:
     """Build the distinguishing context for two trace-inequivalent components."""
-    image = image if image is not None else compaim(c1)
-    image2 = image2 if image2 is not None else compaim(c2)
     iface = build_interface(c1, c2, image, image2)
     prefix, a1, a2, _ = first_divergence(t1, t2)
     st = EmulState(iface)
@@ -61,20 +60,26 @@ class Verdict:
 
 
 class PlugFailure(Exception):
-    pass
+    """The context does not plug into the `side` component: the empty program
+    would terminate on both sides. The message gives the first of `diagnostics`
+    without its line:col, which points into the witness template; `part` names
+    the part whose check they are ("context", "first", "second"), or is None."""
+
+    def __init__(self, side: str, diagnostics: list[str], part: str | None = None):
+        reason = re.sub(r"^\d+:\d+: ", "", diagnostics[0])
+        super().__init__(f"the context does not plug into the {side} component: {reason}")
+        self.diagnostics, self.part = diagnostics, part
 
 
 def verify_witness(context: ast.JemComponent, c1: ast.JemComponent, c2: ast.JemComponent, fuel: int = DEFAULT_FUEL) -> Verdict:
-    """Run the plugged pairs and report the termination/divergence verdicts.
-    Raises PlugFailure, naming the side and the first reason, when the context
-    does not plug into a component: the empty program would terminate on both
-    sides. A diagnostic's line:col is dropped: it points into the parsed
-    template text, not into the rendered witness."""
-    wholes = []
+    """Check each part once, plug the context into both components and run them.
+    Raises PlugFailure on a side's first fault, in this order: incompatible
+    imports, the context's check, the component's check, a name both define."""
+    checked = {"context": typecheck(context), "first": typecheck(c1), "second": typecheck(c2)}
     for side, c in (("first", c1), ("second", c2)):
-        whole = plug(context, c)
-        if whole is EMPTY:
-            reason = re.sub(r"^\d+:\d+: ", "", plug_errors(context, c)[0])
-            raise PlugFailure(f"the context does not plug into the {side} component: {reason}")
-        wholes.append(whole)
-    return Verdict(run(wholes[0], fuel), run(wholes[1], fuel))
+        joining = plug_errors(context, c)
+        for part in ("context", side, None) if compat(context, c) else (None,):
+            errors = checked[part] if part else joining
+            if errors:
+                raise PlugFailure(side, errors, part)
+    return Verdict(run(join(context, c1), fuel), run(join(context, c2), fuel))

@@ -56,13 +56,6 @@ def _reject(path: str, errors: list[str]):
     raise CliError(f"{path}: component does not typecheck")
 
 
-def _load_checked(path: str):
-    comp = _load_component(path)
-    if errors := typecheck(comp):
-        _reject(path, errors)
-    return comp
-
-
 def _load_compiled(path: str):
     """The component in `path` and its modules, checked once, by `modules`."""
     comp = _load_component(path)
@@ -81,7 +74,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_run_jem(args) -> int:
-    comp = _load_checked(args.file)
+    comp = _load_component(args.file)
+    if errors := typecheck(comp):
+        _reject(args.file, errors)
     try:
         result = run(comp, fuel=args.fuel)
     except NotWhole as e:
@@ -165,9 +160,14 @@ def cmd_backtranslate(args) -> int:
 
 
 def cmd_verify_witness(args) -> int:
-    witness = _load_checked(args.witness)
-    c1, c2 = _load_checked(args.first), _load_checked(args.second)
-    verdict = verify_witness(witness, c1, c2, fuel=args.fuel)
+    paths = {"context": args.witness, "first": args.first, "second": args.second}
+    witness, c1, c2 = (_load_component(path) for path in paths.values())
+    try:
+        verdict = verify_witness(witness, c1, c2, fuel=args.fuel)
+    except PlugFailure as e:
+        if e.part is None:
+            raise
+        _reject(paths[e.part], e.diagnostics)
     print(f"{'component':<12} {'verdict':<16}")
     print(f"{args.first:<12} {verdict.first!r:<16}")
     print(f"{args.second:<12} {verdict.second!r:<16}")
@@ -245,10 +245,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (LinkError, aimod.AimodError, NotWhole, CompileError, PlugFailure) as e:
+    except (CliError, LinkError, aimod.AimodError, NotWhole, CompileError, PlugFailure) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # any other failure is still reported as one error line

@@ -1,8 +1,8 @@
-"""Component satisfaction, mutual compatibility, and context plugging."""
+"""Component satisfaction, mutual compatibility, and plugging of separately checked parts."""
 from __future__ import annotations
 
 from . import ast
-from .typecheck import typecheck
+from .typecheck import duplicates, typecheck
 
 # The designated empty program: plugging failures produce it; it runs zero steps.
 EMPTY = ast.JemComponent([])
@@ -35,19 +35,20 @@ def compat(c1: ast.JemComponent, c2: ast.JemComponent) -> bool:
     return satisfies(c1, c2) and satisfies(c2, c1)
 
 
-def _join(context: ast.JemComponent, component: ast.JemComponent) -> ast.JemComponent:
+def join(context: ast.JemComponent, component: ast.JemComponent) -> ast.JemComponent:
+    """The whole program of a context and a component: their classes in order."""
     return ast.JemComponent(list(context.classes) + list(component.classes))
 
 
 def plug_errors(context: ast.JemComponent, component: ast.JemComponent) -> list[str]:
-    """Why plugging fails: that the imports are incompatible, or the typecheck
-    diagnostics of the context, the component or their join, whichever fails
-    first. Empty exactly when the plug succeeds."""
+    """What joining adds to a context and a component that each typecheck:
+    incompatible imports, or the join check's diagnostic for each class and
+    object name both define. Else the join is well typed; it is not checked."""
     if not compat(context, component):
         return ["the imports are incompatible"]
-    return typecheck(context) or typecheck(component) or typecheck(_join(context, component))
+    return duplicates(join(context, component).classes)
 
 
 def plug(context: ast.JemComponent, component: ast.JemComponent) -> ast.JemComponent:
-    """Concatenate context and component into a whole program, or EMPTY on failure."""
-    return EMPTY if plug_errors(context, component) else _join(context, component)
+    """Check each part, then join them into a whole program, or EMPTY on failure."""
+    return EMPTY if typecheck(context) or typecheck(component) or plug_errors(context, component) else join(context, component)

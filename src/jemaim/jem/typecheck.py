@@ -82,6 +82,18 @@ def unify(t1: str, t2: str) -> str | None:
     return None
 
 
+def duplicates(classes: list[ast.JemClass]) -> list[str]:
+    """A check's first diagnostics: each class, then object, defined again."""
+    errors = []
+    for kind, defs in (("class", classes), ("object", [o for c in classes for o in c.objects])):
+        seen: set[str] = set()
+        for d in defs:
+            if d.name in seen:
+                errors.append(f"{d.pos.line}:{d.pos.col}: duplicate {kind} {d.name!r}")
+            seen.add(d.name)
+    return errors
+
+
 class Checker:
     def __init__(self, comp: ast.JemComponent):
         self.env = Env(comp)
@@ -94,19 +106,8 @@ class Checker:
     # -- declarations -------------------------------------------------------
 
     def check(self) -> list[str]:
-        comp = self.env.comp
-        seen_classes: set[str] = set()
-        seen_objects: set[str] = set()
-        for c in comp.classes:
-            if c.name in seen_classes:
-                self.err(c.pos, f"duplicate class {c.name!r}")
-            seen_classes.add(c.name)
-        for c in comp.classes:
-            for o in c.objects:
-                if o.name in seen_objects:
-                    self.err(o.pos, f"duplicate object {o.name!r}")
-                seen_objects.add(o.name)
-        for c in comp.classes:
+        self.errors += duplicates(self.env.comp.classes)
+        for c in self.env.comp.classes:
             self.check_class(c)
         return self.errors
 

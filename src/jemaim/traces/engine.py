@@ -340,8 +340,3 @@ def enumerate_traces(image, depth: int = DEFAULT_DEPTH, domain: AdversaryDomain 
                     nxt.append((seg.state, fp2, t2, n2, k2, p2))
         frontier = nxt
     return results
-
-
-def random_trace(image, rng: random.Random, depth: int = DEFAULT_DEPTH, domain=None, seed: int = 0):
-    """One random adversarial trace of 1 to `depth` moves, canonicalized."""
-    return ComponentTracer(image, seed).random_trace(rng, depth, domain)

@@ -3,6 +3,7 @@ import hashlib
 import random
 import re
 import zlib
+from collections import Counter
 
 import pytest
 
@@ -23,7 +24,7 @@ from jemaim.backtrans.emulate import (
 from jemaim.backtrans.interface import ImportMismatch, build_interface
 from jemaim.backtrans.skel import MAIN, MethodCode, UnknownMethod, skel
 from jemaim.jem import ast
-from jemaim.jem.compat import EMPTY, plug
+from jemaim.jem.compat import EMPTY, compat, join, plug, plug_errors
 from jemaim.jem.interp import run
 from jemaim.jem.parser import parse_component
 from jemaim.jem.printer import render_component
@@ -32,7 +33,7 @@ from jemaim.traces.actions import CallIn, CallOut, FuelExceeded, ReturnIn, Retur
 from jemaim.traces.engine import AdversaryDomain, ComponentTracer
 from jemaim.traces.equiv import first_divergence, trace_equiv
 
-from corpus import COMPONENTS, INEQUIVALENT_PAIRS
+from corpus import COMPONENTS, INEQUIVALENT_PAIRS, WHOLE_PROGRAMS
 
 
 def parse_ok(src):
@@ -329,8 +330,8 @@ class TestWitnessEndToEnd:
         assert v.distinguishing, f"{name}: {v.first!r} vs {v.second!r}"
 
     def test_verification_leaves_the_compilation_unchanged(self):
-        """verify_witness rechecks c1's nodes inside the witness join; the
-        facts that check leaves on them compile c1 as before."""
+        """verify_witness checks c1 again on its own; the facts that check
+        leaves on c1's nodes compile it as before."""
         c1, c2 = (parse_ok(src) for src in INEQUIVALENT_PAIRS["callback-param"])
 
         def dump():
@@ -655,6 +656,127 @@ class TestUnpluggableContext:
         other = parse_ok(README_PAIR.replace("object o :", "object p :"))
         with pytest.raises(PlugFailure, match="the second component: the imports are incompatible$"):
             verify_witness(w.context, c1, other)
+
+
+def join_check(context, component):
+    """Plugging with the join checked in full: the incompatibility, or the
+    diagnostics of the context, the component or their join, whichever fails
+    first."""
+    if not compat(context, component):
+        return ["the imports are incompatible"]
+    return typecheck(context) or typecheck(component) or typecheck(join(context, component))
+
+
+def witness_of(c1, c2, depth):
+    img1, img2 = compaim(c1), compaim(c2)
+    r = trace_equiv(img1, img2, depth=depth)
+    return algo(c1, c2, r.t1, r.t2, image=img1, image2=img2).context
+
+
+OBJECT_CLASH = (
+    "class a { a(){} public get() : a()->Int { return 1; } }; object x : a { };",
+    "class b { b(){} public get() : b()->Int { return 2; } }; object x : b { };",
+)
+
+
+def test_plug_errors_agrees_with_the_join_check():
+    """Parts that each typecheck, are compatible and share no class or object
+    name join into a well-typed whole: checking each part once, in plug's order,
+    and then `plug_errors` fails exactly when the join check does, on the same
+    first diagnostic."""
+    parts = [parse_component(src) for src in (*COMPONENTS.values(), *WHOLE_PROGRAMS.values())]
+    parts += [parse_component(src) for pair in INEQUIVALENT_PAIRS.values() for src in pair]
+    plugs = [(context, component) for context in parts for component in parts]
+    for a, b in INEQUIVALENT_PAIRS.values():
+        c1, c2 = parse_component(a), parse_component(b)
+        for w in (witness_of(c1, c2, 3), witness_of(c2, c1, 3)):
+            plugs += [(w, part) for part in parts] + [(part, w) for part in parts]
+    for name in ("oc", "main", "sentinel-c"):
+        src = README_PAIR.replace("object o :", f"object {name} :")
+        c1, c2 = parse_component(src), parse_component(src.replace("return 1;", "return 2;"))
+        w = witness_of(c1, c2, 2)
+        plugs += [(w, c1), (w, c2)]
+    a, b = (parse_component(src) for src in OBJECT_CLASH)
+    plugs += [(a, b), (b, a)]
+
+    checked = {}
+    outcomes = Counter()
+    disagreements = []
+    for context, component in plugs:
+        expected = join_check(context, component)
+        for part in (context, component):
+            if id(part) not in checked:
+                checked[id(part)] = typecheck(part)
+        ill_typed = checked[id(context)] or checked[id(component)]
+        got = plug_errors(context, component)
+        if compat(context, component):
+            got = ill_typed or got
+        if got[:1] != expected[:1]:
+            disagreements.append((render_component(context), render_component(component), expected[:1], got[:1]))
+        if not expected:
+            outcome = "plugs"
+        elif not compat(context, component):
+            outcome = "incompatible"
+        elif ill_typed:
+            outcome = "ill-typed part"
+        else:
+            outcome = re.sub(r"^\d+:\d+: | '.*'$", "", expected[0])
+        outcomes[outcome] += 1
+    assert disagreements == []
+    assert set(outcomes) == {"plugs", "incompatible", "ill-typed part", "duplicate class", "duplicate object"}
+
+
+class TestChecksPerPlug:
+    """Whole checks: 2 per `plug`, and 3 per `verify_witness`, one per part,
+    whether it runs the plugged programs or refuses a plug."""
+
+    ILL_TYPED = README_PAIR.replace("return 1;", "return true;")
+
+    def setup_method(self):
+        self.c1 = parse_ok(README_PAIR)
+        self.c2 = parse_ok(README_PAIR.replace("return 1;", "return 2;"))
+        self.w = witness_of(self.c1, self.c2, 2)
+
+    def test_plug_checks_each_part_once(self, checks):
+        assert plug(self.w, self.c1) is not EMPTY
+        assert checks["check"] == 2
+        checks.clear()
+        assert plug(self.w, parse_component(README_PAIR.replace("object o :", "object p :"))) is EMPTY
+        assert checks["check"] == 2
+
+    def test_verify_witness_checks_each_part_once(self, checks):
+        assert verify_witness(self.w, self.c1, self.c2).distinguishing
+        assert checks["check"] == 3
+
+    def test_each_plug_failure_checks_each_part_once(self, checks):
+        unrelated = parse_component(README_PAIR.replace("object o :", "object p :"))
+        ill_typed = parse_component(self.ILL_TYPED)
+        unrelated_ill_typed = parse_component(self.ILL_TYPED.replace("object o :", "object p :"))
+        helper = parse_component(README_PAIR + "class Helper { Helper(){} };")
+        src = README_PAIR.replace("object o :", "object oc :")
+        oc1, oc2 = parse_ok(src), parse_ok(src.replace("return 1;", "return 2;"))
+        captured = witness_of(oc1, oc2, 2)
+        cases = [
+            ((self.w, unrelated, self.c2), "first", None, "the imports are incompatible"),
+            ((captured, oc1, oc2), "first", "context", "argument 1 of 'addObject-c' has type Helper, expected c"),
+            ((self.w, ill_typed, self.c2), "first", "first", "body of 'get' has type Bool, declared Int"),
+            ((self.c1, self.c1, self.c2), "first", None, "duplicate class 'c'"),
+            # a side with two faults reports the one that comes first in plug's order
+            ((self.w, unrelated_ill_typed, self.c2), "first", None, "the imports are incompatible"),
+            ((self.c1, ill_typed, self.c2), "first", "first", "body of 'get' has type Bool, declared Int"),
+            ((self.w, self.c1, unrelated), "second", None, "the imports are incompatible"),
+            ((self.w, self.c1, ill_typed), "second", "second", "body of 'get' has type Bool, declared Int"),
+            ((self.w, self.c1, helper), "second", None, "duplicate class 'Helper'"),
+        ]
+        for args, side, part, reason in cases:
+            checks.clear()
+            with pytest.raises(PlugFailure) as failure:
+                verify_witness(*args)
+            assert checks["check"] == 3, (side, reason)
+            assert str(failure.value) == f"the context does not plug into the {side} component: {reason}"
+            assert failure.value.part == part
+            if part is not None:
+                assert failure.value.diagnostics == typecheck(args[("context", "first", "second").index(part)])
 
 
 HYPHENATED_PAIR = """

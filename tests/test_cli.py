@@ -1,11 +1,9 @@
 """The command-line surface: every subcommand, exit codes, file round-trips."""
 import re
-from collections import Counter
 
 import pytest
 
 from jemaim.cli import main
-from jemaim.jem.typecheck import Checker
 
 from corpus import INEQUIVALENT_PAIRS, WHOLE_PROGRAMS, main_prog
 
@@ -193,32 +191,24 @@ class TestTracePipeline:
 
 
 class TestChecksPerCommand:
-    def test_each_compiled_file_is_checked_once(self, ws, monkeypatch):
-        """`modules` is the one check of a file the CLI compiles; `check`,
-        `run_jem` and `verify_witness` check what they load, and `plug` checks
-        each plugged program."""
-        counts = Counter()
-        real = Checker.check
-
-        def counting(self):
-            counts["check"] += 1
-            return real(self)
-
-        monkeypatch.setattr(Checker, "check", counting)
+    def test_each_compiled_file_is_checked_once(self, ws, checks):
+        """`modules` is the one check of a file the CLI compiles; `check` and
+        `run_jem` check what they load, and `verify_witness` checks the witness
+        and both components once each, not their joins."""
         c1, c2, div = ws / "c1.jem", ws / "c2.jem", ws / "div"
         commands = [
             (("compile", ws / "prog.jem", "-o", ws / "mods"), 1),
             (("trace", c1, "--depth", "2", "-o", ws / "traces"), 1),
             (("trace_diff", c1, c2, "--depth", "2", "-o", div), 2),
             (("backtranslate", c1, c2, div / "t1.trace", div / "t2.trace", "-o", ws / "w.jem"), 2),
-            (("verify_witness", ws / "w.jem", c1, c2), 9),
+            (("verify_witness", ws / "w.jem", c1, c2), 3),
             (("check", ws / "prog.jem"), 1),
             (("run_jem", ws / "prog.jem"), 1),
         ]
-        for args, checks in commands:
-            counts.clear()
+        for args, expected in commands:
+            checks.clear()
             assert run_cli(*args) == 0
-            assert (args[0], counts["check"]) == (args[0], checks)
+            assert (args[0], checks["check"]) == (args[0], expected)
 
     def test_compile_reports_diagnostics_and_writes_nothing(self, ws, capsys):
         assert run_cli("compile", ws / "bad.jem", "-o", ws / "mods") == 1
@@ -226,6 +216,38 @@ class TestChecksPerCommand:
         assert re.fullmatch(r".*bad\.jem:1:\d+: body of 'm' has type Int, declared Bool", err[0])
         assert err[1:] == [f"error: {ws / 'bad.jem'}: component does not typecheck"]
         assert not (ws / "mods").exists()
+
+
+class TestVerifyWitnessRejectsIllTypedFiles:
+    """`verify_witness` names an ill-typed file and its diagnostics by position,
+    as `check` does, whichever of the three files it is."""
+
+    WITNESS = """class-decl c { get : c()->Int };
+obj-decl o : c;
+class main {
+  main(){}
+  public main() : main()->Int { return o.get()@@; }
+};
+object main : main { };
+"""
+
+    def test_ill_typed_witness(self, ws, capsys):
+        (ws / "w.jem").write_text(self.WITNESS.replace("@@", " == true"))
+        assert run_cli("verify_witness", ws / "w.jem", ws / "c1.jem", ws / "c2.jem") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"{ws / 'w.jem'}:5:48: == expects operands of one type, got Int and Bool",
+            f"{ws / 'w.jem'}:5:3: body of 'main' has type Bool, declared Int",
+            f"error: {ws / 'w.jem'}: component does not typecheck",
+        ]
+
+    def test_ill_typed_second_component(self, ws, capsys):
+        (ws / "w.jem").write_text(self.WITNESS.replace("@@", ""))
+        (ws / "c2.jem").write_text((ws / "c1.jem").read_text().replace("return 1;", "return true;"))
+        assert run_cli("verify_witness", ws / "w.jem", ws / "c1.jem", ws / "c2.jem") == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"{ws / 'c2.jem'}:4:3: body of 'get' has type Bool, declared Int",
+            f"error: {ws / 'c2.jem'}: component does not typecheck",
+        ]
 
 
 class TestProcessDeterminism:

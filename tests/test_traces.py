@@ -30,7 +30,6 @@ from jemaim.traces.engine import (
     _apply,
     _injections,
     enumerate_traces,
-    random_trace,
 )
 from jemaim.traces.equiv import (
     InterfaceMismatch,
@@ -493,8 +492,8 @@ object o : c { hidden = 1; };
 
 class TestRandomWalks:
     def test_random_traces_are_reproducible(self, cell_image):
-        r1 = [random_trace(cell_image, random.Random(k)) for k in range(20)]
-        r2 = [random_trace(cell_image, random.Random(k)) for k in range(20)]
+        r1 = [ComponentTracer(cell_image).random_trace(random.Random(k)) for k in range(20)]
+        r2 = [ComponentTracer(cell_image).random_trace(random.Random(k)) for k in range(20)]
         assert r1 == r2
 
     def test_one_tracer_draws_what_fresh_tracers_draw(self):
@@ -502,7 +501,7 @@ class TestRandomWalks:
         domain = AdversaryDomain(illtyped=True, register_classes=("i",))
         tracer = ComponentTracer(img)
         shared = [tracer.random_trace(random.Random(k), depth=4, domain=domain) for k in range(40)]
-        fresh = [random_trace(img, random.Random(k), depth=4, domain=domain) for k in range(40)]
+        fresh = [ComponentTracer(img).random_trace(random.Random(k), depth=4, domain=domain) for k in range(40)]
         assert shared == fresh
         assert any("call? (1,16)" in render_trace(t) for t in shared)
 
