@@ -20,6 +20,17 @@ copies only unprotected and data words. Reads go through `load`, which finds
 a word in either map. A state built by `boot_state` or by hand keeps every
 word in `mem`; the trace engine calls `share_code` on each state it boots.
 
+One idiom in protected code is a proven loop: `movi r, L; cmp x, x; je r, ZF`
+at L, the spin the compiler emits (compiler/comp.py). One pass of it writes
+only r := L and ZF := 1 and jumps back to L; it touches no memory, nonce,
+masking table, G or S. From any state, then, the state after one pass is a
+fixed point of the pass, and every later step cycles through the same three
+states with period 3. `_decode` recognises the idiom when it caches the entry
+at its head, and gives that entry the `spin` handler: a `movi` that then
+reports ('spin', None). `run_state` and the trace engine end the run there, as
+they would at fuel exhaustion; only the head's entry differs, so no other
+step pays for the check.
+
 The masking tables, the global store G and the global call stack S are
 side-state manipulated only through the privileged opcodes; no other
 instruction can observe them.
@@ -173,8 +184,18 @@ class MachineState:
             return None
         e = (HANDLERS[i.name], i.name, Address(mid, off + i.width), s, *i.ops)
         if s is not None:
+            if i.name == "movi" and i.ops[1] == off and self._spins(s, off, i.ops[0]):
+                e = (MachineState._op_spin, *e[1:])
             self._icache[pc] = e
         return e
+
+    def _spins(self, s: Descriptor, off: int, r: int) -> bool:
+        """Whether the `movi r, off` at `off` heads a spin: `cmp x, x; je r, ZF`
+        follow it, and all three lie in `s`'s code."""
+        if off + 9 > s.code_len:  # three instructions of three words each
+            return False
+        c, j = (decode(lambda o: self.load((s.mid, o)), o, True) for o in (off + 3, off + 6))
+        return c is not None and c.name == "cmp" and c.ops[0] == c.ops[1] and j == Instr("je", (r, ZF))
 
     def peek(self) -> Instr | None:
         """The instruction at pc, or None when the state is stuck: rebuilt from
@@ -185,8 +206,10 @@ class MachineState:
     # -- stepping ---------------------------------------------------------
 
     def step(self):
-        """Apply one rule. Returns ('ok',None) | ('halted',r) | ('violation',r) | ('stuck',r).
-        At a cached pc that is one dict lookup and one handler call."""
+        """Apply one rule. Returns ('ok',None) | ('spin',None) | ('halted',r) |
+        ('violation',r) | ('stuck',r); 'spin' when the rule was the head of a
+        spin, which the machine never leaves. At a cached pc that is one dict
+        lookup and one handler call."""
         e = self._icache.get(self.pc) or self._decode()
         if e is None:
             return ("stuck", f"undecodable at {self.pc}")
@@ -207,6 +230,10 @@ class MachineState:
         else:
             self.regs[rd] = w
         self.pc = nxt
+
+    def _op_spin(self, e):
+        self._op_movi(e)
+        return ("spin", None)
 
     def _op_movl(self, e):
         _, _, nxt, s, rd, rs, ri = e
@@ -426,10 +453,19 @@ HANDLERS = MappingProxyType({name: getattr(MachineState, f"_op_{name}") for name
 def run_state(state: MachineState, fuel: int):
     """Drive a state to a terminal. Returns (kind, reason, state, steps).
 
-    kind is one of 'halted', 'violation', 'stuck', 'fuel'.
+    kind is one of 'halted', 'violation', 'stuck', 'fuel'. A run that reaches
+    a spin returns ('fuel', None, state, fuel) at once, `state` being exactly
+    the one stepping to the end of the fuel leaves.
     """
     for n in range(fuel):
         status, reason = state.step()
         if status != "ok":
+            if status == "spin":
+                # of the steps left, two close the first pass at the fixed
+                # point, and each whole pass from there changes nothing
+                left = fuel - n - 1
+                for _ in range(left if left <= 2 else 2 + (left - 2) % 3):
+                    state.step()
+                return ("fuel", None, state, fuel)
             return (status, reason, state, n + 1)
     return ("fuel", None, state, fuel)

@@ -14,6 +14,15 @@ An outcall pushes a [saved this, return-type encoding, resume offset] triple
 on the same stack, which the return entry point pops. One guard at body entry
 spins once SP passes STACK_LIMIT; nothing lives above the stack, so the guard
 needs no per-method headroom.
+
+A spin is one idiom, `movi r, L; cmp 0, 0; je r, ZF` at L (`spin`). One pass
+of it writes only r := L and ZF := 1 and comes back to L, touching no memory,
+so every later pass leaves the state as it was: a fixed point, which the aim
+machine ends at once as at fuel exhaustion (aim/machine.py). The stack guard
+spins with it, and so does a method whose body is exactly `this.<m>()`
+(`ast.calls_itself`, the loop the interpreter stops at): such a body is its
+`body_m` label and the spin, with no activation record, call or epilogue.
+
 Objects are [class encoding, fields...]; an internal object id is its data
 offset. Values of the module's own class are internal ids inside the module;
 every other object value is a cross-module id (mask) or comp(null).
@@ -61,6 +70,13 @@ def jump_if(a: Assembler, label: str, flag: int = ZF, tmp: int = 11):
     """Local jump to `label` if `flag` is set."""
     a.emit("movi", tmp, Label(label))
     a.emit("je", tmp, flag)
+
+
+def spin(a: Assembler):
+    """Loop in place forever: the one spin idiom (see the module docstring)."""
+    a.emit("movi", 11, a.here())
+    a.emit("cmp", 0, 0)
+    a.emit("je", 11, ZF)
 
 
 def trampoline(a: Assembler, target: str):
@@ -172,6 +188,9 @@ class ClassCompiler:
     def emit_body(self, a: Assembler, m: ast.Method):
         self.framesize = 2 + m.nvars
         a.label(f"body_{m.name}")
+        if ast.calls_itself(m):
+            spin(a)
+            return
         # stack-overflow backstop: spin in place once SP passes the limit
         a.emit("movi", 10, self.mid)
         a.emit("movi", 9, SP)
@@ -179,10 +198,8 @@ class ClassCompiler:
         a.emit("movi", 2, STACK_LIMIT)
         a.emit("sub", 1, 2)
         ok = self.fresh_label("stack_ok")
-        spin = self.fresh_label("spin")
         jump_if(a, ok, SF)
-        a.label(spin)
-        always_jump(a, spin)
+        spin(a)
         a.label(ok)
         # push activation record [r5, r6, params...]
         self.load_sp(a)

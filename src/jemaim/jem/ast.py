@@ -198,6 +198,16 @@ class Method:
     nvars: int = field(default=0, compare=False, repr=False)
 
 
+def calls_itself(m: Method) -> bool:
+    """The body is exactly `this.<m>()`, a proven loop: the receiver is the
+    non-null object just entered, whose class never changes, so the call
+    enters `m` again and touches no heap cell on the way. The interpreter
+    stops there (jem/interp.py) and the compiler emits a spin in its place
+    (compiler/comp.py), so both sides stop at the same loops."""
+    b = m.body
+    return isinstance(b, Call) and isinstance(b.recv, This) and b.mname == m.name and not b.args
+
+
 @dataclass
 class Ctor:
     params: list[str]

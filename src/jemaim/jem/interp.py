@@ -11,12 +11,14 @@ entry in `RULES` applies to their values. Lit, Var and This are the leaves.
 Each step() applies exactly one deterministic transition.
 
 One loop is recognised instead of stepped: entering a method whose body is
-exactly `this.<same method>()` (no arguments). Stepping that body evaluates
-`this` to the receiver just entered, which is a non-null object whose class
-never changes, finds the same method and enters it again, reading and writing
-no heap cell on the way; so every run reaching such a call runs out of fuel,
-whatever the fuel. The configuration is marked out of fuel at once, and
-`run` reports it exactly as if the loop had been stepped to the end.
+exactly `this.<same method>()` (no arguments; `ast.calls_itself`). Stepping
+that body evaluates `this` to the receiver just entered, which is a non-null
+object whose class never changes, finds the same method and enters it again,
+reading and writing no heap cell on the way; so every run reaching such a call
+runs out of fuel, whatever the fuel. The configuration is marked out of fuel
+at once, and `run` reports it exactly as if the loop had been stepped to the
+end. The compiler reads the same predicate and emits such a body as a spin
+that the aim machine ends in the same way (aim/machine.py).
 """
 from __future__ import annotations
 
@@ -181,7 +183,7 @@ class JemConfig:
         if m is None:
             self._die("nullerror", f"no method {mname!r} on {recv}")
             return
-        if _calls_itself(m):
+        if ast.calls_itself(m):
             self._die("fuel")
             return
         self.kont.append((RETURN, self.env, self.this))
@@ -232,12 +234,6 @@ RULES = {
     ast.InstanceOf: JemConfig._instanceof,
     ast.VarDecl: JemConfig._vardecl,
 }
-
-
-def _calls_itself(m: ast.Method) -> bool:
-    """The body is exactly `this.<m>()`: a proven loop (see the module docstring)."""
-    b = m.body
-    return isinstance(b, ast.Call) and isinstance(b.recv, ast.This) and b.mname == m.name and not b.args
 
 
 def _value_eq(a, b) -> bool:

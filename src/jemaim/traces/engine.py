@@ -37,6 +37,12 @@ the state it starts from. A `register` move is never memoised: it draws a fresh
 adversary nonce, so two runs from one key differ. The states after it carry
 that nonce in G or memory, so their own keys stay sound.
 
+A run that reaches a spin, the compiled form of a proven loop, ends there with
+`FuelExceeded` and `forwarded` as stepping to the end of the segment fuel
+would give them: a spin never leaves itself (aim/machine.py), and its pcs are
+in no stop set, as the compiler emits spins only in method bodies, past every
+entry point, and sys has none.
+
 `ComponentTracer.random_trace` draws traces by the same moves, each from the
 one state the tracer boots on its first use (`booted`).
 """
@@ -188,6 +194,8 @@ class ComponentTracer:
                         return forwarded, ReturnOut((t_mid, t_off), st.reg(6), ident), st
             status, _reason = step()
             if status != "ok":
+                if status == "spin":
+                    break  # the rest of the fuel would be spent in the spin
                 return forwarded, Tick(), None
         # fuel ran out, perhaps on the very step that reached the watched entry
         return forwarded or st.pc == watch_forward, FuelExceeded(), None

@@ -5,15 +5,19 @@ import pytest
 
 from jemaim.aim import access
 from jemaim.aim.isa import Assembler, encode, ins
-from jemaim.aim.machine import SF, ZF, MachineState, run_state
+from jemaim.aim.machine import HANDLERS, SF, ZF, MachineState, run_state
 from jemaim.aim.words import N_W, Address, Descriptor, Nonce, NonceOracle, Symbol
+from jemaim.compiler import pipeline
+from jemaim.compiler.comp import comp_class
 from jemaim.compiler.encoding import encode_class
 from jemaim.compiler.pipeline import boot_state, compaim, run_aim
 from jemaim.jem.parser import parse_component
 from jemaim.traces.actions import FuelExceeded, Tick
-from jemaim.traces.engine import RESUME_PAD, ComponentTracer
+from jemaim.traces.engine import RESUME_PAD, AdversaryDomain, ComponentTracer, enumerate_traces
 
 from corpus import COMPONENTS, INEQUIVALENT_PAIRS, WHOLE_PROGRAMS
+from test_jem_lang import LOOP, NEAR_MISS_LOOPS
+from test_traces import plain_traces
 
 
 def load_words(mem, mid, base, words):
@@ -391,45 +395,183 @@ class TestSharedCode:
         assert st.code == {} and all(st.mem[a] == w for a, w in img.mem.items())
 
 
+def plain_run(st, fuel, trail=None):
+    """`run_state` without the spin rule: each step decodes with `peek` and
+    applies its opcode's handler, so a spin is stepped like any loop. When
+    `trail` is a list, each step's (pc, instruction) is appended to it."""
+    for n in range(fuel):
+        pc, i = st.pc, st.peek()
+        if i is None:
+            return ("stuck", f"undecodable at {pc}", st, n + 1)
+        if trail is not None:
+            trail.append((pc, i))
+        s = st.module(pc.mid)
+        if s is not None and not access.code_range(s, pc):
+            s = None
+        out = HANDLERS[i.name](st, (None, i.name, Address(pc.mid, pc.off + i.width), s, *i.ops))
+        st._last_op = i.name
+        if out:
+            return (*out, st, n + 1)
+    return ("fuel", None, st, fuel)
+
+
+def plain_run_aim(img, fuel, trail=None):
+    """`run_aim` of `img` at seed 1, driven by `plain_run`."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "run_state", lambda st, f: plain_run(st, f, trail))
+        return run_aim(img, seed=1, fuel=fuel)
+
+
+def steps_to_spin(img) -> int:
+    """The plain steps a run of `img` takes up to and including the head of
+    its first spin, a `movi 11, L` at L (compiler/comp.py)."""
+    trail = []
+    plain_run_aim(img, 1_000, trail)
+    heads = [n for n, (pc, i) in enumerate(trail) if i == ins("movi", 11, pc.off)]
+    assert heads, "no spin within 1 000 steps"
+    return 1 + heads[0]
+
+
+# the whole programs that reach a proven loop
+LOOPING = ("diverge-conditional", "diverge-spin")
+
+
+@pytest.fixture
+def step_calls(monkeypatch):
+    calls = [0]
+    step = MachineState.step
+
+    def counted(self):
+        calls[0] += 1
+        return step(self)
+
+    monkeypatch.setattr(MachineState, "step", counted)
+    return calls
+
+
 class TestOneStepCallPerStep:
-    @pytest.fixture
-    def step_calls(self, monkeypatch):
-        calls = [0]
-        step = MachineState.step
-
-        def counted(self):
-            calls[0] += 1
-            return step(self)
-
-        monkeypatch.setattr(MachineState, "step", counted)
-        return calls
-
     def test_run_state(self, step_calls):
         total = 0
-        for src in WHOLE_PROGRAMS.values():
+        for name, src in WHOLE_PROGRAMS.items():
+            img = compaim(parse_component(src))
             step_calls[0] = 0
-            r = run_aim(compaim(parse_component(src)), seed=1, fuel=300_000)
+            r = run_aim(img, seed=1, fuel=300_000)
+            if name in LOOPING:
+                assert (repr(r), r.steps) == ("OutOfFuel", 300_000)
+                assert step_calls[0] <= steps_to_spin(img) + 6
+                continue
             assert step_calls[0] == r.steps
             if r.kind == "halted" and not r.aborted:
                 total += r.steps
         assert total == 12_168  # the terminating corpus, as perfbench counts it
 
     def test_component_tracer_run(self, step_calls):
-        img = compaim(parse_component(INEQUIVALENT_PAIRS["length-divergence"][0]))
+        methods, call = NEAR_MISS_LOOPS["sequence"]
+        img = compaim(parse_component(LOOP.format(methods=methods, call=call)))
         tracer = ComponentTracer(img, segment_fuel=500)
         [(_, mask)] = list(img.table.eo.items())
-        [spin] = [a for s, a in img.table.em.items() if s.name == "spin"]
-        seg = tracer.call_method(tracer.initial(), spin, mask, ())
+        [m] = [a for s, a in img.table.em.items() if s.name == "m"]
+        seg = tracer.call_method(tracer.initial(), m, mask, ())
         assert isinstance(seg.reply, FuelExceeded) and step_calls[0] == 500
 
         # a direct poke aborts: as many calls as run_state takes from that state
         step_calls[0] = 0
-        seg = tracer.poke(tracer.initial(), spin, {})
+        seg = tracer.poke(tracer.initial(), m, {})
         assert isinstance(seg.reply, Tick)
         poked = step_calls[0]
         st = tracer.initial()
         st.set_reg(5, RESUME_PAD)
-        st.pc = spin
+        st.pc = m
         step_calls[0] = 0
         _, _, _, steps = run_state(st, 500)
         assert poked == steps == step_calls[0] and steps > 1
+
+
+def spin_at(off, cmp=(0, 0), je=(11, ZF), target=None):
+    """The spin `movi 11, L; cmp 0, 0; je 11, ZF` at L = `off`, or a variant
+    with other `cmp` or `je` operands or another `movi` target."""
+    return encode(ins("movi", 11, off if target is None else target)) + encode(ins("cmp", *cmp)) + encode(ins("je", *je))
+
+
+# loops the machine must step: each runs forever, but it is not the spin in
+# protected code, so nothing proves it (descriptors, pc, program, registers
+# and SF preset)
+STEPPED_LOOPS = {
+    "unprotected": ([], (0, 20), spin_at(20), {}, 0),
+    "distinct-cmp-registers": (GRID_DESCS, (2, 20), spin_at(20, cmp=(1, 2)), {}, 0),
+    "je-on-sf": (GRID_DESCS, (2, 20), spin_at(20, je=(11, SF)), {}, 1),
+    "je-on-another-register": (GRID_DESCS, (2, 20), spin_at(20, je=(12, ZF)), {12: 20}, 0),
+    "movi-to-another-label": (GRID_DESCS, (2, 20), spin_at(20, target=23), {}, 0),
+    "past-the-code-section": ([Descriptor(2, 28, 1)], (2, 20), spin_at(20), {}, 0),
+}
+
+
+class TestProvenLoops:
+    def test_spin_stops_stepping(self, step_calls):
+        """Fails at a parent without the rule by its count of steps."""
+        img = compaim(parse_component(WHOLE_PROGRAMS["diverge-spin"]))
+        r = run_aim(img, seed=1, fuel=10**6)
+        assert (r.kind, r.reason, r.steps, repr(r)) == ("fuel", None, 10**6, "OutOfFuel")
+        assert step_calls[0] <= 200
+
+    def test_every_fuel_ends_as_plain_stepping_does(self):
+        """Fuel spent before the loop, at its head and on each residue of its
+        period of 3: result and final machine state as the plain stepper's."""
+        img = compaim(parse_component(WHOLE_PROGRAMS["diverge-spin"]))
+        for fuel in range(1, steps_to_spin(img) + 13):
+            r, p = run_aim(img, seed=1, fuel=fuel), plain_run_aim(img, fuel)
+            assert (r.kind, r.reason, r.value, r.steps) == (p.kind, p.reason, p.value, p.steps) == ("fuel", None, r.value, fuel)
+            a, b = r.state, p.state
+            assert (a.pc, a.regs, a.flags, a.mem, a._last_op) == (b.pc, b.regs, b.flags, b.mem, b._last_op), fuel
+
+    def test_a_self_call_body_compiles_to_the_spin(self):
+        comp = parse_component(WHOLE_PROGRAMS["diverge-spin"])
+        compaim(comp)  # checks the component, leaving the facts the compiler reads
+        cc = comp_class(comp, comp.classes[0], 2)
+        a = Assembler()
+        cc.emit_body(a, comp.classes[0].method("spin"))
+        assert a.words() == spin_at(0)
+
+    @pytest.mark.parametrize("name", sorted(NEAR_MISS_LOOPS))
+    def test_near_misses_compile_without_the_spin(self, name, step_calls):
+        """Passes without the rule too, by construction: these must not take it."""
+        methods, call = NEAR_MISS_LOOPS[name]
+        comp = parse_component(LOOP.format(methods=methods, call=call))
+        img = compaim(comp)
+        cc = comp_class(comp, comp.classes[0], 2)
+        for m in comp.classes[0].methods:
+            a = Assembler()
+            cc.emit_body(a, m)
+            assert len(a.items) > 4, m.name  # the label and more than a spin
+        r = run_aim(img, seed=1, fuel=5_000)
+        assert (repr(r), r.steps, step_calls[0]) == ("OutOfFuel", 5_000, 5_000)
+
+    @pytest.mark.parametrize("name", sorted(STEPPED_LOOPS))
+    def test_loops_that_are_not_the_spin_are_stepped(self, name, step_calls):
+        descs, pc, program, regs, sf = STEPPED_LOOPS[name]
+        st = machine(program, descs=descs, pc=pc)
+        st.regs.update(regs)
+        st.flags[SF] = sf
+        plain = st.clone()
+        kind, _, _, steps = run_state(st, 300)
+        assert (kind, steps, step_calls[0]) == ("fuel", 300, 300)
+        plain_run(plain, 300)
+        assert (st.pc, st.regs, st.flags) == (plain.pc, plain.regs, plain.flags)
+
+    def test_the_spin_in_protected_code_is_proven(self, step_calls):
+        st = machine(spin_at(20), descs=GRID_DESCS, pc=(2, 20))
+        st.set_reg(11, 7)
+        plain = st.clone()
+        kind, _, _, steps = run_state(st, 10**6)
+        assert (kind, steps) == ("fuel", 10**6) and step_calls[0] <= 5
+        plain_run(plain, 10**6 % 300 + 300)  # the same residue of the period
+        assert (st.pc, st.regs, st.flags, st._last_op) == (plain.pc, plain.regs, plain.flags, plain._last_op)
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_length_divergence_trace_set(self, side, step_calls):
+        """Fails at a parent without the rule by its count of steps: there
+        each segment that ends on fuel steps its 100 000 steps."""
+        img = compaim(parse_component(INEQUIVALENT_PAIRS["length-divergence"][side]))
+        traces = enumerate_traces(img, depth=3)
+        assert step_calls[0] < 10_000
+        assert traces == plain_traces(img, 3, AdversaryDomain())[0]

@@ -601,9 +601,9 @@ AIMOD_PINS = {
     "whole.new-fields": (2387, "9f33a0b5ec8d71c7678023439976d8ea252d1e2fc19eab54bf0cf144d2b3f394"),
     "whole.new-aliasing": (3397, "b6579003ddcfeac60657d9adb47e8d42ea826a4de3efd759a852b17910c53d7f"),
     "whole.recursion-sum": (1948, "127ccfd79c43f112e17233312c2487db00f74ce6244f623d7199862e9d58bd0e"),
-    "whole.diverge-spin": (1278, "3579df305e59f75ef2f7228c9afa7ba6e6ab8198f755647b83c6386523c556af"),
-    "whole.diverge-conditional": (1521, "ee1aadf5c8f44101f97f25c08577615ad3aed448e406d34c19bdb76891c2a2b2"),
-    "whole.converge-conditional": (1521, "7b30f03938057a1d6e809507035c1dc6149b97217e320a7bf76bd96c1ce25cae"),
+    "whole.diverge-spin": (1030, "84aae477972b77d95e1aa6aa5dd986e5c983c594801e3101c1c259761e48b6e4"),
+    "whole.diverge-conditional": (1273, "fef90915c63f597f0158af010b09e070a4f43ea48b996398ba536a673bbb6429"),
+    "whole.converge-conditional": (1273, "26b75d514954158aa8282e2781e7a18ced55170b378937780b0f6657ee2f3585"),
     "const": (795, "f9fe8eb9cd3f6907099e0a1fdc60e54034f65f3330c7e9f48fbf609dd4dfcdea"),
     "double": (959, "685ca2340f7fc474e06870fca0ecbdc95c6c04efed1855858347600146e76b15"),
     "cell": (1374, "4cc52b970c2163932274b31e1f5d739071c91b531d0b9a17b6be23ceb1ef7644"),
@@ -623,8 +623,8 @@ AIMOD_PINS = {
     "callback-vs-return.1": (795, "4736903a2e9f064e4a83013c05884cc2949381ce79138a29e09a67a665ee5458"),
     "stateful-second-round.0": (1315, "4cbf4f2a5b62bcc6730f3a89972f171f1f289c79d51be879e5afe2d34f8f95d4"),
     "stateful-second-round.1": (1834, "7eea54f0fb2367f7f17c584ee9c3d21324ef8fd041f7056019ab7f70b2eff49d"),
-    "length-divergence.0": (2041, "6d1a6bc1a8f4a0a253e9fd653820448b8344744c8805019041f7a8c3c02ce9ee"),
-    "length-divergence.1": (1946, "df9cacc0a0eb7c3b9c770e4a413079e49dd1a18ca9b6b7e968d93275e10e2f20"),
+    "length-divergence.0": (1793, "126893735aaa4c70b34f877656c12cd214b99fa66727f2bcfb50220f76e68ebe"),
+    "length-divergence.1": (1698, "512530ce7d07b8a1f58c8393189fde3870247060496843271f730097947f849a"),
     "fresh-vs-static-object.0": (1120, "c3f84e64375a05091acdc54e8a7fb2e957c0e46ab73b38564c045cd3ef122763"),
     "fresh-vs-static-object.1": (1090, "e7dacb0452ac2d1ae06c8a6aeac0682b836ef9f090aa0a449dfe1ae19b77842a"),
     "null-vs-object.0": (797, "05ec7af81feec9198765ff125b84ee09549f5f5465289560ac58cc5349801afd"),
