@@ -11,7 +11,8 @@ Shape of a source file:
     };
     object oc : c { f = 0; };
 
-Imports precede the class they belong to; objects follow it. Operators:
+Imports precede the class they belong to; objects follow a class, and each
+belongs to the class its declaration names, wherever it stands. Operators:
 `+ - == < &&` with && loosest, then == and <, then + and -. `E;E` sequencing
 binds loosest of all and only inside braces. Braces are mandatory for if.
 """
@@ -172,6 +173,14 @@ class Parser:
         classes = []
         while self.peek().kind != "eof":
             classes.append(self.class_block())
+        # an object joins its own class, in declaration order; one of a class
+        # defined elsewhere stays where it stands, for the checker to report
+        placed = [(c, o) for c in classes for o in c.objects]
+        defined = {c.name: c for c in classes}
+        for c in classes:
+            c.objects = []
+        for c, o in placed:
+            defined.get(o.cname, c).objects.append(o)
         return ast.JemComponent(classes)
 
     def class_block(self) -> ast.JemClass:

@@ -6,7 +6,9 @@ exported object masks first (in table order, so two components with the same
 interface canonicalize identically), then by first occurrence in the trace.
 Linking symbols print as $name and are already stable across components.
 `rename` canonicalizes one step at a time: a trace extended by some actions
-renames only those, under the map its prefix left.
+renames only those, under the map its prefix left; what it gives depends on
+that map only through the names of the actions' own `nonces`, and through
+the map's size when one of them is unnamed.
 """
 from __future__ import annotations
 
@@ -135,6 +137,23 @@ def rename(actions, names: dict, seed_masks=()) -> tuple[Trace, dict]:
             a = ReturnOut(tuple(word(x) for x in a.addr), word(a.value), word(a.mid))
         out.append(a)
     return tuple(out), new
+
+
+def _words(a) -> tuple:
+    """An action's words, in the order `rename` visits them."""
+    if isinstance(a, (CallIn, CallOut)):
+        return (*a.addr, *a.regs)
+    if isinstance(a, ReturnIn):
+        return (*a.addr, a.value, a.caller)
+    if isinstance(a, ReturnOut):
+        return (*a.addr, a.value, a.mid)
+    return ()
+
+
+def nonces(actions) -> tuple:
+    """The distinct nonces of `actions` by first occurrence: the only words
+    whose names `rename` looks up in its map."""
+    return tuple(dict.fromkeys(w for a in actions for w in _words(a) if isinstance(w, Nonce)))
 
 
 def canonicalize(trace, seed_masks=()) -> Trace:

@@ -24,18 +24,35 @@ Enumeration canonicalizes along the search path: each frontier entry carries
 its canonical trace and the nonce renaming that trace used, and an extension
 renames only its two new actions (`actions.rename`).
 
-Enumeration runs each distinct segment once, as explicit-state model checkers
-hash the states they visit (Holzmann, "The Model Checker SPIN", 1997). A memo
-that lives for one enumeration maps (fingerprint of the suspended state,
-injection) to the raw segment: action, reply and next state. The key is sound
-because `_enter` clears registers and flags and sets pc, so a run depends only
-on what `MachineState.fingerprint` holds and on the injected registers, which
-the injection fixes; what the environment knows and owes only chooses the
-menu, and is updated per path (`_learn`), hits included. A next state may so
-sit in several frontier entries, which is safe as an injection never mutates
-the state it starts from. A `register` move is never memoised: it draws a fresh
-adversary nonce, so two runs from one key differ. The states after it carry
-that nonce in G or memory, so their own keys stay sound.
+Enumeration explores a state graph, as explicit-state model checkers hash the
+states they visit (Holzmann, "The Model Checker SPIN", 1997). Three memos live
+for one enumeration, each keyed by exactly what its value depends on:
+
+- State ids. Each fingerprint of a suspended state is interned to a small int
+  when the state is first seen, so the memos below hash an int. A segment
+  entry maps (state id, injection) to the raw segment: action, reply, next
+  state and that state's id. The key is sound because `_enter` clears
+  registers and flags and sets pc, so a run depends only on what
+  `MachineState.fingerprint` holds and on the injected registers, which the
+  injection fixes. A next state may so sit in several frontier entries, which
+  is safe as an injection never mutates the state it starts from.
+- The node memo maps (state id, knowledge, pending) to the node's moves in
+  menu order: each segment entry with what the environment knows and owes
+  after it (`_learn`). Knowledge and pending return types choose the menu
+  (`_injections`, itself run once per distinct pair) and, with the segment,
+  fix what `_learn` gives, so the key covers every input of the expansion.
+- Each segment entry caches its canonical renamings. `rename` of its raw
+  (action, reply) under a map `names` reads `names` only at the pair's own
+  nonces, and reads its size only to name one of them afresh, so the key is
+  those names, in order of first occurrence, plus `len(names)` when one is
+  unnamed. A hit reuses the renamed actions and adds the cached fresh names;
+  with none, the map stays `names` itself.
+
+A `register` move is never memoised: it draws a fresh adversary nonce, so two
+runs from one key differ, and a node whose menu holds one is not stored as a
+whole; its other moves still hit the segment memo. The states after it carry
+that nonce in G or memory, so their own keys stay sound. Ids and caches are
+assigned in traversal order, so an enumeration does not depend on hash order.
 
 A run that reaches a spin, the compiled form of a proven loop, ends there with
 `FuelExceeded` and `forwarded` as stepping to the end of the segment fuel
@@ -57,7 +74,7 @@ from ..aim.words import FORWARDCALL_EP, FORWARDRETURN_EP, REGISTEROBJ_EP, SYS_ID
 from ..compiler.pipeline import boot_state
 from ..compiler.sysmod import SYS_EXIT_MARKS
 from ..compiler.encoding import V_FALSE, V_NULL, V_TRUE, V_UNIT, class_name_of_encoding, encode_class
-from .actions import CallIn, CallOut, FuelExceeded, ReturnIn, ReturnOut, Tick, canonicalize, rename
+from .actions import CallIn, CallOut, FuelExceeded, ReturnIn, ReturnOut, Tick, canonicalize, nonces, rename
 
 RESUME_PAD = 40
 DEFAULT_DEPTH = 4
@@ -228,7 +245,7 @@ class AdversaryDomain:
         return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class Knowledge:
     """What the environment has observed: typed ids, registered fresh objects."""
 
@@ -318,33 +335,74 @@ def _apply(tracer, state, inj, knowledge: Knowledge, pending: tuple):
     return (seg, *_learn(tracer, inj, seg, knowledge, pending))
 
 
+class _Entry:
+    """A segment run from one state id: the raw segment, the id of its next
+    state (None when the trace ended), and its canonical renamings."""
+
+    __slots__ = ("seg", "sid", "nonces", "canon")
+
+    def __init__(self, seg: Segment, sid):
+        self.seg, self.sid = seg, sid
+        self.nonces = nonces((seg.action, seg.reply))
+        self.canon = {}  # names of the nonces (and len(names) if one is unnamed) -> (actions, fresh names)
+
+    def renamed(self, names: dict):
+        """`rename((action, reply), names)`, each distinct key renamed once."""
+        key = tuple(map(names.get, self.nonces))
+        if None in key:
+            key += (len(names),)
+        hit = self.canon.get(key)
+        if hit is None:
+            actions, n2 = rename((self.seg.action, self.seg.reply), names)
+            self.canon[key] = actions, {n: n2[n] for n in self.nonces if n not in names}
+            return actions, n2
+        actions, fresh = hit
+        return actions, ({**names, **fresh} if fresh else names)
+
+
 def enumerate_traces(image, depth: int = DEFAULT_DEPTH, domain: AdversaryDomain | None = None, seed: int = 0) -> set:
     """Breadth-first trace set over the adversary menu, canonicalized; each
-    distinct segment runs once."""
+    distinct node is expanded once and each distinct segment runs once."""
     domain = domain or AdversaryDomain()
     tracer = ComponentTracer(image, seed)
+    sids, menus, entries, nodes = {}, {}, {}, {}
+
+    def sid_of(state):
+        return None if state is None else sids.setdefault(state.fingerprint(), len(sids))
+
+    def expand(state, sid, knowledge, pending):
+        """The node's moves in menu order: each entry, and what the
+        environment knows and owes after it."""
+        moves = nodes.get((sid, knowledge, pending))
+        if moves is None:
+            menu = menus.get((knowledge, pending))
+            if menu is None:
+                menu = menus[knowledge, pending] = _injections(tracer, knowledge, pending, domain)
+            moves = []
+            for inj in menu:
+                entry = entries.get((sid, inj))
+                if entry is None:
+                    seg = _segment(tracer, state, inj)
+                    entry = _Entry(seg, sid_of(seg.state))
+                    if inj[0] != "register":
+                        entries[sid, inj] = entry
+                moves.append((entry, *_learn(tracer, inj, entry.seg, knowledge, pending)))
+            if all(inj[0] != "register" for inj in menu):
+                nodes[sid, knowledge, pending] = moves
+        return moves
+
     results = {()}
-    seeded = rename((), {}, tracer.seed_masks)[1]
-    # (fingerprint, injection) -> (segment, fingerprint of its next state)
-    memo = {}
     boot = tracer.booted
-    frontier = [(boot, boot.fingerprint(), (), seeded, tracer.initial_knowledge(), ())]
+    seeded = rename((), {}, tracer.seed_masks)[1]
+    frontier = [(boot, sid_of(boot), (), seeded, tracer.initial_knowledge(), ())]
     for _ in range(depth):
         nxt = []
-        for state, fp, trace, names, knowledge, pending in frontier:
-            for inj in _injections(tracer, knowledge, pending, domain):
-                ran = memo.get((fp, inj))
-                if ran is None:
-                    seg = _segment(tracer, state, inj)
-                    ran = seg, None if seg.state is None else seg.state.fingerprint()
-                    if inj[0] != "register":
-                        memo[fp, inj] = ran
-                seg, fp2 = ran
-                k2, p2 = _learn(tracer, inj, seg, knowledge, pending)
-                actions, n2 = rename((seg.action, seg.reply), names)
+        for state, sid, trace, names, knowledge, pending in frontier:
+            for entry, k2, p2 in expand(state, sid, knowledge, pending):
+                actions, n2 = entry.renamed(names)
                 t2 = trace + actions
                 results.add(t2)
-                if seg.state is not None:
-                    nxt.append((seg.state, fp2, t2, n2, k2, p2))
+                if entry.sid is not None:
+                    nxt.append((entry.seg.state, entry.sid, t2, n2, k2, p2))
         frontier = nxt
     return results

@@ -7,6 +7,7 @@ from jemaim.cli import main
 from jemaim.compiler.comp import DATA_BASE
 
 from corpus import INEQUIVALENT_PAIRS, WHOLE_PROGRAMS, main_prog
+from test_secure_compiler import MISPLACED_OBJECT_PROG
 
 
 @pytest.fixture
@@ -76,6 +77,15 @@ class TestCompileLinkRun:
         assert run_cli("link", *(ws / "mods").glob("*.aimod"), "-o", ws / "prog.aimod") == 0
         assert run_cli("run_aim", ws / "prog.aimod") == 0
         assert "r6=42" in capsys.readouterr().out
+
+    def test_object_declared_after_another_class(self, ws, capsys):
+        (ws / "misplaced.jem").write_text(MISPLACED_OBJECT_PROG)
+        assert run_cli("run_jem", ws / "misplaced.jem") == 0
+        assert run_cli("compile", ws / "misplaced.jem", "-o", ws / "mods") == 0
+        assert run_cli("link", *(ws / "mods").glob("*.aimod"), "-o", ws / "misplaced.aimod") == 0
+        assert run_cli("run_aim", ws / "misplaced.aimod") == 0
+        out = capsys.readouterr().out
+        assert "Terminated(42)" in out and "Halted(r6=42)" in out
 
     def test_compile_of_an_ill_typed_file_is_refused(self, ws, capsys):
         assert run_cli("compile", ws / "bad.jem", "-o", ws / "mods") == 1

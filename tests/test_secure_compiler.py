@@ -225,6 +225,23 @@ object main : main { };
 """
 
 
+# an object declared after the definition of a class other than its own: it
+# belongs to the class it names, and is laid out in that class's module
+MISPLACED_OBJECT_PROG = """
+class helper {
+  helper(v:Int){ this.v = v; }
+  v : Int;
+  public get() : helper()->Int { return this.v; }
+};
+class main {
+  main(){}
+  public main() : main()->Int { return ho.get() + 2; }
+};
+object main : main { };
+object ho : helper { v = 40; };
+"""
+
+
 # Whole programs whose main returns no Int, each read from a field its
 # static object initialises or from a literal. They stay out of corpus.py,
 # whose programs the benchmark runs.
@@ -286,6 +303,11 @@ class TestCompilerCorrectness:
         comp = parse_ok(NULL_RECEIVER_PROG.format(body=body))
         assert repr(jem_run(comp, fuel=10_000)) == "NullError"
         assert repr(run_aim(compaim(comp), seed=3, fuel=100_000)) == "Halted(r6=0) by abort"
+
+    def test_object_declared_after_another_class(self):
+        comp = parse_ok(MISPLACED_OBJECT_PROG)
+        assert repr(jem_run(comp)) == "Terminated(42)"
+        assert repr(run_aim(compaim(comp), seed=3)) == "Halted(r6=42)"
 
     @pytest.mark.parametrize("name", sorted(WHOLE_PROGRAMS))
     def test_source_and_compiled_agree(self, name):

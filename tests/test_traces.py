@@ -1,6 +1,7 @@
 """Trace engine: observation, enumeration, canonicalization, divergence splits."""
 import hashlib
 import random
+from collections import Counter
 from dataclasses import fields
 
 import pytest
@@ -10,6 +11,7 @@ from jemaim.aim.machine import MachineState
 from jemaim.aim.words import FORWARDCALL_EP, SYS_ID, Address, Nonce
 from jemaim.compiler.pipeline import compaim
 from jemaim.jem.parser import parse_component
+from jemaim.traces import engine
 from jemaim.traces.actions import (
     CallIn,
     CallOut,
@@ -28,7 +30,9 @@ from jemaim.traces.engine import (
     AdversaryDomain,
     ComponentTracer,
     _apply,
+    _Entry,
     _injections,
+    _segment,
     enumerate_traces,
 )
 from jemaim.traces.equiv import (
@@ -284,18 +288,20 @@ def test_renaming_along_the_path_canonicalizes_whole_traces(name, domain):
 
 
 def plain_traces(image, depth, domain):
-    """The engine's enumeration without its memo: every injection runs its
-    segment. Returns the canonical trace set, the number of injections, and
-    how many of them are distinct runs: one per distinct (fingerprint,
-    injection) key, and one per `register` move."""
+    """The engine's enumeration without its memos: every injection runs its
+    segment. Returns the canonical trace set, the number of injections, how
+    many of them are distinct runs (one per distinct (fingerprint, injection)
+    key, and one per `register` move), and the distinct (knowledge, pending)
+    pairs of the nodes expanded."""
     tracer = ComponentTracer(image)
-    results, keys, injections, registers = {()}, set(), 0, 0
+    results, keys, menus, injections, registers = {()}, set(), set(), 0, 0
     seeded = rename((), {}, tracer.seed_masks)[1]
     frontier = [(tracer.initial(), (), seeded, tracer.initial_knowledge(), ())]
     for _ in range(depth):
         nxt = []
         for state, trace, names, knowledge, pending in frontier:
             fp = state.fingerprint()
+            menus.add((knowledge, pending))
             for inj in _injections(tracer, knowledge, pending, domain):
                 injections += 1
                 if inj[0] == "register":
@@ -309,7 +315,7 @@ def plain_traces(image, depth, domain):
                 if seg.state is not None:
                     nxt.append((seg.state, t2, n2, k2, p2))
         frontier = nxt
-    return results, injections, len(keys) + registers
+    return results, injections, len(keys) + registers, menus
 
 
 # the register_classes=("i",) pair of test_backtranslator.py's
@@ -337,39 +343,89 @@ class TestMemoisedEnumeration:
     def test_memoised_equals_plain(self, case):
         src, domain = MEMO_CASES[case]
         img = image_of(src)
-        plain, _, _ = plain_traces(img, 3, domain())
-        assert enumerate_traces(img, depth=3, domain=domain()) == plain
+        plain = plain_traces(img, 4, domain())[0]
+        assert enumerate_traces(img, depth=4, domain=domain()) == plain
 
     @staticmethod
-    def segments_run(img, depth, domain, monkeypatch):
-        """How many segments one enumeration runs: its `_enter` calls."""
-        entered = 0
-        enter = ComponentTracer._enter
+    def counted_run(img, depth, domain, monkeypatch):
+        """One enumeration with its segment runs (`_enter` calls), `rename`
+        calls and the (knowledge, pending) of each `_injections` call counted."""
+        calls = Counter()
+        menus = Counter()
+        enter, rename_, injections = ComponentTracer._enter, engine.rename, engine._injections
 
-        def counted(*args, **kwargs):
-            nonlocal entered
-            entered += 1
-            return enter(*args, **kwargs)
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
 
-        monkeypatch.setattr(ComponentTracer, "_enter", counted)
-        enumerate_traces(img, depth=depth, domain=domain)
+            return counted
+
+        def menu(tracer, knowledge, pending, domain):
+            menus[knowledge, pending] += 1
+            return injections(tracer, knowledge, pending, domain)
+
+        monkeypatch.setattr(ComponentTracer, "_enter", counting("entered", enter))
+        monkeypatch.setattr(engine, "rename", counting("renamed", rename_))
+        monkeypatch.setattr(engine, "_injections", menu)
+        traces = enumerate_traces(img, depth=depth, domain=domain)
         monkeypatch.undo()
-        return entered
+        return traces, calls, menus
 
     @pytest.mark.parametrize("domain", sorted(PIN_DOMAINS))
     def test_each_distinct_segment_runs_once(self, domain, monkeypatch):
         img = image_of(COMPONENTS["keeper"])
-        _, injections, distinct = plain_traces(img, 4, PIN_DOMAINS[domain]())
-        entered = self.segments_run(img, 4, PIN_DOMAINS[domain](), monkeypatch)
-        assert entered == distinct
-        assert 5 * entered <= injections
+        _, injections, distinct, _ = plain_traces(img, 4, PIN_DOMAINS[domain]())
+        _, calls, _ = self.counted_run(img, 4, PIN_DOMAINS[domain](), monkeypatch)
+        assert calls["entered"] == distinct
+        assert 5 * calls["entered"] <= injections
+
+    @pytest.mark.parametrize("domain", sorted(PIN_DOMAINS))
+    def test_renaming_is_cached_per_segment(self, domain, monkeypatch):
+        """One `rename` seeds the map; the extensions rename at most once per
+        segment run, against one per extension without the cache."""
+        img = image_of(COMPONENTS["keeper"])
+        traces, calls, _ = self.counted_run(img, 4, PIN_DOMAINS[domain](), monkeypatch)
+        assert calls["renamed"] <= calls["entered"] + 1
+        assert 5 * calls["renamed"] <= len(traces)
+
+    @pytest.mark.parametrize(
+        "case", [("keeper", "default"), ("keeper", "illtyped"), ("registered.0", "register-i")], ids="/".join
+    )
+    def test_each_menu_is_built_once(self, case, monkeypatch):
+        src, domain = MEMO_CASES[case]
+        img = image_of(src)
+        menus = plain_traces(img, 4, domain())[3]
+        _, _, built = self.counted_run(img, 4, domain(), monkeypatch)
+        assert set(built) == menus
+        assert set(built.values()) == {1}
 
     @pytest.mark.parametrize("case", ["registered.0", "registered.1"])
     def test_every_register_move_runs(self, case, monkeypatch):
         src, domain = MEMO_CASES[case, "register-i"]
         img = image_of(src)
-        _, _, distinct = plain_traces(img, 4, domain())
-        assert self.segments_run(img, 4, domain(), monkeypatch) == distinct
+        _, _, distinct, _ = plain_traces(img, 4, domain())
+        assert self.counted_run(img, 4, domain(), monkeypatch)[1]["entered"] == distinct
+
+    def test_canonical_cache_keys_the_map_size_of_a_fresh_name(self, cell_image):
+        """One raw segment reached under two maps that name its known nonces
+        alike but differ in size: its unnamed nonce gets a different fresh
+        name under each, as `rename` gives."""
+        tracer = ComponentTracer(cell_image)
+        knowledge = tracer.initial_knowledge()
+        menu = _injections(tracer, knowledge, (), PIN_DOMAINS["illtyped"]())
+        inj = next(i for i in menu if i[0] == "call" and any(isinstance(w, Nonce) for w in i[3]))
+        entry = _Entry(_segment(tracer, tracer.booted, inj), None)
+        pair = (entry.seg.action, entry.seg.reply)
+        guess = next(w for w in inj[3] if isinstance(w, Nonce))
+        seeded = rename((), {}, tracer.seed_masks)[1]
+        longer = {**seeded, Nonce("elsewhere", 0): f"N{len(seeded)}"}
+        assert seeded and guess not in longer and set(entry.nonces) - {guess} <= set(seeded)
+        first, again, second = entry.renamed(seeded), entry.renamed(seeded), entry.renamed(longer)
+        assert first == again == rename(pair, seeded)
+        assert second == rename(pair, longer)
+        assert first[1][guess] != second[1][guess]
+        assert len(entry.canon) == 2
 
     def test_every_state_field_is_keyed_reset_or_shared(self):
         """A field the fingerprint leaves out must be one that `_enter` sets
