@@ -19,6 +19,7 @@ class Interface:
     methods: dict  # action address -> jem method signature (rule methodKnowledge)
     exported_objects: list  # (name, class, canonical id, registry index)
     required_objects: list  # (name, class, "$symbol", registry index)
+    names: frozenset  # every class, interface and object name either component declares
 
     def is_internal(self, t: str) -> bool:
         return t in self.internal_classes
@@ -63,7 +64,12 @@ def build_interface(c1: ast.JemComponent, c2: ast.JemComponent, image, image2) -
     for k, sym in sorted(image.table.ro, key=lambda e: (e[0].render(), e[1].name)):
         ro.append((k.name, k.cls, f"${sym.name}", idx))
         idx += 1
-    return Interface(internal, external, methods, eo, ro)
+    return Interface(internal, external, methods, eo, ro, _declared(c1) | _declared(c2))
+
+
+def _declared(c: ast.JemComponent) -> frozenset:
+    ics, ios = c.all_imports()
+    return frozenset(x.name for x in (*c.classes, *ics, *ios, *(o for cl in c.classes for o in cl.objects)))
 
 
 def _import_shape(c: ast.JemComponent):

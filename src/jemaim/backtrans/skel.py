@@ -5,24 +5,43 @@ methods return defaults, with a factory), declares all the pair exports, and
 equips Helper with a step counter, a divergence loop and per-type object
 registries, which main's prelude fills with the statically known objects.
 
-These fixed classes are jem text, parsed from templates over the pair's names.
-Only what varies with the traces is AST: Helper's imports, and the bodies of
-Helper.main and of the stub methods, built from a table (class, method) ->
-MethodCode that emulation and differentiation fill through the builders
-below. skel is the one module that names witness entities.
+The fixed classes are a library, LIBRARY, parsed once from jem text when this
+module is imported. In it each witness name is a placeholder `$…`, which no
+component can spell, as `$` is no jem character. A witness is one renaming
+pass over the library: it copies every node, maps each placeholder to a name,
+and instantiates each declaration named after a type hole once per type, in
+order: `…-$t` per registry type, `…-$i` per imported interface. What varies
+with the traces is built as AST in code: the stub methods, Helper's imports,
+and the bodies of Helper.main and of the stub methods, from a table
+(class, method) -> MethodCode that emulation and differentiation fill through
+the builders below. The builders write placeholders too, and the same pass
+maps them, so skel is the one module that names witness entities.
+
+The names come from a fresh-name supply: each witness class and object name
+(Helper, oc, listof-T, sentinel-T, static-for-I) is today's name unless the
+pair declares it already, and then the first of `<name>-1`, `<name>-2` … that
+neither the pair nor the witness takes. A component's own names are never
+renamed. `main` stays fixed, as it is the program entry.
+
+Positions: a node copied from the library carries its line:col in
+LIBRARY_TEXT; a node built in code carries Pos() (0:0). verify_witness strips
+the position from the reason it reports, and the CLI re-parses the rendered
+witness, so its diagnostics point into the rendered file.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from functools import reduce
-from string import Template
+from functools import cache, reduce
+from itertools import groupby
+from operator import attrgetter, itemgetter
 
 from ..jem import ast
 from ..jem.parser import parse_component
 from ..jem.typecheck import Env
 from .interface import ImportMismatch, Interface
 
-HELPER = "Helper"
+HELPER = "$Helper"
 MAIN = (HELPER, "main")
 
 
@@ -33,7 +52,7 @@ class UnknownMethod(Exception):
 # -- builders of witness code: i is an action index, j a parameter index from
 # 0, k a registry number, and t a type (or type name) that has a registry
 def _oc(mname: str, *args: ast.Expr) -> ast.Expr:
-    return ast.Call(ast.Var("oc"), mname, list(args))
+    return ast.Call(ast.Var("$oc"), f"${mname}", list(args))
 
 
 def incr_step() -> ast.Expr:
@@ -99,103 +118,167 @@ class MethodCode:
         return seq(*effects, *blocks, value)
 
 
-# -- the fixed classes, as jem text
-LISTOF = Template("""
-class listof-$t {
-  listof-$t(v:$t, n:Int, next:listof-$t){ }
-  v : $t; n : Int; next : listof-$t;
-  public getByName(k) : listof-$t(Int)->$t {
+# -- the library: the registry list of each registry type $t, the stub of each
+# imported interface $i, and Helper, whose declarations over $t and $i are its
+# share of each registry and each factory; main's `0` becomes the value under
+# its return cascade, after the prelude
+LIBRARY_TEXT = """
+class $listof-$t {
+  $listof-$t(v:$t, n:Int, next:$listof-$t){ }
+  v : $t; n : Int; next : $listof-$t;
+  public getByName(k) : $listof-$t(Int)->$t {
     return if (this.n == k) { this.v } else { if (this.next == null) { null } else { this.next.getByName(k) } };
   }
-  public append(o, k) : listof-$t($t,Int)->listof-$t { return new listof-$t(o, k, this); }
+  public append(o, k) : $listof-$t($t,Int)->$listof-$t { return new $listof-$t(o, k, this); }
 };
-object sentinel-$t : listof-$t { v = null; n = 0; next = null; };
-""")
-
-# main's `0` becomes the value under its return cascade, after the prelude
-HELPER_CLASS = Template("""
-class Helper {
-  Helper(step:Int$params){ }
-  step : Int;$fields
-  public isStep(x) : Helper(Int)->Bool { return if (this.step == x) { true } else { false }; }
-  public incrStep() : Helper()->Unit { return this.step = this.step + 1; }
-  public diverge() : Helper()->Unit { return this.diverge(); }
-  public main() : Helper()->Int { return 0; }$registries$factories
+object $sentinel-$t : $listof-$t { v = null; n = 0; next = null; };
+class $i {
+  $i(){ }
+  public $mk-$i() : $i()->$i { return new $i(); }
 };
-object oc : Helper { step = 0;$inits };
-object main : Helper { step = 0;$inits };
-""")
-# Helper's share of each registry type t, by the place it fills in HELPER_CLASS
-HELPER_PARTS = {
-    "params": Template(", head-$t:listof-$t"),
-    "fields": Template("\n  head-$t : listof-$t;"),
-    "registries": Template("""
-  public addObject-$t(o, k) : Helper($t,Int)->Unit { return this.head-$t = this.head-$t.append(o, k); }
-  public getByName-$t(k) : Helper(Int)->$t { return this.head-$t.getByName(k); }"""),
-    "inits": Template(" head-$t = sentinel-$t;"),
-}
-# the factory of each external class t
-FACTORY = Template("""
-  public createNew-$t(k) : Helper(Int)->$t { return var o : $t = static-for-$t.mk-$t(); this.addObject-$t(o, k); o; }""")
-
+object $static-for-$i : $i { };
+class $Helper {
+  $Helper(step:Int, $head-$t:$listof-$t){ }
+  step : Int; $head-$t : $listof-$t;
+  public $isStep(x) : $Helper(Int)->Bool { return if (this.step == x) { true } else { false }; }
+  public $incrStep() : $Helper()->Unit { return this.step = this.step + 1; }
+  public $diverge() : $Helper()->Unit { return this.$diverge(); }
+  public main() : $Helper()->Int { return 0; }
+  public $addObject-$t(o, k) : $Helper($t,Int)->Unit { return this.$head-$t = this.$head-$t.append(o, k); }
+  public $getByName-$t(k) : $Helper(Int)->$t { return this.$head-$t.getByName(k); }
+  public $createNew-$i(k) : $Helper(Int)->$i { return var o : $i = $static-for-$i.$mk-$i(); this.$addObject-$i(o, k); o; }
+};
+object $oc : $Helper { step = 0; $head-$t = $sentinel-$t; };
+object main : $Helper { step = 0; $head-$t = $sentinel-$t; };
+"""
+HOLES = ("$t", "$i")
+# the witness names of a type: all of REGISTRY for each registry type, and
+# FACTORY too for each interface; FRESH are class and object names
+REGISTRY = ("listof", "sentinel", "head", "addObject", "getByName")
+FACTORY = ("createNew", "static-for", "mk")
+FRESH = {"Helper", "oc", "listof", "sentinel", "static-for"}
 # each stub method returns the default of its type
-STUB_METHOD = Template("""
-  public $name($params) : $type { return $default; }""")
-DEFAULTS = {"Unit": "unit", "Bool": "true", "Int": "0"}
-STUB_CLASS = Template("""
-class $t {
-  $t(){ }$methods
-  public mk-$t() : $t()->$t { return new $t(); }
-};
-object static-for-$t : $t { };$objects
-""")
+DEFAULTS = {"Unit": ast.UNIT, "Bool": True, "Int": 0}
+
+_name, _key = attrgetter("name"), itemgetter(0)
 
 
-def _each(template: Template, names) -> str:
-    return "".join(template.substitute(t=t) for t in names)
+@cache
+def _hole(name: str) -> str | None:
+    """The type hole a library declaration is instantiated over, by its name."""
+    return next((h for h in HOLES if name == h or name.endswith("-" + h)), None)
 
 
-def _stub_class(name: str, sigs: list, objects: list) -> str:
-    if f"mk-{name}" in {s.name for s in sigs}:
-        raise ImportMismatch(f"interface {name} collides with the factory name mk-{name}")
-    methods = "".join(
-        STUB_METHOD.substitute(
-            name=s.name, params=", ".join(map(param, range(len(s.params)))),
-            type=s.type_text(), default=DEFAULTS.get(s.ret, "null"),
-        )
-        for s in sigs
+def _each(items, name, names: dict, maps: dict):
+    """(item, map) for each library declaration of `items`, in order: a run
+    of declarations over one hole of `maps` once per type of it, with that
+    type's map, and any other declaration once with `names`."""
+    for hole, run in groupby(items, lambda x: _hole(name(x))):
+        run = list(run)
+        for m in maps.get(hole, (names,)):
+            for x in run:
+                yield x, m
+
+
+def _instance(c: ast.JemClass, names: dict, maps: dict) -> ast.JemClass:
+    """A copy of library class `c` under `names`; within it, declarations over
+    a hole of `maps` other than the class's own come once per type."""
+    maps = {h: ms for h, ms in maps.items() if h != _hole(c.name)}
+
+    def each(items, name=str):
+        return _each(items, name, names, maps)
+
+    def sig(s: ast.MethodSig, m: dict) -> ast.MethodSig:
+        return ast.MethodSig(m.get(s.name, s.name), m.get(s.recv, s.recv), tuple(m.get(p, p) for p in s.params), m.get(s.ret, s.ret))
+
+    def fields(o: ast.ObjectDef, m: dict) -> dict:
+        return {
+            m2.get(f, f): ast.ObjRef(m2.get(v.name, v.name)) if isinstance(v, ast.ObjRef) else v
+            for (f, v), m2 in _each(o.fields.items(), _key, m, maps)
+        }
+
+    return ast.JemClass(
+        names.get(c.name, c.name),
+        [],
+        [],
+        ast.Ctor([m.get(p, p) for p, m in each(c.ctor.params)], c.ctor.pos),
+        {m.get(f, f): m.get(t, t) for (f, t), m in each(c.field_types.items(), _key)},
+        [
+            ast.Method(m.get(x.name, x.name), list(x.params), sig(x.sig, m), ast.renamed(x.body, m), x.pos)
+            for x, m in each(c.methods, _name)
+        ],
+        [ast.ObjectDef(m.get(o.name, o.name), m.get(o.cname, o.cname), fields(o, m), o.pos) for o, m in each(c.objects, _name)],
+        c.pos,
     )
-    objects = "".join(f"\nobject {o} : {name} {{ }};" for o in objects)
-    return STUB_CLASS.substitute(t=name, methods=methods, objects=objects)
+
+
+def _parse_library(text: str) -> ast.JemComponent:
+    """The component `text` spells with placeholders. The lexer reads each `$`
+    as `_`, which the text does not use otherwise and which keeps every
+    column; the names then get their `$` back."""
+    assert "_" not in text
+    back = {h.replace("$", "_"): h for h in re.findall(r"\$[\w$-]*\w", text)}
+    return ast.JemComponent([_instance(c, back, {}) for c in parse_component(text.replace("$", "_")).classes])
+
+
+LIBRARY = _parse_library(LIBRARY_TEXT)  # read-only: every witness copies it
+
+
+def _names(iface: Interface) -> tuple[dict, dict]:
+    """The map of a witness's placeholders to its names, and per hole the map
+    for each of its types, in order."""
+    taken = set(iface.names)
+
+    def fresh(base: str) -> str:
+        name, n = base, 0
+        while name in taken:
+            n += 1
+            name = f"{base}-{n}"
+        taken.add(name)
+        return name
+
+    names = {f"${n}": fresh(n) if n in FRESH else n for n in ("Helper", "oc", "isStep", "incrStep", "diverge")}
+    registry = sorted(iface.internal_classes) + sorted(iface.external_classes) + ["Obj"]
+    interfaces = sorted(iface.external_classes)
+    for types, roles in ((registry, REGISTRY), (interfaces, FACTORY)):
+        for t in types:
+            names.update({f"${r}-{t}": fresh(f"{r}-{t}") if r in FRESH else f"{r}-{t}" for r in roles})
+    maps = {
+        hole: [names | {hole: t} | {f"${r}-{hole}": names[f"${r}-{t}"] for r in roles} for t in types]
+        for hole, types, roles in (("$t", registry, REGISTRY), ("$i", interfaces, REGISTRY + FACTORY))
+    }
+    return names, maps
 
 
 def skel(c1: ast.JemComponent, iface: Interface, code: dict) -> ast.JemComponent:
     """The differentiating context of a component pair (c1 stands for both), with
     the witness code `code` maps (class, method) -> MethodCode to."""
-    _, ios = c1.all_imports()
-    by_name = Env(c1).interfaces  # interface -> method name -> the first signature declared
-    if HELPER in by_name or any(c.name == HELPER for c in c1.classes):
-        raise ImportMismatch(f"the name {HELPER} must be fresh")
-    # stub objects for every object declaration the pair imports
-    statics = {f"static-for-{name}" for name in by_name}
-    imported = sorted({(io.name, io.cname) for io in ios if io.name not in statics})
-    stubs = [_stub_class(c, by_name[c].values(), [o for o, cls in imported if cls == c]) for c in sorted(by_name)]
-
-    registry_types = sorted(iface.internal_classes) + sorted(iface.external_classes) + ["Obj"]
-    parts = {place: _each(template, registry_types) for place, template in HELPER_PARTS.items()}
-    helper_text = HELPER_CLASS.substitute(parts, factories=_each(FACTORY, sorted(iface.external_classes)))
-    context = parse_component(_each(LISTOF, registry_types) + "".join(stubs) + helper_text)
+    names, maps = _names(iface)
+    classes = [_instance(c, m, maps) for c, m in _each(LIBRARY.classes, _name, names, maps)]
     code = dict(code)
-    for stub in context.classes[len(registry_types) : -1]:
-        for m in stub.methods[:-1]:  # all but the factory
-            m.body = code.pop((stub.name, m.name), MethodCode()).body(m.body)
-    helper = context.classes[-1]
+
+    def body(key: tuple, value: ast.Expr, *effects: ast.Expr) -> ast.Expr:
+        return ast.renamed(code.pop(key, MethodCode()).body(value, *effects), names)
+
+    # stub methods, and stub objects for every object declaration the pair imports
+    by_name = Env(c1).interfaces  # interface -> method name -> the first signature declared
+    _, ios = c1.all_imports()
+    imported = sorted({(io.name, io.cname) for io in ios})
+    for stub, i in zip(classes[len(maps["$t"]) : -1], sorted(iface.external_classes)):
+        if f"mk-{i}" in by_name[i]:
+            raise ImportMismatch(f"interface {i} collides with the factory name mk-{i}")
+        stub.methods[:0] = [
+            ast.Method(s.name, list(map(param, range(len(s.params)))), s, body((i, s.name), ast.Lit(DEFAULTS.get(s.ret, ast.NULL))))
+            for s in by_name[i].values()
+        ]
+        stub.objects += [ast.ObjectDef(o, i, {}) for o, cls in imported if cls == i]
+    helper = classes[-1]
     main = helper.method(MAIN[1])
     prelude = [add_object(t, ast.Var(o), k) for o, t, _, k in iface.exported_objects + iface.required_objects]
-    main.body = code.pop(MAIN, MethodCode()).body(main.body, *prelude)
+    main.body = body(MAIN, main.body, *prelude)
     if code:
         raise UnknownMethod(", ".join(f"{c}.{m}" for c, m in code))
     # the witness imports everything the component pair exports
     helper.import_classes = [ast.ImportClass(c.name, [m.sig for m in c.methods]) for c in c1.classes]
     helper.import_objects = [ast.ImportObj(name, cls) for name, cls, _, _ in iface.exported_objects]
-    return context
+    return ast.JemComponent(classes)

@@ -215,6 +215,44 @@ def walk(e: Expr):
         todo.extend(reversed(children(n)))
 
 
+def renamed(e: Expr, names: dict) -> Expr:
+    """A copy of `e` in which every node is new and every variable, field,
+    method, class and type name that `names` maps is replaced by its image.
+    Positions are kept and the checker's facts are not. `;` and `+` spines are
+    copied in a loop, as `walk` visits them."""
+    if type(e) is Seq:
+        firsts = []
+        while type(e) is Seq:
+            firsts.append(e)
+            e = e.second
+        out = renamed(e, names)
+        for s in reversed(firsts):
+            out = Seq(renamed(s.first, names), out, pos=s.pos)
+        return out
+    if type(e) is BinOp:
+        leaf, spine = left_spine(e)
+        out = renamed(leaf, names)
+        for b in spine:
+            out = BinOp(b.op, out, renamed(b.right, names), pos=b.pos)
+        return out
+    return _RENAMED[type(e)](e, names)
+
+
+_RENAMED = {
+    Lit: lambda e, n: Lit(e.value, pos=e.pos),
+    Var: lambda e, n: Var(n.get(e.name, e.name), pos=e.pos),
+    This: lambda e, n: This(pos=e.pos),
+    FieldGet: lambda e, n: FieldGet(renamed(e.obj, n), n.get(e.fname, e.fname), pos=e.pos),
+    FieldSet: lambda e, n: FieldSet(renamed(e.obj, n), n.get(e.fname, e.fname), renamed(e.value, n), pos=e.pos),
+    Call: lambda e, n: Call(renamed(e.recv, n), n.get(e.mname, e.mname), [renamed(a, n) for a in e.args], pos=e.pos),
+    New: lambda e, n: New(n.get(e.cname, e.cname), [renamed(a, n) for a in e.args], pos=e.pos),
+    If: lambda e, n: If(renamed(e.cond, n), renamed(e.then, n), renamed(e.els, n), pos=e.pos),
+    Exit: lambda e, n: Exit(renamed(e.value, n), pos=e.pos),
+    InstanceOf: lambda e, n: InstanceOf(renamed(e.value, n), n.get(e.cname, e.cname), pos=e.pos),
+    VarDecl: lambda e, n: VarDecl(n.get(e.name, e.name), n.get(e.vtype, e.vtype), renamed(e.value, n), pos=e.pos),
+}
+
+
 # -- declarations ----------------------------------------------------------
 
 

@@ -2,6 +2,7 @@
 import hashlib
 import random
 import re
+import sys
 import zlib
 from collections import Counter
 
@@ -22,11 +23,11 @@ from jemaim.backtrans.emulate import (
     integer_for,
 )
 from jemaim.backtrans.interface import ImportMismatch, build_interface
-from jemaim.backtrans.skel import MAIN, MethodCode, UnknownMethod, skel
-from jemaim.jem import ast
+from jemaim.backtrans.skel import LIBRARY, MAIN, MethodCode, UnknownMethod, create_new, get_by_name, skel
+from jemaim.jem import ast, parser
 from jemaim.jem.compat import EMPTY, compat, join, plug, plug_errors
 from jemaim.jem.interp import run
-from jemaim.jem.parser import parse_component
+from jemaim.jem.parser import JemSyntaxError, parse_component
 from jemaim.jem.printer import render_component
 from jemaim.jem.typecheck import typecheck
 from jemaim.traces.actions import CallIn, CallOut, FuelExceeded, ReturnIn, ReturnOut, Tick
@@ -131,9 +132,7 @@ class TestEmulateValues:
     def test_known_static_object(self):
         c, img, iface = iface_for(COMPONENTS["const"])
         st = EmulState(iface)
-        e = emulate_value("N0", "c", st)
-        assert isinstance(e, ast.Call) and e.mname == "getByName-c"
-        assert e.args[0].value == 1
+        assert emulate_value("N0", "c", st) == get_by_name("c", 1)
 
     def test_unknown_internal_id_fails(self):
         c, img, iface = iface_for(COMPONENTS["const"])
@@ -148,8 +147,7 @@ class TestEmulateValues:
         st = EmulState(iface)
         st.R["N5"] = encode_class("i")
         e = emulate_value("N5", "i", st)
-        assert isinstance(e, ast.Call) and e.mname == "createNew-i"
-        assert "N5" in st.V
+        assert "N5" in st.V and e == create_new("i", st.V["N5"][1])
 
     def test_unregistered_external_id_fails(self):
         c, img, iface = iface_for(CALLBACK_SRC)
@@ -170,7 +168,7 @@ class TestEmulateActions:
         [addr] = [a for s, a in img.table.em.items() if s.name == "dbl" and a.mid != 1]
         st = EmulState(iface)
         emulate_action(CallIn((addr.mid, addr.off), (1, 0, 0, 0, 0, 48, "N0", 1)), st)
-        assert list(st.code) == [("Helper", "main")] and list(st.code[MAIN].blocks) == [0]
+        assert list(st.code) == [MAIN] and list(st.code[MAIN].blocks) == [0]
         assert st.i == 1 and len(st.frames) == 1 and st.frames[0].block == 0
 
     def test_bypassing_sys_fails(self):
@@ -210,7 +208,7 @@ class TestEmulateActions:
         emulate_action(CallOut(key, (0, 0, 0, 0, 0, 48, "$obj", 5)), st)
         assert st.here() == ("i", "take")
         emulate_action(ReturnIn((1, 48), 9, 0), st)
-        assert st.here() == ("Helper", "main")
+        assert st.here() == MAIN
         assert [i for i, _ in st.code["i", "take"].returns] == [2]
         assert len(st.frames) == 1  # the original method call is still open
 
@@ -631,17 +629,19 @@ object o : c { };
 
 class TestUnpluggableContext:
     def test_captured_witness_name_is_refused(self):
-        """The README pair with its object renamed onto the witness's `oc`: the
+        """The README pair with its object renamed onto the witness's `main`,
+        the program entry, which is the one witness name not drawn fresh: the
         witness is ill typed, and verify_witness says so instead of running the
         empty program on both sides (Terminated(unit) / Terminated(unit))."""
-        src = README_PAIR.replace("object o :", "object oc :")
+        src = README_PAIR.replace("object o :", "object main :")
         c1, c2 = parse_ok(src), parse_ok(src.replace("return 1;", "return 2;"))
         img1, img2 = compaim(c1), compaim(c2)
         r = trace_equiv(img1, img2, depth=2)
         assert not r.equivalent
         w = algo(c1, c2, r.t1, r.t2, image=img1, image2=img2)
-        assert typecheck(w.context) != []
-        # the reason is the first diagnostic, without its position in the template text
+        # the prelude is built in code, not copied from the library text: 0:0
+        assert typecheck(w.context)[0] == "0:0: argument 1 of 'addObject-c' has type Helper, expected c"
+        # the reason is the first diagnostic, without its position
         with pytest.raises(PlugFailure, match="the first component: argument 1 of 'addObject-c' has type Helper, expected c$"):
             verify_witness(w.context, c1, c2)
 
@@ -753,12 +753,12 @@ class TestChecksPerPlug:
         ill_typed = parse_component(self.ILL_TYPED)
         unrelated_ill_typed = parse_component(self.ILL_TYPED.replace("object o :", "object p :"))
         helper = parse_component(README_PAIR + "class Helper { Helper(){} };")
-        src = README_PAIR.replace("object o :", "object oc :")
-        oc1, oc2 = parse_ok(src), parse_ok(src.replace("return 1;", "return 2;"))
-        captured = witness_of(oc1, oc2, 2)
+        src = README_PAIR.replace("object o :", "object main :")
+        main1, main2 = parse_ok(src), parse_ok(src.replace("return 1;", "return 2;"))
+        captured = witness_of(main1, main2, 2)
         cases = [
             ((self.w, unrelated, self.c2), "first", None, "the imports are incompatible"),
-            ((captured, oc1, oc2), "first", "context", "argument 1 of 'addObject-c' has type Helper, expected c"),
+            ((captured, main1, main2), "first", "context", "argument 1 of 'addObject-c' has type Helper, expected c"),
             ((self.w, ill_typed, self.c2), "first", "first", "body of 'get' has type Bool, declared Int"),
             ((self.c1, self.c1, self.c2), "first", None, "duplicate class 'c'"),
             # a side with two faults reports the one that comes first in plug's order
@@ -810,3 +810,127 @@ def test_hyphenated_names_through_the_witness_library(order):
     assert render_component(parse_component(text)) == text
     v = verify_witness(w.context, c1, c2, fuel=10**6)
     assert v.distinguishing, f"{v.first!r} vs {v.second!r}"
+
+
+# the README pair with one of its names on a witness name, the name the witness
+# draws in its place, and the prelude, which registers the pair's object
+CAPTURES = {
+    "oc": (README_PAIR.replace("object o :", "object oc :"), "object oc-1 : Helper", "oc-1.addObject-c(oc, 1)"),
+    "sentinel-c": (
+        README_PAIR.replace("object o :", "object sentinel-c :"),
+        "object sentinel-c-1 : listof-c",
+        "oc.addObject-c(sentinel-c, 1)",
+    ),
+    "Helper": (
+        """
+class Helper {
+  Helper(){}
+  public get() : Helper()->Int { return 1; }
+};
+object o : Helper { };
+""",
+        "class Helper-1 {",
+        "oc.addObject-Helper(o, 1)",
+    ),
+    "listof-c": (
+        README_PAIR + "class listof-c {\n  listof-c(){}\n  public f() : listof-c()->Int { return 3; }\n};\n",
+        "class listof-c-1 {",
+        "oc.addObject-c(o, 1)",
+    ),
+}
+
+
+@pytest.mark.parametrize("order", ["fwd", "rev"])
+@pytest.mark.parametrize("name", sorted(CAPTURES))
+def test_witness_names_avoid_the_pair(name, order):
+    """A witness class or object name that the pair declares is drawn fresh,
+    and the pair's own names, including the objects the prelude registers,
+    are kept: the witness typechecks and tells the sides apart."""
+    src, drawn, prelude = CAPTURES[name]
+    c1, c2 = parse_ok(src), parse_ok(src.replace("return 1;", "return 2;"))
+    if order == "rev":
+        c1, c2 = c2, c1
+    w = witness_of(c1, c2, 2)
+    assert typecheck(w) == []
+    text = render_component(w)
+    assert drawn in text and f"return {prelude};" in text
+    assert render_component(parse_component(text)) == text
+    v = verify_witness(w, c1, c2)
+    assert v.distinguishing, f"{v.first!r} vs {v.second!r}"
+
+
+def _pair_runs():
+    """(c1, c2, t1, t2, image1, image2) for every INEQUIVALENT_PAIRS entry in
+    both orders, as the witness pins build them."""
+    runs = []
+    for name in sorted(INEQUIVALENT_PAIRS):
+        c1, c2 = (parse_ok(src) for src in INEQUIVALENT_PAIRS[name])
+        img1, img2 = compaim(c1), compaim(c2)
+        r = trace_equiv(img1, img2, depth=3)
+        runs += [(c1, c2, r.t1, r.t2, img1, img2), (c2, c1, r.t2, r.t1, img2, img1)]
+    return runs
+
+
+def _nodes(comp):
+    """Every AST node and every list or dict a node holds, in `comp`."""
+    for c in comp.classes:
+        yield from (c, c.ctor, c.ctor.params, c.field_types, c.methods, c.objects, c.import_classes, c.import_objects)
+        yield from (*c.import_classes, *c.import_objects)
+        for m in c.methods:
+            yield from (m, m.params)
+            for e in ast.walk(m.body):
+                yield e
+                if isinstance(e, (ast.Call, ast.New)):
+                    yield e.args
+        for o in c.objects:
+            yield from (o, o.fields)
+
+
+class TestWitnessLibrary:
+    def test_algo_parses_no_text(self, monkeypatch):
+        runs = _pair_runs()
+        calls = Counter()
+
+        def counting(name, real):
+            def wrapped(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(parser, "lex", counting("lex", parser.lex))
+        for mod in [m for m in sys.modules.values() if getattr(m, "parse_component", None) is parser.parse_component]:
+            monkeypatch.setattr(mod, "parse_component", counting("parse_component", parser.parse_component))
+        for c1, c2, t1, t2, img1, img2 in runs:
+            algo(c1, c2, t1, t2, image=img1, image2=img2)
+        assert calls == Counter()
+
+    def test_witnesses_share_no_node(self):
+        """The checker writes onto the nodes it checks and skel assigns method
+        bodies, so no node may be shared by two witnesses or with the library."""
+        witnesses = [algo(c1, c2, t1, t2, image=i1, image2=i2).context for c1, c2, t1, t2, i1, i2 in _pair_runs()]
+        seen = {}
+        for owner, comp in enumerate([LIBRARY, *witnesses]):
+            for node in _nodes(comp):
+                assert seen.setdefault(id(node), owner) == owner, node
+
+    def test_witnesses_build_alike_after_checks_and_runs(self):
+        runs = _pair_runs()
+
+        def build():
+            return [algo(c1, c2, t1, t2, image=i1, image2=i2).context for c1, c2, t1, t2, i1, i2 in runs]
+
+        first = build()
+        texts = [render_component(w) for w in first]
+        for w, (c1, c2, *_) in zip(first, runs):
+            assert typecheck(w) == []
+            assert verify_witness(w, c1, c2, fuel=10**5).distinguishing
+        assert [render_component(w) for w in build()] == texts
+
+    def test_library_names_are_placeholders(self):
+        """Every name of a witness entity in the library starts with `$`, which
+        no jem source can spell."""
+        with pytest.raises(JemSyntaxError):
+            parse_component("class $c { $c(){} };")
+        assert [c.name for c in LIBRARY.classes] == ["$listof-$t", "$i", "$Helper"]
+        assert [o.name for c in LIBRARY.classes for o in c.objects] == ["$sentinel-$t", "$static-for-$i", "$oc", "main"]
