@@ -8,7 +8,9 @@ parameters, deferred/absent actions, and termination ticks. A comparison of
 two return values nests into the block of the call they answer, where that
 call's result (`retvar`) is bound; all other code opens the divergence step's
 block in the context method that runs next: the called stub after a
-callback, here() after a return.
+callback, here() after a return. When a callback's stub is here() itself, the
+return side's code nests after the pending call instead, so that each side's
+code runs only on its own side.
 """
 from __future__ import annotations
 
@@ -81,5 +83,10 @@ def diff(a1, a2, st: EmulState):
                 return
         return  # remaining register slots are fixed by the calling convention
     # different callees, or a callback against a return
-    st.open_block(at(a1), [exit_expr()])
-    st.open_block(at(a2), [diverge()])
+    for a, code in ((a1, exit_expr()), (a2, diverge())):
+        if isinstance(a, ReturnOut) and at(a1) == at(a2):
+            # the other side's callback re-enters here(): this side's code
+            # follows the pending call, which returns only on this side
+            st.nest(st.frames[-1], [code])
+        else:
+            st.open_block(at(a), [code])

@@ -20,8 +20,9 @@ maps them, so skel is the one module that names witness entities.
 The names come from a fresh-name supply: each witness class and object name
 (Helper, oc, listof-T, sentinel-T, static-for-I) is today's name unless the
 pair declares it already, and then the first of `<name>-1`, `<name>-2` … that
-neither the pair nor the witness takes. A component's own names are never
-renamed. `main` stays fixed, as it is the program entry.
+neither the pair nor the witness takes. A stub's factory `mk-I` is drawn the
+same way, against the method names of interface I. A component's own names
+are never renamed. `main` stays fixed, as it is the program entry.
 
 Positions: a node copied from the library carries its line:col in
 LIBRARY_TEXT; a node built in code carries Pos() (0:0). verify_witness strips
@@ -39,7 +40,7 @@ from operator import attrgetter, itemgetter
 from ..jem import ast
 from ..jem.parser import parse_component
 from ..jem.typecheck import Env
-from .interface import ImportMismatch, Interface
+from .interface import Interface
 
 HELPER = "$Helper"
 MAIN = (HELPER, "main")
@@ -224,12 +225,13 @@ def _parse_library(text: str) -> ast.JemComponent:
 LIBRARY = _parse_library(LIBRARY_TEXT)  # read-only: every witness copies it
 
 
-def _names(iface: Interface) -> tuple[dict, dict]:
+def _names(iface: Interface, methods: dict) -> tuple[dict, dict]:
     """The map of a witness's placeholders to its names, and per hole the map
-    for each of its types, in order."""
+    for each of its types, in order. `methods` maps each imported interface to
+    its methods by name, beside which its stub declares the factory `mk-<I>`."""
     taken = set(iface.names)
 
-    def fresh(base: str) -> str:
+    def fresh(base: str, taken: set = taken) -> str:
         name, n = base, 0
         while name in taken:
             n += 1
@@ -237,12 +239,17 @@ def _names(iface: Interface) -> tuple[dict, dict]:
         taken.add(name)
         return name
 
+    def name(r: str, t: str) -> str:
+        if r == "mk":
+            return fresh(f"mk-{t}", set(methods[t]))
+        return fresh(f"{r}-{t}") if r in FRESH else f"{r}-{t}"
+
     names = {f"${n}": fresh(n) if n in FRESH else n for n in ("Helper", "oc", "isStep", "incrStep", "diverge")}
     registry = sorted(iface.internal_classes) + sorted(iface.external_classes) + ["Obj"]
     interfaces = sorted(iface.external_classes)
     for types, roles in ((registry, REGISTRY), (interfaces, FACTORY)):
         for t in types:
-            names.update({f"${r}-{t}": fresh(f"{r}-{t}") if r in FRESH else f"{r}-{t}" for r in roles})
+            names.update({f"${r}-{t}": name(r, t) for r in roles})
     maps = {
         hole: [names | {hole: t} | {f"${r}-{hole}": names[f"${r}-{t}"] for r in roles} for t in types]
         for hole, types, roles in (("$t", registry, REGISTRY), ("$i", interfaces, REGISTRY + FACTORY))
@@ -253,7 +260,8 @@ def _names(iface: Interface) -> tuple[dict, dict]:
 def skel(c1: ast.JemComponent, iface: Interface, code: dict) -> ast.JemComponent:
     """The differentiating context of a component pair (c1 stands for both), with
     the witness code `code` maps (class, method) -> MethodCode to."""
-    names, maps = _names(iface)
+    by_name = Env(c1).interfaces  # interface -> method name -> the first signature declared
+    names, maps = _names(iface, by_name)
     classes = [_instance(c, m, maps) for c, m in _each(LIBRARY.classes, _name, names, maps)]
     code = dict(code)
 
@@ -261,12 +269,9 @@ def skel(c1: ast.JemComponent, iface: Interface, code: dict) -> ast.JemComponent
         return ast.renamed(code.pop(key, MethodCode()).body(value, *effects), names)
 
     # stub methods, and stub objects for every object declaration the pair imports
-    by_name = Env(c1).interfaces  # interface -> method name -> the first signature declared
     _, ios = c1.all_imports()
     imported = sorted({(io.name, io.cname) for io in ios})
     for stub, i in zip(classes[len(maps["$t"]) : -1], sorted(iface.external_classes)):
-        if f"mk-{i}" in by_name[i]:
-            raise ImportMismatch(f"interface {i} collides with the factory name mk-{i}")
         stub.methods[:0] = [
             ast.Method(s.name, list(map(param, range(len(s.params)))), s, body((i, s.name), ast.Lit(DEFAULTS.get(s.ret, ast.NULL))))
             for s in by_name[i].values()

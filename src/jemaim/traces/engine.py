@@ -25,34 +25,33 @@ its canonical trace and the nonce renaming that trace used, and an extension
 renames only its two new actions (`actions.rename`).
 
 Enumeration explores a state graph, as explicit-state model checkers hash the
-states they visit (Holzmann, "The Model Checker SPIN", 1997). Three memos live
-for one enumeration, each keyed by exactly what its value depends on:
+states they visit (Holzmann, "The Model Checker SPIN", 1997). Two memos live
+for one enumeration, plus each entry's canonical cache, each keyed by exactly
+what its value depends on:
 
 - State ids. Each fingerprint of a suspended state is interned to a small int
-  when the state is first seen, so the memos below hash an int. A segment
-  entry maps (state id, injection) to the raw segment: action, reply, next
-  state and that state's id. The key is sound because `_enter` clears
-  registers and flags and sets pc, so a run depends only on what
-  `MachineState.fingerprint` holds and on the injected registers, which the
-  injection fixes. A next state may so sit in several frontier entries, which
-  is safe as an injection never mutates the state it starts from.
+  when the state is first seen, so the node memo hashes an int.
 - The node memo maps (state id, knowledge, pending) to the node's moves in
-  menu order: each segment entry with what the environment knows and owes
-  after it (`_learn`). Knowledge and pending return types choose the menu
-  (`_injections`, itself run once per distinct pair) and, with the segment,
-  fix what `_learn` gives, so the key covers every input of the expansion.
-- Each segment entry caches its canonical renamings. `rename` of its raw
-  (action, reply) under a map `names` reads `names` only at the pair's own
-  nonces, and reads its size only to name one of them afresh, so the key is
-  those names, in order of first occurrence, plus `len(names)` when one is
-  unnamed. A hit reuses the renamed actions and adds the cached fresh names;
-  with none, the map stays `names` itself.
+  menu order: each entry (the raw segment: action, reply, next state and that
+  state's id) with what the environment knows and owes after it (`_learn`).
+  A move is a function of its node. `_enter` clears registers and flags and
+  sets pc, so a run depends only on what `MachineState.fingerprint` holds and
+  on the injected registers, which the injection fixes. Knowledge and pending
+  return types choose the menu (`_injections`, run once per distinct pair)
+  and, with the segment, fix what `_learn` gives. A move that draws carries
+  what it draws: a registration's injection holds its nonce, the first that
+  no registration on the path drew. A next state may sit in several frontier
+  entries, which is safe as an injection never mutates the state it starts
+  from.
+- Each entry caches its canonical renamings. `rename` of its raw (action,
+  reply) under a map `names` reads `names` only at the pair's own nonces, and
+  reads its size only to name one of them afresh, so the key is those names,
+  in order of first occurrence, plus `len(names)` when one is unnamed. A hit
+  reuses the renamed actions and adds the cached fresh names; with none, the
+  map stays `names` itself.
 
-A `register` move is never memoised: it draws a fresh adversary nonce, so two
-runs from one key differ, and a node whose menu holds one is not stored as a
-whole; its other moves still hit the segment memo. The states after it carry
-that nonce in G or memory, so their own keys stay sound. Ids and caches are
-assigned in traversal order, so an enumeration does not depend on hash order.
+Ids and caches are assigned in traversal order, so an enumeration does not
+depend on hash order.
 
 A run that reaches a spin, the compiled form of a proven loop, ends there with
 `FuelExceeded` and `forwarded` as stepping to the end of the segment fuel
@@ -109,11 +108,6 @@ class ComponentTracer:
         self.rm_by_syms = {(iota, sigma): sig for sig, iota, sigma in image.table.rm}
         # canonical seeding: exported masks in deterministic table order
         self.seed_masks = [image.table.eo[k] for k in sorted(image.table.eo)]
-        self._adv = 0
-
-    def fresh_adv_nonce(self) -> Nonce:
-        self._adv += 1
-        return Nonce("adv", self._adv)
 
     def initial(self):
         """A freshly booted state, its protected code split off for its clones to share."""
@@ -128,10 +122,8 @@ class ComponentTracer:
         return self.initial()
 
     def random_trace(self, rng: random.Random, depth: int = DEFAULT_DEPTH, domain=None):
-        """One random adversarial trace of 1 to `depth` moves, canonicalized. The
-        adversary's nonces are counted afresh for each trace."""
+        """One random adversarial trace of 1 to `depth` moves, canonicalized."""
         domain = domain or AdversaryDomain()
-        self._adv = 0
         state, trace, knowledge, pending = self.booted, (), self.initial_knowledge(), ()
         for _ in range(rng.randrange(1, depth + 1)):
             injs = _injections(self, knowledge, pending, domain)
@@ -286,8 +278,10 @@ def _injections(tracer: ComponentTracer, knowledge: Knowledge, pending: tuple, d
             out.append(("returnback", domain.value_menu(ret_t, knowledge)[0], ident))
     else:
         out.append(("returnback", V_UNIT, 0))  # premature return: always a tick
+    # a registration draws the first nonce that no registration on this path drew
+    fresh = Nonce("adv", len(knowledge.registered) + 1)
     for cname in domain.register_classes:
-        out.append(("register", encode_class(cname)))
+        out.append(("register", fresh, encode_class(cname)))
     for w in knowledge.of_type("Obj")[:2] + [V_NULL]:
         for cname in domain.register_classes[:1]:
             out.append(("testobj", w, encode_class(cname)))
@@ -296,7 +290,7 @@ def _injections(tracer: ComponentTracer, knowledge: Knowledge, pending: tuple, d
 
 def _segment(tracer, state, inj) -> Segment:
     """Run one ?-move from `state`. The segment is a function of the state's
-    fingerprint and `inj`, but for `register`, which draws a fresh nonce."""
+    fingerprint and `inj`."""
     kind = inj[0]
     if kind == "call":
         _, addr, recv, args = inj
@@ -304,10 +298,8 @@ def _segment(tracer, state, inj) -> Segment:
     if kind == "returnback":
         _, v, ident = inj
         return tracer.returnback(state, v, ident)
-    if kind == "register":
-        return tracer.call_sysproc(state, REGISTEROBJ_EP, tracer.fresh_adv_nonce(), inj[1])
     _, w, enc = inj
-    return tracer.call_sysproc(state, TESTOBJ_EP, w, enc)
+    return tracer.call_sysproc(state, REGISTEROBJ_EP if kind == "register" else TESTOBJ_EP, w, enc)
 
 
 def _learn(tracer, inj, seg: Segment, knowledge: Knowledge, pending: tuple):
@@ -318,8 +310,7 @@ def _learn(tracer, inj, seg: Segment, knowledge: Knowledge, pending: tuple):
     if inj[0] == "returnback":
         pending = pending[:-1]
     elif inj[0] == "register" and isinstance(seg.reply, ReturnOut):
-        # the fresh nonce is the registered word, r7 of the call?
-        knowledge = knowledge.register(seg.action.regs[7], class_name_of_encoding(inj[1]))
+        knowledge = knowledge.register(inj[1], class_name_of_encoding(inj[2]))
     if isinstance(seg.reply, CallOut):
         sig = tracer.rm_by_syms.get(tuple(seg.reply.addr))
         pending += (sig.ret if sig else "Obj",)
@@ -362,10 +353,10 @@ class _Entry:
 
 def enumerate_traces(image, depth: int = DEFAULT_DEPTH, domain: AdversaryDomain | None = None, seed: int = 0) -> set:
     """Breadth-first trace set over the adversary menu, canonicalized; each
-    distinct node is expanded once and each distinct segment runs once."""
+    distinct node is expanded once, running each of its moves once."""
     domain = domain or AdversaryDomain()
     tracer = ComponentTracer(image, seed)
-    sids, menus, entries, nodes = {}, {}, {}, {}
+    sids, menus, nodes = {}, {}, {}
 
     def sid_of(state):
         return None if state is None else sids.setdefault(state.fingerprint(), len(sids))
@@ -378,17 +369,10 @@ def enumerate_traces(image, depth: int = DEFAULT_DEPTH, domain: AdversaryDomain 
             menu = menus.get((knowledge, pending))
             if menu is None:
                 menu = menus[knowledge, pending] = _injections(tracer, knowledge, pending, domain)
-            moves = []
+            moves = nodes[sid, knowledge, pending] = []
             for inj in menu:
-                entry = entries.get((sid, inj))
-                if entry is None:
-                    seg = _segment(tracer, state, inj)
-                    entry = _Entry(seg, sid_of(seg.state))
-                    if inj[0] != "register":
-                        entries[sid, inj] = entry
-                moves.append((entry, *_learn(tracer, inj, entry.seg, knowledge, pending)))
-            if all(inj[0] != "register" for inj in menu):
-                nodes[sid, knowledge, pending] = moves
+                seg = _segment(tracer, state, inj)
+                moves.append((_Entry(seg, sid_of(seg.state)), *_learn(tracer, inj, seg, knowledge, pending)))
         return moves
 
     results = {()}

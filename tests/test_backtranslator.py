@@ -859,6 +859,71 @@ def test_witness_names_avoid_the_pair(name, order):
     assert v.distinguishing, f"{v.first!r} vs {v.second!r}"
 
 
+FACTORY_NAME = """
+class-decl i { mk-i : i()->Int };
+obj-decl io : i;
+class c {
+  c(){}
+  public go() : c()->Int { return io.mk-i() + @@; }
+};
+object o : c { };
+"""
+# poke's callback re-enters the stub of the pending io.ping(), against a return
+CALLBACK_IN_ONE_STUB = """
+class-decl i { ping : i()->Int };
+obj-decl io : i;
+class c {
+  c(flag:Bool){}
+  flag : Bool;
+  public go() : c()->Int { return this.flag = true; io.ping(); 0; }
+  public poke() : c()->Int { return if (this.flag) { @@ } else { 5 }; }
+};
+object o : c { flag = false; };
+"""
+TICK = """
+class c {
+  c(){}
+  public get() : c()->Int { return @@; }
+};
+object o : c { };
+"""
+RECEIVERS = """
+class-decl i { ping : i()->Int };
+obj-decl io1 : i;
+obj-decl io2 : i;
+class c {
+  c(){}
+  public go() : c()->Int { return @@.ping(); }
+};
+object o : c { };
+"""
+# test-local pairs: each side's source, and a pattern its witness holds
+LOCAL_PAIRS = {
+    "factory-name": ((FACTORY_NAME, "1"), (FACTORY_NAME, "2"), r"public mk-i-1\(\) : i\(\)->i"),
+    # the return side's code follows the pending call
+    "callback-in-one-stub": ((CALLBACK_IN_ONE_STUB, "io.ping()"), (CALLBACK_IN_ONE_STUB, "5"), r"= o-2\.poke\(\); (oc\.diverge\(\)|exit\(1\))"),
+    "tick-against-return": ((TICK, "exit(1)"), (TICK, "5"), r"if \(oc\.isStep\(1\)\) \{ oc\.diverge\(\)"),
+    "callback-receivers": ((RECEIVERS, "io1"), (RECEIVERS, "io2"), r"if \(\(this == oc\.getByName-i\(2\)\)\)"),
+}
+
+
+@pytest.mark.parametrize("order", ["fwd", "rev"])
+@pytest.mark.parametrize("name", sorted(LOCAL_PAIRS))
+def test_local_pair_distinguished(name, order):
+    """An interface method named like its stub's factory; a callback that
+    re-enters the stub of the pending call, against a return; a tick against
+    a return; callbacks that differ only in the receiver."""
+    (src1, hole1), (src2, hole2), pattern = LOCAL_PAIRS[name]
+    c1, c2 = parse_ok(src1.replace("@@", hole1)), parse_ok(src2.replace("@@", hole2))
+    if order == "rev":
+        c1, c2 = c2, c1
+    w = witness_of(c1, c2, 3)
+    assert typecheck(w) == []
+    assert re.search(pattern, render_component(w))
+    v = verify_witness(w, c1, c2)
+    assert v.distinguishing, f"{v.first!r} vs {v.second!r}"
+
+
 def _pair_runs():
     """(c1, c2, t1, t2, image1, image2) for every INEQUIVALENT_PAIRS entry in
     both orders, as the witness pins build them."""

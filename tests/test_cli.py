@@ -7,6 +7,7 @@ from jemaim.cli import main
 from jemaim.compiler.comp import DATA_BASE
 
 from corpus import INEQUIVALENT_PAIRS, WHOLE_PROGRAMS, main_prog
+from test_jem_lang import DIAGNOSTICS
 from test_secure_compiler import MISPLACED_OBJECT_PROG
 
 
@@ -32,6 +33,12 @@ class TestCheck:
         assert run_cli("check", ws / "bad.jem") == 1
         err = capsys.readouterr().err
         assert "bad.jem:" in err and ":" in err
+
+    def test_diagnostics_name_the_file(self, ws, capsys):
+        src, first = DIAGNOSTICS["unbound-variable"]
+        (ws / "unbound.jem").write_text(src)
+        assert run_cli("check", ws / "unbound.jem") == 1
+        assert capsys.readouterr().err.splitlines()[0] == f"{ws / 'unbound.jem'}:{first}"
 
     def test_syntax_error_reports_position(self, ws, capsys):
         assert run_cli("check", ws / "broken.jem") == 1

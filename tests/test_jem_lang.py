@@ -144,7 +144,78 @@ class TestPrinter:
         assert same_ast(parse_component(text), comp)
 
 
+# one minimal ill-typed component per checker diagnostic, and its first
+# diagnostic; M is a class c whose one method m has return type t and body b
+M = "class c {{ c(){{}} public m() : c()->{t} {{ return {b}; }} }};"
+DIAGNOSTICS = {
+    "unbound-variable": (M.format(t="Int", b="y"), "1:48: unbound variable 'y'"),
+    "no-field-read": (M.format(t="Int", b="this.y"), "1:52: class 'c' has no field 'y'"),
+    "no-field-write": (M.format(t="Unit", b="this.y = 1"), "1:53: class 'c' has no field 'y'"),
+    "field-write-type": (
+        "class c { c(f:Int){} f : Int; public m() : c()->Unit { return this.f = true; } };",
+        "1:67: field 'f' has type Int, got Bool",
+    ),
+    "private-write": (
+        "class a { a(x:Int){} x : Int; }; class b { b(){} public m(v) : b(a)->Unit { return v.x = 1; } };",
+        "1:85: fields are private: cannot write 'x' through type a",
+    ),
+    "call-arity": (
+        "class c { c(){} public f(x) : c(Int)->Int { return x; } public m() : c()->Int { return this.f(); } };",
+        "1:92: 'f' takes 1 arguments, got 0",
+    ),
+    "call-on-int": (M.format(t="Int", b="var x : Int = 1; x.m()"), "1:66: cannot call 'm' on a value of type Int"),
+    "if-condition": (M.format(t="Int", b="if (0) { 1 } else { 2 }"), "1:48: if condition must be Bool, got Int"),
+    "plus-operands": (M.format(t="Int", b="1 + true"), "1:50: + expects Int operands, got Int and Bool"),
+    "less-operands": (M.format(t="Bool", b="true < 1"), "1:54: < expects Int operands, got Bool and Int"),
+    "and-operands": (M.format(t="Bool", b="1 && true"), "1:51: && expects Bool operands, got Int and Bool"),
+    "new-undefined": (M.format(t="Int", b="new d()"), "1:48: cannot construct undefined class 'd'"),
+    "ctor-argument": (
+        "class c { c(f:Int){} f : Int; public m() : c()->c { return new c(true); } };",
+        "1:60: constructor argument 1 has type Bool, expected Int",
+    ),
+    "instanceof-value": (M.format(t="Bool", b="instanceof(1 : c)"), "1:49: instanceof expects an object, got Int"),
+    "instanceof-class": (M.format(t="Bool", b="instanceof(this : d)"), "1:49: unknown class 'd'"),
+    "var-init": (M.format(t="Int", b="var x : Int = true; 1"), "1:48: var 'x' declared Int but initialised with Bool"),
+    "unknown-class": ("class c { c(){} public m(x) : c(d)->Int { return 1; } };", "1:17: unknown class 'd'"),
+    "duplicate-method": (
+        "class c { c(){} public m() : c()->Int { return 1; } public m() : c()->Int { return 2; } };",
+        "1:53: duplicate method 'm' in class 'c'",
+    ),
+    "duplicate-parameter": (
+        "class c { c(){} public m(x, x) : c(Int,Int)->Int { return x; } };",
+        "1:17: duplicate parameter name in 'm'",
+    ),
+    "declares-receiver": (
+        "class c { c(){} public m() : d()->Int { return 1; } }; class d { d(){} };",
+        "1:17: method 'm' declares receiver d, expected c",
+    ),
+    "declaration-conflict": (
+        "class-decl c { m : c()->Bool }; class c { c(){} public m() : c()->Int { return 1; } };",
+        "1:12: declaration of c.m conflicts with its definition",
+    ),
+    "obj-decl-unknown": ("obj-decl io : i; class c { c(){} };", "1:10: object declaration 'io' names unknown class 'i'"),
+    "object-class": ("class c { c(){} }; object o : d { };", "1:20: object 'o' of undefined class 'd'"),
+    "object-fields": (
+        "class c { c(f:Int){} f : Int; }; object o : c { };",
+        "1:34: object 'o' must initialise exactly the fields of 'c'",
+    ),
+    "object-field-ref": (
+        "class c { c(f:c){} f : c; }; object o : c { f = nowhere; };",
+        "1:30: field 'f': unknown object reference",
+    ),
+    "object-field-type": (
+        "class c { c(f:Int){} f : Int; }; object o : c { f = true; };",
+        "1:34: field 'f' initialiser has type Bool, declared Int",
+    ),
+}
+
+
 class TestTypecheck:
+    @pytest.mark.parametrize("name", sorted(DIAGNOSTICS))
+    def test_first_diagnostic(self, name):
+        src, first = DIAGNOSTICS[name]
+        assert typecheck(parse_component(src))[0] == first
+
     def test_duplicate_class_rejected(self):
         comp = parse_component("class c { c(){} }; class c { c(){} };")
         assert any("duplicate class" in e for e in typecheck(comp))

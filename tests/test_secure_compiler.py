@@ -270,6 +270,29 @@ VALUE_RESULTS = {
 }
 
 
+# Whole programs whose main runs one compilation path each that no corpus
+# program runs, with the value both runs give. They stay out of corpus.py,
+# whose programs the benchmark runs.
+PATH_PROG = """
+class main {{
+  main(f:Int){{}}
+  f : Int;
+  public one() : main()->Int {{ return 1; }}
+  public id(x) : main(Int)->Int {{ return x; }}
+  public main() : main()->Int {{ return {body}; }}
+}};
+object main : main {{ f = 1; }};
+"""
+PATH_PROBES = {
+    "seq-operand": ("(this.f = 3; 4) + this.f", 7),
+    "call-result-outside-r6": ("this.id(this.one())", 1),
+    "discarded-binop": ("this.one() + 2; this.f", 1),
+    "copy-idiom": ("var x : Int = 5 - this.one(); x", 4),
+    "discarded-field-of-this": ("this.f; 7", 7),
+    "discarded-instanceof": ("instanceof(this : main); 7", 7),
+}
+
+
 NULL_RECEIVER_PROG = """
 class main {{
   main(f:Int){{ this.f = f; }}
@@ -328,6 +351,14 @@ class TestCompilerCorrectness:
         assert repr(jr) == f"Terminated({printed})"
         ar = run_aim(compaim(comp), seed=3)
         assert ar.kind == "halted" and not ar.aborted and ar.value == encode_value(jr.value)
+
+    @pytest.mark.parametrize("name", sorted(PATH_PROBES))
+    def test_path_probes_agree(self, name):
+        body, value = PATH_PROBES[name]
+        comp = parse_ok(PATH_PROG.format(body=body))
+        assert repr(jem_run(comp)) == f"Terminated({value})"
+        ar = run_aim(compaim(comp), seed=3)
+        assert ar.kind == "halted" and not ar.aborted and ar.value == encode_value(value)
 
     @pytest.mark.parametrize("body", ["this.me", "this", "new main(unit, true, null, this)"])
     def test_object_results_terminate_on_both(self, body):
@@ -560,7 +591,8 @@ class TestRegisterHygiene:
 
     @pytest.mark.parametrize("domain", sorted(PIN_DOMAINS))
     def test_pinned_enumerations_leave_nothing_at_a_boundary(self, scrub, domain):
-        """The 50 depth-4 enumerations whose trace sets test_traces.py pins."""
+        """The 50 depth-4 enumerations of PINNED_SOURCES whose trace sets
+        test_traces.py pins."""
         for src in PINNED_SOURCES.values():
             scrub.image = compaim(parse_ok(src))
             enumerate_traces(scrub.image, depth=4, domain=PIN_DOMAINS[domain]())

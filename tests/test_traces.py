@@ -186,6 +186,18 @@ class TestEnumeration:
         assert runs[0] == runs[1] and runs[0].value == 7
 
 
+# the register_classes=("i",) pair of test_backtranslator.py's
+# TestRegisteredObjectWitness: the adversary registers an object of class i
+REGISTERED = """
+class-decl i { poke : i()->Unit };
+class c {
+  c(){}
+  public feed(x) : c(i)->Int { return x.poke(); 5; }
+};
+object o : c { };
+"""
+
+
 # Depth-4 canonical trace sets of every component and of both sides of every
 # inequivalent pair under both adversary domains: (count, sha256 of the sorted rendered traces joined by newlines).
 # A change that alters any canonical trace must say why and update the pin.
@@ -241,17 +253,27 @@ TRACE_SET_PINS = {
     ("unit-vs-state.0", "illtyped"): (136, "f660d932aed2c2a08ed20c2e74a38f834907f719c9498ba59c45397af99d14db"),
     ("unit-vs-state.1", "default"): (46, "5a0e05c50bff4a4f3d50bea782e02dfbd59e9d8a991bd851f9a8768d20d02501"),
     ("unit-vs-state.1", "illtyped"): (136, "532700ed4399a86f5868823fce5b3db58c088cbff720c33d6cf06e18470e8b0d"),
+    # REGISTER_SOURCES and cell under the domains that register (REGISTER_DOMAINS)
+    ("registered.0", "register-i"): (235, "42f6298b93e13a0a8ec4160e4c2451d59a1581f9ca2138bd5d6496c79d89ff9d"),
+    ("registered.1", "register-i"): (426, "e3ad759ddea80c5d3d94033806622ddc0bb8d280b5d693ed2df700b20cf9d1cb"),
+    ("cell", "register-all"): (9569, "f40cf5c4e9421786fd7759856ab8c869f55ebf75a24e5584a45f392a6ca00e7a"),
 }
 PINNED_SOURCES = {
     **COMPONENTS,
     **{f"{name}.{side}": pair[side] for name, pair in INEQUIVALENT_PAIRS.items() for side in (0, 1)},
 }
+REGISTER_SOURCES = {"registered.0": REGISTERED, "registered.1": REGISTERED.replace("return x.poke(); 5;", "return 5;")}
 PIN_DOMAINS = {"default": AdversaryDomain, "illtyped": lambda: AdversaryDomain(illtyped=True, forged_ids=(9,))}
+REGISTER_DOMAINS = {
+    "register-i": lambda: AdversaryDomain(register_classes=("i",)),
+    "register-all": lambda: AdversaryDomain(illtyped=True, forged_ids=(9,), register_classes=("i", "c")),
+}
 
 
 @pytest.mark.parametrize("name, domain", list(TRACE_SET_PINS))
 def test_canonical_trace_set_is_pinned(name, domain):
-    traces = enumerate_traces(image_of(PINNED_SOURCES[name]), depth=4, domain=PIN_DOMAINS[domain]())
+    adversary = {**PIN_DOMAINS, **REGISTER_DOMAINS}[domain]()
+    traces = enumerate_traces(image_of({**PINNED_SOURCES, **REGISTER_SOURCES}[name]), depth=4, domain=adversary)
     text = "\n".join(sorted(render_trace(t) for t in traces))
     assert (len(traces), hashlib.sha256(text.encode()).hexdigest()) == TRACE_SET_PINS[name, domain]
 
@@ -291,10 +313,9 @@ def plain_traces(image, depth, domain):
     """The engine's enumeration without its memos: every injection runs its
     segment. Returns the canonical trace set, the number of injections, how
     many of them are distinct runs (one per distinct (fingerprint, injection)
-    key, and one per `register` move), and the distinct (knowledge, pending)
-    pairs of the nodes expanded."""
+    key), and the distinct (knowledge, pending) pairs of the nodes expanded."""
     tracer = ComponentTracer(image)
-    results, keys, menus, injections, registers = {()}, set(), set(), 0, 0
+    results, keys, menus, injections = {()}, set(), set(), 0
     seeded = rename((), {}, tracer.seed_masks)[1]
     frontier = [(tracer.initial(), (), seeded, tracer.initial_knowledge(), ())]
     for _ in range(depth):
@@ -304,10 +325,7 @@ def plain_traces(image, depth, domain):
             menus.add((knowledge, pending))
             for inj in _injections(tracer, knowledge, pending, domain):
                 injections += 1
-                if inj[0] == "register":
-                    registers += 1
-                else:
-                    keys.add((fp, inj))
+                keys.add((fp, inj))
                 seg, k2, p2 = _apply(tracer, state, inj, knowledge, pending)
                 actions, n2 = rename((seg.action, seg.reply), names)
                 t2 = trace + actions
@@ -315,27 +333,16 @@ def plain_traces(image, depth, domain):
                 if seg.state is not None:
                     nxt.append((seg.state, t2, n2, k2, p2))
         frontier = nxt
-    return results, injections, len(keys) + registers, menus
+    return results, injections, len(keys), menus
 
 
-# the register_classes=("i",) pair of test_backtranslator.py's
-# TestRegisteredObjectWitness: the adversary registers an object of class i
-REGISTERED = """
-class-decl i { poke : i()->Unit };
-class c {
-  c(){}
-  public feed(x) : c(i)->Int { return x.poke(); 5; }
-};
-object o : c { };
-"""
 MEMO_CASES = {
     **{(name, domain): (COMPONENTS[name], PIN_DOMAINS[domain]) for name in COMPONENTS for domain in PIN_DOMAINS},
-    ("registered.0", "register-i"): (REGISTERED, lambda: AdversaryDomain(register_classes=("i",))),
-    ("registered.1", "register-i"): (
-        REGISTERED.replace("return x.poke(); 5;", "return 5;"),
-        lambda: AdversaryDomain(register_classes=("i",)),
-    ),
+    **{(name, "register-i"): (src, REGISTER_DOMAINS["register-i"]) for name, src in REGISTER_SOURCES.items()},
 }
+
+# MEMO_CASES by test id: keeper's cases by their domain alone
+SEGMENT_CASES = {(d if n == "keeper" else f"{n}/{d}"): (n, d) for n, d in sorted(MEMO_CASES)}
 
 
 class TestMemoisedEnumeration:
@@ -372,13 +379,18 @@ class TestMemoisedEnumeration:
         monkeypatch.undo()
         return traces, calls, menus
 
-    @pytest.mark.parametrize("domain", sorted(PIN_DOMAINS))
-    def test_each_distinct_segment_runs_once(self, domain, monkeypatch):
-        img = image_of(COMPONENTS["keeper"])
-        _, injections, distinct, _ = plain_traces(img, 4, PIN_DOMAINS[domain]())
-        _, calls, _ = self.counted_run(img, 4, PIN_DOMAINS[domain](), monkeypatch)
+    @pytest.mark.parametrize("case", list(SEGMENT_CASES))
+    def test_each_distinct_segment_runs_once(self, case, monkeypatch):
+        """One run per distinct (fingerprint, injection) key, a registration's
+        included, as its injection carries the nonce it registers."""
+        name, domain = SEGMENT_CASES[case]
+        src, domain = MEMO_CASES[name, domain]
+        img = image_of(src)
+        _, injections, distinct, _ = plain_traces(img, 4, domain())
+        _, calls, _ = self.counted_run(img, 4, domain(), monkeypatch)
         assert calls["entered"] == distinct
-        assert 5 * calls["entered"] <= injections
+        if name == "keeper":
+            assert 5 * calls["entered"] <= injections
 
     @pytest.mark.parametrize("domain", sorted(PIN_DOMAINS))
     def test_renaming_is_cached_per_segment(self, domain, monkeypatch):
@@ -399,13 +411,6 @@ class TestMemoisedEnumeration:
         _, _, built = self.counted_run(img, 4, domain(), monkeypatch)
         assert set(built) == menus
         assert set(built.values()) == {1}
-
-    @pytest.mark.parametrize("case", ["registered.0", "registered.1"])
-    def test_every_register_move_runs(self, case, monkeypatch):
-        src, domain = MEMO_CASES[case, "register-i"]
-        img = image_of(src)
-        _, _, distinct, _ = plain_traces(img, 4, domain())
-        assert self.counted_run(img, 4, domain(), monkeypatch)[1]["entered"] == distinct
 
     def test_canonical_cache_keys_the_map_size_of_a_fresh_name(self, cell_image):
         """One raw segment reached under two maps that name its known nonces
