@@ -20,9 +20,22 @@ off r0 whenever pc reaches forwardReturn: the machine's `jmp` stamps r0 with
 the id of the module that jumped there, and a returnback injection sets r0 to
 the id it claims.
 
-Enumeration canonicalizes along the search path: each frontier entry carries
-its canonical trace and the nonce renaming that trace used, and an extension
-renames only its two new actions (`actions.rename`).
+Enumeration canonicalizes along the search path, and hash-conses what it
+builds (Filliâtre & Conchon, "Type-Safe Modular Hash-Consing", 2006) in a
+`TraceTable`, which the two enumerations of one `trace_equiv` share:
+
+- Pair ids. A renamed (action, reply) pair is interned to an int when an
+  entry's canonical cache (below) builds it. A cache hit reuses the id, so
+  actions are hashed once per cache miss, not once per trace.
+- Trace ids. A trace is the node (parent trace id, pair id), interned to an
+  int; 0 is the empty trace. Equal traces get equal ids in every enumeration
+  over the table.
+
+Each frontier entry carries its trace id and the nonce renaming that trace
+used, an extension renames only its two new actions (`actions.rename`), and
+the trace set is a set of ids. Tuples are materialised from the table only
+when someone reads them: `enumerate_traces` without a table returns them, and
+`trace_equiv` builds them only when the two id sets differ.
 
 Enumeration explores a state graph, as explicit-state model checkers hash the
 states they visit (Holzmann, "The Model Checker SPIN", 1997). Two memos live
@@ -47,11 +60,11 @@ what its value depends on:
   reply) under a map `names` reads `names` only at the pair's own nonces, and
   reads its size only to name one of them afresh, so the key is those names,
   in order of first occurrence, plus `len(names)` when one is unnamed. A hit
-  reuses the renamed actions and adds the cached fresh names; with none, the
-  map stays `names` itself.
+  reuses the pair id and adds the cached fresh names; with none, the map
+  stays `names` itself.
 
 Ids and caches are assigned in traversal order, so an enumeration does not
-depend on hash order.
+depend on hash order, and nor do the trace ids it adds to its table.
 
 A run that reaches a spin, the compiled form of a proven loop, ends there with
 `FuelExceeded` and `forwarded` as stepping to the end of the segment fuel
@@ -326,36 +339,91 @@ def _apply(tracer, state, inj, knowledge: Knowledge, pending: tuple):
     return (seg, *_learn(tracer, inj, seg, knowledge, pending))
 
 
+class TraceTable:
+    """Canonical traces hash-consed to ints: pairs of renamed actions, and
+    traces as (parent trace id, pair id) nodes. Ids are dense and assigned in
+    order of first use, so a parent's id is below its children's."""
+
+    EMPTY = 0  # the id of the empty trace
+
+    def __init__(self):
+        self.pair_ids = {}  # renamed (action, reply) -> pair id
+        self.pairs = []  # pair id -> renamed (action, reply)
+        self.node_ids = {}  # (parent trace id, pair id) -> trace id
+        self.nodes = [None]  # trace id -> (parent trace id, pair id)
+
+    def pair_id(self, actions: tuple) -> int:
+        """The id of the renamed pair `actions`."""
+        pid = self.pair_ids.get(actions)
+        if pid is None:
+            pid = self.pair_ids[actions] = len(self.pairs)
+            self.pairs.append(actions)
+        return pid
+
+    def extend(self, tid: int, pid: int) -> int:
+        """The id of trace `tid` followed by pair `pid`."""
+        node = (tid, pid)
+        ext = self.node_ids.get(node)
+        if ext is None:
+            ext = self.node_ids[node] = len(self.nodes)
+            self.nodes.append(node)
+        return ext
+
+    def traces(self, tids) -> dict:
+        """The trace behind each id of `tids`, by id; each prefix is built once."""
+        built = {self.EMPTY: ()}
+        for tid in tids:
+            path = []
+            while tid not in built:
+                path.append(tid)
+                tid = self.nodes[tid][0]
+            trace = built[tid]
+            for ext in reversed(path):
+                trace = built[ext] = trace + self.pairs[self.nodes[ext][1]]
+        return {tid: built[tid] for tid in tids}
+
+
 class _Entry:
     """A segment run from one state id: the raw segment, the id of its next
-    state (None when the trace ended), and its canonical renamings."""
+    state (None when the trace ended), and its canonical renamings as pair
+    ids of `table`."""
 
-    __slots__ = ("seg", "sid", "nonces", "canon")
+    __slots__ = ("seg", "sid", "table", "nonces", "canon")
 
-    def __init__(self, seg: Segment, sid):
-        self.seg, self.sid = seg, sid
+    def __init__(self, seg: Segment, sid, table: TraceTable):
+        self.seg, self.sid, self.table = seg, sid, table
         self.nonces = nonces((seg.action, seg.reply))
-        self.canon = {}  # names of the nonces (and len(names) if one is unnamed) -> (actions, fresh names)
+        self.canon = {}  # names of the nonces (and len(names) if one is unnamed) -> (pair id, fresh names)
 
     def renamed(self, names: dict):
-        """`rename((action, reply), names)`, each distinct key renamed once."""
+        """The pair id of `rename((action, reply), names)` and the map that
+        covers it; each distinct key is renamed and interned once."""
         key = tuple(map(names.get, self.nonces))
         if None in key:
             key += (len(names),)
         hit = self.canon.get(key)
         if hit is None:
             actions, n2 = rename((self.seg.action, self.seg.reply), names)
-            self.canon[key] = actions, {n: n2[n] for n in self.nonces if n not in names}
-            return actions, n2
-        actions, fresh = hit
-        return actions, ({**names, **fresh} if fresh else names)
+            pid = self.table.pair_id(actions)
+            self.canon[key] = pid, {n: n2[n] for n in self.nonces if n not in names}
+            return pid, n2
+        pid, fresh = hit
+        return pid, ({**names, **fresh} if fresh else names)
 
 
-def enumerate_traces(image, depth: int = DEFAULT_DEPTH, domain: AdversaryDomain | None = None, seed: int = 0) -> set:
+def enumerate_traces(
+    image,
+    depth: int = DEFAULT_DEPTH,
+    domain: AdversaryDomain | None = None,
+    seed: int = 0,
+    table: TraceTable | None = None,
+) -> set:
     """Breadth-first trace set over the adversary menu, canonicalized; each
-    distinct node is expanded once, running each of its moves once."""
+    distinct node is expanded once, running each of its moves once. The set
+    holds the traces' ids in `table` when one is given, else the traces."""
     domain = domain or AdversaryDomain()
     tracer = ComponentTracer(image, seed)
+    interned = table or TraceTable()
     sids, menus, nodes = {}, {}, {}
 
     def sid_of(state):
@@ -372,21 +440,22 @@ def enumerate_traces(image, depth: int = DEFAULT_DEPTH, domain: AdversaryDomain 
             moves = nodes[sid, knowledge, pending] = []
             for inj in menu:
                 seg = _segment(tracer, state, inj)
-                moves.append((_Entry(seg, sid_of(seg.state)), *_learn(tracer, inj, seg, knowledge, pending)))
+                moves.append((_Entry(seg, sid_of(seg.state), interned), *_learn(tracer, inj, seg, knowledge, pending)))
         return moves
 
-    results = {()}
+    results = {TraceTable.EMPTY}
+    extend = interned.extend
     boot = tracer.booted
     seeded = rename((), {}, tracer.seed_masks)[1]
-    frontier = [(boot, sid_of(boot), (), seeded, tracer.initial_knowledge(), ())]
+    frontier = [(boot, sid_of(boot), TraceTable.EMPTY, seeded, tracer.initial_knowledge(), ())]
     for _ in range(depth):
         nxt = []
-        for state, sid, trace, names, knowledge, pending in frontier:
+        for state, sid, tid, names, knowledge, pending in frontier:
             for entry, k2, p2 in expand(state, sid, knowledge, pending):
-                actions, n2 = entry.renamed(names)
-                t2 = trace + actions
+                pid, n2 = entry.renamed(names)
+                t2 = extend(tid, pid)
                 results.add(t2)
                 if entry.sid is not None:
                     nxt.append((entry.seg.state, entry.sid, t2, n2, k2, p2))
         frontier = nxt
-    return results
+    return results if table is not None else set(interned.traces(results).values())

@@ -1,11 +1,17 @@
-"""Trace-set equality and the first-divergence split fed to the back-translator."""
+"""Trace-set equality and the first-divergence split fed to the back-translator.
+
+`trace_equiv` enumerates both components into one `TraceTable`, where equal
+canonical traces get equal ids, so equality of the trace sets is equality of
+two sets of ints. Only when they differ are the traces materialised as tuples,
+to choose the divergence pair.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from ..aim.words import SYS_ID
 from .actions import FuelExceeded, Tick, is_input
-from .engine import DEFAULT_DEPTH, AdversaryDomain, enumerate_traces
+from .engine import DEFAULT_DEPTH, AdversaryDomain, TraceTable, enumerate_traces
 
 
 class InterfaceMismatch(Exception):
@@ -41,10 +47,13 @@ def trace_equiv(img1, img2, depth: int = DEFAULT_DEPTH, domain: AdversaryDomain 
     """Set equality of canonical bounded trace sets; a witness pair otherwise."""
     if not same_interface(img1, img2):
         raise InterfaceMismatch("components expose different method or object bindings")
-    t1s = enumerate_traces(img1, depth, domain, seed)
-    t2s = enumerate_traces(img2, depth, domain, seed)
-    if t1s == t2s:
-        return Equivalent(len(t1s))
+    table = TraceTable()
+    ids1 = enumerate_traces(img1, depth, domain, seed, table)
+    ids2 = enumerate_traces(img2, depth, domain, seed, table)
+    if ids1 == ids2:
+        return Equivalent(len(ids1))
+    traces = table.traces(ids1 | ids2)
+    t1s, t2s = {traces[i] for i in ids1}, {traces[i] for i in ids2}
     only1 = t1s - t2s
     if only1:
         t1 = min(only1, key=_trace_key)

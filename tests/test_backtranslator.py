@@ -859,6 +859,57 @@ def test_witness_names_avoid_the_pair(name, order):
     assert v.distinguishing, f"{v.first!r} vs {v.second!r}"
 
 
+# the pairs' own names that a witness name may capture: classes and interfaces
+# share the witness's class names, objects its object names; `main` is left
+# out, as the witness's program entry is not drawn fresh
+ONTO_WITNESS_NAMES = {
+    "Helper": ("c", "i"),
+    "listof-c": ("c", "i"),
+    "oc": ("o", "io"),
+    "sentinel-c": ("o", "io"),
+    "static-for-i": ("o", "io"),
+}
+# every name at once: Helper as class c turns the registry names into `…-Helper`
+ALL_AT_ONCE = {"c": "Helper", "o": "oc", "i": "listof-Helper", "io": "sentinel-Helper"}
+
+
+def _name(n: str) -> str:
+    """A pattern matching the jem name `n`, not a longer name containing it."""
+    return rf"(?<![\w-]){re.escape(n)}(?![\w-])"
+
+
+def _renamed(src: str, names: dict) -> str:
+    return re.sub("|".join(map(_name, names)), lambda m: names[m[0]], src)
+
+
+def _captures():
+    for pair, (a, _) in sorted(INEQUIVALENT_PAIRS.items()):
+        declared = [n for n in ALL_AT_ONCE if re.search(_name(n), a)]
+        for onto, olds in ONTO_WITNESS_NAMES.items():
+            for old in olds:
+                if old in declared:
+                    yield f"{pair}/{old}={onto}", pair, {old: onto}
+        yield f"{pair}/all", pair, {n: ALL_AT_ONCE[n] for n in declared}
+
+
+CAPTURE_CASES = {case: (pair, names) for case, pair, names in _captures()}
+
+
+@pytest.mark.parametrize("order", ["fwd", "rev"])
+@pytest.mark.parametrize("case", list(CAPTURE_CASES))
+def test_pairs_on_witness_names_distinguish(case, order):
+    """Each inequivalent pair with its classes, objects and interface renamed
+    onto the witness's own names still gets a distinguishing witness."""
+    pair, names = CAPTURE_CASES[case]
+    c1, c2 = (parse_ok(_renamed(src, names)) for src in INEQUIVALENT_PAIRS[pair])
+    if order == "rev":
+        c1, c2 = c2, c1
+    w = witness_of(c1, c2, 3)
+    assert typecheck(w) == []
+    v = verify_witness(w, c1, c2, fuel=10**6)
+    assert v.distinguishing, f"{v.first!r} vs {v.second!r}"
+
+
 FACTORY_NAME = """
 class-decl i { mk-i : i()->Int };
 obj-decl io : i;

@@ -29,6 +29,7 @@ from jemaim.traces.engine import (
     RESUME_PAD,
     AdversaryDomain,
     ComponentTracer,
+    TraceTable,
     _apply,
     _Entry,
     _injections,
@@ -39,6 +40,7 @@ from jemaim.traces.equiv import (
     InterfaceMismatch,
     NotComparable,
     _best_mate,
+    _trace_key,
     first_divergence,
     trace_equiv,
 )
@@ -420,15 +422,17 @@ class TestMemoisedEnumeration:
         knowledge = tracer.initial_knowledge()
         menu = _injections(tracer, knowledge, (), PIN_DOMAINS["illtyped"]())
         inj = next(i for i in menu if i[0] == "call" and any(isinstance(w, Nonce) for w in i[3]))
-        entry = _Entry(_segment(tracer, tracer.booted, inj), None)
+        table = TraceTable()
+        entry = _Entry(_segment(tracer, tracer.booted, inj), None, table)
         pair = (entry.seg.action, entry.seg.reply)
         guess = next(w for w in inj[3] if isinstance(w, Nonce))
         seeded = rename((), {}, tracer.seed_masks)[1]
         longer = {**seeded, Nonce("elsewhere", 0): f"N{len(seeded)}"}
         assert seeded and guess not in longer and set(entry.nonces) - {guess} <= set(seeded)
         first, again, second = entry.renamed(seeded), entry.renamed(seeded), entry.renamed(longer)
-        assert first == again == rename(pair, seeded)
-        assert second == rename(pair, longer)
+        assert first == again
+        assert (table.pairs[first[0]], first[1]) == rename(pair, seeded)
+        assert (table.pairs[second[0]], second[1]) == rename(pair, longer)
         assert first[1][guess] != second[1][guess]
         assert len(entry.canon) == 2
 
@@ -469,6 +473,40 @@ class TestMemoisedEnumeration:
         for inj in _injections(tracer, tracer.initial_knowledge(), (), domain):
             _apply(tracer, st, inj, tracer.initial_knowledge(), ())
         assert (st.fingerprint(), st.pc, dict(st.regs), dict(st.flags)) == before
+
+
+@pytest.mark.parametrize("domain", sorted({**PIN_DOMAINS, **REGISTER_DOMAINS}))
+@pytest.mark.parametrize("name", sorted(COMPONENTS))
+def test_shared_table_interns_equal_traces_alike(name, domain):
+    """Two compilations of one component explored into one shared table."""
+    adversary = {**PIN_DOMAINS, **REGISTER_DOMAINS}[domain]
+    table = TraceTable()
+    ids1, ids2 = (enumerate_traces(image_of(COMPONENTS[name]), 3, adversary(), table=table) for _ in range(2))
+    assert ids1 == ids2
+    traces = set(table.traces(ids1).values())
+    assert len(traces) == len(ids1)
+    assert traces == plain_traces(image_of(COMPONENTS[name]), 3, adversary())[0]
+    assert all(t[:k] in traces for t in traces for k in range(0, len(t), 2))
+
+
+def tuple_set_divergence(img1, img2, depth):
+    """The divergence pair chosen from the two components' trace sets as
+    tuples, each enumerated without memos or table."""
+    t1s, t2s = (plain_traces(img, depth, AdversaryDomain())[0] for img in (img1, img2))
+    assert t1s != t2s
+    only1 = t1s - t2s
+    if only1:
+        t1 = min(only1, key=_trace_key)
+        return t1, _best_mate(t1, t2s)
+    t2 = min(t2s - t1s, key=_trace_key)
+    return _best_mate(t2, t1s), t2
+
+
+@pytest.mark.parametrize("name", sorted(INEQUIVALENT_PAIRS))
+def test_divergence_is_chosen_as_from_tuple_sets(name):
+    img1, img2 = (image_of(src) for src in INEQUIVALENT_PAIRS[name])
+    r = trace_equiv(img1, img2, depth=3)
+    assert (r.t1, r.t2) == tuple_set_divergence(img1, img2, 3)
 
 
 class TestSerialization:
