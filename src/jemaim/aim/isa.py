@@ -36,13 +36,14 @@ OPTABLE = {
     "tychk": (70, "rr"),
 }
 
-BY_OPCODE = {op: (name, kinds) for name, (op, kinds) in OPTABLE.items()}
-PRIVILEGED = {name for name, (op, _) in OPTABLE.items() if op >= 64}
-
 MAX_REG = 4096
 ZF, SF = 0, 1  # flag indices: zero, sign
 FLAGS = (ZF, SF)
 MAX_FLAG = SF
+
+# opcode -> (name, the exclusive bound of each operand, 0 for a word, whether privileged)
+_BOUND = {"r": MAX_REG, "f": MAX_FLAG + 1, "w": 0}
+_DECODING = {op: (name, tuple(_BOUND[k] for k in kinds), op >= 64) for name, (op, kinds) in OPTABLE.items()}
 
 
 @dataclass(frozen=True)
@@ -70,30 +71,29 @@ def encode(instr: Instr) -> list[Word]:
     return [opcode] + list(instr.ops)
 
 
-def decode(read, off: int, privileged_ok: bool) -> Instr | None:
-    """Decode the instruction at offset `off` using `read(off) -> Word`.
+def decode(mem, code, mid: int, off: int, privileged_ok: bool) -> tuple[str, tuple[Word, ...]] | None:
+    """Decode the instruction at (mid, off): its name and operands.
 
-    Returns None (Undecodable) when the opcode word is unknown, a privileged
-    opcode appears outside protected code, or a register/flag operand is not a
-    Nat in range.
+    A word is read as `MachineState.load` reads it: from `mem`, else from
+    `code`, else 0. Returns None (Undecodable) when the opcode word is
+    unknown, a privileged opcode appears outside protected code, or a
+    register/flag operand is not a Nat in range.
     """
-    w = read(off)
-    if not isinstance(w, int) or w not in BY_OPCODE:
+    w = mem.get((mid, off))
+    d = _DECODING.get(code.get((mid, off), 0) if w is None else w)
+    if d is None or (d[2] and not privileged_ok):
         return None
-    name, kinds = BY_OPCODE[w]
-    if name in PRIVILEGED and not privileged_ok:
-        return None
+    name, bounds, _ = d
     ops = []
-    for i, kind in enumerate(kinds):
-        v = read(off + 1 + i)
-        if kind == "r":
-            if not isinstance(v, int) or not (0 <= v < MAX_REG):
-                return None
-        elif kind == "f":
-            if not isinstance(v, int) or not (0 <= v <= MAX_FLAG):
-                return None
+    for bound in bounds:
+        off += 1
+        v = mem.get((mid, off))
+        if v is None:
+            v = code.get((mid, off), 0)
+        if bound and not (isinstance(v, int) and 0 <= v < bound):
+            return None
         ops.append(v)
-    return Instr(name, tuple(ops))
+    return name, tuple(ops)
 
 
 class Assembler:

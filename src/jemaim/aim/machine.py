@@ -8,6 +8,10 @@ failure terminates the run as a Violation, an undecodable word as Stuck.
 An instruction decodes to an entry ``(handler, name, fall-through address,
 module, *operands)``: its `HANDLERS` method, which moves pc to the fall-through
 unless it jumps, and the descriptor whose code section holds it (else None).
+`_decode` builds the entry at a pc with no cached one: one pass over `descs`
+finds the descriptor, and `isa.decode`, the only code that knows operand
+kinds, reads the words straight from `mem` and `code` and gives the name and
+operands. No `Instr` is built on that path; `peek` builds one from an entry.
 Entries in protected code are cached per pc, in a dict that clones share. That
 is sound as no rule writes protected code: `access.write_allowed` needs the
 writer's own `data_range` for a protected target, and the privileged ops write
@@ -168,7 +172,7 @@ class MachineState:
 
     def module(self, mid: int) -> Descriptor | None:
         """The descriptor of module `mid` (None for unprotected memory or an unknown
-        id), found in `descs` at each ask: by `_decode` at an uncached pc, and by `halt`."""
+        id), found in `descs` at each ask, by `halt`."""
         return None if mid == 0 else access.find_module(self.descs, Address(mid, 0))
 
     def _decode(self):
@@ -176,15 +180,20 @@ class MachineState:
         Privileged opcodes decode, and entries are cached, only in protected code."""
         pc = self.pc
         mid, off = pc
-        s = self.module(mid)
-        if s is not None and not access.code_range(s, pc):
+        for s in self.descs:
+            if s.mid == mid:
+                if not 0 <= off < s.code_len:
+                    s = None
+                break
+        else:
             s = None
-        i = decode(lambda o: self.load((mid, o)), off, s is not None)
-        if i is None:
+        d = decode(self.mem, self.code, mid, off, s is not None)
+        if d is None:
             return None
-        e = (HANDLERS[i.name], i.name, Address(mid, off + i.width), s, *i.ops)
+        name, ops = d
+        e = (HANDLERS[name], name, Address(mid, off + 1 + len(ops)), s, *ops)
         if s is not None:
-            if i.name == "movi" and i.ops[1] == off and self._spins(s, off, i.ops[0]):
+            if name == "movi" and ops[1] == off and self._spins(s, off, ops[0]):
                 e = (MachineState._op_spin, *e[1:])
             self._icache[pc] = e
         return e
@@ -194,8 +203,8 @@ class MachineState:
         follow it, and all three lie in `s`'s code."""
         if off + 9 > s.code_len:  # three instructions of three words each
             return False
-        c, j = (decode(lambda o: self.load((s.mid, o)), o, True) for o in (off + 3, off + 6))
-        return c is not None and c.name == "cmp" and c.ops[0] == c.ops[1] and j == Instr("je", (r, ZF))
+        c, j = (decode(self.mem, self.code, s.mid, o, True) for o in (off + 3, off + 6))
+        return c is not None and c[0] == "cmp" and c[1][0] == c[1][1] and j == ("je", (r, ZF))
 
     def peek(self) -> Instr | None:
         """The instruction at pc, or None when the state is stuck: rebuilt from

@@ -244,6 +244,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for bound in ("depth", "fuel"):
+            value = getattr(args, bound, 0)
+            if value < 0:
+                raise CliError(f"--{bound} must not be negative, got {value}")
         return args.func(args)
     except (CliError, LinkError, aimod.AimodError, NotWhole, CompileError, PlugFailure) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -20,9 +20,16 @@ off r0 whenever pc reaches forwardReturn: the machine's `jmp` stamps r0 with
 the id of the module that jumped there, and a returnback injection sets r0 to
 the id it claims.
 
+Enumeration is one breadth-first search, by levels: `explore` yields the ids
+of the traces each level adds, level d holding the traces of d moves, which
+have length 2d. Every trace it reaches is kept, so a set holds each
+even-length prefix of its traces. `enumerate_traces` drains the levels into
+one set; `trace_equiv` runs two explorations in lock-step and may stop them
+early (traces/equiv.py).
+
 Enumeration canonicalizes along the search path, and hash-conses what it
 builds (Filliâtre & Conchon, "Type-Safe Modular Hash-Consing", 2006) in a
-`TraceTable`, which the two enumerations of one `trace_equiv` share:
+`TraceTable`, which the two explorations of one `trace_equiv` share:
 
 - Pair ids. A renamed (action, reply) pair is interned to an int when an
   entry's canonical cache (below) builds it. A cache hit reuses the id, so
@@ -39,7 +46,7 @@ when someone reads them: `enumerate_traces` without a table returns them, and
 
 Enumeration explores a state graph, as explicit-state model checkers hash the
 states they visit (Holzmann, "The Model Checker SPIN", 1997). Two memos live
-for one enumeration, plus each entry's canonical cache, each keyed by exactly
+for one exploration, plus each entry's canonical cache, each keyed by exactly
 what its value depends on:
 
 - State ids. Each fingerprint of a suspended state is interned to a small int
@@ -63,7 +70,7 @@ what its value depends on:
   reuses the pair id and adds the cached fresh names; with none, the map
   stays `names` itself.
 
-Ids and caches are assigned in traversal order, so an enumeration does not
+Ids and caches are assigned in traversal order, so an exploration does not
 depend on hash order, and nor do the trace ids it adds to its table.
 
 A run that reaches a spin, the compiled form of a proven loop, ends there with
@@ -369,6 +376,10 @@ class TraceTable:
             self.nodes.append(node)
         return ext
 
+    def last(self, tid: int) -> tuple:
+        """The renamed (action, reply) pair that ends the non-empty trace `tid`."""
+        return self.pairs[self.nodes[tid][1]]
+
     def traces(self, tids) -> dict:
         """The trace behind each id of `tids`, by id; each prefix is built once."""
         built = {self.EMPTY: ()}
@@ -411,19 +422,13 @@ class _Entry:
         return pid, ({**names, **fresh} if fresh else names)
 
 
-def enumerate_traces(
-    image,
-    depth: int = DEFAULT_DEPTH,
-    domain: AdversaryDomain | None = None,
-    seed: int = 0,
-    table: TraceTable | None = None,
-) -> set:
-    """Breadth-first trace set over the adversary menu, canonicalized; each
-    distinct node is expanded once, running each of its moves once. The set
-    holds the traces' ids in `table` when one is given, else the traces."""
+def explore(image, depth: int, domain: AdversaryDomain | None, seed: int, table: TraceTable):
+    """Breadth-first exploration over the adversary menu, canonicalized, by
+    levels: yields, for each level d from 0 to `depth`, the set of ids in
+    `table` of the traces of d moves. Each distinct node is expanded once,
+    running each of its moves once."""
     domain = domain or AdversaryDomain()
     tracer = ComponentTracer(image, seed)
-    interned = table or TraceTable()
     sids, menus, nodes = {}, {}, {}
 
     def sid_of(state):
@@ -440,22 +445,38 @@ def enumerate_traces(
             moves = nodes[sid, knowledge, pending] = []
             for inj in menu:
                 seg = _segment(tracer, state, inj)
-                moves.append((_Entry(seg, sid_of(seg.state), interned), *_learn(tracer, inj, seg, knowledge, pending)))
+                moves.append((_Entry(seg, sid_of(seg.state), table), *_learn(tracer, inj, seg, knowledge, pending)))
         return moves
 
-    results = {TraceTable.EMPTY}
-    extend = interned.extend
+    extend = table.extend
     boot = tracer.booted
     seeded = rename((), {}, tracer.seed_masks)[1]
     frontier = [(boot, sid_of(boot), TraceTable.EMPTY, seeded, tracer.initial_knowledge(), ())]
+    yield {TraceTable.EMPTY}
     for _ in range(depth):
-        nxt = []
+        nxt, level = [], set()
         for state, sid, tid, names, knowledge, pending in frontier:
             for entry, k2, p2 in expand(state, sid, knowledge, pending):
                 pid, n2 = entry.renamed(names)
                 t2 = extend(tid, pid)
-                results.add(t2)
+                level.add(t2)
                 if entry.sid is not None:
                     nxt.append((entry.seg.state, entry.sid, t2, n2, k2, p2))
         frontier = nxt
+        yield level
+
+
+def enumerate_traces(
+    image,
+    depth: int = DEFAULT_DEPTH,
+    domain: AdversaryDomain | None = None,
+    seed: int = 0,
+    table: TraceTable | None = None,
+) -> set:
+    """The trace set of `explore` to `depth`: the traces' ids in `table` when
+    one is given, else the traces."""
+    interned = table or TraceTable()
+    results = set()
+    for level in explore(image, depth, domain, seed, interned):
+        results |= level
     return results if table is not None else set(interned.traces(results).values())

@@ -1,9 +1,35 @@
 """Trace-set equality and the first-divergence split fed to the back-translator.
 
-`trace_equiv` enumerates both components into one `TraceTable`, where equal
+`trace_equiv` explores both components into one `TraceTable`, where equal
 canonical traces get equal ids, so equality of the trace sets is equality of
 two sets of ints. Only when they differ are the traces materialised as tuples,
-to choose the divergence pair.
+to choose the divergence pair: the least trace only the first set holds, by
+`_trace_key` (unticked first, then shorter, then rendered order), and its best
+mate in the second set (`_best_mate`); failing that, the same with the roles
+swapped.
+
+The two explorations run in lock-step, level by level, an on-the-fly check in
+the sense of Fernandez & Mounier, "'On the Fly' Verification of Behavioural
+Equivalences and Preorders" (CAV 1991). After level d, the search stops when
+the first side's new ids hold one the second side's lack that does not end in
+`Tick`, and the pair is chosen from the ids gathered so far. It is the pair
+the whole search to `depth` would choose:
+
+- Both sets hold every even-length prefix of their traces, so their traces of
+  length at most 2d are exactly the ids of levels up to d.
+- `_trace_key` ranks every unticked trace first, then by length, so the least
+  trace only the first set holds is an unticked one of length at most 2d,
+  and it is already in hand.
+- Take any mate longer than 2d, and let c be its common length with t1, the
+  trace chosen; c is at most 2d. Its prefix of length c or c+1, the even
+  one, is in the pool too. That prefix has the same common length and is
+  shorter, and being even and at most 2d+1 long, it is at most 2d long. So
+  every mate with `_best_mate`'s top key is already in hand.
+
+A difference that only ticks, or that only the second side shows, does not
+stop the search, as a later level may add a trace that ranks first; nor does
+a pair of equal sets, which is `Equivalent` only once both explorations reach
+`depth`.
 """
 from __future__ import annotations
 
@@ -11,7 +37,11 @@ from dataclasses import dataclass
 
 from ..aim.words import SYS_ID
 from .actions import FuelExceeded, Tick, is_input
-from .engine import DEFAULT_DEPTH, AdversaryDomain, TraceTable, enumerate_traces
+from . import engine
+from .engine import DEFAULT_DEPTH, AdversaryDomain
+
+# one component's trace set; perfbench/tracing.py times enumerations at this binding
+enumerate_traces = engine.enumerate_traces
 
 
 class InterfaceMismatch(Exception):
@@ -44,14 +74,28 @@ class Equivalent:
 
 
 def trace_equiv(img1, img2, depth: int = DEFAULT_DEPTH, domain: AdversaryDomain | None = None, seed: int = 0):
-    """Set equality of canonical bounded trace sets; a witness pair otherwise."""
+    """Set equality of canonical bounded trace sets; a witness pair otherwise.
+    The two explorations run level by level in lock-step, and stop at the
+    first level that fixes the witness pair."""
     if not same_interface(img1, img2):
         raise InterfaceMismatch("components expose different method or object bindings")
-    table = TraceTable()
-    ids1 = enumerate_traces(img1, depth, domain, seed, table)
-    ids2 = enumerate_traces(img2, depth, domain, seed, table)
+    table = engine.TraceTable()
+    ids1, ids2 = set(), set()
+    levels = zip(engine.explore(img1, depth, domain, seed, table), engine.explore(img2, depth, domain, seed, table))
+    for new1, new2 in levels:
+        ids1 |= new1
+        ids2 |= new2
+        if any(not isinstance(table.last(t)[1], Tick) for t in new1 - new2):
+            return _divergence(table, ids1, ids2)
     if ids1 == ids2:
         return Equivalent(len(ids1))
+    return _divergence(table, ids1, ids2)
+
+
+def _divergence(table, ids1, ids2) -> Inequivalent:
+    """The witness pair of two differing trace id sets: the first trace only
+    the first set holds, by `_trace_key`, and its best mate in the second;
+    else the same with the sets' roles swapped."""
     traces = table.traces(ids1 | ids2)
     t1s, t2s = {traces[i] for i in ids1}, {traces[i] for i in ids2}
     only1 = t1s - t2s

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from jemaim.aim import access
-from jemaim.aim.isa import Assembler, encode, ins
+from jemaim.aim.isa import MAX_FLAG, MAX_REG, OPTABLE, Assembler, Instr, encode, ins
 from jemaim.aim.machine import HANDLERS, SF, ZF, MachineState, run_state
 from jemaim.aim.words import N_W, Address, Descriptor, Nonce, NonceOracle, Symbol
 from jemaim.compiler import pipeline
@@ -332,6 +332,111 @@ class TestDecodeCache:
         st.set_reg(3, 100)
         kind, reason, _, _ = run_state(st, 10)
         assert kind == "violation" and reason.startswith("read denied")
+
+
+def reference_instr(read, off, privileged_ok):
+    """The instruction at `off` by the decoding rule stated apart from
+    `isa.decode`: `read(off)` gives each word, and OPTABLE the operand kinds."""
+    w = read(off)
+    found = [(name, op, kinds) for name, (op, kinds) in OPTABLE.items() if isinstance(w, int) and w == op]
+    if not found:
+        return None
+    [(name, op, kinds)] = found
+    if op >= 64 and not privileged_ok:
+        return None
+    ops = tuple(read(off + 1 + i) for i in range(len(kinds)))
+    for v, kind in zip(ops, kinds):
+        bound = {"r": MAX_REG, "f": MAX_FLAG + 1}.get(kind)
+        if bound is not None and not (isinstance(v, int) and 0 <= v < bound):
+            return None
+    return Instr(name, ops)
+
+
+def reference_entry(st):
+    """The entry for pc: `reference_instr` through `load`, its `HANDLERS`
+    method, the fall-through address, the descriptor whose code holds pc, and
+    the spin rule."""
+    pc = st.pc
+    s = st.module(pc.mid)
+    if s is not None and not access.code_range(s, pc):
+        s = None
+    i = reference_instr(lambda o: st.load((pc.mid, o)), pc.off, s is not None)
+    if i is None:
+        return None
+    handler = HANDLERS[i.name]
+    if s is not None and i.name == "movi" and i.ops[1] == pc.off and pc.off + 9 <= s.code_len:
+        c, j = (reference_instr(lambda o: st.load((s.mid, o)), o, True) for o in (pc.off + 3, pc.off + 6))
+        if c is not None and c.name == "cmp" and c.ops[0] == c.ops[1] and j == Instr("je", (i.ops[0], ZF)):
+            handler = MachineState._op_spin
+    return (handler, i.name, Address(pc.mid, pc.off + i.width), s, *i.ops)
+
+
+def decoded_as_reference(st):
+    """`_decode` at pc, checked against `reference_entry` and cached exactly
+    in protected code."""
+    expected = reference_entry(st)
+    st._icache.clear()
+    e = st._decode()
+    assert e == expected, st.pc
+    assert e is None or type(e[2]) is Address
+    assert (st.pc in st._icache) == (e is not None and e[3] is not None)
+    return e
+
+
+# the 52 images of the .aimod pins
+DECODED_SOURCES = {
+    **{f"whole.{name}": src for name, src in WHOLE_PROGRAMS.items()},
+    **COMPONENTS,
+    **{f"{name}.{side}": pair[side] for name, pair in INEQUIVALENT_PAIRS.items() for side in (0, 1)},
+}
+
+
+class TestDecodeAgreesWithTheReference:
+    @pytest.mark.parametrize("name", sorted(DECODED_SOURCES))
+    def test_every_code_offset(self, name):
+        """Each offset of each module's code, padding included, and the words
+        just outside it; in a booted state and with its code split off."""
+        img = compaim(parse_component(DECODED_SOURCES[name]))
+        booted = boot_state(img)
+        split = booted.clone()
+        split.share_code()
+        assert split.code
+        for st in (booted, split):
+            for d in st.descs:
+                for off in range(-1, d.code_len + 4):
+                    st.pc = Address(d.mid, off)
+                    decoded_as_reference(st)
+
+    def test_a_symbol_opcode(self):
+        for pc in ((0, 0), (2, 20)):
+            st = machine([Symbol("op"), 1, 2], descs=GRID_DESCS, pc=pc)
+            assert decoded_as_reference(st) is None
+
+    @pytest.mark.parametrize("pc", [(0, 0), (2, 20)], ids=["unprotected", "protected"])
+    def test_register_and_flag_bounds(self, pc):
+        cases = {
+            ("movi", MAX_REG - 1, 1): True,
+            ("movi", MAX_REG, 1): False,
+            ("movi", -1, 1): False,
+            ("je", 1, MAX_FLAG): True,
+            ("je", 1, MAX_FLAG + 1): False,
+        }
+        for (name, *ops), ok in cases.items():
+            st = machine(encode(ins(name, *ops)), descs=GRID_DESCS, pc=pc)
+            assert (decoded_as_reference(st) is not None) == ok, (name, ops)
+
+    def test_a_privileged_opcode_decodes_only_in_protected_code(self):
+        words = encode(ins("stk_push", 1, 2, 3))
+        assert decoded_as_reference(machine(words, descs=GRID_DESCS, pc=(0, 20))) is None
+        assert decoded_as_reference(machine(words, descs=GRID_DESCS, pc=(2, 64))) is None
+        e = decoded_as_reference(machine(words, descs=GRID_DESCS, pc=(2, 20)))
+        assert e[1:] == ("stk_push", Address(2, 24), GRID_DESCS[0], 1, 2, 3)
+
+    def test_an_unprotected_pc_is_not_cached(self):
+        st = machine(encode(ins("movi", 1, 7)), descs=GRID_DESCS, pc=(0, 20))
+        e = decoded_as_reference(st)
+        assert e[1:] == ("movi", Address(0, 23), None, 1, 7) and not st._icache
+        assert st.step() == ("ok", None) and not st._icache
 
 
 def shared(program, words=()):

@@ -210,6 +210,41 @@ class TestTracePipeline:
         assert a == b
 
 
+class TestNegativeBounds:
+    """A negative --depth or --fuel is one error line, not an answer."""
+
+    def one_error_line(self, capsys, *args):
+        capsys.readouterr()
+        assert run_cli(*args) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    def test_depth(self, ws, capsys):
+        for cmd in (("trace_diff", ws / "c1.jem", ws / "c2.jem"), ("trace", ws / "c1.jem")):
+            err = self.one_error_line(capsys, *cmd, "-o", ws / "out", "--depth", "-1")
+            assert "--depth must not be negative, got -1" in err
+            assert not (ws / "out").exists()
+
+    def test_fuel(self, ws, capsys):
+        assert run_cli("trace_diff", ws / "c1.jem", ws / "c2.jem", "-o", ws / "div", "--depth", "2") == 0
+        traces = (ws / "div" / "t1.trace", ws / "div" / "t2.trace")
+        assert run_cli("backtranslate", ws / "c1.jem", ws / "c2.jem", *traces, "-o", ws / "w.jem") == 0
+        assert run_cli("verify_witness", ws / "w.jem", ws / "c1.jem", ws / "c2.jem") == 0
+        err = self.one_error_line(capsys, "verify_witness", ws / "w.jem", ws / "c1.jem", ws / "c2.jem", "--fuel", "-1")
+        assert "--fuel must not be negative, got -1" in err
+        assert run_cli("compile", ws / "prog.jem", "-o", ws / "mods") == 0
+        assert run_cli("link", *(ws / "mods").glob("*.aimod"), "-o", ws / "prog.aimod") == 0
+        assert "--fuel must not be negative, got -5" in self.one_error_line(capsys, "run_aim", ws / "prog.aimod", "--fuel", "-5")
+        assert "--fuel must not be negative" in self.one_error_line(capsys, "run_jem", ws / "prog.jem", "--fuel", "-1")
+
+    def test_zero_is_a_bound(self, ws, capsys):
+        assert run_cli("trace_diff", ws / "c1.jem", ws / "c2.jem", "--depth", "0", "-o", ws / "d0") == 0
+        assert run_cli("run_jem", ws / "prog.jem", "--fuel", "0") == 0
+        out = capsys.readouterr().out
+        assert "equivalent at depth 0" in out and "OutOfFuel" in out
+
+
 class TestChecksPerCommand:
     def test_each_compiled_file_is_checked_once(self, ws, checks):
         """`modules` is the one check of a file the CLI compiles; `check` and

@@ -1,4 +1,5 @@
 """Trace engine: observation, enumeration, canonicalization, divergence splits."""
+import functools
 import hashlib
 import random
 from collections import Counter
@@ -37,6 +38,7 @@ from jemaim.traces.engine import (
     enumerate_traces,
 )
 from jemaim.traces.equiv import (
+    Equivalent,
     InterfaceMismatch,
     NotComparable,
     _best_mate,
@@ -46,6 +48,7 @@ from jemaim.traces.equiv import (
 )
 
 from corpus import COMPONENTS, INEQUIVALENT_PAIRS
+from test_backtranslator import LOCAL_PAIRS
 
 
 def image_of(src, first_mid=2):
@@ -494,6 +497,10 @@ def tuple_set_divergence(img1, img2, depth):
     tuples, each enumerated without memos or table."""
     t1s, t2s = (plain_traces(img, depth, AdversaryDomain())[0] for img in (img1, img2))
     assert t1s != t2s
+    return _tuple_choice(t1s, t2s)
+
+
+def _tuple_choice(t1s, t2s):
     only1 = t1s - t2s
     if only1:
         t1 = min(only1, key=_trace_key)
@@ -502,11 +509,91 @@ def tuple_set_divergence(img1, img2, depth):
     return _best_mate(t2, t1s), t2
 
 
-@pytest.mark.parametrize("name", sorted(INEQUIVALENT_PAIRS))
-def test_divergence_is_chosen_as_from_tuple_sets(name):
-    img1, img2 = (image_of(src) for src in INEQUIVALENT_PAIRS[name])
-    r = trace_equiv(img1, img2, depth=3)
-    assert (r.t1, r.t2) == tuple_set_divergence(img1, img2, 3)
+# one level-1 difference, which ticks (m), and an unticked one at level 2 (set, then get)
+TICK_FIRST = """
+class c {
+  c(v:Int){}
+  v : Int;
+  public m() : c()->Int { return %s; }
+  public set() : c()->Unit { return this.v = %s; unit; }
+  public get() : c()->Int { return this.v; }
+};
+object o : c { v = 0; };
+"""
+TICK_FIRST_PAIR = (TICK_FIRST % ("var x : c = null; x.get()", 1), TICK_FIRST % (0, 2))
+
+
+# each side's source of every pair: the corpus pairs, the test-local pairs
+# of tests/test_backtranslator.py, and TICK_FIRST's
+DIVERGENT_PAIRS = {
+    **INEQUIVALENT_PAIRS,
+    **{f"local/{name}": (a.replace("@@", ha), b.replace("@@", hb)) for name, ((a, ha), (b, hb), _) in LOCAL_PAIRS.items()},
+    "local/tick-first": TICK_FIRST_PAIR,
+}
+
+
+@functools.cache
+def _plain_tuple_set(name, side, domain):
+    """The memo-free trace set of one side of a divergent pair at depth 4."""
+    return frozenset(plain_traces(image_of(DIVERGENT_PAIRS[name][side]), 4, PIN_DOMAINS[domain]())[0])
+
+
+# (pair, depth, order, domain); a corpus pair at depth 3 in its own order under
+# the default domain goes by the pair's name alone
+DIVERGENCE_CASES = {
+    (name if (name in INEQUIVALENT_PAIRS, depth, order, domain) == (True, 3, "fwd", "default") else f"{name}/depth-{depth}/{order}/{domain}"): (name, depth, order, domain)
+    for name in sorted(DIVERGENT_PAIRS)
+    for depth in (1, 2, 3, 4)
+    for order in ("fwd", "rev")
+    for domain in sorted(PIN_DOMAINS)
+}
+
+
+@pytest.mark.parametrize("case", list(DIVERGENCE_CASES))
+def test_divergence_is_chosen_as_from_tuple_sets(case):
+    """Lock-step trace_equiv, stopped early or not, picks the pair chosen
+    from the whole depth-`depth` tuple sets; the traces of a level-by-level
+    search to depth d are those of length at most 2d."""
+    name, depth, order, domain = DIVERGENCE_CASES[case]
+    sides = (0, 1) if order == "fwd" else (1, 0)
+    t1s, t2s = ({t for t in _plain_tuple_set(name, side, domain) if len(t) <= 2 * depth} for side in sides)
+    img1, img2 = (image_of(DIVERGENT_PAIRS[name][side]) for side in sides)
+    r = trace_equiv(img1, img2, depth=depth, domain=PIN_DOMAINS[domain]())
+    if t1s == t2s:
+        assert r == Equivalent(len(t1s))
+    else:
+        assert (r.t1, r.t2) == _tuple_choice(t1s, t2s)
+
+
+def test_a_ticked_first_difference_does_not_stop_the_search():
+    """Stopping at the first level that differs would pick the ticked trace;
+    the unticked difference one level on is preferred, as at full depth."""
+    img1, img2 = (image_of(src) for src in TICK_FIRST_PAIR)
+    first = tuple_set_divergence(img1, img2, 1)
+    assert isinstance(first[0][-1], Tick)
+    for depth in (2, 3):
+        r = trace_equiv(img1, img2, depth=depth)
+        assert (r.t1, r.t2) == tuple_set_divergence(img1, img2, depth)
+        assert len(r.t1) == 4 and isinstance(r.t1[-1], ReturnOut)
+
+
+def test_an_early_stop_runs_fewer_segments(monkeypatch):
+    """int-return differs at level 1: its depth-3 trace_equiv runs fewer
+    segments than the two whole enumerations."""
+    runs = [0]
+    enter = ComponentTracer._enter
+
+    def counted(*args, **kwargs):
+        runs[0] += 1
+        return enter(*args, **kwargs)
+
+    monkeypatch.setattr(ComponentTracer, "_enter", counted)
+    img1, img2 = (image_of(src) for src in INEQUIVALENT_PAIRS["int-return"])
+    assert not trace_equiv(img1, img2, depth=3).equivalent
+    stopped, runs[0] = runs[0], 0
+    for img in (img1, img2):
+        enumerate_traces(img, depth=3)
+    assert stopped < runs[0]
 
 
 class TestSerialization:
