@@ -6,11 +6,17 @@ offset lies in the module's code section. Words print as aim/words.py spells
 them: decimal Nats, `$name` symbols, or `#stream:seq` nonces. Printing is
 canonical (sorted), so parse(print(x)) == x and print(parse(s)) == s for
 emitted files.
+
+CODE and DATA lines are nearly all of a file, so both directions take one
+short path over them: `dump` unpacks each address once and prints a Nat as
+it is, and `load` reads a Nat straight with `int`, sending only `$` and `#`
+words through `parse_word`. A malformed line anywhere, or content before the
+first header, raises `AimodError("line N: ...")`, counting lines from 1.
 """
 from __future__ import annotations
 
 from .link import MethodSig, ObjKey, ProgramImage, SymbolTable
-from .words import Address, Descriptor, Nonce, Symbol, Word, parse_word
+from .words import Address, Descriptor, Nonce, Symbol, Word, address_of, parse_word
 
 
 class AimodError(Exception):
@@ -36,17 +42,13 @@ def dump(p: ProgramImage) -> str:
     lines = ["DESC"]
     for s in sorted(p.descs, key=lambda d: d.mid):
         lines.append(f"{s.mid} {s.code_len} {s.n_entry}")
-    code, data = [], []
-    for a in sorted(p.mem):
-        entry = f"{a.mid}:{a.off} {render_word(p.mem[a])}"
-        if a.mid in code_len and a.off < code_len[a.mid]:
-            code.append(entry)
-        else:
-            data.append(entry)
-    lines.append("CODE")
-    lines.extend(code)
-    lines.append("DATA")
-    lines.extend(data)
+    code, data = ["CODE"], ["DATA"]
+    for (mid, off), w in sorted(p.mem.items()):
+        entry = f"{mid}:{off} {w}" if w.__class__ is int else f"{mid}:{off} {render_word(w)}"
+        # a module without a descriptor has no code: off < off is false
+        (code if off < code_len.get(mid, off) else data).append(entry)
+    lines += code
+    lines += data
     lines.append("MASKS")
     for mid in sorted(p.masks):
         for off in sorted(p.masks[mid]):
@@ -67,11 +69,12 @@ def dump(p: ProgramImage) -> str:
     return "\n".join(lines) + "\n"
 
 
-SECTIONS = ["DESC", "CODE", "DATA", "MASKS", "EXPORT-M", "EXPORT-O", "REQUIRE-M", "REQUIRE-O"]
+SECTIONS = frozenset({"DESC", "CODE", "DATA", "MASKS", "EXPORT-M", "EXPORT-O", "REQUIRE-M", "REQUIRE-O"})
 
 
 def load(text: str) -> ProgramImage:
     section = None
+    words = False  # in CODE or DATA, where nearly every line is
     descs: list[Descriptor] = []
     mem: dict[Address, Word] = {}
     masks: dict[int, dict[int, Nonce]] = {}
@@ -82,15 +85,16 @@ def load(text: str) -> ProgramImage:
             continue
         if line in SECTIONS:
             section = line
+            words = line == "CODE" or line == "DATA"
             continue
         try:
-            if section == "DESC":
-                mid, clen, nent = line.split()
-                descs.append(Descriptor(int(mid), int(clen), int(nent)))
-            elif section in ("CODE", "DATA"):
+            if words:
                 addr, word = line.split(None, 1)
                 mid, off = addr.split(":")
-                mem[Address(int(mid), int(off))] = parse_word(word)
+                mem[address_of((int(mid), int(off)))] = parse_word(word) if word[0] in "$#" else int(word)
+            elif section == "DESC":
+                mid, clen, nent = line.split()
+                descs.append(Descriptor(int(mid), int(clen), int(nent)))
             elif section == "MASKS":
                 addr, word = line.split(None, 1)
                 mid, off = addr.split(":")
@@ -116,8 +120,6 @@ def load(text: str) -> ProgramImage:
                 table.ro.append((ObjKey(name.strip(), cls.strip()), parse_word(word)))
             else:
                 raise AimodError("content before any section header")
-        except AimodError:
-            raise
         except Exception as e:
             raise AimodError(f"line {lineno}: {e}") from e
     return ProgramImage(mem, descs, table, masks)

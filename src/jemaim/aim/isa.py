@@ -59,11 +59,17 @@ class Instr:
         return " ".join([self.name] + [repr(o) for o in self.ops])
 
 
-def ins(name: str, *ops: Word) -> Instr:
+def opcode_of(name: str, ops: tuple) -> int:
+    """The opcode of `name`, checked to take as many operands as `ops` holds."""
     opcode, kinds = OPTABLE[name]
     if len(ops) != len(kinds):
         raise ValueError(f"{name} takes {len(kinds)} operands, got {len(ops)}")
-    return Instr(name, tuple(ops))
+    return opcode
+
+
+def ins(name: str, *ops: Word) -> Instr:
+    opcode_of(name, ops)
+    return Instr(name, ops)
 
 
 def encode(instr: Instr) -> list[Word]:
@@ -97,56 +103,43 @@ def decode(mem, code, mid: int, off: int, privileged_ok: bool) -> tuple[str, tup
 
 
 class Assembler:
-    """Tiny label-resolving assembler producing a word list from offset 0."""
+    """Tiny label-resolving assembler producing a word list from offset 0.
+
+    `emit` checks an instruction's arity as `ins` does (`opcode_of`) and
+    appends its opcode and operands straight to one word list; `label`
+    records the length of that list, so `here()` is the offset of the next
+    word. `words()` is one pass that swaps each `Label` word for its label's
+    offset. No `Instr` is built. An unknown opcode raises KeyError at `emit`,
+    a wrong operand count or a duplicate label ValueError, and an undefined
+    label KeyError at `words()`.
+    """
 
     def __init__(self):
-        self.items: list = []  # Instr | ("label", name)
-        self._n = 0
-        self._labels: set[str] = set()
+        self._words: list[Word] = []
+        self._labels: dict[str, int] = {}
 
     def emit(self, name: str, *ops) -> "Assembler":
-        i = ins(name, *ops)
-        self.items.append(i)
-        self._n += i.width
+        self._words.append(opcode_of(name, ops))
+        self._words += ops
         return self
 
     def raw(self, *words: Word) -> "Assembler":
-        self.items.append(("raw", list(words)))
-        self._n += len(words)
+        self._words += words
         return self
 
     def label(self, name: str) -> "Assembler":
         if name in self._labels:
             raise ValueError(f"duplicate label {name!r}")
-        self._labels.add(name)
-        self.items.append(("label", name))
+        self._labels[name] = len(self._words)
         return self
 
     def here(self) -> int:
         """Offset of the next emitted word."""
-        return self._n
+        return len(self._words)
 
     def words(self) -> list[Word]:
-        # first pass: resolve labels to absolute offsets
-        labels: dict[str, int] = {}
-        off = 0
-        for it in self.items:
-            if isinstance(it, tuple) and it[0] == "label":
-                labels[it[1]] = off
-            elif isinstance(it, tuple):
-                off += len(it[1])
-            else:
-                off += it.width
-        out: list[Word] = []
-        for it in self.items:
-            if isinstance(it, tuple) and it[0] == "label":
-                continue
-            raw = it[1] if isinstance(it, tuple) else encode(it)
-            for w in raw:
-                if isinstance(w, Label):
-                    w = labels[w.name]
-                out.append(w)
-        return out
+        labels = self._labels
+        return [labels[w.name] if w.__class__ is Label else w for w in self._words]
 
 
 @dataclass(frozen=True)

@@ -76,13 +76,11 @@ class ProgramImage:
 
 def substitute(mem: dict[Address, Word], eta: dict[Symbol, Word]) -> dict[Address, Word]:
     """Pointwise substitution; Nats and nonces are unchanged, unmatched symbols kept."""
-    if not eta:
-        return dict(mem)
-    out = {}
-    for a, w in mem.items():
-        if isinstance(w, Symbol) and w in eta:
-            w = eta[w]
-        out[a] = w
+    out = dict(mem)
+    if eta:
+        for a, w in mem.items():
+            if w.__class__ is Symbol and w in eta:
+                out[a] = eta[w]
     return out
 
 
@@ -124,7 +122,7 @@ def _resolve_objects(ro: list, eo: dict, eta: dict):
 
 
 def disjoint(p1: ProgramImage, p2: ProgramImage) -> bool:
-    return not (p1.module_ids() & p2.module_ids()) and not (set(p1.mem) & set(p2.mem))
+    return not (p1.module_ids() & p2.module_ids()) and p1.mem.keys().isdisjoint(p2.mem.keys())
 
 
 def merge(p1: ProgramImage, p2: ProgramImage) -> ProgramImage:
@@ -138,9 +136,9 @@ def merge(p1: ProgramImage, p2: ProgramImage) -> ProgramImage:
     rm2 = _resolve(p2.table.rm, p1.table.em, eta)
     ro1 = _resolve_objects(p1.table.ro, p2.table.eo, eta)
     ro2 = _resolve_objects(p2.table.ro, p1.table.eo, eta)
-    mem = dict(p1.mem)
-    mem.update(p2.mem)
-    mem = substitute(mem, eta)
+    mem = {**p1.mem, **p2.mem}
+    if eta:
+        mem = substitute(mem, eta)
     table = SymbolTable(
         em={**p1.table.em, **p2.table.em},
         eo={**p1.table.eo, **p2.table.eo},

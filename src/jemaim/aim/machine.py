@@ -157,11 +157,15 @@ class MachineState:
 
     def share_code(self):
         """Move the words of every protected code section from `mem` into
-        `code`, which clones share instead of copying."""
+        `code`, which clones share instead of copying. One pass over the keys
+        picks out the few data and unprotected words, which move to a new
+        `mem`; the rest of the old map, all code, becomes `code`. So the
+        state must own its `mem`, as one made by `boot_state` or `clone` does."""
         code_len = {d.mid: d.code_len for d in self.descs}
-        code = {a: w for a, w in self.mem.items() if 0 <= a[1] < code_len.get(a[0], 0)}
-        self.mem = {a: w for a, w in self.mem.items() if a not in code}
-        self.code = {**self.code, **code}
+        mem = self.mem
+        rest = [a for a in mem if not 0 <= a[1] < code_len.get(a[0], 0)]
+        self.mem = {a: mem.pop(a) for a in rest}
+        self.code = {**self.code, **mem} if self.code else mem
 
     def load(self, a) -> Word:
         """The word at `a` (a plain tuple finds an Address key), 0 if unwritten."""

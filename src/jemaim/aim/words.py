@@ -7,6 +7,8 @@ rendered traces both write words so.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
 from typing import NamedTuple, Union
 
 # Spacing between consecutive entry points of a protected module.
@@ -55,6 +57,16 @@ class Address(NamedTuple):
 
     def __repr__(self):
         return f"({self.mid},{self.off})"
+
+
+# The Address of a (mid, off) pair: `Address._make` without its Python-level
+# length check, for callers that build one key per word
+address_of = partial(tuple.__new__, Address)
+
+
+def addresses(mid: int, n: int):
+    """The keys Address(mid, 0) ... Address(mid, n - 1), built in bulk."""
+    return map(address_of, zip(repeat(mid), range(n)))
 
 
 UNPROTECTED = 0

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 from ..aim.link import LinkError, ProgramImage, merge
 from ..aim.machine import MachineState, run_state
-from ..aim.isa import encode, ins
+from ..aim.isa import Assembler
 from ..aim.words import FORWARDCALL_EP, SYS_ID, Address, NonceOracle, Word
 from ..jem import ast
 from ..jem.interp import DEFAULT_FUEL
@@ -140,14 +140,17 @@ def run_aim(image: ProgramImage, seed: int = 0, fuel: int = DEFAULT_FUEL) -> Aim
         raise UnresolvedSymbols("image carries unfulfilled requirements")
     addr, mask = find_entry(image)
     st = boot_state(image, seed)
-    boot = []
-    boot += encode(ins("movi", 3, addr.mid))
-    boot += encode(ins("movi", 4, addr.off))
-    boot += encode(ins("movi", 5, BOOT_RET))
-    boot += encode(ins("movi", 6, mask))
-    boot += encode(ins("movi", 1, FORWARDCALL_EP))
-    boot += encode(ins("movi", 2, SYS_ID))
-    boot += encode(ins("jmp", 1, 2))
+    boot = (
+        Assembler()
+        .emit("movi", 3, addr.mid)
+        .emit("movi", 4, addr.off)
+        .emit("movi", 5, BOOT_RET)
+        .emit("movi", 6, mask)
+        .emit("movi", 1, FORWARDCALL_EP)
+        .emit("movi", 2, SYS_ID)
+        .emit("jmp", 1, 2)
+        .words()
+    )
     for i, w in enumerate(boot):
         st.mem[Address(0, BOOT_OFF + i)] = w
     st.mem[Address(0, BOOT_RET)] = 11  # halt

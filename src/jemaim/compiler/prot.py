@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from ..aim.isa import ZF, Assembler, Label
 from ..aim.link import ObjKey, ProgramImage, SymbolTable
-from ..aim.words import FORWARDRETURN_EP, N_W, SYS_ID, Address, Descriptor, Nonce
+from ..aim.words import FORWARDRETURN_EP, N_W, SYS_ID, Address, Descriptor, Nonce, addresses
 from ..jem import ast
 from .comp import DATA_BASE, FP, MAX_PARAMS, MID, OCD, SP, ClassCompiler, CompileError, always_jump, jump_if, trampoline
 from .encoding import encode_type
@@ -146,7 +146,7 @@ def prot(cc: ClassCompiler) -> ProgramImage:
     if code_len >= DATA_BASE:
         raise CompileError(f"code section of {cc.cls.name!r} exceeds the data base")
 
-    mem = {Address(cc.mid, i): w for i, w in enumerate(code)}
+    mem = dict(zip(addresses(cc.mid, code_len), code))
     for off, w in cc.data_words().items():
         mem[Address(cc.mid, off)] = w
 

@@ -14,6 +14,10 @@ sys keeps its scratch values out of r7-r15, the argument registers
 (compiler/comp.py), which forwardCall passes on untouched: forwardCall uses
 r1, r2 and r16 and forwardReturn r4, and each zeroes its scratch before its
 boundary jump, but for the jump's own target registers.
+
+sys is assembled and laid out once, at import: `SYS_WORDS` are its code
+words, and `build_sys()` gives each caller a fresh image over a copy of the
+one layout.
 """
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ from types import MappingProxyType
 
 from ..aim.isa import Assembler
 from ..aim.link import ProgramImage, SymbolTable
-from ..aim.words import FORWARDCALL_EP, FORWARDRETURN_EP, REGISTEROBJ_EP, SYS_ID, TESTOBJ_EP, Address, Descriptor
+from ..aim.words import FORWARDCALL_EP, FORWARDRETURN_EP, REGISTEROBJ_EP, SYS_ID, TESTOBJ_EP, Address, Descriptor, addresses
 from ..jem.ast import MethodSig
 from .comp import DATA_BASE, always_jump, jump_if, trampoline
 
@@ -102,19 +106,22 @@ def _assemble() -> tuple[tuple, MappingProxyType]:
     return tuple(a.words()), MappingProxyType(marks)
 
 
-# sys is one fixed assembly, made once
+# sys is one fixed assembly, made once, and laid out once: its memory with
+# the depth word, and its exports, both read-only; build_sys copies them
 SYS_WORDS, SYS_EXIT_MARKS = _assemble()
+_SYS_MEM = MappingProxyType({**dict(zip(addresses(SYS_ID, len(SYS_WORDS)), SYS_WORDS)), SYS_DEPTH_ADDR: 0})
+_SYS_EM = MappingProxyType(
+    {
+        TESTOBJ: Address(SYS_ID, TESTOBJ_EP),
+        REGISTEROBJ: Address(SYS_ID, REGISTEROBJ_EP),
+        FORWARDCALL: Address(SYS_ID, FORWARDCALL_EP),
+        FORWARDRETURN: Address(SYS_ID, FORWARDRETURN_EP),
+    }
+)
+_SYS_DESC = Descriptor(SYS_ID, len(SYS_WORDS), 4)
 
 
 def build_sys() -> ProgramImage:
-    mem = {Address(SYS_ID, i): w for i, w in enumerate(SYS_WORDS)}
-    mem[SYS_DEPTH_ADDR] = 0
-    table = SymbolTable(
-        em={
-            TESTOBJ: Address(SYS_ID, TESTOBJ_EP),
-            REGISTEROBJ: Address(SYS_ID, REGISTEROBJ_EP),
-            FORWARDCALL: Address(SYS_ID, FORWARDCALL_EP),
-            FORWARDRETURN: Address(SYS_ID, FORWARDRETURN_EP),
-        }
-    )
-    return ProgramImage(mem, [Descriptor(SYS_ID, len(SYS_WORDS), 4)], table, {})
+    """A fresh sys image over copies of the layout: its maps and lists are
+    the caller's to change."""
+    return ProgramImage(_SYS_MEM.copy(), [_SYS_DESC], SymbolTable(em=_SYS_EM.copy()), {})

@@ -16,6 +16,10 @@ from jemaim.aim.link import (
     well_formed,
 )
 from jemaim.aim.words import Address, Descriptor, Nonce, Symbol
+from jemaim.compiler.pipeline import compaim
+from jemaim.jem.parser import parse_component
+
+from test_secure_compiler import AIMOD_SOURCES
 
 
 def sig(name, recv="c", params=(), ret="Int"):
@@ -186,3 +190,47 @@ class TestAimod:
     def test_bad_line_reports_position(self):
         with pytest.raises(aimod.AimodError):
             aimod.load("DESC\nnot a descriptor\n")
+
+    def test_padded_and_blank_lines_parse(self):
+        text = aimod.dump(self.build())
+        padded = "\n" + "\n\n".join(f"  {line}\t " for line in text.splitlines()) + "\n\n"
+        q = aimod.load(padded)
+        assert aimod.dump(q) == text and q.mem == self.build().mem
+
+    # (line number in the dump of build(), the text put there)
+    MALFORMED = {
+        "desc-two-fields": (2, "2 64"),
+        "code-bad-offset": (4, "2:x 3"),
+        "code-no-word": (4, "2:0"),
+        "code-three-part-address": (5, "2:0:1 3"),
+        "data-bad-nonce": (8, "2:70 #static-c:x"),
+        "masks-nat": (10, "2:70 5"),
+        "export-m-bad-address": (12, "get : c(Int,Bool)->Int -> 2"),
+        "export-o-bad-word": (14, "o : c -> #static-c:"),
+        "require-m-bad-word": (16, "m : i()->Int -> $c.m.id ; #x"),
+        "require-o-bad-word": (18, "ext : i -> 1x"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_a_malformed_line_is_named_by_its_number(self, case):
+        n, bad = self.MALFORMED[case]
+        lines = aimod.dump(self.build()).splitlines()
+        lines[n - 1] = bad
+        with pytest.raises(aimod.AimodError, match=rf"^line {n}: \S"):
+            aimod.load("\n".join(lines) + "\n")
+
+    def test_content_before_any_header_is_named_by_its_line(self):
+        with pytest.raises(aimod.AimodError, match=r"^line 2: content before any section header$"):
+            aimod.load("\n2:0 3\nDESC\n")
+
+
+@pytest.mark.parametrize("name", sorted(AIMOD_SOURCES))
+def test_corpus_images_round_trip(name):
+    img = compaim(parse_component(AIMOD_SOURCES[name]))
+    text = aimod.dump(img)
+    back = aimod.load(text)
+    assert aimod.dump(back) == text
+    assert (back.mem, back.masks) == (img.mem, img.masks)
+    assert back.descs == sorted(img.descs, key=lambda d: d.mid)  # DESC lines are sorted
+    assert all(type(a) is Address for a in back.mem)
+    assert (back.table.em, back.table.eo, back.table.rm, back.table.ro) == (img.table.em, img.table.eo, img.table.rm, img.table.ro)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from jemaim.aim import access
-from jemaim.aim.isa import MAX_FLAG, MAX_REG, OPTABLE, Assembler, Instr, encode, ins
+from jemaim.aim.isa import MAX_FLAG, MAX_REG, OPTABLE, Assembler, Instr, Label, encode, ins
 from jemaim.aim.machine import HANDLERS, SF, ZF, MachineState, run_state
 from jemaim.aim.words import N_W, Address, Descriptor, Nonce, NonceOracle, Symbol
 from jemaim.compiler import pipeline
@@ -66,6 +66,64 @@ class TestAssembler:
         asm = Assembler().label("a").emit("halt")
         with pytest.raises(ValueError, match="duplicate label 'a'"):
             asm.label("a")
+
+    def test_here_counts_words_not_instructions_or_labels(self):
+        a = Assembler()
+        assert a.here() == 0
+        a.emit("movi", 1, 7)
+        assert a.here() == 3
+        a.label("x")
+        assert a.here() == 3
+        a.raw(0, 0, 0, 0)
+        assert a.here() == 7
+        a.emit("halt").label("y").label("z")
+        assert a.here() == 8
+        assert len(a.words()) == 8
+
+    def test_labels_resolve_forward_and_backward(self):
+        a = Assembler()
+        a.label("top")
+        a.emit("movi", 1, Label("end"))  # forward
+        a.emit("je", 1, ZF)
+        a.raw(Label("mid"), 5)
+        a.label("mid")
+        a.emit("movi", 2, Label("top"))  # backward
+        a.emit("movi", 3, Label("mid"))
+        a.label("end")
+        a.emit("halt")
+        assert a.words() == [3, 1, 14, 8, 1, ZF, 8, 5, 3, 2, 0, 3, 3, 8, 11]
+
+    def test_words_match_the_encoder(self):
+        a = Assembler()
+        want = []
+        for name, (_, kinds) in OPTABLE.items():
+            ops = tuple(range(1, len(kinds) + 1))
+            a.emit(name, *ops)
+            want += encode(ins(name, *ops))
+        assert a.words() == want
+
+    def test_symbols_and_nonces_pass_through(self):
+        w = [Symbol("c.m.off"), Nonce("static-c", 0)]
+        a = Assembler().emit("movi", 1, w[0]).raw(w[1])
+        assert a.words() == [3, 1, w[0], w[1]]
+
+    def test_words_can_be_read_twice(self):
+        a = Assembler().emit("movi", 1, Label("l")).label("l").emit("halt")
+        assert a.words() == a.words() == [3, 1, 3, 11]
+
+    @pytest.mark.parametrize("ops", [(), (1,), (1, 2, 3)])
+    def test_a_wrong_operand_count_raises(self, ops):
+        with pytest.raises(ValueError, match="movi takes 2 operands"):
+            Assembler().emit("movi", *ops)
+
+    def test_an_unknown_opcode_raises(self):
+        with pytest.raises(KeyError):
+            Assembler().emit("nop")
+
+    def test_an_undefined_label_raises_at_words(self):
+        a = Assembler().emit("movi", 1, Label("nowhere"))
+        with pytest.raises(KeyError):
+            a.words()
 
 
 class TestEntryPoints:
@@ -661,7 +719,7 @@ class TestProvenLoops:
         for m in comp.classes[0].methods:
             a = Assembler()
             cc.emit_body(a, m)
-            assert len(a.items) > 4, m.name  # the label and more than a spin
+            assert a.here() > 9, m.name  # more than a spin: 3 instructions of 3 words
         r = run_aim(img, seed=1, fuel=5_000)
         assert (repr(r), r.steps, step_calls[0]) == ("OutOfFuel", 5_000, 5_000)
 

@@ -110,6 +110,20 @@ class TestCompileLinkRun:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "sys" in err
 
+    def test_a_malformed_image_is_one_error_line(self, ws, capsys):
+        assert run_cli("compile", ws / "prog.jem", "-o", ws / "mods") == 0
+        mods = sorted((ws / "mods").glob("*.aimod"))
+        assert run_cli("link", *mods, "-o", ws / "prog.aimod") == 0
+        lines = (ws / "prog.aimod").read_text().splitlines()
+        assert lines[3] == "CODE" and re.fullmatch(r"[0-9]+:0 [0-9]+", lines[4])
+        lines[4] = "2:x 3"
+        (ws / "bad.aimod").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("run_aim", ws / "bad.aimod") == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: line 5: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_emitted_files_round_trip(self, ws):
         from jemaim.aim import aimod
 

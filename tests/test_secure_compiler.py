@@ -8,12 +8,12 @@ import pytest
 from jemaim.aim import aimod
 from jemaim.aim.link import MethodSig as LinkSig
 from jemaim.aim.machine import MachineState, run_state
-from jemaim.aim.words import FORWARDCALL_EP, Address, N_W, Nonce, SYS_ID
-from jemaim.compiler.comp import MAX_PARAMS, STATIC_BASE, CompileError, comp_class
+from jemaim.aim.words import FORWARDCALL_EP, Address, Descriptor, N_W, Nonce, Symbol, SYS_ID
+from jemaim.compiler.comp import DATA_BASE, MAX_PARAMS, STATIC_BASE, CompileError, comp_class
 from jemaim.compiler.encoding import ENC_OBJ, class_name_of_encoding, encode_class, encode_type, encode_value
 from jemaim.compiler.pipeline import boot_state, compaim, mylink, run_aim
 from jemaim.compiler.prot import prot
-from jemaim.compiler.sysmod import FORWARDCALL, FORWARDRETURN, REGISTEROBJ, TESTOBJ, build_sys
+from jemaim.compiler.sysmod import FORWARDCALL, FORWARDRETURN, REGISTEROBJ, SYS_DEPTH_ADDR, SYS_WORDS, TESTOBJ, build_sys
 from jemaim.jem import ast
 from jemaim.jem.interp import run as jem_run
 from jemaim.jem.parser import parse_component
@@ -141,6 +141,30 @@ class TestSys:
         assert sys_img.table.em[FORWARDCALL] == Address(SYS_ID, 2 * N_W)
         assert sys_img.table.em[FORWARDRETURN] == Address(SYS_ID, 3 * N_W)
         assert sys_img.table.rm == [] and sys_img.table.ro == []
+
+    def test_sys_image_is_its_words_and_the_depth_word(self):
+        img = build_sys()
+        want = {Address(SYS_ID, i): w for i, w in enumerate(SYS_WORDS)}
+        want[SYS_DEPTH_ADDR] = 0
+        assert img.mem == want and SYS_DEPTH_ADDR == Address(SYS_ID, DATA_BASE)
+        assert all(type(a) is Address for a in img.mem)
+        assert img.descs == [Descriptor(SYS_ID, len(SYS_WORDS), 4)] and img.masks == {}
+
+    def test_each_sys_image_is_independent(self):
+        a, b = build_sys(), build_sys()
+        assert a.mem is not b.mem and a.descs is not b.descs and a.masks is not b.masks
+        assert a.table is not b.table and a.table.em is not b.table.em
+        assert a.table.eo is not b.table.eo and a.table.rm is not b.table.rm and a.table.ro is not b.table.ro
+        a.mem[Address(SYS_ID, 0)] = 99
+        a.mem[SYS_DEPTH_ADDR] = 5
+        a.descs.append(Descriptor(2, 64, 1))
+        a.table.em.clear()
+        a.table.rm.append((TESTOBJ, Symbol("i"), Symbol("s")))
+        a.masks[SYS_ID] = {}
+        c = build_sys()
+        assert c.mem == b.mem and c.mem[SYS_DEPTH_ADDR] == 0 and c.mem[Address(SYS_ID, 0)] == SYS_WORDS[0]
+        assert c.descs == b.descs == [Descriptor(SYS_ID, len(SYS_WORDS), 4)]
+        assert c.table == b.table and len(c.table.em) == 4 and c.table.rm == [] and c.masks == {}
 
     def boot(self, extra_mem=None):
         st = boot_state(build_sys(), seed=1)
