@@ -6,7 +6,7 @@ Entry points sit at offsets m*N_W for m < n_entry.
 """
 from __future__ import annotations
 
-from .words import FORWARDRETURN_EP, N_W, SYS_ID, UNPROTECTED, Address, Descriptor, is_nat
+from .words import N_W, UNPROTECTED, Address, Descriptor, is_nat
 
 
 def find_module(descs, a: Address) -> Descriptor | None:
@@ -33,23 +33,6 @@ def entry_point(descs, a: Address) -> bool:
     if s is None:
         return False
     return a.off % N_W == 0 and 0 <= a.off // N_W < s.n_entry
-
-
-def method_entry_point(descs, a: Address) -> bool:
-    """Entry points other than slot 0 (slot 0 is the return entry point)."""
-    s = find_module(descs, a)
-    if s is None:
-        return False
-    return a.off % N_W == 0 and 1 <= a.off // N_W < s.n_entry
-
-
-def return_entry_point(descs, a: Address) -> bool:
-    s = find_module(descs, a)
-    return s is not None and a.off == 0
-
-
-def forward_return_ep(a: Address) -> bool:
-    return a == Address(SYS_ID, FORWARDRETURN_EP)
 
 
 def _addr_ok(a: Address) -> bool:

@@ -11,7 +11,7 @@ unless it jumps, and the descriptor whose code section holds it (else None).
 `_decode` builds the entry at a pc with no cached one: one pass over `descs`
 finds the descriptor, and `isa.decode`, the only code that knows operand
 kinds, reads the words straight from `mem` and `code` and gives the name and
-operands. No `Instr` is built on that path; `peek` builds one from an entry.
+operands. No `Instr` is built.
 Entries in protected code are cached per pc, in a dict that clones share. That
 is sound as no rule writes protected code: `access.write_allowed` needs the
 writer's own `data_range` for a protected target, and the privileged ops write
@@ -60,7 +60,7 @@ from ..compiler.encoding import (
     V_UNIT,
 )
 from . import access
-from .isa import FLAGS, OPTABLE, SF, ZF, Instr, decode
+from .isa import FLAGS, OPTABLE, SF, ZF, decode
 from .words import MASK64, Address, Descriptor, Nonce, NonceOracle, Symbol, Word
 
 # the register in which a call leaves the caller's module id
@@ -209,12 +209,6 @@ class MachineState:
             return False
         c, j = (decode(self.mem, self.code, s.mid, o, True) for o in (off + 3, off + 6))
         return c is not None and c[0] == "cmp" and c[1][0] == c[1][1] and j == ("je", (r, ZF))
-
-    def peek(self) -> Instr | None:
-        """The instruction at pc, or None when the state is stuck: rebuilt from
-        the cached entry in protected code, decoded afresh elsewhere."""
-        e = self._icache.get(self.pc) or self._decode()
-        return None if e is None else Instr(e[1], e[4:])
 
     # -- stepping ---------------------------------------------------------
 

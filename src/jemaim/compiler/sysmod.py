@@ -16,8 +16,9 @@ r1, r2 and r16 and forwardReturn r4, and each zeroes its scratch before its
 boundary jump, but for the jump's own target registers.
 
 sys is assembled and laid out once, at import: `SYS_WORDS` are its code
-words, and `build_sys()` gives each caller a fresh image over a copy of the
-one layout.
+words, `SYS_EXIT_MARKS` its boundary jumps, which the trace engine reads
+instead of decoding them, and `build_sys()` gives each caller a fresh image
+over a copy of the one layout.
 """
 from __future__ import annotations
 
@@ -38,10 +39,16 @@ FORWARDRETURN = MethodSig("forwardReturn", "Obj", (), "Unit")
 
 
 def _assemble() -> tuple[tuple, MappingProxyType]:
-    """The code words of sys and the offsets of its four boundary jmp
-    instructions by role, both read-only."""
+    """The code words of sys, and its four boundary jmp instructions by
+    offset, each as (kind, rd, ri): its role and its operands; both read-only."""
     a = Assembler()
-    marks: dict[int, str] = {}
+    marks: dict[int, tuple[str, int, int]] = {}
+
+    def exit_jump(kind: str, rd: int, ri: int):
+        # `jmp rd, ri` to (r[ri], r[rd]), recorded where it is emitted
+        marks[a.here()] = (kind, rd, ri)
+        a.emit("jmp", rd, ri)
+
     trampoline(a, "testobj")
     trampoline(a, "regobj")
     trampoline(a, "fwcall")
@@ -52,8 +59,7 @@ def _assemble() -> tuple[tuple, MappingProxyType]:
     a.emit("gst_test", 6, 7, 8)
     for r in (1, 2, 3, 4, 7, 8, 9, 10, 11, 12, 13, 14, 15):
         a.emit("movi", r, 0)
-    marks[a.here()] = "testobj"
-    a.emit("jmp", 5, 0)
+    exit_jump("testobj", 5, 0)
 
     # registerObj(w in r7, w' in r8): abort if already known; owner is the caller id
     a.label("regobj")
@@ -61,8 +67,7 @@ def _assemble() -> tuple[tuple, MappingProxyType]:
     a.emit("movi", 6, 1)
     for r in (1, 2, 3, 4, 7, 8, 9, 10, 11, 12, 13, 14, 15):
         a.emit("movi", r, 0)
-    marks[a.here()] = "regobj"
-    a.emit("jmp", 5, 0)
+    exit_jump("regobj", 5, 0)
 
     # forwardCall: target in (r3, r4), caller resume offset in r5
     a.label("fwcall")
@@ -84,8 +89,7 @@ def _assemble() -> tuple[tuple, MappingProxyType]:
     a.emit("movi", 5, FORWARDRETURN_EP)
     for r in (0, 1, 2, 16):
         a.emit("movi", r, 0)
-    marks[a.here()] = "fwcall"
-    a.emit("jmp", 4, 3)
+    exit_jump("fwcall", 4, 3)
 
     # forwardReturn: pop (id, n, callee); abort unless the returner is the callee
     a.label("fwret")
@@ -97,8 +101,7 @@ def _assemble() -> tuple[tuple, MappingProxyType]:
     a.emit("movi", 5, 1)
     for r in (0, 3, 4, 7, 8, 9, 10, 11, 12, 13, 14, 15):
         a.emit("movi", r, 0)
-    marks[a.here()] = "fwret"
-    a.emit("jmp", 1, 2)
+    exit_jump("fwret", 1, 2)
 
     a.label("sys_abort")
     a.emit("zero")

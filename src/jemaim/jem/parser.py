@@ -1,4 +1,4 @@
-"""Concrete syntax for jem: a deterministic recursive-descent parser.
+r"""Concrete syntax for jem: a deterministic recursive-descent parser.
 
 Shape of a source file:
 
@@ -15,8 +15,26 @@ Imports precede the class they belong to; objects follow a class, and each
 belongs to the class its declaration names, wherever it stands. Operators:
 `+ - == < &&` with && loosest, then == and <, then + and -. `E;E` sequencing
 binds loosest of all and only inside braces. Braces are mandatory for if.
+
+Lexical grammar, one alternative of `TOKEN_RE` per class:
+
+    newline  \n                     ends a line; columns count characters from 1
+    blank    [ \t\r]+               separates tokens
+    comment  //[^\n]*               runs to the end of the line
+    int      \d+                    decimal digits, each one `int()` reads (`٣`, not `²`)
+    ident    [^\W\d](?:[\w-]*\w)?   a letter (`str.isalpha`) or `_`, then letters,
+                                    digits, `_` and `-`, not ending in `-`
+    punct    one of PUNCT, longest first
+
+`\w` is exactly `str.isalnum()` or `_`; `lex` checks the first character of a
+name apart, as no `re` class is `str.isalpha()`. Any other character, and a
+name-like run that starts with neither (`²`, `½`), is an unexpected character.
+Keywords are idents that `Parser.ident` refuses.
 """
 from __future__ import annotations
+
+import re
+from typing import NamedTuple
 
 from . import ast
 from .ast import Pos
@@ -61,64 +79,33 @@ class JemSyntaxError(Exception):
         self.msg = msg
 
 
-class Token:
-    __slots__ = ("kind", "text", "pos")
+class Token(NamedTuple):
+    kind: str  # 'ident' | 'int' | 'punct' | 'eof'
+    text: str
+    pos: Pos
 
-    def __init__(self, kind, text, pos):
-        self.kind = kind  # 'ident' | 'int' | 'punct' | 'eof'
-        self.text = text
-        self.pos = pos
 
-    def __repr__(self):
-        return f"{self.kind}:{self.text}"
+# one alternative per token class, its group named by the token's kind; white
+# space and comments match no group, and `bad` any character no class takes
+TOKEN_RE = re.compile(
+    r"(?P<nl>\n)|[ \t\r]+|//[^\n]*|(?P<int>\d+)|(?P<ident>[^\W\d](?:[\w-]*\w)?)|(?P<punct>"
+    + "|".join(map(re.escape, sorted(PUNCT, key=len, reverse=True)))
+    + ")|(?P<bad>.)"
+)
 
 
 def lex(src: str) -> list[Token]:
-    toks = []
-    i, line, col = 0, 1, 1
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            i, line, col = i + 1, line + 1, 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if src.startswith("//", i):
-            while i < n and src[i] != "\n":
-                i += 1
-            continue
-        pos = Pos(line, col)
-        if c.isdigit():
-            j = i
-            while j < n and src[j].isdigit():
-                j += 1
-            toks.append(Token("int", src[i:j], pos))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] in "_-"):
-                j += 1
-            # identifiers may contain '-' (class-decl, listof-t ...) but not end with it
-            while src[j - 1] == "-":
-                j -= 1
-            toks.append(Token("ident", src[i:j], pos))
-            col += j - i
-            i = j
-            continue
-        for p in PUNCT:
-            if src.startswith(p, i):
-                toks.append(Token("punct", p, pos))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            raise JemSyntaxError(pos, f"unexpected character {c!r}")
-    toks.append(Token("eof", "", Pos(line, col)))
+    toks, line, start = [], 1, 0  # `start` is the offset of the line's first character
+    for m in TOKEN_RE.finditer(src):
+        kind, i = m.lastgroup, m.start()
+        if kind == "nl":
+            line, start = line + 1, i + 1
+        elif kind is not None:
+            text, pos = m.group(), Pos(line, i - start + 1)
+            if kind == "bad" or (kind == "ident" and not (text[0].isalpha() or text[0] == "_")):
+                raise JemSyntaxError(pos, f"unexpected character {text[0]!r}")
+            toks.append(Token(kind, text, pos))
+    toks.append(Token("eof", "", Pos(line, len(src) - start + 1)))
     return toks
 
 

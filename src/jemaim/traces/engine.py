@@ -14,8 +14,9 @@ state, clear registers and flags, load the injected registers, set pc and run.
 The booted state keeps its protected code in a map that all its clones share
 (`MachineState.share_code`), so a clone copies only data and unprotected
 words. The run looks at pc only when it is in the tracer's stop set: sys's
-four boundary jumps, forwardReturn and the method entry points. It decodes an
-instruction of its own only at a boundary jump. The id a Return! names is read
+four boundary jumps, forwardReturn and the method entry points. It decodes
+nothing of its own: a boundary jump's role and operand registers are read from
+sys's table of them (`SYS_EXIT_MARKS`). The id a Return! names is read
 off r0 whenever pc reaches forwardReturn: the machine's `jmp` stamps r0 with
 the id of the module that jumped there, and a returnback injection sets r0 to
 the id it claims.
@@ -41,8 +42,8 @@ builds (Filliâtre & Conchon, "Type-Safe Modular Hash-Consing", 2006) in a
 Each frontier entry carries its trace id and the nonce renaming that trace
 used, an extension renames only its two new actions (`actions.rename`), and
 the trace set is a set of ids. Tuples are materialised from the table only
-when someone reads them: `enumerate_traces` without a table returns them, and
-`trace_equiv` builds them only when the two id sets differ.
+when someone reads them: `enumerate_traces` returns them, and `trace_equiv`
+builds them only when the two id sets differ.
 
 Enumeration explores a state graph, as explicit-state model checkers hash the
 states they visit (Holzmann, "The Model Checker SPIN", 1997). Two memos live
@@ -210,10 +211,9 @@ class ComponentTracer:
                 elif pc.off == FORWARDRETURN_EP:
                     returner = st.reg(0)
                 else:
-                    rd, ri = st.peek().ops
+                    kind, rd, ri = marks[pc.off]
                     t_off, t_mid = st.reg(rd), st.reg(ri)
                     if t_mid == 0 or isinstance(t_mid, Symbol) or isinstance(t_off, Symbol):
-                        kind = marks[pc.off]
                         if kind == "fwcall":
                             sig = self.rm_by_syms.get((t_mid, t_off))
                             k = len(sig.params) if sig else 0
@@ -466,17 +466,9 @@ def explore(image, depth: int, domain: AdversaryDomain | None, seed: int, table:
         yield level
 
 
-def enumerate_traces(
-    image,
-    depth: int = DEFAULT_DEPTH,
-    domain: AdversaryDomain | None = None,
-    seed: int = 0,
-    table: TraceTable | None = None,
-) -> set:
-    """The trace set of `explore` to `depth`: the traces' ids in `table` when
-    one is given, else the traces."""
-    interned = table or TraceTable()
-    results = set()
-    for level in explore(image, depth, domain, seed, interned):
-        results |= level
-    return results if table is not None else set(interned.traces(results).values())
+def enumerate_traces(image, depth: int = DEFAULT_DEPTH, domain: AdversaryDomain | None = None, seed: int = 0) -> set:
+    """The trace set of `explore` to `depth`, as tuples."""
+    table, ids = TraceTable(), set()
+    for level in explore(image, depth, domain, seed, table):
+        ids |= level
+    return set(table.traces(ids).values())

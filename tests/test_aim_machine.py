@@ -6,7 +6,7 @@ import pytest
 from jemaim.aim import access
 from jemaim.aim.isa import MAX_FLAG, MAX_REG, OPTABLE, Assembler, Instr, Label, encode, ins
 from jemaim.aim.machine import HANDLERS, SF, ZF, MachineState, run_state
-from jemaim.aim.words import N_W, Address, Descriptor, Nonce, NonceOracle, Symbol
+from jemaim.aim.words import Address, Descriptor, Nonce, NonceOracle, Symbol
 from jemaim.compiler import pipeline
 from jemaim.compiler.comp import comp_class
 from jemaim.compiler.encoding import encode_class
@@ -32,33 +32,39 @@ def machine(program, descs=(), pc=(0, 0), seed=0):
     return MachineState(pc=Address(*pc), mem=mem, descs=list(descs), oracle=NonceOracle(seed))
 
 
+def entry_at_pc(st):
+    """The entry `step` applies at pc, or None when the state is stuck: the
+    cached one in protected code, else decoded afresh."""
+    return st._icache.get(st.pc) or st._decode()
+
+
 class TestDecode:
     def test_halt_roundtrip(self):
         mem = {Address(0, 0): 11}
         st = machine([11])
-        assert st.peek().name == "halt"
+        assert entry_at_pc(st)[1] == "halt"
 
     def test_unknown_opcode_is_undecodable(self):
         st = machine([9999])
-        assert st.peek() is None
+        assert entry_at_pc(st) is None
         assert st.step()[0] == "stuck"
 
     def test_jmp_roundtrip_through_encoder(self):
         words = encode(ins("jmp", 3, 4))
         st = machine(words)
-        i = st.peek()
-        assert i.name == "jmp" and i.ops == (3, 4)
+        e = entry_at_pc(st)
+        assert e[1] == "jmp" and e[4:] == (3, 4)
 
     def test_operand_register_must_be_nat(self):
         st = machine([7, Symbol("x"), 4])
-        assert st.peek() is None
+        assert entry_at_pc(st) is None
 
     def test_privileged_ops_undecodable_in_unprotected_memory(self):
         st = machine(encode(ins("stk_push", 1, 2, 3)))
-        assert st.peek() is None
+        assert entry_at_pc(st) is None
         desc = Descriptor(2, 64, 1)
         st2 = machine(encode(ins("stk_push", 1, 2, 3)), descs=[desc], pc=(2, 16))
-        assert st2.peek() is not None
+        assert entry_at_pc(st2) is not None
 
 
 class TestAssembler:
@@ -135,18 +141,8 @@ class TestEntryPoints:
         assert not access.entry_point(descs, Address(2, 48))
         assert not access.entry_point(descs, Address(2, 17))
 
-    def test_forward_return_ep(self):
-        assert access.forward_return_ep(Address(1, 3 * N_W))
-        assert not access.forward_return_ep(Address(1, 2 * N_W))
-        assert not access.forward_return_ep(Address(2, 3 * N_W))
-
     def test_unprotected_has_no_entry_points(self):
         assert not access.entry_point([Descriptor(2, 64, 3)], Address(0, 0))
-
-    def test_method_entry_points_exclude_slot_zero(self):
-        descs = [Descriptor(2, 64, 3)]
-        assert not access.method_entry_point(descs, Address(2, 0))
-        assert access.method_entry_point(descs, Address(2, 16))
 
 
 class TestAccessTable:
@@ -369,7 +365,8 @@ class TestDecodeCache:
         )
         st = machine(prog)
         st.pc = Address(0, 13)
-        assert st.peek() == ins("movi", 5, 1)  # decoded before the write
+        e = entry_at_pc(st)
+        assert Instr(e[1], e[4:]) == ins("movi", 5, 1)  # decoded before the write
         st.pc = Address(0, 0)
         before = st.clone()
         unwritten = st.clone()
@@ -380,7 +377,7 @@ class TestDecodeCache:
 
     def test_privileged_op_in_protected_data_is_stuck(self):
         st = machine(encode(ins("stk_push", 1, 2, 3)), descs=GRID_DESCS, pc=(2, 64))
-        assert st.peek() is None
+        assert entry_at_pc(st) is None
         assert st.step()[0] == "stuck"
         assert not st.callstack and not st._icache
 
@@ -560,18 +557,20 @@ class TestSharedCode:
 
 
 def plain_run(st, fuel, trail=None):
-    """`run_state` without the spin rule: each step decodes with `peek` and
-    applies its opcode's handler, so a spin is stepped like any loop. When
-    `trail` is a list, each step's (pc, instruction) is appended to it."""
+    """`run_state` without the spin rule: each step decodes with
+    `reference_instr` and applies its opcode's handler, so a spin is stepped
+    like any loop. When `trail` is a list, each step's (pc, instruction) is
+    appended to it."""
     for n in range(fuel):
-        pc, i = st.pc, st.peek()
+        pc = st.pc
+        s = st.module(pc.mid)
+        if s is not None and not access.code_range(s, pc):
+            s = None
+        i = reference_instr(lambda o: st.load((pc.mid, o)), pc.off, s is not None)
         if i is None:
             return ("stuck", f"undecodable at {pc}", st, n + 1)
         if trail is not None:
             trail.append((pc, i))
-        s = st.module(pc.mid)
-        if s is not None and not access.code_range(s, pc):
-            s = None
         out = HANDLERS[i.name](st, (None, i.name, Address(pc.mid, pc.off + i.width), s, *i.ops))
         st._last_op = i.name
         if out:

@@ -55,6 +55,12 @@ class TestRunJem:
         assert run_cli("run_jem", ws / "spin.jem", "--fuel", "500") == 0
         assert "OutOfFuel" in capsys.readouterr().out
 
+    def test_an_int_that_int_cannot_read_is_one_positioned_error(self, ws, capsys):
+        (ws / "sup.jem").write_text(main_prog("1 + ²").lstrip())
+        assert run_cli("run_jem", ws / "sup.jem") == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == f"error: {ws / 'sup.jem'}:3:44: unexpected character '²'\n"
+
 
 class TestLongBinOpSpine:
     """Left-nested `+` chains too long for a recursive walk of the spine."""

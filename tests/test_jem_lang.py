@@ -1,17 +1,19 @@
 """Front end and reference semantics of jem."""
 import dataclasses
 import random
+import string
 
 import pytest
 
 from jemaim.jem import ast
 from jemaim.jem.compat import EMPTY, compat, plug
 from jemaim.jem.interp import OPERANDS, RULES, JemConfig, NotWhole, RunResult, run
-from jemaim.jem.parser import JemSyntaxError, parse_component
+from jemaim.jem.ast import Pos
+from jemaim.jem.parser import PUNCT, JemSyntaxError, Token, lex, parse_component
 from jemaim.jem.printer import render_component
 from jemaim.jem.typecheck import typecheck
 
-from corpus import WHOLE_PROGRAMS, main_prog
+from corpus import COMPONENTS, INEQUIVALENT_PAIRS, WHOLE_PROGRAMS, main_prog
 
 
 def parse_ok(src):
@@ -94,6 +96,146 @@ class TestParser:
             """
         )
         assert comp.classes[0].name == "listof-c"
+
+
+
+def reference_lex(src: str) -> list[Token]:
+    """The hand-written lexer that `lex` replaced, kept as the reference that
+    `TestLexer` compares it with."""
+    toks = []
+    i, line, col = 0, 1, 1
+    n = len(src)
+    while i < n:
+        c = src[i]
+        if c == "\n":
+            i, line, col = i + 1, line + 1, 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        if src.startswith("//", i):
+            while i < n and src[i] != "\n":
+                i += 1
+            continue
+        pos = Pos(line, col)
+        if c.isdigit():
+            j = i
+            while j < n and src[j].isdigit():
+                j += 1
+            toks.append(Token("int", src[i:j], pos))
+            col += j - i
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (src[j].isalnum() or src[j] in "_-"):
+                j += 1
+            # identifiers may contain '-' (class-decl, listof-t ...) but not end with it
+            while src[j - 1] == "-":
+                j -= 1
+            toks.append(Token("ident", src[i:j], pos))
+            col += j - i
+            i = j
+            continue
+        for p in PUNCT:
+            if src.startswith(p, i):
+                toks.append(Token("punct", p, pos))
+                i += len(p)
+                col += len(p)
+                break
+        else:
+            raise JemSyntaxError(pos, f"unexpected character {c!r}")
+    toks.append(Token("eof", "", Pos(line, col)))
+    return toks
+
+
+def lexed(lexer, src):
+    """`lexer`'s tokens as (kind, text, line, col) tuples, or its error message."""
+    try:
+        return [(t.kind, t.text, t.pos.line, t.pos.col) for t in lexer(src)]
+    except JemSyntaxError as e:
+        return str(e)
+
+
+def expected_lex(src):
+    """`lexed(lex, src)` as the reference gives it, with the two intended
+    differences: an int-looking character that `int()` rejects is an
+    unexpected character, and the end-of-input column counts a comment on the
+    last line."""
+    out = lexed(reference_lex, src)
+    if isinstance(out, str):
+        # the reference's tokens before its error, which starts at the offset its position gives
+        line, col = map(int, out.split(":", 2)[:2])
+        starts = [0] + [i + 1 for i, c in enumerate(src) if c == "\n"]
+        toks = lexed(reference_lex, src[: starts[line - 1] + col - 1])[:-1]
+    else:
+        toks = out
+    for kind, text, line, col in toks:
+        if kind == "int" and not text.isdecimal():
+            k = next(k for k, c in enumerate(text) if not c.isdecimal())
+            return f"{line}:{col + k}: unexpected character {text[k]!r}"
+    if isinstance(out, str):
+        return out
+    kind, text, line, _ = out[-1]
+    return out[:-1] + [(kind, text, line, len(src) - src.rfind("\n"))]
+
+
+# the 52 sources of the corpus: whole programs, components and both sides of each pair
+CORPUS_SOURCES = [
+    *WHOLE_PROGRAMS.values(),
+    *COMPONENTS.values(),
+    *(src for pair in INEQUIVALENT_PAIRS.values() for src in pair),
+]
+
+# pieces of random lexer inputs: the characters of each token class, `//`, and,
+# less often, characters no class takes or that only the reference took (`²`)
+LEX_PIECES = [
+    *string.ascii_letters, *string.digits * 3, *"_-" * 4, *"".join(PUNCT) * 2, *["//"] * 4, *" \t\r\n" * 3,
+    *"/\x0c\xa0$#éß٣½²",
+]
+
+
+class TestLexer:
+    def test_corpus_lexes_as_the_reference(self):
+        assert len(CORPUS_SOURCES) == 52
+        for src in CORPUS_SOURCES:
+            assert lexed(lex, src) == lexed(reference_lex, src) == expected_lex(src)
+
+    def test_cut_and_damaged_corpus_lexes_as_the_reference(self):
+        rng = random.Random(26)
+        for src in CORPUS_SOURCES:
+            cuts = [src[: i + 1] for i, c in enumerate(src) if c == "\n"]
+            damaged = [src[:i] + src[i + 1 :] for i in rng.sample(range(len(src)), 20)]
+            for s in cuts + damaged:
+                assert lexed(lex, s) == expected_lex(s), s
+
+    def test_random_strings_lex_as_the_reference(self):
+        rng = random.Random(7)
+        differ = set()
+        for _ in range(3_000):
+            s = "".join(rng.choices(LEX_PIECES, k=rng.randrange(40)))
+            want = expected_lex(s)
+            assert lexed(lex, s) == want, s
+            if want != lexed(reference_lex, s):
+                differ.add("unexpected character" if isinstance(want, str) else "end-of-input column")
+        assert differ == {"unexpected character", "end-of-input column"}  # both intended differences occur
+
+    def test_an_int_that_int_cannot_read_is_an_unexpected_character(self):
+        with pytest.raises(JemSyntaxError) as e:
+            lex("class main {\n  main(){}\n  public main() : main()->Int { return 1 + ²; }\n};")
+        assert str(e.value) == "3:44: unexpected character '²'"
+        with pytest.raises(JemSyntaxError) as e:
+            lex("x = 12²3;")
+        assert str(e.value) == "1:7: unexpected character '²'"
+
+    def test_end_of_input_column_counts_a_trailing_comment(self):
+        src = "class c {\n  c(){}\n  public get() : c()->Int { return 1; } // tail"
+        assert len(src.split("\n")[-1]) == 47
+        assert lex(src)[-1].pos == Pos(3, 48)
+        with pytest.raises(JemSyntaxError) as e:
+            parse_component(src)
+        assert str(e.value) == "3:48: expected '}', found ''"
 
 
 def same_ast(a, b) -> bool:

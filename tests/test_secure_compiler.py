@@ -6,6 +6,7 @@ from collections import Counter
 import pytest
 
 from jemaim.aim import aimod
+from jemaim.aim.isa import decode
 from jemaim.aim.link import MethodSig as LinkSig
 from jemaim.aim.machine import MachineState, run_state
 from jemaim.aim.words import FORWARDCALL_EP, Address, Descriptor, N_W, Nonce, Symbol, SYS_ID
@@ -13,7 +14,16 @@ from jemaim.compiler.comp import DATA_BASE, MAX_PARAMS, STATIC_BASE, CompileErro
 from jemaim.compiler.encoding import ENC_OBJ, class_name_of_encoding, encode_class, encode_type, encode_value
 from jemaim.compiler.pipeline import boot_state, compaim, mylink, run_aim
 from jemaim.compiler.prot import prot
-from jemaim.compiler.sysmod import FORWARDCALL, FORWARDRETURN, REGISTEROBJ, SYS_DEPTH_ADDR, SYS_WORDS, TESTOBJ, build_sys
+from jemaim.compiler.sysmod import (
+    FORWARDCALL,
+    FORWARDRETURN,
+    REGISTEROBJ,
+    SYS_DEPTH_ADDR,
+    SYS_EXIT_MARKS,
+    SYS_WORDS,
+    TESTOBJ,
+    build_sys,
+)
 from jemaim.jem import ast
 from jemaim.jem.interp import run as jem_run
 from jemaim.jem.parser import parse_component
@@ -149,6 +159,12 @@ class TestSys:
         assert img.mem == want and SYS_DEPTH_ADDR == Address(SYS_ID, DATA_BASE)
         assert all(type(a) is Address for a in img.mem)
         assert img.descs == [Descriptor(SYS_ID, len(SYS_WORDS), 4)] and img.masks == {}
+
+    def test_exit_marks_are_the_boundary_jumps_they_name(self):
+        code = {Address(SYS_ID, i): w for i, w in enumerate(SYS_WORDS)}
+        assert sorted(kind for kind, _, _ in SYS_EXIT_MARKS.values()) == ["fwcall", "fwret", "regobj", "testobj"]
+        for off, (_, rd, ri) in SYS_EXIT_MARKS.items():
+            assert decode({}, code, SYS_ID, off, True) == ("jmp", (rd, ri))
 
     def test_each_sys_image_is_independent(self):
         a, b = build_sys(), build_sys()

@@ -36,6 +36,7 @@ from jemaim.traces.engine import (
     _injections,
     _segment,
     enumerate_traces,
+    explore,
 )
 from jemaim.traces.equiv import (
     Equivalent,
@@ -481,10 +482,11 @@ class TestMemoisedEnumeration:
 @pytest.mark.parametrize("domain", sorted({**PIN_DOMAINS, **REGISTER_DOMAINS}))
 @pytest.mark.parametrize("name", sorted(COMPONENTS))
 def test_shared_table_interns_equal_traces_alike(name, domain):
-    """Two compilations of one component explored into one shared table."""
+    """Two compilations of one component explored into one shared table, as
+    `trace_equiv` explores its two sides."""
     adversary = {**PIN_DOMAINS, **REGISTER_DOMAINS}[domain]
     table = TraceTable()
-    ids1, ids2 = (enumerate_traces(image_of(COMPONENTS[name]), 3, adversary(), table=table) for _ in range(2))
+    ids1, ids2 = (set().union(*explore(image_of(COMPONENTS[name]), 3, adversary(), 0, table)) for _ in range(2))
     assert ids1 == ids2
     traces = set(table.traces(ids1).values())
     assert len(traces) == len(ids1)
@@ -777,14 +779,3 @@ object o : c { };
         [addr] = [a for s, a in img.table.em.items() if s.name == "spin"]
         seg = tracer.call_method(tracer.initial(), addr, mask, ())
         assert isinstance(seg.reply, FuelExceeded)
-
-
-class TestReturnEntryPointPredicate:
-    def test_slot_zero_is_the_return_entry(self):
-        from jemaim.aim import access
-        from jemaim.aim.words import Address, Descriptor
-
-        descs = [Descriptor(2, 64, 3)]
-        assert access.return_entry_point(descs, Address(2, 0))
-        assert not access.return_entry_point(descs, Address(2, 16))
-        assert not access.return_entry_point(descs, Address(0, 0))
