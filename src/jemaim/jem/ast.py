@@ -27,8 +27,7 @@ from enum import Enum
 from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Pos:
+class Pos(NamedTuple):
     line: int = 0
     col: int = 0
 

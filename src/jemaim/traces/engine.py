@@ -21,58 +21,45 @@ off r0 whenever pc reaches forwardReturn: the machine's `jmp` stamps r0 with
 the id of the module that jumped there, and a returnback injection sets r0 to
 the id it claims.
 
-Enumeration is one breadth-first search, by levels: `explore` yields the ids
-of the traces each level adds, level d holding the traces of d moves, which
-have length 2d. Every trace it reaches is kept, so a set holds each
-even-length prefix of its traces. `enumerate_traces` drains the levels into
-one set; `trace_equiv` runs two explorations in lock-step and may stop them
-early (traces/equiv.py).
-
-Enumeration canonicalizes along the search path, and hash-conses what it
-builds (Filliâtre & Conchon, "Type-Safe Modular Hash-Consing", 2006) in a
-`TraceTable`, which the two explorations of one `trace_equiv` share:
-
-- Pair ids. A renamed (action, reply) pair is interned to an int when an
-  entry's canonical cache (below) builds it. A cache hit reuses the id, so
-  actions are hashed once per cache miss, not once per trace.
-- Trace ids. A trace is the node (parent trace id, pair id), interned to an
-  int; 0 is the empty trace. Equal traces get equal ids in every enumeration
-  over the table.
-
-Each frontier entry carries its trace id and the nonce renaming that trace
-used, an extension renames only its two new actions (`actions.rename`), and
-the trace set is a set of ids. Tuples are materialised from the table only
-when someone reads them: `enumerate_traces` returns them, and `trace_equiv`
-builds them only when the two id sets differ.
-
-Enumeration explores a state graph, as explicit-state model checkers hash the
-states they visit (Holzmann, "The Model Checker SPIN", 1997). Two memos live
-for one exploration, plus each entry's canonical cache, each keyed by exactly
-what its value depends on:
+Traces are the paths of a state graph (`Graph`), as explicit-state model
+checkers hash the states they visit (Holzmann, "The Model Checker SPIN",
+1997). A node is the key (state id, knowledge, pending, names id), and its
+moves, computed once in menu order, are (pair id, next node or None). The
+suffixes a search could add after a trace depend on that key alone, so the
+graph is expanded per key, not per trace. `enumerate_traces` walks its paths
+to `depth`; `trace_equiv` walks the product of two graphs and walks paths only
+for a divergence (traces/equiv.py).
 
 - State ids. Each fingerprint of a suspended state is interned to a small int
-  when the state is first seen, so the node memo hashes an int.
-- The node memo maps (state id, knowledge, pending) to the node's moves in
-  menu order: each entry (the raw segment: action, reply, next state and that
-  state's id) with what the environment knows and owes after it (`_learn`).
-  A move is a function of its node. `_enter` clears registers and flags and
-  sets pc, so a run depends only on what `MachineState.fingerprint` holds and
-  on the injected registers, which the injection fixes. Knowledge and pending
-  return types choose the menu (`_injections`, run once per distinct pair)
-  and, with the segment, fix what `_learn` gives. A move that draws carries
-  what it draws: a registration's injection holds its nonce, the first that
-  no registration on the path drew. A next state may sit in several frontier
-  entries, which is safe as an injection never mutates the state it starts
-  from.
-- Each entry caches its canonical renamings. `rename` of its raw (action,
-  reply) under a map `names` reads `names` only at the pair's own nonces, and
-  reads its size only to name one of them afresh, so the key is those names,
-  in order of first occurrence, plus `len(names)` when one is unnamed. A hit
-  reuses the pair id and adds the cached fresh names; with none, the map
-  stays `names` itself.
+  when the state is first seen. A move is a function of its state id,
+  knowledge and pending: `_enter` clears registers and flags and sets pc, so
+  a run depends only on what `MachineState.fingerprint` holds and on the
+  injected registers, which the injection fixes. Knowledge and pending return
+  types choose the menu (`_injections`, run once per distinct pair) and, with
+  the segment, fix what `_learn` gives. A move that draws carries what it
+  draws: a registration's injection holds its nonce, the first that no
+  registration on the path drew. One state may sit under several nodes, which
+  is safe as an injection never mutates the state it starts from.
+- The entry memo maps (state id, knowledge, pending) to those moves' raw
+  segments (`_Entry`), with what the environment knows and owes after each.
+- Names ids. A trace is renamed canonically along its path (`actions.rename`),
+  and the map its renaming used is the names id of its node. Each entry caches
+  its renamings. `rename` of its raw (action, reply) under a map `names` reads
+  `names` only at the pair's own nonces, and reads its size only to name one
+  of them afresh, so the key is those names, in order of first occurrence,
+  plus `len(names)` when one is unnamed. A hit gives the pair id and the fresh
+  names it adds. A child's map is interned by (parent names id, fresh names),
+  so no map is hashed, and a child that names nothing new keeps its parent's
+  id.
 
-Ids and caches are assigned in traversal order, so an exploration does not
-depend on hash order, and nor do the trace ids it adds to its table.
+Labels and traces are hash-consed (Filliâtre & Conchon, "Type-Safe Modular
+Hash-Consing", 2006) in a `TraceTable` that the two graphs of one
+`trace_equiv` share: a renamed pair gets its pair id when a canonical cache
+builds it, and a trace is the node (parent trace id, pair id), 0 being the
+empty trace. Only a walk over paths (`trace_ids`) extends traces.
+
+Ids and caches are assigned in traversal order, so a walk does not depend on
+hash order, and nor do the ids it adds to its table.
 
 A run that reaches a spin, the compiled form of a proven loop, ends there with
 `FuelExceeded` and `forwarded` as stepping to the end of the segment fuel
@@ -376,10 +363,6 @@ class TraceTable:
             self.nodes.append(node)
         return ext
 
-    def last(self, tid: int) -> tuple:
-        """The renamed (action, reply) pair that ends the non-empty trace `tid`."""
-        return self.pairs[self.nodes[tid][1]]
-
     def traces(self, tids) -> dict:
         """The trace behind each id of `tids`, by id; each prefix is built once."""
         built = {self.EMPTY: ()}
@@ -407,68 +390,119 @@ class _Entry:
         self.canon = {}  # names of the nonces (and len(names) if one is unnamed) -> (pair id, fresh names)
 
     def renamed(self, names: dict):
-        """The pair id of `rename((action, reply), names)` and the map that
-        covers it; each distinct key is renamed and interned once."""
+        """The pair id of `rename((action, reply), names)` and the names that
+        renaming adds to `names`, as a tuple of (nonce, name); each distinct
+        key is renamed and interned once."""
         key = tuple(map(names.get, self.nonces))
         if None in key:
             key += (len(names),)
         hit = self.canon.get(key)
         if hit is None:
             actions, n2 = rename((self.seg.action, self.seg.reply), names)
-            pid = self.table.pair_id(actions)
-            self.canon[key] = pid, {n: n2[n] for n in self.nonces if n not in names}
-            return pid, n2
-        pid, fresh = hit
-        return pid, ({**names, **fresh} if fresh else names)
+            hit = self.canon[key] = self.table.pair_id(actions), tuple((n, n2[n]) for n in self.nonces if n not in names)
+        return hit
 
 
-def explore(image, depth: int, domain: AdversaryDomain | None, seed: int, table: TraceTable):
-    """Breadth-first exploration over the adversary menu, canonicalized, by
-    levels: yields, for each level d from 0 to `depth`, the set of ids in
-    `table` of the traces of d moves. Each distinct node is expanded once,
-    running each of its moves once."""
-    domain = domain or AdversaryDomain()
-    tracer = ComponentTracer(image, seed)
-    sids, menus, nodes = {}, {}, {}
+def _number(ids: dict, key, items: list, item) -> int:
+    """The number of `key` in `ids`; a new key gets the next number, and
+    `item` is appended to `items` as its value."""
+    n = ids.setdefault(key, len(items))
+    if n == len(items):
+        items.append(item)
+    return n
 
-    def sid_of(state):
-        return None if state is None else sids.setdefault(state.fingerprint(), len(sids))
 
-    def expand(state, sid, knowledge, pending):
-        """The node's moves in menu order: each entry, and what the
-        environment knows and owes after it."""
-        moves = nodes.get((sid, knowledge, pending))
-        if moves is None:
-            menu = menus.get((knowledge, pending))
+class Graph:
+    """One image's state graph under `domain`, built as it is walked. A node
+    is the key (state id, knowledge, pending, names id); states, names maps
+    and nodes are numbered by first reach, the root being node 0. A node's
+    moves are computed once, on first demand."""
+
+    ROOT = 0
+
+    def __init__(self, image, domain: AdversaryDomain | None, seed: int, table: TraceTable):
+        self.tracer = tracer = ComponentTracer(image, seed)
+        self.domain, self.table = domain or AdversaryDomain(), table
+        self.sids, self.states = {}, []  # fingerprint -> state id -> a state with that fingerprint
+        self.menus, self.entries = {}, {}  # (knowledge, pending) -> menu; (state id, knowledge, pending) -> entries
+        self.names_ids, self.names = {}, [rename((), {}, tracer.seed_masks)[1]]  # (names id, fresh names) -> names id -> map
+        self.node_ids, self.keys, self.edges = {}, [], {}  # key -> node -> key; node -> moves
+        self.succ = {}  # sorted tuple of nodes -> its determinised moves
+        root = (self._sid(tracer.booted), tracer.initial_knowledge(), (), 0)
+        _number(self.node_ids, root, self.keys, root)
+
+    def _sid(self, state):
+        return None if state is None else _number(self.sids, state.fingerprint(), self.states, state)
+
+    def _expand(self, sid, knowledge, pending) -> list:
+        """The state's moves under the menu of (knowledge, pending): each
+        entry, with what the environment knows and owes after it."""
+        entries = self.entries.get((sid, knowledge, pending))
+        if entries is None:
+            menu = self.menus.get((knowledge, pending))
             if menu is None:
-                menu = menus[knowledge, pending] = _injections(tracer, knowledge, pending, domain)
-            moves = nodes[sid, knowledge, pending] = []
+                menu = self.menus[knowledge, pending] = _injections(self.tracer, knowledge, pending, self.domain)
+            state, entries = self.states[sid], []
             for inj in menu:
-                seg = _segment(tracer, state, inj)
-                moves.append((_Entry(seg, sid_of(seg.state), table), *_learn(tracer, inj, seg, knowledge, pending)))
-        return moves
+                seg = _segment(self.tracer, state, inj)
+                entries.append((_Entry(seg, self._sid(seg.state), self.table), *_learn(self.tracer, inj, seg, knowledge, pending)))
+            self.entries[sid, knowledge, pending] = entries
+        return entries
 
-    extend = table.extend
-    boot = tracer.booted
-    seeded = rename((), {}, tracer.seed_masks)[1]
-    frontier = [(boot, sid_of(boot), TraceTable.EMPTY, seeded, tracer.initial_knowledge(), ())]
-    yield {TraceTable.EMPTY}
-    for _ in range(depth):
-        nxt, level = [], set()
-        for state, sid, tid, names, knowledge, pending in frontier:
-            for entry, k2, p2 in expand(state, sid, knowledge, pending):
-                pid, n2 = entry.renamed(names)
-                t2 = extend(tid, pid)
-                level.add(t2)
-                if entry.sid is not None:
-                    nxt.append((entry.seg.state, entry.sid, t2, n2, k2, p2))
-        frontier = nxt
-        yield level
+    def moves(self, n: int) -> list:
+        """Node `n`'s moves in menu order: (pair id, next node or None)."""
+        out = self.edges.get(n)
+        if out is None:
+            sid, knowledge, pending, nid = self.keys[n]
+            names, out = self.names[nid], []
+            for entry, k2, p2 in self._expand(sid, knowledge, pending):
+                pid, fresh = entry.renamed(names)
+                if entry.sid is None:
+                    out.append((pid, None))
+                    continue
+                if fresh:
+                    nid2 = self.names_ids.get((nid, fresh))
+                    if nid2 is None:
+                        nid2 = self.names_ids[nid, fresh] = len(self.names)
+                        self.names.append({**names, **dict(fresh)})
+                key = (entry.sid, k2, p2, nid2 if fresh else nid)
+                out.append((pid, _number(self.node_ids, key, self.keys, key)))
+            self.edges[n] = out
+        return out
+
+    def step(self, nodes: tuple) -> dict:
+        """The determinised moves of a sorted tuple of nodes: each pair id
+        one of them offers, in order of first offer, with the sorted tuple of
+        the nodes it leads to, empty when the trace ends there."""
+        out = self.succ.get(nodes)
+        if out is None:
+            targets = {}
+            for n in nodes:
+                for pid, n2 in self.moves(n):
+                    reached = targets.setdefault(pid, set())
+                    if n2 is not None:
+                        reached.add(n2)
+            out = self.succ[nodes] = {pid: tuple(sorted(reached)) for pid, reached in targets.items()}
+        return out
+
+    def trace_ids(self, depth: int) -> set:
+        """The ids in the table of the traces of at most `depth` moves, by one
+        walk over the paths from the root."""
+        extend = self.table.extend
+        ids, frontier = {TraceTable.EMPTY}, [(self.ROOT, TraceTable.EMPTY)]
+        for _ in range(depth):
+            nxt = []
+            for n, tid in frontier:
+                for pid, n2 in self.moves(n):
+                    t2 = extend(tid, pid)
+                    ids.add(t2)
+                    if n2 is not None:
+                        nxt.append((n2, t2))
+            frontier = nxt
+        return ids
 
 
 def enumerate_traces(image, depth: int = DEFAULT_DEPTH, domain: AdversaryDomain | None = None, seed: int = 0) -> set:
-    """The trace set of `explore` to `depth`, as tuples."""
-    table, ids = TraceTable(), set()
-    for level in explore(image, depth, domain, seed, table):
-        ids |= level
-    return set(table.traces(ids).values())
+    """The canonical traces of at most `depth` moves, as tuples."""
+    table = TraceTable()
+    return set(table.traces(Graph(image, domain, seed, table).trace_ids(depth)).values())

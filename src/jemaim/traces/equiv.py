@@ -1,25 +1,42 @@
 """Trace-set equality and the first-divergence split fed to the back-translator.
 
-`trace_equiv` explores both components into one `TraceTable`, where equal
-canonical traces get equal ids, so equality of the trace sets is equality of
-two sets of ints. Only when they differ are the traces materialised as tuples,
-to choose the divergence pair: the least trace only the first set holds, by
+`trace_equiv` decides equality on the product of the two components' state
+graphs (traces/engine.py), as Hopcroft & Karp decide the equivalence of
+automata ("A Linear Algorithm for Testing Equivalence of Finite Automata",
+1971), level by level in the sense of Fernandez & Mounier, "'On the Fly'
+Verification of Behavioural Equivalences and Preorders" (CAV 1991):
+
+- A product state is a pair of sorted tuples of nodes, one per side: the
+  nodes one trace reaches. Its moves are each label (pair id) its nodes
+  offer, with the tuple of nodes that label leads to (`Graph.step`). That is
+  the subset construction done on the fly, so a node that offers one label
+  twice needs no special case (Bonchi & Pous, "Checking NFA Equivalence in
+  Almost Linear Time Using Bisimulation up to Congruence", POPL 2013).
+- Each product state carries the number of traces that reach it. A trace
+  reaches exactly one, and its extensions are its product state's labels, so
+  the traces are 1 + the sum, over levels, of count times labels. When every
+  product state reached has equal label sets on both sides, the sets are
+  equal, and `Equivalent` reports that sum without materialising a trace.
+
+Otherwise the divergence pair is chosen from trace ids: both graphs' paths
+are walked to the level that fixes it into one `TraceTable`, where equal
+traces get equal ids. It is the least trace only the first set holds, by
 `_trace_key` (unticked first, then shorter, then rendered order), and its best
 mate in the second set (`_best_mate`); failing that, the same with the roles
 swapped.
 
-The two explorations run in lock-step, level by level, an on-the-fly check in
-the sense of Fernandez & Mounier, "'On the Fly' Verification of Behavioural
-Equivalences and Preorders" (CAV 1991). After level d, the search stops when
-the first side's new ids hold one the second side's lack that does not end in
-`Tick`, and the pair is chosen from the ids gathered so far. It is the pair
-the whole search to `depth` would choose:
+The walk stops after level d when a product state's first side offers a label
+the second lacks whose reply is not `Tick`. That is the level at which two
+level-by-level searches would first see a trace of d moves that only the
+first set holds and that does not end in `Tick`: such a trace's parent is in
+both sets, since a trace only the first holds that does not end in `Tick`
+stops the walk at its own level, and one that ends in `Tick` has no
+extension. The pair chosen from the traces of at most d moves is the one the
+whole search to `depth` would choose:
 
-- Both sets hold every even-length prefix of their traces, so their traces of
-  length at most 2d are exactly the ids of levels up to d.
 - `_trace_key` ranks every unticked trace first, then by length, so the least
-  trace only the first set holds is an unticked one of length at most 2d,
-  and it is already in hand.
+  trace only the first set holds is an unticked one of at most d moves, and
+  it is already in hand.
 - Take any mate longer than 2d, and let c be its common length with t1, the
   trace chosen; c is at most 2d. Its prefix of length c or c+1, the even
   one, is in the pool too. That prefix has the same common length and is
@@ -27,9 +44,8 @@ the whole search to `depth` would choose:
   every mate with `_best_mate`'s top key is already in hand.
 
 A difference that only ticks, or that only the second side shows, does not
-stop the search, as a later level may add a trace that ranks first; nor does
-a pair of equal sets, which is `Equivalent` only once both explorations reach
-`depth`.
+stop the walk, as a later level may add a trace that ranks first; the pair is
+then chosen at `depth`.
 """
 from __future__ import annotations
 
@@ -74,22 +90,32 @@ class Equivalent:
 
 
 def trace_equiv(img1, img2, depth: int = DEFAULT_DEPTH, domain: AdversaryDomain | None = None, seed: int = 0):
-    """Set equality of canonical bounded trace sets; a witness pair otherwise.
-    The two explorations run level by level in lock-step, and stop at the
-    first level that fixes the witness pair."""
+    """Set equality of canonical bounded trace sets, decided on the product of
+    the two state graphs; a witness pair otherwise, chosen once a level fixes it."""
     if not same_interface(img1, img2):
         raise InterfaceMismatch("components expose different method or object bindings")
     table = engine.TraceTable()
-    ids1, ids2 = set(), set()
-    levels = zip(engine.explore(img1, depth, domain, seed, table), engine.explore(img2, depth, domain, seed, table))
-    for new1, new2 in levels:
-        ids1 |= new1
-        ids2 |= new2
-        if any(not isinstance(table.last(t)[1], Tick) for t in new1 - new2):
-            return _divergence(table, ids1, ids2)
-    if ids1 == ids2:
-        return Equivalent(len(ids1))
-    return _divergence(table, ids1, ids2)
+    g1, g2 = (engine.Graph(img, domain, seed, table) for img in (img1, img2))
+    root = (engine.Graph.ROOT,)
+    level, count, differs = {(root, root): 1}, 1, False
+    for d in range(1, depth + 1):
+        nxt = {}
+        for (s1, s2), mult in level.items():
+            m1, m2 = g1.step(s1), g2.step(s2)
+            if m1.keys() != m2.keys():
+                differs = True
+                if any(not isinstance(table.pairs[pid][1], Tick) for pid in m1.keys() - m2.keys()):
+                    return _divergence(table, g1.trace_ids(d), g2.trace_ids(d))
+            count += mult * len(m1)
+            if d < depth:
+                for pid, n1 in m1.items():
+                    n2 = m2.get(pid)
+                    if n1 and n2:
+                        nxt[n1, n2] = nxt.get((n1, n2), 0) + mult
+        level = nxt
+    if differs:
+        return _divergence(table, g1.trace_ids(depth), g2.trace_ids(depth))
+    return Equivalent(count)
 
 
 def _divergence(table, ids1, ids2) -> Inequivalent:

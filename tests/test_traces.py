@@ -30,13 +30,13 @@ from jemaim.traces.engine import (
     RESUME_PAD,
     AdversaryDomain,
     ComponentTracer,
+    Graph,
     TraceTable,
     _apply,
     _Entry,
     _injections,
     _segment,
     enumerate_traces,
-    explore,
 )
 from jemaim.traces.equiv import (
     Equivalent,
@@ -278,10 +278,26 @@ REGISTER_DOMAINS = {
 
 @pytest.mark.parametrize("name, domain", list(TRACE_SET_PINS))
 def test_canonical_trace_set_is_pinned(name, domain):
-    adversary = {**PIN_DOMAINS, **REGISTER_DOMAINS}[domain]()
-    traces = enumerate_traces(image_of({**PINNED_SOURCES, **REGISTER_SOURCES}[name]), depth=4, domain=adversary)
+    """The pinned set, and its count as the product walk of trace_equiv
+    counts it against a second compilation of the source."""
+    adversary = {**PIN_DOMAINS, **REGISTER_DOMAINS}[domain]
+    src = {**PINNED_SOURCES, **REGISTER_SOURCES}[name]
+    traces = enumerate_traces(image_of(src), depth=4, domain=adversary())
     text = "\n".join(sorted(render_trace(t) for t in traces))
     assert (len(traces), hashlib.sha256(text.encode()).hexdigest()) == TRACE_SET_PINS[name, domain]
+    assert trace_equiv(image_of(src), image_of(src), depth=4, domain=adversary()) == Equivalent(len(traces))
+
+
+# depth-7 trace counts under the illtyped domain, as enumeration counted them
+# before trace_equiv walked the product of state graphs
+DEEP_COUNTS = {"keeper": 722_648, "gate": 488_276}
+
+
+@pytest.mark.parametrize("name", sorted(DEEP_COUNTS))
+def test_deep_self_equivalence_counts_every_trace(name):
+    img1, img2 = (image_of(COMPONENTS[name]) for _ in range(2))
+    r = trace_equiv(img1, img2, depth=7, domain=PIN_DOMAINS["illtyped"]())
+    assert r == Equivalent(DEEP_COUNTS[name])
 
 
 def raw_traces(image, depth, domain):
@@ -329,7 +345,7 @@ def plain_traces(image, depth, domain):
         for state, trace, names, knowledge, pending in frontier:
             fp = state.fingerprint()
             menus.add((knowledge, pending))
-            for inj in _injections(tracer, knowledge, pending, domain):
+            for inj in engine._injections(tracer, knowledge, pending, domain):
                 injections += 1
                 keys.add((fp, inj))
                 seg, k2, p2 = _apply(tracer, state, inj, knowledge, pending)
@@ -435,9 +451,9 @@ class TestMemoisedEnumeration:
         assert seeded and guess not in longer and set(entry.nonces) - {guess} <= set(seeded)
         first, again, second = entry.renamed(seeded), entry.renamed(seeded), entry.renamed(longer)
         assert first == again
-        assert (table.pairs[first[0]], first[1]) == rename(pair, seeded)
-        assert (table.pairs[second[0]], second[1]) == rename(pair, longer)
-        assert first[1][guess] != second[1][guess]
+        assert (table.pairs[first[0]], {**seeded, **dict(first[1])}) == rename(pair, seeded)
+        assert (table.pairs[second[0]], {**longer, **dict(second[1])}) == rename(pair, longer)
+        assert dict(first[1])[guess] != dict(second[1])[guess]
         assert len(entry.canon) == 2
 
     def test_every_state_field_is_keyed_reset_or_shared(self):
@@ -482,11 +498,11 @@ class TestMemoisedEnumeration:
 @pytest.mark.parametrize("domain", sorted({**PIN_DOMAINS, **REGISTER_DOMAINS}))
 @pytest.mark.parametrize("name", sorted(COMPONENTS))
 def test_shared_table_interns_equal_traces_alike(name, domain):
-    """Two compilations of one component explored into one shared table, as
-    `trace_equiv` explores its two sides."""
+    """The graphs of two compilations of one component walked into one
+    shared table, as `trace_equiv` materialises its two sides."""
     adversary = {**PIN_DOMAINS, **REGISTER_DOMAINS}[domain]
     table = TraceTable()
-    ids1, ids2 = (set().union(*explore(image_of(COMPONENTS[name]), 3, adversary(), 0, table)) for _ in range(2))
+    ids1, ids2 = (Graph(image_of(COMPONENTS[name]), adversary(), 0, table).trace_ids(3) for _ in range(2))
     assert ids1 == ids2
     traces = set(table.traces(ids1).values())
     assert len(traces) == len(ids1)
@@ -596,6 +612,70 @@ def test_an_early_stop_runs_fewer_segments(monkeypatch):
     for img in (img1, img2):
         enumerate_traces(img, depth=3)
     assert stopped < runs[0]
+
+
+def test_equivalence_materialises_no_trace(monkeypatch):
+    """An Equivalent verdict is counted on the product of the graphs: it
+    extends no trace, renames once per graph edge, which is no more than once
+    per segment run, and runs the segments the per-trace search ran (1 110;
+    it made 11 544 extensions and as many renamings)."""
+    calls = Counter()
+
+    def counting(attr, fn):
+        def counted(*args, **kwargs):
+            calls[attr] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for owner, attr in ((ComponentTracer, "_enter"), (TraceTable, "extend"), (_Entry, "renamed")):
+        monkeypatch.setattr(owner, attr, counting(attr, getattr(owner, attr)))
+    img1, img2 = (image_of(COMPONENTS["keeper"]) for _ in range(2))
+    assert trace_equiv(img1, img2, depth=4, domain=PIN_DOMAINS["illtyped"]()) == Equivalent(5773)
+    assert calls["extend"] == 0
+    assert calls["renamed"] <= calls["_enter"] == 1110
+
+
+class Twin(tuple):
+    """A move offered a second time: the same injection, after which the
+    environment knows one more word of the component's class."""
+
+
+def offer_each_move_twice(monkeypatch):
+    """Make every node nondeterministic: each move's twin gives the same
+    label and leads to another node, as it teaches one more typed word."""
+    injections, learn = engine._injections, engine._learn
+
+    def twice(tracer, knowledge, pending, domain):
+        return [m for inj in injections(tracer, knowledge, pending, domain) for m in (inj, Twin(inj))]
+
+    def learn_more(tracer, inj, seg, knowledge, pending):
+        knowledge, pending = learn(tracer, inj, seg, knowledge, pending)
+        if isinstance(inj, Twin):
+            knowledge = knowledge.learn(Nonce("twin", 0), tracer.initial_knowledge().typed[0][1])
+        return knowledge, pending
+
+    monkeypatch.setattr(engine, "_injections", twice)
+    monkeypatch.setattr(engine, "_learn", learn_more)
+
+
+@pytest.mark.parametrize("name", ["cell", "stateful-second-round"])
+def test_nondeterministic_labels_are_determinised(name, monkeypatch):
+    """Under twinned moves, one label leads to several nodes; trace_equiv's
+    count and verdict agree with the memo-free tuple sets."""
+    offer_each_move_twice(monkeypatch)
+    depth = 3
+    sources = INEQUIVALENT_PAIRS[name] if name in INEQUIVALENT_PAIRS else (COMPONENTS[name],) * 2
+    img1, img2 = (image_of(src) for src in sources)
+    graph = Graph(img1, AdversaryDomain(), 0, TraceTable())
+    graph.trace_ids(depth)
+    assert any(len(reached) > 1 for n in list(graph.edges) for reached in graph.step((n,)).values())
+    t1s, t2s = (plain_traces(img, depth, AdversaryDomain())[0] for img in (img1, img2))
+    r = trace_equiv(img1, img2, depth=depth)
+    if name == "cell":
+        assert t1s == t2s and r == Equivalent(len(t1s))
+    else:
+        assert t1s != t2s and (r.t1, r.t2) == _tuple_choice(t1s, t2s)
 
 
 class TestSerialization:
