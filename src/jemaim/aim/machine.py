@@ -39,6 +39,11 @@ The masking tables, the global store G and the global call stack S are
 side-state manipulated only through the privileged opcodes; no other
 instruction can observe them.
 
+A rule reads and writes only the registers its instruction names, with three
+exceptions: `jmp` writes r0 (`R_CALLER`) and `gst_add` reads it, `zero`
+clears every register, and an abort clears every register as it ends the
+run. The trace engine's call prefixes rest on this (traces/engine.py).
+
 A suspended state, one that the trace engine holds between two injections, is
 never mutated: every injection runs on a clone. So one suspended state may sit
 in several places of a search at once, and `fingerprint` stands for it.

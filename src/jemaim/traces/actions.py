@@ -139,23 +139,6 @@ def rename(actions, names: dict, seed_masks=()) -> tuple[Trace, dict]:
     return tuple(out), new
 
 
-def _words(a) -> tuple:
-    """An action's words, in the order `rename` visits them."""
-    if isinstance(a, (CallIn, CallOut)):
-        return (*a.addr, *a.regs)
-    if isinstance(a, ReturnIn):
-        return (*a.addr, a.value, a.caller)
-    if isinstance(a, ReturnOut):
-        return (*a.addr, a.value, a.mid)
-    return ()
-
-
-def nonces(actions) -> tuple:
-    """The distinct nonces of `actions` by first occurrence: the only words
-    whose names `rename` looks up in its map."""
-    return tuple(dict.fromkeys(w for a in actions for w in _words(a) if isinstance(w, Nonce)))
-
-
 def canonicalize(trace, seed_masks=()) -> Trace:
     """Rename nonces to N<k> strings in order: `seed_masks` first, then by
     first occurrence in the trace."""

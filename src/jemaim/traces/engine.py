@@ -9,8 +9,9 @@ observable: an exit through one of sys's boundary jumps (Callback!/Return!),
 a termination tick, or the segment fuel pseudo-action. Enumeration never
 pokes: entry points admit only jumps that sys forwards, so a poke only ticks.
 
-Every injection takes the one path through `ComponentTracer._enter`: clone the
-state, clear registers and flags, load the injected registers, set pc and run.
+Every injection starts on the one path through `ComponentTracer._enter`: clone
+the state, clear registers and flags, load the injected registers, set pc and
+run.
 The booted state keeps its protected code in a map that all its clones share
 (`MachineState.share_code`), so a clone copies only data and unprotected
 words. The run looks at pc only when it is in the tracer's stop set: sys's
@@ -20,6 +21,23 @@ sys's table of them (`SYS_EXIT_MARKS`). The id a Return! names is read
 off r0 whenever pc reaches forwardReturn: the machine's `jmp` stamps r0 with
 the id of the module that jumped there, and a returnback injection sets r0 to
 the id it claims.
+
+Call prefixes. Every call into one entry point from one state runs sys's
+forwardCall, the entry trampoline and the r0/r5 entry checks before it reads
+its receiver or an argument, so that part, the call prefix (`CallPrefix`),
+runs once for all of them: an `_enter` with only r3, r4 and r5 set, paused
+before the first instruction that is `zero` or names an argument register
+(r6 to r6 + MAX_PARAMS, `_pauses`), and before a boundary exit, whose reply
+reads them. Each call then loads r6 and up into a copy of the paused state
+(the last call takes the state itself) and runs on with the fuel left and
+`forwarded` and the returner carried over. This is sound as a rule reads and
+writes only the registers its instruction names, but that `jmp` writes r0,
+`gst_add` reads r0, `zero` clears every register and an abort clears every
+register and ends the run (aim/machine.py). So up to the pause a run with r6
+and up loaded takes the same steps and leaves those registers as loaded, and
+a prefix that ends before it pauses ends every call alike. `Graph._expand`
+gives the calls of one entry point in its menu one prefix; a call made
+alone, as `random_trace` makes them, has a prefix of its own.
 
 Traces are the paths of a state graph (`Graph`), as explicit-state model
 checkers hash the states they visit (Holzmann, "The Model Checker SPIN",
@@ -41,21 +59,20 @@ for a divergence (traces/equiv.py).
   registration on the path drew. One state may sit under several nodes, which
   is safe as an injection never mutates the state it starts from.
 - The entry memo maps (state id, knowledge, pending) to those moves' raw
-  segments (`_Entry`), with what the environment knows and owes after each.
+  segments, each with the id of its next state and what the environment
+  knows and owes after it.
 - Names ids. A trace is renamed canonically along its path (`actions.rename`),
-  and the map its renaming used is the names id of its node. Each entry caches
-  its renamings. `rename` of its raw (action, reply) under a map `names` reads
-  `names` only at the pair's own nonces, and reads its size only to name one
-  of them afresh, so the key is those names, in order of first occurrence,
-  plus `len(names)` when one is unnamed. A hit gives the pair id and the fresh
-  names it adds. A child's map is interned by (parent names id, fresh names),
-  so no map is hashed, and a child that names nothing new keeps its parent's
-  id.
+  and the map its renaming used is the names id of its node. Each edge of the
+  graph renames its raw (action, reply) once, under its node's map, which
+  `rename` gives back as it is when it names nothing new, else copied with
+  the fresh names appended. A child's map is interned by (parent names id,
+  fresh names), so no map is hashed, and a child that names nothing new keeps
+  its parent's id.
 
 Labels and traces are hash-consed (Filliâtre & Conchon, "Type-Safe Modular
 Hash-Consing", 2006) in a `TraceTable` that the two graphs of one
-`trace_equiv` share: a renamed pair gets its pair id when a canonical cache
-builds it, and a trace is the node (parent trace id, pair id), 0 being the
+`trace_equiv` share: a renamed pair gets its pair id when an edge first
+renames it, and a trace is the node (parent trace id, pair id), 0 being the
 empty trace. Only a walk over paths (`trace_ids`) extends traces.
 
 Ids and caches are assigned in traversal order, so a walk does not depend on
@@ -74,18 +91,25 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 
+from ..aim.isa import OPTABLE
 from ..aim.words import FORWARDCALL_EP, FORWARDRETURN_EP, REGISTEROBJ_EP, SYS_ID, TESTOBJ_EP, Address, Nonce, Symbol
+from ..compiler.comp import MAX_PARAMS
 from ..compiler.pipeline import boot_state
 from ..compiler.sysmod import SYS_EXIT_MARKS
 from ..compiler.encoding import V_FALSE, V_NULL, V_TRUE, V_UNIT, class_name_of_encoding, encode_class
-from .actions import CallIn, CallOut, FuelExceeded, ReturnIn, ReturnOut, Tick, canonicalize, nonces, rename
+from .actions import CallIn, CallOut, FuelExceeded, ReturnIn, ReturnOut, Tick, canonicalize, rename
 
 RESUME_PAD = 40
 DEFAULT_DEPTH = 4
 DEFAULT_SEGMENT_FUEL = 100_000
+# what a call injection loads: the receiver in r6, the arguments from r7
+ARG_REGS = frozenset(range(6, 7 + MAX_PARAMS))
+# opcode name -> how many of its first operands hold every register it names
+REG_SPAN = {name: kinds.rfind("r") + 1 for name, (_, kinds) in OPTABLE.items()}
 
 
 @dataclass
@@ -151,13 +175,26 @@ class ComponentTracer:
 
     # -- injections -----------------------------------------------------------
 
-    def call_method(self, state, ep: Address, recv, args) -> Segment:
-        regs = {3: ep.mid, 4: ep.off, 5: RESUME_PAD, 6: recv, **dict(enumerate(args, 7))}
-        forwarded, reply, nxt = self._enter(state, Address(SYS_ID, FORWARDCALL_EP), regs, watch_forward=ep)
+    def call_method(self, state, ep: Address, recv, args, prefix: CallPrefix | None = None) -> Segment:
+        """Call `ep` on `recv` with `args` from `state`: `prefix`, a prefix of
+        `state` and `ep` (a new one when None), run on from its pause with r6
+        and up loaded."""
+        prefix = prefix or CallPrefix()
+        regs = {3: ep.mid, 4: ep.off, 5: RESUME_PAD}
+        if prefix.run is None:
+            prefix.run = self._enter(state, Address(SYS_ID, FORWARDCALL_EP), regs, ep, pause=True)
+        forwarded, reply, nxt = prefix.run
+        prefix.calls -= 1
+        if reply is None:
+            st, fuel, returner = nxt
+            st = st.clone() if prefix.calls else st
+            for i, w in enumerate((recv, *args), 6):
+                st.set_reg(i, w)
+            forwarded, reply, nxt = self._run(st, ep, fuel, forwarded, returner)
         if forwarded:
             action = CallIn((ep.mid, ep.off), (SYS_ID, 0, 0, 0, 0, FORWARDRETURN_EP, recv, *args))
         else:
-            action = CallIn((SYS_ID, FORWARDCALL_EP), _vector(regs))
+            action = CallIn((SYS_ID, FORWARDCALL_EP), _vector({**regs, 6: recv, **dict(enumerate(args, 7))}))
         return Segment(action, reply, nxt)
 
     def call_sysproc(self, state, off: int, w7, w8) -> Segment:
@@ -176,21 +213,24 @@ class ComponentTracer:
 
     # -- the deterministic component run ---------------------------------------
 
-    def _enter(self, state, pc: Address, regs: dict, watch_forward=None):
-        """Run a clone of `state` from `pc` with only `regs` set: (forwarded, reply, next state)."""
+    def _enter(self, state, pc: Address, regs: dict, watch_forward=None, pause=False):
+        """Run a clone of `state` from `pc` with only `regs` set, as `_run` runs it."""
         st = state.clone()
         st.regs = {}
         st.reset_flags()
         for i, w in regs.items():
             st.set_reg(i, w)
         st.pc = pc
-        return self._run(st, watch_forward)
+        return self._run(st, watch_forward, self.segment_fuel, pause=pause)
 
-    def _run(self, st, watch_forward):
-        forwarded = False
-        returner = None
+    def _run(self, st, watch_forward, fuel: int, forwarded=False, returner=None, pause=False):
+        """Step `st` for at most `fuel` steps to its next observable:
+        (forwarded, reply, next state). With `pause` it stops where
+        `_pauses` says and before a boundary exit; the reply is then None and
+        the next state (st, fuel left, returner), which a run without `pause`
+        takes on."""
         marks, stops, step = self.marks, self.stops, st.step
-        for _ in range(self.segment_fuel):
+        for n in range(fuel):
             pc = st.pc
             if pc in stops:
                 if pc.mid != SYS_ID:
@@ -201,6 +241,8 @@ class ComponentTracer:
                     kind, rd, ri = marks[pc.off]
                     t_off, t_mid = st.reg(rd), st.reg(ri)
                     if t_mid == 0 or isinstance(t_mid, Symbol) or isinstance(t_off, Symbol):
+                        if pause:
+                            return forwarded, None, (st, fuel - n, returner)
                         if kind == "fwcall":
                             sig = self.rm_by_syms.get((t_mid, t_off))
                             k = len(sig.params) if sig else 0
@@ -208,6 +250,8 @@ class ComponentTracer:
                             return forwarded, CallOut((t_mid, t_off), regs), st
                         ident = returner if kind == "fwret" else SYS_ID
                         return forwarded, ReturnOut((t_mid, t_off), st.reg(6), ident), st
+            if pause and _pauses(st):
+                return forwarded, None, (st, fuel - n, returner)
             status, _reason = step()
             if status != "ok":
                 if status == "spin":
@@ -215,6 +259,25 @@ class ComponentTracer:
                 return forwarded, Tick(), None
         # fuel ran out, perhaps on the very step that reached the watched entry
         return forwarded or st.pc == watch_forward, FuelExceeded(), None
+
+
+def _pauses(st) -> bool:
+    """Whether a call prefix pauses before the instruction at pc: it is
+    `zero` or names an argument register. An undecodable one ends every run
+    alike."""
+    e = st._icache.get(st.pc) or st._decode()
+    return e is not None and (e[1] == "zero" or not ARG_REGS.isdisjoint(e[4 : 4 + REG_SPAN[e[1]]]))
+
+
+class CallPrefix:
+    """The run that the next `calls` calls into one entry point from one
+    state share, up to its pause: run by the first of them, taken by the
+    last, copied by the others."""
+
+    __slots__ = ("calls", "run")
+
+    def __init__(self, calls: int = 1):
+        self.calls, self.run = calls, None
 
 
 @dataclass
@@ -295,13 +358,14 @@ def _injections(tracer: ComponentTracer, knowledge: Knowledge, pending: tuple, d
     return out
 
 
-def _segment(tracer, state, inj) -> Segment:
-    """Run one ?-move from `state`. The segment is a function of the state's
+def _segment(tracer, state, inj, prefixes=None) -> Segment:
+    """Run one ?-move from `state`, a call from its entry point's prefix in
+    `prefixes` if given. The segment is a function of the state's
     fingerprint and `inj`."""
     kind = inj[0]
     if kind == "call":
         _, addr, recv, args = inj
-        return tracer.call_method(state, addr, recv, args)
+        return tracer.call_method(state, addr, recv, args, prefixes and prefixes[addr])
     if kind == "returnback":
         _, v, ident = inj
         return tracer.returnback(state, v, ident)
@@ -377,32 +441,6 @@ class TraceTable:
         return {tid: built[tid] for tid in tids}
 
 
-class _Entry:
-    """A segment run from one state id: the raw segment, the id of its next
-    state (None when the trace ended), and its canonical renamings as pair
-    ids of `table`."""
-
-    __slots__ = ("seg", "sid", "table", "nonces", "canon")
-
-    def __init__(self, seg: Segment, sid, table: TraceTable):
-        self.seg, self.sid, self.table = seg, sid, table
-        self.nonces = nonces((seg.action, seg.reply))
-        self.canon = {}  # names of the nonces (and len(names) if one is unnamed) -> (pair id, fresh names)
-
-    def renamed(self, names: dict):
-        """The pair id of `rename((action, reply), names)` and the names that
-        renaming adds to `names`, as a tuple of (nonce, name); each distinct
-        key is renamed and interned once."""
-        key = tuple(map(names.get, self.nonces))
-        if None in key:
-            key += (len(names),)
-        hit = self.canon.get(key)
-        if hit is None:
-            actions, n2 = rename((self.seg.action, self.seg.reply), names)
-            hit = self.canon[key] = self.table.pair_id(actions), tuple((n, n2[n]) for n in self.nonces if n not in names)
-        return hit
-
-
 def _number(ids: dict, key, items: list, item) -> int:
     """The number of `key` in `ids`; a new key gets the next number, and
     `item` is appended to `items` as its value."""
@@ -436,16 +474,19 @@ class Graph:
 
     def _expand(self, sid, knowledge, pending) -> list:
         """The state's moves under the menu of (knowledge, pending): each
-        entry, with what the environment knows and owes after it."""
+        segment, with the id of its next state and what the environment
+        knows and owes after it. The calls of one entry point share a prefix."""
         entries = self.entries.get((sid, knowledge, pending))
         if entries is None:
             menu = self.menus.get((knowledge, pending))
             if menu is None:
                 menu = self.menus[knowledge, pending] = _injections(self.tracer, knowledge, pending, self.domain)
             state, entries = self.states[sid], []
+            calls = Counter(inj[1] for inj in menu if inj[0] == "call")
+            prefixes = {ep: CallPrefix(n) for ep, n in calls.items()}
             for inj in menu:
-                seg = _segment(self.tracer, state, inj)
-                entries.append((_Entry(seg, self._sid(seg.state), self.table), *_learn(self.tracer, inj, seg, knowledge, pending)))
+                seg = _segment(self.tracer, state, inj, prefixes)
+                entries.append((seg, self._sid(seg.state), *_learn(self.tracer, inj, seg, knowledge, pending)))
             self.entries[sid, knowledge, pending] = entries
         return entries
 
@@ -455,17 +496,20 @@ class Graph:
         if out is None:
             sid, knowledge, pending, nid = self.keys[n]
             names, out = self.names[nid], []
-            for entry, k2, p2 in self._expand(sid, knowledge, pending):
-                pid, fresh = entry.renamed(names)
-                if entry.sid is None:
+            for seg, sid2, k2, p2 in self._expand(sid, knowledge, pending):
+                actions, names2 = rename((seg.action, seg.reply), names)
+                pid = self.table.pair_id(actions)
+                if sid2 is None:
                     out.append((pid, None))
                     continue
-                if fresh:
+                nid2 = nid
+                if names2 is not names:  # a copy with the fresh names appended
+                    fresh = tuple(itertools.islice(names2.items(), len(names), None))
                     nid2 = self.names_ids.get((nid, fresh))
                     if nid2 is None:
                         nid2 = self.names_ids[nid, fresh] = len(self.names)
-                        self.names.append({**names, **dict(fresh)})
-                key = (entry.sid, k2, p2, nid2 if fresh else nid)
+                        self.names.append(names2)
+                key = (sid2, k2, p2, nid2)
                 out.append((pid, _number(self.node_ids, key, self.keys, key)))
             self.edges[n] = out
         return out

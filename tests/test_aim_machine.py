@@ -1,4 +1,5 @@
 """The aim VM: decoding, PMA access predicates, stepping, determinism."""
+import itertools
 import random
 
 import pytest
@@ -350,6 +351,77 @@ class TestMachineAgreesWithPredicates:
             expected = "ok" if allowed(GRID_DESCS, pc, Address(mid, off)) else "violation"
             assert st.step()[0] == expected, (op, source, (mid, off))
             assert (pc in st._icache) == (source == "own code")
+
+
+# r0-r20, each holding a word that no rule computes
+SENTINELS = {i: Nonce("sentinel", i) for i in range(21)}
+# module 2's data holds an object of class c at offset 100, masked as MASK
+MASK = Nonce("mask", 0)
+# words for a named register: none, module ids, an entry point, the object,
+# its class, its mask, an unknown nonce and a symbol
+OPERAND_WORDS = [0, 2, 3, 16, 100, encode_class("c"), MASK, Nonce("x", 0), Symbol("s")]
+
+
+def register_probe(name, regs_named, loaded):
+    """Every instance of opcode `name` whose register operands are
+    `regs_named`, in turn, with its other operands drawn from a few words,
+    each as a state at (2,20) in module 2's code with the registers of
+    `loaded` set, and every combination of OPERAND_WORDS in the registers
+    it names: (state, named registers)."""
+    kinds = OPTABLE[name][1]
+    regs = iter(regs_named)
+    choices = [[next(regs)] if k == "r" else [ZF, SF] if k == "f" else [0, 42] for k in kinds]
+    for operands in itertools.product(*choices):
+        named = sorted({o for o, k in zip(operands, kinds) if k == "r"})
+        for words in itertools.product(OPERAND_WORDS, repeat=len(named)):
+            st = machine(encode(ins(name, *operands)), descs=GRID_DESCS, pc=(2, 20))
+            st.mem[Address(2, 100)] = encode_class("c")
+            st.table(2).add(100, MASK)
+            st.gstore[MASK] = (encode_class("c"), 2)
+            st.callstack.append((1, 2, 3))
+            for i, w in {**loaded, **dict(zip(named, words))}.items():
+                st.set_reg(i, w)
+            yield st, named
+
+
+class TestRulesTouchOnlyTheRegistersTheyName:
+    """A rule reads and writes only the registers its instruction names, but
+    for three exceptions: `jmp` writes r0 and `gst_add` reads it, `zero`
+    clears every register, and an abort clears every register and ends the
+    run. The trace engine's call prefixes rest on this (traces/engine.py).
+    Every opcode of OPTABLE is probed, so a new one is covered too."""
+
+    @pytest.mark.parametrize("name", sorted(OPTABLE))
+    def test_writes(self, name):
+        """Naming r6, r7 and r8 among sentinels in r0-r20, a rule leaves
+        every other sentinel as it was, but r0 after a `jmp`."""
+        for st, named in register_probe(name, (6, 7, 8), SENTINELS):
+            status, reason = st.step()
+            if name == "zero" or status == "halted" and reason.startswith("abort:"):
+                assert st.regs == {}
+                continue
+            kept = {i: w for i, w in SENTINELS.items() if i not in named and (i, name) != (0, "jmp")}
+            assert {i: st.reg(i) for i in kept} == kept, (name, named)
+            assert set(st.regs) <= set(SENTINELS)
+
+    @pytest.mark.parametrize("name", sorted(OPTABLE))
+    def test_reads(self, name):
+        """Naming r21 and up, a rule behaves alike with r0-r20 holding
+        sentinels and with them unset (r0 is set in both for `gst_add`), and
+        leaves the sentinels as the first test says."""
+        probed = {i: w for i, w in SENTINELS.items() if (i, name) != (0, "gst_add")}
+        unprobed = {i: w for i, w in SENTINELS.items() if i not in probed}
+        pairs = zip(register_probe(name, (21, 22, 23), SENTINELS), register_probe(name, (21, 22, 23), unprobed))
+        for (st, named), (bare, _) in pairs:
+            outcome, bare_outcome = st.step(), bare.step()
+
+            def seen(s, outcome):
+                masks = {mid: t.fwd for mid, t in s.masks.items()}
+                return outcome, s.pc, s.flags, s.mem, s.gstore, masks, s.callstack, s.oracle.cursor, s._last_op
+
+            assert seen(st, outcome) == seen(bare, bare_outcome), (name, named)
+            cleared = name == "zero" or outcome[0] == "halted" and outcome[1].startswith("abort:")
+            assert st.regs == ({} if cleared else {**probed, **bare.regs}), (name, named)
 
 
 class TestDecodeCache:

@@ -9,8 +9,9 @@ import pytest
 
 from jemaim.aim.isa import ZF
 from jemaim.aim.machine import MachineState
-from jemaim.aim.words import FORWARDCALL_EP, SYS_ID, Address, Nonce
+from jemaim.aim.words import FORWARDCALL_EP, FORWARDRETURN_EP, SYS_ID, Address, Nonce
 from jemaim.compiler.pipeline import compaim
+from jemaim.compiler.sysmod import SYS_WORDS
 from jemaim.jem.parser import parse_component
 from jemaim.traces import engine
 from jemaim.traces.actions import (
@@ -29,13 +30,12 @@ from jemaim.traces.actions import (
 from jemaim.traces.engine import (
     RESUME_PAD,
     AdversaryDomain,
+    CallPrefix,
     ComponentTracer,
     Graph,
     TraceTable,
     _apply,
-    _Entry,
     _injections,
-    _segment,
     enumerate_traces,
 )
 from jemaim.traces.equiv import (
@@ -300,6 +300,89 @@ def test_deep_self_equivalence_counts_every_trace(name):
     assert r == Equivalent(DEEP_COUNTS[name])
 
 
+# sha256 of each TRACE_SET_PINS graph walked to depth 4 (graph_numbering):
+# its table's pairs, its names maps and its node keys, each list in id order,
+# and its nodes' moves by node; taken when each segment kept a cache of its
+# renamings
+GRAPH_NUMBERING_PINS = {
+    ("const", "default"): "01b721cd820c4959c722b130877860284c029027e96973279fb8a8f49371b425",
+    ("const", "illtyped"): "d19f6ed1353d2dc077f4f007d027c3311caded1decc0ffc2ed94872687061178",
+    ("double", "default"): "797c138a50d739c343d7eddb9c56bad26c8a7729a0a177e711dbc1cf4d1b957f",
+    ("double", "illtyped"): "dcf8936ea96d2547382756b8fbbbf05d17cfd60a2dbd21edfd2ca661f2a44854",
+    ("cell", "default"): "759679c24fce38280fbb7e9963b433e0c5b36dc301ed69dcb756eed4e832c9b9",
+    ("cell", "illtyped"): "3715e61728c01b717b5a037e0e67a382470994a37ae393d52f440e93997c8b1c",
+    ("keeper", "default"): "120170b47ac143474167ad93858b7401dd7e421f105f12e8072e3e2af5d1c9b0",
+    ("keeper", "illtyped"): "a9eb3decbb0a77a5d26266e6ff73d9a2fe15a5d2e080d8af02fd0fe733466fab",
+    ("gate", "default"): "28ccdb80827e230b434b674c7bd58a8bc607456b46a682562e61d1eb0c958a21",
+    ("gate", "illtyped"): "1233d090c9e8454de6b03116b17e0805bbe4b5a56b97fb2726dc950f99308822",
+    ("bool-return.0", "default"): "3b291b1235b8d0e82e83bcc39f0fae9f13073b9645496eaedd11e0dee51c5449",
+    ("bool-return.0", "illtyped"): "7cf0e67f02324c38e9e3159d84fbcc539364f092cb29b64e5e2df8921f72c6ba",
+    ("bool-return.1", "default"): "ba77ae92d80c37aeed0535b8d32d7ce7cb255f24e9760be8cb44730b5baf1199",
+    ("bool-return.1", "illtyped"): "cec28c5e59b26fc8484cb76a005c5db732cd3c1a9c53535ae7b61687ee7464fb",
+    ("callback-param.0", "default"): "6158011bf7c575e0682de3a08e3607cc86fd59921d7fee0cc9329faf621ee99a",
+    ("callback-param.0", "illtyped"): "52b260d195ca6608494e8682da0690605b2083b98a807ce87d82ebaade0478b0",
+    ("callback-param.1", "default"): "891fe0c1eb69692bd9f58188e19c3078f6b333d9ccb097682b90a2b33174fdec",
+    ("callback-param.1", "illtyped"): "0cbaf209016a9b97e4d14705a3e9ca830d627adc25be4125c6b6928572f3dde9",
+    ("callback-target.0", "default"): "1cf0be617405db854a843ad33bde6af602a82ec08600c5fc918f7076dac15129",
+    ("callback-target.0", "illtyped"): "6b869fa738fb6fc2d80d5674fb249db4b4b77a85482306c80e5d7a74c197f299",
+    ("callback-target.1", "default"): "3e5e64738eb10635b8d4ca451a8db6972701a008da115a22bd26d4d9b94f104c",
+    ("callback-target.1", "illtyped"): "13895c7c9509fdd3af890500a0dc4f40f05d1295e06981fddd1bc9a6c53d7306",
+    ("callback-vs-return.0", "default"): "1cf0be617405db854a843ad33bde6af602a82ec08600c5fc918f7076dac15129",
+    ("callback-vs-return.0", "illtyped"): "6b869fa738fb6fc2d80d5674fb249db4b4b77a85482306c80e5d7a74c197f299",
+    ("callback-vs-return.1", "default"): "295f79147fb92699034bd84564869e4fb0bae0a1891090ebb3c1ef57aa05daa0",
+    ("callback-vs-return.1", "illtyped"): "f183df6413880d3c8f1d52046d273b5819158043e654ef1f184d8dd6087bdd2b",
+    ("fresh-vs-static-object.0", "default"): "45361f90ea7921b95bad624aba89f262f9f375aee94f3e95e527a3d1c8e11411",
+    ("fresh-vs-static-object.0", "illtyped"): "c6908645447b49832a32f0bbc1cd2a74651a563f7d08efd1a0f8a98e9127bc32",
+    ("fresh-vs-static-object.1", "default"): "91a4e0da67f097b9808ade8c27d4c6c5e34b16bf9f8ede0e661da2a395be5a5a",
+    ("fresh-vs-static-object.1", "illtyped"): "c105f62442634e1dfff2352b477b6d51cbcd004de2bc02f6d6662a6b1aafb74a",
+    ("int-return.0", "default"): "01b721cd820c4959c722b130877860284c029027e96973279fb8a8f49371b425",
+    ("int-return.0", "illtyped"): "d19f6ed1353d2dc077f4f007d027c3311caded1decc0ffc2ed94872687061178",
+    ("int-return.1", "default"): "3b291b1235b8d0e82e83bcc39f0fae9f13073b9645496eaedd11e0dee51c5449",
+    ("int-return.1", "illtyped"): "7cf0e67f02324c38e9e3159d84fbcc539364f092cb29b64e5e2df8921f72c6ba",
+    ("length-divergence.0", "default"): "9a39a67effa791f632acfb3e9256a1c01dde49db69f6d0388e8b557f9a9b754d",
+    ("length-divergence.0", "illtyped"): "1661425447ce6fc45a74a24ed9d863ad854057b2cc3acb5ea224c438ddb3a838",
+    ("length-divergence.1", "default"): "017ca6e13bd537e77796c9adec5fe7fa71ba846f11c03b0ac03968cf8860af47",
+    ("length-divergence.1", "illtyped"): "a44f309a667edc7624aae674273d837e164b2b8f76713094a32819e9d01576f8",
+    ("null-vs-object.0", "default"): "cbd25a1ef9abe3b6b0cc3e3cb9dbf41975190abe1f6071c9d3de24984a3ec96d",
+    ("null-vs-object.0", "illtyped"): "2c72eb46a10033a5c97645c32b20517ab2bdd3e25db7a65382f3d571e1f39d5e",
+    ("null-vs-object.1", "default"): "804ceccb77e0b6d41da9edb7d403c9404a3ebb8bd650bb10f9b4627688002399",
+    ("null-vs-object.1", "illtyped"): "c25590c3da8048d44e54ffb3cc55feb2934e00add1b7e234bd3997ff472d4092",
+    ("stateful-second-round.0", "default"): "c050dc2815ac263cc0de8cca7a234dacf5e61fd59948e9d063f347ed9c1c8634",
+    ("stateful-second-round.0", "illtyped"): "2ac37106db5be23942ca20a0d2e5e08b960aee05115553d3185b325a6715f3ae",
+    ("stateful-second-round.1", "default"): "aa362e5f5575c91311198f5f62379e04430cfc0cf35b20e3f8cdff0dcb2f3785",
+    ("stateful-second-round.1", "illtyped"): "dda80ec645da803398d5162c9dc24031a074c894c1fa57ce55548fd3a41d3e57",
+    ("unit-vs-state.0", "default"): "d9bced327471afdcb758f53efbc0c30e74373748a04b5ffa48533df05317ec48",
+    ("unit-vs-state.0", "illtyped"): "cf8950d1fb67b571b283ee28122452b06a6511fed0cb859f3ae5a71dd3aa3b5c",
+    ("unit-vs-state.1", "default"): "863812343792387ab567b3628489c0cdd9595b2477109e3b01e3f40f4646763f",
+    ("unit-vs-state.1", "illtyped"): "fba1f73de9dbf87f81f7f9de76f876c05966188ada6010e8177f18dc534c8196",
+    ("registered.0", "register-i"): "81ada6268beb5f1ed7710342fc3d93e1ad329fff0ec237bda9647de28d205d22",
+    ("registered.1", "register-i"): "7a6452687f78fd86975d466afba912aab9e0271d0f47ae4994bf37c6b7a9e674",
+    ("cell", "register-all"): "28fe67dc87f3599d5a5189ce0d844f3e0a0f161e7e6918dd85fa0b1eebeb5852",
+}
+
+
+def graph_numbering(src, domain) -> str:
+    """The digest of GRAPH_NUMBERING_PINS. A node key's knowledge and a
+    names map's nonces are left out: masks are drawn from a stream that
+    depends on how many compilations ran before (prot._instance)."""
+    table = TraceTable()
+    graph = Graph(image_of(src), domain, 0, table)
+    graph.trace_ids(4)
+    nodes = [(sid, pending, nid) for sid, _, pending, nid in graph.keys]
+    names = [tuple(m.values()) for m in graph.names]
+    moves = [graph.edges[n] for n in sorted(graph.edges)]
+    return hashlib.sha256(repr((table.pairs, names, nodes, moves)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name, domain", list(TRACE_SET_PINS))
+def test_graph_numbering_is_pinned(name, domain):
+    """Renaming each graph edge afresh gives the pair ids, names ids and
+    node ids that a cache of renamings per segment gave."""
+    adversary = {**PIN_DOMAINS, **REGISTER_DOMAINS}[domain]
+    src = {**PINNED_SOURCES, **REGISTER_SOURCES}[name]
+    assert graph_numbering(src, adversary()) == GRAPH_NUMBERING_PINS[name, domain]
+
+
 def raw_traces(image, depth, domain):
     """The tracer and the uncanonicalized traces of a breadth-first search
     with the engine's moves, enumerated here apart from its renaming."""
@@ -333,9 +416,9 @@ def test_renaming_along_the_path_canonicalizes_whole_traces(name, domain):
 
 def plain_traces(image, depth, domain):
     """The engine's enumeration without its memos: every injection runs its
-    segment. Returns the canonical trace set, the number of injections, how
-    many of them are distinct runs (one per distinct (fingerprint, injection)
-    key), and the distinct (knowledge, pending) pairs of the nodes expanded."""
+    segment. Returns the canonical trace set, the number of injections, the
+    distinct (fingerprint, injection) keys among them, and the distinct
+    (knowledge, pending) pairs of the nodes expanded."""
     tracer = ComponentTracer(image)
     results, keys, menus, injections = {()}, set(), set(), 0
     seeded = rename((), {}, tracer.seed_masks)[1]
@@ -355,7 +438,7 @@ def plain_traces(image, depth, domain):
                 if seg.state is not None:
                     nxt.append((seg.state, t2, n2, k2, p2))
         frontier = nxt
-    return results, injections, len(keys), menus
+    return results, injections, keys, menus
 
 
 MEMO_CASES = {
@@ -377,11 +460,14 @@ class TestMemoisedEnumeration:
 
     @staticmethod
     def counted_run(img, depth, domain, monkeypatch):
-        """One enumeration with its segment runs (`_enter` calls), `rename`
-        calls and the (knowledge, pending) of each `_injections` call counted."""
+        """One enumeration on a graph of its own, with its runs from scratch
+        (`_enter` calls: call prefixes and every other move), its continued
+        calls (the `_run` calls that no `_enter` makes), its `rename` calls
+        and the (knowledge, pending) of each `_injections` call counted."""
         calls = Counter()
         menus = Counter()
-        enter, rename_, injections = ComponentTracer._enter, engine.rename, engine._injections
+        enter, run = ComponentTracer._enter, ComponentTracer._run
+        rename_, injections = engine.rename, engine._injections
 
         def counting(name, fn):
             def counted(*args, **kwargs):
@@ -395,32 +481,59 @@ class TestMemoisedEnumeration:
             return injections(tracer, knowledge, pending, domain)
 
         monkeypatch.setattr(ComponentTracer, "_enter", counting("entered", enter))
+        monkeypatch.setattr(ComponentTracer, "_run", counting("ran", run))
         monkeypatch.setattr(engine, "rename", counting("renamed", rename_))
         monkeypatch.setattr(engine, "_injections", menu)
-        traces = enumerate_traces(img, depth=depth, domain=domain)
+        table = TraceTable()
+        graph = Graph(img, domain, 0, table)
+        traces = set(table.traces(graph.trace_ids(depth)).values())
         monkeypatch.undo()
-        return traces, calls, menus
+        calls["continued"] = calls.pop("ran") - calls["entered"]
+        return traces, calls, menus, graph
+
+    # (call prefixes, calls) run by each MEMO_CASES enumeration at depth 4
+    SEGMENT_RUNS = {
+        ("cell", "default"): (8, 12),
+        ("cell", "illtyped"): (10, 80),
+        ("const", "default"): (2, 2),
+        ("const", "illtyped"): (2, 8),
+        ("double", "default"): (3, 6),
+        ("double", "illtyped"): (4, 48),
+        ("gate", "default"): (14, 28),
+        ("gate", "illtyped"): (18, 216),
+        ("keeper", "default"): (45, 75),
+        ("keeper", "illtyped"): (45, 540),
+        ("registered.0", "register-i"): (10, 23),
+        ("registered.1", "register-i"): (5, 11),
+    }
 
     @pytest.mark.parametrize("case", list(SEGMENT_CASES))
     def test_each_distinct_segment_runs_once(self, case, monkeypatch):
-        """One run per distinct (fingerprint, injection) key, a registration's
-        included, as its injection carries the nonce it registers."""
-        name, domain = SEGMENT_CASES[case]
-        src, domain = MEMO_CASES[name, domain]
+        """A call runs its prefix once per distinct (fingerprint, entry point)
+        and continues once per distinct (fingerprint, injection), as every
+        prefix here pauses; any other move runs once per distinct
+        (fingerprint, injection), a registration's included, as its
+        injection carries the nonce it registers."""
+        name, domain_name = SEGMENT_CASES[case]
+        src, domain = MEMO_CASES[name, domain_name]
         img = image_of(src)
-        _, injections, distinct, _ = plain_traces(img, 4, domain())
-        _, calls, _ = self.counted_run(img, 4, domain(), monkeypatch)
-        assert calls["entered"] == distinct
+        _, injections, keys, _ = plain_traces(img, 4, domain())
+        _, calls, _, _ = self.counted_run(img, 4, domain(), monkeypatch)
+        call_keys = [(fp, inj) for fp, inj in keys if inj[0] == "call"]
+        prefixes = {(fp, inj[1]) for fp, inj in call_keys}
+        assert calls["entered"] == len(prefixes) + len(keys) - len(call_keys)
+        assert calls["continued"] == len(call_keys)
+        assert (len(prefixes), len(call_keys)) == self.SEGMENT_RUNS[name, domain_name]
         if name == "keeper":
-            assert 5 * calls["entered"] <= injections
+            assert 5 * (calls["entered"] + calls["continued"]) <= injections
 
     @pytest.mark.parametrize("domain", sorted(PIN_DOMAINS))
-    def test_renaming_is_cached_per_segment(self, domain, monkeypatch):
-        """One `rename` seeds the map; the extensions rename at most once per
-        segment run, against one per extension without the cache."""
+    def test_renaming_runs_once_per_graph_edge(self, domain, monkeypatch):
+        """One `rename` seeds the map, and each edge of the graph renames its
+        segment once: far fewer renamings than traces."""
         img = image_of(COMPONENTS["keeper"])
-        traces, calls, _ = self.counted_run(img, 4, PIN_DOMAINS[domain](), monkeypatch)
-        assert calls["renamed"] <= calls["entered"] + 1
+        traces, calls, _, graph = self.counted_run(img, 4, PIN_DOMAINS[domain](), monkeypatch)
+        assert calls["renamed"] == 1 + sum(map(len, graph.edges.values()))
         assert 5 * calls["renamed"] <= len(traces)
 
     @pytest.mark.parametrize(
@@ -430,31 +543,9 @@ class TestMemoisedEnumeration:
         src, domain = MEMO_CASES[case]
         img = image_of(src)
         menus = plain_traces(img, 4, domain())[3]
-        _, _, built = self.counted_run(img, 4, domain(), monkeypatch)
+        _, _, built, _ = self.counted_run(img, 4, domain(), monkeypatch)
         assert set(built) == menus
         assert set(built.values()) == {1}
-
-    def test_canonical_cache_keys_the_map_size_of_a_fresh_name(self, cell_image):
-        """One raw segment reached under two maps that name its known nonces
-        alike but differ in size: its unnamed nonce gets a different fresh
-        name under each, as `rename` gives."""
-        tracer = ComponentTracer(cell_image)
-        knowledge = tracer.initial_knowledge()
-        menu = _injections(tracer, knowledge, (), PIN_DOMAINS["illtyped"]())
-        inj = next(i for i in menu if i[0] == "call" and any(isinstance(w, Nonce) for w in i[3]))
-        table = TraceTable()
-        entry = _Entry(_segment(tracer, tracer.booted, inj), None, table)
-        pair = (entry.seg.action, entry.seg.reply)
-        guess = next(w for w in inj[3] if isinstance(w, Nonce))
-        seeded = rename((), {}, tracer.seed_masks)[1]
-        longer = {**seeded, Nonce("elsewhere", 0): f"N{len(seeded)}"}
-        assert seeded and guess not in longer and set(entry.nonces) - {guess} <= set(seeded)
-        first, again, second = entry.renamed(seeded), entry.renamed(seeded), entry.renamed(longer)
-        assert first == again
-        assert (table.pairs[first[0]], {**seeded, **dict(first[1])}) == rename(pair, seeded)
-        assert (table.pairs[second[0]], {**longer, **dict(second[1])}) == rename(pair, longer)
-        assert dict(first[1])[guess] != dict(second[1])[guess]
-        assert len(entry.canon) == 2
 
     def test_every_state_field_is_keyed_reset_or_shared(self):
         """A field the fingerprint leaves out must be one that `_enter` sets
@@ -616,9 +707,9 @@ def test_an_early_stop_runs_fewer_segments(monkeypatch):
 
 def test_equivalence_materialises_no_trace(monkeypatch):
     """An Equivalent verdict is counted on the product of the graphs: it
-    extends no trace, renames once per graph edge, which is no more than once
-    per segment run, and runs the segments the per-trace search ran (1 110;
-    it made 11 544 extensions and as many renamings)."""
+    extends no trace and renames once per graph edge. Of its 1 110 segments
+    (as many as the per-trace search ran, which made 11 544 extensions and
+    renamings), the calls share one prefix per state and entry point."""
     calls = Counter()
 
     def counting(attr, fn):
@@ -628,12 +719,131 @@ def test_equivalence_materialises_no_trace(monkeypatch):
 
         return counted
 
-    for owner, attr in ((ComponentTracer, "_enter"), (TraceTable, "extend"), (_Entry, "renamed")):
+    counted = [(ComponentTracer, "_enter"), (ComponentTracer, "_run"), (TraceTable, "extend")]
+    for owner, attr in counted + [(engine, "rename"), (engine, "_segment")]:
         monkeypatch.setattr(owner, attr, counting(attr, getattr(owner, attr)))
     img1, img2 = (image_of(COMPONENTS["keeper"]) for _ in range(2))
     assert trace_equiv(img1, img2, depth=4, domain=PIN_DOMAINS["illtyped"]()) == Equivalent(5773)
     assert calls["extend"] == 0
-    assert calls["renamed"] <= calls["_enter"] == 1110
+    # 1 080 calls from 90 prefixes, and 30 other moves; one renaming per
+    # graph edge, and one per graph to seed its map
+    assert calls["_segment"] == 1110
+    assert (calls["_enter"], calls["_run"] - calls["_enter"], calls["rename"]) == (90 + 30, 1080, 1110 + 2)
+
+
+def count_steps(monkeypatch) -> list:
+    """A counter of `MachineState.step` calls from now on."""
+    steps = [0]
+    step = MachineState.step
+
+    def counted(st):
+        steps[0] += 1
+        return step(st)
+
+    monkeypatch.setattr(MachineState, "step", counted)
+    return steps
+
+
+def test_calls_share_sys_and_the_entry_checks(monkeypatch):
+    """Keeper under illtyped at depth 4 runs sys's forwardCall, the entry
+    trampoline and the r0/r5 entry checks once per state and entry point:
+    7 410 aim steps, against 23 250 when each call ran them itself."""
+    steps = count_steps(monkeypatch)
+    assert len(enumerate_traces(image_of(COMPONENTS["keeper"]), depth=4, domain=PIN_DOMAINS["illtyped"]())) == 5773
+    assert steps[0] <= 7410
+
+
+def scratch_call(tracer, state, ep, recv, args):
+    """A call run by one `_enter` with every register it loads, as each call
+    ran before calls shared prefixes: (forwarded, reply, next state)."""
+    regs = {3: ep.mid, 4: ep.off, 5: RESUME_PAD, 6: recv, **dict(enumerate(args, 7))}
+    return tracer._enter(state, Address(SYS_ID, FORWARDCALL_EP), regs, ep)
+
+
+def check_shared_prefixes(img, domain, monkeypatch) -> int:
+    """Enumerate `img` at depth 4, checking each call, run from the prefix
+    its state and entry point share, against `scratch_call`: the action
+    (which shows `forwarded`), the reply, the next state and the step count
+    must be equal. Returns the number of calls checked."""
+    steps = count_steps(monkeypatch)
+    enter, call_method = ComponentTracer._enter, ComponentTracer.call_method
+    entered, prefix_steps, checks = [0], {}, [0]
+
+    def counted_enter(*args, **kwargs):
+        before = steps[0]
+        out = enter(*args, **kwargs)
+        entered[0] = steps[0] - before
+        return out
+
+    def summary(st):
+        return None if st is None else (st.fingerprint(), st.pc, st.regs, st.flags)
+
+    def checked(tracer, state, ep, recv, args, prefix=None):
+        assert prefix is not None
+        first = prefix.run is None
+        before = steps[0]
+        seg = call_method(tracer, state, ep, recv, args, prefix)
+        if first:
+            prefix_steps[prefix] = entered[0]
+        shared = steps[0] - before + (0 if first else prefix_steps[prefix])
+        before = steps[0]
+        forwarded, reply, nxt = scratch_call(tracer, state, ep, recv, args)
+        if forwarded:
+            action = CallIn((ep.mid, ep.off), (SYS_ID, 0, 0, 0, 0, FORWARDRETURN_EP, recv, *args))
+        else:
+            action = CallIn((SYS_ID, FORWARDCALL_EP), (0, 0, 0, ep.mid, ep.off, RESUME_PAD, recv, *args))
+        assert (seg.action, seg.reply, shared, summary(seg.state)) == (action, reply, steps[0] - before, summary(nxt))
+        checks[0] += 1
+        return seg
+
+    monkeypatch.setattr(ComponentTracer, "_enter", counted_enter)
+    monkeypatch.setattr(ComponentTracer, "call_method", checked)
+    enumerate_traces(img, depth=4, domain=domain)
+    monkeypatch.undo()
+    return checks[0]
+
+
+SHARED_PREFIX_CASES = {**MEMO_CASES, ("cell", "register-all"): (COMPONENTS["cell"], REGISTER_DOMAINS["register-all"])}
+
+
+@pytest.mark.parametrize("case", sorted(SHARED_PREFIX_CASES), ids="/".join)
+def test_shared_prefixes_run_as_from_scratch(case, monkeypatch):
+    src, domain = SHARED_PREFIX_CASES[case]
+    assert check_shared_prefixes(image_of(src), domain(), monkeypatch) > 0
+
+
+def sys_variant(patch: str):
+    """cell's image with the `movi 16, 0` of sys's forwardCall made
+    `movi 7, 0` (it names the first argument), three `zero`s, or `movi 3, 0`
+    (its boundary jump then exits to unprotected memory, a Callback! that
+    reads the arguments)."""
+    img = image_of(COMPONENTS["cell"])
+    [off] = [o for o in range(len(SYS_WORDS)) if SYS_WORDS[o : o + 3] == (3, 16, 0)]
+    words = {"names-r7": (3, 7, 0), "zero": (9, 9, 9), "exit": (3, 3, 0)}[patch]
+    for i, w in enumerate(words):
+        img.mem[Address(SYS_ID, off + i)] = w
+    return img
+
+
+@pytest.mark.parametrize("patch", ["names-r7", "zero", "exit"])
+def test_a_sys_that_touches_the_arguments_pauses_earlier(patch, monkeypatch):
+    """Each prefix pauses inside sys, before the instruction that names r7 or
+    clears every register, or before the boundary exit, where cell's own sys
+    lets it reach the method's entry; every call still equals its run from
+    scratch."""
+
+    def paused_at(img):
+        tracer = ComponentTracer(img)
+        [(_, mask)] = list(img.table.eo.items())
+        [put] = [a for s, a in img.table.em.items() if s.name == "put"]
+        prefix = CallPrefix(2)
+        tracer.call_method(tracer.booted, put, mask, (1,), prefix)
+        st, fuel, _ = prefix.run[2]
+        return st.pc, tracer.segment_fuel - fuel
+
+    (pc, steps), (pc0, steps0) = paused_at(sys_variant(patch)), paused_at(image_of(COMPONENTS["cell"]))
+    assert pc.mid == SYS_ID and pc0.mid != SYS_ID and steps < steps0
+    assert check_shared_prefixes(sys_variant(patch), PIN_DOMAINS["illtyped"](), monkeypatch) > 0
 
 
 class Twin(tuple):
