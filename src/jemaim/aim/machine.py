@@ -66,26 +66,7 @@ from ..compiler.encoding import (
 )
 from . import access
 from .isa import FLAGS, OPTABLE, SF, ZF, decode
-from .words import MASK64, Address, Descriptor, Nonce, NonceOracle, Symbol, Word
-
-# the register in which a call leaves the caller's module id
-R_CALLER = 0
-
-
-@dataclass
-class MaskingTable:
-    fwd: dict[int, Nonce] = field(default_factory=dict)
-    rev: dict[Nonce, int] = field(default_factory=dict)
-
-    def add(self, internal: int, mask: Nonce):
-        self.fwd[internal] = mask
-        self.rev[mask] = internal
-
-    def clone(self) -> "MaskingTable":
-        t = MaskingTable()
-        t.fwd = dict(self.fwd)
-        t.rev = dict(self.rev)
-        return t
+from .words import MASK64, R_CALLER, Address, Descriptor, Nonce, NonceOracle, Symbol, Word
 
 
 @dataclass
@@ -96,7 +77,8 @@ class MachineState:
     oracle: NonceOracle
     regs: dict[int, Word] = field(default_factory=dict)
     flags: dict[int, int] | None = None  # None: cleared by __post_init__
-    masks: dict[int, MaskingTable] = field(default_factory=dict)
+    # the masking tables: (module id, internal id) -> mask and (module id, mask) -> internal id
+    masks: dict[tuple[int, Word], Word] = field(default_factory=dict)
     gstore: dict[Word, tuple[Word, Word]] = field(default_factory=dict)
     callstack: list[tuple[Word, Word, Word]] = field(default_factory=list)
     sys_depth_addr: Address | None = None
@@ -120,10 +102,10 @@ class MachineState:
         else:
             self.regs[i] = w
 
-    def table(self, mid: int) -> MaskingTable:
-        if mid not in self.masks:
-            self.masks[mid] = MaskingTable()
-        return self.masks[mid]
+    def add_mask(self, mid: int, internal: int, mask: Nonce):
+        """Enter `mask` for module `mid`'s object `internal`, in both directions."""
+        self.masks[mid, internal] = mask
+        self.masks[mid, mask] = internal
 
     def clone(self) -> "MachineState":
         return MachineState(
@@ -133,7 +115,7 @@ class MachineState:
             oracle=self.oracle.clone(),
             regs=dict(self.regs),
             flags=dict(self.flags),
-            masks={k: v.clone() for k, v in self.masks.items()},
+            masks=dict(self.masks),
             gstore=dict(self.gstore),
             callstack=list(self.callstack),
             sys_depth_addr=self.sys_depth_addr,
@@ -147,14 +129,13 @@ class MachineState:
         with equal fingerprints behave alike from any run that first sets pc,
         registers and flags. It holds what such a reset keeps: `mem` (data and
         unprotected words once `share_code` ran), the oracle's cursor, the
-        masks (each non-empty `fwd`: `rev` is its inverse, and `table` makes
-        an empty table on any ask), G, S and `_last_op`. The rest (`code`,
-        `_icache`, `descs`, `sys_depth_addr`, the oracle's stream) a clone
-        shares with its original."""
+        masks, G, S and `_last_op`. The rest (`code`, `_icache`, `descs`,
+        `sys_depth_addr`, the oracle's stream) a clone shares with its
+        original."""
         return (
             frozenset(self.mem.items()),
             self.oracle.cursor,
-            frozenset((mid, frozenset(t.fwd.items())) for mid, t in self.masks.items() if t.fwd),
+            frozenset(self.masks.items()),
             frozenset(self.gstore.items()),
             tuple(self.callstack),
             self._last_op,
@@ -353,11 +334,10 @@ class MachineState:
         # else (a raw Nat, null, an unknown nonce) aborts, so internal offsets
         # cannot be laundered into valid ids
         _, _, nxt, _, rd, ri = e
-        t = self.table(self.pc.mid)
         k = self.reg(ri)
-        if not (isinstance(k, Nonce) and k in t.rev):
+        if not (isinstance(k, Nonce) and (self.pc.mid, k) in self.masks):
             return self._abort("masking-table-miss")
-        self.set_reg(rd, t.rev[k])
+        self.set_reg(rd, self.masks[self.pc.mid, k])
         self.pc = nxt
 
     def _op_tbl_add(self, e):
@@ -370,14 +350,13 @@ class MachineState:
         if isinstance(w, int) and w >= s.code_len:
             cls = self.load((mid, w))
             if isinstance(cls, int) and cls >= CLASS_ENC_BASE:
-                t = self.table(mid)
-                if w not in t.fwd:
+                if (mid, w) not in self.masks:
                     mask = self.oracle.fresh()
-                    t.add(w, mask)
+                    self.add_mask(mid, w, mask)
                     if mask in self.gstore:
                         return self._abort("gstore-duplicate")
                     self.gstore[mask] = (cls, mid)
-                self.set_reg(ri, t.fwd[w])
+                self.set_reg(ri, self.masks[mid, w])
         self.pc = nxt
 
     def _sync_depth(self):
@@ -452,7 +431,7 @@ class MachineState:
                 # a Nat is an object only as an internal id this module has masked
                 # (what tbl_get yields); any other Nat, say the offset of a data
                 # word that happens to hold the class encoding, is forged
-                if w in self.table(self.pc.mid).fwd and self.load((self.pc.mid, w)) == enc:
+                if (self.pc.mid, w) in self.masks and self.load((self.pc.mid, w)) == enc:
                     return None
             return "typecheck-class"
         return "typecheck-bad-encoding"

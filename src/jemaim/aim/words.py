@@ -78,6 +78,16 @@ REGISTEROBJ_EP = N_W
 FORWARDCALL_EP = 2 * N_W
 FORWARDRETURN_EP = 3 * N_W
 
+# The calling convention sys mediates: the register of each role at a boundary crossing
+R_CALLER = 0  # the caller id: `jmp` stamps it with the id of the module that jumped
+R_JUMP_OFF, R_JUMP_MID = 1, 2  # a boundary jump's target, `jmp R_JUMP_OFF, R_JUMP_MID`
+R_CALLEE_MID, R_CALLEE_OFF = 3, 4  # forwardCall's target
+R_RESUME = 5  # the resume designator
+R_RECV = 6  # the receiver of a call, and the result of a return
+MAX_PARAMS = 9
+ARG_REGS = tuple(range(R_RECV + 1, R_RECV + 1 + MAX_PARAMS))  # argument i travels in ARG_REGS[i]
+R_SYS_SCRATCH = ARG_REGS[-1] + 1  # sys's scratch, above every argument
+
 
 @dataclass(frozen=True)
 class Descriptor:

@@ -14,9 +14,10 @@ code runs only on its own side.
 """
 from __future__ import annotations
 
+from ..aim.words import ARG_REGS, R_RECV
 from ..jem import ast
-from ..traces.actions import CallOut, FuelExceeded, ReturnOut, Tick
-from .emulate import EmulState, Fail, arg_word, emulate_value, method_knowledge
+from ..traces.actions import CallOut, FuelExceeded, ReturnOut, Tick, reg
+from .emulate import EmulState, Fail, emulate_value, method_knowledge
 from .skel import diverge, param, retvar
 
 
@@ -73,13 +74,12 @@ def diff(a1, a2, st: EmulState):
         return
     if isinstance(a1, CallOut) and isinstance(a2, CallOut) and tuple(a1.addr) == tuple(a2.addr):
         sig = method_knowledge(st, a1.addr)
-        if a1.regs[6] != a2.regs[6]:
-            st.open_block(at(a1), [_value_probe(a1.regs[6], a2.regs[6], sig.recv, st, ast.This())])
-            return
-        for j, pt in enumerate(sig.params):
-            w1, w2 = arg_word(a1.regs, j), arg_word(a2.regs, j)
+        probes = [(R_RECV, sig.recv, ast.This())]
+        probes += [(r, pt, ast.Var(param(j))) for j, (r, pt) in enumerate(zip(ARG_REGS, sig.params))]
+        for r, t, probe in probes:
+            w1, w2 = reg(a1.regs, r), reg(a2.regs, r)
             if w1 != w2:
-                st.open_block(at(a1), [_value_probe(w1, w2, pt, st, ast.Var(param(j)))])
+                st.open_block(at(a1), [_value_probe(w1, w2, t, st, probe)])
                 return
         return  # remaining register slots are fixed by the calling convention
     # different callees, or a callback against a return

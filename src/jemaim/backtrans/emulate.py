@@ -21,11 +21,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..aim.words import FORWARDCALL_EP, FORWARDRETURN_EP, REGISTEROBJ_EP, SYS_ID, TESTOBJ_EP
+from ..aim.words import ARG_REGS, FORWARDCALL_EP, FORWARDRETURN_EP, R_CALLEE_MID, R_CALLER, R_RECV, R_RESUME, REGISTEROBJ_EP
+from ..aim.words import SYS_ID, TESTOBJ_EP
 from ..compiler.encoding import V_FALSE, V_NULL, V_TRUE, V_UNIT, encode_class
 from ..jem import ast
 from ..jem.ast import T_BOOL, T_INT, T_OBJ, T_UNIT
-from ..traces.actions import CallIn, CallOut, ReturnIn, ReturnOut, Tick
+from ..traces.actions import CallIn, CallOut, ReturnIn, ReturnOut, Tick, reg
 from .interface import Interface
 from .skel import (
     HELPER,
@@ -105,12 +106,6 @@ def integer_for(w):
     return 0
 
 
-def arg_word(regs, j: int):
-    """The word a call passes as parameter j: register 7 + j, or 0 when the
-    action records fewer registers."""
-    return regs[7 + j] if 7 + j < len(regs) else 0
-
-
 def emulate_value(w, t: str, st: EmulState):
     """A source expression denoting w at type t, or Fail."""
     iface = st.iface
@@ -180,9 +175,9 @@ def _emulate_call_in(a: CallIn, st: EmulState):
     regs = a.regs
     if addr == (SYS_ID, FORWARDCALL_EP):
         # a call that sys refused to forward; mirror its abort conditions
-        if st.frames and regs[0] == st.frames[-1].caller:
+        if st.frames and reg(regs, R_CALLER) == st.frames[-1].caller:
             raise Fail("forwardCall-repeat-caller")
-        if len(regs) > 3 and regs[3] == SYS_ID:
+        if reg(regs, R_CALLEE_MID) == SYS_ID:
             raise Fail("forwardCall-into-sys")
         raise Fail("forwardCall-bad-target")
     if addr == (SYS_ID, TESTOBJ_EP):
@@ -192,16 +187,16 @@ def _emulate_call_in(a: CallIn, st: EmulState):
         _emulate_regobj(a, st)
         return
     sig = method_knowledge(st, addr)
-    if regs[0] != SYS_ID or regs[5] != FORWARDRETURN_EP:
+    if reg(regs, R_CALLER) != SYS_ID or reg(regs, R_RESUME) != FORWARDRETURN_EP:
         raise Fail("entry-bypassing-sys")
-    recv_w = regs[6]
+    recv_w = reg(regs, R_RECV)
     if recv_w == V_NULL:
         raise Fail("null-receiver")
     recv_e = emulate_value(recv_w, sig.recv, st)
     exprs = [incr_step(), ast.VarDecl(recv_var(st.i), sig.recv, recv_e)]
     arg_vars = []
-    for j, pt in enumerate(sig.params):
-        e = emulate_value(arg_word(regs, j), pt, st)
+    for j, (r, pt) in enumerate(zip(ARG_REGS, sig.params)):
+        e = emulate_value(reg(regs, r), pt, st)
         name = arg_var(st.i, j)
         exprs.append(ast.VarDecl(name, pt, e))
         arg_vars.append(ast.Var(name))
@@ -212,8 +207,7 @@ def _emulate_call_in(a: CallIn, st: EmulState):
 
 
 def _emulate_testobj(a: CallIn, st: EmulState):
-    regs = a.regs
-    w, enc = regs[7], regs[8]
+    w, enc = reg(a.regs, ARG_REGS[0]), reg(a.regs, ARG_REGS[1])
     if w not in st.V and w not in st.R:
         raise Fail("testObj-unknown-id")
     cname = st.iface.class_of_encoding(enc) or HELPER
@@ -223,8 +217,7 @@ def _emulate_testobj(a: CallIn, st: EmulState):
 
 
 def _emulate_regobj(a: CallIn, st: EmulState):
-    regs = a.regs
-    w, enc = regs[7], regs[8]
+    w, enc = reg(a.regs, ARG_REGS[0]), reg(a.regs, ARG_REGS[1])
     if w in st.V or w in st.R:
         raise Fail("registerObj-known-id")
     st.R[w] = enc
@@ -256,8 +249,8 @@ def _emulate_call_out(a: CallOut, st: EmulState):
     sig = method_knowledge(st, tuple(a.addr))
     stub_method = (sig.recv, sig.name)
     exprs = [incr_step()]
-    for j, pt in enumerate(sig.params):
-        exprs += _registration(st, arg_word(a.regs, j), pt, ast.Var(param(j)))
+    for j, (r, pt) in enumerate(zip(ARG_REGS, sig.params)):
+        exprs += _registration(st, reg(a.regs, r), pt, ast.Var(param(j)))
     st.open_block(stub_method, exprs)
     st.frames.append(Frame(a.addr[0], 0, sig.ret, stub_method, st.i))
 

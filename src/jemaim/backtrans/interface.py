@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from ..aim.words import SYS_ID
 from ..compiler.encoding import class_name_of_encoding
 from ..jem import ast
+from ..traces.actions import rename
 
 
 class ImportMismatch(Exception):
@@ -45,25 +46,17 @@ def build_interface(c1: ast.JemComponent, c2: ast.JemComponent, image, image2) -
     ics, ios = c1.all_imports()
     external = sorted({ic.name for ic in ics})
 
-    methods = {}
-    for sig, addr in image.table.em.items():
-        if addr.mid != SYS_ID:
-            methods[(addr.mid, addr.off)] = sig
+    methods = {(addr.mid, addr.off): sig for sig, addr in image.table.em.items() if addr.mid != SYS_ID}
     for img in (image, image2):
         for sig, iota, sigma in img.table.rm:
             methods[(f"${iota.name}", f"${sigma.name}")] = sig
 
-    eo, idx = [], 1
-    canon = {}
-    for k, mask in sorted(image.table.eo.items()):
-        cname = f"N{len(canon)}"
-        canon[mask] = cname
-        eo.append((k.name, k.cls, cname, idx))
-        idx += 1
-    ro = []
-    for k, sym in sorted(image.table.ro, key=lambda e: (e[0].render(), e[1].name)):
-        ro.append((k.name, k.cls, f"${sym.name}", idx))
-        idx += 1
+    # exported objects carry the names a trace of the component starts from
+    exports = sorted(image.table.eo.items())
+    names = rename((), {}, [mask for _, mask in exports])[1]
+    eo = [(k.name, k.cls, names[mask], idx) for idx, (k, mask) in enumerate(exports, 1)]
+    requires = sorted(image.table.ro, key=lambda e: (e[0].render(), e[1].name))
+    ro = [(k.name, k.cls, f"${sym.name}", idx) for idx, (k, sym) in enumerate(requires, len(eo) + 1)]
     return Interface(internal, external, methods, eo, ro, _declared(c1) | _declared(c2))
 
 

@@ -27,23 +27,18 @@ neither reads nor writes SP:
     body that calls nothing adds one frame above a guarded one, so no guard
     needs headroom.
 
-Registers:
-
-    r0       the caller id at a boundary (`jmp` stamps it); the module id in a body
-    r1-r3    scratch (`POOL`): operands, addresses and branch targets
-    r3/r4    the target of a boundary jump; r4 is FP in a body
-    r5       return designator
-    r6       receiver of a call; result of a call and of a body
-    r7-r15   parameters: r7+i holds argument i from its load until the call,
-             and parameter i from the entry until the prologue stores it.
-             A method has at most MAX_PARAMS of them, and nothing else ever
-             lives in these registers.
-
-No body writes a register above r15. At an outcall, r1/r2 and r3/r4 hold the
-jump and its target, and the unused parameter registers are zeroed; the
-method entry's return path (prot.py) zeroes r3, r4 and all of r7-r15. So no
-register leaves a module holding a value of the body but r6 and the
-arguments, and r0, which the `jmp` itself overwrites with the module id.
+Registers. At a boundary a register has the role the calling convention
+(aim/words.py) names. Inside a body, MID is the module id, FP the frame
+pointer and `POOL` the scratch registers (operands, addresses and branch
+targets); R_RESUME holds the return designator and R_RECV the receiver of a
+call and the result of a call and of a body. Argument register i holds
+argument i from its load until the call, and parameter i from the entry until
+the prologue stores it; nothing else ever lives there, and no body writes a
+register above them. Code enters sys only by `enter_sys`, after `scrub` zeroed
+what the crossing must not carry: at an outcall the unused argument
+registers, on the method entry's return path (prot.py) forwardCall's target
+and every argument register. So nothing of the body leaves a module but the
+receiver or result, the arguments and the caller id, which `jmp` overwrites.
 
 Operands. The ISA has no register-to-register move, so every value is
 compiled straight into the register that uses it (`gen(e, t)`). A leaf
@@ -85,7 +80,8 @@ from collections import Counter
 
 from ..aim.isa import SF, ZF, Assembler, Label
 from ..aim.link import ObjKey
-from ..aim.words import FORWARDCALL_EP, N_W, SYS_ID, Symbol
+from ..aim.words import ARG_REGS, FORWARDCALL_EP, MAX_PARAMS, N_W, R_CALLEE_MID, R_CALLEE_OFF, R_JUMP_MID, R_JUMP_OFF
+from ..aim.words import R_RECV, R_RESUME, SYS_ID, Symbol
 from ..jem import ast
 from ..jem.typecheck import Env
 from .encoding import encode_class, encode_type, encode_value
@@ -101,7 +97,6 @@ STACK_LIMIT = 1 << 33
 MID = 0  # the module id, in a body
 FP = 4  # the frame pointer, in a body
 POOL = (1, 2, 3)  # scratch registers
-MAX_PARAMS = 9  # parameters travel in r7..r15
 
 
 class CompileError(Exception):
@@ -138,6 +133,19 @@ def trampoline(a: Assembler, target: str):
     start = a.here()
     always_jump(a, target, 1)
     a.raw(*([0] * (N_W - (a.here() - start))))
+
+
+def enter_sys(a: Assembler, ep: int):
+    """Jump to sys's entry point `ep`: the one way code enters sys."""
+    a.emit("movi", R_JUMP_OFF, ep)
+    a.emit("movi", R_JUMP_MID, SYS_ID)
+    a.emit("jmp", R_JUMP_OFF, R_JUMP_MID)
+
+
+def scrub(a: Assembler, regs):
+    """Zero `regs`, in order, before a boundary crossing."""
+    for r in regs:
+        a.emit("movi", r, 0)
 
 
 def is_leaf(e: ast.Expr) -> bool:
@@ -268,12 +276,12 @@ class ClassCompiler:
             a.emit("movi", 1, STACK_LIMIT - 1)
             a.emit("sub", 1, FP)
             jump_if(a, "overflow", 1, SF)
-            self.store(a, 5, 0)
+            self.store(a, R_RESUME, 0)
         if any(isinstance(n, ast.This) for n in nodes):
-            self.store(a, 6, 1)
+            self.store(a, R_RECV, 1)
         for i in range(nparams):
             if i in read:
-                self.store(a, 7 + i, 2 + i)
+                self.store(a, ARG_REGS[i], 2 + i)
         self.tail(a, m.body)
 
     def tail(self, a: Assembler, e: ast.Expr):
@@ -600,7 +608,7 @@ class ClassCompiler:
     def compile_call(self, a: Assembler, e: ast.Call):
         sig, n = e.sig, len(e.args)
         self.check_arity(sig)
-        self.operands(a, [e.recv, *e.args], [6, *range(7, 7 + n)])
+        self.operands(a, [e.recv, *e.args], [R_RECV, *ARG_REGS[:n]])
         if nullable(e.recv):
             self.null_abort(a, 6, POOL[0])
         k = self.framesize + self.depth  # the offset of the next frame from FP
@@ -636,18 +644,15 @@ class ClassCompiler:
         a.emit("movl", 3, MID, 1)
         a.emit("add", 3, 2)
         a.emit("movs", MID, 3, 1)
-        # mask outgoing object arguments
-        for i, pt in enumerate(sig.params):
-            self.mask_out(a, 7 + i, pt)
-        # scrub the unused parameter registers; r1-r5 are overwritten below
-        for r in range(7 + n, 7 + MAX_PARAMS):
-            a.emit("movi", r, 0)
-        a.emit("movi", 3, iota)
-        a.emit("movi", 4, sigma)
-        a.emit("movi", 5, 0)
-        a.emit("movi", 1, FORWARDCALL_EP)
-        a.emit("movi", 2, SYS_ID)
-        a.emit("jmp", 1, 2)
+        # mask outgoing object arguments and scrub the unused argument
+        # registers; the registers below R_RECV are overwritten below
+        for r, pt in zip(ARG_REGS, sig.params):
+            self.mask_out(a, r, pt)
+        scrub(a, ARG_REGS[n:])
+        a.emit("movi", R_CALLEE_MID, iota)
+        a.emit("movi", R_CALLEE_OFF, sigma)
+        a.emit("movi", R_RESUME, 0)
+        enter_sys(a, FORWARDCALL_EP)
         a.label(resume)
 
     def mask_out(self, a: Assembler, reg: int, t: str):

@@ -6,11 +6,11 @@ from dataclasses import dataclass
 from ..aim.link import LinkError, ProgramImage, merge
 from ..aim.machine import MachineState, run_state
 from ..aim.isa import Assembler
-from ..aim.words import FORWARDCALL_EP, SYS_ID, Address, NonceOracle, Word
+from ..aim.words import FORWARDCALL_EP, R_CALLEE_MID, R_CALLEE_OFF, R_RECV, R_RESUME, SYS_ID, Address, NonceOracle, Word
 from ..jem import ast
 from ..jem.interp import DEFAULT_FUEL
 from ..jem.typecheck import typecheck
-from .comp import comp_class
+from .comp import comp_class, enter_sys
 from .prot import prot
 from .sysmod import SYS_DEPTH_ADDR, build_sys
 
@@ -84,9 +84,8 @@ def boot_state(image: ProgramImage, seed: int = 0) -> MachineState:
         st.sys_depth_addr = SYS_DEPTH_ADDR
         st.mem.setdefault(SYS_DEPTH_ADDR, 0)
     for mid, entries in image.masks.items():
-        t = st.table(mid)
         for off, mask in entries.items():
-            t.add(off, mask)
+            st.add_mask(mid, off, mask)
             enc = image.mem.get(Address(mid, off))
             st.gstore[mask] = (enc, mid)
     return st
@@ -140,20 +139,13 @@ def run_aim(image: ProgramImage, seed: int = 0, fuel: int = DEFAULT_FUEL) -> Aim
         raise UnresolvedSymbols("image carries unfulfilled requirements")
     addr, mask = find_entry(image)
     st = boot_state(image, seed)
-    boot = (
-        Assembler()
-        .emit("movi", 3, addr.mid)
-        .emit("movi", 4, addr.off)
-        .emit("movi", 5, BOOT_RET)
-        .emit("movi", 6, mask)
-        .emit("movi", 1, FORWARDCALL_EP)
-        .emit("movi", 2, SYS_ID)
-        .emit("jmp", 1, 2)
-        .words()
-    )
-    for i, w in enumerate(boot):
+    boot = Assembler()
+    for r, w in ((R_CALLEE_MID, addr.mid), (R_CALLEE_OFF, addr.off), (R_RESUME, BOOT_RET), (R_RECV, mask)):
+        boot.emit("movi", r, w)
+    enter_sys(boot, FORWARDCALL_EP)
+    for i, w in enumerate(boot.words()):
         st.mem[Address(0, BOOT_OFF + i)] = w
     st.mem[Address(0, BOOT_RET)] = 11  # halt
     st.pc = Address(0, BOOT_OFF)
     kind, reason, st, steps = run_state(st, fuel)
-    return AimResult(kind, reason, st.reg(6), steps, st)
+    return AimResult(kind, reason, st.reg(R_RECV), steps, st)

@@ -7,25 +7,29 @@ prot() assembles a compiled class into a protected module:
     [overflow] [data: stack pointer, heap pointer, outcall counter, static
     objects, heap ... the stack, far above]
 
-Method entry points admit only jumps forwarded by sys (r0=1, r5=3*N_W), load
-masked receivers and typecheck receiver and parameters. They then set up a
-body as comp.py describes (r0 := module id, FP := SP, r5 := the return path)
-and fall into it. The return path masks the result, sets SP := FP, zeroes
-r3, r4 and the parameter registers and returns through sys. The return entry
-point (offset 0) accepts only sys, pops the outcall triple off the module's
-stack, reloads r0 and FP from it and typechecks the returned value before
-resuming. Exports bind methods to their entry points and objects to masks.
+The registers of a crossing are those of the calling convention
+(aim/words.py). Method entry points admit only jumps forwarded by sys: the
+caller id must be sys and the resume designator forwardReturn. They load
+masked receivers and typecheck receiver and parameters, then set up a body as
+comp.py describes (MID := module id, FP := SP, the resume designator := the
+return path) and fall into it. The return path masks the result, sets
+SP := FP, scrubs forwardCall's target and the argument registers and enters
+sys's forwardReturn. The return entry point (offset 0) accepts only sys, pops
+the outcall triple off the module's stack, reloads MID and FP from it and
+typechecks the returned value before resuming. Exports bind methods to their
+entry points and objects to masks.
 
-The checks' scratch registers are r1 and r2, so no check clobbers a
-parameter.
+The checks' scratch registers are the first two of `POOL`, below every
+argument register, so no check clobbers a parameter.
 """
 from __future__ import annotations
 
 from ..aim.isa import ZF, Assembler, Label
 from ..aim.link import ObjKey, ProgramImage, SymbolTable
-from ..aim.words import FORWARDRETURN_EP, N_W, SYS_ID, Address, Descriptor, Nonce, addresses
+from ..aim.words import ARG_REGS, FORWARDRETURN_EP, N_W, R_CALLEE_MID, R_CALLEE_OFF, R_CALLER, R_RECV, R_RESUME, SYS_ID
+from ..aim.words import Address, Descriptor, Nonce, addresses
 from ..jem import ast
-from .comp import DATA_BASE, FP, MAX_PARAMS, MID, OCD, SP, ClassCompiler, CompileError, always_jump, jump_if, trampoline
+from .comp import DATA_BASE, FP, MID, OCD, SP, ClassCompiler, CompileError, always_jump, enter_sys, jump_if, scrub, trampoline
 from .encoding import encode_type
 
 _instance = 0
@@ -58,38 +62,35 @@ def _param_check(cc, a: Assembler, reg: int, t: str):
 def _method_entry(cc, a: Assembler, m: ast.Method):
     """The checks of method `m`'s entry point, its body and its return path."""
     a.label(f"epimpl_{m.name}")
-    _check_eq(cc, a, 0, SYS_ID)  # jumps must come via sys
-    _check_eq(cc, a, 5, FORWARDRETURN_EP)  # with the forward-return address armed
-    a.emit("tbl_get", 6, 6)  # receiver: unknown or null masks abort
+    _check_eq(cc, a, R_CALLER, SYS_ID)  # jumps must come via sys
+    _check_eq(cc, a, R_RESUME, FORWARDRETURN_EP)  # with the forward-return address armed
+    a.emit("tbl_get", R_RECV, R_RECV)  # receiver: unknown or null masks abort
     a.emit("movi", 1, cc.own_enc)
-    a.emit("tychk", 6, 1)
-    for i, pt in enumerate(m.sig.params):
-        _param_check(cc, a, 7 + i, pt)
+    a.emit("tychk", R_RECV, 1)
+    for r, pt in zip(ARG_REGS, m.sig.params):
+        _param_check(cc, a, r, pt)
     if ast.calls_itself(m):  # the body is a spin: nothing returns
         cc.emit_body(a, m)
         return
     ret = cc.fresh_label("epret")
-    a.emit("movi", 5, Label(ret))
+    a.emit("movi", R_RESUME, Label(ret))
     a.emit("movi", MID, cc.mid)
     a.emit("movi", 1, SP)
     a.emit("movl", FP, MID, 1)
     cc.emit_body(a, m)
     a.label(ret)
-    cc.mask_out(a, 6, m.sig.ret)
+    cc.mask_out(a, R_RECV, m.sig.ret)
     a.emit("movi", 1, SP)
     a.emit("movs", MID, FP, 1)
-    # r1 and r2 carry the jump below; nothing else leaves but r5 and r6
-    for r in (3, 4, *range(7, 7 + MAX_PARAMS)):
-        a.emit("movi", r, 0)
-    a.emit("movi", 5, 1)
-    a.emit("movi", 1, FORWARDRETURN_EP)
-    a.emit("movi", 2, SYS_ID)
-    a.emit("jmp", 1, 2)
+    # the jump registers carry the jump; nothing else leaves but R_RESUME and R_RECV
+    scrub(a, (R_CALLEE_MID, R_CALLEE_OFF, *ARG_REGS))
+    a.emit("movi", R_RESUME, 1)
+    enter_sys(a, FORWARDRETURN_EP)
 
 
 def _return_entry(cc, a: Assembler):
     a.label("retimpl")
-    _check_eq(cc, a, 0, SYS_ID)  # only sys forwards returns
+    _check_eq(cc, a, R_CALLER, SYS_ID)  # only sys forwards returns
     a.emit("movi", MID, cc.mid)
     # there must be an outstanding outcall
     a.emit("movi", 3, OCD)
@@ -117,14 +118,14 @@ def _return_entry(cc, a: Assembler):
     a.emit("movi", 1, cc.own_enc)
     a.emit("cmp", 3, 1)
     jump_if(a, own, 1)
-    a.emit("tychk", 6, 3)
+    a.emit("tychk", R_RECV, 3)
     always_jump(a, go, 1)
     a.label(own)
     a.emit("movi", 1, 0)
-    a.emit("cmp", 6, 1)
+    a.emit("cmp", R_RECV, 1)
     jump_if(a, go, 1)  # null return needs no unmasking
-    a.emit("tbl_get", 6, 6)
-    a.emit("tychk", 6, 3)
+    a.emit("tbl_get", R_RECV, R_RECV)
+    a.emit("tychk", R_RECV, 3)
     a.label(go)
     a.emit("cmp", 0, 0)
     a.emit("je", 2, ZF)

@@ -4,16 +4,18 @@ Module id 1 with entry points
     (1,0)      testObj        (1,N_W)    registerObj
     (1,2*N_W)  forwardCall    (1,3*N_W)  forwardReturn
 
+Registers are named by their roles in the calling convention (aim/words.py).
 Call-stack frames are (return id, return offset, callee id) triples pushed by
-forwardCall from (r0, r5, r3). forwardReturn aborts unless the returning
-module's authenticated id equals the recorded callee, then transfers to the
-recorded return address. The frame depth is mirrored at the first data word so
-forwardCall can test emptiness with a plain load.
+forwardCall from the caller id, the resume designator and the callee's module
+id. forwardReturn aborts unless the returning module's authenticated id
+equals the recorded callee, then transfers to the recorded return address.
+The frame depth is mirrored at the first data word so forwardCall can test
+emptiness with a plain load.
 
-sys keeps its scratch values out of r7-r15, the argument registers
-(compiler/comp.py), which forwardCall passes on untouched: forwardCall uses
-r1, r2 and r16 and forwardReturn r4, and each zeroes its scratch before its
-boundary jump, but for the jump's own target registers.
+sys keeps its scratch values out of the argument registers, which forwardCall
+passes on untouched: forwardCall uses the jump registers and R_SYS_SCRATCH and
+forwardReturn R_CALLEE_OFF, and each procedure scrubs what its exit must not
+carry before its boundary jump.
 
 sys is assembled and laid out once, at import: `SYS_WORDS` are its code
 words, `SYS_EXIT_MARKS` its boundary jumps, which the trace engine reads
@@ -27,8 +29,9 @@ from types import MappingProxyType
 from ..aim.isa import Assembler
 from ..aim.link import ProgramImage, SymbolTable
 from ..aim.words import FORWARDCALL_EP, FORWARDRETURN_EP, REGISTEROBJ_EP, SYS_ID, TESTOBJ_EP, Address, Descriptor, addresses
+from ..aim.words import ARG_REGS, R_CALLEE_MID, R_CALLEE_OFF, R_CALLER, R_JUMP_MID, R_JUMP_OFF, R_RECV, R_RESUME, R_SYS_SCRATCH
 from ..jem.ast import MethodSig
-from .comp import DATA_BASE, always_jump, jump_if, trampoline
+from .comp import DATA_BASE, always_jump, jump_if, scrub, trampoline
 
 SYS_DEPTH_ADDR = Address(SYS_ID, DATA_BASE)
 
@@ -54,54 +57,54 @@ def _assemble() -> tuple[tuple, MappingProxyType]:
     trampoline(a, "fwcall")
     trampoline(a, "fwret")
 
-    # testObj(w in r7, w' in r8): abort if unknown, else r6 := 0/1 on match/mismatch
+    w, w2 = ARG_REGS[:2]  # the two words testObj and registerObj take
+    unused = (R_JUMP_OFF, R_JUMP_MID, R_CALLEE_MID, R_CALLEE_OFF, *ARG_REGS)  # what their exits must not carry
+
+    # testObj(w, w'): abort if w is unknown, else result := 0/1 on match/mismatch
     a.label("testobj")
-    a.emit("gst_test", 6, 7, 8)
-    for r in (1, 2, 3, 4, 7, 8, 9, 10, 11, 12, 13, 14, 15):
-        a.emit("movi", r, 0)
-    exit_jump("testobj", 5, 0)
+    a.emit("gst_test", R_RECV, w, w2)
+    scrub(a, unused)
+    exit_jump("testobj", R_RESUME, R_CALLER)
 
-    # registerObj(w in r7, w' in r8): abort if already known; owner is the caller id
+    # registerObj(w, w'): abort if already known; owner is the caller id
     a.label("regobj")
-    a.emit("gst_add", 7, 8)
-    a.emit("movi", 6, 1)
-    for r in (1, 2, 3, 4, 7, 8, 9, 10, 11, 12, 13, 14, 15):
-        a.emit("movi", r, 0)
-    exit_jump("regobj", 5, 0)
+    a.emit("gst_add", w, w2)
+    a.emit("movi", R_RECV, 1)
+    scrub(a, unused)
+    exit_jump("regobj", R_RESUME, R_CALLER)
 
-    # forwardCall: target in (r3, r4), caller resume offset in r5
+    # forwardCall: target in (R_CALLEE_MID, R_CALLEE_OFF), caller's resume offset in R_RESUME
+    s1, s2 = R_JUMP_OFF, R_JUMP_MID  # its scratch until its exit jump
     a.label("fwcall")
-    a.emit("movi", 2, SYS_ID)
-    a.emit("movi", 1, DATA_BASE)
-    a.emit("movl", 1, 2, 1)
-    a.emit("movi", 2, 0)
-    a.emit("cmp", 1, 2)
-    jump_if(a, "fc_fresh", 2)
-    a.emit("stk_pop", 1, 2, 16)
-    a.emit("stk_push", 1, 2, 16)
-    a.emit("cmp", 1, 0)  # the module that called last may not call again
-    jump_if(a, "sys_abort", 2)
+    a.emit("movi", s2, SYS_ID)
+    a.emit("movi", s1, DATA_BASE)
+    a.emit("movl", s1, s2, s1)
+    a.emit("movi", s2, 0)
+    a.emit("cmp", s1, s2)
+    jump_if(a, "fc_fresh", s2)
+    a.emit("stk_pop", s1, s2, R_SYS_SCRATCH)
+    a.emit("stk_push", s1, s2, R_SYS_SCRATCH)
+    a.emit("cmp", s1, R_CALLER)  # the module that called last may not call again
+    jump_if(a, "sys_abort", s2)
     a.label("fc_fresh")
-    a.emit("movi", 1, SYS_ID)
-    a.emit("cmp", 3, 1)  # no forwarding into sys itself
-    jump_if(a, "sys_abort", 2)
-    a.emit("stk_push", 0, 5, 3)
-    a.emit("movi", 5, FORWARDRETURN_EP)
-    for r in (0, 1, 2, 16):
-        a.emit("movi", r, 0)
-    exit_jump("fwcall", 4, 3)
+    a.emit("movi", s1, SYS_ID)
+    a.emit("cmp", R_CALLEE_MID, s1)  # no forwarding into sys itself
+    jump_if(a, "sys_abort", s2)
+    a.emit("stk_push", R_CALLER, R_RESUME, R_CALLEE_MID)
+    a.emit("movi", R_RESUME, FORWARDRETURN_EP)
+    scrub(a, (R_CALLER, s1, s2, R_SYS_SCRATCH))
+    exit_jump("fwcall", R_CALLEE_OFF, R_CALLEE_MID)
 
     # forwardReturn: pop (id, n, callee); abort unless the returner is the callee
     a.label("fwret")
-    a.emit("stk_pop", 2, 1, 3)
-    a.emit("cmp", 3, 0)
-    jump_if(a, "fr_ok", 4)
-    always_jump(a, "sys_abort", 4)
+    a.emit("stk_pop", R_JUMP_MID, R_JUMP_OFF, R_CALLEE_MID)
+    a.emit("cmp", R_CALLEE_MID, R_CALLER)
+    jump_if(a, "fr_ok", R_CALLEE_OFF)
+    always_jump(a, "sys_abort", R_CALLEE_OFF)
     a.label("fr_ok")
-    a.emit("movi", 5, 1)
-    for r in (0, 3, 4, 7, 8, 9, 10, 11, 12, 13, 14, 15):
-        a.emit("movi", r, 0)
-    exit_jump("fwret", 1, 2)
+    a.emit("movi", R_RESUME, 1)
+    scrub(a, (R_CALLER, R_CALLEE_MID, R_CALLEE_OFF, *ARG_REGS))
+    exit_jump("fwret", R_JUMP_OFF, R_JUMP_MID)
 
     a.label("sys_abort")
     a.emit("zero")

@@ -5,6 +5,8 @@ component. Canonicalization renames nonces to N0, N1, ... — statically
 exported object masks first (in table order, so two components with the same
 interface canonicalize identically), then by first occurrence in the trace.
 Linking symbols print as $name and are already stable across components.
+A call action records registers as a call vector, r0 up: `vector` builds one,
+`call_vector` the one a callee sees at its entry, and `reg` reads one.
 `rename` canonicalizes one step at a time: a trace extended by some actions
 renames only those, under the map its prefix left; what it gives depends on
 that map only through the names of the actions' own `nonces`, and through
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..aim.words import Nonce, Symbol, Word, parse_word
+from ..aim.words import FORWARDRETURN_EP, R_CALLER, R_RECV, R_RESUME, Nonce, Symbol, Word, parse_word
 
 
 @dataclass(frozen=True)
@@ -91,6 +93,26 @@ class FuelExceeded:
 
 Action = object
 Trace = tuple
+
+
+def vector(regs: dict) -> tuple:
+    """Registers by number as a call vector: r0 up to the highest of `regs`,
+    and at least to the receiver."""
+    return tuple(regs.get(i, 0) for i in range(max((R_RECV, *regs)) + 1))
+
+
+def call_vector(caller, recv, args) -> tuple:
+    """The call vector a callee sees at its entry: the caller id, sys's
+    forwardReturn as the resume designator, the receiver and the arguments."""
+    v = [0] * R_RECV + [recv, *args]  # the argument registers, ARG_REGS, follow the receiver
+    v[R_CALLER], v[R_RESUME] = caller, FORWARDRETURN_EP
+    return tuple(v)
+
+
+def reg(regs: tuple, i: int) -> Word:
+    """Register `i` of a call vector: 0 when the vector stops short of it, as
+    the machine reads an unwritten register."""
+    return regs[i] if i < len(regs) else 0
 
 
 def is_input(a: Action) -> bool:

@@ -17,25 +17,28 @@ The booted state keeps its protected code in a map that all its clones share
 words. The run looks at pc only when it is in the tracer's stop set: sys's
 four boundary jumps, forwardReturn and the method entry points. It decodes
 nothing of its own: a boundary jump's role and operand registers are read from
-sys's table of them (`SYS_EXIT_MARKS`). The id a Return! names is read
-off r0 whenever pc reaches forwardReturn: the machine's `jmp` stamps r0 with
-the id of the module that jumped there, and a returnback injection sets r0 to
-the id it claims.
+sys's table of them (`SYS_EXIT_MARKS`). Registers are named by their roles
+in the calling convention (aim/words.py), and call vectors are built and read
+by traces/actions.py. The id a Return! names is read off R_CALLER whenever pc
+reaches forwardReturn: the machine's `jmp` stamps it with the id of the
+module that jumped there, and a returnback injection sets it to the id it
+claims.
 
 Call prefixes. Every call into one entry point from one state runs sys's
-forwardCall, the entry trampoline and the r0/r5 entry checks before it reads
-its receiver or an argument, so that part, the call prefix (`CallPrefix`),
-runs once for all of them: an `_enter` with only r3, r4 and r5 set, paused
-before the first instruction that is `zero` or names an argument register
-(r6 to r6 + MAX_PARAMS, `_pauses`), and before a boundary exit, whose reply
-reads them. Each call then loads r6 and up into a copy of the paused state
-(the last call takes the state itself) and runs on with the fuel left and
-`forwarded` and the returner carried over. This is sound as a rule reads and
-writes only the registers its instruction names, but that `jmp` writes r0,
-`gst_add` reads r0, `zero` clears every register and an abort clears every
-register and ends the run (aim/machine.py). So up to the pause a run with r6
-and up loaded takes the same steps and leaves those registers as loaded, and
-a prefix that ends before it pauses ends every call alike. `Graph._expand`
+forwardCall, the entry trampoline and the entry's R_CALLER and R_RESUME
+checks before it reads its receiver or an argument, so that part, the call
+prefix (`CallPrefix`), runs once for all of them: an `_enter` with only
+forwardCall's target and R_RESUME set, paused before the first instruction
+that is `zero` or names a register of `CALL_REGS` (`_pauses`), and before a
+boundary exit, whose reply reads them. Each call then loads those registers
+into a copy of the paused state (the last call takes the state itself) and
+runs on with the fuel left and `forwarded` and the returner carried over.
+This is sound as a rule reads and writes only the registers its instruction
+names, but that `jmp` writes R_CALLER, `gst_add` reads it, `zero` clears
+every register and an abort clears every register and ends the run
+(aim/machine.py). So up to the pause a run with `CALL_REGS` loaded takes the
+same steps and leaves them as loaded, and a prefix that ends before it pauses
+ends every call alike. `Graph._expand`
 gives the calls of one entry point in its menu one prefix; a call made
 alone, as `random_trace` makes them, has a prefix of its own.
 
@@ -97,17 +100,17 @@ from functools import cached_property
 
 from ..aim.isa import OPTABLE
 from ..aim.words import FORWARDCALL_EP, FORWARDRETURN_EP, REGISTEROBJ_EP, SYS_ID, TESTOBJ_EP, Address, Nonce, Symbol
-from ..compiler.comp import MAX_PARAMS
+from ..aim.words import ARG_REGS, R_CALLEE_MID, R_CALLEE_OFF, R_CALLER, R_RECV, R_RESUME
 from ..compiler.pipeline import boot_state
 from ..compiler.sysmod import SYS_EXIT_MARKS
 from ..compiler.encoding import V_FALSE, V_NULL, V_TRUE, V_UNIT, class_name_of_encoding, encode_class
-from .actions import CallIn, CallOut, FuelExceeded, ReturnIn, ReturnOut, Tick, canonicalize, rename
+from .actions import CallIn, CallOut, FuelExceeded, ReturnIn, ReturnOut, Tick, call_vector, canonicalize, reg, rename, vector
 
 RESUME_PAD = 40
 DEFAULT_DEPTH = 4
 DEFAULT_SEGMENT_FUEL = 100_000
-# what a call injection loads: the receiver in r6, the arguments from r7
-ARG_REGS = frozenset(range(6, 7 + MAX_PARAMS))
+# what a call injection loads: the receiver and the arguments
+CALL_REGS = frozenset((R_RECV, *ARG_REGS))
 # opcode name -> how many of its first operands hold every register it names
 REG_SPAN = {name: kinds.rfind("r") + 1 for name, (_, kinds) in OPTABLE.items()}
 
@@ -119,11 +122,6 @@ class Segment:
     action: object
     reply: object
     state: object | None  # suspended machine state, None when the trace ended
-
-
-def _vector(regs: dict) -> tuple:
-    """Injected registers as the register vector of a call? action."""
-    return tuple(regs.get(i, 0) for i in range(max(6, *regs) + 1))
 
 
 class ComponentTracer:
@@ -177,10 +175,11 @@ class ComponentTracer:
 
     def call_method(self, state, ep: Address, recv, args, prefix: CallPrefix | None = None) -> Segment:
         """Call `ep` on `recv` with `args` from `state`: `prefix`, a prefix of
-        `state` and `ep` (a new one when None), run on from its pause with r6
-        and up loaded."""
+        `state` and `ep` (a new one when None), run on from its pause with
+        the receiver and the arguments loaded."""
         prefix = prefix or CallPrefix()
-        regs = {3: ep.mid, 4: ep.off, 5: RESUME_PAD}
+        regs = {R_CALLEE_MID: ep.mid, R_CALLEE_OFF: ep.off, R_RESUME: RESUME_PAD}
+        loaded = {R_RECV: recv, **dict(zip(ARG_REGS, args))}
         if prefix.run is None:
             prefix.run = self._enter(state, Address(SYS_ID, FORWARDCALL_EP), regs, ep, pause=True)
         forwarded, reply, nxt = prefix.run
@@ -188,28 +187,28 @@ class ComponentTracer:
         if reply is None:
             st, fuel, returner = nxt
             st = st.clone() if prefix.calls else st
-            for i, w in enumerate((recv, *args), 6):
+            for i, w in loaded.items():
                 st.set_reg(i, w)
             forwarded, reply, nxt = self._run(st, ep, fuel, forwarded, returner)
         if forwarded:
-            action = CallIn((ep.mid, ep.off), (SYS_ID, 0, 0, 0, 0, FORWARDRETURN_EP, recv, *args))
+            action = CallIn((ep.mid, ep.off), call_vector(SYS_ID, recv, args))
         else:
-            action = CallIn((SYS_ID, FORWARDCALL_EP), _vector({**regs, 6: recv, **dict(enumerate(args, 7))}))
+            action = CallIn((SYS_ID, FORWARDCALL_EP), vector({**regs, **loaded}))
         return Segment(action, reply, nxt)
 
-    def call_sysproc(self, state, off: int, w7, w8) -> Segment:
-        regs = {5: RESUME_PAD, 7: w7, 8: w8}
+    def call_sysproc(self, state, off: int, w, w2) -> Segment:
+        regs = {R_RESUME: RESUME_PAD, ARG_REGS[0]: w, ARG_REGS[1]: w2}
         _, reply, nxt = self._enter(state, Address(SYS_ID, off), regs)
-        return Segment(CallIn((SYS_ID, off), _vector(regs)), reply, nxt)
+        return Segment(CallIn((SYS_ID, off), vector(regs)), reply, nxt)
 
     def returnback(self, state, value, ident) -> Segment:
-        _, reply, nxt = self._enter(state, Address(SYS_ID, FORWARDRETURN_EP), {0: ident, 6: value})
+        _, reply, nxt = self._enter(state, Address(SYS_ID, FORWARDRETURN_EP), {R_CALLER: ident, R_RECV: value})
         return Segment(ReturnIn((SYS_ID, FORWARDRETURN_EP), value, ident), reply, nxt)
 
     def poke(self, state, addr: Address, regs: dict) -> Segment:
-        regs = {5: RESUME_PAD, **regs}
+        regs = {R_RESUME: RESUME_PAD, **regs}
         _, reply, nxt = self._enter(state, addr, regs)
-        return Segment(CallIn((addr.mid, addr.off), _vector(regs)), reply, nxt)
+        return Segment(CallIn((addr.mid, addr.off), vector(regs)), reply, nxt)
 
     # -- the deterministic component run ---------------------------------------
 
@@ -236,7 +235,7 @@ class ComponentTracer:
                 if pc.mid != SYS_ID:
                     forwarded = forwarded or pc == watch_forward
                 elif pc.off == FORWARDRETURN_EP:
-                    returner = st.reg(0)
+                    returner = st.reg(R_CALLER)
                 else:
                     kind, rd, ri = marks[pc.off]
                     t_off, t_mid = st.reg(rd), st.reg(ri)
@@ -245,11 +244,10 @@ class ComponentTracer:
                             return forwarded, None, (st, fuel - n, returner)
                         if kind == "fwcall":
                             sig = self.rm_by_syms.get((t_mid, t_off))
-                            k = len(sig.params) if sig else 0
-                            regs = (0, 0, 0, 0, 0, FORWARDRETURN_EP, st.reg(6), *(st.reg(7 + i) for i in range(k)))
-                            return forwarded, CallOut((t_mid, t_off), regs), st
+                            args = [st.reg(r) for r in ARG_REGS[: len(sig.params) if sig else 0]]
+                            return forwarded, CallOut((t_mid, t_off), call_vector(0, st.reg(R_RECV), args)), st
                         ident = returner if kind == "fwret" else SYS_ID
-                        return forwarded, ReturnOut((t_mid, t_off), st.reg(6), ident), st
+                        return forwarded, ReturnOut((t_mid, t_off), st.reg(R_RECV), ident), st
             if pause and _pauses(st):
                 return forwarded, None, (st, fuel - n, returner)
             status, _reason = step()
@@ -263,10 +261,10 @@ class ComponentTracer:
 
 def _pauses(st) -> bool:
     """Whether a call prefix pauses before the instruction at pc: it is
-    `zero` or names an argument register. An undecodable one ends every run
-    alike."""
+    `zero` or names a register of `CALL_REGS`. An undecodable one ends
+    every run alike."""
     e = st._icache.get(st.pc) or st._decode()
-    return e is not None and (e[1] == "zero" or not ARG_REGS.isdisjoint(e[4 : 4 + REG_SPAN[e[1]]]))
+    return e is not None and (e[1] == "zero" or not CALL_REGS.isdisjoint(e[4 : 4 + REG_SPAN[e[1]]]))
 
 
 class CallPrefix:
@@ -386,8 +384,8 @@ def _learn(tracer, inj, seg: Segment, knowledge: Knowledge, pending: tuple):
         sig = tracer.rm_by_syms.get(tuple(seg.reply.addr))
         pending += (sig.ret if sig else "Obj",)
         if sig is not None:
-            for w, t in zip(seg.reply.regs[6:], (sig.recv, *sig.params)):
-                knowledge = knowledge.learn(w, t)
+            for r, t in zip((R_RECV, *ARG_REGS), (sig.recv, *sig.params)):
+                knowledge = knowledge.learn(reg(seg.reply.regs, r), t)
     return knowledge, pending
 
 

@@ -376,7 +376,7 @@ def register_probe(name, regs_named, loaded):
         for words in itertools.product(OPERAND_WORDS, repeat=len(named)):
             st = machine(encode(ins(name, *operands)), descs=GRID_DESCS, pc=(2, 20))
             st.mem[Address(2, 100)] = encode_class("c")
-            st.table(2).add(100, MASK)
+            st.add_mask(2, 100, MASK)
             st.gstore[MASK] = (encode_class("c"), 2)
             st.callstack.append((1, 2, 3))
             for i, w in {**loaded, **dict(zip(named, words))}.items():
@@ -416,8 +416,7 @@ class TestRulesTouchOnlyTheRegistersTheyName:
             outcome, bare_outcome = st.step(), bare.step()
 
             def seen(s, outcome):
-                masks = {mid: t.fwd for mid, t in s.masks.items()}
-                return outcome, s.pc, s.flags, s.mem, s.gstore, masks, s.callstack, s.oracle.cursor, s._last_op
+                return outcome, s.pc, s.flags, s.mem, s.gstore, s.masks, s.callstack, s.oracle.cursor, s._last_op
 
             assert seen(st, outcome) == seen(bare, bare_outcome), (name, named)
             cleared = name == "zero" or outcome[0] == "halted" and outcome[1].startswith("abort:")

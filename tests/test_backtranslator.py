@@ -30,7 +30,7 @@ from jemaim.jem.interp import run
 from jemaim.jem.parser import JemSyntaxError, parse_component
 from jemaim.jem.printer import render_component
 from jemaim.jem.typecheck import typecheck
-from jemaim.traces.actions import CallIn, CallOut, FuelExceeded, ReturnIn, ReturnOut, Tick
+from jemaim.traces.actions import CallIn, CallOut, FuelExceeded, ReturnIn, ReturnOut, Tick, rename
 from jemaim.traces.engine import AdversaryDomain, ComponentTracer
 from jemaim.traces.equiv import first_divergence, trace_equiv
 
@@ -108,6 +108,24 @@ class TestSkeleton:
         c2 = parse_ok(CALLBACK_SRC)  # imports an interface c1 does not
         with pytest.raises(ImportMismatch):
             build_interface(c1, c2, compaim(c1), compaim(c2))
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            *COMPONENTS.values(),
+            *(side for pair in INEQUIVALENT_PAIRS.values() for side in pair),
+            "class c { c(){} public get() : c()->Int { return 1; } }; object p : c { }; object o : c { };",
+        ],
+        ids=[*COMPONENTS, *(f"{name}/{k}" for name in INEQUIVALENT_PAIRS for k in (1, 2)), "two-objects"],
+    )
+    def test_exported_ids_are_the_tracer_seeding(self, src):
+        """The canonical id of each exported object is the name the tracer's
+        renaming seeds its mask with; every corpus component exports one
+        object, so a component with two, declared out of table order, joins."""
+        c, img, iface = iface_for(src)
+        seed_masks = ComponentTracer(img).seed_masks
+        names = rename((), {}, seed_masks)[1]
+        assert [cid for _, _, cid, _ in iface.exported_objects] == [names[m] for m in seed_masks]
 
 
 class TestEmulateValues:

@@ -218,6 +218,18 @@ class TestTracePipeline:
         out = capsys.readouterr().out
         assert "(emulation failed at action 0: entry-bypassing-sys; do-nothing context)" in out
 
+    @pytest.mark.parametrize(
+        "call, rule", [("call? (2,16) [1]", "entry-bypassing-sys"), ("call? (1,0) []", "testObj-unknown-id")]
+    )
+    def test_a_short_call_vector_reads_the_registers_it_lacks_as_zero(self, ws, capsys, call, rule):
+        # c1/c2 are README's pair; a vector that stops short of a register
+        # reads it as 0, as the machine reads an unwritten register
+        for k in (1, 2):
+            (ws / f"t{k}.trace").write_text(f"{call}\nret! (0,40) {k} id=2\n")
+        args = (ws / "c1.jem", ws / "c2.jem", ws / "t1.trace", ws / "t2.trace", "-o", ws / "w.jem")
+        assert run_cli("backtranslate", *args) == 0
+        assert f"(emulation failed at action 0: {rule}; do-nothing context)" in capsys.readouterr().out
+
     def test_trace_diff_equivalent_components(self, ws, capsys):
         assert run_cli("trace_diff", ws / "c1.jem", ws / "c1.jem", "--depth", "2", "-o", ws / "d2") == 0
         assert "equivalent at depth 2" in capsys.readouterr().out

@@ -9,7 +9,7 @@ from jemaim.aim import aimod
 from jemaim.aim.isa import decode
 from jemaim.aim.link import MethodSig as LinkSig
 from jemaim.aim.machine import MachineState, run_state
-from jemaim.aim.words import FORWARDCALL_EP, Address, Descriptor, N_W, Nonce, Symbol, SYS_ID
+from jemaim.aim.words import ARG_REGS, FORWARDCALL_EP, R_CALLER, R_RECV, Address, Descriptor, N_W, Nonce, Symbol, SYS_ID
 from jemaim.compiler.comp import DATA_BASE, MAX_PARAMS, STATIC_BASE, CompileError, comp_class
 from jemaim.compiler.encoding import ENC_OBJ, class_name_of_encoding, encode_class, encode_type, encode_value
 from jemaim.compiler.pipeline import boot_state, compaim, mylink, run_aim
@@ -30,10 +30,10 @@ from jemaim.jem.parser import parse_component
 from jemaim.jem.printer import render_component
 from jemaim.jem.typecheck import Checker, typecheck
 from jemaim.traces.engine import ComponentTracer, enumerate_traces
-from jemaim.traces.actions import ReturnOut, Tick
+from jemaim.traces.actions import CallIn, CallOut, ReturnOut, Tick, call_vector, reg, vector
 
 from corpus import COMPONENTS, INEQUIVALENT_PAIRS, WHOLE_PROGRAMS, main_prog
-from test_traces import PIN_DOMAINS, PINNED_SOURCES
+from test_traces import PIN_DOMAINS, PINNED_SOURCES, REGISTER_DOMAINS, REGISTER_SOURCES, TRACE_SET_PINS
 
 
 def call_chain(n):
@@ -651,6 +651,100 @@ class TestRegisterHygiene:
             assert st.reg(r) == 0, f"r{r} leaked {st.reg(r)!r}"
 
 
+class SysExitScrub:
+    """Checks, at each of sys's four exit jumps, that only the registers the
+    exit carries may be non-zero: the jump's operands, r5 and r6, and at
+    forwardCall's exit also r3, r4 and the call's arguments. Its register
+    sets are literal, so that it stays a reference for the names of the
+    calling convention (aim/words.py) rather than reading them.
+
+    A jump that leaves the component is not stepped by the trace engine,
+    which observes it in place (`ComponentTracer._run`): so the state a run
+    returns at such an exit is checked too."""
+
+    def __init__(self):
+        self.image = None
+        self.exits = Counter()
+
+    def check(self, st):
+        e = st._icache.get(st.pc) or st._decode()
+        if e is None or e[1] != "jmp" or st.pc.mid != SYS_ID:
+            return
+        rd, ri = e[4:]
+        allowed = {rd, ri, 5, 6}
+        kind = SYS_EXIT_MARKS[st.pc.off][0]
+        if kind == "fwcall":
+            table = self.image.table
+            targets = {(a.mid, a.off): sig for sig, a in table.em.items()}
+            targets.update({(iota, sigma): sig for sig, iota, sigma in table.rm})
+            sig = targets[st.reg(3), st.reg(4)]
+            allowed |= {3, 4, *range(7, 7 + len(sig.params))}
+        leaked = {r: w for r, w in st.regs.items() if w != 0 and r not in allowed}
+        assert not leaked, f"sys's {kind} exit leaks {leaked}"
+        self.exits[kind] += 1
+
+
+@pytest.fixture
+def sys_scrub(monkeypatch):
+    checker = SysExitScrub()
+    step, run = MachineState.step, ComponentTracer._run
+
+    def checked(self):
+        checker.check(self)
+        return step(self)
+
+    def observed(self, *args, **kwargs):
+        forwarded, reply, nxt = run(self, *args, **kwargs)
+        if isinstance(reply, (CallOut, ReturnOut)):
+            checker.check(nxt)
+        return forwarded, reply, nxt
+
+    monkeypatch.setattr(MachineState, "step", checked)
+    monkeypatch.setattr(ComponentTracer, "_run", observed)
+    return checker
+
+
+def assert_vectors_round_trip(traces):
+    """Every call action's vector is what the builder makes of what the
+    reader reads of it: `call_vector` for a callee's entry (a forwarded
+    call? or a call!), `vector` for a call? into sys."""
+    calls = 0
+    for t in traces:
+        for a in t:
+            if not isinstance(a, (CallIn, CallOut)):
+                continue
+            v, calls = a.regs, calls + 1
+            assert reg(v, len(v)) == 0
+            if isinstance(a, CallOut) or a.addr[0] != SYS_ID:
+                args = [reg(v, r) for r in ARG_REGS[: len(v) - 7]]
+                assert call_vector(reg(v, R_CALLER), reg(v, R_RECV), args) == v, a
+            else:
+                assert vector({i: reg(v, i) for i in range(len(v))}) == v, a
+    assert calls
+
+
+class TestSysLeavesNothingAtABoundary:
+    def test_whole_programs(self, sys_scrub):
+        for src in WHOLE_PROGRAMS.values():
+            sys_scrub.image = compaim(parse_ok(src))
+            run_aim(sys_scrub.image, seed=1, fuel=300_000)
+        # every call and return of a whole program crosses sys, though some
+        # end before they return; only the trace engine's environment calls
+        # testObj and registerObj
+        assert sys_scrub.exits == Counter(fwcall=40, fwret=36)
+
+    @pytest.mark.parametrize("name, domain", list(TRACE_SET_PINS))
+    def test_pinned_enumerations(self, sys_scrub, name, domain):
+        """The 53 depth-4 enumerations whose trace sets test_traces.py pins;
+        the domains that register reach all four exits."""
+        adversary = {**PIN_DOMAINS, **REGISTER_DOMAINS}[domain]
+        sys_scrub.image = compaim(parse_ok({**PINNED_SOURCES, **REGISTER_SOURCES}[name]))
+        traces = enumerate_traces(sys_scrub.image, depth=4, domain=adversary())
+        kinds = {"fwcall", "fwret", *(("testobj", "regobj") if domain in REGISTER_DOMAINS else ())}
+        assert set(sys_scrub.exits) == kinds
+        assert_vectors_round_trip(traces)
+
+
 class TestDynamicTypechecks:
     """The typecheck op itself, exercised through the privileged instruction."""
 
@@ -742,8 +836,7 @@ class TestMaskingTable:
         st = MachineState(pc=Address(2, 0), mem=mem, descs=[Descriptor(2, 30, 1)], oracle=NonceOracle(0))
         kind, _, st, _ = run_state(st, 20)
         assert kind == "halted"
-        assert list(st.masks[2].fwd) == [100]
-        assert len(st.masks[2].rev) == 1
+        assert st.masks == {(2, 100): st.reg(5), (2, st.reg(5)): 100}
         assert isinstance(st.reg(5), Nonce)
 
     def test_init_gives_distinct_masks_per_exported_object(self):
@@ -762,10 +855,8 @@ class TestMaskingTable:
         comp = parse_ok(WHOLE_PROGRAMS["cross-object-flow"])
         result = run_aim(compaim(comp), seed=0, fuel=900_000)
         st = result.state
-        for mid, t in st.masks.items():
-            assert len(t.fwd) == len(t.rev)
-            for internal, mask in t.fwd.items():
-                assert t.rev[mask] == internal
+        for (mid, w), v in st.masks.items():
+            assert st.masks[mid, v] == w and isinstance(w, int) != isinstance(v, int)
         owners = [owner for _, owner in st.gstore.values()]
         assert all(isinstance(o, int) for o in owners)
 

@@ -561,7 +561,7 @@ class TestMemoisedEnumeration:
         keyed = {
             "mem": lambda s: s.mem.__setitem__(Address(0, 7), 1),
             "oracle": lambda s: s.oracle.fresh(),
-            "masks": lambda s: s.table(2).add(99, Nonce("m", 0)),
+            "masks": lambda s: s.add_mask(2, 99, Nonce("m", 0)),
             "gstore": lambda s: s.gstore.__setitem__(Nonce("g", 0), (1, 2)),
             "callstack": lambda s: s.callstack.append((0, 0, 0)),
             "_last_op": lambda s: setattr(s, "_last_op", "zero"),
@@ -573,7 +573,6 @@ class TestMemoisedEnumeration:
         c = st.clone()
         c.pc, c.flags[ZF] = Address(2, 0), 1
         c.set_reg(6, 5)
-        c.table(3)  # an empty table behaves as an absent one
         assert c.fingerprint() == fp
 
     def test_injections_leave_the_suspended_state_unchanged(self, cell_image):
