@@ -35,6 +35,19 @@ reports ('spin', None). `run_state` and the trace engine end the run there, as
 they would at fuel exhaustion; only the head's entry differs, so no other
 step pays for the check.
 
+`step()` is the definition of every rule, fault and fault message. `run_state`,
+which drives whole programs, also runs seven rules in its own loop, with pc,
+the registers, the flags and the last op's name in locals: `movi`, `add`,
+`sub`, `cmp`, `je`, `movl` and `movs` (`IN_PLACE`), each as its handler does.
+It does so only at a pc with a cached entry, so in protected code, and only
+when the rule cannot fault: Nat addresses that the code-section check admits,
+Nat operands of `add` and `sub` (a Nonce, read as 0, goes to `step()`), and a
+Nat branch target. Every other step writes the locals back and calls
+`step()`, which applies it to the untouched state: a miss, any other opcode
+(the spin head's entry has the spin handler, not movi's) and an operand that
+may fault. The trace engine calls `step()` for each instruction it runs, as
+the benchmark's traced run counts a segment's steps by those calls.
+
 The masking tables, the global store G and the global call stack S are
 side-state manipulated only through the privileged opcodes; no other
 instruction can observe them.
@@ -66,7 +79,7 @@ from ..compiler.encoding import (
 )
 from . import access
 from .isa import FLAGS, OPTABLE, SF, ZF, decode
-from .words import MASK64, R_CALLER, Address, Descriptor, Nonce, NonceOracle, Symbol, Word
+from .words import MASK64, R_CALLER, Address, Descriptor, Nonce, NonceOracle, Symbol, Word, address_of
 
 
 @dataclass
@@ -202,7 +215,9 @@ class MachineState:
         """Apply one rule. Returns ('ok',None) | ('spin',None) | ('halted',r) |
         ('violation',r) | ('stuck',r); 'spin' when the rule was the head of a
         spin, which the machine never leaves. At a cached pc that is one dict
-        lookup and one handler call."""
+        lookup and one handler call. The handlers define every rule:
+        `run_state` runs the seven of `IN_PLACE` in its loop when they cannot
+        fault, and hands every other step here."""
         e = self._icache.get(self.pc) or self._decode()
         if e is None:
             return ("stuck", f"undecodable at {self.pc}")
@@ -440,15 +455,96 @@ class MachineState:
 # opcode name -> handler, built once from the opcode table and read-only
 HANDLERS = MappingProxyType({name: getattr(MachineState, f"_op_{name}") for name in OPTABLE})
 
+# the rules `run_state` runs in place, 99.8 % of the steps compiled whole
+# programs take; its loop tells them by their handlers
+IN_PLACE = ("movi", "add", "sub", "cmp", "je", "movl", "movs")
+_MOVI, _ADD, _SUB, _CMP, _JE, _MOVL, _MOVS = (HANDLERS[name] for name in IN_PLACE)
+_MISS = (None,)  # the entry `run_state` reads at a pc with none cached
+
 
 def run_state(state: MachineState, fuel: int):
     """Drive a state to a terminal. Returns (kind, reason, state, steps).
 
     kind is one of 'halted', 'violation', 'stuck', 'fuel'. A run that reaches
     a spin returns ('fuel', None, state, fuel) at once, `state` being exactly
-    the one stepping to the end of the fuel leaves.
+    the one stepping to the end of the fuel leaves. The loop runs the rules
+    of `IN_PLACE` itself when they cannot fault, and every other step by
+    `step()` (see the module docstring).
     """
+    get = state._icache.get
+    mem, code = state.mem, state.code
+    pc, regs, flags, last = state.pc, state.regs, state.flags, state._last_op
     for n in range(fuel):
+        e = get(pc, _MISS)
+        h = e[0]
+        if h is _MOVI:
+            _, last, pc, _, rd, w = e
+            if w == 0:
+                regs.pop(rd, None)
+            else:
+                regs[rd] = w
+            continue
+        elif h is _ADD:
+            _, op, nxt, _, rd, rs = e
+            a, b = regs.get(rd, 0), regs.get(rs, 0)
+            if type(a) is int and type(b) is int:
+                v = (a + b) & MASK64
+                if v == 0:
+                    regs.pop(rd, None)
+                else:
+                    regs[rd] = v
+                flags[ZF] = 1 if v == 0 else 0
+                pc, last = nxt, op
+                continue
+        elif h is _JE:
+            _, op, nxt, _, rd, fi = e
+            if flags[fi] != 1:
+                pc, last = nxt, op
+                continue
+            off = regs.get(rd, 0)
+            if type(off) is int:
+                pc, last = address_of((pc[0], off)), op
+                continue
+        elif h is _MOVL:
+            _, op, nxt, s, rd, rs, ri = e
+            mid, off = regs.get(rs, 0), regs.get(ri, 0)
+            if type(mid) is int and type(off) is int and off >= 0 and (mid == 0 or mid == s.mid):
+                w = mem.get((mid, off))
+                if w is None:
+                    w = code.get((mid, off), 0)
+                if w == 0:
+                    regs.pop(rd, None)
+                else:
+                    regs[rd] = w
+                pc, last = nxt, op
+                continue
+        elif h is _SUB:
+            _, op, nxt, _, rd, rs = e
+            a, b = regs.get(rd, 0), regs.get(rs, 0)
+            if type(a) is int and type(b) is int:
+                v = a - b
+                w = abs(v) & MASK64
+                if w == 0:
+                    regs.pop(rd, None)
+                else:
+                    regs[rd] = w
+                flags[ZF] = 1 if v == 0 else 0
+                flags[SF] = 1 if v < 0 else 0
+                pc, last = nxt, op
+                continue
+        elif h is _MOVS:
+            _, op, nxt, s, rd, rs, ri = e
+            mid, off = regs.get(rd, 0), regs.get(ri, 0)
+            if type(mid) is int and type(off) is int and off >= 0 and (mid == 0 or (mid == s.mid and off >= s.code_len)):
+                mem[address_of((mid, off))] = regs.get(rs, 0)
+                pc, last = nxt, op
+                continue
+        elif h is _CMP:
+            _, last, pc, _, rd, rs = e
+            flags[ZF] = 1 if regs.get(rd, 0) == regs.get(rs, 0) else 0
+            continue
+        # a miss, another rule, or an operand that may fault: `step()` applies the rule
+        state.pc, state._last_op = pc, last
         status, reason = state.step()
         if status != "ok":
             if status == "spin":
@@ -459,4 +555,6 @@ def run_state(state: MachineState, fuel: int):
                     state.step()
                 return ("fuel", None, state, fuel)
             return (status, reason, state, n + 1)
+        pc, regs, flags, last = state.pc, state.regs, state.flags, state._last_op
+    state.pc, state._last_op = pc, last
     return ("fuel", None, state, fuel)

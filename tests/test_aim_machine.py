@@ -683,7 +683,79 @@ def step_calls(monkeypatch):
     return calls
 
 
-class TestOneStepCallPerStep:
+def observed(kind, reason, steps, st) -> tuple:
+    """A run's outcome and everything a rule may write in its final state."""
+    return (kind, reason, steps, st.pc, st.regs, st.flags, st.mem, st.masks, st.gstore, st.callstack, st._last_op)
+
+
+def observed_aim(r) -> tuple:
+    return observed(r.kind, r.reason, r.steps, r.state)
+
+
+def observed_state(run) -> tuple:
+    kind, reason, st, steps = run
+    return observed(kind, reason, steps, st)
+
+
+def sum_program(pending: int, n: int) -> str:
+    """`main.sum(n)` leaving `pending` operands of `+` on the stack per level."""
+    body = "n + this.sum(n - 1)"
+    for _ in range(pending - 1):
+        body = f"1 + ({body})"
+    return f"""
+class main {{
+  main(){{}}
+  public sum(n) : main(Int)->Int {{
+    return if (n < 1) {{ 0 }} else {{ {body} }};
+  }}
+  public main() : main()->Int {{ return this.sum({n}); }}
+}};
+object main : main {{ }};
+"""
+
+
+def warm_loop(*body) -> list:
+    """A protected loop from (2,0): the instructions of `body`, then a jump
+    back to its head. From the second pass on, each in-place rule of `body`
+    runs on a warm cache."""
+    a = Assembler().label("top")
+    for name, *ops in body:
+        a.emit(name, *ops)
+    return a.emit("movi", 9, Label("top")).emit("cmp", 0, 0).emit("je", 9, ZF).words()
+
+
+NONCE, SYMBOL = Nonce("adv", 0), Symbol("x")
+
+# loops whose in-place rule runs once and, after its last instruction writes a
+# register, faults or reads a Nonce as 0 on the next pass: body, registers
+# preset, and the outcome
+WARM_FAULTS = {
+    "movl-nonce-address": ([("movl", 1, 2, 3), ("movi", 3, NONCE)], {3: 100}, "bad load address"),
+    "movs-nonce-address": ([("movs", 2, 1, 3), ("movi", 2, NONCE)], {3: 100}, "bad store address"),
+    "movl-other-module": ([("movl", 1, 2, 3), ("movi", 2, 3)], {3: 10}, "read denied (2,0)->(3,10)"),
+    "movl-negative-offset": ([("movl", 1, 2, 3), ("movi", 3, -1)], {3: 100}, "read denied (2,0)->(0,-1)"),
+    "movs-other-module": ([("movs", 2, 1, 3), ("movi", 2, 3)], {3: 100}, "write denied (2,0)->(3,100)"),
+    "movs-own-code": ([("movs", 2, 1, 3), ("movi", 3, 10)], {2: 2, 3: 100}, "write denied (2,0)->(2,10)"),
+    "add-symbol": ([("add", 1, 2), ("movi", 2, SYMBOL)], {2: 5}, "symbol in arithmetic"),
+    "sub-symbol": ([("sub", 1, 2), ("movi", 1, SYMBOL)], {1: 5, 2: 7}, "symbol in arithmetic"),
+    "add-nonce": ([("add", 1, 2), ("movi", 2, NONCE)], {2: 5}, None),
+    "sub-nonce": ([("sub", 1, 2), ("movi", 1, NONCE)], {1: 5, 2: 7}, None),
+    "je-to-symbol": ([("cmp", 0, 0), ("je", 5, ZF), ("movi", 5, SYMBOL)], {5: 6}, "bad branch offset"),
+}
+
+
+def zero_loop(*end) -> list:
+    """A protected loop from (2,0) that clears the registers, runs movi, movi
+    and je in place and, on its second pass, jumps to the instructions of
+    `end`."""
+    a = Assembler().label("top").emit("zero").emit("movi", 1, 7).emit("movi", 8, Label("end")).emit("je", 8, ZF)
+    a.emit("movi", 9, Label("top")).emit("cmp", 0, 0).emit("je", 9, ZF).label("end")
+    for name in end:
+        a.emit(name)
+    return a.words()
+
+
+class TestRunStateAgreesWithPlainStepping:
     def test_run_state(self, step_calls):
         total = 0
         for name, src in WHOLE_PROGRAMS.items():
@@ -691,10 +763,14 @@ class TestOneStepCallPerStep:
             step_calls[0] = 0
             r = run_aim(img, seed=1, fuel=300_000)
             if name in LOOPING:
+                # proven at its head, however the loop reaches it; the plain
+                # stepper is compared at a fuel it can afford
                 assert (repr(r), r.steps) == ("OutOfFuel", 300_000)
-                assert step_calls[0] <= steps_to_spin(img) + 6
+                assert step_calls[0] <= steps_to_spin(img) + 6, name
+                r = run_aim(img, seed=1, fuel=3_000)
+                assert observed_aim(r) == observed_aim(plain_run_aim(img, 3_000)), name
                 continue
-            assert step_calls[0] == r.steps
+            assert observed_aim(r) == observed_aim(plain_run_aim(img, 300_000)), name
             if r.kind == "halted" and not r.aborted:
                 total += r.steps
         assert total == 5_260  # the terminating corpus, as perfbench counts it
@@ -713,6 +789,8 @@ class TestOneStepCallPerStep:
         assert round(aim / jem, 2) == 7.22
 
     def test_component_tracer_run(self, step_calls):
+        """The trace engine makes one `step()` call per step; `run_state` from
+        a poked state ends as plain stepping does, in as many steps."""
         methods, call = NEAR_MISS_LOOPS["sequence"]
         img = compaim(parse_component(LOOP.format(methods=methods, call=call)))
         tracer = ComponentTracer(img, segment_fuel=500)
@@ -721,7 +799,8 @@ class TestOneStepCallPerStep:
         seg = tracer.call_method(tracer.initial(), m, mask, ())
         assert isinstance(seg.reply, FuelExceeded) and step_calls[0] == 500
 
-        # a direct poke aborts: as many calls as run_state takes from that state
+        # a direct poke aborts: one `step()` call per step, and as many steps
+        # as run_state takes from that state
         step_calls[0] = 0
         seg = tracer.poke(tracer.initial(), m, {})
         assert isinstance(seg.reply, Tick)
@@ -729,15 +808,72 @@ class TestOneStepCallPerStep:
         st = tracer.initial()
         st.set_reg(5, RESUME_PAD)
         st.pc = m
-        step_calls[0] = 0
-        _, _, _, steps = run_state(st, 500)
-        assert poked == steps == step_calls[0] and steps > 1
+        plain = st.clone()
+        r = run_state(st, 500)
+        assert observed_state(r) == observed_state(plain_run(plain, 500))
+        assert poked == r[3] > 1
+
+    @pytest.mark.parametrize("pending", [1, 4, 7])
+    @pytest.mark.parametrize("levels", [20, 600, 1_700])
+    def test_deep_recursion(self, pending, levels):
+        img = compaim(parse_component(sum_program(pending, levels)))
+        r = run_aim(img, seed=1, fuel=200_000)
+        assert r.kind == "halted" and observed_aim(r) == observed_aim(plain_run_aim(img, 200_000))
+
+    def test_deep_recursion_runs_in_place(self, step_calls):
+        """Fails at a parent that calls `step()` once per step."""
+        r = run_aim(compaim(parse_component(sum_program(1, 600))), seed=1, fuel=100_000)
+        assert (repr(r), r.steps) == ("Halted(r6=180300)", 25_931) and step_calls[0] <= 200
+
+    @pytest.mark.parametrize(
+        "src",
+        [WHOLE_PROGRAMS["cross-call"], sum_program(1, 20), WHOLE_PROGRAMS["diverge-conditional"]],
+        ids=["cross-call", "sum-20", "diverge-conditional"],
+    )
+    def test_every_fuel(self, src):
+        """Each fuel to the end of the run, or to 12 steps past the spin's
+        head, ends as plain stepping does."""
+        img = compaim(parse_component(src))
+        r = run_aim(img, seed=1, fuel=100_000)
+        last = r.steps if r.kind == "halted" else steps_to_spin(img) + 12
+        plain = plain_run_aim(img, 0).state
+        for fuel in range(1, last + 1):
+            kind, reason, _, _ = plain_run(plain, 1)
+            assert observed_aim(run_aim(img, seed=1, fuel=fuel)) == observed(kind, reason, fuel, plain), fuel
+
+    @pytest.mark.parametrize("name", sorted(WARM_FAULTS))
+    def test_a_rule_that_faults_on_a_warm_cache(self, name):
+        body, regs, reason = WARM_FAULTS[name]
+        st = machine(warm_loop(*body), descs=GRID_DESCS, pc=(2, 0))
+        st.regs.update(regs)
+        plain = st.clone()
+        r = run_state(st, 100)
+        assert observed_state(r) == observed_state(plain_run(plain, 100))
+        if reason is None:
+            assert r[:2] == ("fuel", None)
+        else:
+            assert r[:2] == ("violation", reason) and r[3] > len(body) + 3  # on a later pass
+
+    @pytest.mark.parametrize("end", [["halt"], ["zero", "halt"]], ids=["halt", "zero-halt"])
+    def test_halt_after_rules_run_in_place(self, end):
+        """`halt` reads the last op, which `run_state` may have run in place:
+        after `je`, it halts; after `zero`, it is the abort idiom."""
+        st = machine(zero_loop(*end), descs=GRID_DESCS, pc=(2, 0))
+        plain = st.clone()
+        r = run_state(st, 100)
+        assert observed_state(r) == observed_state(plain_run(plain, 100))
+        assert r[:2] == ("halted", "halt" if end == ["halt"] else "abort:check")
 
 
 def spin_at(off, cmp=(0, 0), je=(11, ZF), target=None):
     """The spin `movi 11, L; cmp 0, 0; je 11, ZF` at L = `off`, or a variant
     with other `cmp` or `je` operands or another `movi` target."""
     return encode(ins("movi", 11, off if target is None else target)) + encode(ins("cmp", *cmp)) + encode(ins("je", *je))
+
+
+def spin_entries(st) -> list:
+    """The cached entries of `st` that have the spin handler."""
+    return [e for e in st._icache.values() if e[0] == MachineState._op_spin]
 
 
 # loops the machine must step: each runs forever, but it is not the spin in
@@ -780,7 +916,7 @@ class TestProvenLoops:
         assert a.words() == spin_at(0)
 
     @pytest.mark.parametrize("name", sorted(NEAR_MISS_LOOPS))
-    def test_near_misses_compile_without_the_spin(self, name, step_calls):
+    def test_near_misses_compile_without_the_spin(self, name):
         """Passes without the rule too, by construction: these must not take it."""
         methods, call = NEAR_MISS_LOOPS[name]
         comp = parse_component(LOOP.format(methods=methods, call=call))
@@ -791,19 +927,19 @@ class TestProvenLoops:
             cc.emit_body(a, m)
             assert a.here() > 9, m.name  # more than a spin: 3 instructions of 3 words
         r = run_aim(img, seed=1, fuel=5_000)
-        assert (repr(r), r.steps, step_calls[0]) == ("OutOfFuel", 5_000, 5_000)
+        assert (repr(r), r.steps) == ("OutOfFuel", 5_000) and not spin_entries(r.state)
+        assert observed_aim(r) == observed_aim(plain_run_aim(img, 5_000))
 
     @pytest.mark.parametrize("name", sorted(STEPPED_LOOPS))
-    def test_loops_that_are_not_the_spin_are_stepped(self, name, step_calls):
+    def test_loops_that_are_not_the_spin_are_stepped(self, name):
         descs, pc, program, regs, sf = STEPPED_LOOPS[name]
         st = machine(program, descs=descs, pc=pc)
         st.regs.update(regs)
         st.flags[SF] = sf
         plain = st.clone()
-        kind, _, _, steps = run_state(st, 300)
-        assert (kind, steps, step_calls[0]) == ("fuel", 300, 300)
-        plain_run(plain, 300)
-        assert (st.pc, st.regs, st.flags) == (plain.pc, plain.regs, plain.flags)
+        r = run_state(st, 300)
+        assert r[:2] == ("fuel", None) and not spin_entries(st)
+        assert observed_state(r) == observed_state(plain_run(plain, 300))
 
     def test_the_spin_in_protected_code_is_proven(self, step_calls):
         st = machine(spin_at(20), descs=GRID_DESCS, pc=(2, 20))

@@ -746,10 +746,12 @@ def count_steps(monkeypatch) -> list:
 def test_calls_share_sys_and_the_entry_checks(monkeypatch):
     """Keeper under illtyped at depth 4 runs sys's forwardCall, the entry
     trampoline and the r0/r5 entry checks once per state and entry point:
-    7 410 aim steps, against 23 250 when each call ran them itself."""
+    7 410 aim steps, against 23 250 when each call ran them itself. The
+    engine makes one `step()` call per step it runs, which perfbench's
+    count of segment steps relies on."""
     steps = count_steps(monkeypatch)
     assert len(enumerate_traces(image_of(COMPONENTS["keeper"]), depth=4, domain=PIN_DOMAINS["illtyped"]())) == 5773
-    assert steps[0] <= 7410
+    assert steps[0] == 7410
 
 
 def scratch_call(tracer, state, ep, recv, args):
