@@ -20,7 +20,7 @@ from ..jem.interp import DEFAULT_FUEL, run
 from ..jem.typecheck import typecheck
 from ..traces.equiv import first_divergence
 from .diff import diff
-from .emulate import EmulState, Fail, emulate_action
+from .emulate import emulate
 from .interface import build_interface
 from .skel import skel
 
@@ -36,13 +36,9 @@ def algo(c1: ast.JemComponent, c2: ast.JemComponent, t1, t2, image, image2) -> W
     """Build the distinguishing context for two trace-inequivalent components."""
     iface = build_interface(c1, c2, image, image2)
     prefix, a1, a2, _ = first_divergence(t1, t2)
-    st = EmulState(iface)
-    try:
-        for action in prefix:
-            emulate_action(action, st)
-    except Fail as f:
-        # termination is emulation failure: the do-nothing context differentiates
-        return Witness(skel(c1, iface, {}), f"action {st.i}: {f.rule}", 0)
+    st = emulate(prefix, iface)
+    if st.failed:
+        return Witness(skel(c1, iface, {}), st.failed, 0)
     diff(a1, a2, st)
     return Witness(skel(c1, iface, st.code), None, st.i)
 
@@ -54,9 +50,7 @@ class Verdict:
 
     @property
     def distinguishing(self) -> bool:
-        t1 = self.first.kind == "terminated"
-        t2 = self.second.kind == "terminated"
-        return t1 != t2
+        return self.first.terminated != self.second.terminated
 
 
 class PlugFailure(Exception):

@@ -69,6 +69,7 @@ class EmulState:
     frames: list = field(default_factory=list)
     code: dict = field(default_factory=dict)  # (class, method) -> MethodCode
     named: int = 0  # registry numbers handed out, contiguous from 1
+    failed: str | None = None  # "action <index>: <rule>" once a Fail stops emulation
 
     def __post_init__(self):
         # statically known objects carry the numbers skel's prelude registers
@@ -270,13 +271,14 @@ def _registration(st: EmulState, w, t: str, e: ast.Expr) -> list:
     return [add_object(t, e, st.number(w, t))]
 
 
-def emulate(prefix, iface: Interface):
-    """Emulate a common prefix. Returns the final state, or None on Fail — the
-    do-nothing differentiator (termination is emulation failure)."""
+def emulate(prefix, iface: Interface) -> EmulState:
+    """Emulate a common prefix. The final state, or on Fail the state that
+    stopped, with `failed` set: then the do-nothing context differentiates
+    (termination is emulation failure)."""
     st = EmulState(iface)
     try:
         for action in prefix:
             emulate_action(action, st)
-    except Fail:
-        return None
+    except Fail as f:
+        st.failed = f"action {st.i}: {f.rule}"
     return st

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cache, reduce
+from functools import reduce
 from itertools import groupby
 from operator import attrgetter, itemgetter
 
@@ -164,10 +164,11 @@ DEFAULTS = {"Unit": ast.UNIT, "Bool": True, "Int": 0}
 _name, _key = attrgetter("name"), itemgetter(0)
 
 
-@cache
 def _hole(name: str) -> str | None:
-    """The type hole a library declaration is instantiated over, by its name."""
-    return next((h for h in HOLES if name == h or name.endswith("-" + h)), None)
+    """The type hole a library declaration is instantiated over, by its name:
+    the name's last `-`-separated part, when that is a hole."""
+    tail = name.rpartition("-")[2]
+    return tail if tail in HOLES else None
 
 
 def _each(items, name, names: dict, maps: dict):

@@ -8,9 +8,10 @@ from ..aim.machine import MachineState, run_state
 from ..aim.isa import Assembler
 from ..aim.words import FORWARDCALL_EP, R_CALLEE_MID, R_CALLEE_OFF, R_RECV, R_RESUME, SYS_ID, Address, NonceOracle, Word
 from ..jem import ast
-from ..jem.interp import DEFAULT_FUEL
+from ..jem.interp import DEFAULT_FUEL, RunResult
 from ..jem.typecheck import typecheck
 from .comp import comp_class, enter_sys
+from .encoding import encode_value
 from .prot import prot
 from .sysmod import SYS_DEPTH_ADDR, build_sys
 
@@ -149,3 +150,15 @@ def run_aim(image: ProgramImage, seed: int = 0, fuel: int = DEFAULT_FUEL) -> Aim
     st.pc = Address(0, BOOT_OFF)
     kind, reason, st, steps = run_state(st, fuel)
     return AimResult(kind, reason, st.reg(R_RECV), steps, st)
+
+
+def agrees(jem: RunResult, aim: AimResult) -> bool:
+    """Whether a whole program's source run and compiled run agree: jem's
+    Terminated(v) with a halt that is no abort and has r6 = encode_value(v)
+    (any r6 for an object), OutOfFuel with fuel, NullError with an abort."""
+    if jem.terminated:
+        clean = aim.kind == "halted" and not aim.aborted
+        return clean and (isinstance(jem.value, ast.ObjRef) or aim.value == encode_value(jem.value))
+    if jem.kind == "fuel":
+        return aim.kind == "fuel"
+    return aim.aborted

@@ -274,11 +274,11 @@ class TestTerminationIsEmulationFailure:
                 continue
             ticked = isinstance(t[-1], Tick)
             prefix = t[:-1] if ticked else t
-            result = emulate(prefix, iface)
+            failed = emulate(prefix, iface).failed
             if ticked:
-                assert result is None, f"{name}: tick without Fail on {t}"
+                assert failed, f"{name}: tick without Fail on {t}"
             else:
-                assert result is not None, f"{name}: Fail without tick on {t}"
+                assert failed is None, f"{name}: Fail without tick ({failed}) on {t}"
 
 
 def diverging_state(pair: str):
@@ -288,7 +288,7 @@ def diverging_state(pair: str):
     r = trace_equiv(img1, img2, depth=2)
     prefix, a1, a2, i = first_divergence(r.t1, r.t2)
     st = emulate(prefix, build_interface(c1, c2, img1, img2))
-    assert st.i == i
+    assert st.failed is None and st.i == i
     return st, a1, a2
 
 
@@ -524,7 +524,7 @@ def test_every_emulated_prefix_gives_a_well_typed_context(name):
         prefixes.update(t[:k] for k in range(1, n + 1))
     for prefix in sorted(prefixes, key=len):
         st = emulate(prefix, iface)
-        assert st is not None, prefix
+        assert st.failed is None, prefix
         assert typecheck(skel(c, iface, st.code)) == [], prefix
 
 

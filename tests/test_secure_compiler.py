@@ -12,7 +12,7 @@ from jemaim.aim.machine import MachineState, run_state
 from jemaim.aim.words import ARG_REGS, FORWARDCALL_EP, R_CALLER, R_RECV, Address, Descriptor, N_W, Nonce, Symbol, SYS_ID
 from jemaim.compiler.comp import DATA_BASE, MAX_PARAMS, STATIC_BASE, CompileError, comp_class
 from jemaim.compiler.encoding import ENC_OBJ, class_name_of_encoding, encode_class, encode_type, encode_value
-from jemaim.compiler.pipeline import boot_state, compaim, mylink, run_aim
+from jemaim.compiler.pipeline import AimResult, agrees, boot_state, compaim, mylink, run_aim
 from jemaim.compiler.prot import prot
 from jemaim.compiler.sysmod import (
     FORWARDCALL,
@@ -25,7 +25,7 @@ from jemaim.compiler.sysmod import (
     build_sys,
 )
 from jemaim.jem import ast
-from jemaim.jem.interp import run as jem_run
+from jemaim.jem.interp import RunResult, run as jem_run
 from jemaim.jem.parser import parse_component
 from jemaim.jem.printer import render_component
 from jemaim.jem.typecheck import Checker, typecheck
@@ -343,13 +343,50 @@ object main : main {{ f = 1; }};
 """
 
 
+# jem results, each with the r6 of a halt that agrees with it, and the
+# outcomes of a compiled run as (kind, reason, r6), where r6 None stands for
+# the jem result's own
+RELATION_JEM = {
+    "Int": (RunResult("terminated", 42), 42),
+    "Bool": (RunResult("terminated", True), 2),
+    "unit": (RunResult("terminated", ast.UNIT), 1),
+    "null": (RunResult("terminated", ast.NULL), 0),
+    "object": (RunResult("terminated", ast.ObjRef("main")), Nonce("static-main-2-1", 0)),
+    "OutOfFuel": (RunResult("fuel"), 0),
+    "NullError": (RunResult("nullerror"), 0),
+}
+RELATION_AIM = {
+    "halt": ("halted", "halt", None),
+    "halt-other": ("halted", "halt", 7),
+    "abort": ("halted", "abort:check", 0),
+    "fuel": ("fuel", None, 0),
+    "violation": ("violation", "bad load address", 0),
+    "stuck": ("stuck", "undecodable at (2,0)", 0),
+}
+# an object result is compared by the halt alone; (NullError, fuel) and
+# (OutOfFuel, abort) are among the pairs that disagree
+AGREEING = {
+    ("Int", "halt"), ("Bool", "halt"), ("unit", "halt"), ("null", "halt"), ("object", "halt"),
+    ("object", "halt-other"), ("OutOfFuel", "fuel"), ("NullError", "abort"),
+}
+
+
 class TestCompilerCorrectness:
+    def test_agreement_relation(self):
+        """agrees on hand-built results: exactly the pairs of AGREEING."""
+        agreeing = {
+            (j, a)
+            for j, (jr, r6) in RELATION_JEM.items()
+            for a, (kind, reason, value) in RELATION_AIM.items()
+            if agrees(jr, AimResult(kind, reason, r6 if value is None else value, 0, None))
+        }
+        assert agreeing == AGREEING
+
     def test_class_named_null(self):
         comp = parse_ok(NULL_CLASS_PROG)
         jr = jem_run(comp, fuel=100_000)
         assert jr.kind == "terminated" and jr.value == 2
-        ar = run_aim(compaim(comp), seed=3, fuel=300_000)
-        assert ar.kind == "halted" and not ar.aborted and ar.value == encode_value(2)
+        assert agrees(jr, run_aim(compaim(comp), seed=3, fuel=300_000))
 
     def test_null_is_no_class_type(self):
         bad = NULL_CLASS_PROG.replace(
@@ -364,24 +401,22 @@ class TestCompilerCorrectness:
         """A field read, a field write and a call on null: a null error in jem,
         an abort of the compiled program."""
         comp = parse_ok(NULL_RECEIVER_PROG.format(body=body))
-        assert repr(jem_run(comp, fuel=10_000)) == "NullError"
-        assert repr(run_aim(compaim(comp), seed=3, fuel=100_000)) == "Halted(r6=0) by abort"
+        jr, ar = jem_run(comp, fuel=10_000), run_aim(compaim(comp), seed=3, fuel=100_000)
+        assert (repr(jr), repr(ar)) == ("NullError", "Halted(r6=0) by abort")
+        assert agrees(jr, ar)
 
     def test_object_declared_after_another_class(self):
         comp = parse_ok(MISPLACED_OBJECT_PROG)
-        assert repr(jem_run(comp)) == "Terminated(42)"
-        assert repr(run_aim(compaim(comp), seed=3)) == "Halted(r6=42)"
+        jr, ar = jem_run(comp), run_aim(compaim(comp), seed=3)
+        assert (repr(jr), repr(ar)) == ("Terminated(42)", "Halted(r6=42)")
+        assert agrees(jr, ar)
 
     @pytest.mark.parametrize("name", sorted(WHOLE_PROGRAMS))
     def test_source_and_compiled_agree(self, name):
         comp = parse_ok(WHOLE_PROGRAMS[name])
         jr = jem_run(comp, fuel=300_000)
         ar = run_aim(compaim(comp), seed=3, fuel=900_000)
-        if jr.kind == "terminated":
-            assert ar.kind == "halted" and not ar.aborted
-            assert ar.value == encode_value(jr.value)
-        else:
-            assert ar.kind == "fuel"
+        assert agrees(jr, ar), f"{jr!r} / {ar!r}"
 
     @pytest.mark.parametrize("name", sorted(VALUE_RESULTS))
     def test_non_int_results_agree(self, name):
@@ -389,23 +424,22 @@ class TestCompilerCorrectness:
         comp = parse_ok(VALUE_PROG.format(ret=ret, body=body))
         jr = jem_run(comp)
         assert repr(jr) == f"Terminated({printed})"
-        ar = run_aim(compaim(comp), seed=3)
-        assert ar.kind == "halted" and not ar.aborted and ar.value == encode_value(jr.value)
+        assert agrees(jr, run_aim(compaim(comp), seed=3))
 
     @pytest.mark.parametrize("name", sorted(PATH_PROBES))
     def test_path_probes_agree(self, name):
         body, value = PATH_PROBES[name]
         comp = parse_ok(PATH_PROG.format(body=body))
-        assert repr(jem_run(comp)) == f"Terminated({value})"
-        ar = run_aim(compaim(comp), seed=3)
-        assert ar.kind == "halted" and not ar.aborted and ar.value == encode_value(value)
+        jr = jem_run(comp)
+        assert repr(jr) == f"Terminated({value})"
+        assert agrees(jr, run_aim(compaim(comp), seed=3))
 
     @pytest.mark.parametrize("body", ["this.me", "this", "new main(unit, true, null, this)"])
     def test_object_results_terminate_on_both(self, body):
         comp = parse_ok(VALUE_PROG.format(ret="main", body=body))
-        assert jem_run(comp).kind == "terminated"
-        ar = run_aim(compaim(comp), seed=3)
-        assert ar.kind == "halted" and not ar.aborted
+        jr = jem_run(comp)
+        assert jr.terminated
+        assert agrees(jr, run_aim(compaim(comp), seed=3))
 
     @pytest.mark.parametrize("pending,n", [(1, 1400), (1, 3000), (7, 600), (7, 700), (7, 900)])
     def test_deep_recursion_agrees(self, pending, n):
@@ -417,10 +451,8 @@ class TestCompilerCorrectness:
         src = WHOLE_PROGRAMS["recursion-sum"].replace("n + this.sum(n - 1)", body)
         comp = parse_ok(src.replace("this.sum(10)", f"this.sum({n})"))
         jr = jem_run(comp, fuel=100_000)
-        ar = run_aim(compaim(comp), seed=3, fuel=1_000_000)
-        assert jr.kind == "terminated"
-        assert ar.kind == "halted" and not ar.aborted
-        assert ar.value == encode_value(jr.value)
+        assert jr.terminated
+        assert agrees(jr, run_aim(compaim(comp), seed=3, fuel=1_000_000))
 
     def test_long_seq_spine(self):
         """1 100 `;`-sequenced statements: parser, typechecker, compiler and
@@ -439,15 +471,15 @@ object main : main {{ x = 0; }};
         assert render_component(parse_component(text)) == text
         jr = jem_run(comp, fuel=100_000)
         assert jr.kind == "terminated" and jr.value == 0
-        ar = run_aim(compaim(comp), seed=3, fuel=300_000)
-        assert ar.kind == "halted" and not ar.aborted and ar.value == encode_value(0)
+        assert agrees(jr, run_aim(compaim(comp), seed=3, fuel=300_000))
 
     def test_long_binop_spine(self):
         """500 left-nested `+` terms: typechecker and compiler walk the left
         spine without recursing down it."""
         comp = parse_ok(main_prog(" + ".join(["1"] * 500)))
-        assert repr(jem_run(comp, fuel=100_000)) == "Terminated(500)"
-        assert repr(run_aim(compaim(comp), seed=3, fuel=300_000)) == "Halted(r6=500)"
+        jr, ar = jem_run(comp, fuel=100_000), run_aim(compaim(comp), seed=3, fuel=300_000)
+        assert (repr(jr), repr(ar)) == ("Terminated(500)", "Halted(r6=500)")
+        assert agrees(jr, ar)
 
     def test_call_chain_typing_is_linear(self, monkeypatch):
         """The compiler reads each call's signature from the one typing pass
@@ -467,9 +499,8 @@ object main : main {{ x = 0; }};
         image = compaim(comp)
         assert calls <= 4 * n
         jr = jem_run(comp, fuel=100_000)
-        ar = run_aim(image, seed=3, fuel=300_000)
         assert jr.kind == "terminated" and jr.value == 7
-        assert ar.kind == "halted" and not ar.aborted and ar.value == encode_value(7)
+        assert agrees(jr, run_aim(image, seed=3, fuel=300_000))
 
     def test_compaim_checks_once(self, monkeypatch):
         """compaim's one typecheck is the only check: each class is checked
