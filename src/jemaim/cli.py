@@ -113,7 +113,7 @@ def cmd_run_aim(args) -> int:
         result = run_aim(image, seed=args.seed, fuel=args.fuel)
     except UnresolvedSymbols as e:
         raise CliError(str(e)) from e
-    print(f"{result!r} r6={result.value!r}")
+    print(repr(result))
     return 0
 
 

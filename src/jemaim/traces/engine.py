@@ -42,14 +42,15 @@ ends every call alike. `Graph._expand`
 gives the calls of one entry point in its menu one prefix; a call made
 alone, as `random_trace` makes them, has a prefix of its own.
 
-Traces are the paths of a state graph (`Graph`), as explicit-state model
-checkers hash the states they visit (Holzmann, "The Model Checker SPIN",
+Traces are the label paths of a state graph (`Graph`), as explicit-state
+model checkers hash the states they visit (Holzmann, "The Model Checker SPIN",
 1997). A node is the key (state id, knowledge, pending, names id), and its
 moves, computed once in menu order, are (pair id, next node or None). The
 suffixes a search could add after a trace depend on that key alone, so the
-graph is expanded per key, not per trace. `enumerate_traces` walks its paths
-to `depth`; `trace_equiv` walks the product of two graphs and walks paths only
-for a divergence (traces/equiv.py).
+graph is expanded per key, not per trace. `Graph.step` determinises the moves
+of a tuple of nodes, and every walk reads them: `Graph.traces` walks them
+from the root to `depth` (`enumerate_traces`), and `trace_equiv` walks them
+on the product of two graphs (traces/equiv.py).
 
 - State ids. Each fingerprint of a suspended state is interned to a small int
   when the state is first seen. A move is a function of its state id,
@@ -72,11 +73,9 @@ for a divergence (traces/equiv.py).
   fresh names), so no map is hashed, and a child that names nothing new keeps
   its parent's id.
 
-Labels and traces are hash-consed (Filliâtre & Conchon, "Type-Safe Modular
-Hash-Consing", 2006) in a `TraceTable` that the two graphs of one
+Labels are interned in a `TraceTable` that the two graphs of one
 `trace_equiv` share: a renamed pair gets its pair id when an edge first
-renames it, and a trace is the node (parent trace id, pair id), 0 being the
-empty trace. Only a walk over paths (`trace_ids`) extends traces.
+renames it, so equal labels get equal ids on both sides.
 
 Ids and caches are assigned in traversal order, so a walk does not depend on
 hash order, and nor do the ids it adds to its table.
@@ -396,17 +395,12 @@ def _apply(tracer, state, inj, knowledge: Knowledge, pending: tuple):
 
 
 class TraceTable:
-    """Canonical traces hash-consed to ints: pairs of renamed actions, and
-    traces as (parent trace id, pair id) nodes. Ids are dense and assigned in
-    order of first use, so a parent's id is below its children's."""
-
-    EMPTY = 0  # the id of the empty trace
+    """Labels, the pairs of renamed actions, interned to ints. Ids are dense
+    and assigned in order of first use."""
 
     def __init__(self):
         self.pair_ids = {}  # renamed (action, reply) -> pair id
         self.pairs = []  # pair id -> renamed (action, reply)
-        self.node_ids = {}  # (parent trace id, pair id) -> trace id
-        self.nodes = [None]  # trace id -> (parent trace id, pair id)
 
     def pair_id(self, actions: tuple) -> int:
         """The id of the renamed pair `actions`."""
@@ -415,28 +409,6 @@ class TraceTable:
             pid = self.pair_ids[actions] = len(self.pairs)
             self.pairs.append(actions)
         return pid
-
-    def extend(self, tid: int, pid: int) -> int:
-        """The id of trace `tid` followed by pair `pid`."""
-        node = (tid, pid)
-        ext = self.node_ids.get(node)
-        if ext is None:
-            ext = self.node_ids[node] = len(self.nodes)
-            self.nodes.append(node)
-        return ext
-
-    def traces(self, tids) -> dict:
-        """The trace behind each id of `tids`, by id; each prefix is built once."""
-        built = {self.EMPTY: ()}
-        for tid in tids:
-            path = []
-            while tid not in built:
-                path.append(tid)
-                tid = self.nodes[tid][0]
-            trace = built[tid]
-            for ext in reversed(path):
-                trace = built[ext] = trace + self.pairs[self.nodes[ext][1]]
-        return {tid: built[tid] for tid in tids}
 
 
 def _number(ids: dict, key, items: list, item) -> int:
@@ -462,10 +434,10 @@ class Graph:
         self.sids, self.states = {}, []  # fingerprint -> state id -> a state with that fingerprint
         self.menus, self.entries = {}, {}  # (knowledge, pending) -> menu; (state id, knowledge, pending) -> entries
         self.names_ids, self.names = {}, [rename((), {}, tracer.seed_masks)[1]]  # (names id, fresh names) -> names id -> map
-        self.node_ids, self.keys, self.edges = {}, [], {}  # key -> node -> key; node -> moves
+        self.nodes, self.keys, self.edges = {}, [], {}  # key -> node -> key; node -> moves
         self.succ = {}  # sorted tuple of nodes -> its determinised moves
         root = (self._sid(tracer.booted), tracer.initial_knowledge(), (), 0)
-        _number(self.node_ids, root, self.keys, root)
+        _number(self.nodes, root, self.keys, root)
 
     def _sid(self, state):
         return None if state is None else _number(self.sids, state.fingerprint(), self.states, state)
@@ -508,7 +480,7 @@ class Graph:
                         nid2 = self.names_ids[nid, fresh] = len(self.names)
                         self.names.append(names2)
                 key = (sid2, k2, p2, nid2)
-                out.append((pid, _number(self.node_ids, key, self.keys, key)))
+                out.append((pid, _number(self.nodes, key, self.keys, key)))
             self.edges[n] = out
         return out
 
@@ -527,24 +499,24 @@ class Graph:
             out = self.succ[nodes] = {pid: tuple(sorted(reached)) for pid, reached in targets.items()}
         return out
 
-    def trace_ids(self, depth: int) -> set:
-        """The ids in the table of the traces of at most `depth` moves, by one
-        walk over the paths from the root."""
-        extend = self.table.extend
-        ids, frontier = {TraceTable.EMPTY}, [(self.ROOT, TraceTable.EMPTY)]
+    def traces(self, depth: int) -> set:
+        """The traces of at most `depth` moves, as tuples of renamed actions,
+        by one walk of the determinised moves from the root. A trace reaches
+        one tuple of nodes, so each is reached once."""
+        pairs = self.table.pairs
+        out, level = {()}, [((self.ROOT,), ())]
         for _ in range(depth):
             nxt = []
-            for n, tid in frontier:
-                for pid, n2 in self.moves(n):
-                    t2 = extend(tid, pid)
-                    ids.add(t2)
-                    if n2 is not None:
-                        nxt.append((n2, t2))
-            frontier = nxt
-        return ids
+            for nodes, trace in level:
+                for pid, reached in self.step(nodes).items():
+                    t2 = trace + pairs[pid]
+                    out.add(t2)
+                    if reached:
+                        nxt.append((reached, t2))
+            level = nxt
+        return out
 
 
 def enumerate_traces(image, depth: int = DEFAULT_DEPTH, domain: AdversaryDomain | None = None, seed: int = 0) -> set:
     """The canonical traces of at most `depth` moves, as tuples."""
-    table = TraceTable()
-    return set(table.traces(Graph(image, domain, seed, table).trace_ids(depth)).values())
+    return Graph(image, domain, seed, TraceTable()).traces(depth)

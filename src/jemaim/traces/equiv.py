@@ -18,12 +18,11 @@ Verification of Behavioural Equivalences and Preorders" (CAV 1991):
   product state reached has equal label sets on both sides, the sets are
   equal, and `Equivalent` reports that sum without materialising a trace.
 
-Otherwise the divergence pair is chosen from trace ids: both graphs' paths
-are walked to the level that fixes it into one `TraceTable`, where equal
-traces get equal ids. It is the least trace only the first set holds, by
-`_trace_key` (unticked first, then shorter, then rendered order), and its best
-mate in the second set (`_best_mate`); failing that, the same with the roles
-swapped.
+Otherwise the divergence pair is chosen from the two trace sets, each
+walked to the level that fixes it by `Graph.traces`. It is the least trace
+only the first set holds, by `_trace_key` (unticked first, then shorter, then
+rendered order), and its best mate in the second set (`_best_mate`); failing
+that, the same with the roles swapped.
 
 The walk stops after level d when a product state's first side offers a label
 the second lacks whose reply is not `Tick`. That is the level at which two
@@ -105,7 +104,7 @@ def trace_equiv(img1, img2, depth: int = DEFAULT_DEPTH, domain: AdversaryDomain 
             if m1.keys() != m2.keys():
                 differs = True
                 if any(not isinstance(table.pairs[pid][1], Tick) for pid in m1.keys() - m2.keys()):
-                    return _divergence(table, g1.trace_ids(d), g2.trace_ids(d))
+                    return _divergence(g1.traces(d), g2.traces(d))
             count += mult * len(m1)
             if d < depth:
                 for pid, n1 in m1.items():
@@ -114,16 +113,14 @@ def trace_equiv(img1, img2, depth: int = DEFAULT_DEPTH, domain: AdversaryDomain 
                         nxt[n1, n2] = nxt.get((n1, n2), 0) + mult
         level = nxt
     if differs:
-        return _divergence(table, g1.trace_ids(depth), g2.trace_ids(depth))
+        return _divergence(g1.traces(depth), g2.traces(depth))
     return Equivalent(count)
 
 
-def _divergence(table, ids1, ids2) -> Inequivalent:
-    """The witness pair of two differing trace id sets: the first trace only
+def _divergence(t1s, t2s) -> Inequivalent:
+    """The witness pair of two differing trace sets: the first trace only
     the first set holds, by `_trace_key`, and its best mate in the second;
     else the same with the sets' roles swapped."""
-    traces = table.traces(ids1 | ids2)
-    t1s, t2s = {traces[i] for i in ids1}, {traces[i] for i in ids2}
     only1 = t1s - t2s
     if only1:
         t1 = min(only1, key=_trace_key)

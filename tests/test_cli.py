@@ -88,8 +88,9 @@ class TestCompileLinkRun:
         files = sorted(p.name for p in (ws / "mods").glob("*.aimod"))
         assert files == ["main.aimod", "sys.aimod"]
         assert run_cli("link", *(ws / "mods").glob("*.aimod"), "-o", ws / "prog.aimod") == 0
+        capsys.readouterr()
         assert run_cli("run_aim", ws / "prog.aimod") == 0
-        assert "r6=42" in capsys.readouterr().out
+        assert capsys.readouterr().out == "Halted(r6=42)\n"
 
     def test_object_declared_after_another_class(self, ws, capsys):
         (ws / "misplaced.jem").write_text(MISPLACED_OBJECT_PROG)

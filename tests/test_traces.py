@@ -300,6 +300,17 @@ def test_deep_self_equivalence_counts_every_trace(name):
     assert r == Equivalent(DEEP_COUNTS[name])
 
 
+@pytest.mark.parametrize("domain", sorted(PIN_DOMAINS))
+@pytest.mark.parametrize("name", sorted(COMPONENTS))
+def test_determinised_walk_reaches_each_trace_once(name, domain):
+    """`Graph.traces` follows the subset construction, so its set holds as
+    many traces as trace_equiv's product walk counts, at every depth."""
+    img, img2 = (image_of(COMPONENTS[name]) for _ in range(2))
+    for depth in range(1, 5):
+        traces = enumerate_traces(img, depth, PIN_DOMAINS[domain]())
+        assert len(traces) == trace_equiv(img, img2, depth, PIN_DOMAINS[domain]()).traces
+
+
 # sha256 of each TRACE_SET_PINS graph walked to depth 4 (graph_numbering):
 # its table's pairs, its names maps and its node keys, each list in id order,
 # and its nodes' moves by node; taken when each segment kept a cache of its
@@ -367,7 +378,7 @@ def graph_numbering(src, domain) -> str:
     depends on how many compilations ran before (prot._instance)."""
     table = TraceTable()
     graph = Graph(image_of(src), domain, 0, table)
-    graph.trace_ids(4)
+    graph.traces(4)
     nodes = [(sid, pending, nid) for sid, _, pending, nid in graph.keys]
     names = [tuple(m.values()) for m in graph.names]
     moves = [graph.edges[n] for n in sorted(graph.edges)]
@@ -484,9 +495,8 @@ class TestMemoisedEnumeration:
         monkeypatch.setattr(ComponentTracer, "_run", counting("ran", run))
         monkeypatch.setattr(engine, "rename", counting("renamed", rename_))
         monkeypatch.setattr(engine, "_injections", menu)
-        table = TraceTable()
-        graph = Graph(img, domain, 0, table)
-        traces = set(table.traces(graph.trace_ids(depth)).values())
+        graph = Graph(img, domain, 0, TraceTable())
+        traces = graph.traces(depth)
         monkeypatch.undo()
         calls["continued"] = calls.pop("ran") - calls["entered"]
         return traces, calls, menus, graph
@@ -588,15 +598,17 @@ class TestMemoisedEnumeration:
 @pytest.mark.parametrize("domain", sorted({**PIN_DOMAINS, **REGISTER_DOMAINS}))
 @pytest.mark.parametrize("name", sorted(COMPONENTS))
 def test_shared_table_interns_equal_traces_alike(name, domain):
-    """The graphs of two compilations of one component walked into one
-    shared table, as `trace_equiv` materialises its two sides."""
+    """The graphs of two compilations of one component walked with one
+    shared table, as `trace_equiv` walks its two sides: the second adds no
+    label, and both give the memo-free trace set."""
     adversary = {**PIN_DOMAINS, **REGISTER_DOMAINS}[domain]
     table = TraceTable()
-    ids1, ids2 = (Graph(image_of(COMPONENTS[name]), adversary(), 0, table).trace_ids(3) for _ in range(2))
-    assert ids1 == ids2
-    traces = set(table.traces(ids1).values())
-    assert len(traces) == len(ids1)
-    assert traces == plain_traces(image_of(COMPONENTS[name]), 3, adversary())[0]
+    g1, g2 = (Graph(image_of(COMPONENTS[name]), adversary(), 0, table) for _ in range(2))
+    traces = g1.traces(3)
+    labels = len(table.pairs)
+    assert g2.traces(3) == traces == plain_traces(image_of(COMPONENTS[name]), 3, adversary())[0]
+    assert len(table.pairs) == labels
+    assert [pid for pid, _ in g1.moves(Graph.ROOT)] == [pid for pid, _ in g2.moves(Graph.ROOT)]
     assert all(t[:k] in traces for t in traces for k in range(0, len(t), 2))
 
 
@@ -706,9 +718,10 @@ def test_an_early_stop_runs_fewer_segments(monkeypatch):
 
 def test_equivalence_materialises_no_trace(monkeypatch):
     """An Equivalent verdict is counted on the product of the graphs: it
-    extends no trace and renames once per graph edge. Of its 1 110 segments
-    (as many as the per-trace search ran, which made 11 544 extensions and
-    renamings), the calls share one prefix per state and entry point."""
+    walks no graph's traces and renames once per graph edge. Of its 1 110
+    segments (as many as the per-trace search ran, which made 11 544
+    extensions and renamings), the calls share one prefix per state and
+    entry point."""
     calls = Counter()
 
     def counting(attr, fn):
@@ -718,12 +731,12 @@ def test_equivalence_materialises_no_trace(monkeypatch):
 
         return counted
 
-    counted = [(ComponentTracer, "_enter"), (ComponentTracer, "_run"), (TraceTable, "extend")]
+    counted = [(ComponentTracer, "_enter"), (ComponentTracer, "_run"), (Graph, "traces")]
     for owner, attr in counted + [(engine, "rename"), (engine, "_segment")]:
         monkeypatch.setattr(owner, attr, counting(attr, getattr(owner, attr)))
     img1, img2 = (image_of(COMPONENTS["keeper"]) for _ in range(2))
     assert trace_equiv(img1, img2, depth=4, domain=PIN_DOMAINS["illtyped"]()) == Equivalent(5773)
-    assert calls["extend"] == 0
+    assert calls["traces"] == 0
     # 1 080 calls from 90 prefixes, and 30 other moves; one renaming per
     # graph edge, and one per graph to seed its map
     assert calls["_segment"] == 1110
@@ -872,16 +885,18 @@ def offer_each_move_twice(monkeypatch):
 
 @pytest.mark.parametrize("name", ["cell", "stateful-second-round"])
 def test_nondeterministic_labels_are_determinised(name, monkeypatch):
-    """Under twinned moves, one label leads to several nodes; trace_equiv's
-    count and verdict agree with the memo-free tuple sets."""
+    """Under twinned moves, one label leads to several nodes; the graph's
+    traces, and trace_equiv's count and verdict, agree with the memo-free
+    tuple sets."""
     offer_each_move_twice(monkeypatch)
     depth = 3
     sources = INEQUIVALENT_PAIRS[name] if name in INEQUIVALENT_PAIRS else (COMPONENTS[name],) * 2
     img1, img2 = (image_of(src) for src in sources)
     graph = Graph(img1, AdversaryDomain(), 0, TraceTable())
-    graph.trace_ids(depth)
+    traces = graph.traces(depth)
     assert any(len(reached) > 1 for n in list(graph.edges) for reached in graph.step((n,)).values())
     t1s, t2s = (plain_traces(img, depth, AdversaryDomain())[0] for img in (img1, img2))
+    assert traces == t1s
     r = trace_equiv(img1, img2, depth=depth)
     if name == "cell":
         assert t1s == t2s and r == Equivalent(len(t1s))
