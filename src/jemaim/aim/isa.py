@@ -6,6 +6,9 @@ Operand kinds: 'r' register index (a small Nat), 'f' flag index (0=ZF, 1=SF),
 The opcodes from 64 up are privileged scaffolding ops: they decode only when the
 program counter lies inside a protected code range, so unprotected code can
 never execute them (decode yields Undecodable there).
+
+`Assembler` is the one encoder: the compiler, sys and `run_aim`'s bootstrap
+emit every instruction through it, and `decode` reads them back.
 """
 from __future__ import annotations
 
@@ -46,35 +49,12 @@ _BOUND = {"r": MAX_REG, "f": MAX_FLAG + 1, "w": 0}
 _DECODING = {op: (name, tuple(_BOUND[k] for k in kinds), op >= 64) for name, (op, kinds) in OPTABLE.items()}
 
 
-@dataclass(frozen=True)
-class Instr:
-    name: str
-    ops: tuple[Word, ...]
-
-    @property
-    def width(self) -> int:
-        return 1 + len(self.ops)
-
-    def __repr__(self):
-        return " ".join([self.name] + [repr(o) for o in self.ops])
-
-
 def opcode_of(name: str, ops: tuple) -> int:
     """The opcode of `name`, checked to take as many operands as `ops` holds."""
     opcode, kinds = OPTABLE[name]
     if len(ops) != len(kinds):
         raise ValueError(f"{name} takes {len(kinds)} operands, got {len(ops)}")
     return opcode
-
-
-def ins(name: str, *ops: Word) -> Instr:
-    opcode_of(name, ops)
-    return Instr(name, ops)
-
-
-def encode(instr: Instr) -> list[Word]:
-    opcode, _ = OPTABLE[instr.name]
-    return [opcode] + list(instr.ops)
 
 
 def decode(mem, code, mid: int, off: int, privileged_ok: bool) -> tuple[str, tuple[Word, ...]] | None:
@@ -105,11 +85,11 @@ def decode(mem, code, mid: int, off: int, privileged_ok: bool) -> tuple[str, tup
 class Assembler:
     """Tiny label-resolving assembler producing a word list from offset 0.
 
-    `emit` checks an instruction's arity as `ins` does (`opcode_of`) and
-    appends its opcode and operands straight to one word list; `label`
-    records the length of that list, so `here()` is the offset of the next
-    word. `words()` is one pass that swaps each `Label` word for its label's
-    offset. No `Instr` is built. An unknown opcode raises KeyError at `emit`,
+    `emit` checks an instruction's arity (`opcode_of`) and appends its
+    opcode and operands straight to one word list; `label` records the
+    length of that list, so `here()` is the offset of the next word.
+    `words()` is one pass that swaps each `Label` word for its label's
+    offset. An unknown opcode raises KeyError at `emit`,
     a wrong operand count or a duplicate label ValueError, and an undefined
     label KeyError at `words()`.
     """

@@ -8,10 +8,10 @@ failure terminates the run as a Violation, an undecodable word as Stuck.
 An instruction decodes to an entry ``(handler, name, fall-through address,
 module, *operands)``: its `HANDLERS` method, which moves pc to the fall-through
 unless it jumps, and the descriptor whose code section holds it (else None).
-`_decode` builds the entry at a pc with no cached one: one pass over `descs`
-finds the descriptor, and `isa.decode`, the only code that knows operand
-kinds, reads the words straight from `mem` and `code` and gives the name and
-operands. No `Instr` is built.
+`_decode` builds the entry at a pc with no cached one: `access.find_module`
+finds the descriptor, as it does for `halt`, and `isa.decode`, the only code
+that knows operand kinds, reads the words straight from `mem` and `code` and
+gives the name and operands.
 Entries in protected code are cached per pc, in a dict that clones share. That
 is sound as no rule writes protected code: `access.write_allowed` needs the
 writer's own `data_range` for a protected target, and the privileged ops write
@@ -173,22 +173,13 @@ class MachineState:
 
     # -- decoding ---------------------------------------------------------
 
-    def module(self, mid: int) -> Descriptor | None:
-        """The descriptor of module `mid` (None for unprotected memory or an unknown
-        id), found in `descs` at each ask, by `halt`."""
-        return None if mid == 0 else access.find_module(self.descs, Address(mid, 0))
-
     def _decode(self):
         """The entry of the instruction at pc, or None when it is undecodable.
         Privileged opcodes decode, and entries are cached, only in protected code."""
         pc = self.pc
         mid, off = pc
-        for s in self.descs:
-            if s.mid == mid:
-                if not 0 <= off < s.code_len:
-                    s = None
-                break
-        else:
+        s = access.find_module(self.descs, pc)
+        if s is not None and not 0 <= off < s.code_len:
             s = None
         d = decode(self.mem, self.code, mid, off, s is not None)
         if d is None:
@@ -338,7 +329,7 @@ class MachineState:
 
     def _op_halt(self, e):
         # the zero;halt sequence in protected code is the abort idiom
-        if self._last_op == "zero" and self.module(self.pc.mid) is not None:
+        if self._last_op == "zero" and access.find_module(self.descs, self.pc) is not None:
             return ("halted", "abort:check")
         return ("halted", "halt")
 

@@ -144,9 +144,9 @@ def run_aim(image: ProgramImage, seed: int = 0, fuel: int = DEFAULT_FUEL) -> Aim
     for r, w in ((R_CALLEE_MID, addr.mid), (R_CALLEE_OFF, addr.off), (R_RESUME, BOOT_RET), (R_RECV, mask)):
         boot.emit("movi", r, w)
     enter_sys(boot, FORWARDCALL_EP)
-    for i, w in enumerate(boot.words()):
-        st.mem[Address(0, BOOT_OFF + i)] = w
-    st.mem[Address(0, BOOT_RET)] = 11  # halt
+    for off, code in ((BOOT_OFF, boot), (BOOT_RET, Assembler().emit("halt"))):
+        for i, w in enumerate(code.words()):
+            st.mem[Address(0, off + i)] = w
     st.pc = Address(0, BOOT_OFF)
     kind, reason, st, steps = run_state(st, fuel)
     return AimResult(kind, reason, st.reg(R_RECV), steps, st)

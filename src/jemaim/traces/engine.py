@@ -14,15 +14,19 @@ the state, clear registers and flags, load the injected registers, set pc and
 run.
 The booted state keeps its protected code in a map that all its clones share
 (`MachineState.share_code`), so a clone copies only data and unprotected
-words. The run looks at pc only when it is in the tracer's stop set: sys's
-four boundary jumps, forwardReturn and the method entry points. It decodes
-nothing of its own: a boundary jump's role and operand registers are read from
-sys's table of them (`SYS_EXIT_MARKS`). Registers are named by their roles
-in the calling convention (aim/words.py), and call vectors are built and read
-by traces/actions.py. The id a Return! names is read off R_CALLER whenever pc
-reaches forwardReturn: the machine's `jmp` stamps it with the id of the
-module that jumped there, and a returnback injection sets it to the id it
-claims.
+words. The run looks at pc only when it is in `STOPS`, one set for every
+tracer, fixed at import from sys's one assembly: sys's four boundary jumps and
+forwardReturn. It decodes nothing of its own: a boundary jump's role and
+operand registers are read from sys's table of them (`SYS_EXIT_MARKS`).
+Registers are named by their roles in the calling convention (aim/words.py),
+and call vectors are built and read by traces/actions.py. The id a Return!
+names is read off R_CALLER whenever pc reaches forwardReturn: the machine's
+`jmp` stamps it with the id of the module that jumped there, and a returnback
+injection sets it to the id it claims. A call is `forwarded`, and recorded as
+a call to the entry point it names, once the run reaches forwardCall's
+boundary jump with a protected target: sys jumps there to exactly the
+R_CALLEE_MID/R_CALLEE_OFF pair that the call loaded, and no component code
+runs before it.
 
 Call prefixes. Every call into one entry point from one state runs sys's
 forwardCall, the entry trampoline and the entry's R_CALLER and R_RESUME
@@ -83,8 +87,7 @@ hash order, and nor do the ids it adds to its table.
 A run that reaches a spin, the compiled form of a proven loop, ends there with
 `FuelExceeded` and `forwarded` as stepping to the end of the segment fuel
 would give them: a spin never leaves itself (aim/machine.py), and its pcs are
-in no stop set, as the compiler emits spins only past every entry point (in
-method bodies and in a module's `overflow` block), and sys has none.
+not in `STOPS`, as sys has none.
 
 `ComponentTracer.random_trace` draws traces by the same moves, each from the
 one state the tracer boots on its first use (`booted`).
@@ -112,6 +115,9 @@ DEFAULT_SEGMENT_FUEL = 100_000
 CALL_REGS = frozenset((R_RECV, *ARG_REGS))
 # opcode name -> how many of its first operands hold every register it names
 REG_SPAN = {name: kinds.rfind("r") + 1 for name, (_, kinds) in OPTABLE.items()}
+# the pcs at which a run looks at the state before stepping: sys's four
+# boundary jumps and forwardReturn, fixed by sys's one assembly
+STOPS = frozenset([Address(SYS_ID, off) for off in SYS_EXIT_MARKS] + [Address(SYS_ID, FORWARDRETURN_EP)])
 
 
 @dataclass
@@ -128,12 +134,7 @@ class ComponentTracer:
         self.image = image
         self.seed = seed
         self.segment_fuel = segment_fuel
-        self.marks = SYS_EXIT_MARKS
         self.method_eps = {addr: sig for sig, addr in image.table.em.items() if addr.mid != SYS_ID}
-        # the pcs at which _run looks at the state before stepping
-        self.stops = frozenset(
-            [Address(SYS_ID, off) for off in self.marks] + [Address(SYS_ID, FORWARDRETURN_EP), *self.method_eps]
-        )
         self.rm_by_syms = {(iota, sigma): sig for sig, iota, sigma in image.table.rm}
         # canonical seeding: exported masks in deterministic table order
         self.seed_masks = [image.table.eo[k] for k in sorted(image.table.eo)]
@@ -180,7 +181,7 @@ class ComponentTracer:
         regs = {R_CALLEE_MID: ep.mid, R_CALLEE_OFF: ep.off, R_RESUME: RESUME_PAD}
         loaded = {R_RECV: recv, **dict(zip(ARG_REGS, args))}
         if prefix.run is None:
-            prefix.run = self._enter(state, Address(SYS_ID, FORWARDCALL_EP), regs, ep, pause=True)
+            prefix.run = self._enter(state, Address(SYS_ID, FORWARDCALL_EP), regs, pause=True)
         forwarded, reply, nxt = prefix.run
         prefix.calls -= 1
         if reply is None:
@@ -188,7 +189,7 @@ class ComponentTracer:
             st = st.clone() if prefix.calls else st
             for i, w in loaded.items():
                 st.set_reg(i, w)
-            forwarded, reply, nxt = self._run(st, ep, fuel, forwarded, returner)
+            forwarded, reply, nxt = self._run(st, fuel, forwarded, returner)
         if forwarded:
             action = CallIn((ep.mid, ep.off), call_vector(SYS_ID, recv, args))
         else:
@@ -211,7 +212,7 @@ class ComponentTracer:
 
     # -- the deterministic component run ---------------------------------------
 
-    def _enter(self, state, pc: Address, regs: dict, watch_forward=None, pause=False):
+    def _enter(self, state, pc: Address, regs: dict, pause=False):
         """Run a clone of `state` from `pc` with only `regs` set, as `_run` runs it."""
         st = state.clone()
         st.regs = {}
@@ -219,21 +220,19 @@ class ComponentTracer:
         for i, w in regs.items():
             st.set_reg(i, w)
         st.pc = pc
-        return self._run(st, watch_forward, self.segment_fuel, pause=pause)
+        return self._run(st, self.segment_fuel, pause=pause)
 
-    def _run(self, st, watch_forward, fuel: int, forwarded=False, returner=None, pause=False):
+    def _run(self, st, fuel: int, forwarded=False, returner=None, pause=False):
         """Step `st` for at most `fuel` steps to its next observable:
         (forwarded, reply, next state). With `pause` it stops where
         `_pauses` says and before a boundary exit; the reply is then None and
         the next state (st, fuel left, returner), which a run without `pause`
         takes on."""
-        marks, stops, step = self.marks, self.stops, st.step
+        marks, stops, step = SYS_EXIT_MARKS, STOPS, st.step
         for n in range(fuel):
             pc = st.pc
             if pc in stops:
-                if pc.mid != SYS_ID:
-                    forwarded = forwarded or pc == watch_forward
-                elif pc.off == FORWARDRETURN_EP:
+                if pc.off == FORWARDRETURN_EP:
                     returner = st.reg(R_CALLER)
                 else:
                     kind, rd, ri = marks[pc.off]
@@ -247,6 +246,8 @@ class ComponentTracer:
                             return forwarded, CallOut((t_mid, t_off), call_vector(0, st.reg(R_RECV), args)), st
                         ident = returner if kind == "fwret" else SYS_ID
                         return forwarded, ReturnOut((t_mid, t_off), st.reg(R_RECV), ident), st
+                    # forwardCall jumps into a protected module: sys forwarded the call
+                    forwarded = forwarded or kind == "fwcall"
             if pause and _pauses(st):
                 return forwarded, None, (st, fuel - n, returner)
             status, _reason = step()
@@ -254,8 +255,7 @@ class ComponentTracer:
                 if status == "spin":
                     break  # the rest of the fuel would be spent in the spin
                 return forwarded, Tick(), None
-        # fuel ran out, perhaps on the very step that reached the watched entry
-        return forwarded or st.pc == watch_forward, FuelExceeded(), None
+        return forwarded, FuelExceeded(), None
 
 
 def _pauses(st) -> bool:
@@ -404,11 +404,7 @@ class TraceTable:
 
     def pair_id(self, actions: tuple) -> int:
         """The id of the renamed pair `actions`."""
-        pid = self.pair_ids.get(actions)
-        if pid is None:
-            pid = self.pair_ids[actions] = len(self.pairs)
-            self.pairs.append(actions)
-        return pid
+        return _number(self.pair_ids, actions, self.pairs, actions)
 
 
 def _number(ids: dict, key, items: list, item) -> int:
@@ -475,10 +471,7 @@ class Graph:
                 nid2 = nid
                 if names2 is not names:  # a copy with the fresh names appended
                     fresh = tuple(itertools.islice(names2.items(), len(names), None))
-                    nid2 = self.names_ids.get((nid, fresh))
-                    if nid2 is None:
-                        nid2 = self.names_ids[nid, fresh] = len(self.names)
-                        self.names.append(names2)
+                    nid2 = _number(self.names_ids, (nid, fresh), self.names, names2)
                 key = (sid2, k2, p2, nid2)
                 out.append((pid, _number(self.nodes, key, self.keys, key)))
             self.edges[n] = out

@@ -10,7 +10,7 @@ import zlib
 from contextlib import contextmanager
 
 from jemaim.aim import access
-from jemaim.aim.isa import encode, ins
+from jemaim.aim.isa import Assembler
 from jemaim.aim.link import MethodSig as LinkSig
 from jemaim.aim.link import ProgramImage, SymbolTable, merge, substitute, well_formed
 from jemaim.aim.machine import run_state
@@ -110,9 +110,7 @@ def test_criterion_3_call_stack_shortcutting():
         comp = parse_ok(src)
         component = compaim(comp)
         esc_pad = 600
-        attacker_code = (
-            encode(ins("movi", 1, esc_pad)) + encode(ins("movi", 2, 0)) + encode(ins("jmp", 1, 2))
-        )
+        attacker_code = Assembler().emit("movi", 1, esc_pad).emit("movi", 2, 0).emit("jmp", 1, 2).words()
         attacker = ProgramImage(
             mem={Address(7, i): w for i, w in enumerate(attacker_code)},
             descs=[Descriptor(7, N_W + 1, 1)],
@@ -126,7 +124,7 @@ def test_criterion_3_call_stack_shortcutting():
             st.mem = substitute(st.mem, {sym: Nonce("env-obj", 0)})
             st.gstore[Nonce("env-obj", 0)] = (encode_class(key.cls), 0)
         # unprotected escape pad: jump to forwardReturn pretending to answer
-        fr = encode(ins("movi", 1, 3 * N_W)) + encode(ins("movi", 2, 1)) + encode(ins("jmp", 1, 2))
+        fr = Assembler().emit("movi", 1, 3 * N_W).emit("movi", 2, 1).emit("jmp", 1, 2).words()
         for i, w in enumerate(fr):
             st.mem[Address(0, esc_pad + i)] = w
         ep = _entry_for(component, "go")
@@ -312,7 +310,7 @@ def test_criterion_7_pma_access_table():
 def test_criterion_8_linking_algebra():
     with criterion(8, "200 randomized merges: fulfilled symbols vanish, orders agree"):
         rng = random.Random(88)
-        probe = encode(ins("movi", 1, 5)) + encode(ins("halt"))
+        probe = Assembler().emit("movi", 1, 5).emit("halt").words()
         for round_ in range(200):
             names = [f"m{k}" for k in range(4)]
             rng.shuffle(names)

@@ -1,11 +1,12 @@
 """The aim VM: decoding, PMA access predicates, stepping, determinism."""
 import itertools
 import random
+from typing import NamedTuple
 
 import pytest
 
 from jemaim.aim import access
-from jemaim.aim.isa import MAX_FLAG, MAX_REG, OPTABLE, Assembler, Instr, Label, encode, ins
+from jemaim.aim.isa import MAX_FLAG, MAX_REG, OPTABLE, Assembler, Label
 from jemaim.aim.machine import HANDLERS, SF, ZF, MachineState, run_state
 from jemaim.aim.words import Address, Descriptor, Nonce, NonceOracle, Symbol
 from jemaim.compiler import pipeline
@@ -51,7 +52,7 @@ class TestDecode:
         assert st.step()[0] == "stuck"
 
     def test_jmp_roundtrip_through_encoder(self):
-        words = encode(ins("jmp", 3, 4))
+        words = Assembler().emit("jmp", 3, 4).words()
         st = machine(words)
         e = entry_at_pc(st)
         assert e[1] == "jmp" and e[4:] == (3, 4)
@@ -61,10 +62,10 @@ class TestDecode:
         assert entry_at_pc(st) is None
 
     def test_privileged_ops_undecodable_in_unprotected_memory(self):
-        st = machine(encode(ins("stk_push", 1, 2, 3)))
+        st = machine(Assembler().emit("stk_push", 1, 2, 3).words())
         assert entry_at_pc(st) is None
         desc = Descriptor(2, 64, 1)
-        st2 = machine(encode(ins("stk_push", 1, 2, 3)), descs=[desc], pc=(2, 16))
+        st2 = machine(Assembler().emit("stk_push", 1, 2, 3).words(), descs=[desc], pc=(2, 16))
         assert entry_at_pc(st2) is not None
 
 
@@ -106,7 +107,7 @@ class TestAssembler:
         for name, (_, kinds) in OPTABLE.items():
             ops = tuple(range(1, len(kinds) + 1))
             a.emit(name, *ops)
-            want += encode(ins(name, *ops))
+            want += [OPTABLE[name][0], *ops]
         assert a.words() == want
 
     def test_symbols_and_nonces_pass_through(self):
@@ -178,20 +179,20 @@ class TestAccessTable:
 
 class TestStep:
     def test_movi_add_halt(self):
-        prog = encode(ins("movi", 1, 20)) + encode(ins("movi", 2, 22)) + encode(ins("add", 1, 2)) + encode(ins("halt"))
+        prog = Assembler().emit("movi", 1, 20).emit("movi", 2, 22).emit("add", 1, 2).emit("halt").words()
         st = machine(prog)
         kind, reason, st, steps = run_state(st, 100)
         assert kind == "halted" and st.reg(1) == 42
 
     def test_cmp_on_distinct_nonces_clears_zf(self):
-        st = machine(encode(ins("cmp", 1, 2)) + encode(ins("halt")))
+        st = machine(Assembler().emit("cmp", 1, 2).emit("halt").words())
         st.set_reg(1, Nonce("a", 0))
         st.set_reg(2, Nonce("a", 1))
         run_state(st, 10)
         assert st.flags[ZF] == 0
 
     def test_cmp_same_nonce_sets_zf(self):
-        st = machine(encode(ins("cmp", 1, 2)) + encode(ins("halt")))
+        st = machine(Assembler().emit("cmp", 1, 2).emit("halt").words())
         n = Nonce("a", 0)
         st.set_reg(1, n)
         st.set_reg(2, n)
@@ -199,64 +200,65 @@ class TestStep:
         assert st.flags[ZF] == 1
 
     def test_add_treats_nonce_as_zero(self):
-        st = machine(encode(ins("add", 1, 2)) + encode(ins("halt")))
+        st = machine(Assembler().emit("add", 1, 2).emit("halt").words())
         st.set_reg(1, 5)
         st.set_reg(2, Nonce("a", 0))
         run_state(st, 10)
         assert st.reg(1) == 5
 
     def test_sub_takes_absolute_value_and_sets_sf(self):
-        st = machine(encode(ins("movi", 1, 3)) + encode(ins("movi", 2, 5)) + encode(ins("sub", 1, 2)) + encode(ins("halt")))
+        st = machine(Assembler().emit("movi", 1, 3).emit("movi", 2, 5).emit("sub", 1, 2).emit("halt").words())
         run_state(st, 10)
         assert st.reg(1) == 2 and st.flags[SF] == 1 and st.flags[ZF] == 0
 
     def test_cross_module_store_violates(self):
         descs = [Descriptor(2, 32, 1), Descriptor(3, 32, 1)]
-        prog = encode(ins("movi", 1, 3)) + encode(ins("movi", 2, 40)) + encode(ins("movs", 1, 5, 2))
+        prog = Assembler().emit("movi", 1, 3).emit("movi", 2, 40).emit("movs", 1, 5, 2).words()
         st = machine(prog, descs=descs, pc=(2, 0))
         kind, reason, st, _ = run_state(st, 10)
         assert kind == "violation"
 
     def test_jmp_stamps_caller_id_into_r0(self):
         descs = [Descriptor(2, 33, 2)]
-        prog = encode(ins("movi", 1, 16)) + encode(ins("movi", 2, 2)) + encode(ins("jmp", 1, 2))
+        prog = Assembler().emit("movi", 1, 16).emit("movi", 2, 2).emit("jmp", 1, 2).words()
         st = machine(prog, pc=(0, 0), descs=descs)
         st.mem[Address(2, 16)] = 11  # halt at the entry point
         kind, _, st, _ = run_state(st, 10)
         assert kind == "halted" and st.reg(0) == 0 and st.pc == Address(2, 16)
 
     def test_zero_clears_every_register(self):
-        st = machine(encode(ins("zero")) + encode(ins("halt")))
+        st = machine(Assembler().emit("zero").emit("halt").words())
         for i in range(40):
             st.set_reg(i, i + 1)
         run_state(st, 10)
         assert all(st.reg(i) == 0 for i in range(64))
 
     def test_clone_between_zero_and_halt_still_aborts(self):
-        st = machine(encode(ins("zero")) + encode(ins("halt")), descs=[Descriptor(2, 17, 1)], pc=(2, 0))
+        st = machine(Assembler().emit("zero").emit("halt").words(), descs=[Descriptor(2, 17, 1)], pc=(2, 0))
         assert st.step() == ("ok", None)
         assert st.clone().step() == ("halted", "abort:check")
 
     def test_new_draws_distinct_nonces(self):
-        prog = encode(ins("new", 1)) + encode(ins("new", 2)) + encode(ins("new", 3)) + encode(ins("halt"))
+        prog = Assembler().emit("new", 1).emit("new", 2).emit("new", 3).emit("halt").words()
         st = machine(prog)
         run_state(st, 10)
         seen = {st.reg(1), st.reg(2), st.reg(3)}
         assert len(seen) == 3 and all(isinstance(x, Nonce) for x in seen)
 
     def test_self_jump_loop_exhausts_fuel(self):
-        st = machine(encode(ins("movi", 1, 0)) + encode(ins("movi", 2, 0)) + encode(ins("jmp", 1, 2)))
+        st = machine(Assembler().emit("movi", 1, 0).emit("movi", 2, 0).emit("jmp", 1, 2).words())
         kind, *_ = run_state(st, 100)
         assert kind == "fuel"
 
     def test_je_jumps_within_module_when_flag_set(self):
         prog = (
-            encode(ins("movi", 1, 1))
-            + encode(ins("movi", 2, 1))
-            + encode(ins("cmp", 1, 2))
-            + encode(ins("movi", 3, 18))
-            + encode(ins("je", 3, ZF))
-            + encode(ins("halt"))  # skipped when ZF is set
+            Assembler().emit("movi", 1, 1)
+            .emit("movi", 2, 1)
+            .emit("cmp", 1, 2)
+            .emit("movi", 3, 18)
+            .emit("je", 3, ZF)
+            .emit("halt")  # skipped when ZF is set
+            .words()
         )
         st = machine(prog)
         st.mem[Address(0, 18)] = 9  # zero
@@ -267,19 +269,18 @@ class TestStep:
 
 class TestDeterminismAndIsolation:
     def random_program(self, rng):
-        words = []
+        a = Assembler()
         for _ in range(rng.randrange(4, 12)):
             op = rng.choice(["movi", "add", "sub", "cmp", "new", "zero"])
             if op == "movi":
-                words += encode(ins("movi", rng.randrange(8), rng.randrange(100)))
+                a.emit("movi", rng.randrange(8), rng.randrange(100))
             elif op in ("add", "sub", "cmp"):
-                words += encode(ins(op, rng.randrange(8), rng.randrange(8)))
+                a.emit(op, rng.randrange(8), rng.randrange(8))
             elif op == "new":
-                words += encode(ins("new", rng.randrange(8)))
+                a.emit("new", rng.randrange(8))
             else:
-                words += encode(ins("zero"))
-        words += encode(ins("halt"))
-        return words
+                a.emit("zero")
+        return a.emit("halt").words()
 
     def test_identical_seeds_identical_runs(self):
         rng = random.Random(3)
@@ -302,12 +303,11 @@ class TestDeterminismAndIsolation:
         protected = {Address(2, i): 7 for i in range(40)}
         rng = random.Random(9)
         for _ in range(50):
-            prog = []
+            a = Assembler()
             for _ in range(6):
-                prog += encode(ins("movi", rng.randrange(4), rng.choice([0, 2, 16, 33, 100])))
-                prog += encode(ins(rng.choice(["movs", "movl"]), rng.randrange(4), rng.randrange(4), rng.randrange(4)))
-            prog += encode(ins("halt"))
-            st = machine(prog, descs=descs)
+                a.emit("movi", rng.randrange(4), rng.choice([0, 2, 16, 33, 100]))
+                a.emit(rng.choice(["movs", "movl"]), rng.randrange(4), rng.randrange(4), rng.randrange(4))
+            st = machine(a.emit("halt").words(), descs=descs)
             st.mem.update(protected)
             run_state(st, 200)
             assert all(st.mem[a] == 7 for a in protected)
@@ -328,9 +328,9 @@ GRID_TARGETS = [
 # instruction words with r2 = target module id and r3 = target offset, and the
 # predicate that decides whether it may run
 GRID_OPS = {
-    "movl": (encode(ins("movl", 1, 2, 3)), access.read_allowed),
-    "movs": (encode(ins("movs", 2, 1, 3)), access.write_allowed),
-    "jmp": (encode(ins("jmp", 3, 2)), access.valid_jump),
+    "movl": (Assembler().emit("movl", 1, 2, 3).words(), access.read_allowed),
+    "movs": (Assembler().emit("movs", 2, 1, 3).words(), access.write_allowed),
+    "jmp": (Assembler().emit("jmp", 3, 2).words(), access.valid_jump),
 }
 
 
@@ -343,7 +343,7 @@ class TestMachineAgreesWithPredicates:
         for mid, off in GRID_TARGETS:
             # a movi just before the instruction, so that the data-section pc is
             # reached by falling off the code
-            st = machine(encode(ins("movi", 9, 9)) + words, descs=GRID_DESCS, pc=(pc.mid, pc.off - 3))
+            st = machine(Assembler().emit("movi", 9, 9).words() + words, descs=GRID_DESCS, pc=(pc.mid, pc.off - 3))
             st.set_reg(1, 5)
             st.set_reg(2, mid)
             st.set_reg(3, off)
@@ -374,7 +374,7 @@ def register_probe(name, regs_named, loaded):
     for operands in itertools.product(*choices):
         named = sorted({o for o, k in zip(operands, kinds) if k == "r"})
         for words in itertools.product(OPERAND_WORDS, repeat=len(named)):
-            st = machine(encode(ins(name, *operands)), descs=GRID_DESCS, pc=(2, 20))
+            st = machine(Assembler().emit(name, *operands).words(), descs=GRID_DESCS, pc=(2, 20))
             st.mem[Address(2, 100)] = encode_class("c")
             st.add_mask(2, 100, MASK)
             st.gstore[MASK] = (encode_class("c"), 2)
@@ -427,17 +427,18 @@ class TestDecodeCache:
     def test_unprotected_code_runs_what_it_wrote(self):
         # offsets 0-12 overwrite the immediate of `movi 5, 1` at 13 with 42
         prog = (
-            encode(ins("movi", 1, 0))
-            + encode(ins("movi", 2, 15))
-            + encode(ins("movi", 3, 42))
-            + encode(ins("movs", 1, 3, 2))
-            + encode(ins("movi", 5, 1))
-            + encode(ins("halt"))
+            Assembler().emit("movi", 1, 0)
+            .emit("movi", 2, 15)
+            .emit("movi", 3, 42)
+            .emit("movs", 1, 3, 2)
+            .emit("movi", 5, 1)
+            .emit("halt")
+            .words()
         )
         st = machine(prog)
         st.pc = Address(0, 13)
         e = entry_at_pc(st)
-        assert Instr(e[1], e[4:]) == ins("movi", 5, 1)  # decoded before the write
+        assert (e[1], e[4:]) == ("movi", (5, 1))  # decoded before the write
         st.pc = Address(0, 0)
         before = st.clone()
         unwritten = st.clone()
@@ -447,17 +448,28 @@ class TestDecodeCache:
         assert run_state(unwritten, 20)[0] == "halted" and unwritten.reg(5) == 1
 
     def test_privileged_op_in_protected_data_is_stuck(self):
-        st = machine(encode(ins("stk_push", 1, 2, 3)), descs=GRID_DESCS, pc=(2, 64))
+        st = machine(Assembler().emit("stk_push", 1, 2, 3).words(), descs=GRID_DESCS, pc=(2, 64))
         assert entry_at_pc(st) is None
         assert st.step()[0] == "stuck"
         assert not st.callstack and not st._icache
 
     def test_load_from_protected_data_is_denied(self):
-        st = machine(encode(ins("movl", 1, 2, 3)), descs=GRID_DESCS, pc=(2, 70))
+        st = machine(Assembler().emit("movl", 1, 2, 3).words(), descs=GRID_DESCS, pc=(2, 70))
         st.set_reg(2, 2)
         st.set_reg(3, 100)
         kind, reason, _, _ = run_state(st, 10)
         assert kind == "violation" and reason.startswith("read denied")
+
+
+class RefInstr(NamedTuple):
+    """An instruction as `reference_instr` reads it: its name and operands."""
+
+    name: str
+    ops: tuple
+
+    @property
+    def width(self) -> int:
+        return 1 + len(self.ops)
 
 
 def reference_instr(read, off, privileged_ok):
@@ -475,7 +487,7 @@ def reference_instr(read, off, privileged_ok):
         bound = {"r": MAX_REG, "f": MAX_FLAG + 1}.get(kind)
         if bound is not None and not (isinstance(v, int) and 0 <= v < bound):
             return None
-    return Instr(name, ops)
+    return RefInstr(name, ops)
 
 
 def reference_entry(st):
@@ -483,7 +495,7 @@ def reference_entry(st):
     method, the fall-through address, the descriptor whose code holds pc, and
     the spin rule."""
     pc = st.pc
-    s = st.module(pc.mid)
+    s = access.find_module(st.descs, pc)
     if s is not None and not access.code_range(s, pc):
         s = None
     i = reference_instr(lambda o: st.load((pc.mid, o)), pc.off, s is not None)
@@ -492,7 +504,7 @@ def reference_entry(st):
     handler = HANDLERS[i.name]
     if s is not None and i.name == "movi" and i.ops[1] == pc.off and pc.off + 9 <= s.code_len:
         c, j = (reference_instr(lambda o: st.load((s.mid, o)), o, True) for o in (pc.off + 3, pc.off + 6))
-        if c is not None and c.name == "cmp" and c.ops[0] == c.ops[1] and j == Instr("je", (i.ops[0], ZF)):
+        if c is not None and c.name == "cmp" and c.ops[0] == c.ops[1] and j == RefInstr("je", (i.ops[0], ZF)):
             handler = MachineState._op_spin
     return (handler, i.name, Address(pc.mid, pc.off + i.width), s, *i.ops)
 
@@ -548,18 +560,18 @@ class TestDecodeAgreesWithTheReference:
             ("je", 1, MAX_FLAG + 1): False,
         }
         for (name, *ops), ok in cases.items():
-            st = machine(encode(ins(name, *ops)), descs=GRID_DESCS, pc=pc)
+            st = machine(Assembler().emit(name, *ops).words(), descs=GRID_DESCS, pc=pc)
             assert (decoded_as_reference(st) is not None) == ok, (name, ops)
 
     def test_a_privileged_opcode_decodes_only_in_protected_code(self):
-        words = encode(ins("stk_push", 1, 2, 3))
+        words = Assembler().emit("stk_push", 1, 2, 3).words()
         assert decoded_as_reference(machine(words, descs=GRID_DESCS, pc=(0, 20))) is None
         assert decoded_as_reference(machine(words, descs=GRID_DESCS, pc=(2, 64))) is None
         e = decoded_as_reference(machine(words, descs=GRID_DESCS, pc=(2, 20)))
         assert e[1:] == ("stk_push", Address(2, 24), GRID_DESCS[0], 1, 2, 3)
 
     def test_an_unprotected_pc_is_not_cached(self):
-        st = machine(encode(ins("movi", 1, 7)), descs=GRID_DESCS, pc=(0, 20))
+        st = machine(Assembler().emit("movi", 1, 7).words(), descs=GRID_DESCS, pc=(0, 20))
         e = decoded_as_reference(st)
         assert e[1:] == ("movi", Address(0, 23), None, 1, 7) and not st._icache
         assert st.step() == ("ok", None) and not st._icache
@@ -589,13 +601,14 @@ class TestSharedCode:
     def test_data_and_unprotected_writes_stay_in_their_clone(self):
         # store 7 at (2,100), module 2's data, then at (0,100), unprotected
         prog = (
-            encode(ins("movi", 1, 2))
-            + encode(ins("movi", 2, 100))
-            + encode(ins("movi", 3, 7))
-            + encode(ins("movs", 1, 3, 2))
-            + encode(ins("movi", 1, 0))
-            + encode(ins("movs", 1, 3, 2))
-            + encode(ins("halt"))
+            Assembler().emit("movi", 1, 2)
+            .emit("movi", 2, 100)
+            .emit("movi", 3, 7)
+            .emit("movs", 1, 3, 2)
+            .emit("movi", 1, 0)
+            .emit("movs", 1, 3, 2)
+            .emit("halt")
+            .words()
         )
         st = shared(prog)
         code = dict(st.code)
@@ -609,13 +622,13 @@ class TestSharedCode:
 
     def test_movl_reads_its_own_code_section(self):
         # (2,5) is a word of module 2's code, read by its own movl
-        prog = encode(ins("movi", 2, 2)) + encode(ins("movi", 3, 5)) + encode(ins("movl", 1, 2, 3)) + encode(ins("halt"))
+        prog = Assembler().emit("movi", 2, 2).emit("movi", 3, 5).emit("movl", 1, 2, 3).emit("halt").words()
         st = shared(prog, {Address(2, 5): 4242})
         assert Address(2, 5) in st.code and Address(2, 5) not in st.mem
         assert run_state(st, 10)[0] == "halted" and st.reg(1) == 4242
 
     def test_tbl_add_reads_the_class_word(self):
-        prog = encode(ins("movi", 1, 100)) + encode(ins("tbl_add", 1)) + encode(ins("halt"))
+        prog = Assembler().emit("movi", 1, 100).emit("tbl_add", 1).emit("halt").words()
         st = shared(prog, {Address(2, 100): encode_class("c")})
         assert run_state(st, 10)[0] == "halted"
         mask = st.reg(1)
@@ -634,7 +647,7 @@ def plain_run(st, fuel, trail=None):
     appended to it."""
     for n in range(fuel):
         pc = st.pc
-        s = st.module(pc.mid)
+        s = access.find_module(st.descs, pc)
         if s is not None and not access.code_range(s, pc):
             s = None
         i = reference_instr(lambda o: st.load((pc.mid, o)), pc.off, s is not None)
@@ -661,7 +674,7 @@ def steps_to_spin(img) -> int:
     its first spin, a `movi 11, L` at L (compiler/comp.py)."""
     trail = []
     plain_run_aim(img, 1_000, trail)
-    heads = [n for n, (pc, i) in enumerate(trail) if i == ins("movi", 11, pc.off)]
+    heads = [n for n, (pc, i) in enumerate(trail) if i == RefInstr("movi", (11, pc.off))]
     assert heads, "no spin within 1 000 steps"
     return 1 + heads[0]
 
@@ -868,7 +881,7 @@ class TestRunStateAgreesWithPlainStepping:
 def spin_at(off, cmp=(0, 0), je=(11, ZF), target=None):
     """The spin `movi 11, L; cmp 0, 0; je 11, ZF` at L = `off`, or a variant
     with other `cmp` or `je` operands or another `movi` target."""
-    return encode(ins("movi", 11, off if target is None else target)) + encode(ins("cmp", *cmp)) + encode(ins("je", *je))
+    return Assembler().emit("movi", 11, off if target is None else target).emit("cmp", *cmp).emit("je", *je).words()
 
 
 def spin_entries(st) -> list:

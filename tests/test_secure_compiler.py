@@ -201,16 +201,17 @@ class TestSys:
 
     def test_forward_call_twice_in_a_row_aborts(self):
         # a protected module 2 entry point immediately re-enters forwardCall
-        from jemaim.aim.isa import encode, ins
+        from jemaim.aim.isa import Assembler
         from jemaim.aim.words import Descriptor
 
         code = (
-            encode(ins("movi", 3, 2))
-            + encode(ins("movi", 4, 0))
-            + encode(ins("movi", 5, 7))
-            + encode(ins("movi", 1, 2 * N_W))
-            + encode(ins("movi", 2, 1))
-            + encode(ins("jmp", 1, 2))
+            Assembler().emit("movi", 3, 2)
+            .emit("movi", 4, 0)
+            .emit("movi", 5, 7)
+            .emit("movi", 1, 2 * N_W)
+            .emit("movi", 2, 1)
+            .emit("jmp", 1, 2)
+            .words()
         )
         st = self.boot({Address(2, i): w for i, w in enumerate(code)})
         st.descs.append(Descriptor(2, len(code) + 1, 1))
@@ -780,11 +781,11 @@ class TestDynamicTypechecks:
     """The typecheck op itself, exercised through the privileged instruction."""
 
     def boot(self):
-        from jemaim.aim.isa import encode, ins
+        from jemaim.aim.isa import Assembler
         from jemaim.aim.words import Descriptor, NonceOracle
         from jemaim.aim.machine import MachineState
 
-        code = encode(ins("tychk", 7, 8)) + encode(ins("halt"))
+        code = Assembler().emit("tychk", 7, 8).emit("halt").words()
         mem = {Address(2, i): w for i, w in enumerate(code)}
         st = MachineState(pc=Address(2, 0), mem=mem, descs=[Descriptor(2, 17, 1)], oracle=NonceOracle(0))
         return st
@@ -855,13 +856,12 @@ class TestDynamicTypechecks:
 class TestMaskingTable:
     def test_release_is_idempotent(self):
         """Releasing an object twice keeps a single mask."""
-        from jemaim.aim.isa import encode, ins
+        from jemaim.aim.isa import Assembler
         from jemaim.aim.words import Descriptor, NonceOracle
         from jemaim.aim.machine import MachineState
 
-        code = encode(ins("movi", 5, 100)) + encode(ins("tbl_add", 5)) + encode(
-            ins("movi", 5, 100)
-        ) + encode(ins("tbl_add", 5)) + encode(ins("halt"))
+        a = Assembler().emit("movi", 5, 100).emit("tbl_add", 5)
+        code = a.emit("movi", 5, 100).emit("tbl_add", 5).emit("halt").words()
         mem = {Address(2, i): w for i, w in enumerate(code)}
         mem[Address(2, 100)] = encode_class("c")  # an object whose class word is set
         st = MachineState(pc=Address(2, 0), mem=mem, descs=[Descriptor(2, 30, 1)], oracle=NonceOracle(0))

@@ -11,7 +11,7 @@ from jemaim.aim.isa import ZF
 from jemaim.aim.machine import MachineState
 from jemaim.aim.words import FORWARDCALL_EP, FORWARDRETURN_EP, SYS_ID, Address, Nonce
 from jemaim.compiler.pipeline import compaim
-from jemaim.compiler.sysmod import SYS_WORDS
+from jemaim.compiler.sysmod import SYS_DEPTH_ADDR, SYS_WORDS
 from jemaim.jem.parser import parse_component
 from jemaim.traces import engine
 from jemaim.traces.actions import (
@@ -142,6 +142,21 @@ class TestObservation:
         assert isinstance(arrived.reply, FuelExceeded) and arrived.action == full.action
         assert isinstance(short.reply, FuelExceeded)
         assert short.action == CallIn((SYS_ID, FORWARDCALL_EP), (0, 0, 0, addr.mid, addr.off, RESUME_PAD, mask))
+
+    def test_a_forward_sys_refuses_is_a_call_into_sys(self, cell_image):
+        """With the environment's own frame on top of sys's call stack, sys
+        refuses the environment's next call: forwardCall aborts before its
+        exit, so the call is recorded into sys, with its whole vector, and
+        ticks."""
+        tracer = ComponentTracer(cell_image)
+        [(_, mask)] = list(cell_image.table.eo.items())
+        [put] = [a for s, a in cell_image.table.em.items() if s.name == "put"]
+        st = tracer.initial()
+        st.callstack.append((0, RESUME_PAD, 2))
+        st.mem[SYS_DEPTH_ADDR] = 1
+        seg = tracer.call_method(st, put, mask, (1,))
+        assert seg.action == CallIn((1, 32), (0, 0, 0, 2, 32, 40, mask, 1))
+        assert isinstance(seg.reply, Tick) and seg.state is None
 
 
 class TestEnumeration:
@@ -767,11 +782,27 @@ def test_calls_share_sys_and_the_entry_checks(monkeypatch):
     assert steps[0] == 7410
 
 
-def scratch_call(tracer, state, ep, recv, args):
+def scratch_call(tracer, state, ep, recv, args, steps):
     """A call run by one `_enter` with every register it loads, as each call
-    ran before calls shared prefixes: (forwarded, reply, next state)."""
+    ran before calls shared prefixes: (forwarded, reply, next state, the
+    steps of `steps` it took). `forwarded` is found apart from the engine:
+    whether plain `step()`s of a clone, started alike, reach `ep` within the
+    steps the run took to its reply."""
     regs = {3: ep.mid, 4: ep.off, 5: RESUME_PAD, 6: recv, **dict(enumerate(args, 7))}
-    return tracer._enter(state, Address(SYS_ID, FORWARDCALL_EP), regs, ep)
+    pc = Address(SYS_ID, FORWARDCALL_EP)
+    before = steps[0]
+    _, reply, nxt = tracer._enter(state, pc, regs)
+    n = steps[0] - before
+    st = state.clone()
+    st.regs, st.pc = {}, pc
+    st.reset_flags()
+    for i, w in regs.items():
+        st.set_reg(i, w)
+    forwarded = st.pc == ep
+    for _ in range(n):
+        st.step()
+        forwarded = forwarded or st.pc == ep
+    return forwarded, reply, nxt, n
 
 
 def check_shared_prefixes(img, domain, monkeypatch) -> int:
@@ -800,13 +831,12 @@ def check_shared_prefixes(img, domain, monkeypatch) -> int:
         if first:
             prefix_steps[prefix] = entered[0]
         shared = steps[0] - before + (0 if first else prefix_steps[prefix])
-        before = steps[0]
-        forwarded, reply, nxt = scratch_call(tracer, state, ep, recv, args)
+        forwarded, reply, nxt, scratch = scratch_call(tracer, state, ep, recv, args, steps)
         if forwarded:
             action = CallIn((ep.mid, ep.off), (SYS_ID, 0, 0, 0, 0, FORWARDRETURN_EP, recv, *args))
         else:
             action = CallIn((SYS_ID, FORWARDCALL_EP), (0, 0, 0, ep.mid, ep.off, RESUME_PAD, recv, *args))
-        assert (seg.action, seg.reply, shared, summary(seg.state)) == (action, reply, steps[0] - before, summary(nxt))
+        assert (seg.action, seg.reply, shared, summary(seg.state)) == (action, reply, scratch, summary(nxt))
         checks[0] += 1
         return seg
 
@@ -817,7 +847,51 @@ def check_shared_prefixes(img, domain, monkeypatch) -> int:
     return checks[0]
 
 
-SHARED_PREFIX_CASES = {**MEMO_CASES, ("cell", "register-all"): (COMPONENTS["cell"], REGISTER_DOMAINS["register-all"])}
+# a component whose classes call each other, kept out of corpus.py, whose
+# COMPONENTS perfbench pins by count: a call of c.go is forwarded into c's
+# module and, inside the same segment, forwarded again into helper's
+CROSS_CLASS = """
+class-decl i { ping : i()->Int };
+obj-decl io : i;
+class helper {
+  helper(n:Int){ this.n = n; }
+  n : Int;
+  public bump(k) : helper(Int)->Int { return this.n = this.n + k; io.ping(); this.n; }
+};
+object h : helper { n = 0; };
+class c {
+  c(){}
+  public go(k) : c(Int)->Int { return h.bump(k) + 1; }
+};
+object o : c { };
+"""
+
+# CROSS_CLASS's depth-4 trace sets, pinned as TRACE_SET_PINS are
+CROSS_CLASS_PINS = {
+    "default": (934, "2fe8b494ec66a91bf0f30a9938c62e20f34b3ba8ed5f8c645069bca8bec5de4e"),
+    "illtyped": (13_748, "6fb72b7a47af6c7e6f81904a77096d1c017793154306a847f437d69ca433a675"),
+}
+
+
+@pytest.mark.parametrize("domain", sorted(CROSS_CLASS_PINS))
+def test_classes_that_call_each_other_trace_through_sys(domain):
+    """A call of c.go reaches io.ping through helper: two forwards into
+    protected modules in one segment. Its trace set is pinned and equals
+    that of a second compilation; SHARED_PREFIX_CASES holds it too."""
+    img = image_of(CROSS_CLASS)
+    traces = enumerate_traces(img, depth=4, domain=PIN_DOMAINS[domain]())
+    text = "\n".join(sorted(render_trace(t) for t in traces))
+    assert (len(traces), hashlib.sha256(text.encode()).hexdigest()) == CROSS_CLASS_PINS[domain]
+    [go] = [a for s, a in img.table.em.items() if s.name == "go"]
+    assert any(isinstance(t[1], CallOut) for t in traces if t and t[0].addr == (go.mid, go.off))
+    assert trace_equiv(img, image_of(CROSS_CLASS), depth=4, domain=PIN_DOMAINS[domain]()) == Equivalent(len(traces))
+
+
+SHARED_PREFIX_CASES = {
+    **MEMO_CASES,
+    ("cell", "register-all"): (COMPONENTS["cell"], REGISTER_DOMAINS["register-all"]),
+    **{("cross-class", domain): (CROSS_CLASS, PIN_DOMAINS[domain]) for domain in PIN_DOMAINS},
+}
 
 
 @pytest.mark.parametrize("case", sorted(SHARED_PREFIX_CASES), ids="/".join)
