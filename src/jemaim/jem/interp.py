@@ -8,7 +8,18 @@ caller's environment and `this` on return. `(e, operands_left,
 values_so_far)` evaluates a compound expression `e`: its `OPERANDS` are
 evaluated left to right, each value popping the frame once, and then its
 entry in `RULES` applies to their values. Lit, Var and This are the leaves.
-Each step() applies exactly one deterministic transition.
+Each step() applies exactly one deterministic transition. `step()` and the
+`RULES` entries define every rule and every fault.
+
+`run_config` drives a configuration without a call per step. It keeps the
+focus, the environment, `this` and the continuation's `append`/`pop` in
+locals, and applies these rules itself: the leaves (Lit, This, and a Var
+bound in the environment or the heap), pushing an operand frame, popping a
+value into the next operand or into a `RETURN` frame, and the BinOp, If and
+Seq rules (`binop` computes BinOp's value for both). Every other rule (Call,
+New, FieldGet, FieldSet, Exit, InstanceOf, VarDecl) and every fault goes to
+the configuration: the loop writes its locals back, calls the `RULES` entry
+or `step()`, and reads them again.
 
 One loop is recognised instead of stepped: entering a method whose body is
 exactly `this.<same method>()` (no arguments; `ast.calls_itself`). Stepping
@@ -26,7 +37,7 @@ from dataclasses import dataclass, field
 
 from ..aim.words import MASK64
 from . import ast
-from .ast import NULL, UNIT, ObjRef
+from .ast import NULL, UNIT, BinOp, If, Lit, ObjRef, Seq, This, Var
 from .compat import satisfies
 from .printer import render_value
 
@@ -49,6 +60,8 @@ class RunResult:
     kind: str  # 'terminated' | 'fuel' | 'nullerror'
     value: object = None
     steps: int = 0
+    # the steps the run executed; below `steps` when a proven loop ends it
+    executed: int = field(default=0, compare=False)
 
     @property
     def terminated(self):
@@ -192,19 +205,11 @@ class JemConfig:
         self.focus = ("expr", m.body)
 
     def _binop(self, e: ast.BinOp, vs):
-        op, (lv, rv) = e.op, vs
-        if op == "+":
-            self.focus = ("value", (lv + rv) & MASK64)
-        elif op == "-":
-            self.focus = ("value", lv - rv if lv >= rv else 0)
-        elif op == "<":
-            self.focus = ("value", lv < rv)
-        elif op == "&&":
-            self.focus = ("value", lv is True and rv is True)
-        elif op == "==":
-            self.focus = ("value", _value_eq(lv, rv))
+        v = binop(e.op, *vs)
+        if v is None:
+            self._die("nullerror", f"bad operator {e.op}")
         else:
-            self._die("nullerror", f"bad operator {op}")
+            self.focus = ("value", v)
 
 
 # each compound form's operands, in evaluation order
@@ -236,10 +241,39 @@ RULES = {
 }
 
 
+def binop(op: str, lv, rv):
+    """The value of `lv op rv`, or None for an operator jem does not have:
+    `+` wraps at 2**64, `-` stops at 0."""
+    if op == "+":
+        return (lv + rv) & MASK64
+    if op == "-":
+        return lv - rv if lv >= rv else 0
+    if op == "<":
+        return lv < rv
+    if op == "&&":
+        return lv is True and rv is True
+    if op == "==":
+        return _value_eq(lv, rv)
+    return None
+
+
 def _value_eq(a, b) -> bool:
     if isinstance(a, bool) or isinstance(b, bool):
         return a is b
     return a == b
+
+
+def _check_entry(comp: ast.JemComponent):
+    """Raise NotWhole unless the program has an entry point: an object named
+    `main` whose class has a method `main` without parameters (the rule of
+    `pipeline.find_entry` for a linked image)."""
+    obj = next((o for c in comp.classes for o in c.objects if o.name == "main"), None)
+    if obj is None:
+        raise NotWhole("no object named 'main'")
+    cls = comp.cls(obj.cname)
+    m = cls.method("main") if cls else None
+    if m is None or m.params:
+        raise NotWhole("no method main() on the main object's class")
 
 
 def run(comp: ast.JemComponent, fuel: int = DEFAULT_FUEL) -> RunResult:
@@ -248,15 +282,85 @@ def run(comp: ast.JemComponent, fuel: int = DEFAULT_FUEL) -> RunResult:
     A run that enters a proven loop (a method whose body is `this.<same
     method>()`) stops stepping there and returns `RunResult("fuel", None,
     fuel)`: the result stepping the loop to the end gives, `steps` being the
-    fuel the run would have used."""
+    fuel the run would have used. Raises NotWhole, before any step, for an
+    unsatisfied import or a missing entry point; the empty component
+    terminates with `unit` in 0 steps."""
     if not comp.classes:
         return RunResult("terminated", UNIT, 0)
     if not satisfies(comp, comp):
         raise NotWhole("component has unsatisfied imports")
-    cfg = JemConfig.initial(comp)
+    _check_entry(comp)
+    return run_config(JemConfig.initial(comp), fuel)
+
+
+def run_config(cfg: JemConfig, fuel: int) -> RunResult:
+    """Step `cfg` until it is terminal or `fuel` steps are spent, and return
+    the result; `cfg` is left as exactly that many `step()` calls leave it.
+    The loop applies the rules named in the module docstring itself and
+    hands every other rule and every fault to the configuration."""
+    heap, kont = cfg.heap, cfg.kont
+    push, pop = kont.append, kont.pop
+    env, this = cfg.env, cfg.this
+    kind, x = cfg.focus
+    is_expr = kind == "expr"
     for n in range(fuel):
-        cfg.step()
+        if is_expr:
+            t = type(x)
+            if t is Var:
+                if x.name in env:
+                    x, is_expr = env[x.name], False
+                    continue
+                if x.name in heap:
+                    x, is_expr = ObjRef(x.name), False
+                    continue
+            elif t is Lit:
+                x, is_expr = x.value, False
+                continue
+            elif t is This:
+                x, is_expr = this, False
+                continue
+            elif t in OPERANDS:
+                ops = OPERANDS[t](x)
+                if ops:
+                    push((x, ops[1:], ()))
+                    x = ops[0]
+                    continue
+            # an unbound name, an unevaluable form or a form without operands
+            cfg.focus, cfg.env, cfg.this = ("expr", x), env, this
+            cfg.step()
+        elif kont:
+            e, rest, done = pop()
+            if e is RETURN:  # (RETURN, env, this)
+                env, this = rest, done
+                continue
+            if rest:
+                push((e, rest[1:], (*done, x)))
+                x, is_expr = rest[0], True
+                continue
+            t = type(e)
+            if t is BinOp:
+                v = binop(e.op, done[0], x)
+                if v is not None:
+                    x = v
+                    continue
+            elif t is If:
+                x, is_expr = e.then if x is True else e.els, True
+                continue
+            elif t is Seq:
+                x, is_expr = e.second, True
+                continue
+            cfg.focus, cfg.env, cfg.this = ("value", x), env, this
+            RULES[t](cfg, e, (*done, x))
+        else:
+            cfg.focus, cfg.env, cfg.this = ("value", x), env, this
+            cfg.step()
         if cfg.terminal is not None:
-            cfg.terminal.steps = fuel if cfg.terminal.kind == "fuel" else n + 1
-            return cfg.terminal
-    return RunResult("fuel", None, fuel)
+            r = cfg.terminal
+            r.steps = fuel if r.kind == "fuel" else n + 1
+            r.executed = n + 1
+            return r
+        kind, x = cfg.focus
+        is_expr = kind == "expr"
+        env, this = cfg.env, cfg.this
+    cfg.focus, cfg.env, cfg.this = ("expr" if is_expr else "value", x), env, this
+    return RunResult("fuel", None, fuel, fuel)

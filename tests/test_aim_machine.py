@@ -19,7 +19,7 @@ from jemaim.traces.actions import FuelExceeded, Tick
 from jemaim.traces.engine import RESUME_PAD, AdversaryDomain, ComponentTracer, enumerate_traces
 
 from corpus import COMPONENTS, INEQUIVALENT_PAIRS, WHOLE_PROGRAMS
-from test_jem_lang import LOOP, NEAR_MISS_LOOPS
+from test_jem_lang import LOOP, NEAR_MISS_LOOPS, sum_program
 from test_traces import plain_traces
 
 
@@ -708,23 +708,6 @@ def observed_aim(r) -> tuple:
 def observed_state(run) -> tuple:
     kind, reason, st, steps = run
     return observed(kind, reason, steps, st)
-
-
-def sum_program(pending: int, n: int) -> str:
-    """`main.sum(n)` leaving `pending` operands of `+` on the stack per level."""
-    body = "n + this.sum(n - 1)"
-    for _ in range(pending - 1):
-        body = f"1 + ({body})"
-    return f"""
-class main {{
-  main(){{}}
-  public sum(n) : main(Int)->Int {{
-    return if (n < 1) {{ 0 }} else {{ {body} }};
-  }}
-  public main() : main()->Int {{ return this.sum({n}); }}
-}};
-object main : main {{ }};
-"""
 
 
 def warm_loop(*body) -> list:

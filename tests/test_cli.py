@@ -7,7 +7,7 @@ from jemaim.cli import main
 from jemaim.compiler.comp import DATA_BASE
 
 from corpus import INEQUIVALENT_PAIRS, WHOLE_PROGRAMS, main_prog
-from test_jem_lang import DIAGNOSTICS
+from test_jem_lang import DIAGNOSTICS, NO_ENTRY
 from test_secure_compiler import MISPLACED_OBJECT_PROG
 
 
@@ -60,6 +60,13 @@ class TestRunJem:
         assert run_cli("run_jem", ws / "sup.jem") == 1
         out = capsys.readouterr()
         assert out.out == "" and out.err == f"error: {ws / 'sup.jem'}:3:44: unexpected character '²'\n"
+
+    @pytest.mark.parametrize("name", sorted(NO_ENTRY))
+    def test_a_program_without_an_entry_point_is_one_error_line(self, ws, capsys, name):
+        (ws / "noentry.jem").write_text(NO_ENTRY[name])
+        assert run_cli("run_jem", ws / "noentry.jem") == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: not a whole program: no ") and err.count("\n") == 1
 
 
 class TestLongBinOpSpine:

@@ -7,7 +7,7 @@ import pytest
 
 from jemaim.jem import ast
 from jemaim.jem.compat import EMPTY, compat, plug
-from jemaim.jem.interp import OPERANDS, RULES, JemConfig, NotWhole, RunResult, run
+from jemaim.jem.interp import DEFAULT_FUEL, OPERANDS, RULES, JemConfig, NotWhole, RunResult, run, run_config
 from jemaim.jem.ast import Pos
 from jemaim.jem.parser import PUNCT, JemSyntaxError, Token, lex, parse_component
 from jemaim.jem.printer import render_component
@@ -22,6 +22,32 @@ def parse_ok(src):
     assert errs == [], errs
     return comp
 
+
+# well-typed programs without the entry point `main.main()` that a linked
+# image needs (`pipeline.find_entry`): `run` refuses each before it steps
+NO_ENTRY = {
+    "no-main-object": """
+class c {
+  c(){}
+  public m() : c()->Int { return 1; }
+};
+object o : c { };
+""",
+    "no-main-method": """
+class c {
+  c(){}
+  public m() : c()->Int { return 1; }
+};
+object main : c { };
+""",
+    "main-takes-a-parameter": """
+class main {
+  main(){}
+  public main(x) : main(Int)->Int { return 1; }
+};
+object main : main { };
+""",
+}
 
 MAIN_RETURN_0 = """
 class main {
@@ -557,6 +583,14 @@ class TestInterp:
         with pytest.raises(NotWhole):
             run(prog)
 
+    @pytest.mark.parametrize("name", sorted(NO_ENTRY))
+    def test_run_requires_an_entry_point(self, name, monkeypatch):
+        """Fails at a parent that steps these: a null error for the first two,
+        `Terminated(1)` for the third, whose `main` runs with `x` unbound."""
+        monkeypatch.setattr(JemConfig, "initial", None)  # nothing is stepped
+        with pytest.raises(NotWhole, match="^no (object named 'main'|method main\\(\\) on the main object's class)$"):
+            run(parse_ok(NO_ENTRY[name]))
+
     def test_fuel_monotonicity(self):
         prog = parse_ok(
             """
@@ -577,19 +611,6 @@ class TestInterp:
             assert again.terminated and again.value == base.value
 
 
-def count_steps(monkeypatch) -> list:
-    """Record every JemConfig.step call from here on."""
-    calls = []
-    step = JemConfig.step
-
-    def counted(cfg):
-        calls.append(1)
-        return step(cfg)
-
-    monkeypatch.setattr(JemConfig, "step", counted)
-    return calls
-
-
 LOOP = """
 class main {{
   main(){{}}
@@ -598,6 +619,24 @@ class main {{
 }};
 object main : main {{ }};
 """
+
+
+def sum_program(pending: int, n: int) -> str:
+    """`main.sum(n)` leaving `pending` operands of `+` on the stack per level."""
+    body = "n + this.sum(n - 1)"
+    for _ in range(pending - 1):
+        body = f"1 + ({body})"
+    return f"""
+class main {{
+  main(){{}}
+  public sum(n) : main(Int)->Int {{
+    return if (n < 1) {{ 0 }} else {{ {body} }};
+  }}
+  public main() : main()->Int {{ return this.sum({n}); }}
+}};
+object main : main {{ }};
+"""
+
 
 # loops whose body is not exactly `this.<same method>()`: stepped to the end of their fuel
 NEAR_MISS_LOOPS = {
@@ -666,13 +705,12 @@ def test_every_expression_form_has_an_evaluation_rule():
 
 
 class TestProvenLoops:
-    def test_self_call_loop_stops_stepping(self, monkeypatch):
+    def test_self_call_loop_stops_stepping(self):
         """Fails at a parent without the rule: the run steps 10**6 times."""
         prog = parse_ok(WHOLE_PROGRAMS["diverge-spin"])
-        calls = count_steps(monkeypatch)
         r = run(prog, fuel=10**6)
         assert (r.kind, r.value, r.steps, repr(r)) == ("fuel", None, 10**6, "OutOfFuel")
-        assert len(calls) <= 10
+        assert r.executed <= 10
 
     def test_fuel_spent_before_the_loop_is_reached(self):
         """Passes without the rule too: runs stopped before the loop is entered."""
@@ -681,13 +719,12 @@ class TestProvenLoops:
             assert run(prog, fuel=fuel) == RunResult("fuel", None, fuel)
 
     @pytest.mark.parametrize("name", sorted(NEAR_MISS_LOOPS))
-    def test_near_misses_step_to_the_end_of_their_fuel(self, name, monkeypatch):
+    def test_near_misses_step_to_the_end_of_their_fuel(self, name):
         """Passes without the rule too, by construction: these must not take it."""
         methods, call = NEAR_MISS_LOOPS[name]
         prog = parse_ok(LOOP.format(methods=methods, call=call))
-        calls = count_steps(monkeypatch)
-        assert run(prog, fuel=5_000) == RunResult("fuel", None, 5_000)
-        assert len(calls) == 5_000
+        r = agrees_with_plain_stepping(prog, 5_000)
+        assert r == RunResult("fuel", None, 5_000) and r.executed == 5_000
 
 
 class TestDeterminismProgressPreservation:
@@ -736,6 +773,129 @@ class TestDeterminismProgressPreservation:
                 if before is not None:
                     break
             assert cfg.terminal is not None and cfg.terminal.kind == "terminated"
+
+
+def step_plainly(cfg: JemConfig, fuel: int) -> RunResult:
+    """`run_config` spelled as one `JemConfig.step()` call per step."""
+    for n in range(fuel):
+        cfg.step()
+        if cfg.terminal is not None:
+            r = cfg.terminal
+            r.steps = fuel if r.kind == "fuel" else n + 1
+            r.executed = n + 1
+            return r
+    return RunResult("fuel", None, fuel, fuel)
+
+
+def agrees_with_plain_stepping(comp: ast.JemComponent, fuel: int) -> RunResult:
+    """`run` of `comp`, checked against plain stepping: the same result, the
+    same steps executed and the same final configuration, heap included."""
+    looped, plain = JemConfig.initial(comp), JemConfig.initial(comp)
+    r, p = run_config(looped, fuel), step_plainly(plain, fuel)
+    assert (r.kind, r.value, r.steps, r.executed) == (p.kind, p.value, p.steps, p.executed)
+    assert looped == plain
+    assert run(comp, fuel) == r
+    return r
+
+
+FIELD_PROG = """
+class main {{
+  main(f:Int){{ this.f = f; }}
+  f : Int;
+  public main() : main()->Int {{ return {body}; }}
+}};
+object main : main {{ f = 1; }};
+"""
+
+# programs that end in a null error, each with its message; the first and
+# last are ill typed, and run unchecked
+NULL_ERRORS = {
+    "unbound-name": (main_prog("y"), "unbound y"),
+    "call-on-null": (main_prog("var x : main = null; x.main()"), "call of 'main' on null"),
+    "field-read-on-null": (FIELD_PROG.format(body="var x : main = null; x.f"), "field access on null"),
+    "field-write-on-null": (FIELD_PROG.format(body="var x : main = null; x.f = 2; 0"), "field update on null"),
+    "no-such-method": (main_prog("this.nosuch()"), "no method 'nosuch' on <main>"),
+}
+
+# bodies of main and the value each gives. `1 == true` and `if (1)` are ill
+# typed: jem's `==` tells a bool from an int, and only `true` takes the then
+# branch. The local `main` hides the object of that name.
+VALUES = {
+    "and-true": ("if (true && (1 < 2)) { 1 } else { 2 }", 1),
+    "and-false": ("if ((1 < 2) && false) { 1 } else { 2 }", 2),
+    "eq-bools": ("if ((2 < 1) == false) { 1 } else { 2 }", 1),
+    "eq-same-object": ("if (this == main) { 1 } else { 2 }", 1),
+    "eq-new-object": ("var o : main = new main(); if (o == this) { 1 } else { 2 }", 2),
+    "eq-bool-and-int": ("if (1 == true) { 1 } else { 2 }", 2),
+    "sub": ("7 - 3", 4),
+    "sub-stops-at-zero": ("3 - 7", 0),
+    "add-wraps": (f"{2**64 - 1} + 3", 2),
+    "if-on-an-int": ("if (1) { 1 } else { 2 }", 2),
+    "local-hides-object": ("var main : Int = 3; main", 3),
+}
+
+EXIT_THREE_DEEP = """
+class main {
+  main(){}
+  public a() : main()->Int { return 1 + this.b(); }
+  public b() : main()->Int { return 2 + this.c(); }
+  public c() : main()->Int { return exit(5); 0; }
+  public main() : main()->Int { return this.a() + 100; }
+};
+object main : main { };
+"""
+
+
+class TestRunAgreesWithPlainStepping:
+    """`run`'s loop applies the commonest rules in place; each case ends as
+    one `JemConfig.step()` call per step ends, configuration for configuration."""
+
+    @pytest.mark.parametrize("name", sorted(WHOLE_PROGRAMS))
+    def test_whole_programs(self, name):
+        agrees_with_plain_stepping(parse_ok(WHOLE_PROGRAMS[name]), 100_000)
+
+    @pytest.mark.parametrize("pending", [1, 4, 7])
+    @pytest.mark.parametrize("levels", [20, 600, 1_700])
+    def test_deep_recursion(self, pending, levels):
+        r = agrees_with_plain_stepping(parse_ok(sum_program(pending, levels)), 10**6)
+        assert r.value == levels * (levels + 1) // 2 + (pending - 1) * levels
+
+    @pytest.mark.parametrize(
+        "src",
+        [WHOLE_PROGRAMS["cross-call"], sum_program(1, 20), WHOLE_PROGRAMS["diverge-spin"]],
+        ids=["cross-call", "sum-20", "diverge-spin"],
+    )
+    def test_every_fuel(self, src):
+        """Each fuel to one past the steps the run executes; diverge-spin's
+        proven loop ends its run within 6 steps."""
+        comp = parse_ok(src)
+        last = run(comp, 100_000).executed
+        assert last <= 439
+        for fuel in range(1, last + 2):
+            agrees_with_plain_stepping(comp, fuel)
+
+    @pytest.mark.parametrize("name", sorted(NULL_ERRORS))
+    def test_null_errors(self, name):
+        src, message = NULL_ERRORS[name]
+        r = agrees_with_plain_stepping(parse_component(src), 1_000)
+        assert (r.kind, r.value) == ("nullerror", message)
+
+    def test_exit_three_frames_deep(self):
+        r = agrees_with_plain_stepping(parse_ok(EXIT_THREE_DEEP), 1_000)
+        assert repr(r) == "Terminated(5)"
+
+    @pytest.mark.parametrize("name", sorted(VALUES))
+    def test_values(self, name):
+        body, value = VALUES[name]
+        r = agrees_with_plain_stepping(parse_component(main_prog(body)), 1_000)
+        assert r.terminated and r.value == value
+
+    def test_generated_programs(self):
+        gen = TestDeterminismProgressPreservation()
+        for seed, count in ((7, 40), (11, 20)):
+            rng = random.Random(seed)
+            for _ in range(count):
+                assert agrees_with_plain_stepping(gen.gen_program(rng), DEFAULT_FUEL).terminated
 
 
 class TestCompatPlug:
