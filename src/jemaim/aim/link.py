@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from ..jem.ast import MethodSig
-from .words import Address, Descriptor, Nonce, Symbol, Word
+from .words import SYS_ID, Address, Descriptor, Nonce, Symbol, Word
 
 
 class LinkError(Exception):
@@ -41,6 +41,14 @@ class SymbolTable:
             out.add(sigma)
         out.update(sym for _, sym in self.ro)
         return out
+
+    def methods(self) -> dict[MethodSig, Address]:
+        """The component's methods: every exported method but sys's four."""
+        return {sig: a for sig, a in self.em.items() if a.mid != SYS_ID}
+
+    def exports(self) -> list[tuple[ObjKey, Word]]:
+        """The exported objects and their words in canonical order, which a trace numbers N0, N1, ..."""
+        return sorted(self.eo.items())
 
     def clone(self) -> "SymbolTable":
         return SymbolTable(dict(self.em), dict(self.eo), list(self.rm), list(self.ro))

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..aim.words import SYS_ID
 from ..compiler.encoding import class_name_of_encoding
 from ..jem import ast
 from ..traces.actions import rename
@@ -46,13 +45,13 @@ def build_interface(c1: ast.JemComponent, c2: ast.JemComponent, image, image2) -
     ics, ios = c1.all_imports()
     external = sorted({ic.name for ic in ics})
 
-    methods = {(addr.mid, addr.off): sig for sig, addr in image.table.em.items() if addr.mid != SYS_ID}
+    methods = {(addr.mid, addr.off): sig for sig, addr in image.table.methods().items()}
     for img in (image, image2):
         for sig, iota, sigma in img.table.rm:
             methods[(f"${iota.name}", f"${sigma.name}")] = sig
 
     # exported objects carry the names a trace of the component starts from
-    exports = sorted(image.table.eo.items())
+    exports = image.table.exports()
     names = rename((), {}, [mask for _, mask in exports])[1]
     eo = [(k.name, k.cls, names[mask], idx) for idx, (k, mask) in enumerate(exports, 1)]
     requires = sorted(image.table.ro, key=lambda e: (e[0].render(), e[1].name))

@@ -22,7 +22,7 @@ The names come from a fresh-name supply: each witness class and object name
 pair declares it already, and then the first of `<name>-1`, `<name>-2` … that
 neither the pair nor the witness takes. A stub's factory `mk-I` is drawn the
 same way, against the method names of interface I. A component's own names
-are never renamed. `main` stays fixed, as it is the program entry.
+are never renamed. `$main`, the entry, is `compat.ENTRY`, never drawn fresh.
 
 Positions: a node copied from the library carries its line:col in
 LIBRARY_TEXT; a node built in code carries Pos() (0:0). verify_witness strips
@@ -38,12 +38,13 @@ from itertools import groupby
 from operator import attrgetter, itemgetter
 
 from ..jem import ast
+from ..jem.compat import ENTRY
 from ..jem.parser import parse_component
 from ..jem.typecheck import Env
 from .interface import Interface
 
 HELPER = "$Helper"
-MAIN = (HELPER, "main")
+MAIN = (HELPER, "$main")
 
 
 class UnknownMethod(Exception):
@@ -144,13 +145,13 @@ class $Helper {
   public $isStep(x) : $Helper(Int)->Bool { return if (this.step == x) { true } else { false }; }
   public $incrStep() : $Helper()->Unit { return this.step = this.step + 1; }
   public $diverge() : $Helper()->Unit { return this.$diverge(); }
-  public main() : $Helper()->Int { return 0; }
+  public $main() : $Helper()->Int { return 0; }
   public $addObject-$t(o, k) : $Helper($t,Int)->Unit { return this.$head-$t = this.$head-$t.append(o, k); }
   public $getByName-$t(k) : $Helper(Int)->$t { return this.$head-$t.getByName(k); }
   public $createNew-$i(k) : $Helper(Int)->$i { return var o : $i = $static-for-$i.$mk-$i(); this.$addObject-$i(o, k); o; }
 };
 object $oc : $Helper { step = 0; $head-$t = $sentinel-$t; };
-object main : $Helper { step = 0; $head-$t = $sentinel-$t; };
+object $main : $Helper { step = 0; $head-$t = $sentinel-$t; };
 """
 HOLES = ("$t", "$i")
 # the witness names of a type: all of REGISTRY for each registry type, and
@@ -246,6 +247,7 @@ def _names(iface: Interface, methods: dict) -> tuple[dict, dict]:
         return fresh(f"{r}-{t}") if r in FRESH else f"{r}-{t}"
 
     names = {f"${n}": fresh(n) if n in FRESH else n for n in ("Helper", "oc", "isStep", "incrStep", "diverge")}
+    names["$main"] = ENTRY
     registry = sorted(iface.internal_classes) + sorted(iface.external_classes) + ["Obj"]
     interfaces = sorted(iface.external_classes)
     for types, roles in ((registry, REGISTRY), (interfaces, FACTORY)):
@@ -279,7 +281,7 @@ def skel(c1: ast.JemComponent, iface: Interface, code: dict) -> ast.JemComponent
         ]
         stub.objects += [ast.ObjectDef(o, i, {}) for o, cls in imported if cls == i]
     helper = classes[-1]
-    main = helper.method(MAIN[1])
+    main = helper.method(names[MAIN[1]])
     prelude = [add_object(t, ast.Var(o), k) for o, t, _, k in iface.exported_objects + iface.required_objects]
     main.body = body(MAIN, main.body, *prelude)
     if code:

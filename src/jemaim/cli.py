@@ -16,14 +16,15 @@ from .aim.link import LinkError
 from .backtrans.algo import PlugFailure, algo, verify_witness
 from .backtrans.interface import ImportMismatch
 from .compiler.comp import CompileError
-from .compiler.pipeline import CompilationError, UnresolvedSymbols, modules, mylink, run_aim
-from .jem.interp import DEFAULT_FUEL, NotWhole, run
+from .compiler.pipeline import CompilationError, modules, mylink, run_aim
+from .jem.compat import NotWhole
+from .jem.interp import DEFAULT_FUEL, run
 from .jem.parser import JemSyntaxError, parse_component
 from .jem.printer import render_component
 from .jem.typecheck import typecheck
 from .traces.actions import parse_trace, render_trace
 from .traces.engine import DEFAULT_DEPTH, AdversaryDomain, enumerate_traces
-from .traces.equiv import InterfaceMismatch, trace_equiv
+from .traces.equiv import InterfaceMismatch, _rendered, trace_equiv
 
 DEFAULT_SEED = 0
 
@@ -77,11 +78,7 @@ def cmd_run_jem(args) -> int:
     comp = _load_component(args.file)
     if errors := typecheck(comp):
         _reject(args.file, errors)
-    try:
-        result = run(comp, fuel=args.fuel)
-    except NotWhole as e:
-        raise CliError(f"not a whole program: {e}") from e
-    print(repr(result))
+    print(repr(run(comp, fuel=args.fuel)))
     return 0
 
 
@@ -109,11 +106,7 @@ def cmd_link(args) -> int:
 
 def cmd_run_aim(args) -> int:
     image = aimod.load(Path(args.file).read_text())
-    try:
-        result = run_aim(image, seed=args.seed, fuel=args.fuel)
-    except UnresolvedSymbols as e:
-        raise CliError(str(e)) from e
-    print(repr(result))
+    print(repr(run_aim(image, seed=args.seed, fuel=args.fuel)))
     return 0
 
 
@@ -122,7 +115,7 @@ def cmd_trace(args) -> int:
     traces = enumerate_traces(mylink(*images), depth=args.depth, domain=AdversaryDomain(), seed=args.seed)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
-    ordered = sorted(traces, key=lambda t: (len(t), tuple(a.render() for a in t)))
+    ordered = sorted(traces, key=lambda t: (len(t), _rendered(t)))
     for i, t in enumerate(ordered):
         (outdir / f"trace-{i:04d}.trace").write_text(render_trace(t))
     print(f"wrote {len(ordered)} traces to {outdir}")
@@ -249,7 +242,10 @@ def main(argv=None) -> int:
             if value < 0:
                 raise CliError(f"--{bound} must not be negative, got {value}")
         return args.func(args)
-    except (CliError, LinkError, aimod.AimodError, NotWhole, CompileError, PlugFailure) as e:
+    except NotWhole as e:  # run_jem and run_aim refuse a program alike
+        print(f"error: not a whole program: {e}", file=sys.stderr)
+        return 1
+    except (CliError, LinkError, aimod.AimodError, CompileError, PlugFailure) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception as e:  # any other failure is still reported as one error line

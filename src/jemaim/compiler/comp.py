@@ -47,7 +47,7 @@ that nothing evaluated after it can change is loaded last, after its node's
 other operands; an operand evaluated before a later compound one waits in a
 frame temporary (`operands`). A compound expression is so compiled only
 while no scratch register holds a value, and the three of `POOL` suffice.
-A call leaves its result in r6, which each node takes as that operand's
+A call leaves its result in R_RECV, which each node takes as that operand's
 register where it can. The copy idiom `movi d, 0; add d, s` maps a nonce to 0
 and faults on a symbol: it copies only an Int the body computed itself (the
 result of `add` or `sub`). Any other value, say a mask or a call's result,
@@ -94,6 +94,7 @@ STATIC_BASE = DATA_BASE + 8300  # fixed: acceptance criterion 2 forges ids at th
 STACK_BASE = 1 << 32
 STACK_LIMIT = 1 << 33
 
+ABORT = "abort"  # the label of a module's abort block (`abort_block`)
 MID = 0  # the module id, in a body
 FP = 4  # the frame pointer, in a body
 POOL = (1, 2, 3)  # scratch registers
@@ -142,6 +143,22 @@ def enter_sys(a: Assembler, ep: int):
     a.emit("jmp", R_JUMP_OFF, R_JUMP_MID)
 
 
+def abort_block(a: Assembler):
+    """The module's abort block at ABORT: `zero; halt`, the idiom the machine reports as an abort."""
+    a.label(ABORT)
+    a.emit("zero")
+    a.emit("halt")
+
+
+def abort_unless_equal(a: Assembler, x: int, y: int, tmp: int):
+    """Jump to ABORT unless registers x and y hold equal words, through `tmp`."""
+    ok = f"eq_{a.here()}"
+    a.emit("cmp", x, y)
+    jump_if(a, ok, tmp)
+    always_jump(a, ABORT, tmp)
+    a.label(ok)
+
+
 def scrub(a: Assembler, regs):
     """Zero `regs`, in order, before a boundary crossing."""
     for r in regs:
@@ -179,7 +196,7 @@ class ClassCompiler:
         # facts of the body being emitted
         self.framesize = 0  # words in its activation record
         self.depth = 0  # temporaries spilled above the record at the emission point
-        self.calls = False  # it calls, so r5 lives in the record
+        self.calls = False  # it calls, so R_RESUME lives in the record
         self._stable: set[int] = set()  # slots written at most once, before any read
         # static object layout
         self.obj_offsets: dict[str, int] = {}
@@ -255,9 +272,9 @@ class ClassCompiler:
     # -- method bodies ---------------------------------------------------------
 
     def emit_body(self, a: Assembler, m: ast.Method):
-        """The body of `m` at `body_m`: entered with r0, r4, r5, r6 and the
-        parameters as the module docstring says, it leaves its value in r6 and
-        jumps to r5 with r0 and r4 as it found them."""
+        """The body of `m` at `body_m`: entered with MID, FP, R_RESUME, R_RECV and
+        the parameters as the module docstring says, it leaves its value in
+        R_RECV and jumps to R_RESUME with MID and FP as it found them."""
         a.label(f"body_{m.name}")
         if ast.calls_itself(m):
             spin(a)
@@ -285,7 +302,7 @@ class ClassCompiler:
         self.tail(a, m.body)
 
     def tail(self, a: Assembler, e: ast.Expr):
-        """`e` in tail position: its value goes to r6 and each path ends in
+        """`e` in tail position: its value goes to R_RECV and each path ends in
         the epilogue."""
         while isinstance(e, ast.Seq):
             self.gen(a, e.first, None)
@@ -297,12 +314,12 @@ class ClassCompiler:
             a.label(then)
             self.tail(a, e.then)
             return
-        self.gen(a, e, 6)
+        self.gen(a, e, R_RECV)
         if not isinstance(e, ast.Exit):
             if self.calls:
-                self.load(a, 5, 0)
+                self.load(a, R_RESUME, 0)
             a.emit("cmp", 0, 0)
-            a.emit("je", 5, ZF)
+            a.emit("je", R_RESUME, ZF)
 
     # -- expressions -------------------------------------------------------------
 
@@ -325,15 +342,15 @@ class ClassCompiler:
             self.compile_binop(a, e, t)
         elif isinstance(e, ast.Call):
             self.compile_call(a, e)
-            if t not in (None, 6):  # the result may be a mask: through memory
-                self.spill(a, 6)
+            if t not in (None, R_RECV):  # the result may be a mask: through memory
+                self.spill(a, R_RECV)
                 self.reload(a, t)
         elif isinstance(e, ast.FieldGet):
             self.compile_fieldget(a, e, t)
         elif isinstance(e, ast.FieldSet):
             self.compile_fieldset(a, e, t)
         elif isinstance(e, ast.VarDecl):
-            v = 6 if isinstance(e.value, ast.Call) else 1
+            v = R_RECV if isinstance(e.value, ast.Call) else 1
             self.gen(a, e.value, v)
             self.store(a, v, 2 + e.slot)
             self.unit(a, t)
@@ -342,7 +359,7 @@ class ClassCompiler:
         elif isinstance(e, ast.New):
             self.compile_new(a, e, t)
         elif isinstance(e, ast.Exit):
-            self.gen(a, e.value, 6)
+            self.gen(a, e.value, R_RECV)
             a.emit("halt")
         elif isinstance(e, ast.InstanceOf):
             self.compile_instanceof(a, e, t)
@@ -377,7 +394,7 @@ class ClassCompiler:
         for i in eager:
             o, r = ops[i], regs[i]
             if i < last:
-                src = 6 if isinstance(o, ast.Call) else r
+                src = R_RECV if isinstance(o, ast.Call) else r
                 if o is not None:
                     self.gen(a, o, src)
                 self.spill(a, src)
@@ -393,7 +410,7 @@ class ClassCompiler:
         """Abort if `r` holds null, through the scratch register `s`."""
         a.emit("movi", s, 0)
         a.emit("cmp", r, s)
-        jump_if(a, "abort", s)
+        jump_if(a, ABORT, s)
 
     def compile_binop(self, a: Assembler, e: ast.BinOp, t: int | None):
         leaf, spine = ast.left_spine(e)
@@ -425,13 +442,13 @@ class ClassCompiler:
     def binop_regs(self, b: ast.BinOp, r: int | None, left: ast.Expr | None) -> tuple[int, int]:
         """Registers for `b`'s left and right operands such that its value
         lands in `r`; `left` is None when the left operand is already held. A
-        call's result stays in r6, and a difference lands in its right
+        call's result stays in R_RECV, and a difference lands in its right
         operand's register."""
         r = POOL[0] if r is None else r
         if isinstance(b.right, ast.Call):
-            return (r if r != 6 else other(), 6)
+            return (r if r != R_RECV else other(), R_RECV)
         if isinstance(left, ast.Call):
-            return (6, r if r != 6 else other())
+            return (R_RECV, r if r != R_RECV else other())
         return (other(r), r) if b.op == "-" else (r, other(r))
 
     def apply(self, a: Assembler, op: str, x: int, y: int, r: int):
@@ -483,7 +500,7 @@ class ClassCompiler:
             x, y = self.chain(a, leaf, spine, None)
             jump_if(a, label, x, self.flags(a, cond.op, x, y))
         else:
-            v = 6 if isinstance(cond, ast.Call) else POOL[0]
+            v = R_RECV if isinstance(cond, ast.Call) else POOL[0]
             self.gen(a, cond, v)
             s = other(v)
             a.emit("movi", s, encode_value(True))
@@ -506,7 +523,7 @@ class ClassCompiler:
     def compile_fieldget(self, a: Assembler, e: ast.FieldGet, t: int | None):
         if t is None and not nullable(e.obj):
             return  # a field of `this` or of a static object: nothing to check
-        r = 6 if isinstance(e.obj, ast.Call) else POOL[0] if t is None else t
+        r = R_RECV if isinstance(e.obj, ast.Call) else POOL[0] if t is None else t
         self.gen(a, e.obj, r)
         s = other(r)
         if nullable(e.obj):
@@ -517,8 +534,8 @@ class ClassCompiler:
             a.emit("movl", t, MID, r)
 
     def compile_fieldset(self, a: Assembler, e: ast.FieldSet, t: int | None):
-        x = 6 if isinstance(e.obj, ast.Call) and is_leaf(e.value) else POOL[0]
-        y = 6 if isinstance(e.value, ast.Call) else POOL[1]
+        x = R_RECV if isinstance(e.obj, ast.Call) and is_leaf(e.value) else POOL[0]
+        y = R_RECV if isinstance(e.value, ast.Call) else POOL[1]
         self.operands(a, [e.obj, e.value], [x, y])
         s = other(x, y)
         if nullable(e.obj):
@@ -541,7 +558,7 @@ class ClassCompiler:
             if self.deferrable(x):
                 args.append(x)
             else:
-                r = 6 if isinstance(x, ast.Call) else POOL[0]
+                r = R_RECV if isinstance(x, ast.Call) else POOL[0]
                 self.gen(a, x, r)
                 args.append(self.framesize + self.depth)
                 self.spill(a, r)
@@ -570,7 +587,7 @@ class ClassCompiler:
         if t is None:
             self.gen(a, e.value, None)
             return
-        v = 6 if isinstance(e.value, ast.Call) else t
+        v = R_RECV if isinstance(e.value, ast.Call) else t
         self.gen(a, e.value, v)
         s = other(v)
         u = other(v, s)
@@ -610,13 +627,13 @@ class ClassCompiler:
         self.check_arity(sig)
         self.operands(a, [e.recv, *e.args], [R_RECV, *ARG_REGS[:n]])
         if nullable(e.recv):
-            self.null_abort(a, 6, POOL[0])
+            self.null_abort(a, R_RECV, POOL[0])
         k = self.framesize + self.depth  # the offset of the next frame from FP
         if sig.recv == self.cls.name:
             resume = self.fresh_label("iresume")
             a.emit("movi", 1, k)
             a.emit("add", FP, 1)
-            a.emit("movi", 5, Label(resume))
+            a.emit("movi", R_RESUME, Label(resume))
             always_jump(a, f"body_{e.mname}", 1)
             a.label(resume)
             a.emit("movi", 1, k)
@@ -665,9 +682,7 @@ class ClassCompiler:
     def emit_shared(self, a: Assembler):
         """The blocks every body may jump to: `abort`, and `overflow` if some
         body has the stack guard."""
-        a.label("abort")
-        a.emit("zero")
-        a.emit("halt")
+        abort_block(a)
         if self.guarded:
             a.label("overflow")
             spin(a)

@@ -8,6 +8,7 @@ from ..aim.machine import MachineState, run_state
 from ..aim.isa import Assembler
 from ..aim.words import FORWARDCALL_EP, R_CALLEE_MID, R_CALLEE_OFF, R_RECV, R_RESUME, SYS_ID, Address, NonceOracle, Word
 from ..jem import ast
+from ..jem.compat import NotWhole, entry
 from ..jem.interp import DEFAULT_FUEL, RunResult
 from ..jem.typecheck import typecheck
 from .comp import comp_class, enter_sys
@@ -22,10 +23,6 @@ class CompilationError(Exception):
     def __init__(self, diagnostics: list[str]):
         super().__init__("component does not typecheck: " + "; ".join(diagnostics))
         self.diagnostics = diagnostics
-
-
-class UnresolvedSymbols(Exception):
-    pass
 
 
 def modules(component: ast.JemComponent, first_mid: int = 2) -> list[ProgramImage]:
@@ -49,7 +46,7 @@ def _strip_sys(image: ProgramImage) -> ProgramImage:
     out = image.clone()
     out.descs = [d for d in out.descs if d.mid != SYS_ID]
     out.mem = {a: w for a, w in out.mem.items() if a.mid != SYS_ID}
-    out.table.em = {k: v for k, v in out.table.em.items() if v.mid != SYS_ID}
+    out.table.em = out.table.methods()
     out.masks.pop(SYS_ID, None)
     return out
 
@@ -116,29 +113,17 @@ BOOT_OFF = 1000
 BOOT_RET = 1100
 
 
-def find_entry(image: ProgramImage):
-    """The EM/EO pair for the program entry `main.main()`."""
-    main_cls = None
-    mask = None
-    for key, w in image.table.eo.items():
-        if key.name == "main":
-            main_cls, mask = key.cls, w
-    if main_cls is None:
-        raise UnresolvedSymbols("no exported object named 'main'")
-    for sig, addr in image.table.em.items():
-        if sig.name == "main" and sig.recv == main_cls and not sig.params:
-            return addr, mask
-    raise UnresolvedSymbols("no exported method main on the main object's class")
-
-
 def run_aim(image: ProgramImage, seed: int = 0, fuel: int = DEFAULT_FUEL) -> AimResult:
-    """Run a whole linked program: a bootstrap in unprotected memory calls
-    main.main() through sys and halts on the returned value."""
+    """Run a whole linked program: a bootstrap in unprotected memory calls the
+    entry (`compat.entry`) through sys and halts on the returned value. An image
+    without sys, with unfulfilled requirements or without an entry is NotWhole."""
     if SYS_ID not in image.module_ids():
-        raise UnresolvedSymbols("image does not link in the sys module (sys.aimod)")
+        raise NotWhole("image does not link in the sys module (sys.aimod)")
     if not image.is_whole():
-        raise UnresolvedSymbols("image carries unfulfilled requirements")
-    addr, mask = find_entry(image)
+        raise NotWhole("image carries unfulfilled requirements")
+    em, eo = image.table.em, image.table.eo
+    key, sig = entry(eo, lambda cls, name: next((s for s in em if s.recv == cls and s.name == name), None))
+    addr, mask = em[sig], eo[key]
     st = boot_state(image, seed)
     boot = Assembler()
     for r, w in ((R_CALLEE_MID, addr.mid), (R_CALLEE_OFF, addr.off), (R_RESUME, BOOT_RET), (R_RECV, mask)):

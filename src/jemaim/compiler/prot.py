@@ -16,8 +16,10 @@ return path) and fall into it. The return path masks the result, sets
 SP := FP, scrubs forwardCall's target and the argument registers and enters
 sys's forwardReturn. The return entry point (offset 0) accepts only sys, pops
 the outcall triple off the module's stack, reloads MID and FP from it and
-typechecks the returned value before resuming. Exports bind methods to their
-entry points and objects to masks.
+typechecks the returned value before resuming. A parameter or returned value
+typed `Obj` that is a mask of the module's own class is then unmasked, as
+`this` is (`_unmask_own`). Exports bind methods to their entry points and
+objects to masks.
 
 The checks' scratch registers are the first two of `POOL`, below every
 argument register, so no check clobbers a parameter.
@@ -29,19 +31,11 @@ from ..aim.link import ObjKey, ProgramImage, SymbolTable
 from ..aim.words import ARG_REGS, FORWARDRETURN_EP, N_W, R_CALLEE_MID, R_CALLEE_OFF, R_CALLER, R_RECV, R_RESUME, SYS_ID
 from ..aim.words import Address, Descriptor, Nonce, addresses
 from ..jem import ast
-from .comp import DATA_BASE, FP, MID, OCD, SP, ClassCompiler, CompileError, always_jump, enter_sys, jump_if, scrub, trampoline
+from .comp import ABORT, DATA_BASE, FP, MID, OCD, SP, ClassCompiler, CompileError, abort_unless_equal, always_jump, enter_sys, jump_if
+from .comp import scrub, trampoline
 from .encoding import encode_type
 
 _instance = 0
-
-
-def _check_eq(cc, a: Assembler, reg: int, value):
-    ok = cc.fresh_label("chk")
-    a.emit("movi", 1, value)
-    a.emit("cmp", reg, 1)
-    jump_if(a, ok, 2)
-    always_jump(a, "abort", 2)
-    a.label(ok)
 
 
 def _param_check(cc, a: Assembler, reg: int, t: str):
@@ -57,13 +51,34 @@ def _param_check(cc, a: Assembler, reg: int, t: str):
     else:
         a.emit("movi", 1, encode_type(t))
         a.emit("tychk", reg, 1)
+        if t == ast.T_OBJ:
+            _unmask_own(cc, a, reg, 1, 2)
+
+
+def _unmask_own(cc, a: Assembler, reg: int, s: int, u: int):
+    """An Obj word in `reg` that is no null and whose class in G is the
+    module's own becomes its internal id, as `this` is, so that `==` on two
+    Obj values compares one kind of word; through scratch `s` and `u`."""
+    skip = cc.fresh_label("objown")
+    a.emit("movi", s, 0)
+    a.emit("cmp", reg, s)
+    jump_if(a, skip, u)
+    a.emit("movi", u, cc.own_enc)
+    a.emit("gst_test", s, reg, u)  # 0 on a match, 1 on a mismatch
+    a.emit("movi", u, 1)
+    a.emit("cmp", s, u)
+    jump_if(a, skip, u)
+    a.emit("tbl_get", reg, reg)
+    a.label(skip)
 
 
 def _method_entry(cc, a: Assembler, m: ast.Method):
     """The checks of method `m`'s entry point, its body and its return path."""
     a.label(f"epimpl_{m.name}")
-    _check_eq(cc, a, R_CALLER, SYS_ID)  # jumps must come via sys
-    _check_eq(cc, a, R_RESUME, FORWARDRETURN_EP)  # with the forward-return address armed
+    a.emit("movi", 1, SYS_ID)
+    abort_unless_equal(a, R_CALLER, 1, 2)  # jumps must come via sys
+    a.emit("movi", 1, FORWARDRETURN_EP)
+    abort_unless_equal(a, R_RESUME, 1, 2)  # with the forward-return address armed
     a.emit("tbl_get", R_RECV, R_RECV)  # receiver: unknown or null masks abort
     a.emit("movi", 1, cc.own_enc)
     a.emit("tychk", R_RECV, 1)
@@ -90,14 +105,15 @@ def _method_entry(cc, a: Assembler, m: ast.Method):
 
 def _return_entry(cc, a: Assembler):
     a.label("retimpl")
-    _check_eq(cc, a, R_CALLER, SYS_ID)  # only sys forwards returns
+    a.emit("movi", 1, SYS_ID)
+    abort_unless_equal(a, R_CALLER, 1, 2)  # only sys forwards returns
     a.emit("movi", MID, cc.mid)
     # there must be an outstanding outcall
     a.emit("movi", 3, OCD)
     a.emit("movl", 1, MID, 3)
     a.emit("movi", 2, 0)
     a.emit("cmp", 1, 2)
-    jump_if(a, "abort", 2)
+    jump_if(a, ABORT, 2)
     a.emit("movi", 2, 1)
     a.emit("sub", 1, 2)
     a.emit("movs", MID, 1, 3)
@@ -119,6 +135,15 @@ def _return_entry(cc, a: Assembler):
     a.emit("cmp", 3, 1)
     jump_if(a, own, 1)
     a.emit("tychk", R_RECV, 3)
+    calls = (n.sig for m in cc.methods for n in ast.walk(m.body) if isinstance(n, ast.Call))
+    if any(sig.recv != cc.cls.name and sig.ret == ast.T_OBJ for sig in calls):
+        obj = cc.fresh_label("ret_obj")  # an outcall returning Obj returned
+        a.emit("movi", 1, encode_type(ast.T_OBJ))
+        a.emit("cmp", 3, 1)
+        jump_if(a, obj, 1)
+        always_jump(a, go, 1)
+        a.label(obj)
+        _unmask_own(cc, a, R_RECV, 1, 3)
     always_jump(a, go, 1)
     a.label(own)
     a.emit("movi", 1, 0)

@@ -31,7 +31,7 @@ from ..aim.link import ProgramImage, SymbolTable
 from ..aim.words import FORWARDCALL_EP, FORWARDRETURN_EP, REGISTEROBJ_EP, SYS_ID, TESTOBJ_EP, Address, Descriptor, addresses
 from ..aim.words import ARG_REGS, R_CALLEE_MID, R_CALLEE_OFF, R_CALLER, R_JUMP_MID, R_JUMP_OFF, R_RECV, R_RESUME, R_SYS_SCRATCH
 from ..jem.ast import MethodSig
-from .comp import DATA_BASE, always_jump, jump_if, scrub, trampoline
+from .comp import ABORT, DATA_BASE, abort_block, abort_unless_equal, jump_if, scrub, trampoline
 
 SYS_DEPTH_ADDR = Address(SYS_ID, DATA_BASE)
 
@@ -85,11 +85,11 @@ def _assemble() -> tuple[tuple, MappingProxyType]:
     a.emit("stk_pop", s1, s2, R_SYS_SCRATCH)
     a.emit("stk_push", s1, s2, R_SYS_SCRATCH)
     a.emit("cmp", s1, R_CALLER)  # the module that called last may not call again
-    jump_if(a, "sys_abort", s2)
+    jump_if(a, ABORT, s2)
     a.label("fc_fresh")
     a.emit("movi", s1, SYS_ID)
     a.emit("cmp", R_CALLEE_MID, s1)  # no forwarding into sys itself
-    jump_if(a, "sys_abort", s2)
+    jump_if(a, ABORT, s2)
     a.emit("stk_push", R_CALLER, R_RESUME, R_CALLEE_MID)
     a.emit("movi", R_RESUME, FORWARDRETURN_EP)
     scrub(a, (R_CALLER, s1, s2, R_SYS_SCRATCH))
@@ -98,17 +98,12 @@ def _assemble() -> tuple[tuple, MappingProxyType]:
     # forwardReturn: pop (id, n, callee); abort unless the returner is the callee
     a.label("fwret")
     a.emit("stk_pop", R_JUMP_MID, R_JUMP_OFF, R_CALLEE_MID)
-    a.emit("cmp", R_CALLEE_MID, R_CALLER)
-    jump_if(a, "fr_ok", R_CALLEE_OFF)
-    always_jump(a, "sys_abort", R_CALLEE_OFF)
-    a.label("fr_ok")
+    abort_unless_equal(a, R_CALLEE_MID, R_CALLER, R_CALLEE_OFF)
     a.emit("movi", R_RESUME, 1)
     scrub(a, (R_CALLER, R_CALLEE_MID, R_CALLEE_OFF, *ARG_REGS))
     exit_jump("fwret", R_JUMP_OFF, R_JUMP_MID)
 
-    a.label("sys_abort")
-    a.emit("zero")
-    a.emit("halt")
+    abort_block(a)
     return tuple(a.words()), MappingProxyType(marks)
 
 

@@ -1,4 +1,4 @@
-"""Component satisfaction, mutual compatibility, and plugging of separately checked parts."""
+"""Component satisfaction, the program entry, compatibility and plugging of separately checked parts."""
 from __future__ import annotations
 
 from . import ast
@@ -6,6 +6,11 @@ from .typecheck import duplicates, typecheck
 
 # The designated empty program: plugging failures produce it; it runs zero steps.
 EMPTY = ast.JemComponent([])
+ENTRY = "main"  # the name of the entry object and of its method, which `entry` alone reads
+
+
+class NotWhole(Exception):
+    """A program or linked image that cannot start: something it needs is missing, or its entry."""
 
 
 def satisfies(provider: ast.JemComponent, consumer: ast.JemComponent) -> bool:
@@ -28,6 +33,19 @@ def satisfies(provider: ast.JemComponent, consumer: ast.JemComponent) -> bool:
             if objects.get(io.name) != io.cname:
                 return False
     return True
+
+
+def entry(objects, method):
+    """The program entry of a source program or a linked image, given its (object name, class)
+    pairs and `method(class, name)`, a class's method or None: the one object `main` and its
+    class's method `main()` without parameters. Raises NotWhole unless there is exactly one."""
+    mains = [o for o in objects if o[0] == ENTRY]
+    if len(mains) != 1:
+        raise NotWhole(f"{'more than one' if mains else 'no'} object named {ENTRY!r}")
+    m = method(mains[0][1], ENTRY)
+    if m is None or m.params:
+        raise NotWhole(f"no method {ENTRY}() on the {ENTRY} object's class")
+    return mains[0], m
 
 
 def compat(c1: ast.JemComponent, c2: ast.JemComponent) -> bool:

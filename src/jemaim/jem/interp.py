@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from ..aim.words import MASK64
 from . import ast
 from .ast import NULL, UNIT, BinOp, If, Lit, ObjRef, Seq, This, Var
-from .compat import satisfies
+from .compat import NotWhole, entry, satisfies
 from .printer import render_value
 
 DEFAULT_FUEL = 1_000_000
@@ -49,10 +49,6 @@ RETURN = "return"  # the tag of a return frame, told apart by identity
 class ObjCell:
     cname: str
     fields: dict[str, object]
-
-
-class NotWhole(Exception):
-    pass
 
 
 @dataclass
@@ -90,12 +86,13 @@ class JemConfig:
 
     @staticmethod
     def initial(comp: ast.JemComponent) -> "JemConfig":
-        """The configuration about to evaluate `main.main()`."""
+        """The configuration about to call the program entry (`compat.entry`)."""
         heap = {}
         for c in comp.classes:
             for o in c.objects:
                 heap[o.name] = ObjCell(o.cname, dict(o.fields))
-        call = ast.Call(ast.Var("main"), "main", [])
+        (name, _), m = _entry(comp)
+        call = ast.Call(ast.Var(name), m.name, [])
         return JemConfig(
             heap=heap,
             env={},
@@ -263,21 +260,14 @@ def _value_eq(a, b) -> bool:
     return a == b
 
 
-def _check_entry(comp: ast.JemComponent):
-    """Raise NotWhole unless the program has an entry point: an object named
-    `main` whose class has a method `main` without parameters (the rule of
-    `pipeline.find_entry` for a linked image)."""
-    obj = next((o for c in comp.classes for o in c.objects if o.name == "main"), None)
-    if obj is None:
-        raise NotWhole("no object named 'main'")
-    cls = comp.cls(obj.cname)
-    m = cls.method("main") if cls else None
-    if m is None or m.params:
-        raise NotWhole("no method main() on the main object's class")
+def _entry(comp: ast.JemComponent):
+    """The program entry of `comp` (`compat.entry`): its object and method."""
+    objects = [(o.name, o.cname) for c in comp.classes for o in c.objects]
+    return entry(objects, lambda cname, name: (cls := comp.cls(cname)) and cls.method(name))
 
 
 def run(comp: ast.JemComponent, fuel: int = DEFAULT_FUEL) -> RunResult:
-    """Execute a whole program from `main.main()` under a step budget.
+    """Execute a whole program from its entry (`compat.entry`) under a step budget.
 
     A run that enters a proven loop (a method whose body is `this.<same
     method>()`) stops stepping there and returns `RunResult("fuel", None,
@@ -289,7 +279,7 @@ def run(comp: ast.JemComponent, fuel: int = DEFAULT_FUEL) -> RunResult:
         return RunResult("terminated", UNIT, 0)
     if not satisfies(comp, comp):
         raise NotWhole("component has unsatisfied imports")
-    _check_entry(comp)
+    _entry(comp)
     return run_config(JemConfig.initial(comp), fuel)
 
 

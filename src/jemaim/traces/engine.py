@@ -134,10 +134,9 @@ class ComponentTracer:
         self.image = image
         self.seed = seed
         self.segment_fuel = segment_fuel
-        self.method_eps = {addr: sig for sig, addr in image.table.em.items() if addr.mid != SYS_ID}
+        self.method_eps = {addr: sig for sig, addr in image.table.methods().items()}
         self.rm_by_syms = {(iota, sigma): sig for sig, iota, sigma in image.table.rm}
-        # canonical seeding: exported masks in deterministic table order
-        self.seed_masks = [image.table.eo[k] for k in sorted(image.table.eo)]
+        self.seed_masks = [mask for _, mask in image.table.exports()]
 
     def initial(self):
         """A freshly booted state, its protected code split off for its clones to share."""
@@ -167,9 +166,7 @@ class ComponentTracer:
     def initial_knowledge(self) -> "Knowledge":
         # exported object bindings are public: the environment reads them
         # straight off the symbol table
-        return Knowledge(
-            typed=tuple((self.image.table.eo[k], k.cls) for k in sorted(self.image.table.eo))
-        )
+        return Knowledge(typed=tuple((mask, k.cls) for k, mask in self.image.table.exports()))
 
     # -- injections -----------------------------------------------------------
 

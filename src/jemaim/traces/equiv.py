@@ -50,7 +50,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..aim.words import SYS_ID
 from .actions import FuelExceeded, Tick, is_input
 from . import engine
 from .engine import DEFAULT_DEPTH, AdversaryDomain
@@ -68,9 +67,8 @@ class NotComparable(Exception):
 
 
 def same_interface(img1, img2) -> bool:
-    em1 = {k for k, a in img1.table.em.items() if a.mid != SYS_ID}
-    em2 = {k for k, a in img2.table.em.items() if a.mid != SYS_ID}
-    return em1 == em2 and set(img1.table.eo) == set(img2.table.eo)
+    t1, t2 = img1.table, img2.table
+    return t1.methods().keys() == t2.methods().keys() and t1.eo.keys() == t2.eo.keys()
 
 
 @dataclass

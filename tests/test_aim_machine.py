@@ -11,7 +11,7 @@ from jemaim.aim.machine import HANDLERS, SF, ZF, MachineState, run_state
 from jemaim.aim.words import Address, Descriptor, Nonce, NonceOracle, Symbol
 from jemaim.compiler import pipeline
 from jemaim.compiler.comp import comp_class
-from jemaim.compiler.encoding import encode_class
+from jemaim.compiler.encoding import ENC_OBJ, V_NULL, encode_class
 from jemaim.compiler.pipeline import boot_state, compaim, run_aim
 from jemaim.jem.interp import run as jem_run
 from jemaim.jem.parser import parse_component
@@ -638,6 +638,28 @@ class TestSharedCode:
         img = compaim(parse_component(COMPONENTS["cell"]))
         st = boot_state(img)
         assert st.code == {} and all(st.mem[a] == w for a, w in img.mem.items())
+
+
+class TestChecks:
+    """Two machine checks that no corpus program reaches, run on hand-built
+    states: `tychk` at `Obj`, and `tbl_add` drawing a mask G already holds."""
+
+    @pytest.mark.parametrize(
+        "word, reason",
+        [(V_NULL, "halt"), (MASK, "halt"), (5, "abort:typecheck-obj"), (Nonce("x", 0), "abort:typecheck-obj")],
+    )
+    def test_tychk_admits_null_and_a_registered_mask_at_obj(self, word, reason):
+        prog = Assembler().emit("movi", 1, word).emit("movi", 2, ENC_OBJ).emit("tychk", 1, 2).emit("halt").words()
+        st = shared(prog)
+        st.gstore[MASK] = (encode_class("c"), 3)
+        assert run_state(st, 10)[:2] == ("halted", reason)
+
+    def test_tbl_add_aborts_when_its_fresh_mask_is_already_known(self):
+        prog = Assembler().emit("movi", 1, 100).emit("tbl_add", 1).emit("halt").words()
+        st = shared(prog, {Address(2, 100): encode_class("c")})
+        st.gstore[NonceOracle(0).fresh()] = (encode_class("c"), 3)  # the mask tbl_add draws
+        assert run_state(st, 10)[:2] == ("halted", "abort:gstore-duplicate")
+        assert st.regs == {}
 
 
 def plain_run(st, fuel, trail=None):

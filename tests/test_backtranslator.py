@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 from jemaim.aim import aimod
-from jemaim.compiler.encoding import encode_value
+from jemaim.compiler.encoding import encode_class, encode_value
 from jemaim.compiler.pipeline import compaim
 from jemaim.backtrans.algo import PlugFailure, algo, verify_witness
 from jemaim.backtrans.diff import diff
@@ -257,6 +257,70 @@ class TestEmulateActions:
         st.frames.pop()
         with pytest.raises(Fail):
             emulate_action(CallIn((1, 16), (0, 0, 0, 0, 0, 40, 0, "N7", enc)), st)
+
+
+# a component taking an imported interface's object, beside a second interface
+RULES_SRC = """
+class-decl i { ping : i()->Int };
+class-decl j { pong : j()->Int };
+obj-decl io : i;
+class c {
+  c(){}
+  public get() : c()->Int { return 1; }
+  public use(x) : c(i)->Int { return 0; }
+};
+object o : c { };
+"""
+
+
+# the rules that no corpus trace reaches
+EMULATION_RULES = (
+    "value-retyped",
+    "value-unmakeable",
+    "value-class-mismatch",
+    "address-unknown",
+    "tick-in-prefix",
+    "segment-fuel-in-prefix",
+    "forwardCall-repeat-caller",
+    "forwardCall-bad-target",
+    "returnback-bad-address",
+    "return-without-call",
+)
+
+
+def rule_prefixes(img) -> dict:
+    """rule -> a prefix built by hand whose last action emulation refuses by
+    that rule, for RULES_SRC's image `img`; N0 is the static object o, of class c."""
+    get, use = ({s.name: a for s, a in img.table.methods().items()}[m] for m in ("get", "use"))
+    call_get = CallIn(tuple(get), (1, 0, 0, 0, 0, 48, "N0"))
+
+    def call_use(x):
+        return CallIn(tuple(use), (1, 0, 0, 0, 0, 48, "N0", x))
+
+    def register(w, cls):  # registerObj(w, encode_class(cls)) and its reply
+        return [CallIn((1, 16), (0, 0, 0, 0, 0, 40, 0, w, encode_class(cls))), ReturnOut((0, 40), 1, 1)]
+
+    return {
+        "value-retyped": [call_use("N0")],
+        "value-unmakeable": [*register("N5", "c"), call_use("N5")],
+        "value-class-mismatch": [*register("N5", "j"), call_use("N5")],
+        "address-unknown": [CallIn((get.mid, get.off + 1), (1, 0, 0, 0, 0, 48, "N0"))],
+        "tick-in-prefix": [call_get, Tick()],
+        "segment-fuel-in-prefix": [call_get, FuelExceeded()],
+        "forwardCall-repeat-caller": [call_get, CallIn((1, 32), (0, 0, 0, get.mid, get.off, 40))],
+        "forwardCall-bad-target": [CallIn((1, 32), (0, 0, 0, get.mid, get.off, 40))],
+        "returnback-bad-address": [call_get, ReturnIn((get.mid, 0), 1, 0)],
+        "return-without-call": [ReturnOut((0, 40), 1, 2)],
+    }
+
+
+@pytest.mark.parametrize("rule", EMULATION_RULES)
+def test_emulation_names_the_rule_that_refuses(rule):
+    """Each of these rules refuses the last action of its prefix, and
+    emulation reports it by index and name."""
+    c, img, iface = iface_for(RULES_SRC)
+    prefix = rule_prefixes(img)[rule]
+    assert emulate(prefix, iface).failed == f"action {len(prefix) - 1}: {rule}"
 
 
 class TestTerminationIsEmulationFailure:
@@ -1067,4 +1131,4 @@ class TestWitnessLibrary:
         with pytest.raises(JemSyntaxError):
             parse_component("class $c { $c(){} };")
         assert [c.name for c in LIBRARY.classes] == ["$listof-$t", "$i", "$Helper"]
-        assert [o.name for c in LIBRARY.classes for o in c.objects] == ["$sentinel-$t", "$static-for-$i", "$oc", "main"]
+        assert [o.name for c in LIBRARY.classes for o in c.objects] == ["$sentinel-$t", "$static-for-$i", "$oc", "$main"]

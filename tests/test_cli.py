@@ -69,6 +69,57 @@ class TestRunJem:
         assert out == "" and err.startswith("error: not a whole program: no ") and err.count("\n") == 1
 
 
+# a second object `main`, of a class without `main()`, compiled apart from
+# prog.jem: `pad` takes module id 2, so `helper` gets 3, beside prog.jem's `main` at 2
+OTHER_MAIN = """
+class pad { pad(){} };
+class helper {
+  helper(){}
+  public m() : helper()->Int { return 1; }
+};
+object main : helper { };
+"""
+
+
+class TestRunAimRefusals:
+    """run_aim refuses an image that cannot start with one `error:` line and
+    no traceback; an image without an entry gets run_jem's line for its source."""
+
+    def refused(self, capsys, *args) -> str:
+        capsys.readouterr()
+        assert run_cli(*args) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: not a whole program: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("name", sorted(NO_ENTRY))
+    def test_an_image_without_an_entry_point(self, ws, capsys, name):
+        (ws / "noentry.jem").write_text(NO_ENTRY[name])
+        assert run_cli("compile", ws / "noentry.jem", "-o", ws / "mods") == 0
+        assert run_cli("link", *sorted((ws / "mods").glob("*.aimod")), "-o", ws / "noentry.aimod") == 0
+        assert self.refused(capsys, "run_aim", ws / "noentry.aimod") == self.refused(capsys, "run_jem", ws / "noentry.jem")
+
+    def test_an_image_with_unfulfilled_requirements(self, ws, capsys):
+        (ws / "open.jem").write_text(INEQUIVALENT_PAIRS["callback-param"][0])
+        assert run_cli("compile", ws / "open.jem", "-o", ws / "mods") == 0
+        assert run_cli("link", *sorted((ws / "mods").glob("*.aimod")), "-o", ws / "open.aimod") == 0
+        err = self.refused(capsys, "run_aim", ws / "open.aimod")
+        assert err == "error: not a whole program: image carries unfulfilled requirements\n"
+
+    def test_two_main_objects_are_refused_in_either_link_order(self, ws, capsys):
+        """Failed before the entry was one rule: one order gave an error and
+        the other Halted(r6=42), the first `main` object being overwritten."""
+        (ws / "other.jem").write_text(OTHER_MAIN)
+        assert run_cli("compile", ws / "prog.jem", "-o", ws / "m1") == 0
+        assert run_cli("compile", ws / "other.jem", "-o", ws / "m2") == 0
+        mods = (ws / "m1" / "main.aimod", ws / "m2" / "helper.aimod")
+        for i, order in enumerate((mods, mods[::-1])):
+            assert run_cli("link", *order, ws / "m1" / "sys.aimod", "-o", ws / f"two-{i}.aimod") == 0
+            err = self.refused(capsys, "run_aim", ws / f"two-{i}.aimod")
+            assert err == "error: not a whole program: more than one object named 'main'\n"
+
+
 class TestLongBinOpSpine:
     """Left-nested `+` chains too long for a recursive walk of the spine."""
 

@@ -24,7 +24,7 @@ def parse_ok(src):
 
 
 # well-typed programs without the entry point `main.main()` that a linked
-# image needs (`pipeline.find_entry`): `run` refuses each before it steps
+# image needs (`compat.entry`): `run` refuses each before it steps
 NO_ENTRY = {
     "no-main-object": """
 class c {
@@ -590,6 +590,16 @@ class TestInterp:
         monkeypatch.setattr(JemConfig, "initial", None)  # nothing is stepped
         with pytest.raises(NotWhole, match="^no (object named 'main'|method main\\(\\) on the main object's class)$"):
             run(parse_ok(NO_ENTRY[name]))
+
+    def test_run_refuses_two_main_objects(self, monkeypatch):
+        """`typecheck` refuses a second object `main`; `run`, which does not
+        typecheck, refuses it by the entry rule (`compat.entry`) before any step."""
+        other = "class helper { helper(){} }; object main : helper { };"
+        prog = parse_component(MAIN_RETURN_0 + other)
+        assert typecheck(prog) == ["7:30: duplicate object 'main'"]
+        monkeypatch.setattr(JemConfig, "initial", None)  # nothing is stepped
+        with pytest.raises(NotWhole, match="^more than one object named 'main'$"):
+            run(prog)
 
     def test_fuel_monotonicity(self):
         prog = parse_ok(

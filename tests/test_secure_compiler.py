@@ -372,6 +372,44 @@ AGREEING = {
 }
 
 
+# `Obj` values that refer to an object of the running class: `==` must see
+# one kind of word whether the value came through a parameter, a field set
+# through one, or an outcall's result, or from `this`
+OBJ_PROGS = {
+    "parameter": """
+class c {
+  c(){}
+  public same(x) : c(Obj)->Bool { return var y : Obj = this; x == y; }
+};
+object o : c { };
+""",
+    "field": """
+class c {
+  c(f:Obj){}
+  f : Obj;
+  public set(x) : c(Obj)->Unit { return this.f = x; }
+  public check() : c()->Bool { return var y : Obj = this; this.f == y; }
+};
+object o : c { f = null; };
+""",
+    "outcall-result": """
+class keep {
+  keep(v:Obj){}
+  v : Obj;
+  public put(x) : keep(Obj)->Unit { return this.v = x; }
+  public get() : keep()->Obj { return this.v; }
+};
+object k : keep { v = null; };
+class c {
+  c(){}
+  public same() : c()->Bool { return k.put(this); var y : Obj = this; k.get() == y; }
+};
+object o : c { };
+""",
+}
+OBJ_MAINS = {"parameter": "o.same(o)", "field": "o.set(o); o.check()", "outcall-result": "o.same()"}
+
+
 class TestCompilerCorrectness:
     def test_agreement_relation(self):
         """agrees on hand-built results: exactly the pairs of AGREEING."""
@@ -480,6 +518,16 @@ object main : main {{ x = 0; }};
         comp = parse_ok(main_prog(" + ".join(["1"] * 500)))
         jr, ar = jem_run(comp, fuel=100_000), run_aim(compaim(comp), seed=3, fuel=300_000)
         assert (repr(jr), repr(ar)) == ("Terminated(500)", "Halted(r6=500)")
+        assert agrees(jr, ar)
+
+    @pytest.mark.parametrize("name", sorted(OBJ_PROGS))
+    def test_obj_of_the_running_class_compares_as_this(self, name):
+        """Failed before the entry checks mapped such an `Obj` word to its
+        internal id: jem gave Terminated(1) and aim Halted(r6=0)."""
+        main = main_prog(f"if ({OBJ_MAINS[name]}) {{ 1 }} else {{ 0 }}")
+        comp = parse_ok(OBJ_PROGS[name] + main)
+        jr, ar = jem_run(comp), run_aim(compaim(comp), seed=3)
+        assert (repr(jr), repr(ar)) == ("Terminated(1)", "Halted(r6=1)")
         assert agrees(jr, ar)
 
     def test_call_chain_typing_is_linear(self, monkeypatch):

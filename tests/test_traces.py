@@ -40,9 +40,11 @@ from jemaim.traces.engine import (
 )
 from jemaim.traces.equiv import (
     Equivalent,
+    Inequivalent,
     InterfaceMismatch,
     NotComparable,
     _best_mate,
+    _divergence,
     _trace_key,
     first_divergence,
     trace_equiv,
@@ -1044,6 +1046,17 @@ object o : c { hidden = 1; };
         a = (call, ReturnOut((0, 40), 2, 2))
         b = (call, ReturnOut((0, 40), 3, 2))
         assert _best_mate(t, [a, b]) == _best_mate(t, [b, a]) == a
+
+    def test_divergence_mirrors_when_only_the_second_set_has_more(self):
+        """When the first set holds no trace the second lacks, the pair is the
+        second set's least extra trace, unticked first and then shortest, and
+        its best mate in the first, in that order."""
+        call = CallIn((2, 16), (1,))
+        r1, r2, r3 = (ReturnOut((0, 40), v, 2) for v in (1, 2, 3))
+        t1s = {(), (call, r1)}
+        t2s = t1s | {(call, Tick()), (call, r3), (call, r2), (call, r2, call, r1)}
+        assert _divergence(t1s, t2s) == Inequivalent((call, r1), (call, r2))
+        assert _divergence(t2s, t1s) == Inequivalent((call, r2), (call, r1))
 
     def test_first_divergence_rejects_input_divergence(self):
         t1 = (CallIn((2, 16), (1, 0)), ReturnOut((0, 40), 1, 2))
