@@ -1,22 +1,29 @@
 """Textual `.aimod` image format.
 
 Sections appear in fixed order: DESC, CODE, DATA, MASKS, EXPORT-M, EXPORT-O,
-REQUIRE-M, REQUIRE-O. CODE/DATA lines are `mid:off <word>` split by whether the
-offset lies in the module's code section. Words print as aim/words.py spells
-them: decimal Nats, `$name` symbols, or `#stream:seq` nonces. Printing is
-canonical (sorted), so parse(print(x)) == x and print(parse(s)) == s for
-emitted files.
+REQUIRE-M, REQUIRE-O. Words print as aim/words.py spells them: decimal Nats,
+`$name` symbols, or `#stream:seq` nonces. Printing is canonical (sorted), so
+parse(print(x)) == x and print(parse(s)) == s for emitted files.
 
-CODE and DATA lines are nearly all of a file, so both directions take one
-short path over them: `dump` unpacks each address once and prints a Nat as
-it is, and `load` reads a Nat straight with `int`, sending only `$` and `#`
-words through `parse_word`. A malformed line anywhere, or content before the
-first header, raises `AimodError("line N: ...")`, counting lines from 1.
+CODE and DATA hold nearly all of a file, one line per run of contiguous
+words: `mid:off w1 w2 ... wn` puts word i at `mid:off+i`. `dump` writes
+maximal runs over the sorted addresses; a run breaks at a gap, at a change
+of module, and at the module's code/data boundary, so CODE holds only code
+words and DATA only the rest. A run of one word, `mid:off w`, is a line of
+the earlier one-word-per-line form, so this one grammar reads files of both
+forms to the same image. A word's text must not hold whitespace, which
+would split it in two; `dump` refuses such a word. `load` reads a run of
+Nats with one `int` per word, sends only the `$` and `#` words through
+`parse_word`, and refuses a word address given twice. A malformed line
+anywhere, or content before the first header, raises
+`AimodError("line N: ...")`, counting lines from 1.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from .link import MethodSig, ObjKey, ProgramImage, SymbolTable
-from .words import Address, Descriptor, Nonce, Symbol, Word, address_of, parse_word
+from .words import Address, Descriptor, Nonce, Symbol, Word, addresses, parse_word
 
 
 class AimodError(Exception):
@@ -24,8 +31,14 @@ class AimodError(Exception):
 
 
 def render_word(w: Word) -> str:
-    if isinstance(w, (int, Symbol, Nonce)):
+    # a bool is an int to isinstance, but its text `True` is no word
+    if isinstance(w, int) and not isinstance(w, bool):
         return str(w)
+    if isinstance(w, (Symbol, Nonce)):
+        text = str(w)
+        if text.split() == [text]:
+            return text
+        raise AimodError(f"word {text!r} holds whitespace")
     raise AimodError(f"unrenderable word {w!r}")
 
 
@@ -43,10 +56,23 @@ def dump(p: ProgramImage) -> str:
     for s in sorted(p.descs, key=lambda d: d.mid):
         lines.append(f"{s.mid} {s.code_len} {s.n_entry}")
     code, data = ["CODE"], ["DATA"]
-    for (mid, off), w in sorted(p.mem.items()):
-        entry = f"{mid}:{off} {w}" if w.__class__ is int else f"{mid}:{off} {render_word(w)}"
+    mem = p.mem
+    keys = sorted(mem)
+    # Over sorted distinct keys, (mid, off - index) never decreases, and a
+    # run is a stretch where it stays the same: bisect finds each run's end.
+    def lead(i):
+        return keys[i][0], keys[i][1] - i
+    start, n = 0, len(keys)
+    while start < n:
+        mid, off = keys[start]
+        end = bisect_right(range(n), (mid, off - start), start, key=lead)
         # a module without a descriptor has no code: off < off is false
-        (code if off < code_len.get(mid, off) else data).append(entry)
+        cut = code_len.get(mid, off)
+        if off < cut < off + end - start:
+            end = start + cut - off
+        texts = [str(w) if w.__class__ is int else render_word(w) for w in map(mem.__getitem__, keys[start:end])]
+        (code if off < cut else data).append(f"{mid}:{off} " + " ".join(texts))
+        start = end
     lines += code
     lines += data
     lines.append("MASKS")
@@ -89,9 +115,18 @@ def load(text: str) -> ProgramImage:
             continue
         try:
             if words:
-                addr, word = line.split(None, 1)
+                addr, *texts = line.split()
+                if not texts:
+                    raise AimodError("a run needs at least one word")
                 mid, off = addr.split(":")
-                mem[address_of((int(mid), int(off)))] = parse_word(word) if word[0] in "$#" else int(word)
+                size = len(mem)
+                if "$" in line or "#" in line:
+                    ws = [parse_word(t) if t[0] in "$#" else int(t) for t in texts]
+                else:
+                    ws = map(int, texts)
+                mem.update(zip(addresses(int(mid), len(texts), int(off)), ws))
+                if len(mem) != size + len(texts):
+                    raise AimodError("a word address is given twice")
             elif section == "DESC":
                 mid, clen, nent = line.split()
                 descs.append(Descriptor(int(mid), int(clen), int(nent)))

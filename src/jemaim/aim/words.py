@@ -64,9 +64,9 @@ class Address(NamedTuple):
 address_of = partial(tuple.__new__, Address)
 
 
-def addresses(mid: int, n: int):
-    """The keys Address(mid, 0) ... Address(mid, n - 1), built in bulk."""
-    return map(address_of, zip(repeat(mid), range(n)))
+def addresses(mid: int, n: int, off: int = 0):
+    """The keys Address(mid, off) ... Address(mid, off + n - 1), built in bulk."""
+    return map(address_of, zip(repeat(mid), range(off, off + n)))
 
 
 UNPROTECTED = 0

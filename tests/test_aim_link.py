@@ -200,15 +200,18 @@ class TestAimod:
     # (line number in the dump of build(), the text put there)
     MALFORMED = {
         "desc-two-fields": (2, "2 64"),
-        "code-bad-offset": (4, "2:x 3"),
+        "code-bad-offset": (4, "2:x 3 $c.m.off"),
         "code-no-word": (4, "2:0"),
-        "code-three-part-address": (5, "2:0:1 3"),
-        "data-bad-nonce": (8, "2:70 #static-c:x"),
-        "masks-nat": (10, "2:70 5"),
-        "export-m-bad-address": (12, "get : c(Int,Bool)->Int -> 2"),
-        "export-o-bad-word": (14, "o : c -> #static-c:"),
-        "require-m-bad-word": (16, "m : i()->Int -> $c.m.id ; #x"),
-        "require-o-bad-word": (18, "ext : i -> 1x"),
+        "code-three-part-address": (4, "2:0:1 3 $c.m.off"),
+        "code-bad-word-mid-run": (4, "2:0 3 1x 4"),
+        "code-bad-nonce-mid-run": (4, "2:0 3 #static-c $c.m.off"),
+        "data-bad-nonce": (7, "2:70 #static-c:x"),
+        "data-no-word": (7, "2:70"),
+        "masks-nat": (9, "2:70 5"),
+        "export-m-bad-address": (11, "get : c(Int,Bool)->Int -> 2"),
+        "export-o-bad-word": (13, "o : c -> #static-c:"),
+        "require-m-bad-word": (15, "m : i()->Int -> $c.m.id ; #x"),
+        "require-o-bad-word": (17, "ext : i -> 1x"),
     }
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
@@ -223,6 +226,28 @@ class TestAimod:
         with pytest.raises(aimod.AimodError, match=r"^line 2: content before any section header$"):
             aimod.load("\n2:0 3\nDESC\n")
 
+    # (line of the dump of build() to put the text after, the text): the
+    # inserted line repeats a word address that an earlier line gave
+    GIVEN_TWICE = {
+        "one-word-lines": (6, "0:9 17"),
+        "overlapping-runs": (4, "2:1 $c.m.off 4"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(GIVEN_TWICE))
+    def test_a_word_address_given_twice_is_refused(self, case):
+        n, repeat = self.GIVEN_TWICE[case]
+        lines = aimod.dump(self.build()).splitlines()
+        lines.insert(n, repeat)
+        with pytest.raises(aimod.AimodError, match=rf"^line {n + 1}: a word address is given twice$"):
+            aimod.load("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("word", [None, True, Symbol("a b"), Nonce("static c", 0)], ids=repr)
+    def test_dump_refuses_a_word_it_cannot_write(self, word):
+        p = self.build()
+        p.mem[Address(2, 2)] = word
+        with pytest.raises(aimod.AimodError):
+            aimod.dump(p)
+
 
 @pytest.mark.parametrize("name", sorted(AIMOD_SOURCES))
 def test_corpus_images_round_trip(name):
@@ -234,3 +259,25 @@ def test_corpus_images_round_trip(name):
     assert back.descs == sorted(img.descs, key=lambda d: d.mid)  # DESC lines are sorted
     assert all(type(a) is Address for a in back.mem)
     assert (back.table.em, back.table.eo, back.table.rm, back.table.ro) == (img.table.em, img.table.eo, img.table.rm, img.table.ro)
+
+
+def per_word_dump(p: ProgramImage) -> str:
+    """`aimod.dump` with CODE and DATA written one word per line, `mid:off w`,
+    as files were written before runs."""
+    code_len = {d.mid: d.code_len for d in p.descs}
+    code, data = ["CODE"], ["DATA"]
+    for (mid, off), w in sorted(p.mem.items()):
+        (code if off < code_len.get(mid, off) else data).append(f"{mid}:{off} {aimod.render_word(w)}")
+    head, rest = aimod.dump(p).split("CODE\n")
+    return head + "\n".join(code + data) + "\nMASKS\n" + rest.split("MASKS\n")[1]
+
+
+@pytest.mark.parametrize("name", sorted(AIMOD_SOURCES))
+def test_per_word_files_load_to_the_same_image(name):
+    img = compaim(parse_component(AIMOD_SOURCES[name]))
+    text, old = aimod.dump(img), per_word_dump(img)
+    assert len(old.split("CODE\n")[1].split("MASKS\n")[0].splitlines()) == len(img.mem) + 1  # and the DATA header
+    a, b = aimod.load(old), aimod.load(text)
+    assert (a.mem, a.descs, a.masks) == (b.mem, b.descs, b.masks)
+    assert (a.table.em, a.table.eo, a.table.rm, a.table.ro) == (b.table.em, b.table.eo, b.table.rm, b.table.ro)
+    assert aimod.dump(a) == text and aimod.dump(b) == text

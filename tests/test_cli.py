@@ -180,14 +180,15 @@ class TestCompileLinkRun:
         mods = sorted((ws / "mods").glob("*.aimod"))
         assert run_cli("link", *mods, "-o", ws / "prog.aimod") == 0
         lines = (ws / "prog.aimod").read_text().splitlines()
-        assert lines[3] == "CODE" and re.fullmatch(r"[0-9]+:0 [0-9]+", lines[4])
-        lines[4] = "2:x 3"
-        (ws / "bad.aimod").write_text("\n".join(lines) + "\n")
-        capsys.readouterr()
-        assert run_cli("run_aim", ws / "bad.aimod") == 1
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error: line 5: ") and err.count("\n") == 1
-        assert "Traceback" not in err
+        assert lines[3] == "CODE" and re.fullmatch(r"[0-9]+:0( [0-9]+)+", lines[4])
+        # a corrupt first CODE line, and the first CODE line given twice
+        for n, bad in ((5, lines[:4] + ["2:x 3"] + lines[5:]), (6, lines[:5] + lines[4:])):
+            (ws / "bad.aimod").write_text("\n".join(bad) + "\n")
+            capsys.readouterr()
+            assert run_cli("run_aim", ws / "bad.aimod") == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith(f"error: line {n}: ") and err.count("\n") == 1
+            assert "Traceback" not in err
 
     def test_emitted_files_round_trip(self, ws):
         from jemaim.aim import aimod

@@ -958,58 +958,58 @@ class TestCompilerOutputWellFormed:
 # mask before hashing, which leaves the dump independent of what ran before.
 # A change that alters emitted code must say why and update the pin.
 AIMOD_PINS = {
-    "whole.arith-add": (623, "15458bd792c9a94f90f924fcb10887bcb003ea7039e8a23dc00abfafaa8716ea"),
-    "whole.arith-sub": (632, "ee67432992b90d662405a4edfd210fb9f3fa070196d689b5d680e1177af5a897"),
-    "whole.arith-sub-floor": (632, "7cb7f13c9715df5c3b214035a783d1650cdf9503f826af5ae413058007a8b284"),
-    "whole.arith-nested": (664, "a07aecfcb3f87b6752802e8bcfd1d657fb32384f31619390b8d1b83f96a6a446"),
-    "whole.arith-compare": (641, "2dbbd93339aa6431a7e5be987da6228e863476a363a06503c1253cd79bcc2cd6"),
-    "whole.arith-equal": (647, "8db140da349dfc8f94adc7ec58aeafed857234f3de44395d560ca5da380df5c1"),
-    "whole.arith-and": (703, "9f570e6f700c7721c020bf313d5037b543b3c785051ce1e44eae9c2796dcd0f6"),
-    "whole.exit-early": (621, "1dfb9f014575c628cc71723c4b0036e3df01d3c0f030b075466741e74d3649a0"),
-    "whole.exit-value": (627, "c66711f52db3309462e5a4719f67d2e2c1500853e8ff412055973b4a39c14b24"),
-    "whole.seq-discard": (617, "adf437ea6ab1bf87a4ad3c8f9b79eb65d746555d1096e2664a870e58a6391d15"),
-    "whole.var-chain": (676, "f9932e5c2f8086b2f51984f359e3fd5b9f0604fff62e5439336435797de7a990"),
-    "whole.if-nested": (665, "5fa43a5d379e515e4321c958cd93086cad830e029abd28c93612cf1d9fae3ddd"),
-    "whole.fields-counter": (992, "bc7db7b53996420c4e7eeff9f12e257ca6d8ee11f803d9aff6379e82dd441387"),
-    "whole.fields-bool": (692, "b8cb3722329c742d8d579337a61ec20029f00a97bb53d3c9d6161fe76dad2422"),
-    "whole.cross-call": (1090, "aabd75d1c2636ca2543f72f669a2428677f60b76ce7b705a0e2f898d6b93a871"),
-    "whole.cross-object-flow": (1991, "4378ee3d081b369add65a2ba6c22e87863158c144526f6ae8be54daeffea3ad1"),
-    "whole.cross-chatter": (1840, "0d5aa4d6e121dc7fd869a8a1b8c516f4ff9c3bd92d5b5311053948425d08c065"),
-    "whole.instanceof-pos": (879, "5fcc61252ebe292f0308a638fd527e772898aca039b6934635d1be5268e83710"),
-    "whole.instanceof-neg": (879, "3534ede6bde0a9e181fa7f1d5f7b8cc2cf23fe3ed1f9620e7d6d8ae79df7587c"),
-    "whole.instanceof-null": (735, "9a51fdd1ce78836df9fe3de6b9b10b6574a83cef181e5a8b3e3223b41d84ba16"),
-    "whole.new-identity": (954, "cb4a91dab4936a44e43c04dd59bfa55daf39bbb754f4200cc1ca709d41742387"),
-    "whole.new-fields": (1426, "22c3628aa625600f9bef00c05be8d2617d7f1b221077fa0c43322ec1fda1dfe5"),
-    "whole.new-aliasing": (1762, "3e14770e0383f3192c2f7ae8b65b7367f85eaec32e77a3af73ce7e011353e729"),
-    "whole.recursion-sum": (982, "9bfb64dca1deb557778bc73e69c44274423f4be55199e24478d27a8c7903e7fa"),
-    "whole.diverge-spin": (764, "3dffd54fe982a3d129f2449a1b899df929f360dc32bf0dff1d62aa7bf646a557"),
-    "whole.diverge-conditional": (792, "904902934ce830b73138583eda3d366dac4416a07dab5758aeec31e09c89e533"),
-    "whole.converge-conditional": (792, "dc866a4b8ae83c03a89445ac056e3fc67e6d237f9e4c44c4641743f7d2890bfa"),
-    "const": (617, "23217bbecfbfe1d0e2ee66762ebbfd19463ad0b7ccd03d3a0b6876edda59865b"),
-    "double": (653, "168c5e8875bfc8f132cd3f00ddb31106f3f749e42369edca38ccbe78a073646c"),
-    "cell": (843, "0862e1638016a0cefcd99dbb15e4621ee79bc26fb45fc9f94e4af0c9b0cc053e"),
-    "keeper": (1101, "cdb6b151f7338f5d60e4ab6b1a49919181762454d79cb99471df34c80f98fabf"),
-    "gate": (890, "fb1a5759e65d4b7efff97fc1b8499283b2244b9079a903b759780e1d3c31bc2d"),
-    "int-return.0": (617, "23217bbecfbfe1d0e2ee66762ebbfd19463ad0b7ccd03d3a0b6876edda59865b"),
-    "int-return.1": (617, "e2e3ecc4a33c0c5816ee06e76623dc274c8f3744a6e5bf9733dded821191d1f5"),
-    "bool-return.0": (617, "9be72732f52ed04549da2a177bc69c36b402462aca37ac3d373f2334d098d19a"),
-    "bool-return.1": (617, "8488deaf065e7f13665402a3ef2960cebbc446276c7a5ff78f16c178232ac805"),
-    "unit-vs-state.0": (820, "c3746f9176f68e7b1742551e26d1b9c61f316c010edc9ed6e3306faa9f5df625"),
-    "unit-vs-state.1": (787, "86c32606031e87dca294db7ae0e6cc44dd3f9f83b5286710b16e33692ef5bcef"),
-    "callback-target.0": (750, "5ff87105ce6a3427654a5c5d124684ac5466f0c92fa63abc9254826cb1c8d480"),
-    "callback-target.1": (750, "bc96b09273f806ce6dd7e34ed683abe202734f42906c752b00d8c25c8d588ff5"),
-    "callback-param.0": (750, "659243d9556696162b771c72144a491aa029cfc71b80e2ca820374afc38434b3"),
-    "callback-param.1": (750, "9a3f1642a75d2427b1cafc0b50dca53aaeef5c86960a85ae779adc883de3938a"),
-    "callback-vs-return.0": (750, "5ff87105ce6a3427654a5c5d124684ac5466f0c92fa63abc9254826cb1c8d480"),
-    "callback-vs-return.1": (617, "c9eaf5e8b9decbdb554cf994f927fb88cbb37976e8d65730060e471f77dd2e10"),
-    "stateful-second-round.0": (691, "804817dbd8d472ce4d5fab5396ae70e71ab1156933e6c6b29406406027f8808a"),
-    "stateful-second-round.1": (774, "60ba753bfc22f9ac57c5ddc32b58c26cb6c83f57c86cafe476c11e1342f21025"),
-    "length-divergence.0": (856, "6cce88d05431fd9e3cbf8ee265fc92de7339f77907f1d0f824342702421d2a30"),
-    "length-divergence.1": (792, "687b51763cdb962a5e65d55ec05c1eca6bd6105777419319a06ca83b2760b865"),
-    "fresh-vs-static-object.0": (785, "b55c721648a176f3192d84c1de0c451ed946f0522955bf2bee32f5d54c11d2a8"),
-    "fresh-vs-static-object.1": (761, "76e1496a6caf1acda1ae74d95c3f48ea3bdf6dd55380606d1e6c4128d099cdc1"),
-    "null-vs-object.0": (619, "6237925c0cce2de9f111deef57bb562b61643a6948a07327c63957381651c8dc"),
-    "null-vs-object.1": (619, "cf1ccab4526f5d29eba966119f31a0c2e1e2e9782ebed678200fbfe78e01eb48"),
+    "whole.arith-add": (22, "f30ef9f35988b176f6767caef1ce31a0d6882cb5ecf0cdef7a9e1c2c4227671b"),
+    "whole.arith-sub": (22, "44e11ebf4926e4a61ce399de7580adf18c2e4e13839e2f8348ec6a542d2b9492"),
+    "whole.arith-sub-floor": (22, "75c9c283e79f61f831132025485b6079a0ee40d76042bacff92a3362d95357ea"),
+    "whole.arith-nested": (22, "013bc7cd1d816e42d8bbda19a7443f248752394dfa3420bdb5f164581d6cacdf"),
+    "whole.arith-compare": (22, "1b0a09b8f22b43f17cfb7aeb76ec5c9d70a8a2a7936699cd3ceb1032f2be9c61"),
+    "whole.arith-equal": (22, "026e8b202403cad91aedb62945c3a33429993191a1d5a7a4a26585d8bccaaeef"),
+    "whole.arith-and": (22, "158b826fa94064a01444bb7930f082af07968425068e1b864f14905bc675c39a"),
+    "whole.exit-early": (22, "c62d013eb7b092dba0cbfcf9ff892f121b18ae8402e99f9565e756e4918de909"),
+    "whole.exit-value": (22, "d066022be5f943264ac740ecfd68c8308010179a5506fcc28632c7996bba90a6"),
+    "whole.seq-discard": (22, "89afedc2108c806fcbdd0fb75997b17ef49c7f1b90daccde305b45d870ccab06"),
+    "whole.var-chain": (22, "eca8158c19ed97e96974ff02343e56f94e292a1f0844fbe0c8aba90297ac9189"),
+    "whole.if-nested": (22, "6c318ffde0de75a91770a1fa197be23407574ff7eedbc55e7f2b09e134e2ac22"),
+    "whole.fields-counter": (23, "4795e158a32328e28bf5f3f65c57bdd372519384c5998432f193ca19ecc54035"),
+    "whole.fields-bool": (22, "4ab80449c06f6b14650e29d1b884de4417ab313f6fa44d4f9028d9432dcf9121"),
+    "whole.cross-call": (29, "d9121da0d31b49dd717ff46484e3cbb8f8f8b060e072918cabb06bd35002db95"),
+    "whole.cross-object-flow": (31, "277a86b6614deb41254a15989f2eba26f5d3db5985f2b7a37b9af0af9751ac26"),
+    "whole.cross-chatter": (37, "541ac5bda838f5b2d09795f5784cf01e97708bfa114a76b34df01de56a3a9a56"),
+    "whole.instanceof-pos": (28, "6acd317aba7dcfaaf06e3b3c3603ac96769ecf788e8073c8803a3d55666a8ee0"),
+    "whole.instanceof-neg": (28, "1a3a8f52b6fb8fe243d7db335740073cc70e9496477d0a2173de9fbf7fac4d9d"),
+    "whole.instanceof-null": (22, "8aff835bd0d26050136efb52b04feb009853ba56a0cc3ab7677b13364741e65e"),
+    "whole.new-identity": (23, "95100350253efdb76c5e3214a656e8791e9ccbcc7c16301c8808ef9a28f0b305"),
+    "whole.new-fields": (30, "d00eca3046dec891f9d872008a45b0fc8a8e679270d4d67edadfe14a3a141f87"),
+    "whole.new-aliasing": (31, "b2b00d6b1b3ce60d9579b53143c788ed88610ff885335dd7be380e36800f55b8"),
+    "whole.recursion-sum": (23, "b93e540bcd8f8cb53af29feacb104e0df686def53444acd67961fe4bf9150150"),
+    "whole.diverge-spin": (23, "69ea889ccdff328f3b41c0d7bb7034e34fea865d07f4cd4920f95f40e75c63aa"),
+    "whole.diverge-conditional": (23, "600b79c0e94031c3752f318363bb0aa9df30faa288d3df2f92334741ebce717d"),
+    "whole.converge-conditional": (23, "fdfcd4ceb9df177a71300d0de1fa7bdc6d92286b7fd401ac91e8df46bb9b21db"),
+    "const": (22, "9c5eaccbabda55b5413c70c869c6ebed93d5588b3e2c39f619cd942866b6e806"),
+    "double": (22, "edd79b58b069b736cfc3cc506cbc08dede13710290cc903af36f0ff03f6492f1"),
+    "cell": (23, "b1d18fd1548fc1700cf4ca5cb9effae82b7fc6d39880e4c067266f91d9d786b8"),
+    "keeper": (24, "176e4180227781ddefc09fa668c8ae8117e1e44df002adf1a6d93a8c428c5193"),
+    "gate": (23, "8e60effa91f7176af5bdde4ba86d1918ec6055a3f3e4d6acd5e9a0382ab0625c"),
+    "int-return.0": (22, "9c5eaccbabda55b5413c70c869c6ebed93d5588b3e2c39f619cd942866b6e806"),
+    "int-return.1": (22, "53dffd78414a0adc9b1e09c6e77eb1bff2c5153d138d9c4417bc344326612cc6"),
+    "bool-return.0": (22, "14ec9227e0a2a90f1aed17fcbae6f6e639e0ce7b47f2814c7067d9a69518444c"),
+    "bool-return.1": (22, "69a8ae29fcb6a6a5c4b8ab91db849f8be81fdde94b6ef8bcba380db049fd45b8"),
+    "unit-vs-state.0": (23, "b5b6ccf00ec844fbec506927046d0f25afe6a546d8a4a3f493fe1b3afed57cbc"),
+    "unit-vs-state.1": (23, "9b3db5def9359c2ee11e03e69e8641ac600ebb6d690f1bd1c816e45a1ae249ba"),
+    "callback-target.0": (24, "796cf2b00819004e8349820fa3d695a0dd883b8f8f206c17d3a8f26b4fed871e"),
+    "callback-target.1": (24, "4872208e9ec5e3b74f6cc0366e53d64b9fa47378f8df3ab23d6ee705362ebaca"),
+    "callback-param.0": (24, "083ba119c11e0f9811ff06923b6afeacae77c73951b22fb6d709216776debc58"),
+    "callback-param.1": (24, "4fa0535fe9f923045f697d9a76cedfb5bbd3e3e4cb1aeab2095fa67b9c205e91"),
+    "callback-vs-return.0": (24, "796cf2b00819004e8349820fa3d695a0dd883b8f8f206c17d3a8f26b4fed871e"),
+    "callback-vs-return.1": (22, "4d9df06e8857ad6c353306a10ce120a302153f60de7ce2274d954e12ace964ba"),
+    "stateful-second-round.0": (22, "025db02b4d0364e396005739e4a98b8b3260669dc5d798b9072fd0bb8f5c088e"),
+    "stateful-second-round.1": (22, "a5addcba6510e5d825aad92d7a1fa0f01b585cf412f1862d213cbb0af1a0700e"),
+    "length-divergence.0": (23, "aa2ddeee1282d1111cdee5c44148897b0d5208af6f68cab2f59c0ac54e8bb308"),
+    "length-divergence.1": (23, "8cabd88173c3b9bd53c63b1d6f065008efedafb7dca8ac17b58dfd4e23518e3a"),
+    "fresh-vs-static-object.0": (23, "4d009ef508a59bc9174162b36de2406cdc5dea16c4614e55b18480852ecbebc4"),
+    "fresh-vs-static-object.1": (23, "5475cd3c60c5c0a75e42bff5d07a9797556e0d3edea854a5d3e737e02f2d183d"),
+    "null-vs-object.0": (22, "86ceb824bca835498b87dc82e76a5b9920443fce1137753a3137dc92f60e62ec"),
+    "null-vs-object.1": (22, "dad61417b4645404a03580d0b48511e1cc556bea117002ab531b17e99b9ad113"),
 }
 AIMOD_SOURCES = {
     **{f"whole.{name}": src for name, src in WHOLE_PROGRAMS.items()},
