@@ -60,22 +60,22 @@ def opcode_of(name: str, ops: tuple) -> int:
 def decode(mem, code, mid: int, off: int, privileged_ok: bool) -> tuple[str, tuple[Word, ...]] | None:
     """Decode the instruction at (mid, off): its name and operands.
 
-    A word is read as `MachineState.load` reads it: from `mem`, else from
-    `code`, else 0. Returns None (Undecodable) when the opcode word is
-    unknown, a privileged opcode appears outside protected code, or a
-    register/flag operand is not a Nat in range.
+    A word is read as `MachineState.load` reads it: from module `mid`'s tuple
+    in `code` when it lies inside it, else from `mem`, else 0. Returns None
+    (Undecodable) when the opcode word is unknown, a privileged opcode
+    appears outside protected code, or a register/flag operand is not a Nat
+    in range.
     """
-    w = mem.get((mid, off))
-    d = _DECODING.get(code.get((mid, off), 0) if w is None else w)
+    c = code.get(mid, ())
+    n = len(c)
+    d = _DECODING.get(c[off] if 0 <= off < n else mem.get((mid, off), 0))
     if d is None or (d[2] and not privileged_ok):
         return None
     name, bounds, _ = d
     ops = []
     for bound in bounds:
         off += 1
-        v = mem.get((mid, off))
-        if v is None:
-            v = code.get((mid, off), 0)
+        v = c[off] if 0 <= off < n else mem.get((mid, off), 0)
         if bound and not (isinstance(v, int) and 0 <= v < bound):
             return None
         ops.append(v)

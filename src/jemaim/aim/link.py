@@ -6,6 +6,7 @@ four parts. Objects are keyed by name and class name (`ObjKey`).
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -58,6 +59,13 @@ class SymbolTable:
 class ProgramImage:
     """A (possibly partial) aim program: memory, descriptors, symbol table.
 
+    `code` maps a module id to its code section, a tuple of exactly the
+    descriptor's `code_len` words; no rule writes code, so the tuples are
+    built once and link, boot and every clone share them by reference. `mem`
+    holds every other word, the data sections and unprotected memory, and
+    never an address inside a code tuple. A module without a tuple keeps its
+    code in `mem`, as hand-built images do.
+
     `masks` records each protected module's masking-table seed (internal object
     offset -> cross-module id) for its statically exported objects.
     """
@@ -66,6 +74,7 @@ class ProgramImage:
     descs: list[Descriptor]
     table: SymbolTable
     masks: dict[int, dict[int, Nonce]] = field(default_factory=dict)
+    code: dict[int, tuple[Word, ...]] = field(default_factory=dict)
 
     def is_whole(self) -> bool:
         return not self.table.rm and not self.table.ro
@@ -79,7 +88,17 @@ class ProgramImage:
             list(self.descs),
             self.table.clone(),
             {k: dict(v) for k, v in self.masks.items()},
+            dict(self.code),
         )
+
+    def substitute(self, eta: dict[Symbol, Word]):
+        """Replace every symbol of `eta` in `mem` and in the code tuples, in
+        place; a tuple that holds none of them is kept as it is."""
+        if not eta:
+            return
+        self.mem = substitute(self.mem, eta)
+        syms = eta.keys()
+        self.code = {mid: ws if syms.isdisjoint(ws) else tuple(map(eta.get, ws, ws)) for mid, ws in self.code.items()}
 
 
 def substitute(mem: dict[Address, Word], eta: dict[Symbol, Word]) -> dict[Address, Word]:
@@ -129,14 +148,25 @@ def _resolve_objects(ro: list, eo: dict, eta: dict):
     return residual
 
 
+def _in_code(mem: dict[Address, Word], code: dict[int, tuple[Word, ...]]) -> bool:
+    """Whether a key of `mem` lies inside a tuple of `code`."""
+    return any(0 <= off < len(code[mid]) for mid, off in mem if mid in code)
+
+
 def disjoint(p1: ProgramImage, p2: ProgramImage) -> bool:
-    return not (p1.module_ids() & p2.module_ids()) and p1.mem.keys().isdisjoint(p2.mem.keys())
+    return (
+        not (p1.module_ids() & p2.module_ids())
+        and p1.mem.keys().isdisjoint(p2.mem.keys())
+        and not _in_code(p1.mem, p2.code)
+        and not _in_code(p2.mem, p1.code)
+    )
 
 
 def merge(p1: ProgramImage, p2: ProgramImage) -> ProgramImage:
     """Join two images: fulfilled requirements vanish and their symbols are
-    substituted throughout the merged memory; unmet requirements are carried,
-    so images may resolve across a chain of merges."""
+    substituted throughout the merged memory and code; unmet requirements are
+    carried, so images may resolve across a chain of merges. Only a code
+    tuple that holds a substituted symbol is rebuilt; the rest are shared."""
     if not disjoint(p1, p2):
         raise LinkError("incompatible images: overlapping memories or module ids")
     eta: dict[Symbol, Word] = {}
@@ -144,9 +174,6 @@ def merge(p1: ProgramImage, p2: ProgramImage) -> ProgramImage:
     rm2 = _resolve(p2.table.rm, p1.table.em, eta)
     ro1 = _resolve_objects(p1.table.ro, p2.table.eo, eta)
     ro2 = _resolve_objects(p2.table.ro, p1.table.eo, eta)
-    mem = {**p1.mem, **p2.mem}
-    if eta:
-        mem = substitute(mem, eta)
     table = SymbolTable(
         em={**p1.table.em, **p2.table.em},
         eo={**p1.table.eo, **p2.table.eo},
@@ -156,16 +183,20 @@ def merge(p1: ProgramImage, p2: ProgramImage) -> ProgramImage:
     masks = {k: dict(v) for k, v in p1.masks.items()}
     for k, v in p2.masks.items():
         masks.setdefault(k, {}).update(v)
-    return ProgramImage(mem, list(p1.descs) + list(p2.descs), table, masks)
+    out = ProgramImage({**p1.mem, **p2.mem}, list(p1.descs) + list(p2.descs), table, masks, {**p1.code, **p2.code})
+    out.substitute(eta)
+    return out
 
 
 def well_formed(p: ProgramImage) -> bool:
-    """Every symbol in memory is declared by RM/RO; descriptor ids are distinct."""
-    ids = [s.mid for s in p.descs]
-    if len(ids) != len(set(ids)):
+    """Descriptor ids are distinct; each code tuple is its descriptor's
+    `code_len` words and `mem` holds no address inside one; every symbol in
+    memory and code is declared by RM/RO."""
+    code_len = {s.mid: s.code_len for s in p.descs}
+    if len(code_len) != len(p.descs):
+        return False
+    if any(code_len.get(mid) != len(ws) for mid, ws in p.code.items()) or _in_code(p.mem, p.code):
         return False
     declared = p.table.symbols()
-    for w in p.mem.values():
-        if isinstance(w, Symbol) and w not in declared:
-            return False
-    return True
+    words = itertools.chain(p.mem.values(), *p.code.values())
+    return all(w in declared for w in words if isinstance(w, Symbol))

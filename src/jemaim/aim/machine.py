@@ -1,28 +1,32 @@
 """The aim virtual machine.
 
 A machine state carries the program counter, an unbounded register file
-(unwritten registers read 0), two flags, a sparse memory, the descriptor list
-and a nonce oracle. Stepping applies exactly one rule; any access-control
-failure terminates the run as a Violation, an undecodable word as Stuck.
+(unwritten registers read 0), two flags, a sparse memory, the code sections,
+the descriptor list and a nonce oracle. Stepping applies exactly one rule;
+any access-control failure terminates the run as a Violation, an undecodable
+word as Stuck.
 
 An instruction decodes to an entry ``(handler, name, fall-through address,
 module, *operands)``: its `HANDLERS` method, which moves pc to the fall-through
 unless it jumps, and the descriptor whose code section holds it (else None).
 `_decode` builds the entry at a pc with no cached one: `access.find_module`
 finds the descriptor, as it does for `halt`, and `isa.decode`, the only code
-that knows operand kinds, reads the words straight from `mem` and `code` and
-gives the name and operands.
+that knows operand kinds, reads the words by the read rule below and gives
+the name and operands.
 Entries in protected code are cached per pc, in a dict that clones share. That
 is sound as no rule writes protected code: `access.write_allowed` needs the
 writer's own `data_range` for a protected target, and the privileged ops write
 only sys's call-depth word, in its data. Unprotected memory, and a data section
 reached by falling off the code, are decoded afresh on every step.
 
-For the same reason the words of protected code may leave `mem`:
-`share_code` moves them into `code`, a map that clones share, so that a clone
-copies only unprotected and data words. Reads go through `load`, which finds
-a word in either map. A state built by `boot_state` or by hand keeps every
-word in `mem`; the trace engine calls `share_code` on each state it boots.
+For the same reason protected code need not sit in `mem`: `code` maps a
+module id to its code section as a tuple, the image's own map (`boot_state`
+passes it on uncopied), which clones share, so a clone copies only data and
+unprotected words. Every read follows one rule: a word inside its module's
+tuple comes from the tuple, any other word from `mem` (0 if unwritten). `load`,
+`isa.decode` and `run_state`'s inline `movl` apply it. A module without a
+tuple keeps its code in `mem`, so a state built by hand with every word in
+`mem` runs too.
 
 One idiom in protected code is a proven loop: `movi r, L; cmp x, x; je r, ZF`
 at L, the spin the compiler emits (compiler/comp.py). One pass of it writes
@@ -96,7 +100,7 @@ class MachineState:
     callstack: list[tuple[Word, Word, Word]] = field(default_factory=list)
     sys_depth_addr: Address | None = None
     _last_op: str | None = field(default=None, repr=False)  # tells the zero;halt abort from halt
-    code: dict[Address, Word] = field(default_factory=dict, repr=False)  # protected code words, shared by clones
+    code: dict[int, tuple[Word, ...]] = field(default_factory=dict, repr=False)  # module id -> code section, shared by clones
     _icache: dict = field(default_factory=dict, repr=False)  # pc -> entry, shared by clones
 
     def __post_init__(self):
@@ -141,7 +145,7 @@ class MachineState:
         """A hashable summary of the state such that two clones of one state
         with equal fingerprints behave alike from any run that first sets pc,
         registers and flags. It holds what such a reset keeps: `mem` (data and
-        unprotected words once `share_code` ran), the oracle's cursor, the
+        unprotected words, and code kept outside `code`), the oracle's cursor, the
         masks, G, S and `_last_op`. The rest (`code`, `_icache`, `descs`,
         `sys_depth_addr`, the oracle's stream) a clone shares with its
         original."""
@@ -154,22 +158,13 @@ class MachineState:
             self._last_op,
         )
 
-    def share_code(self):
-        """Move the words of every protected code section from `mem` into
-        `code`, which clones share instead of copying. One pass over the keys
-        picks out the few data and unprotected words, which move to a new
-        `mem`; the rest of the old map, all code, becomes `code`. So the
-        state must own its `mem`, as one made by `boot_state` or `clone` does."""
-        code_len = {d.mid: d.code_len for d in self.descs}
-        mem = self.mem
-        rest = [a for a in mem if not 0 <= a[1] < code_len.get(a[0], 0)]
-        self.mem = {a: mem.pop(a) for a in rest}
-        self.code = {**self.code, **mem} if self.code else mem
-
     def load(self, a) -> Word:
-        """The word at `a` (a plain tuple finds an Address key), 0 if unwritten."""
-        w = self.mem.get(a)
-        return self.code.get(a, 0) if w is None else w
+        """The word at `a` by the read rule: from its module's code tuple when
+        `a` lies inside it, else from `mem` (a plain tuple finds an Address
+        key), 0 if unwritten."""
+        mid, off = a
+        c = self.code.get(mid, ())
+        return c[off] if 0 <= off < len(c) else self.mem.get(a, 0)
 
     # -- decoding ---------------------------------------------------------
 
@@ -248,9 +243,8 @@ class MachineState:
         if not ok:
             return ("violation", f"read denied {self.pc}->{Address(mid, off)}")
         # `load`, inlined as a sixth of the steps of compiled code are movl
-        a = (mid, off)
-        w = self.mem.get(a)
-        self.set_reg(rd, self.code.get(a, 0) if w is None else w)
+        c = self.code.get(mid, ())
+        self.set_reg(rd, c[off] if off < len(c) else self.mem.get((mid, off), 0))
         self.pc = nxt
 
     def _op_movs(self, e):
@@ -500,9 +494,9 @@ def run_state(state: MachineState, fuel: int):
             _, op, nxt, s, rd, rs, ri = e
             mid, off = regs.get(rs, 0), regs.get(ri, 0)
             if type(mid) is int and type(off) is int and off >= 0 and (mid == 0 or mid == s.mid):
-                w = mem.get((mid, off))
-                if w is None:
-                    w = code.get((mid, off), 0)
+                # `load`, inlined as a sixth of the steps of compiled code are movl
+                c = code.get(mid, ())
+                w = c[off] if off < len(c) else mem.get((mid, off), 0)
                 if w == 0:
                     regs.pop(rd, None)
                 else:

@@ -46,6 +46,7 @@ def _strip_sys(image: ProgramImage) -> ProgramImage:
     out = image.clone()
     out.descs = [d for d in out.descs if d.mid != SYS_ID]
     out.mem = {a: w for a, w in out.mem.items() if a.mid != SYS_ID}
+    out.code.pop(SYS_ID, None)
     out.table.em = out.table.methods()
     out.masks.pop(SYS_ID, None)
     return out
@@ -71,12 +72,14 @@ def mylink(*images: ProgramImage) -> ProgramImage:
 
 def boot_state(image: ProgramImage, seed: int = 0) -> MachineState:
     """Machine state for a linked image: masking tables installed and every
-    statically exported object registered in the global store."""
+    statically exported object registered in the global store. The state's
+    `code` is the image's map itself, not a copy."""
     st = MachineState(
         pc=Address(0, 0),
         mem=dict(image.mem),
         descs=list(image.descs),
         oracle=NonceOracle(seed),
+        code=image.code,
     )
     if any(d.mid == SYS_ID for d in image.descs):
         st.sys_depth_addr = SYS_DEPTH_ADDR

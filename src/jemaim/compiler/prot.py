@@ -29,7 +29,7 @@ from __future__ import annotations
 from ..aim.isa import ZF, Assembler, Label
 from ..aim.link import ObjKey, ProgramImage, SymbolTable
 from ..aim.words import ARG_REGS, FORWARDRETURN_EP, N_W, R_CALLEE_MID, R_CALLEE_OFF, R_CALLER, R_RECV, R_RESUME, SYS_ID
-from ..aim.words import Address, Descriptor, Nonce, addresses
+from ..aim.words import Address, Descriptor, Nonce
 from ..jem import ast
 from .comp import ABORT, DATA_BASE, FP, MID, OCD, SP, ClassCompiler, CompileError, abort_unless_equal, always_jump, enter_sys, jump_if
 from .comp import scrub, trampoline
@@ -167,14 +167,11 @@ def prot(cc: ClassCompiler) -> ProgramImage:
     for m in cc.methods:
         _method_entry(cc, a, m)
     cc.emit_shared(a)
-    code = a.words()
+    code = tuple(a.words())
     code_len = len(code)
     if code_len >= DATA_BASE:
         raise CompileError(f"code section of {cc.cls.name!r} exceeds the data base")
-
-    mem = dict(zip(addresses(cc.mid, code_len), code))
-    for off, w in cc.data_words().items():
-        mem[Address(cc.mid, off)] = w
+    mem = {Address(cc.mid, off): w for off, w in cc.data_words().items()}
 
     # masking table for statically exported objects: one fresh mask each.
     # The stream names the compilation, not just the class and module id: a
@@ -197,4 +194,4 @@ def prot(cc: ClassCompiler) -> ProgramImage:
 
     table = SymbolTable(em=em, eo=eo, rm=cc.required_methods, ro=cc.required_objects)
     desc = Descriptor(cc.mid, code_len, k + 1)
-    return ProgramImage(mem, [desc], table, {cc.mid: masks})
+    return ProgramImage(mem, [desc], table, {cc.mid: masks}, {cc.mid: code})

@@ -20,7 +20,8 @@ carry before its boundary jump.
 sys is assembled and laid out once, at import: `SYS_WORDS` are its code
 words, `SYS_EXIT_MARKS` its boundary jumps, which the trace engine reads
 instead of decoding them, and `build_sys()` gives each caller a fresh image
-over a copy of the one layout.
+whose code is the `SYS_WORDS` tuple itself and whose memory is a copy of the
+depth word.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from types import MappingProxyType
 
 from ..aim.isa import Assembler
 from ..aim.link import ProgramImage, SymbolTable
-from ..aim.words import FORWARDCALL_EP, FORWARDRETURN_EP, REGISTEROBJ_EP, SYS_ID, TESTOBJ_EP, Address, Descriptor, addresses
+from ..aim.words import FORWARDCALL_EP, FORWARDRETURN_EP, REGISTEROBJ_EP, SYS_ID, TESTOBJ_EP, Address, Descriptor
 from ..aim.words import ARG_REGS, R_CALLEE_MID, R_CALLEE_OFF, R_CALLER, R_JUMP_MID, R_JUMP_OFF, R_RECV, R_RESUME, R_SYS_SCRATCH
 from ..jem.ast import MethodSig
 from .comp import ABORT, DATA_BASE, abort_block, abort_unless_equal, jump_if, scrub, trampoline
@@ -107,10 +108,10 @@ def _assemble() -> tuple[tuple, MappingProxyType]:
     return tuple(a.words()), MappingProxyType(marks)
 
 
-# sys is one fixed assembly, made once, and laid out once: its memory with
-# the depth word, and its exports, both read-only; build_sys copies them
+# sys is one fixed assembly, made once, and laid out once: its memory, the
+# depth word alone, and its exports, both read-only; build_sys copies them
 SYS_WORDS, SYS_EXIT_MARKS = _assemble()
-_SYS_MEM = MappingProxyType({**dict(zip(addresses(SYS_ID, len(SYS_WORDS)), SYS_WORDS)), SYS_DEPTH_ADDR: 0})
+_SYS_MEM = MappingProxyType({SYS_DEPTH_ADDR: 0})
 _SYS_EM = MappingProxyType(
     {
         TESTOBJ: Address(SYS_ID, TESTOBJ_EP),
@@ -124,5 +125,5 @@ _SYS_DESC = Descriptor(SYS_ID, len(SYS_WORDS), 4)
 
 def build_sys() -> ProgramImage:
     """A fresh sys image over copies of the layout: its maps and lists are
-    the caller's to change."""
-    return ProgramImage(_SYS_MEM.copy(), [_SYS_DESC], SymbolTable(em=_SYS_EM.copy()), {})
+    the caller's to change, and its code is `SYS_WORDS`."""
+    return ProgramImage(_SYS_MEM.copy(), [_SYS_DESC], SymbolTable(em=_SYS_EM.copy()), {}, {SYS_ID: SYS_WORDS})

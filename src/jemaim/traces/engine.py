@@ -12,8 +12,8 @@ pokes: entry points admit only jumps that sys forwards, so a poke only ticks.
 Every injection starts on the one path through `ComponentTracer._enter`: clone
 the state, clear registers and flags, load the injected registers, set pc and
 run.
-The booted state keeps its protected code in a map that all its clones share
-(`MachineState.share_code`), so a clone copies only data and unprotected
+The booted state's code sections are the image's tuples, which all its
+clones share (aim/machine.py), so a clone copies only data and unprotected
 words. The run looks at pc only when it is in `STOPS`, one set for every
 tracer, fixed at import from sys's one assembly: sys's four boundary jumps and
 forwardReturn. It decodes nothing of its own: a boundary jump's role and
@@ -139,10 +139,8 @@ class ComponentTracer:
         self.seed_masks = [mask for _, mask in image.table.exports()]
 
     def initial(self):
-        """A freshly booted state, its protected code split off for its clones to share."""
-        st = boot_state(self.image, self.seed)
-        st.share_code()
-        return st
+        """A freshly booted state, sharing the image's code tuples."""
+        return boot_state(self.image, self.seed)
 
     @cached_property
     def booted(self):

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 Every tolerance is pinned here: exact agreement for differential and security
 criteria, zero escapes for the attack corpora, wall-clock bounds where stated.
 """
+import itertools
 import random
 import time
 import zlib
@@ -12,7 +13,7 @@ from contextlib import contextmanager
 from jemaim.aim import access
 from jemaim.aim.isa import Assembler
 from jemaim.aim.link import MethodSig as LinkSig
-from jemaim.aim.link import ProgramImage, SymbolTable, merge, substitute, well_formed
+from jemaim.aim.link import ProgramImage, SymbolTable, merge, well_formed
 from jemaim.aim.machine import run_state
 from jemaim.aim.words import Address, Descriptor, N_W, Nonce, SYS_ID, Symbol
 from jemaim.backtrans.algo import algo, verify_witness
@@ -117,12 +118,16 @@ def test_criterion_3_call_stack_shortcutting():
             table=SymbolTable(em={LinkSig("ping", "i", (), "Int"): Address(7, 0)}),
         )
         linked = mylink(component, attacker)
-        # the component still requires its object import; plug it via the table
+        # the component still requires its object import: plug it into the
+        # image's code and memory by the substitution `merge` applies
+        env_obj = Nonce("env-obj", 0)
+        assert linked.table.ro
+        linked.substitute({sym: env_obj for _, sym in linked.table.ro})
         st = boot_state(linked, seed=4)
+        assert not any(isinstance(w, Symbol) for w in itertools.chain(st.mem.values(), *st.code.values()))
         [(_, mask)] = list(component.table.eo.items())
-        for key, sym in linked.table.ro:
-            st.mem = substitute(st.mem, {sym: Nonce("env-obj", 0)})
-            st.gstore[Nonce("env-obj", 0)] = (encode_class(key.cls), 0)
+        for key, _ in linked.table.ro:
+            st.gstore[env_obj] = (encode_class(key.cls), 0)
         # unprotected escape pad: jump to forwardReturn pretending to answer
         fr = Assembler().emit("movi", 1, 3 * N_W).emit("movi", 2, 1).emit("jmp", 1, 2).words()
         for i, w in enumerate(fr):

@@ -15,8 +15,9 @@ from jemaim.aim.link import (
     substitute,
     well_formed,
 )
-from jemaim.aim.words import Address, Descriptor, Nonce, Symbol
-from jemaim.compiler.pipeline import compaim
+from jemaim.aim.words import SYS_ID, Address, Descriptor, Nonce, Symbol
+from jemaim.compiler.pipeline import compaim, modules, mylink
+from jemaim.compiler.sysmod import SYS_WORDS
 from jemaim.jem.parser import parse_component
 
 from test_secure_compiler import AIMOD_SOURCES
@@ -26,13 +27,19 @@ def sig(name, recv="c", params=(), ret="Int"):
     return MethodSig(name, recv, tuple(params), ret)
 
 
-def image(mid, em=None, eo=None, rm=None, ro=None, mem=None, masks=None):
+def image(mid, em=None, eo=None, rm=None, ro=None, mem=None, masks=None, code=None):
     return ProgramImage(
         mem=mem or {},
         descs=[Descriptor(mid, 64, 2)],
         table=SymbolTable(em or {}, eo or {}, rm or {}, ro or {}),
         masks=masks or {},
+        code=code or {},
     )
+
+
+def section(*head):
+    """A code section of 64 words: `head`, then the offsets that follow it."""
+    return (*head, *range(len(head), 64))
 
 
 class TestSubstitute:
@@ -112,6 +119,29 @@ class TestMerge:
         with pytest.raises(LinkError):
             merge(image(2), image(2))
 
+    def test_a_word_inside_the_other_image_code_is_an_overlap(self):
+        p1 = image(2, mem={Address(3, 5): 1})
+        p2 = image(3, code={3: section()})
+        for a, b in ((p1, p2), (p2, p1)):
+            assert not compat(a, b)
+            with pytest.raises(LinkError):
+                merge(a, b)
+        assert compat(image(2, mem={Address(3, 64): 1}), p2)  # module 3's data
+
+    def test_a_merge_with_nothing_to_substitute_shares_each_code_tuple(self):
+        p1 = image(2, em={sig("m"): Address(2, 16)}, code={2: section(1)})
+        p2 = image(3, code={3: section(Symbol("t"))}, rm=[(sig("n"), Symbol("s"), Symbol("t"))])
+        out = merge(p1, p2)
+        assert out.code == {2: p1.code[2], 3: p2.code[3]}
+        assert out.code[2] is p1.code[2] and out.code[3] is p2.code[3]
+
+    def test_a_merge_rebuilds_only_the_code_tuple_it_substitutes_in(self):
+        p1 = image(2, rm=[(sig("m"), Symbol("i"), Symbol("o"))], code={2: section(Symbol("i"), Symbol("o"))})
+        p2 = image(3, em={sig("m"): Address(3, 32)}, code={3: section(7)})
+        out = merge(p1, p2)
+        assert out.code[2] == section(3, 32) and p1.code[2] == section(Symbol("i"), Symbol("o"))
+        assert out.code[3] is p2.code[3] and well_formed(out)
+
     def test_merge_preserves_well_formedness_and_commutes(self):
         rng = random.Random(1)
         for _ in range(200):
@@ -151,16 +181,29 @@ class TestWellFormed:
         p = ProgramImage({}, [Descriptor(2, 64, 1), Descriptor(2, 64, 1)], SymbolTable(), {})
         assert not well_formed(p)
 
+    def test_stray_symbol_in_a_code_tuple_rejected(self):
+        assert well_formed(image(2, code={2: section(5)}))
+        assert not well_formed(image(2, code={2: section(5, Symbol("ghost"))}))
+        declared = image(2, rm=[(sig("m"), Symbol("i"), Symbol("o"))], code={2: section(Symbol("o"))})
+        assert well_formed(declared)
+
+    def test_the_code_layout_is_checked(self):
+        assert not well_formed(image(2, code={2: section()[:63]}))  # one word short of code_len
+        assert not well_formed(image(2, code={3: section()}))  # no descriptor for module 3
+        assert not well_formed(image(2, code={2: section()}, mem={Address(2, 63): 1}))  # mem inside the code
+        assert well_formed(image(2, code={2: section()}, mem={Address(2, 64): 1, Address(0, 5): 1}))
+
 
 class TestAimod:
+    CODE_LINE = "2:0 3 $c.m.off " + " ".join(map(str, range(2, 64)))  # line 4 of the dump of build()
+
     def build(self):
         return ProgramImage(
             mem={
-                Address(2, 0): 3,
-                Address(2, 1): Symbol("c.m.off"),
                 Address(2, 70): Nonce("static-c", 0),
                 Address(0, 9): 17,
             },
+            code={2: (3, Symbol("c.m.off"), *range(2, 64))},
             descs=[Descriptor(2, 64, 2)],
             table=SymbolTable(
                 em={sig("get", recv="c", params=("Int", "Bool")): Address(2, 16)},
@@ -175,7 +218,7 @@ class TestAimod:
         p = self.build()
         text = aimod.dump(p)
         q = aimod.load(text)
-        assert q.mem == p.mem
+        assert q.mem == p.mem and q.code == p.code
         assert q.descs == p.descs
         assert q.table.em == p.table.em and q.table.eo == p.table.eo
         assert q.table.rm == p.table.rm and q.table.ro == p.table.ro
@@ -197,9 +240,16 @@ class TestAimod:
         q = aimod.load(padded)
         assert aimod.dump(q) == text and q.mem == self.build().mem
 
-    # (line number in the dump of build(), the text put there)
+    # (line number in the dump of build(), the text put there[, the start of
+    # the error when it names another line or says more])
     MALFORMED = {
         "desc-two-fields": (2, "2 64"),
+        "desc-longer-than-its-code": (2, "2 65 2", "line 2: the code section of module 2 misses offset 64$"),
+        "desc-twice": (3, "2 64 2", "line 3: module 2 is described twice$"),
+        "desc-far-longer-than-its-code": (2, "2 1000000000000 2", "line 2: the code section of module 2 misses offset 64$"),
+        "code-run-misses-its-last-word": (4, CODE_LINE.rpartition(" ")[0], "line 2: the code section of module 2 misses offset 63$"),
+        "code-run-misses-its-first-word": (4, "2:1" + CODE_LINE.split(" 3", 1)[1], "line 2: the code section of module 2 misses offset 0$"),
+        "code-negative-offset": (4, "2:-1 0 3"),
         "code-bad-offset": (4, "2:x 3 $c.m.off"),
         "code-no-word": (4, "2:0"),
         "code-three-part-address": (4, "2:0:1 3 $c.m.off"),
@@ -216,10 +266,11 @@ class TestAimod:
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_a_malformed_line_is_named_by_its_number(self, case):
-        n, bad = self.MALFORMED[case]
+        n, bad, *said = self.MALFORMED[case]
         lines = aimod.dump(self.build()).splitlines()
+        assert lines[3] == self.CODE_LINE
         lines[n - 1] = bad
-        with pytest.raises(aimod.AimodError, match=rf"^line {n}: \S"):
+        with pytest.raises(aimod.AimodError, match=f"^{said[0]}" if said else rf"^line {n}: \S"):
             aimod.load("\n".join(lines) + "\n")
 
     def test_content_before_any_header_is_named_by_its_line(self):
@@ -231,6 +282,9 @@ class TestAimod:
     GIVEN_TWICE = {
         "one-word-lines": (6, "0:9 17"),
         "overlapping-runs": (4, "2:1 $c.m.off 4"),
+        "code-one-word-line": (4, "2:5 5"),
+        "code-run-across-the-data-boundary": (7, "2:62 62 63 0 0"),
+        "data-run-back-into-the-code": (6, "2:63 63 64"),
     }
 
     @pytest.mark.parametrize("case", sorted(GIVEN_TWICE))
@@ -240,6 +294,16 @@ class TestAimod:
         lines.insert(n, repeat)
         with pytest.raises(aimod.AimodError, match=rf"^line {n + 1}: a word address is given twice$"):
             aimod.load("\n".join(lines) + "\n")
+
+    def test_runs_are_placed_by_address_not_by_section(self):
+        p = self.build()
+        lines = aimod.dump(p).splitlines()
+        masks = lines.index("MASKS")
+        # the DATA runs under CODE, the code run under DATA, and DESC last
+        moved = ["CODE", *lines[5:masks], "DATA", lines[3], *lines[masks:], *lines[:2]]
+        q = aimod.load("\n".join(moved) + "\n")
+        assert (q.mem, q.code, q.descs) == (p.mem, p.code, p.descs)
+        assert aimod.dump(q) == aimod.dump(p)
 
     @pytest.mark.parametrize("word", [None, True, Symbol("a b"), Nonce("static c", 0)], ids=repr)
     def test_dump_refuses_a_word_it_cannot_write(self, word):
@@ -261,13 +325,41 @@ def test_corpus_images_round_trip(name):
     assert (back.table.em, back.table.eo, back.table.rm, back.table.ro) == (img.table.em, img.table.eo, img.table.rm, img.table.ro)
 
 
+def assert_code_layout(p: ProgramImage):
+    """Each descriptor's code is a tuple of its `code_len` words, and `mem`
+    holds no address inside one."""
+    assert sorted(p.code) == sorted(d.mid for d in p.descs)
+    assert all(type(p.code[d.mid]) is tuple and len(p.code[d.mid]) == d.code_len for d in p.descs)
+    assert not [a for a in p.mem if a.off < len(p.code.get(a.mid, ()))]
+
+
+@pytest.mark.parametrize("name", sorted(AIMOD_SOURCES))
+def test_code_sits_in_shared_tuples_alone(name):
+    """Per class, linked, and after `load(dump(.))`, code sits in tuples and
+    nowhere in `mem`; linking shares every tuple that it substitutes nothing
+    in, and sys's is `SYS_WORDS` itself."""
+    component = parse_component(AIMOD_SOURCES[name])
+    parts = modules(component)
+    linked = mylink(*parts)
+    back = aimod.load(aimod.dump(linked))
+    for p in (*parts, linked, back):
+        assert_code_layout(p)
+        assert well_formed(p)
+    assert back.code == linked.code
+    assert linked.code[SYS_ID] is SYS_WORDS and compaim(component).code[SYS_ID] is SYS_WORDS
+    for part in parts:
+        for mid, ws in part.code.items():
+            if not any(type(w) is Symbol for w in ws):
+                assert linked.code[mid] is ws
+            elif linked.is_whole():
+                assert not any(type(w) is Symbol for w in linked.code[mid])
+
+
 def per_word_dump(p: ProgramImage) -> str:
     """`aimod.dump` with CODE and DATA written one word per line, `mid:off w`,
     as files were written before runs."""
-    code_len = {d.mid: d.code_len for d in p.descs}
-    code, data = ["CODE"], ["DATA"]
-    for (mid, off), w in sorted(p.mem.items()):
-        (code if off < code_len.get(mid, off) else data).append(f"{mid}:{off} {aimod.render_word(w)}")
+    code = ["CODE"] + [f"{mid}:{off} {aimod.render_word(w)}" for mid in sorted(p.code) for off, w in enumerate(p.code[mid])]
+    data = ["DATA"] + [f"{mid}:{off} {aimod.render_word(w)}" for (mid, off), w in sorted(p.mem.items())]
     head, rest = aimod.dump(p).split("CODE\n")
     return head + "\n".join(code + data) + "\nMASKS\n" + rest.split("MASKS\n")[1]
 
@@ -276,8 +368,9 @@ def per_word_dump(p: ProgramImage) -> str:
 def test_per_word_files_load_to_the_same_image(name):
     img = compaim(parse_component(AIMOD_SOURCES[name]))
     text, old = aimod.dump(img), per_word_dump(img)
-    assert len(old.split("CODE\n")[1].split("MASKS\n")[0].splitlines()) == len(img.mem) + 1  # and the DATA header
+    n_words = len(img.mem) + sum(map(len, img.code.values()))
+    assert len(old.split("CODE\n")[1].split("MASKS\n")[0].splitlines()) == n_words + 1  # and the DATA header
     a, b = aimod.load(old), aimod.load(text)
-    assert (a.mem, a.descs, a.masks) == (b.mem, b.descs, b.masks)
+    assert (a.mem, a.code, a.descs, a.masks) == (b.mem, b.code, b.descs, b.masks)
     assert (a.table.em, a.table.eo, a.table.rm, a.table.ro) == (b.table.em, b.table.eo, b.table.rm, b.table.ro)
     assert aimod.dump(a) == text and aimod.dump(b) == text

@@ -533,17 +533,18 @@ class TestDecodeAgreesWithTheReference:
     @pytest.mark.parametrize("name", sorted(DECODED_SOURCES))
     def test_every_code_offset(self, name):
         """Each offset of each module's code, padding included, and the words
-        just outside it; in a booted state and with its code split off."""
+        just outside it; in a booted state, whose code sits in its tuples, and
+        in one that keeps every word in `mem`, alike."""
         img = compaim(parse_component(DECODED_SOURCES[name]))
         booted = boot_state(img)
-        split = booted.clone()
-        split.share_code()
-        assert split.code
-        for st in (booted, split):
-            for d in st.descs:
-                for off in range(-1, d.code_len + 4):
-                    st.pc = Address(d.mid, off)
-                    decoded_as_reference(st)
+        flat = booted.clone()
+        flat.mem.update((Address(mid, off), w) for mid, ws in img.code.items() for off, w in enumerate(ws))
+        flat.code, flat._icache = {}, {}
+        assert booted.code and all(d.mid in booted.code for d in booted.descs)
+        for d in booted.descs:
+            for off in range(-1, d.code_len + 4):
+                booted.pc = flat.pc = Address(d.mid, off)
+                assert decoded_as_reference(booted) == decoded_as_reference(flat)
 
     def test_a_symbol_opcode(self):
         for pc in ((0, 0), (2, 20)):
@@ -579,11 +580,12 @@ class TestDecodeAgreesWithTheReference:
 
 def shared(program, words=()):
     """A state that runs `program` from (2,20) in module 2's code, with the
-    (address, word) pairs of `words` written, its protected code then split
-    off into the shared map."""
+    (address, word) pairs of `words` written, laid out as `boot_state` lays
+    out an image: module 2's code section a tuple in `code`, every other
+    word in `mem`."""
     st = machine(program, descs=GRID_DESCS, pc=(2, 20))
     st.mem.update(words)
-    st.share_code()
+    st.code = {2: tuple(st.mem.pop(Address(2, off), 0) for off in range(GRID_DESCS[0].code_len))}
     return st
 
 
@@ -592,11 +594,11 @@ class TestSharedCode:
         img = compaim(parse_component(COMPONENTS["cell"]))
         st = ComponentTracer(img).initial()
         a, b = st.clone(), st.clone()
-        assert a.code is st.code and b.code is st.code
-        code_len = {d.mid: d.code_len for d in img.descs}
-        assert set(st.code) == {x for x in img.mem if x.off < code_len.get(x.mid, 0)}
-        assert {**st.mem, **st.code}.items() >= img.mem.items()
-        assert not st.mem.keys() & st.code.keys()
+        assert a.code is st.code and b.code is st.code and st.code is img.code
+        assert sorted(st.code) == sorted(d.mid for d in img.descs)
+        assert all(len(st.code[d.mid]) == d.code_len for d in img.descs)
+        assert st.mem.items() >= img.mem.items()
+        assert not any(off < len(st.code.get(mid, ())) for mid, off in st.mem)
 
     def test_data_and_unprotected_writes_stay_in_their_clone(self):
         # store 7 at (2,100), module 2's data, then at (0,100), unprotected
@@ -624,7 +626,7 @@ class TestSharedCode:
         # (2,5) is a word of module 2's code, read by its own movl
         prog = Assembler().emit("movi", 2, 2).emit("movi", 3, 5).emit("movl", 1, 2, 3).emit("halt").words()
         st = shared(prog, {Address(2, 5): 4242})
-        assert Address(2, 5) in st.code and Address(2, 5) not in st.mem
+        assert st.code[2][5] == 4242 and Address(2, 5) not in st.mem
         assert run_state(st, 10)[0] == "halted" and st.reg(1) == 4242
 
     def test_tbl_add_reads_the_class_word(self):
@@ -634,10 +636,12 @@ class TestSharedCode:
         mask = st.reg(1)
         assert isinstance(mask, Nonce) and st.gstore[mask] == (encode_class("c"), 2)
 
-    def test_boot_state_keeps_every_word_in_mem(self):
+    def test_boot_state_shares_the_image_code(self):
         img = compaim(parse_component(COMPONENTS["cell"]))
         st = boot_state(img)
-        assert st.code == {} and all(st.mem[a] == w for a, w in img.mem.items())
+        assert st.code is img.code and all(st.mem[a] == w for a, w in img.mem.items())
+        for other in (st, st.clone(), st.clone().clone(), boot_state(img, seed=3)):
+            assert all(other.code[m] is img.code[m] for m in img.code)
 
 
 class TestChecks:

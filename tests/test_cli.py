@@ -181,8 +181,11 @@ class TestCompileLinkRun:
         assert run_cli("link", *mods, "-o", ws / "prog.aimod") == 0
         lines = (ws / "prog.aimod").read_text().splitlines()
         assert lines[3] == "CODE" and re.fullmatch(r"[0-9]+:0( [0-9]+)+", lines[4])
-        # a corrupt first CODE line, and the first CODE line given twice
-        for n, bad in ((5, lines[:4] + ["2:x 3"] + lines[5:]), (6, lines[:5] + lines[4:])):
+        # a corrupt first CODE line, the first CODE line given twice, and the
+        # first CODE line without its last word, which module 1's DESC (line 2) names
+        short = lines[4].rpartition(" ")[0]
+        assert lines[1].startswith("1 ")
+        for n, bad in ((5, lines[:4] + ["2:x 3"] + lines[5:]), (6, lines[:5] + lines[4:]), (2, lines[:4] + [short] + lines[5:])):
             (ws / "bad.aimod").write_text("\n".join(bad) + "\n")
             capsys.readouterr()
             assert run_cli("run_aim", ws / "bad.aimod") == 1

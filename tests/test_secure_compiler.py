@@ -154,31 +154,31 @@ class TestSys:
 
     def test_sys_image_is_its_words_and_the_depth_word(self):
         img = build_sys()
-        want = {Address(SYS_ID, i): w for i, w in enumerate(SYS_WORDS)}
-        want[SYS_DEPTH_ADDR] = 0
-        assert img.mem == want and SYS_DEPTH_ADDR == Address(SYS_ID, DATA_BASE)
+        assert img.code == {SYS_ID: SYS_WORDS} and img.code[SYS_ID] is SYS_WORDS
+        assert img.mem == {SYS_DEPTH_ADDR: 0} and SYS_DEPTH_ADDR == Address(SYS_ID, DATA_BASE)
         assert all(type(a) is Address for a in img.mem)
         assert img.descs == [Descriptor(SYS_ID, len(SYS_WORDS), 4)] and img.masks == {}
 
     def test_exit_marks_are_the_boundary_jumps_they_name(self):
-        code = {Address(SYS_ID, i): w for i, w in enumerate(SYS_WORDS)}
+        code = {SYS_ID: SYS_WORDS}
         assert sorted(kind for kind, _, _ in SYS_EXIT_MARKS.values()) == ["fwcall", "fwret", "regobj", "testobj"]
         for off, (_, rd, ri) in SYS_EXIT_MARKS.items():
             assert decode({}, code, SYS_ID, off, True) == ("jmp", (rd, ri))
 
     def test_each_sys_image_is_independent(self):
         a, b = build_sys(), build_sys()
-        assert a.mem is not b.mem and a.descs is not b.descs and a.masks is not b.masks
+        assert a.mem is not b.mem and a.descs is not b.descs and a.masks is not b.masks and a.code is not b.code
         assert a.table is not b.table and a.table.em is not b.table.em
         assert a.table.eo is not b.table.eo and a.table.rm is not b.table.rm and a.table.ro is not b.table.ro
-        a.mem[Address(SYS_ID, 0)] = 99
+        assert a.code[SYS_ID] is b.code[SYS_ID] is SYS_WORDS  # a tuple: nothing can write it
+        a.code[SYS_ID] = (99,) + SYS_WORDS[1:]
         a.mem[SYS_DEPTH_ADDR] = 5
         a.descs.append(Descriptor(2, 64, 1))
         a.table.em.clear()
         a.table.rm.append((TESTOBJ, Symbol("i"), Symbol("s")))
         a.masks[SYS_ID] = {}
         c = build_sys()
-        assert c.mem == b.mem and c.mem[SYS_DEPTH_ADDR] == 0 and c.mem[Address(SYS_ID, 0)] == SYS_WORDS[0]
+        assert c.mem == b.mem and c.mem[SYS_DEPTH_ADDR] == 0 and c.code[SYS_ID][0] == SYS_WORDS[0]
         assert c.descs == b.descs == [Descriptor(SYS_ID, len(SYS_WORDS), 4)]
         assert c.table == b.table and len(c.table.em) == 4 and c.table.rm == [] and c.masks == {}
 

@@ -910,8 +910,7 @@ def sys_variant(patch: str):
     img = image_of(COMPONENTS["cell"])
     [off] = [o for o in range(len(SYS_WORDS)) if SYS_WORDS[o : o + 3] == (3, 16, 0)]
     words = {"names-r7": (3, 7, 0), "zero": (9, 9, 9), "exit": (3, 3, 0)}[patch]
-    for i, w in enumerate(words):
-        img.mem[Address(SYS_ID, off + i)] = w
+    img.code[SYS_ID] = SYS_WORDS[:off] + words + SYS_WORDS[off + 3 :]
     return img
 
 
